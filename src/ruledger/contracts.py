@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hmac
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable
 
@@ -94,9 +94,6 @@ LogQuery = Callable[[str, str], "str | None"]
 class Verdict:
     accepted: bool
     code: str | None = None
-    # Post-commit side channel: ("task_event", event_info, cid) or
-    # ("exec_actions", event_info, actions).  Filled in by apply_*.
-    notifications: list[tuple] = field(default_factory=list)
 
     @classmethod
     def reject(cls, code: str) -> "Verdict":
@@ -137,16 +134,11 @@ def verify_usr_rule(
     rule_name: str,
 ) -> int:
     """Row id of the matching user-rule binding, or RES_ERR."""
-    tbl = state.table(tables.USR_RULE)
-    for row_id, row in enumerate(tbl.rows):
-        if (
-            row["usr_rule_id"] == usr_rule_id
-            and row["usr_id"] == usr_id
-            and row["rule_id"] == rule_id
-            and row["rule_name"] == rule_name
-        ):
-            return row_id
-    return RES_ERR
+    ids = state.table(tables.USR_RULE).find(
+        ("usr_rule_id", "usr_id", "rule_id", "rule_name"),
+        (usr_rule_id, usr_id, rule_id, rule_name),
+    )
+    return ids[0] if ids else RES_ERR
 
 
 def ledger_verify_trigger(
@@ -167,14 +159,10 @@ def ledger_verify_trigger(
     usr_item = verify_usr_rule(state, usr_rule_id, usr_id, rule_id, rule_name)
     if usr_item == RES_ERR:
         return ERR_USER_VERIFY_FAILED
-    con_keys = ["tRule_id", "tStep_id"]
-    con_vals = [usr_item, step_id - 1]
-    matches = state.select_entry(
-        tables.TRIGGER_EVENT, con_keys, con_vals, ["tTask_id", "tStep_id", "tResult"]
-    )
-    for rets in matches:
-        if rets[1] == step_id - 1 and rets[2] == RES_OK:
-            return RES_OK
+    if state.table(tables.TRIGGER_EVENT).find(
+        ["tRule_id", "tStep_id", "tResult"], [usr_item, step_id - 1, RES_OK]
+    ):
+        return RES_OK
     return ERR_TRIGER_VERIFY_FAILED
 
 
@@ -187,11 +175,10 @@ def get_rule_definition(state: tables.TableStore, rule_id: int) -> dict | None:
 
 def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None:
     """Row id of the event record matching the full descriptor, else None."""
-    tbl = state.table(tables.EVENT_RECORD)
-    for row_id, row in enumerate(tbl.rows):
-        if all(row[f] == event_info[f] for f in EVENT_INFO_FIELDS):
-            return row_id
-    return None
+    ids = state.table(tables.EVENT_RECORD).find(
+        EVENT_INFO_FIELDS, [event_info[f] for f in EVENT_INFO_FIELDS]
+    )
+    return ids[0] if ids else None
 
 
 def _event_info_ok(info) -> bool:
@@ -301,18 +288,16 @@ def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
     elif action == "modify_rule":
         rule = body["rule"]
         tbl = state.table(tables.RULE)
-        for row_id, row in enumerate(tbl.rows):
-            if row["rule_id"] == rule["rule_id"]:
-                tbl.update(row_id, "definition", canonical_bytes(rule).decode("utf-8"))
-                break
+        ids = tbl.find(["rule_id"], [rule["rule_id"]])
+        if ids:
+            tbl.update(ids[0], "definition", canonical_bytes(rule).decode("utf-8"))
     elif action == "manage_accounts":
         tbl = state.table(tables.ACL)
         for entry in body["entries"]:
-            for row_id, row in enumerate(tbl.rows):
-                if row["signer"] == entry["signer"]:
-                    tbl.update(row_id, "role", entry["role"])
-                    tbl.update(row_id, "usr_id", entry["usr_id"])
-                    break
+            ids = tbl.find(["signer"], [entry["signer"]])
+            if ids:
+                tbl.update(ids[0], "role", entry["role"])
+                tbl.update(ids[0], "usr_id", entry["usr_id"])
             else:
                 tbl.insert(
                     {
@@ -362,7 +347,7 @@ def event_verification_contract(
     if not isinstance(body.get("task_ref"), int):
         return Verdict.reject(CODE_MALFORMED)
 
-    if get_rule_definition(state, info["rule_id"]) is None:
+    if not state.table(tables.RULE).find(["rule_id"], [info["rule_id"]]):
         return Verdict.reject(CODE_UNKNOWN_RULE)
     if (
         verify_usr_rule(
@@ -444,10 +429,12 @@ def action_verification_contract(
         return Verdict.reject(CODE_MALFORMED)
     if not verify_random(secret, info, body["cid"]):
         return Verdict.reject(CODE_BAD_CID)
-    record_id = _find_event_record(state, info)
-    if record_id is None:
+    records = state.select_entry(
+        tables.EVENT_RECORD, EVENT_INFO_FIELDS, [info[f] for f in EVENT_INFO_FIELDS], ["consumed"]
+    )
+    if not records:
         return Verdict.reject(CODE_NO_EVENT_RECORD)
-    if state.table(tables.EVENT_RECORD).rows[record_id]["consumed"]:
+    if records[0][0]:
         return Verdict.reject(CODE_ALREADY_CONSUMED)
     result = ledger_verify_trigger(
         state,

@@ -97,6 +97,13 @@ def batch_digest(batch_wires: list[dict]) -> str:
     return digest_hex(batch_wires)
 
 
+def _dict(value) -> dict:
+    """value if it is a dict, else a TypeError, which on_message counts as malformed."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def genesis_block() -> dict:
     content = {"height": 0, "prev_digest": GENESIS_PREV, "txs": []}
     return {
@@ -323,45 +330,35 @@ class LedgerNode(Process):
             return
         self._propose(batch)
 
+    def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
+        return {
+            "type": "pre_prepare",
+            "view": view,
+            "height": height,
+            "digest": digest,
+            "batch": wires,
+            "sender": self.index,
+            "sig": self._sign(_pp_body(view, height, digest)),
+        }
+
     def _propose(self, batch: list[SignedTransaction]) -> None:
         h = self.next_height
         wires = [tx.wire() for tx in batch]
         if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
-            self._propose_equivocating(h, batch)
+            self._propose_equivocating(h, wires)
             return
-        digest = batch_digest(wires)
-        msg = {
-            "type": "pre_prepare",
-            "view": self.view,
-            "height": h,
-            "digest": digest,
-            "batch": wires,
-            "sender": self.index,
-            "sig": self._sign(_pp_body(self.view, h, digest)),
-        }
-        self._broadcast(msg)
+        self._broadcast(self._pre_prepare(self.view, h, batch_digest(wires), wires))
 
-    def _propose_equivocating(self, h: int, batch: list[SignedTransaction]) -> None:
+    def _propose_equivocating(self, h: int, wires_a: list[dict]) -> None:
         """Send conflicting proposals to two halves of the replica set."""
-        wires_a = [tx.wire() for tx in batch]
-        if len(batch) > 1:
+        if len(wires_a) > 1:
             wires_b = list(reversed(wires_a))
         else:
             wires_b = wires_a + wires_a  # duplicate entry changes the digest
-        variants = []
-        for wires in (wires_a, wires_b):
-            digest = batch_digest(wires)
-            variants.append(
-                {
-                    "type": "pre_prepare",
-                    "view": self.view,
-                    "height": h,
-                    "digest": digest,
-                    "batch": wires,
-                    "sender": self.index,
-                    "sig": self._sign(_pp_body(self.view, h, digest)),
-                }
-            )
+        variants = [
+            self._pre_prepare(self.view, h, batch_digest(wires), wires)
+            for wires in (wires_a, wires_b)
+        ]
         half = self.config.n // 2
         for i, dst in enumerate(self.config.node_addrs):
             self.send(dst, variants[0] if i < half else variants[1])
@@ -394,13 +391,9 @@ class LedgerNode(Process):
             return  # first accepted pre-prepare wins
         if slot.digest == digest:
             return
-        batch = []
-        for wire in msg["batch"]:
-            tx = self._parse_tx(wire)
-            if tx is None:
-                self.counters["malformed_dropped"] += 1
-                return
-            batch.append(tx)
+        batch = self._parse_batch(msg["batch"])
+        if batch is None:
+            return
         if batch_digest(msg["batch"]) != digest or not batch:
             self.counters["malformed_dropped"] += 1
             return
@@ -608,21 +601,27 @@ class LedgerNode(Process):
             return
         votes: dict[int, str] = {}
         body = _c_body(msg["view"], h, digest)
-        for key, sig in msg["votes"].items():
+        for key, sig in _dict(msg["votes"]).items():
             idx = int(key)
             if self._vote_valid(body, idx, sig):
                 votes[idx] = sig
         if len(votes) < self.config.quorum:
             self.counters["malformed_dropped"] += 1
             return
+        batch = self._parse_batch(msg["batch"])
+        if batch is not None:
+            self._commit_block(msg["view"], h, digest, batch, votes)
+
+    def _parse_batch(self, wires) -> list[SignedTransaction] | None:
+        """Parse and verify every wire; None, counted as malformed, if any fails."""
         batch = []
-        for wire in msg["batch"]:
+        for wire in wires:
             tx = self._parse_tx(wire)
             if tx is None:
                 self.counters["malformed_dropped"] += 1
-                return
+                return None
             batch.append(tx)
-        self._commit_block(msg["view"], h, digest, batch, votes)
+        return batch
 
     def _drain_committed_buffer(self) -> None:
         while self.next_height in self.committed_buffer:
@@ -642,9 +641,10 @@ class LedgerNode(Process):
         h = msg["height"]
         if not isinstance(h, int) or h < 1 or h >= self.next_height:
             return
-        # Reconstruct gossip for the requested height from the stored
-        # block.  Rejected txs are gone, so the proposal digest is rebuilt
-        # over the stored list; votes were kept at commit time.
+        # Reconstruct gossip for the requested height from the stored block.
+        # The digest and votes cover the whole proposal but the block keeps
+        # only accepted txs, so a block that rejected any tx fails the
+        # receiver's digest check and cannot be served (ROADMAP item 4).
         block = self.chain[h]
         self._cast(
             src,
@@ -710,7 +710,7 @@ class LedgerNode(Process):
             if batch_digest(cert["batch"]) != digest:
                 return False
             valid = 0
-            for key, (tag, sig) in cert["prepares"].items():
+            for key, (tag, sig) in _dict(cert["prepares"]).items():
                 idx = int(key)
                 body = _pp_body(view, h, digest) if tag == "pp" else _p_body(view, h, digest)
                 if tag == "pp" and idx != self.config.primary(view):
@@ -780,30 +780,11 @@ class LedgerNode(Process):
         pre_prepare = None
         h = self.next_height
         if cert is not None:
-            digest = cert["digest"]
-            pre_prepare = {
-                "type": "pre_prepare",
-                "view": new_view,
-                "height": h,
-                "digest": digest,
-                "batch": cert["batch"],
-                "sender": self.index,
-                "sig": self._sign(_pp_body(new_view, h, digest)),
-            }
+            pre_prepare = self._pre_prepare(new_view, h, cert["digest"], cert["batch"])
         else:
-            batch = self._undecided_batch()
-            if batch:
-                wires = [tx.wire() for tx in batch]
-                digest = batch_digest(wires)
-                pre_prepare = {
-                    "type": "pre_prepare",
-                    "view": new_view,
-                    "height": h,
-                    "digest": digest,
-                    "batch": wires,
-                    "sender": self.index,
-                    "sig": self._sign(_pp_body(new_view, h, digest)),
-                }
+            wires = [tx.wire() for tx in self._undecided_batch()]
+            if wires:
+                pre_prepare = self._pre_prepare(new_view, h, batch_digest(wires), wires)
         self._broadcast(
             {
                 "type": "new_view",
@@ -819,9 +800,9 @@ class LedgerNode(Process):
         if view < self.view:
             return
         vcs: dict[int, dict] = {}
-        for key, vc in msg["vcs"].items():
+        for key, vc in _dict(msg["vcs"]).items():
             idx = int(key)
-            cert = vc.get("cert")
+            cert = _dict(vc).get("cert")
             cert_digest = digest_hex(cert) if cert else ""
             body = _vc_body(vc["new_view"], vc["last_height"], cert_digest)
             if vc["new_view"] != view or not self._vote_valid(body, idx, vc["sig"]):
@@ -837,7 +818,7 @@ class LedgerNode(Process):
         pre_prepare = msg.get("pre_prepare")
         cert = self._best_cert(vcs)
         if cert is not None and (
-            pre_prepare is None or pre_prepare.get("digest") != cert["digest"]
+            pre_prepare is None or _dict(pre_prepare).get("digest") != cert["digest"]
         ):
             # The new primary must re-propose the prepared batch.
             self.counters["malformed_dropped"] += 1

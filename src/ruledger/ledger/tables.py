@@ -1,13 +1,17 @@
 """Ledger state tables.
 
 State is a set of named tables of flat rows (string or integer cells).
-Rows are appended or updated only from committed transactions; reads go
-through select_entry, which filters on column equality and projects
-columns in a caller-chosen order.
+Invariant: rows change only through insert and update.  Reads go through
+find, which returns the ids of the rows whose columns equal the given
+values, in insertion order; select_entry projects those rows to columns
+in a caller-chosen order.  find keeps one hash index per tuple of queried
+columns, built lazily on its first query and kept current by insert and
+update, so a write made any other way is invisible to built indexes.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Any, Sequence
 
 from ..canonical import digest_hex
@@ -26,6 +30,8 @@ class LedgerTable:
         self.name = name
         self.columns = tuple(columns)
         self.rows: list[dict] = []
+        # queried columns -> their values in a row -> ids of those rows
+        self._indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
 
     def insert(self, row: dict) -> int:
         """Append a row, returning its row id (insertion index)."""
@@ -33,13 +39,40 @@ class LedgerTable:
             raise UnknownColumnError(
                 f"{self.name}: row columns {sorted(row)} != schema {sorted(self.columns)}"
             )
+        row_id = len(self.rows)
         self.rows.append(dict(row))
-        return len(self.rows) - 1
+        for keys, index in self._indexes.items():
+            index.setdefault(tuple(row[k] for k in keys), []).append(row_id)
+        return row_id
 
     def update(self, row_id: int, column: str, value: Any) -> None:
         if column not in self.columns:
             raise UnknownColumnError(f"{self.name}: no column {column}")
-        self.rows[row_id][column] = value
+        row = self.rows[row_id]
+        for keys, index in self._indexes.items():
+            if column in keys:
+                old = tuple(row[k] for k in keys)
+                index[old].remove(row_id)
+                if not index[old]:
+                    del index[old]
+                new = tuple(value if k == column else row[k] for k in keys)
+                insort(index.setdefault(new, []), row_id)
+        row[column] = value
+
+    def find(self, cond_keys: Sequence[str], cond_vals: Sequence[Any]) -> list[int]:
+        """Ids of the rows matching all (key == val) conditions, in insertion order."""
+        for col in cond_keys:
+            if col not in self.columns:
+                raise UnknownColumnError(f"{self.name}: no column {col}")
+        if len(cond_keys) != len(cond_vals):
+            raise ValueError("cond_keys and cond_vals differ in length")
+        keys = tuple(cond_keys)
+        index = self._indexes.get(keys)
+        if index is None:
+            index = self._indexes[keys] = {}
+            for row_id, row in enumerate(self.rows):
+                index.setdefault(tuple(row[k] for k in keys), []).append(row_id)
+        return list(index.get(tuple(cond_vals), ()))
 
 
 # Table names and schemas.  trigger_event mirrors the verification
@@ -103,16 +136,11 @@ class TableStore:
         """Rows matching all (key == val) conditions, in insertion order,
         each projected to the requested columns."""
         tbl = self.table(table)
-        for col in list(cond_keys) + list(projection):
+        for col in projection:
             if col not in tbl.columns:
                 raise UnknownColumnError(f"{table}: no column {col}")
-        if len(cond_keys) != len(cond_vals):
-            raise ValueError("cond_keys and cond_vals differ in length")
-        out: list[list[Any]] = []
-        for row in tbl.rows:
-            if all(row[k] == v for k, v in zip(cond_keys, cond_vals)):
-                out.append([row[c] for c in projection])
-        return out
+        rows = tbl.rows
+        return [[rows[i][c] for c in projection] for i in tbl.find(cond_keys, cond_vals)]
 
     def snapshot(self) -> dict:
         return {name: [dict(r) for r in tbl.rows] for name, tbl in self.tables.items()}

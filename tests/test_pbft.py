@@ -6,8 +6,11 @@ transactions within the simulated window.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hr_rule, make_rig, rule_commit_tx
+from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
@@ -147,7 +150,18 @@ def test_garbage_messages_are_counted_not_fatal():
     node.on_message("node0", {"type": "prepare"})  # missing every field
     node.on_message("node0", {"type": "pre_prepare", "view": 0, "height": 1,
                               "digest": "d", "batch": [], "sender": 0, "sig": "zz"})
-    assert node.counters["malformed_dropped"] == before + 3
+    # Containers of the wrong shape, down to the fields behind a signature.
+    empty = node_mod.batch_digest([])
+    cert = {"view": 0, "height": 1, "digest": empty, "batch": [], "prepares": [1]}
+    vc = {"type": "view_change", "new_view": 1, "last_height": 0, "cert": cert, "sender": 2,
+          "sig": rig.keys[2].sign_obj(node_mod._vc_body(1, 0, node_mod.digest_hex(cert)))}
+    node.on_message("node2", vc)
+    node.on_message("node2", {"type": "new_view", "view": 1, "vcs": [1, 2], "pre_prepare": None})
+    node.on_message("node2", {"type": "new_view", "view": 1, "vcs": {"0": [1]},
+                              "pre_prepare": None})
+    node.on_message("node2", {"type": "committed", "view": 0, "height": 1, "digest": empty,
+                              "batch": [], "votes": [1]})
+    assert node.counters["malformed_dropped"] == before + 7
 
     # The node still works afterwards.
     tx = rule_commit_tx(rig.admin, nonce=1)
@@ -214,3 +228,111 @@ def test_commit_certificates_verify_in_audit():
     for node in rig.nodes:
         result = audit.audit_node(node)
         assert result.ok, result.issues
+
+
+# ---------------------------------------------------------------------------
+# node boundary fuzz: no peer message may raise out of on_message
+
+_FIELDS = {
+    "submit": ("tx",),
+    "request": ("tx", "client"),
+    "pre_prepare": ("view", "height", "digest", "batch", "sender", "sig"),
+    "prepare": ("view", "height", "digest", "sender", "sig"),
+    "commit": ("view", "height", "digest", "sender", "sig"),
+    "committed": ("view", "height", "digest", "batch", "votes"),
+    "view_change": ("new_view", "last_height", "cert", "sender", "sig"),
+    "new_view": ("view", "vcs", "pre_prepare"),
+    "sync_req": ("height",),
+}
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "kind", "body", "view", "height",
+                                       "digest", "batch", "prepares"]), kids, max_size=4),
+    max_leaves=10,
+)
+# Mostly small ints, which hit the node's view, height and peer indexes.
+_num = st.integers(0, 3) | _json
+_FUZZ_SEED = 12
+_ADMIN = KeyPair.from_seed(_FUZZ_SEED, "acct/admin")
+_batch = st.lists(
+    st.integers(1, 50).map(lambda nonce: rule_commit_tx(_ADMIN, nonce).wire()) | _json,
+    max_size=3,
+) | _json
+_cert = st.fixed_dictionaries({}, optional={
+    "view": _num, "height": _num, "digest": _json, "batch": _batch, "prepares": _json,
+})
+_VALUES = {"view": _num, "height": _num, "sender": _num, "new_view": _num,
+           "last_height": _num, "batch": _batch, "cert": st.none() | _cert | _json}
+
+
+def _make_valid(msg, keys):
+    """Give msg valid digests, signatures and votes where its drawn fields
+    allow, so it reaches the handler's paths behind those checks."""
+    for holder in (msg.get("cert"), msg):
+        if isinstance(holder, dict) and "batch" in holder:
+            try:
+                holder["digest"] = node_mod.batch_digest(holder["batch"])
+            except TypeError:
+                pass
+    try:
+        if msg["type"] == "view_change":
+            cert = msg.get("cert")
+            body = node_mod._vc_body(msg["new_view"], msg["last_height"],
+                                     node_mod.digest_hex(cert) if cert else "")
+        elif msg["type"] == "committed":
+            body = node_mod._c_body(msg["view"], msg["height"], msg["digest"])
+            msg["votes"] = {str(i): k.sign_obj(body) for i, k in enumerate(keys)}
+            return
+        else:
+            make_body = {"pre_prepare": node_mod._pp_body, "prepare": node_mod._p_body,
+                         "commit": node_mod._c_body}[msg["type"]]
+            body = make_body(msg["view"], msg["height"], msg["digest"])
+        msg["sig"] = keys[msg["sender"]].sign_obj(body)
+    except (KeyError, TypeError, IndexError):
+        pass  # the drawn fields cannot be signed; send them as they are
+
+
+@st.composite
+def _peer_msg(draw, rig, kind=None):
+    """A message of a handled type with JSON-shaped fields, half the time
+    addressed at the receiving node's current view and height."""
+    node = rig.nodes[1]
+    kind = kind or draw(st.sampled_from(sorted(_FIELDS)))
+    msg = {"type": kind}
+    for name in _FIELDS[kind]:
+        if draw(st.integers(0, 9)):
+            msg[name] = draw(_VALUES.get(name, _json))
+    if draw(st.booleans()):
+        current = {"view": node.view, "height": node.next_height,
+                   "sender": rig.config.primary(node.view),
+                   "new_view": node.view + 1, "last_height": node.next_height - 1}
+        msg.update((k, v) for k, v in current.items() if k in _FIELDS[kind])
+    if kind == "new_view":
+        if draw(st.booleans()):
+            msg["pre_prepare"] = draw(_peer_msg(rig, "pre_prepare"))
+        if draw(st.booleans()):
+            msg["vcs"] = {}
+            for i in range(draw(st.integers(0, 4))):
+                vc = draw(_peer_msg(rig, "view_change"))
+                vc.update(sender=i, new_view=msg.get("view"))
+                _make_valid(vc, rig.keys)
+                msg["vcs"][str(i)] = vc
+    elif draw(st.booleans()):
+        _make_valid(msg, rig.keys)
+    return msg
+
+
+@pytest.fixture(scope="module")
+def fuzz_rig():
+    return make_rig(seed=_FUZZ_SEED)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_peer_messages_never_raise_out_of_a_node(fuzz_rig, data):
+    msg = data.draw(_peer_msg(fuzz_rig))
+    src = data.draw(st.sampled_from(fuzz_rig.config.node_addrs + ["client"]))
+    fuzz_rig.nodes[1].on_message(src, msg)

@@ -1,6 +1,8 @@
 """Table store semantics, checked against a plain-Python filter oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledger.ledger import tables
 from ruledger.ledger.tables import (
@@ -20,19 +22,57 @@ def _fill_trigger_rows(state, n=12):
     return rows
 
 
-def test_select_entry_matches_filter_oracle():
+_COLS = tables.SCHEMAS[tables.TRIGGER_EVENT]
+_cell = st.sampled_from([0, 1, "a"])
+_keys = st.lists(st.sampled_from(_COLS[:3]), unique=True, max_size=2)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.fixed_dictionaries({c: _cell for c in _COLS})),
+        st.tuples(st.just("update"), st.integers(0, 10**6), st.sampled_from(_COLS), _cell),
+        st.tuples(st.just("select"),
+                  _keys.flatmap(lambda keys: st.tuples(
+                      st.just(keys), st.lists(_cell, min_size=len(keys), max_size=len(keys)))),
+                  st.lists(st.sampled_from(_COLS), min_size=1, max_size=4)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300)
+@given(_ops)
+def test_select_entry_matches_filter_oracle(ops):
+    """Random interleavings of insert, update and select_entry agree, result
+    by result and in order, with a linear scan over a plain list of rows,
+    including after updates to columns an already-built index covers."""
     state = TableStore()
-    rows = _fill_trigger_rows(state)
-    got = state.select_entry(
-        tables.TRIGGER_EVENT, ["tRule_id", "tStep_id"], [1, 1], ["tTask_id", "tResult"]
-    )
-    expected = [
-        [r["tTask_id"], r["tResult"]]
-        for r in rows
-        if r["tRule_id"] == 1 and r["tStep_id"] == 1
-    ]
-    assert got == expected
-    assert got  # the fixture must actually produce matches
+    tbl = state.table(tables.TRIGGER_EVENT)
+    oracle: list[dict] = []
+
+    def scan(keys, vals):
+        return [i for i, r in enumerate(oracle) if all(r[k] == v for k, v in zip(keys, vals))]
+
+    queried = set()
+    for op in ops:
+        if op[0] == "insert":
+            assert state.insert(tables.TRIGGER_EVENT, op[1]) == len(oracle)
+            oracle.append(dict(op[1]))
+        elif op[0] == "update" and oracle:
+            row_id = op[1] % len(oracle)
+            tbl.update(row_id, op[2], op[3])
+            oracle[row_id][op[2]] = op[3]
+        elif op[0] == "select":
+            (keys, vals), projection = op[1], op[2]
+            queried.add(tuple(keys))
+            assert tbl.find(keys, vals) == scan(keys, vals)
+            assert state.select_entry(tables.TRIGGER_EVENT, keys, vals, projection) == [
+                [oracle[i][c] for c in projection] for i in scan(keys, vals)
+            ]
+    assert tbl.rows == oracle
+    # Every index built along the way must still agree for every row.
+    for keys in queried:
+        for row in oracle:
+            vals = [row[k] for k in keys]
+            assert tbl.find(keys, vals) == scan(keys, vals)
 
 
 def test_select_entry_projection_order_and_empty_conditions():
