@@ -17,20 +17,18 @@ from typing import Any
 _LEAF_TYPES = (str, int, bool, type(None))
 
 
-def _check(obj: Any, path: str = "$") -> None:
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return
-    if isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            _check(item, f"{path}[{i}]")
-        return
+def is_canonical(obj: Any) -> bool:
+    """True iff obj is a leaf, or a list, tuple or str-keyed dict of canonical values."""
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key at {path}: {key!r}")
-            _check(value, f"{path}.{key}")
-        return
-    raise TypeError(f"non-canonical value at {path}: {type(obj).__name__}")
+        if not all(isinstance(key, str) for key in obj):
+            return False
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, _LEAF_TYPES)
+    for item in obj:
+        if not (isinstance(item, _LEAF_TYPES) or is_canonical(item)):
+            return False
+    return True
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -39,7 +37,8 @@ def canonical_bytes(obj: Any) -> bytes:
     Raises TypeError for values outside the canonical subset (floats,
     bytes, custom classes, non-string keys).
     """
-    _check(obj)
+    if not is_canonical(obj):
+        raise TypeError(f"non-canonical value in {type(obj).__name__}")
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")

@@ -255,10 +255,15 @@ def rule_commit_contract(tx: SignedTransaction, state: tables.TableStore) -> Ver
         return Verdict.accept()
 
     # bind_device
-    if not isinstance(body.get("device_id"), str) or not isinstance(
-        body.get("vendor"), str
+    usr_id = body.get("usr_id")
+    if (
+        not isinstance(body.get("device_id"), str)
+        or not isinstance(body.get("vendor"), str)
+        or type(usr_id) is not int
     ):
         return Verdict.reject(CODE_MALFORMED)
+    if usr_id != signer_usr_id and role != ROLE_ADMINISTRATOR:
+        return Verdict.reject(CODE_PERMISSION_DENIED)
     return Verdict.accept()
 
 
@@ -310,7 +315,7 @@ def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
         state.insert(
             tables.DEVICE_BINDING,
             {
-                "usr_id": body.get("usr_id", 0),
+                "usr_id": body["usr_id"],
                 "device_id": body["device_id"],
                 "vendor": body["vendor"],
             },

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 from .. import contracts
 from ..canonical import canonical_bytes, digest_hex
-from ..keys import verify_signature_obj
 from . import tables
-from .node import GENESIS_PREV, LedgerNode, _c_body
+from .node import GENESIS_PREV, LedgerNode, valid_commit_votes
 from .tx import SignedTransaction
 
 
@@ -101,17 +100,9 @@ def audit_records(records: list[dict]) -> AuditResult:
             issues.append(f"block {i}: content digest mismatch")
         if i > 0:
             proof = block.get("proof", {})
-            body = _c_body(proof.get("view"), h, proof.get("proposal_digest"))
-            valid = 0
-            for key, sig in proof.get("votes", {}).items():
-                try:
-                    idx = int(key)
-                except ValueError:
-                    continue
-                if 0 <= idx < len(pubkeys) and verify_signature_obj(
-                    body, sig, pubkeys[idx]
-                ):
-                    valid += 1
+            valid = len(valid_commit_votes(
+                pubkeys, proof.get("view"), h, proof.get("proposal_digest"), proof.get("votes", {})
+            ))
             if valid < quorum:
                 issues.append(
                     f"block {i}: commit certificate has {valid} valid votes, needs {quorum}"

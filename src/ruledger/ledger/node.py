@@ -8,6 +8,12 @@ contracts, and answers submitters with receipts.  Committed-block gossip
 heals nodes that a faulty primary starved or split, and a timeout-driven
 view change rotates the primary when no progress is made.
 
+`MESSAGES`, the one validation layer, gives the exact shape of every message
+(nested ones, certificates, transaction wires and vote maps included).
+`on_message` counts what it does not admit once in `malformed_dropped`: a
+handler runs only on a message the table admits, and reads it unguarded.
+Future-height messages are buffered only once authenticated.
+
 Single-node mode (N = 1) skips voting and is intended for tests only.
 """
 
@@ -17,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .. import contracts
-from ..canonical import digest_hex
+from ..canonical import digest_hex, is_canonical
 from ..keys import KeyPair, verify_signature_obj
 from ..sim.network import Network, Process
 from . import tables
@@ -30,7 +36,7 @@ from .faults import (
     FaultSpec,
     corrupt_msg,
 )
-from .tx import KIND_ACTION, KIND_EVENT, SignedTransaction, TxReceipt
+from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt
 
 GENESIS_PREV = "0" * 64
 
@@ -77,16 +83,12 @@ class LedgerConfig:
         return view % self.n
 
 
-def _pp_body(view: int, height: int, digest: str) -> dict:
-    return {"t": "pp", "v": view, "h": height, "d": digest}
+# The tag each vote message signs; a pre-prepare doubles as the primary's prepare.
+_VOTE_TAGS = {"pre_prepare": "pp", "prepare": "p", "commit": "c"}
 
 
-def _p_body(view: int, height: int, digest: str) -> dict:
-    return {"t": "p", "v": view, "h": height, "d": digest}
-
-
-def _c_body(view: int, height: int, digest: str) -> dict:
-    return {"t": "c", "v": view, "h": height, "d": digest}
+def _vote_body(tag: str, view: int, height: int, digest: str) -> dict:
+    return {"t": tag, "v": view, "h": height, "d": digest}
 
 
 def _vc_body(new_view: int, last_height: int, cert_digest: str) -> dict:
@@ -97,11 +99,110 @@ def batch_digest(batch_wires: list[dict]) -> str:
     return digest_hex(batch_wires)
 
 
-def _dict(value) -> dict:
-    """value if it is a dict, else a TypeError, which on_message counts as malformed."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
-    return value
+def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
+                       votes: dict) -> dict[int, str]:
+    """The votes of a commit certificate whose signatures check, by node index.
+    The audit reads certificates no table checked, so it skips other keys."""
+    body = _vote_body("c", view, height, digest)
+    valid: dict[int, str] = {}
+    for key, sig in votes.items():
+        idx = int(key) if key.isdecimal() else -1
+        if 0 <= idx < len(pubkeys) and verify_signature_obj(body, sig, pubkeys[idx]):
+            valid[idx] = sig
+    return valid
+
+
+# ----------------------------------------------------------------------
+# wire format: a predicate per shape, composed into one table of messages
+
+
+def _int(v) -> bool:
+    return type(v) is int  # bool is an int subclass, never a protocol number
+
+
+def _str(v) -> bool:
+    return type(v) is str
+
+
+def _object(**fields):
+    """An object with exactly these fields, each admitted by its predicate."""
+    items = tuple(fields.items())
+
+    def admits(v) -> bool:
+        if type(v) is not dict or len(v) != len(items):
+            return False
+        for name, ok in items:
+            if name not in v or not ok(v[name]):
+                return False
+        return True
+
+    return admits
+
+
+def _message(kind: str, **fields):
+    return _object(type=lambda v: v == kind, **fields)
+
+
+def _list_of(ok):
+    return lambda v: type(v) is list and all(map(ok, v))
+
+
+def _by_index(ok):
+    """An object keyed by decimal node indexes."""
+    return lambda v: type(v) is dict and all(
+        type(k) is str and k.isdecimal() and ok(x) for k, x in v.items()
+    )
+
+
+def _or_none(ok):
+    return lambda v: v is None or ok(v)
+
+
+_tx_fields = _object(kind=lambda v: v in TX_KINDS, signer=_str, signature=_str,
+                     body=lambda v: type(v) is dict and is_canonical(v))
+
+
+def _tx_wire(v) -> bool:
+    """A signed transaction whose body repeats its kind and carries an int nonce."""
+    return _tx_fields(v) and v["body"].get("kind") == v["kind"] and _int(v["body"].get("nonce"))
+
+
+_BATCH = _list_of(_tx_wire)
+_VOTE_FIELDS = {"view": _int, "height": _int, "digest": _str, "sender": _int, "sig": _str}
+_PRE_PREPARE = _message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
+_CERT = _object(view=_int, height=_int, digest=_str, batch=_BATCH, prepares=_by_index(
+    lambda v: type(v) is list and len(v) == 2 and v[0] in ("pp", "p") and _str(v[1])))
+_VIEW_CHANGE = _message(
+    "view_change", new_view=_int, last_height=_int, cert=_or_none(_CERT), sender=_int, sig=_str
+)
+
+# type -> (shape, handler).  Nested messages are checked with their parent.
+MESSAGES = {
+    "submit": (_message("submit", tx=_tx_wire), "_on_submit"),
+    "request": (_message("request", tx=_tx_wire, client=_str), "_on_request"),
+    "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
+    "prepare": (_message("prepare", **_VOTE_FIELDS), "_on_vote"),
+    "commit": (_message("commit", **_VOTE_FIELDS), "_on_vote"),
+    "committed": (
+        _message("committed", view=_int, height=_int, digest=_str, batch=_BATCH,
+                 votes=_by_index(_str)),
+        "_on_committed",
+    ),
+    "view_change": (_VIEW_CHANGE, "_on_view_change"),
+    "new_view": (
+        _message("new_view", view=_int, vcs=_by_index(_VIEW_CHANGE),
+                 pre_prepare=_or_none(_PRE_PREPARE)),
+        "_on_new_view",
+    ),
+    "sync_req": (_message("sync_req", height=_int), "_on_sync_req"),
+}
+
+
+def handler_for(msg) -> str | None:
+    """The name of msg's handler if MESSAGES admits msg, else None."""
+    kind = msg.get("type") if type(msg) is dict else None
+    entry = MESSAGES.get(kind) if type(kind) is str else None
+    return entry[1] if entry is not None and entry[0](msg) else None
 
 
 def genesis_block() -> dict:
@@ -189,16 +290,9 @@ class LedgerNode(Process):
     def _sign(self, body: dict) -> str:
         return self.keypair.sign_obj(body)
 
-    def _peer_key(self, index: int) -> str | None:
-        if 0 <= index < self.config.n:
-            return self.config.node_pubkeys[index]
-        return None
-
-    def _vote_valid(self, body: dict, index, sig) -> bool:
-        if not isinstance(index, int) or not isinstance(sig, str):
-            return False
-        key = self._peer_key(index)
-        return key is not None and verify_signature_obj(body, sig, key)
+    def _vote_valid(self, body: dict, index: int, sig: str) -> bool:
+        keys = self.config.node_pubkeys
+        return 0 <= index < len(keys) and verify_signature_obj(body, sig, keys[index])
 
     def _cast(self, dst: str, msg: dict) -> None:
         """Send one message, subject to this node's fault hooks."""
@@ -234,66 +328,39 @@ class LedgerNode(Process):
     # inbox
 
     def on_message(self, src: str, msg: dict) -> None:
-        if not isinstance(msg, dict):
-            self.counters["malformed_dropped"] += 1
-            return
-        handler = {
-            "submit": self._on_submit,
-            "request": self._on_request,
-            "pre_prepare": self._on_pre_prepare,
-            "prepare": self._on_prepare,
-            "commit": self._on_commit,
-            "committed": self._on_committed,
-            "view_change": self._on_view_change,
-            "new_view": self._on_new_view,
-            "sync_req": self._on_sync_req,
-        }.get(msg.get("type"))
+        handler = handler_for(msg)
         if handler is None:
             self.counters["malformed_dropped"] += 1
             return
         try:
-            handler(src, msg)
-        except (KeyError, TypeError, ValueError):
+            getattr(self, handler)(src, msg)
+        except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
             self.counters["malformed_dropped"] += 1
 
     # ------------------------------------------------------------------
     # submission path
 
-    def _parse_tx(self, wire) -> SignedTransaction | None:
-        try:
-            tx = SignedTransaction.from_wire(wire)
-        except (KeyError, TypeError):
-            return None
-        if not tx.well_formed() or not tx.signature_valid():
-            return None
-        return tx
-
     def _on_submit(self, src: str, msg: dict) -> None:
-        tx = self._parse_tx(msg.get("tx"))
-        if tx is None:
-            reply = TxReceipt(tx_id="", accepted=False, code=contracts.CODE_BAD_SIGNATURE)
-            try:
-                bad = SignedTransaction.from_wire(msg["tx"])
-                reply = TxReceipt(bad.tx_id, False, contracts.CODE_BAD_SIGNATURE)
-            except (KeyError, TypeError):
-                pass
+        tx = SignedTransaction.from_wire(msg["tx"])
+        if not tx.signature_valid():
+            reply = TxReceipt(tx.tx_id, False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
         self._broadcast({"type": "request", "tx": tx.wire(), "client": src})
 
     def _on_request(self, src: str, msg: dict) -> None:
-        tx = self._parse_tx(msg.get("tx"))
-        if tx is None:
+        tx = SignedTransaction.from_wire(msg["tx"])
+        client = msg["client"]
+        # A faulty entry node may name an address nobody owns; sending there raises.
+        if client not in self.net.processes or not tx.signature_valid():
             self.counters["malformed_dropped"] += 1
             return
-        client = msg.get("client")
         tid = tx.tx_id
         if tid in self.decided:
-            if isinstance(client, str):
-                self._cast(client, {"type": "receipt", **self.decided[tid].wire()})
+            self._cast(client, {"type": "receipt", **self.decided[tid].wire()})
             return
         waiters = self.submitters.setdefault(tid, [])
-        if isinstance(client, str) and client not in waiters:
+        if client not in waiters:
             waiters.append(client)
         if tid not in self.pool:
             self.pool[tid] = tx
@@ -325,21 +392,23 @@ class LedgerNode(Process):
         if self.config.n == 1:
             wires = [tx.wire() for tx in batch]
             digest = batch_digest(wires)
-            vote = self._sign(_c_body(self.view, h, digest))
+            vote = self._sign(_vote_body("c", self.view, h, digest))
             self._commit_block(self.view, h, digest, batch, {self.index: vote})
             return
         self._propose(batch)
 
-    def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
+    def _vote(self, kind: str, view: int, height: int, digest: str) -> dict:
         return {
-            "type": "pre_prepare",
+            "type": kind,
             "view": view,
             "height": height,
             "digest": digest,
-            "batch": wires,
             "sender": self.index,
-            "sig": self._sign(_pp_body(view, height, digest)),
+            "sig": self._sign(_vote_body(_VOTE_TAGS[kind], view, height, digest)),
         }
+
+    def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
+        return {**self._vote("pre_prepare", view, height, digest), "batch": wires}
 
     def _propose(self, batch: list[SignedTransaction]) -> None:
         h = self.next_height
@@ -369,21 +438,20 @@ class LedgerNode(Process):
     def _slot(self, view: int, height: int) -> _Slot:
         return self.slots.setdefault((view, height), _Slot())
 
-    def _on_pre_prepare(self, src: str, msg: dict) -> None:
-        view, h = msg["view"], msg["height"]
-        sender = msg["sender"]
+    def _on_pre_prepare(self, src: str, msg: dict, verified: bool = False) -> None:
+        view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
         if view != self.view or sender != self.config.primary(view):
             self.counters["malformed_dropped"] += 1
             return
         if h < self.next_height:
             return
+        body = _vote_body("pp", view, h, digest)
+        if not verified and not self._vote_valid(body, sender, msg["sig"]):
+            self.counters["malformed_dropped"] += 1
+            return
         if h > self.next_height:
             if len(self.pp_buffer) < 64:
                 self.pp_buffer.append(msg)
-            return
-        digest = msg["digest"]
-        if not self._vote_valid(_pp_body(view, h, digest), sender, msg["sig"]):
-            self.counters["malformed_dropped"] += 1
             return
         slot = self._slot(view, h)
         if slot.digest is not None and slot.digest != digest:
@@ -402,39 +470,25 @@ class LedgerNode(Process):
         slot.prepares.setdefault(digest, {})[sender] = ("pp", msg["sig"])
         if not slot.sent_prepare:
             slot.sent_prepare = True
-            self._broadcast(
-                {
-                    "type": "prepare",
-                    "view": view,
-                    "height": h,
-                    "digest": digest,
-                    "sender": self.index,
-                    "sig": self._sign(_p_body(view, h, digest)),
-                }
-            )
+            self._broadcast(self._vote("prepare", view, h, digest))
         self._rearm_timer()
         self._check_slot(view, h)
 
-    def _on_prepare(self, src: str, msg: dict) -> None:
-        view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
+    def _on_vote(self, src: str, msg: dict) -> None:
+        """A prepare or a commit."""
+        view, h, digest = msg["view"], msg["height"], msg["digest"]
+        sender, sig = msg["sender"], msg["sig"]
         if h < self.next_height:
             return
-        if not self._vote_valid(_p_body(view, h, digest), sender, msg["sig"]):
+        tag = _VOTE_TAGS[msg["type"]]
+        if not self._vote_valid(_vote_body(tag, view, h, digest), sender, sig):
             self.counters["malformed_dropped"] += 1
             return
         slot = self._slot(view, h)
-        slot.prepares.setdefault(digest, {})[sender] = ("p", msg["sig"])
-        self._check_slot(view, h)
-
-    def _on_commit(self, src: str, msg: dict) -> None:
-        view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
-        if h < self.next_height:
-            return
-        if not self._vote_valid(_c_body(view, h, digest), sender, msg["sig"]):
-            self.counters["malformed_dropped"] += 1
-            return
-        slot = self._slot(view, h)
-        slot.commits.setdefault(digest, {})[sender] = msg["sig"]
+        if tag == "p":
+            slot.prepares.setdefault(digest, {})[sender] = (tag, sig)
+        else:
+            slot.commits.setdefault(digest, {})[sender] = sig
         self._check_slot(view, h)
 
     def _check_slot(self, view: int, height: int) -> None:
@@ -450,16 +504,7 @@ class LedgerNode(Process):
             and len(slot.prepares.get(slot.digest, {})) >= quorum
         ):
             slot.sent_commit = True
-            self._broadcast(
-                {
-                    "type": "commit",
-                    "view": view,
-                    "height": height,
-                    "digest": slot.digest,
-                    "sender": self.index,
-                    "sig": self._sign(_c_body(view, height, slot.digest)),
-                }
-            )
+            self._broadcast(self._vote("commit", view, height, slot.digest))
         if slot.digest is not None and slot.batch is not None:
             votes = slot.commits.get(slot.digest, {})
             if len(votes) >= quorum:
@@ -550,7 +595,8 @@ class LedgerNode(Process):
                 include_self=False,
             )
 
-        self._drain_committed_buffer()
+        while self.next_height in self.committed_buffer:  # each entry is certified
+            self._commit_block(*self.committed_buffer.pop(self.next_height))
         self._replay_pp_buffer()
         self._rearm_timer()
         self._maybe_propose()
@@ -586,60 +632,42 @@ class LedgerNode(Process):
     # committed-block gossip and sync
 
     def _on_committed(self, src: str, msg: dict) -> None:
-        h = msg["height"]
-        if h < self.next_height:
+        view, h, digest = msg["view"], msg["height"], msg["digest"]
+        if h < self.next_height or h in self.committed_buffer:
             return
-        if h > self.next_height:
-            self.committed_buffer.setdefault(h, msg)
-            return
-        self._commit_from_gossip(msg)
-
-    def _commit_from_gossip(self, msg: dict) -> None:
-        h, digest = msg["height"], msg["digest"]
         if batch_digest(msg["batch"]) != digest:
             self.counters["malformed_dropped"] += 1
             return
-        votes: dict[int, str] = {}
-        body = _c_body(msg["view"], h, digest)
-        for key, sig in _dict(msg["votes"]).items():
-            idx = int(key)
-            if self._vote_valid(body, idx, sig):
-                votes[idx] = sig
+        votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"])
         if len(votes) < self.config.quorum:
             self.counters["malformed_dropped"] += 1
             return
         batch = self._parse_batch(msg["batch"])
-        if batch is not None:
-            self._commit_block(msg["view"], h, digest, batch, votes)
+        if batch is None:
+            return
+        # Only certified heights are buffered, so no peer can grow the buffer.
+        if h > self.next_height:
+            self.committed_buffer[h] = (view, h, digest, batch, votes)
+        else:
+            self._commit_block(view, h, digest, batch, votes)
 
-    def _parse_batch(self, wires) -> list[SignedTransaction] | None:
-        """Parse and verify every wire; None, counted as malformed, if any fails."""
-        batch = []
-        for wire in wires:
-            tx = self._parse_tx(wire)
-            if tx is None:
-                self.counters["malformed_dropped"] += 1
-                return None
-            batch.append(tx)
-        return batch
-
-    def _drain_committed_buffer(self) -> None:
-        while self.next_height in self.committed_buffer:
-            msg = self.committed_buffer.pop(self.next_height)
-            before = self.next_height
-            self._commit_from_gossip(msg)
-            if self.next_height == before:
-                break  # invalid gossip; stop rather than loop
+    def _parse_batch(self, wires: list[dict]) -> list[SignedTransaction] | None:
+        """The parsed batch; None, counted as malformed, unless every signature checks."""
+        batch = [SignedTransaction.from_wire(wire) for wire in wires]
+        if all(tx.signature_valid() for tx in batch):
+            return batch
+        self.counters["malformed_dropped"] += 1
+        return None
 
     def _replay_pp_buffer(self) -> None:
         buffered, self.pp_buffer = self.pp_buffer, []
         for msg in buffered:
             if msg["height"] >= self.next_height:
-                self._on_pre_prepare("", msg)
+                self._on_pre_prepare("", msg, verified=True)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
         h = msg["height"]
-        if not isinstance(h, int) or h < 1 or h >= self.next_height:
+        if h < 1 or h >= self.next_height:
             return
         # Reconstruct gossip for the requested height from the stored block.
         # The digest and votes cover the whole proposal but the block keeps
@@ -704,22 +732,25 @@ class LedgerNode(Process):
                 best = cert
         return best
 
-    def _validate_cert(self, cert: dict) -> bool:
-        try:
-            view, h, digest = cert["view"], cert["height"], cert["digest"]
-            if batch_digest(cert["batch"]) != digest:
-                return False
-            valid = 0
-            for key, (tag, sig) in _dict(cert["prepares"]).items():
-                idx = int(key)
-                body = _pp_body(view, h, digest) if tag == "pp" else _p_body(view, h, digest)
-                if tag == "pp" and idx != self.config.primary(view):
-                    return False
-                if self._vote_valid(body, idx, sig):
-                    valid += 1
-            return valid >= self.config.quorum
-        except (KeyError, TypeError, ValueError):
+    def _view_change_valid(self, vc: dict) -> bool:
+        """A view change's signature and, if it carries one, its prepared certificate."""
+        cert = vc["cert"]
+        body = _vc_body(vc["new_view"], vc["last_height"], digest_hex(cert) if cert else "")
+        if not self._vote_valid(body, vc["sender"], vc["sig"]):
             return False
+        if cert is None:
+            return True
+        view, h, digest = cert["view"], cert["height"], cert["digest"]
+        if batch_digest(cert["batch"]) != digest:
+            return False
+        valid = 0
+        for key, (tag, sig) in cert["prepares"].items():
+            idx = int(key)
+            if tag == "pp" and idx != self.config.primary(view):
+                return False
+            if self._vote_valid(_vote_body(tag, view, h, digest), idx, sig):
+                valid += 1
+        return valid >= self.config.quorum
 
     def _start_view_change(self, target_view: int) -> None:
         self.in_view_change = True
@@ -741,13 +772,7 @@ class LedgerNode(Process):
 
     def _on_view_change(self, src: str, msg: dict) -> None:
         new_view, sender = msg["new_view"], msg["sender"]
-        cert = msg.get("cert")
-        cert_digest = digest_hex(cert) if cert else ""
-        body = _vc_body(new_view, msg["last_height"], cert_digest)
-        if not self._vote_valid(body, sender, msg["sig"]):
-            self.counters["malformed_dropped"] += 1
-            return
-        if cert is not None and not self._validate_cert(cert):
+        if not self._view_change_valid(msg):
             self.counters["malformed_dropped"] += 1
             return
         if new_view <= self.view:
@@ -763,7 +788,7 @@ class LedgerNode(Process):
     def _best_cert(self, vcs: dict[int, dict]) -> dict | None:
         best = None
         for idx in sorted(vcs):
-            cert = vcs[idx].get("cert")
+            cert = vcs[idx]["cert"]
             if cert is None or cert["height"] != self.next_height:
                 continue
             if best is None or cert["view"] > best["view"]:
@@ -800,26 +825,18 @@ class LedgerNode(Process):
         if view < self.view:
             return
         vcs: dict[int, dict] = {}
-        for key, vc in _dict(msg["vcs"]).items():
+        for key, vc in msg["vcs"].items():
             idx = int(key)
-            cert = _dict(vc).get("cert")
-            cert_digest = digest_hex(cert) if cert else ""
-            body = _vc_body(vc["new_view"], vc["last_height"], cert_digest)
-            if vc["new_view"] != view or not self._vote_valid(body, idx, vc["sig"]):
-                self.counters["malformed_dropped"] += 1
-                return
-            if cert is not None and not self._validate_cert(cert):
+            if vc["new_view"] != view or vc["sender"] != idx or not self._view_change_valid(vc):
                 self.counters["malformed_dropped"] += 1
                 return
             vcs[idx] = vc
         if len(vcs) < self.config.quorum:
             self.counters["malformed_dropped"] += 1
             return
-        pre_prepare = msg.get("pre_prepare")
+        pre_prepare = msg["pre_prepare"]
         cert = self._best_cert(vcs)
-        if cert is not None and (
-            pre_prepare is None or _dict(pre_prepare).get("digest") != cert["digest"]
-        ):
+        if cert is not None and (pre_prepare is None or pre_prepare["digest"] != cert["digest"]):
             # The new primary must re-propose the prepared batch.
             self.counters["malformed_dropped"] += 1
             return

@@ -39,22 +39,6 @@ class SignedTransaction:
     def signature_valid(self) -> bool:
         return verify_signature(self.body_bytes(), self.signature, self.signer)
 
-    def well_formed(self) -> bool:
-        """Structural checks that precede any contract logic."""
-        if self.kind not in TX_KINDS:
-            return False
-        if not isinstance(self.body, dict):
-            return False
-        if self.body.get("kind") != self.kind:
-            return False
-        if not isinstance(self.body.get("nonce"), int):
-            return False
-        try:
-            canonical_bytes(self.body)
-        except TypeError:
-            return False
-        return True
-
     def wire(self) -> dict:
         return {
             "kind": self.kind,

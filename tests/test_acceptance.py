@@ -5,6 +5,7 @@ terminal summary, and then asserts.  Budgets and cell counts are fixed
 here on purpose; loosening them is a release decision, not a test edit.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -352,6 +353,27 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
               f"{reports_equal}, dumps equal={dump_equal}")
     record_criterion("seeded determinism", ok, detail)
     assert ok, detail
+
+
+# SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
+# A change that alters behaviour on purpose updates these and says so.
+PINNED_HEART_RATE = {
+    "report": "9d1027431027e580b6b1be4b157b249b787a6261bfd1aa3e96abc06b39073e5d",
+    "ledger-node0.dump": "a946804eb9d394743d6b39aba6f29bac19931168305193e5ed927ea1aecafa9d",
+    "ledger-node1.dump": "f835701755759627bc88cfaa941e82b7053e8ffcb85959f57ee4f5be14f08de0",
+    "ledger-node2.dump": "7d9404828a57555cf2309b72cefd2b06129186653c22b92739ab0e345bc2b927",
+    "ledger-node3.dump": "dfa89b707b28fc73275e66fae9ae70b0d5349e632d68e3b4e94dce92faa0942e",
+}
+
+
+def test_heart_rate_outputs_match_pinned_digests(heart_rate_runs):
+    report, _world, out = heart_rate_runs[0]
+    assert report["seed"] == 42
+    digests = {"report": hashlib.sha256(report_bytes(report)).hexdigest()}
+    for i in range(4):
+        name = f"ledger-node{i}.dump"
+        digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digests == PINNED_HEART_RATE
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,11 @@ def test_normal_user_may_bind_devices_but_nothing_else():
     contracts.apply_rule_commit(bind, state)
     assert state.table(tables.DEVICE_BINDING).rows[0]["device_id"] == "watch-9"
 
+    other_user = _tx("config", {"action": "bind_device", "device_id": "lock-1",
+                                "vendor": "acme", "usr_id": 1}, user, nonce=3)
+    assert contracts.rule_commit_contract(other_user, state).code == \
+        contracts.CODE_PERMISSION_DENIED
+
     for action, payload in [
         ("manage_accounts", {"entries": [{"signer": "x", "role": "NormalUser", "usr_id": 9}]}),
         ("modify_rule", {"rule": hr_rule()}),
@@ -547,6 +552,7 @@ def test_normal_user_may_bind_devices_but_nothing_else():
     {"action": "manage_accounts", "entries": []},
     {"action": "manage_accounts", "entries": [{"signer": "k", "role": "God", "usr_id": 1}]},
     {"action": "bind_device", "device_id": 5, "vendor": "v"},
+    {"action": "bind_device", "device_id": "d", "vendor": "v", "usr_id": [1, 2]},
 ])
 def test_config_malformed_payloads(payload):
     admin = KeyPair.from_seed(6, "acct/admin")
