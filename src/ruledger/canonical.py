@@ -16,17 +16,28 @@ from typing import Any
 # excluded on purpose: protocol values are ints, strings, bools, or None.
 _LEAF_TYPES = (str, int, bool, type(None))
 
+# Containers may nest this deep.  Protocol messages nest about 10 levels;
+# the bound keeps the recursive walk far below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 def is_canonical(obj: Any) -> bool:
-    """True iff obj is a leaf, or a list, tuple or str-keyed dict of canonical values."""
+    """True iff obj is a leaf, or a list, tuple or str-keyed dict of canonical
+    values, with containers nested at most MAX_DEPTH deep."""
+    return _canonical_within(obj, MAX_DEPTH)
+
+
+def _canonical_within(obj: Any, depth: int) -> bool:
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             return False
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
         return isinstance(obj, _LEAF_TYPES)
+    if depth == 0:
+        return False
     for item in obj:
-        if not (isinstance(item, _LEAF_TYPES) or is_canonical(item)):
+        if not (isinstance(item, _LEAF_TYPES) or _canonical_within(item, depth - 1)):
             return False
     return True
 
@@ -35,7 +46,7 @@ def canonical_bytes(obj: Any) -> bytes:
     """Serialize obj to canonical JSON bytes.
 
     Raises TypeError for values outside the canonical subset (floats,
-    bytes, custom classes, non-string keys).
+    bytes, custom classes, non-string keys, nesting deeper than MAX_DEPTH).
     """
     if not is_canonical(obj):
         raise TypeError(f"non-canonical value in {type(obj).__name__}")

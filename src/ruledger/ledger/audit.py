@@ -16,9 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import contracts
-from ..canonical import canonical_bytes, digest_hex
-from . import tables
-from .node import GENESIS_PREV, LedgerNode, valid_commit_votes
+# digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
+from ..canonical import canonical_bytes, digest_hex  # noqa: F401
+from .node import (
+    BLOCK_PROOF,
+    GENESIS_PREV,
+    LedgerNode,
+    block_digest,
+    genesis_state,
+    valid_commit_votes,
+)
 from .tx import SignedTransaction
 
 
@@ -91,17 +98,14 @@ def audit_records(records: list[dict]) -> AuditResult:
             break
         if block.get("prev_digest") != prev_digest:
             issues.append(f"block {i}: prev_digest does not match chain")
-        content = {
-            "height": block["height"],
-            "prev_digest": block["prev_digest"],
-            "txs": block["txs"],
-        }
-        if digest_hex(content) != block.get("digest"):
+        if block_digest(h, block["prev_digest"], block["txs"]) != block.get("digest"):
             issues.append(f"block {i}: content digest mismatch")
-        if i > 0:
-            proof = block.get("proof", {})
+        proof = block.get("proof")
+        if i > 0 and not BLOCK_PROOF(proof):
+            issues.append(f"block {i}: malformed commit certificate")
+        elif i > 0:
             valid = len(valid_commit_votes(
-                pubkeys, proof.get("view"), h, proof.get("proposal_digest"), proof.get("votes", {})
+                pubkeys, proof["view"], h, proof["proposal_digest"], proof["votes"]
             ))
             if valid < quorum:
                 issues.append(
@@ -110,12 +114,7 @@ def audit_records(records: list[dict]) -> AuditResult:
         prev_digest = block.get("digest", prev_digest)
 
     # Replay all committed transactions to rebuild the table state.
-    state = tables.TableStore()
-    for entry in header.get("genesis_acl", []):
-        state.insert(
-            tables.ACL,
-            {"signer": entry["signer"], "role": entry["role"], "usr_id": entry["usr_id"]},
-        )
+    state = genesis_state(header.get("genesis_acl", []))
     for block in blocks:
         for wire in block.get("txs", []):
             tx = SignedTransaction.from_wire(wire)

@@ -6,21 +6,33 @@ f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
 2f + 1 matching commit votes, executes the batch through the verification
 contracts, and answers submitters with receipts.  Committed-block gossip
 heals nodes that a faulty primary starved or split, and a timeout-driven
-view change rotates the primary when no progress is made.
+view change rotates the primary when no progress is made.  A single node
+(N = 1) runs the same three phases with a quorum of one.
 
 `MESSAGES`, the one validation layer, gives the exact shape of every message
 (nested ones, certificates, transaction wires and vote maps included).
 `on_message` counts what it does not admit once in `malformed_dropped`: a
 handler runs only on a message the table admits, and reads it unguarded.
-Future-height messages are buffered only once authenticated.
+Future-height messages are buffered only once authenticated.  A batch stays
+in the wire form the table admitted, which `batch_digest` covers, from the
+pool to the block; only `_commit_block` turns wires into `SignedTransaction`s.
 
-Single-node mode (N = 1) skips voting and is intended for tests only.
+The node keeps only the consensus state a handler can still read:
+- `pool` maps the id of each undecided transaction to its wire and never
+  holds a decided id: `_on_request` answers a decided id from `decided`,
+  and `_commit_block` pops each id it decides;
+- `slots` maps height -> view -> `_Slot` for heights at or above
+  `next_height` only: handlers ignore lower heights, and `_commit_block`
+  drops the height it commits;
+- `vc_msgs` holds view-change buckets only for views above `view`:
+  `_on_view_change` ignores the others, and `_enter_view` drops them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .. import contracts
 from ..canonical import digest_hex, is_canonical
@@ -100,16 +112,21 @@ def batch_digest(batch_wires: list[dict]) -> str:
 
 
 def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
-                       votes: dict) -> dict[int, str]:
+                       votes: dict[str, str]) -> dict[int, str]:
     """The votes of a commit certificate whose signatures check, by node index.
-    The audit reads certificates no table checked, so it skips other keys."""
+    votes is keyed by decimal node indexes, as MESSAGES and BLOCK_PROOF require."""
     body = _vote_body("c", view, height, digest)
     valid: dict[int, str] = {}
     for key, sig in votes.items():
-        idx = int(key) if key.isdecimal() else -1
-        if 0 <= idx < len(pubkeys) and verify_signature_obj(body, sig, pubkeys[idx]):
+        idx = int(key)
+        if idx < len(pubkeys) and verify_signature_obj(body, sig, pubkeys[idx]):
             valid[idx] = sig
     return valid
+
+
+def _signed(wires: list[dict]) -> bool:
+    """Whether each tx wire carries its signer's signature over its body."""
+    return all(verify_signature_obj(w["body"], w["signature"], w["signer"]) for w in wires)
 
 
 # ----------------------------------------------------------------------
@@ -205,26 +222,42 @@ def handler_for(msg) -> str | None:
     return entry[1] if entry is not None and entry[0](msg) else None
 
 
+# The commit certificate a block stores; the audit checks it in dumps.
+BLOCK_PROOF = _object(view=_int, proposal_digest=_str, votes=_by_index(_str))
+
+
+def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
+    """The digest of a block's content, which its commit certificate is not part of."""
+    return digest_hex({"height": height, "prev_digest": prev_digest, "txs": txs})
+
+
+def make_block(height: int, prev_digest: str, txs: list[dict], proof: dict) -> dict:
+    return {"height": height, "prev_digest": prev_digest, "txs": txs,
+            "digest": block_digest(height, prev_digest, txs), "proof": proof}
+
+
 def genesis_block() -> dict:
-    content = {"height": 0, "prev_digest": GENESIS_PREV, "txs": []}
-    return {
-        **content,
-        "digest": digest_hex(content),
-        "proof": {"view": -1, "proposal_digest": "", "votes": {}},
-    }
+    return make_block(0, GENESIS_PREV, [], {"view": -1, "proposal_digest": "", "votes": {}})
+
+
+def genesis_state(genesis_acl: list[dict]) -> tables.TableStore:
+    """The table state below block 1: one ACL row per genesis account."""
+    state = tables.TableStore()
+    for entry in genesis_acl:
+        state.insert(tables.ACL, {key: entry[key] for key in ("signer", "role", "usr_id")})
+    return state
 
 
 class _Slot:
     """Vote bookkeeping for one (view, height) consensus instance."""
 
     def __init__(self) -> None:
-        self.batch: list[SignedTransaction] | None = None
+        self.batch: list[dict] | None = None  # tx wires; set together with digest
         self.digest: str | None = None
         # digest -> node index -> (tag, sig); a pre-prepare doubles as the
         # primary's prepare, tagged "pp" so certs can re-verify it.
         self.prepares: dict[str, dict[int, tuple[str, str]]] = {}
         self.commits: dict[str, dict[int, str]] = {}
-        self.sent_prepare = False
         self.sent_commit = False
 
 
@@ -250,22 +283,13 @@ class LedgerNode(Process):
 
         self.view = 0
         self.chain: list[dict] = [genesis_block()]
-        self.state = tables.TableStore()
-        for entry in config.genesis_acl:
-            self.state.insert(
-                tables.ACL,
-                {
-                    "signer": entry["signer"],
-                    "role": entry["role"],
-                    "usr_id": entry["usr_id"],
-                },
-            )
+        self.state = genesis_state(config.genesis_acl)
 
-        self.pool: dict[str, SignedTransaction] = {}
+        self.pool: dict[str, dict] = {}  # tx id -> wire
         self.submitters: dict[str, list[str]] = {}
         self.decided: dict[str, TxReceipt] = {}
-        self.slots: dict[tuple[int, int], _Slot] = {}
-        self.committed_buffer: dict[int, dict] = {}
+        self.slots: dict[int, dict[int, _Slot]] = {}  # height -> view -> slot
+        self.committed_buffer: dict[int, tuple] = {}  # height -> _commit_block args
         self.pp_buffer: list[dict] = []
         self.vc_msgs: dict[int, dict[int, dict]] = {}
         self.in_view_change = False
@@ -341,21 +365,20 @@ class LedgerNode(Process):
     # submission path
 
     def _on_submit(self, src: str, msg: dict) -> None:
-        tx = SignedTransaction.from_wire(msg["tx"])
-        if not tx.signature_valid():
-            reply = TxReceipt(tx.tx_id, False, contracts.CODE_BAD_SIGNATURE)
+        wire = msg["tx"]
+        if not _signed([wire]):
+            reply = TxReceipt(digest_hex(wire["body"]), False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
-        self._broadcast({"type": "request", "tx": tx.wire(), "client": src})
+        self._broadcast({"type": "request", "tx": wire, "client": src})
 
     def _on_request(self, src: str, msg: dict) -> None:
-        tx = SignedTransaction.from_wire(msg["tx"])
-        client = msg["client"]
+        wire, client = msg["tx"], msg["client"]
         # A faulty entry node may name an address nobody owns; sending there raises.
-        if client not in self.net.processes or not tx.signature_valid():
+        if client not in self.net.processes or not _signed([wire]):
             self.counters["malformed_dropped"] += 1
             return
-        tid = tx.tx_id
+        tid = digest_hex(wire["body"])
         if tid in self.decided:
             self._cast(client, {"type": "receipt", **self.decided[tid].wire()})
             return
@@ -363,39 +386,25 @@ class LedgerNode(Process):
         if client not in waiters:
             waiters.append(client)
         if tid not in self.pool:
-            self.pool[tid] = tx
+            self.pool[tid] = wire
             self._rearm_timer()
             self._maybe_propose()
 
     # ------------------------------------------------------------------
     # proposals
 
-    def _undecided_batch(self) -> list[SignedTransaction]:
-        out = []
-        for tid, tx in self.pool.items():
-            if tid not in self.decided:
-                out.append(tx)
-            if len(out) >= self.config.batch_size:
-                break
-        return out
+    def _undecided_batch(self) -> list[dict]:
+        return list(islice(self.pool.values(), self.config.batch_size))
 
     def _maybe_propose(self) -> None:
         if self.config.primary(self.view) != self.index or self.in_view_change:
             return
-        h = self.next_height
-        slot = self.slots.get((self.view, h))
+        slot = self.slots.get(self.next_height, {}).get(self.view)
         if slot is not None and slot.digest is not None:
             return  # a proposal for this height is already in flight
-        batch = self._undecided_batch()
-        if not batch:
-            return
-        if self.config.n == 1:
-            wires = [tx.wire() for tx in batch]
-            digest = batch_digest(wires)
-            vote = self._sign(_vote_body("c", self.view, h, digest))
-            self._commit_block(self.view, h, digest, batch, {self.index: vote})
-            return
-        self._propose(batch)
+        wires = self._undecided_batch()
+        if wires:
+            self._propose(wires)
 
     def _vote(self, kind: str, view: int, height: int, digest: str) -> dict:
         return {
@@ -410,9 +419,8 @@ class LedgerNode(Process):
     def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
         return {**self._vote("pre_prepare", view, height, digest), "batch": wires}
 
-    def _propose(self, batch: list[SignedTransaction]) -> None:
+    def _propose(self, wires: list[dict]) -> None:
         h = self.next_height
-        wires = [tx.wire() for tx in batch]
         if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
             self._propose_equivocating(h, wires)
             return
@@ -436,7 +444,7 @@ class LedgerNode(Process):
     # three-phase votes
 
     def _slot(self, view: int, height: int) -> _Slot:
-        return self.slots.setdefault((view, height), _Slot())
+        return self.slots.setdefault(height, {}).setdefault(view, _Slot())
 
     def _on_pre_prepare(self, src: str, msg: dict, verified: bool = False) -> None:
         view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
@@ -454,25 +462,20 @@ class LedgerNode(Process):
                 self.pp_buffer.append(msg)
             return
         slot = self._slot(view, h)
-        if slot.digest is not None and slot.digest != digest:
-            self.counters["equivocations_detected"] += 1
+        if slot.digest is not None:
+            if slot.digest != digest:
+                self.counters["equivocations_detected"] += 1
             return  # first accepted pre-prepare wins
-        if slot.digest == digest:
-            return
-        batch = self._parse_batch(msg["batch"])
-        if batch is None:
-            return
-        if batch_digest(msg["batch"]) != digest or not batch:
+        batch = msg["batch"]
+        if not batch or batch_digest(batch) != digest or not _signed(batch):
             self.counters["malformed_dropped"] += 1
             return
         slot.batch = batch
         slot.digest = digest
         slot.prepares.setdefault(digest, {})[sender] = ("pp", msg["sig"])
-        if not slot.sent_prepare:
-            slot.sent_prepare = True
-            self._broadcast(self._vote("prepare", view, h, digest))
+        self._broadcast(self._vote("prepare", view, h, digest))
         self._rearm_timer()
-        self._check_slot(view, h)
+        self._check_slot(slot, view, h)
 
     def _on_vote(self, src: str, msg: dict) -> None:
         """A prepare or a commit."""
@@ -489,26 +492,18 @@ class LedgerNode(Process):
             slot.prepares.setdefault(digest, {})[sender] = (tag, sig)
         else:
             slot.commits.setdefault(digest, {})[sender] = sig
-        self._check_slot(view, h)
+        self._check_slot(slot, view, h)
 
-    def _check_slot(self, view: int, height: int) -> None:
-        if height != self.next_height:
-            return
-        slot = self.slots.get((view, height))
-        if slot is None:
+    def _check_slot(self, slot: _Slot, view: int, height: int) -> None:
+        if height != self.next_height or slot.digest is None:
             return
         quorum = self.config.quorum
-        if (
-            slot.digest is not None
-            and not slot.sent_commit
-            and len(slot.prepares.get(slot.digest, {})) >= quorum
-        ):
+        if not slot.sent_commit and len(slot.prepares.get(slot.digest, {})) >= quorum:
             slot.sent_commit = True
             self._broadcast(self._vote("commit", view, height, slot.digest))
-        if slot.digest is not None and slot.batch is not None:
-            votes = slot.commits.get(slot.digest, {})
-            if len(votes) >= quorum:
-                self._commit_block(view, height, slot.digest, slot.batch, dict(votes))
+        votes = slot.commits.get(slot.digest, {})
+        if len(votes) >= quorum:
+            self._commit_block(view, height, slot.digest, slot.batch, dict(votes))
 
     # ------------------------------------------------------------------
     # commit and execution
@@ -518,7 +513,7 @@ class LedgerNode(Process):
         view: int,
         height: int,
         proposal_digest: str,
-        batch: list[SignedTransaction],
+        batch: list[dict],
         votes: dict[int, str],
     ) -> None:
         if height != self.next_height:
@@ -526,7 +521,8 @@ class LedgerNode(Process):
         content_txs: list[dict] = []
         receipts: list[tuple[str, TxReceipt]] = []
         notifications: list[tuple] = []
-        for tx in batch:
+        for wire in batch:
+            tx = SignedTransaction.from_wire(wire)
             tid = tx.tx_id
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
@@ -539,7 +535,7 @@ class LedgerNode(Process):
             )
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)
-                content_txs.append(tx.wire())
+                content_txs.append(wire)
                 self.counters["txs_committed"] += 1
                 if tx.kind == KIND_EVENT and effects.get("consumable"):
                     cid = contracts.gen_randomness(
@@ -557,21 +553,10 @@ class LedgerNode(Process):
             receipts.append((tid, receipt))
             self.pool.pop(tid, None)
 
-        content = {
-            "height": height,
-            "prev_digest": self.chain[-1]["digest"],
-            "txs": content_txs,
-        }
-        block = {
-            **content,
-            "digest": digest_hex(content),
-            "proof": {
-                "view": view,
-                "proposal_digest": proposal_digest,
-                "votes": {str(i): sig for i, sig in sorted(votes.items())},
-            },
-        }
-        self.chain.append(block)
+        signed = {str(i): sig for i, sig in sorted(votes.items())}
+        proof = {"view": view, "proposal_digest": proposal_digest, "votes": signed}
+        self.chain.append(make_block(height, self.chain[-1]["digest"], content_txs, proof))
+        self.slots.pop(height, None)
         self.counters["blocks_committed"] += 1
         self._vc_round = 0
         self.in_view_change = False
@@ -582,18 +567,17 @@ class LedgerNode(Process):
         for notif in notifications:
             self._dispatch_notification(notif, height)
 
-        if self.config.n > 1:
-            self._broadcast(
-                {
-                    "type": "committed",
-                    "view": view,
-                    "height": height,
-                    "digest": proposal_digest,
-                    "batch": [tx.wire() for tx in batch],
-                    "votes": {str(i): sig for i, sig in sorted(votes.items())},
-                },
-                include_self=False,
-            )
+        self._broadcast(
+            {
+                "type": "committed",
+                "view": view,
+                "height": height,
+                "digest": proposal_digest,
+                "batch": batch,
+                "votes": signed,
+            },
+            include_self=False,
+        )
 
         while self.next_height in self.committed_buffer:  # each entry is certified
             self._commit_block(*self.committed_buffer.pop(self.next_height))
@@ -632,32 +616,21 @@ class LedgerNode(Process):
     # committed-block gossip and sync
 
     def _on_committed(self, src: str, msg: dict) -> None:
-        view, h, digest = msg["view"], msg["height"], msg["digest"]
+        view, h, digest, batch = msg["view"], msg["height"], msg["digest"], msg["batch"]
         if h < self.next_height or h in self.committed_buffer:
             return
-        if batch_digest(msg["batch"]) != digest:
+        if batch_digest(batch) != digest:
             self.counters["malformed_dropped"] += 1
             return
         votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"])
-        if len(votes) < self.config.quorum:
+        if len(votes) < self.config.quorum or not _signed(batch):
             self.counters["malformed_dropped"] += 1
-            return
-        batch = self._parse_batch(msg["batch"])
-        if batch is None:
             return
         # Only certified heights are buffered, so no peer can grow the buffer.
         if h > self.next_height:
             self.committed_buffer[h] = (view, h, digest, batch, votes)
         else:
             self._commit_block(view, h, digest, batch, votes)
-
-    def _parse_batch(self, wires: list[dict]) -> list[SignedTransaction] | None:
-        """The parsed batch; None, counted as malformed, unless every signature checks."""
-        batch = [SignedTransaction.from_wire(wire) for wire in wires]
-        if all(tx.signature_valid() for tx in batch):
-            return batch
-        self.counters["malformed_dropped"] += 1
-        return None
 
     def _replay_pp_buffer(self) -> None:
         buffered, self.pp_buffer = self.pp_buffer, []
@@ -690,14 +663,14 @@ class LedgerNode(Process):
     # timeouts and view changes
 
     def _work_pending(self) -> bool:
-        if any(tid not in self.decided for tid in self.pool):
-            return True
-        h = self.next_height
-        return any(hh == h and slot.digest for (_, hh), slot in self.slots.items())
+        """Whether a transaction waits, or a proposal for the next height is in flight."""
+        return bool(self.pool) or any(
+            slot.digest for slot in self.slots.get(self.next_height, {}).values()
+        )
 
     def _rearm_timer(self) -> None:
         self._timer_epoch += 1
-        if self.config.n == 1 or not self._work_pending():
+        if not self._work_pending():
             return
         epoch = self._timer_epoch
         timeout = self.config.commit_timeout_ms * (2 ** min(self._vc_round, 6))
@@ -711,26 +684,21 @@ class LedgerNode(Process):
         self._start_view_change(self.view + 1)
 
     def _prepared_cert(self) -> dict | None:
+        """The certificate of the next height's proposal prepared in the highest view."""
         h = self.next_height
-        best: dict | None = None
-        for (view, hh), slot in self.slots.items():
-            if hh != h or slot.digest is None or slot.batch is None:
-                continue
+        for view, slot in sorted(self.slots.get(h, {}).items(), reverse=True):
             votes = slot.prepares.get(slot.digest, {})
-            if len(votes) < self.config.quorum:
-                continue
-            cert = {
-                "view": view,
-                "height": h,
-                "digest": slot.digest,
-                "batch": [tx.wire() for tx in slot.batch],
-                "prepares": {
-                    str(i): [tag, sig] for i, (tag, sig) in sorted(votes.items())
-                },
-            }
-            if best is None or view > best["view"]:
-                best = cert
-        return best
+            if slot.digest is not None and len(votes) >= self.config.quorum:
+                return {
+                    "view": view,
+                    "height": h,
+                    "digest": slot.digest,
+                    "batch": slot.batch,
+                    "prepares": {
+                        str(i): [tag, sig] for i, (tag, sig) in sorted(votes.items())
+                    },
+                }
+        return None
 
     def _view_change_valid(self, vc: dict) -> bool:
         """A view change's signature and, if it carries one, its prepared certificate."""
@@ -795,11 +763,16 @@ class LedgerNode(Process):
                 best = cert
         return best
 
+    def _enter_view(self, view: int) -> None:
+        """Move to view, ending any view change, and drop the buckets of views up to it."""
+        self.view = view
+        self.in_view_change = False
+        self.vc_msgs = {v: bucket for v, bucket in self.vc_msgs.items() if v > view}
+
     def _become_primary(self, new_view: int, bucket: dict[int, dict]) -> None:
         if new_view <= self.view:
             return
-        self.view = new_view
-        self.in_view_change = False
+        self._enter_view(new_view)
         vcs = {idx: bucket[idx] for idx in sorted(bucket)}
         cert = self._best_cert(vcs)
         pre_prepare = None
@@ -807,7 +780,7 @@ class LedgerNode(Process):
         if cert is not None:
             pre_prepare = self._pre_prepare(new_view, h, cert["digest"], cert["batch"])
         else:
-            wires = [tx.wire() for tx in self._undecided_batch()]
+            wires = self._undecided_batch()
             if wires:
                 pre_prepare = self._pre_prepare(new_view, h, batch_digest(wires), wires)
         self._broadcast(
@@ -840,8 +813,7 @@ class LedgerNode(Process):
             # The new primary must re-propose the prepared batch.
             self.counters["malformed_dropped"] += 1
             return
-        self.view = view
-        self.in_view_change = False
+        self._enter_view(view)
         self._rearm_timer()
         if pre_prepare is not None:
             self._on_pre_prepare(src, pre_prepare)

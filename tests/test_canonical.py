@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ruledger.canonical import canonical_bytes, derive_seed, digest_hex, sha256_hex
+from ruledger.canonical import (
+    MAX_DEPTH,
+    canonical_bytes,
+    derive_seed,
+    digest_hex,
+    is_canonical,
+    sha256_hex,
+)
 
 
 def test_key_order_is_irrelevant():
@@ -40,6 +47,21 @@ def test_digest_matches_direct_sha256():
 def test_non_canonical_values_rejected(bad):
     with pytest.raises(TypeError):
         canonical_bytes(bad)
+
+
+def _nested(depth, wrap):
+    value = wrap(None)
+    for _ in range(depth - 1):
+        value = wrap(value)
+    return value
+
+
+@pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"a": v}], ids=["list", "dict"])
+def test_nesting_depth_is_bounded(wrap):
+    assert is_canonical(_nested(MAX_DEPTH, wrap))
+    assert not is_canonical(_nested(MAX_DEPTH + 1, wrap))
+    with pytest.raises(TypeError):  # refused, not a RecursionError
+        canonical_bytes(_nested(5000, wrap))
 
 
 def test_bools_are_not_ints_in_output():

@@ -193,6 +193,20 @@ def test_write_outputs_pass_the_offline_audit(poll_run, tmp_path):
         assert result.height >= 4
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda proof: proof["votes"].update(dict.fromkeys(proof["votes"], 5)),
+    lambda proof: proof.update(view=float(proof["view"])),
+    lambda proof: proof.update(votes=list(proof["votes"].values())),
+], ids=["int_vote", "float_view", "list_votes"])
+def test_audit_reports_a_malformed_commit_certificate(poll_run, tamper):
+    _, world = poll_run
+    records = json.loads(json.dumps(audit.dump_lines(world.nodes[0])))
+    tamper(records[2]["proof"])  # the first block after genesis
+    result = audit.audit_records(records)
+    assert not result.ok
+    assert result.issues == ["block 1: malformed commit certificate"]
+
+
 def test_report_schema_rejects_broken_reports(poll_run):
     report, _ = poll_run
     broken = json.loads(report_bytes(report))

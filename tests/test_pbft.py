@@ -38,7 +38,7 @@ def test_fault_free_commit_reaches_all_nodes():
     assert _honest_prefix_consistent(rig.nodes)
 
 
-def test_single_node_mode_commits_without_votes():
+def test_single_node_mode_commits_with_a_quorum_of_one():
     rig = make_rig(seed=2, n=1)
     tx = rule_commit_tx(rig.admin, nonce=1)
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
@@ -109,10 +109,10 @@ def test_conflicting_pre_prepares_are_detected():
                 "sig": primary.sign_obj({"t": "pp", "v": 0, "h": 1, "d": digest})}
 
     node.on_message("node0", pp(wires_a))
-    first_digest = node.slots[(0, 1)].digest
+    first_digest = node.slots[1][0].digest
     node.on_message("node0", pp(wires_b))
     assert node.counters["equivocations_detected"] == 1
-    assert node.slots[(0, 1)].digest == first_digest
+    assert node.slots[1][0].digest == first_digest
 
 
 def test_mute_primary_triggers_view_change():
@@ -128,6 +128,8 @@ def test_mute_primary_triggers_view_change():
     assert all(n.view >= 1 for n in honest)
     assert _honest_prefix_consistent(rig.nodes, byz_index=0)
     assert rig.client.client.resolved[tx.tx_id].accepted
+    # Entering a view drops the view-change buckets at or below it.
+    assert all(view > n.view for n in rig.nodes for view in n.vc_msgs)
 
 
 def test_non_primary_byzantine_does_not_stall_commits():
@@ -188,6 +190,25 @@ def _rule_txs(rig, count):
             for i in range(1, count + 1)]
 
 
+def test_committed_heights_leave_no_consensus_state():
+    rig = make_rig(seed=15)
+    txs = _rule_txs(rig, 4)
+    _commit_in_sequence(rig, txs)
+    for tx in txs:
+        assert rig.client.client.resolved[tx.tx_id].accepted
+    for n in rig.nodes:
+        assert n.next_height == 5
+        assert all(h >= n.next_height for h in n.slots)
+        assert not n.pool
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 def test_duplicate_commit_gossip_does_not_double_apply():
     rig = make_rig(seed=8)
     tx = rule_commit_tx(rig.admin, nonce=1)
@@ -208,8 +229,11 @@ def test_duplicate_commit_gossip_does_not_double_apply():
                  "batch": [], "sender": 0, "sig": "00"},
     # Sending the receipt to that address raised inside node1's commit.
     lambda txs: {"type": "request", "tx": txs[0].wire(), "client": "nowhere"},
+    # Walking a body this deep raised RecursionError out of on_message.
+    lambda txs: {"type": "request", "client": "client", "tx": dict(
+        txs[0].wire(), body=dict(txs[0].body, deep=_nested_list(5000)))},
 ], ids=["shapeless_future_pre_prepare", "unsigned_future_pre_prepare",
-        "request_naming_unknown_client"])
+        "request_naming_unknown_client", "request_with_deeply_nested_body"])
 def test_junk_is_dropped_at_entry_and_commits_go_on(junk):
     # Raising mid-commit cut that commit step short and counted the honest
     # message behind it as malformed; an entry check counts the junk itself.
