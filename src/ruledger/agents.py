@@ -2,13 +2,15 @@
 
 These are the only holders of signing keys.  Each one wraps a ledger
 client for submissions and reacts to node notifications, but acts on a
-notification only after f + 1 nodes sent byte-identical copies, so a
-minority of lying nodes cannot steer an agent.
+notification only after f + 1 node addresses sent byte-identical copies, so
+a minority of lying nodes, or anyone else, cannot steer an agent.  Input
+from nodes and from the rule platform is checked against its shape before
+it is read, and dropped if it does not fit.
 """
 
 from __future__ import annotations
 
-from .canonical import digest_hex, sha256_hex
+from .canonical import digest_hex, is_int, is_str, list_of, object_of, sha256_hex, with_fields
 from . import contracts
 from .devices import checksum
 from .keys import KeyPair
@@ -16,6 +18,14 @@ from .ledger.client import LedgerClient
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
 from .rules import CATALOG, RuleDefinition, Thresholds, evaluate_trigger, parse_rule, split_rule
 from .sim.network import Process
+
+NOTIFY_EVENT = with_fields(event_info=contracts.EVENT_INFO, cid=is_str)
+NOTIFY_ACTIONS = with_fields(event_info=contracts.EVENT_INFO, actions=list_of(
+    object_of(step_id=is_int, op_name=is_str, device_id=is_str)))
+ACTION_REQUEST = with_fields(req_id=is_int, channel_token=is_str,
+                             event_info=contracts.EVENT_INFO, cid=is_str)
+EXPORT_OK = with_fields(rule_id=is_int)
+TRIGGER_ACK = with_fields(req_id=is_int)
 
 
 class QuorumGate:
@@ -159,8 +169,8 @@ class UserAgent(AgentBase):
         })
 
     def handle(self, src, msg):
-        if msg.get("type") == "export_ok":
-            self.export_acked.add(msg.get("rule_id"))
+        if msg.get("type") == "export_ok" and EXPORT_OK(msg):
+            self.export_acked.add(msg["rule_id"])
 
 
 class ExecutionAgent(AgentBase):
@@ -248,7 +258,7 @@ class ExecutionAgent(AgentBase):
                 if any(dev == msg.get("device_id") for _op, dev, _c in trig["rule"].trigger_operations):
                     self.run_trigger_cycle(trig)
         elif mtype == "notify_actions":
-            self._on_notify_actions(msg)
+            self._on_notify_actions(src, msg)
         elif mtype == "exec_direct":
             self._on_exec_direct(msg)
         elif mtype == "rpc_result":
@@ -323,10 +333,12 @@ class ExecutionAgent(AgentBase):
     # ------------------------------------------------------------------
     # action side
 
-    def _on_notify_actions(self, msg) -> None:
+    def _on_notify_actions(self, src, msg) -> None:
+        if src not in self.client.node_addrs or not NOTIFY_ACTIONS(msg):
+            return
         info, actions = msg["event_info"], msg["actions"]
         key = digest_hex({"event_info": info, "actions": actions})
-        if not self.gate.offer(key, msg.get("node")):
+        if not self.gate.offer(key, src):
             return
         mark = (info["rule_id"], info["event_seq"])
         if mark in self.consumed_marks:
@@ -442,18 +454,20 @@ class TaskAgent(AgentBase):
     def handle(self, src, msg):
         mtype = msg.get("type")
         if mtype == "notify_event":
-            self._on_notify_event(msg)
+            self._on_notify_event(src, msg)
         elif mtype == "bypass_event":
             self._on_bypass_event(msg)
         elif mtype == "action_request":
             self._on_action_request(src, msg)
-        elif mtype == "trigger_ack":
-            self.pending_acks.pop(msg.get("req_id"), None)
+        elif mtype == "trigger_ack" and TRIGGER_ACK(msg):
+            self.pending_acks.pop(msg["req_id"], None)
 
-    def _on_notify_event(self, msg) -> None:
+    def _on_notify_event(self, src, msg) -> None:
+        if src not in self.client.node_addrs or not NOTIFY_EVENT(msg):
+            return
         info, cid = msg["event_info"], msg["cid"]
         key = digest_hex({"event_info": info, "cid": cid})
-        if not self.gate.offer(key, msg.get("node")):
+        if not self.gate.offer(key, src):
             return
         mark = (info["rule_id"], info["event_seq"])
         if mark in self.seen_events:
@@ -493,11 +507,13 @@ class TaskAgent(AgentBase):
                                     lambda: self._check_ack(req_id))
 
     def _on_action_request(self, src, msg) -> None:
+        if not ACTION_REQUEST(msg):
+            return
         self.counters["action_requests_received"] += 1
-        if msg.get("channel_token") != self.channel_token:
+        if msg["channel_token"] != self.channel_token:
             self.counters["channel_rejects"] += 1
             return
-        info, cid, req_id = msg["event_info"], msg.get("cid", ""), msg.get("req_id")
+        info, cid, req_id = msg["event_info"], msg["cid"], msg["req_id"]
         if not self.ledger_enabled:
             self.send(self.exec_agent_addr, {"type": "exec_direct", "event_info": info})
             self.outcomes.append({"req_id": req_id, "accepted": True, "code": None})

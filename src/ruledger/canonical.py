@@ -42,6 +42,67 @@ def _canonical_within(obj: Any, depth: int) -> bool:
     return True
 
 
+# ----------------------------------------------------------------------
+# Shape predicates: the one vocabulary for checking input from outside
+# (peer messages, transaction bodies, agent notifications, dump records)
+# before reading it.  Each is, or builds, a predicate that never raises.
+
+
+def is_int(v: Any) -> bool:
+    return type(v) is int  # bool is an int subclass, never a protocol number
+
+
+def is_str(v: Any) -> bool:
+    return type(v) is str
+
+
+def one_of(*values):
+    """One of these leaf values, of the same type (True is not 1)."""
+    admitted = {(type(x), x) for x in values}
+    return lambda v: isinstance(v, _LEAF_TYPES) and (type(v), v) in admitted
+
+
+def with_fields(**fields):
+    """An object holding at least these fields, each admitted by its predicate."""
+    items = tuple(fields.items())
+
+    def admits(v) -> bool:
+        if type(v) is not dict:
+            return False
+        for name, ok in items:
+            if name not in v or not ok(v[name]):
+                return False
+        return True
+
+    return admits
+
+
+def object_of(**fields):
+    """An object with exactly these fields, each admitted by its predicate."""
+    has = with_fields(**fields)
+    return lambda v: has(v) and len(v) == len(fields)
+
+
+def message(kind: str, **fields):
+    """A message object: these fields plus a `type` equal to kind."""
+    return object_of(type=one_of(kind), **fields)
+
+
+def list_of(ok):
+    return lambda v: type(v) is list and all(map(ok, v))
+
+
+def by_index(ok):
+    """An object keyed by decimal node indexes."""
+    return lambda v: type(v) is dict and all(
+        type(k) is str and k.isdecimal() and ok(x) for k, x in v.items()
+    )
+
+
+def or_none(ok):
+    return lambda v: v is None or ok(v)
+
+
 def canonical_bytes(obj: Any) -> bytes:
     """Serialize obj to canonical JSON bytes.
 

@@ -15,6 +15,12 @@ same block in the same order always agree:
 Verification (verdict) and application (state writes) are split so that
 an offline audit can rebuild state from committed blocks without access
 to the log service.
+
+A contract checks a body against its entry in `BODIES`, built from the
+shape predicates in `canonical`, before it reads any field, so no verdict
+raises on a canonical body, and an accepted body's application reads its
+fields unguarded and does not raise either.  Rule definitions must pass
+the rule-file parser, so the actions a rule names can always be run.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import hmac
 import json
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, is_int, is_str, list_of, object_of, one_of, with_fields
 from .ledger import tables
 from .ledger.tx import (
     KIND_ACTION,
@@ -34,6 +40,7 @@ from .ledger.tx import (
     KIND_RULE_COMMIT,
     SignedTransaction,
 )
+from .rules import RuleError, parse_rule
 
 # Table result codes, mirrored in trigger_event rows.
 RES_OK = 1
@@ -77,14 +84,46 @@ ROLE_PERMISSIONS: dict[str, frozenset[str]] = {
     ROLE_NORMAL_USER: frozenset({PERM_BIND_DEVICE}),
 }
 
-_ACTION_PERMISSION = {
-    "commit_rule": PERM_COMMIT_RULE,
-    "modify_rule": PERM_MODIFY_RULE,
-    "manage_accounts": PERM_MANAGE_ACCOUNTS,
-    "bind_device": PERM_BIND_DEVICE,
-}
+_EVENT_INFO = dict(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str,
+                   step_id=is_int, event_seq=is_int)
+EVENT_INFO_FIELDS = tuple(_EVENT_INFO)
+EVENT_INFO = object_of(**_EVENT_INFO)
 
-EVENT_INFO_FIELDS = ("usr_rule_id", "usr_id", "rule_id", "rule_name", "step_id", "event_seq")
+
+def _rule(v) -> bool:
+    """A JSON object the rule-file parser accepts."""
+    try:
+        parse_rule(v if type(v) is dict else None)
+    except RuleError:
+        return False
+    return True
+
+
+_ACCOUNTS = list_of(with_fields(signer=is_str, role=one_of(*ROLE_PERMISSIONS), usr_id=is_int))
+
+
+class _Body(NamedTuple):
+    permission: str | None  # needed by an action of the rule_commit and config kinds
+    admits: Callable[[object], bool]
+
+
+# The body of each event and action kind, and of each action of the rule_commit
+# and config kinds.  A body may hold fields its contract does not read, but
+# event_info is exact.
+BODIES = {
+    KIND_EVENT: _Body(None, with_fields(
+        event_info=EVENT_INFO, event_log=with_fields(eid=is_str, log_key=is_str, log_sum=is_str),
+        result_status=one_of(RES_OK, RES_ERR), task_ref=is_int)),
+    KIND_ACTION: _Body(None, with_fields(event_info=EVENT_INFO, cid=is_str)),
+    "commit_rule": _Body(PERM_COMMIT_RULE, with_fields(
+        usr_rule_id=is_int, usr_id=is_int, rule=_rule)),
+    "modify_rule": _Body(PERM_MODIFY_RULE, with_fields(rule=_rule)),
+    "manage_accounts": _Body(PERM_MANAGE_ACCOUNTS, with_fields(
+        entries=lambda v: _ACCOUNTS(v) and len(v) > 0)),
+    "bind_device": _Body(PERM_BIND_DEVICE, with_fields(
+        device_id=is_str, vendor=is_str, usr_id=is_int)),
+}
+_CONFIG_ACTION = with_fields(action=one_of(*(n for n, b in BODIES.items() if b.permission)))
 
 # A log-service read: (eid_hex, log_key_hex) -> stored checksum hex or None.
 LogQuery = Callable[[str, str], "str | None"]
@@ -181,23 +220,15 @@ def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None
     return ids[0] if ids else None
 
 
-def _event_info_ok(info) -> bool:
-    if not isinstance(info, dict) or set(info) != set(EVENT_INFO_FIELDS):
-        return False
-    for f in ("usr_rule_id", "usr_id", "rule_id", "step_id", "event_seq"):
-        if not isinstance(info[f], int) or isinstance(info[f], bool):
-            return False
-    return isinstance(info["rule_name"], str)
-
-
 # ---------------------------------------------------------------------------
 # Rule configuration contract (rule_commit and config kinds)
 
 def rule_commit_contract(tx: SignedTransaction, state: tables.TableStore) -> Verdict:
     body = tx.body
-    action = body.get("action")
-    if action not in _ACTION_PERMISSION:
+    if not _CONFIG_ACTION(body):
         return Verdict.reject(CODE_MALFORMED)
+    action = body["action"]
+    permission, admits = BODIES[action]
 
     acl_rows = state.select_entry(
         tables.ACL, ["signer"], [tx.signer], ["role", "usr_id"]
@@ -205,65 +236,31 @@ def rule_commit_contract(tx: SignedTransaction, state: tables.TableStore) -> Ver
     if not acl_rows:
         return Verdict.reject(CODE_NO_ACL_ENTRY)
     role, signer_usr_id = acl_rows[0]
-    granted = ROLE_PERMISSIONS.get(role, frozenset())
-    if _ACTION_PERMISSION[action] not in granted:
+    if permission not in ROLE_PERMISSIONS.get(role, frozenset()):
         return Verdict.reject(CODE_PERMISSION_DENIED)
+    if not admits(body):
+        return Verdict.reject(CODE_MALFORMED)
 
     if action == "commit_rule":
-        rule = body.get("rule")
-        if (
-            not isinstance(rule, dict)
-            or not isinstance(rule.get("rule_id"), int)
-            or not isinstance(rule.get("title"), str)
-            or not isinstance(body.get("usr_rule_id"), int)
-            or not isinstance(body.get("usr_id"), int)
-        ):
-            return Verdict.reject(CODE_MALFORMED)
         if body["usr_id"] != signer_usr_id:
             return Verdict.reject(CODE_PERMISSION_DENIED)
-        if state.select_entry(tables.RULE, ["rule_id"], [rule["rule_id"]], ["rule_id"]):
+        if state.select_entry(tables.RULE, ["rule_id"], [body["rule"]["rule_id"]], ["rule_id"]):
             return Verdict.reject(CODE_DUPLICATE_RULE_ID)
         if state.select_entry(
             tables.USR_RULE, ["usr_rule_id"], [body["usr_rule_id"]], ["usr_rule_id"]
         ):
             return Verdict.reject(CODE_DUPLICATE_RULE_ID)
-        return Verdict.accept()
-
-    if action == "modify_rule":
-        rule = body.get("rule")
-        if not isinstance(rule, dict) or not isinstance(rule.get("rule_id"), int):
-            return Verdict.reject(CODE_MALFORMED)
-        owner = state.select_entry(tables.RULE, ["rule_id"], [rule["rule_id"]], ["usr_id"])
+    elif action == "modify_rule":
+        owner = state.select_entry(
+            tables.RULE, ["rule_id"], [body["rule"]["rule_id"]], ["usr_id"]
+        )
         if not owner:
             return Verdict.reject(CODE_UNKNOWN_RULE)
         if owner[0][0] != signer_usr_id and role != ROLE_ADMINISTRATOR:
             return Verdict.reject(CODE_PERMISSION_DENIED)
-        return Verdict.accept()
-
-    if action == "manage_accounts":
-        entries = body.get("entries")
-        if not isinstance(entries, list) or not entries:
-            return Verdict.reject(CODE_MALFORMED)
-        for entry in entries:
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("signer"), str)
-                or entry.get("role") not in ROLE_PERMISSIONS
-                or not isinstance(entry.get("usr_id"), int)
-            ):
-                return Verdict.reject(CODE_MALFORMED)
-        return Verdict.accept()
-
-    # bind_device
-    usr_id = body.get("usr_id")
-    if (
-        not isinstance(body.get("device_id"), str)
-        or not isinstance(body.get("vendor"), str)
-        or type(usr_id) is not int
-    ):
-        return Verdict.reject(CODE_MALFORMED)
-    if usr_id != signer_usr_id and role != ROLE_ADMINISTRATOR:
-        return Verdict.reject(CODE_PERMISSION_DENIED)
+    elif action == "bind_device":
+        if body["usr_id"] != signer_usr_id and role != ROLE_ADMINISTRATOR:
+            return Verdict.reject(CODE_PERMISSION_DENIED)
     return Verdict.accept()
 
 
@@ -338,19 +335,9 @@ def event_verification_contract(
     never be enabled in a real deployment.
     """
     body = tx.body
-    info = body.get("event_info")
-    log = body.get("event_log")
-    if not _event_info_ok(info):
+    if not BODIES[KIND_EVENT].admits(body):
         return Verdict.reject(CODE_MALFORMED)
-    if (
-        not isinstance(log, dict)
-        or not all(isinstance(log.get(k), str) for k in ("eid", "log_key", "log_sum"))
-    ):
-        return Verdict.reject(CODE_MALFORMED)
-    if body.get("result_status") not in (RES_OK, RES_ERR):
-        return Verdict.reject(CODE_MALFORMED)
-    if not isinstance(body.get("task_ref"), int):
-        return Verdict.reject(CODE_MALFORMED)
+    info, log = body["event_info"], body["event_log"]
 
     if not state.table(tables.RULE).find(["rule_id"], [info["rule_id"]]):
         return Verdict.reject(CODE_UNKNOWN_RULE)
@@ -408,8 +395,8 @@ def apply_event(tx: SignedTransaction, state: tables.TableStore) -> bool:
         tables.EVENT_INDEX,
         {"rule_id": info["rule_id"], "event_seq": info["event_seq"], "eid": log["eid"]},
     )
-    definition = get_rule_definition(state, info["rule_id"]) or {}
-    final_trigger_step = len(definition.get("trigger_operations", [])) - 1
+    definition = get_rule_definition(state, info["rule_id"])
+    final_trigger_step = len(definition["trigger_operations"]) - 1
     consumable = (
         body["result_status"] == RES_OK and info["step_id"] == final_trigger_step
     )
@@ -429,9 +416,9 @@ def action_verification_contract(
     tx: SignedTransaction, state: tables.TableStore, secret: bytes
 ) -> Verdict:
     body = tx.body
-    info = body.get("event_info")
-    if not _event_info_ok(info) or not isinstance(body.get("cid"), str):
+    if not BODIES[KIND_ACTION].admits(body):
         return Verdict.reject(CODE_MALFORMED)
+    info = body["event_info"]
     if not verify_random(secret, info, body["cid"]):
         return Verdict.reject(CODE_BAD_CID)
     records = state.select_entry(
@@ -464,9 +451,9 @@ def apply_action(tx: SignedTransaction, state: tables.TableStore) -> list[dict]:
     record_id = _find_event_record(state, info)
     state.table(tables.EVENT_RECORD).update(record_id, "consumed", 1)
 
-    definition = get_rule_definition(state, info["rule_id"]) or {}
-    triggers = definition.get("trigger_operations", [])
-    actions = definition.get("action_operations", [])
+    definition = get_rule_definition(state, info["rule_id"])
+    triggers = definition["trigger_operations"]
+    actions = definition["action_operations"]
     task_id = info["event_seq"]
     out: list[dict] = []
     for i, (op_name, device_id, _comb) in enumerate(actions):

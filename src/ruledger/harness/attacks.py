@@ -27,7 +27,7 @@ from ..keys import KeyPair
 from ..ledger import audit, tables
 from ..ledger.tx import KIND_EVENT, KIND_RULE_COMMIT
 from ..rules import parse_rule
-from .scenario import scenario_from_dict
+from .scenario import bundled_scenario, scenario_from_dict
 from .world import World
 
 DEFAULT_SEED = 1337
@@ -43,43 +43,10 @@ class AttackOutcome:
 
 
 def _base_scenario(seed: int, **overrides) -> dict:
-    data = {
-        "schema": 1,
-        "name": "attack_base",
-        "seed": seed,
-        "nodes": 4,
-        "duration_ms": 2500,
-        "drain_ms": 6000,
-        "poll_interval_ms": 500,
-        "record_action_executions": True,
-        "accounts": [{"name": "alice", "role": "Administrator", "usr_id": 1}],
-        "devices": [
-            {
-                "device_id": "watch-1",
-                "kind": "heart_rate",
-                "vendor": "fitpulse",
-                "initial": {"heart_rate": 70},
-                "timeline": [[1000, {"heart_rate": 30}], [1400, {"heart_rate": 70}]],
-            },
-            {
-                "device_id": "lock-1",
-                "kind": "smart_lock",
-                "vendor": "homesec",
-                "initial": {"lock": "locked"},
-                "timeline": [],
-            },
-        ],
-        "rules": [
-            {
-                "schema": 1,
-                "title": "unlock on abnormal heart rate",
-                "rule_id": 1,
-                "trigger_operations": [["alert_on_heart_rate", "watch-1", "OP_AND"]],
-                "condition": "IF_TRUE",
-                "action_operations": [["open_door_operation", "lock-1", "OP_AND"]],
-            }
-        ],
-    }
+    """The bundled heart-rate scenario, cut to one alert in a 2.5 s window."""
+    data = bundled_scenario("heart_rate")
+    data["devices"][0]["timeline"] = [[1000, {"heart_rate": 30}], [1400, {"heart_rate": 70}]]
+    data.update(name="attack_base", seed=seed, duration_ms=2500, drain_ms=6000)
     data.update(overrides)
     return data
 

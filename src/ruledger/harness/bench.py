@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from .report import build_stats
-from .scenario import scenario_from_dict
+from .scenario import bundled_scenario, scenario_from_dict
 from .world import World
 
 # Published figures from a 4-node cloud deployment of this architecture,
@@ -31,44 +31,12 @@ _WAVE_GAP_MS = 25
 
 
 def _bench_scenario(seed: int, nodes: int, with_ledger: bool, duration_ms: int) -> dict:
-    return {
-        "schema": 1,
-        "name": "bench",
-        "seed": seed,
-        "nodes": nodes,
-        "duration_ms": duration_ms,
-        "drain_ms": 6000,
-        "trigger_mode": "push",
-        "with_ledger": with_ledger,
-        "record_action_executions": False,
-        "accounts": [{"name": "alice", "role": "Administrator", "usr_id": 1}],
-        "devices": [
-            {
-                "device_id": "watch-1",
-                "kind": "heart_rate",
-                "vendor": "fitpulse",
-                "initial": {"heart_rate": 30},
-                "timeline": [],
-            },
-            {
-                "device_id": "lock-1",
-                "kind": "smart_lock",
-                "vendor": "homesec",
-                "initial": {"lock": "locked"},
-                "timeline": [],
-            },
-        ],
-        "rules": [
-            {
-                "schema": 1,
-                "title": "unlock on abnormal heart rate",
-                "rule_id": 1,
-                "trigger_operations": [["alert_on_heart_rate", "watch-1", "OP_AND"]],
-                "condition": "IF_TRUE",
-                "action_operations": [["open_door_operation", "lock-1", "OP_AND"]],
-            }
-        ],
-    }
+    """The bundled heart-rate scenario, pushed by a watch that always alerts."""
+    data = bundled_scenario("heart_rate")
+    data["devices"][0].update(initial={"heart_rate": 30}, timeline=[])
+    data.update(name="bench", seed=seed, nodes=nodes, duration_ms=duration_ms, drain_ms=6000,
+                trigger_mode="push", with_ledger=with_ledger, record_action_executions=False)
+    return data
 
 
 def _drive(world: World, requests: int, concurrency: int) -> None:

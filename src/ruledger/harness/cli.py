@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from ..ledger.audit import audit_dump
 from ..ledger.node import ConfigError
 from ..rules import RuleError
 from .attacks import run_attack_suite
 from .bench import format_bench, run_bench
-from .scenario import load_scenario, scenario_from_dict
+from .scenario import bundled_scenario, load_scenario, scenario_from_dict
 from .world import run_scenario
 
 
@@ -40,11 +39,7 @@ def _resolve_seed(args) -> int | None:
 def _load(arg: str, seed_override):
     """A path to a scenario file, or the name of a bundled scenario."""
     if os.sep not in arg and not arg.endswith(".json"):
-        ref = resources.files("ruledger.scenarios").joinpath(f"{arg}.scenario.json")
-        if not ref.is_file():
-            raise ConfigError(f"no bundled scenario named {arg!r}")
-        data = json.loads(ref.read_text())
-        return scenario_from_dict(data, seed_override=seed_override)
+        return scenario_from_dict(bundled_scenario(arg), seed_override=seed_override)
     return load_scenario(arg, seed_override=seed_override)
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from importlib import resources
 
+from ..canonical import is_int
 from ..ledger.faults import FAULT_KINDS, FaultSpec
 from ..ledger.node import ConfigError
 from ..rules import Thresholds, parse_rule
@@ -71,10 +73,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> ScenarioConfig:
     _require(isinstance(data, dict), "scenario must be a JSON object")
     _require(data.get("schema") == 1, f"unsupported scenario schema: {data.get('schema')!r}")
@@ -82,11 +80,11 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> S
     name = data.get("name")
     _require(isinstance(name, str) and bool(name), "scenario needs a non-empty name")
     seed = seed_override if seed_override is not None else data.get("seed")
-    _require(_is_int(seed), "seed must be an integer")
+    _require(is_int(seed), "seed must be an integer")
     nodes = data.get("nodes", 4)
-    _require(_is_int(nodes) and (nodes == 1 or nodes >= 4), "nodes must be 1 or >= 4")
+    _require(is_int(nodes) and (nodes == 1 or nodes >= 4), "nodes must be 1 or >= 4")
     duration = data.get("duration_ms")
-    _require(_is_int(duration) and duration > 0, "duration_ms must be a positive integer")
+    _require(is_int(duration) and duration > 0, "duration_ms must be a positive integer")
 
     net_data = data.get("net", {})
     _require(isinstance(net_data, dict), "net must be an object")
@@ -119,7 +117,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> S
     if byz_data is not None:
         _require(isinstance(byz_data, dict), "byzantine must be an object or null")
         node = byz_data.get("node")
-        _require(_is_int(node) and 0 <= node < nodes, "byzantine.node out of range")
+        _require(is_int(node) and 0 <= node < nodes, "byzantine.node out of range")
         _require(byz_data.get("fault") in FAULT_KINDS,
                  f"byzantine.fault must be one of {FAULT_KINDS}")
         byz = ByzantineSpec(node=node, fault=FaultSpec.from_dict(byz_data))
@@ -130,7 +128,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> S
         _require(isinstance(entry.get("name"), str) and bool(entry.get("name")),
                  "account needs a name")
         _require(entry.get("role") in ROLES, f"account role must be one of {ROLES}")
-        _require(_is_int(entry.get("usr_id")), "account usr_id must be an integer")
+        _require(is_int(entry.get("usr_id")), "account usr_id must be an integer")
         accounts.append(AccountSpec(entry["name"], entry["role"], entry["usr_id"]))
     _require(bool(accounts), "at least one account is required")
     _require(len({a.name for a in accounts}) == len(accounts), "duplicate account names")
@@ -145,7 +143,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> S
         timeline = entry.get("timeline", [])
         _require(isinstance(timeline, list), "device timeline must be a list")
         for item in timeline:
-            _require(isinstance(item, list) and len(item) == 2 and _is_int(item[0])
+            _require(isinstance(item, list) and len(item) == 2 and is_int(item[0])
                      and item[0] >= 0 and isinstance(item[1], dict),
                      f"bad timeline entry for {entry['device_id']}: {item!r}")
         devices.append(DeviceSpec(entry["device_id"], entry["kind"], entry["vendor"],
@@ -188,6 +186,14 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> S
         byzantine=byz,
         adversary_mode=adversary_mode,
     )
+
+
+def bundled_scenario(name: str) -> dict:
+    """A fresh copy of the JSON object of the bundled scenario `name`."""
+    ref = resources.files("ruledger.scenarios").joinpath(f"{name}.scenario.json")
+    if not ref.is_file():
+        raise ConfigError(f"no bundled scenario named {name!r}")
+    return json.loads(ref.read_text())
 
 
 def load_scenario(path: str, seed_override=None) -> ScenarioConfig:

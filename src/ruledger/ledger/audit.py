@@ -8,7 +8,8 @@ check the recorded state digest.  Any out-of-band mutation of a stored
 block or table row breaks one of those checks.
 
 Commit certificates attest the consensus proposal; block content is tied
-to the chain by the recomputed digests.
+to the chain by the recomputed digests.  Each record is checked against its
+shape before it is read, so a malformed dump is reported, never raised on.
 """
 
 from __future__ import annotations
@@ -17,16 +18,33 @@ from dataclasses import dataclass, field
 
 from .. import contracts
 # digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
-from ..canonical import canonical_bytes, digest_hex  # noqa: F401
+from ..canonical import (  # noqa: F401
+    by_index,
+    canonical_bytes,
+    digest_hex,
+    is_int,
+    is_str,
+    list_of,
+    message,
+    object_of,
+)
 from .node import (
-    BLOCK_PROOF,
     GENESIS_PREV,
     LedgerNode,
     block_digest,
     genesis_state,
+    tx_wire,
     valid_commit_votes,
 )
 from .tx import SignedTransaction
+
+HEADER = message("header", n=is_int, f=is_int, node_index=is_int, node_pubkeys=list_of(is_str),
+                 genesis_acl=list_of(object_of(signer=is_str, role=is_str, usr_id=is_int)))
+# A block's commit certificate is checked on its own, so the issue can name it.
+BLOCK = message("block", height=is_int, prev_digest=is_str, txs=list_of(tx_wire),
+                digest=is_str, proof=lambda v: True)
+BLOCK_PROOF = object_of(view=is_int, proposal_digest=is_str, votes=by_index(is_str))
+FOOTER = message("state", digest=is_str)
 
 
 @dataclass
@@ -79,28 +97,30 @@ def _parse_dump(data: bytes) -> list[dict]:
     return records
 
 
-def audit_records(records: list[dict]) -> AuditResult:
+def audit_records(records: list) -> AuditResult:
+    if not records or not HEADER(records[0]):
+        return AuditResult(False, 0, ["missing or malformed header record"])
+    malformed = [f"record {i}: malformed" for i, record in enumerate(records[1:], 1)
+                 if not (BLOCK(record) or FOOTER(record))]
+    if malformed:
+        return AuditResult(False, 0, malformed)
     issues: list[str] = []
-    if not records or records[0].get("type") != "header":
-        return AuditResult(False, 0, ["missing header record"])
     header = records[0]
-    blocks = [r for r in records if r.get("type") == "block"]
-    footers = [r for r in records if r.get("type") == "state"]
-    pubkeys = header.get("node_pubkeys", [])
-    f = header.get("f", 0)
-    quorum = 2 * f + 1
+    blocks = [r for r in records if r["type"] == "block"]
+    footers = [r for r in records if r["type"] == "state"]
+    pubkeys = header["node_pubkeys"]
+    quorum = 2 * header["f"] + 1
 
     prev_digest = GENESIS_PREV
     for i, block in enumerate(blocks):
-        h = block.get("height")
+        h, proof = block["height"], block["proof"]
         if h != i:
             issues.append(f"height gap: expected {i}, found {h}")
             break
-        if block.get("prev_digest") != prev_digest:
+        if block["prev_digest"] != prev_digest:
             issues.append(f"block {i}: prev_digest does not match chain")
-        if block_digest(h, block["prev_digest"], block["txs"]) != block.get("digest"):
+        if block_digest(h, block["prev_digest"], block["txs"]) != block["digest"]:
             issues.append(f"block {i}: content digest mismatch")
-        proof = block.get("proof")
         if i > 0 and not BLOCK_PROOF(proof):
             issues.append(f"block {i}: malformed commit certificate")
         elif i > 0:
@@ -111,12 +131,12 @@ def audit_records(records: list[dict]) -> AuditResult:
                 issues.append(
                     f"block {i}: commit certificate has {valid} valid votes, needs {quorum}"
                 )
-        prev_digest = block.get("digest", prev_digest)
+        prev_digest = block["digest"]
 
     # Replay all committed transactions to rebuild the table state.
-    state = genesis_state(header.get("genesis_acl", []))
+    state = genesis_state(header["genesis_acl"])
     for block in blocks:
-        for wire in block.get("txs", []):
+        for wire in block["txs"]:
             tx = SignedTransaction.from_wire(wire)
             if not tx.signature_valid():
                 issues.append(f"block {block['height']}: committed tx with bad signature")
@@ -128,7 +148,7 @@ def audit_records(records: list[dict]) -> AuditResult:
 
     if not footers:
         issues.append("missing state footer")
-    elif footers[-1].get("digest") != state.state_digest():
+    elif footers[-1]["digest"] != state.state_digest():
         issues.append("state digest does not match transaction replay")
 
     return AuditResult(ok=not issues, height=len(blocks) - 1, issues=issues)
@@ -139,7 +159,7 @@ def audit_dump(path: str) -> AuditResult:
         data = fh.read()
     try:
         records = _parse_dump(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # the parser recurses per nesting level
         return AuditResult(False, 0, [f"unparseable dump: {exc}"])
     return audit_records(records)
 

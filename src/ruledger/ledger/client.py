@@ -1,9 +1,9 @@
 """Submission helper shared by the wallet agents.
 
 The client sends a transaction to one entry node, then counts receipt
-replies from all nodes and resolves once f + 1 of them agree, so a lying
-minority cannot spoof an outcome.  A submission that stays unresolved
-past the timeout is retried through the next entry node.
+replies from the node addresses and resolves once f + 1 of them agree, so
+a lying minority cannot spoof an outcome.  A submission that stays
+unresolved past the timeout is retried through the next entry node.
 """
 
 from __future__ import annotations
@@ -11,10 +11,14 @@ from __future__ import annotations
 from typing import Callable
 
 from .. import contracts
+from ..canonical import is_int, is_str, message, one_of, or_none
 from ..sim.network import Process
 from .tx import SignedTransaction, TxReceipt
 
 ReceiptCallback = Callable[[TxReceipt], None]
+
+RECEIPT = message("receipt", tx_id=is_str, accepted=one_of(True, False),
+                  code=or_none(is_str), height=or_none(is_int))
 
 
 class LedgerClient:
@@ -75,10 +79,10 @@ class LedgerClient:
         self._arm_timeout(tid, state["epoch"])
 
     def on_receipt(self, src: str, msg: dict) -> None:
-        try:
-            receipt = TxReceipt.from_wire(msg)
-        except (KeyError, TypeError):
-            return  # a Byzantine entry node can send garbage
+        """Count a receipt only from a node address, and only in its wire shape."""
+        if src not in self.node_addrs or not RECEIPT(msg):
+            return
+        receipt = TxReceipt.from_wire(msg)
         state = self.pending.get(receipt.tx_id)
         if state is None:
             return

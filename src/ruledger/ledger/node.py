@@ -35,7 +35,18 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .. import contracts
-from ..canonical import digest_hex, is_canonical
+from ..canonical import (
+    by_index,
+    digest_hex,
+    is_canonical,
+    is_int,
+    is_str,
+    list_of,
+    message,
+    object_of,
+    one_of,
+    or_none,
+)
 from ..keys import KeyPair, verify_signature_obj
 from ..sim.network import Network, Process
 from . import tables
@@ -114,7 +125,7 @@ def batch_digest(batch_wires: list[dict]) -> str:
 def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
                        votes: dict[str, str]) -> dict[int, str]:
     """The votes of a commit certificate whose signatures check, by node index.
-    votes is keyed by decimal node indexes, as MESSAGES and BLOCK_PROOF require."""
+    votes is keyed by decimal node indexes, as MESSAGES and audit.BLOCK_PROOF require."""
     body = _vote_body("c", view, height, digest)
     valid: dict[int, str] = {}
     for key, sig in votes.items():
@@ -130,88 +141,46 @@ def _signed(wires: list[dict]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# wire format: a predicate per shape, composed into one table of messages
+# wire format: one table of messages, composed from the canonical shape predicates
 
 
-def _int(v) -> bool:
-    return type(v) is int  # bool is an int subclass, never a protocol number
+_tx_fields = object_of(kind=one_of(*TX_KINDS), signer=is_str, signature=is_str,
+                       body=lambda v: type(v) is dict and is_canonical(v))
 
 
-def _str(v) -> bool:
-    return type(v) is str
-
-
-def _object(**fields):
-    """An object with exactly these fields, each admitted by its predicate."""
-    items = tuple(fields.items())
-
-    def admits(v) -> bool:
-        if type(v) is not dict or len(v) != len(items):
-            return False
-        for name, ok in items:
-            if name not in v or not ok(v[name]):
-                return False
-        return True
-
-    return admits
-
-
-def _message(kind: str, **fields):
-    return _object(type=lambda v: v == kind, **fields)
-
-
-def _list_of(ok):
-    return lambda v: type(v) is list and all(map(ok, v))
-
-
-def _by_index(ok):
-    """An object keyed by decimal node indexes."""
-    return lambda v: type(v) is dict and all(
-        type(k) is str and k.isdecimal() and ok(x) for k, x in v.items()
-    )
-
-
-def _or_none(ok):
-    return lambda v: v is None or ok(v)
-
-
-_tx_fields = _object(kind=lambda v: v in TX_KINDS, signer=_str, signature=_str,
-                     body=lambda v: type(v) is dict and is_canonical(v))
-
-
-def _tx_wire(v) -> bool:
+def tx_wire(v) -> bool:
     """A signed transaction whose body repeats its kind and carries an int nonce."""
-    return _tx_fields(v) and v["body"].get("kind") == v["kind"] and _int(v["body"].get("nonce"))
+    return (_tx_fields(v) and v["body"].get("kind") == v["kind"]
+            and is_int(v["body"].get("nonce")))
 
 
-_BATCH = _list_of(_tx_wire)
-_VOTE_FIELDS = {"view": _int, "height": _int, "digest": _str, "sender": _int, "sig": _str}
-_PRE_PREPARE = _message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
-_CERT = _object(view=_int, height=_int, digest=_str, batch=_BATCH, prepares=_by_index(
-    lambda v: type(v) is list and len(v) == 2 and v[0] in ("pp", "p") and _str(v[1])))
-_VIEW_CHANGE = _message(
-    "view_change", new_view=_int, last_height=_int, cert=_or_none(_CERT), sender=_int, sig=_str
-)
+_BATCH = list_of(tx_wire)
+_VOTE_FIELDS = dict(view=is_int, height=is_int, digest=is_str, sender=is_int, sig=is_str)
+_PRE_PREPARE = message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
+_CERT = object_of(view=is_int, height=is_int, digest=is_str, batch=_BATCH, prepares=by_index(
+    lambda v: type(v) is list and len(v) == 2 and v[0] in ("pp", "p") and is_str(v[1])))
+_VIEW_CHANGE = message("view_change", new_view=is_int, last_height=is_int,
+                       cert=or_none(_CERT), sender=is_int, sig=is_str)
 
 # type -> (shape, handler).  Nested messages are checked with their parent.
 MESSAGES = {
-    "submit": (_message("submit", tx=_tx_wire), "_on_submit"),
-    "request": (_message("request", tx=_tx_wire, client=_str), "_on_request"),
+    "submit": (message("submit", tx=tx_wire), "_on_submit"),
+    "request": (message("request", tx=tx_wire, client=is_str), "_on_request"),
     "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
-    "prepare": (_message("prepare", **_VOTE_FIELDS), "_on_vote"),
-    "commit": (_message("commit", **_VOTE_FIELDS), "_on_vote"),
+    "prepare": (message("prepare", **_VOTE_FIELDS), "_on_vote"),
+    "commit": (message("commit", **_VOTE_FIELDS), "_on_vote"),
     "committed": (
-        _message("committed", view=_int, height=_int, digest=_str, batch=_BATCH,
-                 votes=_by_index(_str)),
+        message("committed", view=is_int, height=is_int, digest=is_str, batch=_BATCH,
+                votes=by_index(is_str)),
         "_on_committed",
     ),
     "view_change": (_VIEW_CHANGE, "_on_view_change"),
     "new_view": (
-        _message("new_view", view=_int, vcs=_by_index(_VIEW_CHANGE),
-                 pre_prepare=_or_none(_PRE_PREPARE)),
+        message("new_view", view=is_int, vcs=by_index(_VIEW_CHANGE),
+                pre_prepare=or_none(_PRE_PREPARE)),
         "_on_new_view",
     ),
-    "sync_req": (_message("sync_req", height=_int), "_on_sync_req"),
+    "sync_req": (message("sync_req", height=is_int), "_on_sync_req"),
 }
 
 
@@ -220,10 +189,6 @@ def handler_for(msg) -> str | None:
     kind = msg.get("type") if type(msg) is dict else None
     entry = MESSAGES.get(kind) if type(kind) is str else None
     return entry[1] if entry is not None and entry[0](msg) else None
-
-
-# The commit certificate a block stores; the audit checks it in dumps.
-BLOCK_PROOF = _object(view=_int, proposal_digest=_str, votes=_by_index(_str))
 
 
 def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
@@ -596,7 +561,6 @@ class LedgerNode(Process):
                     "event_info": event_info,
                     "cid": cid,
                     "height": height,
-                    "node": self.index,
                 },
             )
         elif kind == "exec_actions" and self.config.exec_agent_addr:
@@ -608,7 +572,6 @@ class LedgerNode(Process):
                     "event_info": event_info,
                     "actions": actions,
                     "height": height,
-                    "node": self.index,
                 },
             )
 

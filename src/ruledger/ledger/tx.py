@@ -87,6 +87,6 @@ class TxReceipt:
         return cls(
             tx_id=data["tx_id"],
             accepted=data["accepted"],
-            code=data.get("code"),
-            height=data.get("height"),
+            code=data["code"],
+            height=data["height"],
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, is_int, is_str, object_of, one_of
 
 OP_AND = "OP_AND"
 OP_OR = "OP_OR"
@@ -115,6 +115,8 @@ class RuleDefinition:
         return split_rule(self)
 
 
+_COMPARATOR_CONDITION = object_of(cmp=one_of(*_COMPARATORS), field=is_str, value=is_int)
+
 _REQUIRED_KEYS = {
     "schema",
     "title",
@@ -134,7 +136,7 @@ def _check_ops(entries, expected_kind: str, known_devices) -> None:
                 "UnsupportedSchema", f"operation entry must be [op, device, combinator]: {entry!r}"
             )
         op_name, device_id, comb = entry
-        op = CATALOG.get(op_name)
+        op = CATALOG.get(op_name) if is_str(op_name) else None
         if op is None or op.kind != expected_kind:
             raise RuleError("UnknownOp", f"no {expected_kind} operation named {op_name!r}")
         if not isinstance(device_id, str) or not device_id:
@@ -160,11 +162,11 @@ def parse_rule(data, known_devices=None) -> RuleDefinition:
         raise RuleError(
             "UnsupportedSchema", f"bad keys (missing={sorted(missing)}, extra={sorted(extra)})"
         )
-    if data["schema"] != 1:
+    if data["schema"] != 1 or not is_int(data["schema"]):
         raise RuleError("UnsupportedSchema", f"unsupported schema {data['schema']!r}")
-    if not isinstance(data["title"], str) or not data["title"]:
+    if not is_str(data["title"]) or not data["title"]:
         raise RuleError("UnsupportedSchema", "title must be a non-empty string")
-    if not isinstance(data["rule_id"], int) or isinstance(data["rule_id"], bool) or data["rule_id"] < 0:
+    if not is_int(data["rule_id"]) or data["rule_id"] < 0:
         raise RuleError("UnsupportedSchema", "rule_id must be a non-negative integer")
 
     _check_ops(data["trigger_operations"], "trigger", known_devices)
@@ -172,13 +174,7 @@ def parse_rule(data, known_devices=None) -> RuleDefinition:
 
     cond = data["condition"]
     if cond != CONDITION_IF_TRUE:
-        if (
-            not isinstance(cond, dict)
-            or set(cond) != {"cmp", "field", "value"}
-            or cond["cmp"] not in _COMPARATORS
-            or not isinstance(cond["field"], str)
-            or not isinstance(cond["value"], int)
-        ):
+        if not _COMPARATOR_CONDITION(cond):
             raise RuleError("UnsupportedSchema", f"bad condition {cond!r}")
         if len(data["trigger_operations"]) != 1:
             raise RuleError(

@@ -14,6 +14,8 @@ from ruledger import agents, devices
 from ruledger.canonical import sha256_hex
 from ruledger.devices import checksum
 from ruledger.keys import KeyPair
+from ruledger.ledger.client import LedgerClient
+from ruledger.ledger.tx import build_tx
 from ruledger.rules import parse_rule
 from ruledger.sim.network import NetConfig, Network, Process
 from ruledger.sim.scheduler import Scheduler
@@ -124,6 +126,42 @@ def test_conflicting_notification_for_consumed_event_is_refused():
     rig.sched.run()
     assert rig.lock.actions_executed == 1
     assert rig.agent.counters["duplicate_notifies"] == 1
+
+
+def test_notifications_count_by_sender_address():
+    rig = _rig(record_actions=False)
+    # An outsider claiming two node indexes, and one node claiming two.
+    rig.agent.on_message("mallory", _notify(0))
+    rig.agent.on_message("mallory", _notify(1))
+    rig.agent.on_message("node0", _notify(0))
+    rig.agent.on_message("node0", _notify(1))
+    rig.sched.run()
+    assert rig.lock.actions_executed == 0 and rig.lock.state["lock"] == "locked"
+
+    task = _task_rig()
+    task.agent.on_message("mallory", _notify_event(0))
+    task.agent.on_message("mallory", _notify_event(1))
+    task.agent.on_message("node0", _notify_event(0))
+    task.agent.on_message("node0", _notify_event(1))
+    task.sched.run()
+    assert task.platform.inbox == []
+
+
+def test_malformed_notifications_are_dropped():
+    rig = _rig(record_actions=False)
+    task = _task_rig()
+    for n in (0, 1):
+        for msg in ({"type": "notify_actions", "actions": NOTIFY_ACTIONS},
+                    _notify(n, info=event_info(step_id="0")),
+                    _notify(n, actions=[{"step_id": 1}])):
+            rig.agent.on_message(f"node{n}", msg)
+        for msg in ({"type": "notify_event", "event_info": event_info()},
+                    _notify_event(n, cid=["c"]),
+                    _notify_event(n, info=event_info(extra=1))):
+            task.agent.on_message(f"node{n}", msg)
+    rig.sched.run()
+    task.sched.run()
+    assert rig.lock.actions_executed == 0 and task.platform.inbox == []
 
 
 def test_completed_actions_are_recorded_back_to_the_ledger():
@@ -367,6 +405,24 @@ def test_action_request_becomes_an_action_transaction():
     assert tx["body"]["event_info"] == event_info()
 
 
+def test_malformed_platform_messages_are_dropped():
+    rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
+    exec_sink = Sink("exec", rig.net)
+    request = {"type": "action_request", "req_id": 7, "channel_token": "chan-1",
+               "event_info": event_info(), "cid": ""}
+    for broken in ({"event_info": {"rule_id": 1}}, {"cid": None}, {"req_id": [7]}):
+        rig.agent.on_message("platform", {**request, **broken})
+    rig.agent.on_message("platform", {"type": "trigger_ack", "req_id": [1]})
+    rig.sched.run(until=1000)
+    assert exec_sink.inbox == [] and rig.platform.inbox == []
+    assert rig.agent.counters["action_requests_received"] == 0
+
+    user = agents.UserAgent("user", rig.net, KeyPair.from_seed(3, "acct/user"),
+                            [n.addr for n in rig.nodes], 1, usr_id=1)
+    user.on_message("platform", {"type": "export_ok", "rule_id": [1]})
+    assert user.export_acked == set()
+
+
 def test_bypass_action_request_goes_straight_to_exec_agent():
     rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
     exec_sink = Sink("exec", rig.net)
@@ -408,3 +464,29 @@ def test_rule_export_retries_until_acked():
     acked.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
     sched.run()
     assert len([m for _, _, m in platform.inbox if m["type"] == "export_rule"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# ledger client receipts
+
+
+def test_receipts_count_by_sender_address_and_shape():
+    sched = Scheduler()
+    net = Network(sched, NetConfig(), random.Random(4))
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
+    owner = Sink("owner", net)
+    client = LedgerClient(owner, [n.addr for n in nodes], 1)
+    tx = build_tx("config", {"action": "bind_device"}, KeyPair.from_seed(4, "acct/x"), 1)
+    client.submit(tx)
+    receipt = {"type": "receipt", "tx_id": tx.tx_id, "accepted": True, "code": None,
+               "height": 1}
+    for src in ("mallory", "eve"):
+        client.on_receipt(src, receipt)
+    for broken in ({"code": ["x"]}, {"tx_id": [tx.tx_id]}, {"accepted": 1}, {"height": "1"}):
+        client.on_receipt("node0", {**receipt, **broken})
+        client.on_receipt("node1", {**receipt, **broken})
+    assert client.resolved == {}
+
+    client.on_receipt("node2", receipt)
+    client.on_receipt("node3", receipt)
+    assert client.resolved[tx.tx_id].accepted

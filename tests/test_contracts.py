@@ -12,6 +12,8 @@ import random
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BINDING,
@@ -26,6 +28,7 @@ from ruledger import contracts
 from ruledger.canonical import canonical_bytes
 from ruledger.keys import KeyPair
 from ruledger.ledger import tables
+from ruledger.ledger.tx import SignedTransaction
 
 KEY = KeyPair.from_seed(5, "acct/contract-tests")
 
@@ -576,3 +579,93 @@ def test_verify_tx_dispatch_rejects_unknown_kind():
     assert verdict.code == contracts.CODE_MALFORMED
     with pytest.raises(ValueError):
         contracts.apply_tx(bad, state)
+
+
+@pytest.mark.parametrize("action", ["commit_rule", "modify_rule"])
+@pytest.mark.parametrize("break_rule", [
+    # Accepted before, it made apply_action raise after consuming the event.
+    lambda r: r.update(action_operations=[[1]]),
+    lambda r: r.update(action_operations=[[["open_door_operation"], "lock-1", "OP_AND"]]),
+    lambda r: r.update(trigger_operations=[["open_door_operation", "watch-1", "OP_AND"]]),
+    lambda r: r.update(condition={"cmp": ["le"], "field": "heart_rate", "value": 40}),
+    lambda r: r.update(schema=True),
+    lambda r: r.pop("condition"),
+], ids=["int_action", "list_op_name", "action_as_trigger", "list_comparator",
+        "bool_schema", "no_condition"])
+def test_rules_the_parser_refuses_are_malformed(action, break_rule):
+    admin = KeyPair.from_seed(6, "acct/admin")
+    state = _acl_state((admin.public_hex, "Administrator", 1))
+    contracts.apply_rule_commit(_tx("rule_commit", _commit_body(), admin), state)
+    rule = hr_rule(rule_id=1 if action == "modify_rule" else 2)
+    break_rule(rule)
+    verdict = contracts.rule_commit_contract(
+        _tx("rule_commit", {**_commit_body(rule, usr_rule_id=102), "action": action}, admin, 2),
+        state)
+    assert verdict.code == contracts.CODE_MALFORMED
+
+
+# ---------------------------------------------------------------------------
+# no body raises: verify_tx on any JSON-shaped body, apply_tx on an accepted one
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _mutated(draw, value):
+    """value with some parts replaced by JSON values and some object fields dropped."""
+    if isinstance(value, dict):
+        rolls = [(k, draw(st.integers(0, 15))) for k in value]
+        return {k: draw(_json) if roll == 14 else draw(_mutated(value[k]))
+                for k, roll in rolls if roll != 15}
+    if isinstance(value, list):
+        return [draw(_mutated(v)) for v in value]
+    return draw(_json) if draw(st.integers(0, 7)) == 7 else value
+
+
+def _flow(rule_id, usr_rule_id, event_seq, eid):
+    """An event and an action for one rule binding, both acceptable in order."""
+    binding = dict(BINDING, rule_id=rule_id, usr_rule_id=usr_rule_id)
+    info = event_info(step_id=0, event_seq=event_seq, binding=binding)
+    event = {"event_info": info, "event_log": {"eid": eid, "log_key": "f" * 32,
+                                                "log_sum": "a" * 64},
+             "result_status": contracts.RES_OK, "task_ref": event_seq}
+    return [("event", event),
+            ("action", {"event_info": info, "cid": contracts.gen_randomness(TEST_SECRET, info)})]
+
+
+# In order: each is acceptable after those before it, on _property_state.
+_BODIES = [
+    ("rule_commit", _commit_body(hr_rule(rule_id=2), usr_rule_id=102)),
+    ("rule_commit", {"action": "modify_rule", "rule": hr_rule()}),
+    ("config", {"action": "manage_accounts",
+                "entries": [{"signer": "k" * 64, "role": "NormalUser", "usr_id": 2}]}),
+    ("config", {"action": "bind_device", "device_id": "watch-2", "vendor": "v", "usr_id": 1}),
+    *_flow(2, 102, 1, "d" * 32),
+    ("action", {"event_info": event_info(),  # the event record _property_state holds
+                "cid": contracts.gen_randomness(TEST_SECRET, event_info())}),
+    *_flow(1, 101, 2, "e" * 32),
+]
+
+
+def _property_state():
+    state = _action_state(exists=True, consumed=False, pred_ok=True)
+    state.insert(tables.ACL, {"signer": KEY.public_hex, "role": "Administrator", "usr_id": 1})
+    return state
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_body_makes_a_contract_raise(data):
+    state = _property_state()
+    for nonce, (kind, payload) in enumerate(_BODIES):
+        if data.draw(st.integers(0, 3)) == 3:
+            continue
+        body = {"kind": kind, "nonce": nonce, **data.draw(_mutated(payload))}
+        tx = SignedTransaction(kind, body, KEY.public_hex, "")
+        verdict = contracts.verify_tx(tx, state, lambda e, k: "a" * 64, TEST_SECRET)
+        if verdict.accepted:
+            contracts.apply_tx(tx, state)

@@ -10,9 +10,10 @@ import pytest
 from conftest import hr_rule
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
-from ruledger.harness.scenario import load_scenario, scenario_from_dict
+from ruledger.harness.scenario import ByzantineSpec, load_scenario, scenario_from_dict
 from ruledger.harness.world import World, run_scenario
 from ruledger.ledger import audit
+from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger.node import ConfigError
 from ruledger.rules import RuleError
 
@@ -205,6 +206,39 @@ def test_audit_reports_a_malformed_commit_certificate(poll_run, tamper):
     result = audit.audit_records(records)
     assert not result.ok
     assert result.issues == ["block 1: malformed commit certificate"]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda records: records[2]["txs"][0]["body"].update(nonce=1.5),
+    lambda records: records[2].pop("prev_digest"),
+    lambda records: records[2].update(txs=5),
+    lambda records: records.insert(2, ["not", "an", "object"]),
+    lambda records: records[0].update(node_pubkeys=5),
+], ids=["float_in_tx_body", "missing_prev_digest", "int_txs", "list_record",
+        "int_node_pubkeys"])
+def test_audit_reports_a_malformed_dump_without_raising(poll_run, tamper):
+    _, world = poll_run
+    records = json.loads(json.dumps(audit.dump_lines(world.nodes[0])))
+    tamper(records)
+    result = audit.audit_records(records)
+    assert not result.ok and result.issues
+
+
+def test_audit_reports_a_dump_nested_too_deep_to_parse(tmp_path):
+    dump = tmp_path / "deep.dump"
+    dump.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    result = audit.audit_dump(str(dump))
+    assert not result.ok and result.issues[0].startswith("unparseable dump")
+
+
+@pytest.mark.parametrize("seed", [1, 6, 25, 35])
+def test_a_corrupting_node_cannot_crash_the_agents(seed):
+    # Notifications that lost a field to a flipped bit raised KeyError out of
+    # the agents and ended these runs.
+    config = cli._load("heart_rate", seed)
+    config.byzantine = ByzantineSpec(node=1, fault=FaultSpec("corrupt"))
+    report, _ = run_scenario(config)
+    assert report["ledger"]["consistent"]
 
 
 def test_report_schema_rejects_broken_reports(poll_run):

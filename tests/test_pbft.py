@@ -14,7 +14,7 @@ from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
-from ruledger.ledger.tx import SignedTransaction
+from ruledger.ledger.tx import SignedTransaction, build_tx
 
 
 def _honest_prefix_consistent(nodes, byz_index=None):
@@ -247,6 +247,21 @@ def test_junk_is_dropped_at_entry_and_commits_go_on(junk):
     for n in rig.nodes:
         assert len(n.chain) == 3 and n.counters["txs_committed"] == 2
     assert [n.counters["malformed_dropped"] for n in rig.nodes] == [0, 1, 0, 0]
+    assert _honest_prefix_consistent(rig.nodes)
+
+
+def test_poison_config_tx_is_answered_and_commits_go_on():
+    # An unhashable action made the rule contract raise inside every replica's
+    # commit step: no block committed and the views kept changing.
+    rig = make_rig(seed=3)
+    poison = build_tx("config", {"action": ["x"]}, KeyPair.from_seed(3, "acct/outsider"), 1)
+    commit = rule_commit_tx(rig.admin, nonce=1)
+    _commit_in_sequence(rig, [poison, commit])
+    resolved = rig.client.client.resolved
+    assert poison.tx_id in resolved and resolved[poison.tx_id].code == "MalformedBody"
+    assert commit.tx_id in resolved and resolved[commit.tx_id].accepted
+    for n in rig.nodes:
+        assert n.next_height == 3 and n.counters["view_changes"] == 0
     assert _honest_prefix_consistent(rig.nodes)
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 from conftest import make_rig, rule_commit_tx
 from ruledger.ledger import audit, node, tx
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -22,7 +22,7 @@ def test_traced_pass_installs_runs_and_restores():
     originals = [(node.LedgerNode, "on_message"), (node, "digest_hex"), (tx, "digest_hex"),
                  (tx, "verify_signature"), (audit, "digest_hex"), (audit, "canonical_bytes")]
     before = [getattr(owner, attr) for owner, attr in originals]
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         rig = make_rig(seed=16)
@@ -39,3 +39,11 @@ def test_traced_pass_installs_runs_and_restores():
     # perfbench/run.py reports these node fields after the run.
     assert sum(len(n.slots) for n in rig.nodes) == 0
     assert sum(len(n.decided) for n in rig.nodes) == 4
+
+
+def test_contract_microbenchmark_bodies_are_accepted(monkeypatch):
+    # measure raises if a contract rejects the bodies it times.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # micro.py imports workloads.py
+    out = {}
+    _load("micro")._ContractBench(1).measure(100, out)
+    assert len(out) == 4 and all(v > 0 for v in out.values())
