@@ -3,29 +3,27 @@
 These are the only holders of signing keys.  Each one wraps a ledger
 client for submissions and reacts to node notifications, but acts on a
 notification only after f + 1 node addresses sent byte-identical copies, so
-a minority of lying nodes, or anyone else, cannot steer an agent.  Input
-from nodes and from the rule platform is checked against its shape before
-it is read, and dropped if it does not fit.
+a minority of lying nodes, or anyone else, cannot steer an agent.  Each
+agent declares the shape of every message it handles in `MESSAGES`, which
+the boundary every process shares (see `sim.Process`) checks before a
+handler reads the message.
 """
 
 from __future__ import annotations
 
-from .canonical import digest_hex, is_int, is_str, list_of, object_of, sha256_hex, with_fields
-from . import contracts
-from .devices import checksum
+from .canonical import (digest_hex, is_int, is_str, list_of, message, object_of, one_of,
+                        sha256_hex, with_fields)
+from .contracts import EVENT_INFO, RES_ERR, RES_OK
+from .devices import RPC_RESULT, checksum
 from .keys import KeyPair
-from .ledger.client import LedgerClient
+from .ledger.client import RECEIPT, LedgerClient
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
-from .rules import CATALOG, RuleDefinition, Thresholds, evaluate_trigger, parse_rule, split_rule
+from .rules import (CATALOG, RuleDefinition, Thresholds, evaluate_trigger, is_rule, parse_rule,
+                    split_rule)
 from .sim.network import Process
 
-NOTIFY_EVENT = with_fields(event_info=contracts.EVENT_INFO, cid=is_str)
-NOTIFY_ACTIONS = with_fields(event_info=contracts.EVENT_INFO, actions=list_of(
-    object_of(step_id=is_int, op_name=is_str, device_id=is_str)))
-ACTION_REQUEST = with_fields(req_id=is_int, channel_token=is_str,
-                             event_info=contracts.EVENT_INFO, cid=is_str)
-EXPORT_OK = with_fields(rule_id=is_int)
-TRIGGER_ACK = with_fields(req_id=is_int)
+_BINDING = object_of(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str)
+_ACTIONS = list_of(object_of(step_id=is_int, op_name=one_of(*CATALOG), device_id=is_str))
 
 
 class QuorumGate:
@@ -48,6 +46,8 @@ class QuorumGate:
 
 
 class AgentBase(Process):
+    MESSAGES = {"receipt": (RECEIPT, "_on_receipt")}
+
     def __init__(self, addr, net, keypair: KeyPair, node_addrs, f: int):
         super().__init__(addr, net)
         self.keypair = keypair
@@ -63,18 +63,15 @@ class AgentBase(Process):
         tx = build_tx(kind, payload, self.keypair, self.next_nonce())
         return self.client.submit(tx, cb)
 
-    def on_message(self, src, msg):
-        if msg.get("type") == "receipt":
-            self.client.on_receipt(src, msg)
-        else:
-            self.handle(src, msg)
-
-    def handle(self, src, msg):
-        pass
+    def _on_receipt(self, src, msg):
+        self.client.on_receipt(src, msg)
 
 
 class UserAgent(AgentBase):
     """The rule owner's console: commits rules, wires up the other parties."""
+
+    MESSAGES = {**AgentBase.MESSAGES, "export_ok": (
+        with_fields(type=one_of("export_ok"), rule_id=is_int), "_on_export_ok")}
 
     def __init__(self, addr, net, keypair, node_addrs, f, usr_id,
                  tamock_addr=None, exec_agent_addr=None):
@@ -168,9 +165,8 @@ class UserAgent(AgentBase):
             "mode": mode,
         })
 
-    def handle(self, src, msg):
-        if msg.get("type") == "export_ok" and EXPORT_OK(msg):
-            self.export_acked.add(msg["rule_id"])
+    def _on_export_ok(self, src, msg):
+        self.export_acked.add(msg["rule_id"])
 
 
 class ExecutionAgent(AgentBase):
@@ -183,6 +179,17 @@ class ExecutionAgent(AgentBase):
     direct commands are refused unless the ledger is disabled for a
     baseline measurement.
     """
+
+    MESSAGES = {
+        **AgentBase.MESSAGES,
+        "register_trigger": (message("register_trigger", rule=is_rule, binding=_BINDING,
+                                     mode=one_of("poll", "push")), "_on_register_trigger"),
+        "device_push": (message("device_push", device_id=is_str), "_on_device_push"),
+        "notify_actions": (with_fields(type=one_of("notify_actions"), event_info=EVENT_INFO,
+                                       actions=_ACTIONS), "_on_notify_actions"),
+        "exec_direct": (message("exec_direct", event_info=EVENT_INFO), "_on_exec_direct"),
+        "rpc_result": (RPC_RESULT, "_on_rpc_result"),
+    }
 
     def __init__(self, addr, net, keypair, node_addrs, f, rng, label="exec",
                  thresholds: Thresholds | None = None, poll_interval_ms=500,
@@ -206,7 +213,7 @@ class ExecutionAgent(AgentBase):
         self._pending_rpc: dict[int, object] = {}
         self._cycle_start: dict[tuple, int] = {}
         self.e2e_ms: list[int] = []
-        self.counters = {
+        self.counters.update({
             "cycles": 0,
             "cycles_aborted": 0,
             "device_unreachable": 0,
@@ -215,7 +222,7 @@ class ExecutionAgent(AgentBase):
             "action_failures": 0,
             "duplicate_notifies": 0,
             "refused_direct": 0,
-        }
+        })
 
     def add_device_route(self, device_id: str, gateway_addr: str, token: str) -> None:
         self.device_routes[device_id] = (gateway_addr, token)
@@ -243,28 +250,20 @@ class ExecutionAgent(AgentBase):
             if trig["mode"] == "poll":
                 self.run_trigger_cycle(trig)
 
-    def handle(self, src, msg):
-        mtype = msg.get("type")
-        if mtype == "register_trigger":
-            self.triggers.append({
-                "rule": parse_rule(msg["rule"]),
-                "binding": msg["binding"],
-                "mode": msg.get("mode", "poll"),
-            })
-        elif mtype == "device_push":
-            for trig in self.triggers:
-                if trig["mode"] != "push":
-                    continue
-                if any(dev == msg.get("device_id") for _op, dev, _c in trig["rule"].trigger_operations):
-                    self.run_trigger_cycle(trig)
-        elif mtype == "notify_actions":
-            self._on_notify_actions(src, msg)
-        elif mtype == "exec_direct":
-            self._on_exec_direct(msg)
-        elif mtype == "rpc_result":
-            cb = self._pending_rpc.pop(msg.get("corr"), None)
-            if cb is not None:
-                cb(msg)
+    def _on_register_trigger(self, src, msg):
+        self.triggers.append({"rule": parse_rule(msg["rule"]), "binding": msg["binding"],
+                              "mode": msg["mode"]})
+
+    def _on_device_push(self, src, msg):
+        for trig in self.triggers:
+            devices = [dev for _op, dev, _c in trig["rule"].trigger_operations]
+            if trig["mode"] == "push" and msg["device_id"] in devices:
+                self.run_trigger_cycle(trig)
+
+    def _on_rpc_result(self, src, msg):
+        cb = self._pending_rpc.pop(msg["corr"], None)
+        if cb is not None:
+            cb(msg)
 
     # ------------------------------------------------------------------
     # trigger side
@@ -280,16 +279,17 @@ class ExecutionAgent(AgentBase):
             self._finish_cycle(ctx)
             return
         script = scripts[i]
+        op = CATALOG[script.op_name]
         eid, log_key = self.gen_log_key()
 
         def done(result):
-            if not result.get("ok"):
+            payload = result.get("payload")
+            if not (result["ok"] and with_fields(**op.fields)(payload)):
                 self.counters["cycles_aborted"] += 1
                 if result.get("error") == "DeviceOffline":
                     self.counters["device_unreachable"] += 1
                 return
-            payload = result["payload"]
-            hit = bool(CATALOG[script.op_name].predicate(payload, self.thresholds))
+            hit = bool(op.predicate(payload, self.thresholds))
             ctx["steps"].append((script, eid, log_key, payload, hit))
             self._trigger_step(ctx, scripts, i + 1)
 
@@ -324,7 +324,7 @@ class ExecutionAgent(AgentBase):
                 "event_info": info,
                 "event_log": {"eid": eid, "log_key": log_key,
                               "log_sum": checksum(payload)},
-                "result_status": contracts.RES_OK,
+                "result_status": RES_OK,
                 "task_ref": task_ref,
             }
             self.counters["events_submitted"] += 1
@@ -334,7 +334,7 @@ class ExecutionAgent(AgentBase):
     # action side
 
     def _on_notify_actions(self, src, msg) -> None:
-        if src not in self.client.node_addrs or not NOTIFY_ACTIONS(msg):
+        if src not in self.client.node_addrs:
             return
         info, actions = msg["event_info"], msg["actions"]
         key = digest_hex({"event_info": info, "actions": actions})
@@ -347,7 +347,7 @@ class ExecutionAgent(AgentBase):
         self.consumed_marks.add(mark)
         self._exec_actions(info, actions, 0)
 
-    def _on_exec_direct(self, msg) -> None:
+    def _on_exec_direct(self, src, msg) -> None:
         if self.ledger_enabled:
             self.counters["refused_direct"] += 1
             return
@@ -377,7 +377,7 @@ class ExecutionAgent(AgentBase):
         eid, log_key = self.gen_log_key()
 
         def done(result):
-            ok = bool(result.get("ok"))
+            ok = result["ok"] and type(result.get("payload")) is dict
             if ok:
                 self.counters["actions_completed"] += 1
             else:
@@ -406,13 +406,16 @@ class ExecutionAgent(AgentBase):
                 "log_key": log_key,
                 "log_sum": checksum(result["payload"]) if ok else "",
             },
-            "result_status": contracts.RES_OK if ok else contracts.RES_ERR,
+            "result_status": RES_OK if ok else RES_ERR,
             "task_ref": info["event_seq"],
         }
         self.counters["events_submitted"] += 1
         self.submit(KIND_EVENT, body)
 
     def _rpc(self, device_id, api, eid, log_key, cb) -> None:
+        if device_id not in self.device_routes:  # answered as a gateway answers
+            cb({"ok": False, "error": "UnknownDevice"})
+            return
         gateway_addr, token = self.device_routes[device_id]
         self._corr += 1
         self._pending_rpc[self._corr] = cb
@@ -432,6 +435,17 @@ class TaskAgent(AgentBase):
     platform's action requests into action transactions.  It never inspects
     or enforces anything itself: the ledger contract is the gatekeeper."""
 
+    MESSAGES = {
+        **AgentBase.MESSAGES,
+        "notify_event": (with_fields(type=one_of("notify_event"), event_info=EVENT_INFO,
+                                     cid=is_str), "_on_notify_event"),
+        "bypass_event": (message("bypass_event", event_info=EVENT_INFO), "_on_bypass_event"),
+        "action_request": (with_fields(type=one_of("action_request"), req_id=is_int,
+                                       channel_token=is_str, event_info=EVENT_INFO, cid=is_str),
+                           "_on_action_request"),
+        "trigger_ack": (with_fields(type=one_of("trigger_ack"), req_id=is_int), "_on_trigger_ack"),
+    }
+
     def __init__(self, addr, net, keypair, node_addrs, f, tamock_addr=None,
                  channel_token="", ledger_enabled=True, exec_agent_addr=None):
         super().__init__(addr, net, keypair, node_addrs, f)
@@ -444,26 +458,18 @@ class TaskAgent(AgentBase):
         self.pending_acks: dict[int, dict] = {}
         self._req = 0
         self.outcomes: list[dict] = []
-        self.counters = {
+        self.counters.update({
             "trigger_requests_sent": 0,
             "action_requests_received": 0,
             "channel_rejects": 0,
             "duplicate_notifies": 0,
-        }
+        })
 
-    def handle(self, src, msg):
-        mtype = msg.get("type")
-        if mtype == "notify_event":
-            self._on_notify_event(src, msg)
-        elif mtype == "bypass_event":
-            self._on_bypass_event(msg)
-        elif mtype == "action_request":
-            self._on_action_request(src, msg)
-        elif mtype == "trigger_ack" and TRIGGER_ACK(msg):
-            self.pending_acks.pop(msg["req_id"], None)
+    def _on_trigger_ack(self, src, msg) -> None:
+        self.pending_acks.pop(msg["req_id"], None)
 
     def _on_notify_event(self, src, msg) -> None:
-        if src not in self.client.node_addrs or not NOTIFY_EVENT(msg):
+        if src not in self.client.node_addrs:
             return
         info, cid = msg["event_info"], msg["cid"]
         key = digest_hex({"event_info": info, "cid": cid})
@@ -476,7 +482,7 @@ class TaskAgent(AgentBase):
         self.seen_events.add(mark)
         self._send_trigger_request(info, cid)
 
-    def _on_bypass_event(self, msg) -> None:
+    def _on_bypass_event(self, src, msg) -> None:
         info = msg["event_info"]
         mark = (info["rule_id"], info["event_seq"])
         if mark in self.seen_events:
@@ -507,8 +513,6 @@ class TaskAgent(AgentBase):
                                     lambda: self._check_ack(req_id))
 
     def _on_action_request(self, src, msg) -> None:
-        if not ACTION_REQUEST(msg):
-            return
         self.counters["action_requests_received"] += 1
         if msg["channel_token"] != self.channel_token:
             self.counters["channel_rejects"] += 1

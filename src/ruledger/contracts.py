@@ -40,7 +40,7 @@ from .ledger.tx import (
     KIND_RULE_COMMIT,
     SignedTransaction,
 )
-from .rules import RuleError, parse_rule
+from .rules import is_rule
 
 # Table result codes, mirrored in trigger_event rows.
 RES_OK = 1
@@ -90,15 +90,6 @@ EVENT_INFO_FIELDS = tuple(_EVENT_INFO)
 EVENT_INFO = object_of(**_EVENT_INFO)
 
 
-def _rule(v) -> bool:
-    """A JSON object the rule-file parser accepts."""
-    try:
-        parse_rule(v if type(v) is dict else None)
-    except RuleError:
-        return False
-    return True
-
-
 _ACCOUNTS = list_of(with_fields(signer=is_str, role=one_of(*ROLE_PERMISSIONS), usr_id=is_int))
 
 
@@ -116,8 +107,8 @@ BODIES = {
         result_status=one_of(RES_OK, RES_ERR), task_ref=is_int)),
     KIND_ACTION: _Body(None, with_fields(event_info=EVENT_INFO, cid=is_str)),
     "commit_rule": _Body(PERM_COMMIT_RULE, with_fields(
-        usr_rule_id=is_int, usr_id=is_int, rule=_rule)),
-    "modify_rule": _Body(PERM_MODIFY_RULE, with_fields(rule=_rule)),
+        usr_rule_id=is_int, usr_id=is_int, rule=is_rule)),
+    "modify_rule": _Body(PERM_MODIFY_RULE, with_fields(rule=is_rule)),
     "manage_accounts": _Body(PERM_MANAGE_ACCOUNTS, with_fields(
         entries=lambda v: _ACCOUNTS(v) and len(v) > 0)),
     "bind_device": _Body(PERM_BIND_DEVICE, with_fields(

@@ -9,7 +9,7 @@ matching log entry is detectable.
 
 from __future__ import annotations
 
-from .canonical import canonical_bytes, sha256_hex
+from .canonical import canonical_bytes, is_int, is_str, message, one_of, sha256_hex, with_fields
 from .rules import (
     HEART_RATE_API,
     MODE_SET_API,
@@ -30,6 +30,9 @@ _KIND_APIS = {
 }
 
 ACTION_APIS = {SMARTLOCK_UNLOCK, SMARTLOCK_LOCK, MODE_SET_API}
+
+# A device's answer, relayed by its gateway: an error or a payload may follow.
+RPC_RESULT = with_fields(type=one_of("rpc_result"), corr=is_int, ok=one_of(True, False))
 
 
 def checksum(payload: dict) -> str:
@@ -74,6 +77,10 @@ class Device(Process):
     sim timestamp, which run reports use for determinism checks.
     """
 
+    MESSAGES = {
+        "rpc": (message("rpc", api=is_str, eid=is_str, log_key=is_str, corr=is_int), "_on_rpc"),
+    }
+
     def __init__(self, addr, net, device_id, kind, vendor, log_service, initial=None):
         super().__init__(addr, net)
         if kind not in DEVICE_KINDS:
@@ -113,34 +120,36 @@ class Device(Process):
             return {"mode": "home_mode"}
         raise AssertionError(api)
 
-    def on_message(self, src, msg):
-        if msg.get("type") != "rpc":
-            return
-        reply = {"type": "rpc_result", "corr": msg.get("corr"), "device_id": self.device_id}
+    def _on_rpc(self, src, msg):
+        reply = {"type": "rpc_result", "corr": msg["corr"], "device_id": self.device_id}
+        api = msg["api"]
         if not self.online:
             reply.update(ok=False, error="DeviceOffline")
-            self.send(src, reply)
-            return
-        api = msg.get("api")
-        if api not in _KIND_APIS[self.kind]:
+        elif api not in _KIND_APIS[self.kind]:
             reply.update(ok=False, error="UnknownApi")
-            self.send(src, reply)
-            return
-        payload = self._execute(api)
-        if api in ACTION_APIS:
-            self.actions_executed += 1
-            self.history.append((self.net.scheduler.now, dict(self.state)))
-        # Log first, respond second: the entry exists before anyone can
-        # cite it in a transaction.
-        self.log.write(
-            msg["eid"], msg["log_key"], checksum(payload), self.device_id, self.net.scheduler.now
-        )
-        reply.update(ok=True, payload=payload)
+        elif self.log.lookup(msg["eid"], msg["log_key"]) is not None:
+            reply.update(ok=False, error="LogKeyReused")  # the log is write-once
+        else:
+            payload = self._execute(api)
+            if api in ACTION_APIS:
+                self.actions_executed += 1
+                self.history.append((self.net.scheduler.now, dict(self.state)))
+            # Log first, respond second: the entry exists before anyone can
+            # cite it in a transaction.
+            self.log.write(msg["eid"], msg["log_key"], checksum(payload), self.device_id,
+                           self.net.scheduler.now)
+            reply.update(ok=True, payload=payload)
         self.send(src, reply)
 
 
 class Gateway(Process):
     """Vendor API gateway: token checks, then relay to the device."""
+
+    MESSAGES = {
+        "rpc_call": (message("rpc_call", token=is_str, device_id=is_str, api=is_str,
+                             eid=is_str, log_key=is_str, corr=is_int), "_on_rpc_call"),
+        "rpc_result": (RPC_RESULT, "_on_rpc_result"),
+    }
 
     def __init__(self, addr, net, vendor):
         super().__init__(addr, net)
@@ -160,34 +169,31 @@ class Gateway(Process):
         self.devices[device.device_id] = device.addr
         return self.mint_token(device.device_id, _KIND_APIS[device.kind])
 
-    def on_message(self, src, msg):
-        mtype = msg.get("type")
-        if mtype == "rpc_call":
-            grant = self.tokens.get(msg.get("token"))
-            device_id = msg.get("device_id")
-            if grant is None or grant["device_id"] != device_id or msg.get("api") not in grant["scopes"]:
-                self.rejected["BadToken"] += 1
-                self.send(src, {"type": "rpc_result", "corr": msg.get("corr"),
-                                "ok": False, "error": "BadToken"})
-                return
-            dev_addr = self.devices.get(device_id)
-            if dev_addr is None:
-                self.rejected["UnknownDevice"] += 1
-                self.send(src, {"type": "rpc_result", "corr": msg.get("corr"),
-                                "ok": False, "error": "UnknownDevice"})
-                return
+    def _on_rpc_call(self, src, msg):
+        grant = self.tokens.get(msg["token"])
+        device_id = msg["device_id"]
+        if grant is None or grant["device_id"] != device_id or msg["api"] not in grant["scopes"]:
+            error = "BadToken"
+        elif device_id not in self.devices:
+            error = "UnknownDevice"
+        else:
             self._corr += 1
-            self._pending[self._corr] = (src, msg.get("corr"))
-            self.send(dev_addr, {"type": "rpc", "api": msg["api"], "eid": msg["eid"],
-                                 "log_key": msg["log_key"], "corr": self._corr})
-        elif mtype == "rpc_result":
-            pending = self._pending.pop(msg.get("corr"), None)
-            if pending is None:
-                return
-            caller, caller_corr = pending
-            out = dict(msg)
-            out["corr"] = caller_corr
-            self.send(caller, out)
+            self._pending[self._corr] = (src, msg["corr"])
+            self.send(self.devices[device_id], {"type": "rpc", "api": msg["api"],
+                                                "eid": msg["eid"], "log_key": msg["log_key"],
+                                                "corr": self._corr})
+            return
+        self.rejected[error] += 1
+        self.send(src, {"type": "rpc_result", "corr": msg["corr"], "ok": False, "error": error})
+
+    def _on_rpc_result(self, src, msg):
+        pending = self._pending.pop(msg["corr"], None)
+        if pending is None:
+            return
+        caller, caller_corr = pending
+        out = dict(msg)
+        out["corr"] = caller_corr
+        self.send(caller, out)
 
 
 def inject_spoofed_event(rng, binding: dict, step_id: int, event_seq: int, fake_payload: dict) -> dict:

@@ -9,13 +9,13 @@ heals nodes that a faulty primary starved or split, and a timeout-driven
 view change rotates the primary when no progress is made.  A single node
 (N = 1) runs the same three phases with a quorum of one.
 
-`MESSAGES`, the one validation layer, gives the exact shape of every message
-(nested ones, certificates, transaction wires and vote maps included).
-`on_message` counts what it does not admit once in `malformed_dropped`: a
-handler runs only on a message the table admits, and reads it unguarded.
-Future-height messages are buffered only once authenticated.  A batch stays
-in the wire form the table admitted, which `batch_digest` covers, from the
-pool to the block; only `_commit_block` turns wires into `SignedTransaction`s.
+`LedgerNode.MESSAGES`, the node's table at the boundary every process shares
+(see `sim.Process`), gives the exact shape of every message (nested ones,
+certificates, transaction wires and vote maps included): a handler runs only
+on a message the table admits, and reads it unguarded.  Future-height
+messages are buffered only once authenticated.  A batch stays in the wire
+form the table admitted, which `batch_digest` covers, from the pool to the
+block; only `_commit_block` turns wires into `SignedTransaction`s.
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
@@ -141,7 +141,7 @@ def _signed(wires: list[dict]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# wire format: one table of messages, composed from the canonical shape predicates
+# wire format: the shapes LedgerNode.MESSAGES is composed of
 
 
 _tx_fields = object_of(kind=one_of(*TX_KINDS), signer=is_str, signature=is_str,
@@ -161,34 +161,6 @@ _CERT = object_of(view=is_int, height=is_int, digest=is_str, batch=_BATCH, prepa
     lambda v: type(v) is list and len(v) == 2 and v[0] in ("pp", "p") and is_str(v[1])))
 _VIEW_CHANGE = message("view_change", new_view=is_int, last_height=is_int,
                        cert=or_none(_CERT), sender=is_int, sig=is_str)
-
-# type -> (shape, handler).  Nested messages are checked with their parent.
-MESSAGES = {
-    "submit": (message("submit", tx=tx_wire), "_on_submit"),
-    "request": (message("request", tx=tx_wire, client=is_str), "_on_request"),
-    "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
-    "prepare": (message("prepare", **_VOTE_FIELDS), "_on_vote"),
-    "commit": (message("commit", **_VOTE_FIELDS), "_on_vote"),
-    "committed": (
-        message("committed", view=is_int, height=is_int, digest=is_str, batch=_BATCH,
-                votes=by_index(is_str)),
-        "_on_committed",
-    ),
-    "view_change": (_VIEW_CHANGE, "_on_view_change"),
-    "new_view": (
-        message("new_view", view=is_int, vcs=by_index(_VIEW_CHANGE),
-                pre_prepare=or_none(_PRE_PREPARE)),
-        "_on_new_view",
-    ),
-    "sync_req": (message("sync_req", height=is_int), "_on_sync_req"),
-}
-
-
-def handler_for(msg) -> str | None:
-    """The name of msg's handler if MESSAGES admits msg, else None."""
-    kind = msg.get("type") if type(msg) is dict else None
-    entry = MESSAGES.get(kind) if type(kind) is str else None
-    return entry[1] if entry is not None and entry[0](msg) else None
 
 
 def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
@@ -227,6 +199,27 @@ class _Slot:
 
 
 class LedgerNode(Process):
+    # type -> (shape, handler).  Nested messages are checked with their parent.
+    MESSAGES = {
+        "submit": (message("submit", tx=tx_wire), "_on_submit"),
+        "request": (message("request", tx=tx_wire, client=is_str), "_on_request"),
+        "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
+        "prepare": (message("prepare", **_VOTE_FIELDS), "_on_vote"),
+        "commit": (message("commit", **_VOTE_FIELDS), "_on_vote"),
+        "committed": (
+            message("committed", view=is_int, height=is_int, digest=is_str, batch=_BATCH,
+                    votes=by_index(is_str)),
+            "_on_committed",
+        ),
+        "view_change": (_VIEW_CHANGE, "_on_view_change"),
+        "new_view": (
+            message("new_view", view=is_int, vcs=by_index(_VIEW_CHANGE),
+                    pre_prepare=or_none(_PRE_PREPARE)),
+            "_on_new_view",
+        ),
+        "sync_req": (message("sync_req", height=is_int), "_on_sync_req"),
+    }
+
     def __init__(
         self,
         addr: str,
@@ -260,14 +253,13 @@ class LedgerNode(Process):
         self.in_view_change = False
         self._timer_epoch = 0
         self._vc_round = 0
-        self.counters: dict[str, int] = {
-            "malformed_dropped": 0,
+        self.counters.update({
             "equivocations_detected": 0,
             "view_changes": 0,
             "blocks_committed": 0,
             "txs_committed": 0,
             "txs_rejected": 0,
-        }
+        })
 
     # ------------------------------------------------------------------
     # plumbing
@@ -312,19 +304,6 @@ class LedgerNode(Process):
             if not include_self and i == self.index:
                 continue
             self._cast(dst, msg)
-
-    # ------------------------------------------------------------------
-    # inbox
-
-    def on_message(self, src: str, msg: dict) -> None:
-        handler = handler_for(msg)
-        if handler is None:
-            self.counters["malformed_dropped"] += 1
-            return
-        try:
-            getattr(self, handler)(src, msg)
-        except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
-            self.counters["malformed_dropped"] += 1
 
     # ------------------------------------------------------------------
     # submission path

@@ -59,13 +59,16 @@ class CatalogOp:
     api: str
     kind: str  # "trigger" or "action"
     predicate: "object" = None  # trigger ops: (payload, Thresholds) -> bool
+    fields: dict = field(default_factory=dict)  # trigger ops: payload field -> shape it reads
 
 
 CATALOG: dict[str, CatalogOp] = {
     op.name: op
     for op in (
-        CatalogOp("alert_on_heart_rate", HEART_RATE_API, "trigger", _heart_rate_alert),
-        CatalogOp("check_presence_operation", PRESENCE_API, "trigger", _presence_home),
+        CatalogOp("alert_on_heart_rate", HEART_RATE_API, "trigger", _heart_rate_alert,
+                  {"heart_rate": is_int}),
+        CatalogOp("check_presence_operation", PRESENCE_API, "trigger", _presence_home,
+                  {"presence": is_str}),
         CatalogOp("open_door_operation", SMARTLOCK_UNLOCK, "action"),
         CatalogOp("close_door_operation", SMARTLOCK_LOCK, "action"),
         CatalogOp("set_home_mode_operation", MODE_SET_API, "action"),
@@ -180,6 +183,8 @@ def parse_rule(data, known_devices=None) -> RuleDefinition:
             raise RuleError(
                 "UnsupportedSchema", "comparator conditions require exactly one trigger operation"
             )
+        if CATALOG[data["trigger_operations"][0][0]].fields.get(cond["field"]) is not is_int:
+            raise RuleError("UnsupportedSchema", f"no integer field {cond['field']!r} to compare")
 
     return RuleDefinition(
         schema=1,
@@ -189,6 +194,15 @@ def parse_rule(data, known_devices=None) -> RuleDefinition:
         condition=cond,
         action_operations=[list(t) for t in data["action_operations"]],
     )
+
+
+def is_rule(v) -> bool:
+    """A JSON object the rule-file parser accepts."""
+    try:
+        parse_rule(v if type(v) is dict else None)
+    except RuleError:
+        return False
+    return True
 
 
 def serialize_rule(rule: RuleDefinition) -> bytes:

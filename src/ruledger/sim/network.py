@@ -31,15 +31,40 @@ class NetConfig:
 
 
 class Process:
-    """Anything with an inbox.  Subclasses override on_message."""
+    """Anything with an inbox, and the one boundary where it checks what it reads.
+
+    `MESSAGES` maps each message type the process handles to (shape, handler
+    name); subclasses declare it from the `canonical` shape predicates and
+    add their own entries to `counters`.  The boundary invariant: no message
+    raises out of `on_message`.  A message the table does not admit is
+    counted once in `counters["malformed_dropped"]` and goes no further; a
+    handler runs only on a message its shape admits, reads it unguarded, and
+    never raises on it, so the last-resort catch in `on_message` stays unused.
+    """
+
+    MESSAGES: dict[str, tuple] = {}
 
     def __init__(self, addr: str, net: "Network"):
         self.addr = addr
         self.net = net
+        self.counters: dict[str, int] = {"malformed_dropped": 0}
         net.register(addr, self)
 
+    def handler_for(self, msg) -> str | None:
+        """The name of msg's handler if MESSAGES admits msg, else None."""
+        kind = msg["type"] if type(msg) is dict and "type" in msg else None
+        entry = self.MESSAGES.get(kind) if type(kind) is str else None
+        return entry[1] if entry is not None and entry[0](msg) else None
+
     def on_message(self, src: str, msg: dict) -> None:
-        raise NotImplementedError
+        handler = self.handler_for(msg)
+        if handler is None:
+            self.counters["malformed_dropped"] += 1
+            return
+        try:
+            getattr(self, handler)(src, msg)
+        except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
+            self.counters["malformed_dropped"] += 1
 
     def send(self, dst: str, msg: dict) -> None:
         self.net.send(self.addr, dst, msg)

@@ -9,6 +9,8 @@ token to an outside endpoint, and silently dropping triggers.
 
 from __future__ import annotations
 
+from .canonical import is_int, is_str, list_of, message, one_of, or_none, with_fields
+from .contracts import EVENT_INFO
 from .sim.network import Process
 
 MODE_HONEST = "honest"
@@ -20,8 +22,19 @@ MODE_SILENT_DROP = "silent_drop"
 MODES = (MODE_HONEST, MODE_FORGE_ACTIONS, MODE_REPLAY_REQUESTS,
          MODE_TOKEN_REUSE, MODE_SILENT_DROP)
 
+ACTION_RESULT = message("action_result", req_id=is_int, accepted=one_of(True, False),
+                        code=or_none(is_str))
+
 
 class TriggerActionMock(Process):
+    MESSAGES = {
+        "export_rule": (message("export_rule", rule_id=is_int, title=is_str,
+                                actions=list_of(is_str)), "_on_export"),
+        "trigger_request": (with_fields(type=one_of("trigger_request"), req_id=is_int,
+                                        event_info=EVENT_INFO, cid=is_str), "_on_trigger"),
+        "action_result": (ACTION_RESULT, "_on_action_result"),
+    }
+
     def __init__(self, addr, net, mode=MODE_HONEST, task_agent_addr=None,
                  channel_token="", adversary_addr=None):
         super().__init__(addr, net)
@@ -37,43 +50,36 @@ class TriggerActionMock(Process):
         self._seen_reqs: set[int] = set()
         self._forged: set[int] = set()
         self._req = 0
-        self.counters = {
+        self.counters.update({
             "trigger_requests": 0,
             "action_requests_emitted": 0,
             "forged_emitted": 0,
             "dropped": 0,
             "unknown_rule": 0,
-        }
+        })
 
-    def on_message(self, src, msg):
-        mtype = msg.get("type")
-        if mtype == "export_rule":
-            self.exported[msg["rule_id"]] = {
-                "title": msg.get("title"),
-                "actions": msg.get("actions", []),
-            }
-            self.send(src, {"type": "export_ok", "rule_id": msg["rule_id"]})
-        elif mtype == "trigger_request":
-            self._on_trigger(src, msg)
-        elif mtype == "action_result":
-            self.outcomes.append({
-                "req_id": msg.get("req_id"),
-                "accepted": msg.get("accepted"),
-                "code": msg.get("code"),
-                "forged": msg.get("req_id") in self._forged,
-            })
+    def _on_export(self, src, msg) -> None:
+        self.exported[msg["rule_id"]] = {"title": msg["title"], "actions": msg["actions"]}
+        self.send(src, {"type": "export_ok", "rule_id": msg["rule_id"]})
+
+    def _on_action_result(self, src, msg) -> None:
+        self.outcomes.append({
+            "req_id": msg["req_id"],
+            "accepted": msg["accepted"],
+            "code": msg["code"],
+            "forged": msg["req_id"] in self._forged,
+        })
 
     def _on_trigger(self, src, msg) -> None:
         # Ack first so the task agent stops retrying, then dedup: a retry of
         # an already-handled request must not double-fire actions.
-        self.send(src, {"type": "trigger_ack", "req_id": msg.get("req_id")})
-        if msg.get("req_id") in self._seen_reqs:
+        self.send(src, {"type": "trigger_ack", "req_id": msg["req_id"]})
+        if msg["req_id"] in self._seen_reqs:
             return
-        self._seen_reqs.add(msg.get("req_id"))
+        self._seen_reqs.add(msg["req_id"])
         self.counters["trigger_requests"] += 1
 
-        info = msg["event_info"]
-        cid = msg.get("cid", "")
+        info, cid = msg["event_info"], msg["cid"]
         if info["rule_id"] not in self.exported:
             self.counters["unknown_rule"] += 1
             return
@@ -126,22 +132,23 @@ class AdversaryEndpoint(Process):
     action request verbatim; the stolen token gets it past the channel
     check, and the ledger contract is what has to stop it."""
 
+    MESSAGES = {
+        "leak": (message("leak", request=with_fields()), "_on_leak"),
+        "action_result": (ACTION_RESULT, "_on_action_result"),
+    }
+
     def __init__(self, addr, net, task_agent_addr):
         super().__init__(addr, net)
         self.task_agent_addr = task_agent_addr
         self.replayed = 0
         self.outcomes: list[dict] = []
 
-    def on_message(self, src, msg):
-        mtype = msg.get("type")
-        if mtype == "leak":
-            request = dict(msg["request"])
-            request["req_id"] = 100000 + self.replayed
-            self.replayed += 1
-            self.net.scheduler.schedule(500, lambda: self.send(self.task_agent_addr, request))
-        elif mtype == "action_result":
-            self.outcomes.append({
-                "req_id": msg.get("req_id"),
-                "accepted": msg.get("accepted"),
-                "code": msg.get("code"),
-            })
+    def _on_leak(self, src, msg) -> None:
+        request = dict(msg["request"])
+        request["req_id"] = 100000 + self.replayed
+        self.replayed += 1
+        self.net.scheduler.schedule(500, lambda: self.send(self.task_agent_addr, request))
+
+    def _on_action_result(self, src, msg) -> None:
+        self.outcomes.append({"req_id": msg["req_id"], "accepted": msg["accepted"],
+                              "code": msg["code"]})

@@ -17,7 +17,7 @@ import pytest
 from ruledger.canonical import canonical_bytes, derive_seed
 from ruledger.keys import KeyPair
 from ruledger.ledger import tables
-from ruledger.ledger.client import LedgerClient
+from ruledger.ledger.client import RECEIPT, LedgerClient
 from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger.node import LedgerConfig, LedgerNode
 from ruledger.ledger.tx import KIND_ACTION, KIND_EVENT, build_tx
@@ -59,13 +59,14 @@ def signer_key():
 class ClientProcess(Process):
     """Minimal wallet host: just a ledger client hooked to the inbox."""
 
+    MESSAGES = {"receipt": (RECEIPT, "_on_receipt")}
+
     def __init__(self, addr, net, node_addrs, f, timeout_ms=4000):
         super().__init__(addr, net)
         self.client = LedgerClient(self, node_addrs, f, timeout_ms=timeout_ms)
 
-    def on_message(self, src, msg):
-        if msg.get("type") == "receipt":
-            self.client.on_receipt(src, msg)
+    def _on_receipt(self, src, msg):
+        self.client.on_receipt(src, msg)
 
 
 def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,

@@ -358,7 +358,7 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
-    "report": "9d1027431027e580b6b1be4b157b249b787a6261bfd1aa3e96abc06b39073e5d",
+    "report": "dd028f1de141f3521c42f7af928699a059d0f6ff68eee759b67166d7f23582fa",
     "ledger-node0.dump": "a946804eb9d394743d6b39aba6f29bac19931168305193e5ed927ea1aecafa9d",
     "ledger-node1.dump": "f835701755759627bc88cfaa941e82b7053e8ffcb85959f57ee4f5be14f08de0",
     "ledger-node2.dump": "7d9404828a57555cf2309b72cefd2b06129186653c22b92739ab0e345bc2b927",

@@ -9,12 +9,11 @@ consensus run behind it.  Full-stack behavior lives in the harness tests.
 import random
 from types import SimpleNamespace
 
-from conftest import BINDING, event_info, hr_rule
+from conftest import BINDING, ClientProcess, event_info, hr_rule
 from ruledger import agents, devices
 from ruledger.canonical import sha256_hex
 from ruledger.devices import checksum
 from ruledger.keys import KeyPair
-from ruledger.ledger.client import LedgerClient
 from ruledger.ledger.tx import build_tx
 from ruledger.rules import parse_rule
 from ruledger.sim.network import NetConfig, Network, Process
@@ -201,6 +200,24 @@ def test_failed_action_leaves_a_failure_record():
     assert len(rig.log) == 0  # nothing executed, nothing logged
 
 
+def test_gateway_results_without_a_fitting_payload_fail_the_step():
+    rig = _rig()
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
+    for result in ({"ok": True}, {"ok": True, "payload": {"heart_rate": "190"}}):
+        rig.agent.run_trigger_cycle(rig.agent.triggers[0])
+        corr = max(rig.agent._pending_rpc)
+        rig.agent.on_message("gw", {"type": "rpc_result", "corr": corr, **result})
+    for n in (0, 1):
+        rig.agent.on_message(f"node{n}", _notify(n))
+    rig.agent.on_message("gw", {"type": "rpc_result", "corr": max(rig.agent._pending_rpc),
+                                "ok": True, "payload": "unlocked"})
+    rig.sched.run(until=2000)
+    assert rig.agent.counters["cycles_aborted"] == 2
+    assert rig.agent.counters["events_submitted"] == 1  # the failure record of the action
+    assert rig.agent.counters["action_failures"] == 1
+
+
 def test_direct_commands_refused_while_ledger_is_on():
     rig = _rig()
     rig.agent.on_message("anyone", {"type": "exec_direct", "event_info": event_info()})
@@ -211,8 +228,8 @@ def test_direct_commands_refused_while_ledger_is_on():
 
 def test_direct_commands_honored_in_bypass_mode():
     rig = _rig(ledger_enabled=False)
-    rig.agent.handle("task", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("task", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
     rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
     rig.sched.run()
@@ -223,8 +240,8 @@ def test_direct_commands_honored_in_bypass_mode():
 
 def test_trigger_cycle_submits_event_with_logged_checksum():
     rig = _rig()
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
@@ -243,8 +260,8 @@ def test_trigger_cycle_submits_event_with_logged_checksum():
 def test_quiet_reading_submits_nothing():
     rig = _rig()
     rig.watch.state["heart_rate"] = 72
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
@@ -255,8 +272,8 @@ def test_quiet_reading_submits_nothing():
 def test_offline_device_aborts_the_cycle():
     rig = _rig()
     rig.watch.online = False
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles_aborted"] == 1
@@ -266,26 +283,26 @@ def test_offline_device_aborts_the_cycle():
 
 def test_push_trigger_reacts_only_to_its_devices():
     rig = _rig()
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "push"})
-    rig.agent.handle("dev", {"type": "device_push", "device_id": "watch-1"})
-    rig.agent.handle("dev", {"type": "device_push", "device_id": "thermo-9"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "push"})
+    rig.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
+    rig.agent.on_message("dev", {"type": "device_push", "device_id": "thermo-9"})
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
 
     # A poll-mode registration ignores pushes entirely.
     quiet = _rig()
-    quiet.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                                "binding": BINDING, "mode": "poll"})
-    quiet.agent.handle("dev", {"type": "device_push", "device_id": "watch-1"})
+    quiet.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                    "binding": BINDING, "mode": "poll"})
+    quiet.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
     quiet.sched.run(until=2000)
     assert quiet.agent.counters["cycles"] == 0
 
 
 def test_polling_schedule_covers_the_duration():
     rig = _rig(poll_interval_ms=500)
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.start_polling(2000)
     rig.sched.run(until=3000)
     assert rig.agent.counters["cycles"] == 4
@@ -294,8 +311,8 @@ def test_polling_schedule_covers_the_duration():
 def test_bypass_cycle_routes_final_step_to_task_agent():
     rig = _rig(ledger_enabled=False, task_agent_addr="task")
     task = Sink("task", rig.net)
-    rig.agent.handle("user", {"type": "register_trigger", "rule": hr_rule(),
-                              "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["events_submitted"] == 0
@@ -474,19 +491,19 @@ def test_receipts_count_by_sender_address_and_shape():
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(4))
     nodes = [Sink(f"node{i}", net) for i in range(4)]
-    owner = Sink("owner", net)
-    client = LedgerClient(owner, [n.addr for n in nodes], 1)
+    owner = ClientProcess("owner", net, [n.addr for n in nodes], 1)
+    client = owner.client
     tx = build_tx("config", {"action": "bind_device"}, KeyPair.from_seed(4, "acct/x"), 1)
     client.submit(tx)
     receipt = {"type": "receipt", "tx_id": tx.tx_id, "accepted": True, "code": None,
                "height": 1}
     for src in ("mallory", "eve"):
-        client.on_receipt(src, receipt)
+        owner.on_message(src, receipt)
     for broken in ({"code": ["x"]}, {"tx_id": [tx.tx_id]}, {"accepted": 1}, {"height": "1"}):
-        client.on_receipt("node0", {**receipt, **broken})
-        client.on_receipt("node1", {**receipt, **broken})
-    assert client.resolved == {}
+        owner.on_message("node0", {**receipt, **broken})
+        owner.on_message("node1", {**receipt, **broken})
+    assert client.resolved == {} and owner.counters["malformed_dropped"] == 8
 
-    client.on_receipt("node2", receipt)
-    client.on_receipt("node3", receipt)
+    owner.on_message("node2", receipt)
+    owner.on_message("node3", receipt)
     assert client.resolved[tx.tx_id].accepted

@@ -115,6 +115,17 @@ def test_wrong_api_for_device_kind():
     assert len(log) == 0
 
 
+def test_a_reused_log_pair_is_refused_before_the_device_acts():
+    sched, net, log, driver = _rig()
+    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+                          initial={"lock": "locked"})
+    for api in (SMARTLOCK_UNLOCK, SMARTLOCK_LOCK):
+        driver.send(lock.addr, {"type": "rpc", "api": api, "eid": "e", "log_key": "k", "corr": 1})
+        sched.run()
+    assert [reply.get("error") for _, _, reply in driver.replies] == [None, "LogKeyReused"]
+    assert lock.state["lock"] == "unlocked" and lock.actions_executed == 1 and len(log) == 1
+
+
 def test_action_apis_mutate_state_and_count():
     sched, net, log, driver = _rig()
     lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,

@@ -15,7 +15,7 @@ from ruledger.harness.world import World, run_scenario
 from ruledger.ledger import audit
 from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger.node import ConfigError
-from ruledger.rules import RuleError
+from ruledger.rules import RuleError, parse_rule
 
 
 def _scenario(**overrides):
@@ -239,6 +239,16 @@ def test_a_corrupting_node_cannot_crash_the_agents(seed):
     config.byzantine = ByzantineSpec(node=1, fault=FaultSpec("corrupt"))
     report, _ = run_scenario(config)
     assert report["ledger"]["consistent"]
+
+
+def test_a_committed_rule_on_an_unroutable_device_cannot_crash_the_run():
+    # The agent has no route to watch-9: each poll of the rule raised
+    # KeyError out of World.run.
+    world = World(cli._load("heart_rate", 42))
+    rule = parse_rule(hr_rule(rule_id=9, watch="watch-9"))
+    report = world.run(hook=lambda w: w.scheduler.schedule(
+        1000, lambda: w.owner.commit_rule(rule, 109)))
+    assert report["ledger"]["consistent"] and report["execution"]["cycles_aborted"] > 0
 
 
 def test_report_schema_rejects_broken_reports(poll_run):

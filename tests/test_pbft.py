@@ -443,7 +443,7 @@ def test_peer_messages_never_raise_out_of_a_node(fuzz_rig, data):
     msg = data.draw(_peer_msg(fuzz_rig))
     src = data.draw(st.sampled_from(fuzz_rig.config.node_addrs + ["client"]))
     node = fuzz_rig.nodes[1]
-    handler = node_mod.handler_for(msg)
+    handler = node.handler_for(msg)
     if handler is None:
         before = node.counters["malformed_dropped"]
         node.on_message(src, msg)

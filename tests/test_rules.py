@@ -48,6 +48,9 @@ def _broken(**overrides):
     (_broken(action_operations=[["open_door_operation", "lock-1", "OP_XOR"]]), "BadCombinator"),
     (_broken(condition={"cmp": "ne", "field": "x", "value": 1}), "UnsupportedSchema"),
     (_broken(condition={"cmp": "ge", "field": "x"}), "UnsupportedSchema"),
+    (_broken(condition={"cmp": "ge", "field": "x", "value": 1}), "UnsupportedSchema"),
+    (_broken(trigger_operations=[["check_presence_operation", "hub-1", "OP_AND"]],
+             condition={"cmp": "ge", "field": "presence", "value": 1}), "UnsupportedSchema"),
 ])
 def test_parse_rejections_carry_error_codes(data, code):
     with pytest.raises(rules.RuleError) as exc:
