@@ -210,7 +210,7 @@ class ExecutionAgent(AgentBase):
         self._eid_counter = 0
         self._seq: dict[int, int] = {}
         self._corr = 0
-        self._pending_rpc: dict[int, object] = {}
+        self._pending_rpc: dict[tuple[str, int], object] = {}  # (gateway, corr) -> callback
         self._cycle_start: dict[tuple, int] = {}
         self.e2e_ms: list[int] = []
         self.counters.update({
@@ -261,7 +261,8 @@ class ExecutionAgent(AgentBase):
                 self.run_trigger_cycle(trig)
 
     def _on_rpc_result(self, src, msg):
-        cb = self._pending_rpc.pop(msg["corr"], None)
+        """A call's result counts only from the gateway the call went to."""
+        cb = self._pending_rpc.pop((src, msg["corr"]), None)
         if cb is not None:
             cb(msg)
 
@@ -418,7 +419,7 @@ class ExecutionAgent(AgentBase):
             return
         gateway_addr, token = self.device_routes[device_id]
         self._corr += 1
-        self._pending_rpc[self._corr] = cb
+        self._pending_rpc[(gateway_addr, self._corr)] = cb
         self.send(gateway_addr, {
             "type": "rpc_call",
             "token": token,

@@ -156,7 +156,8 @@ class Gateway(Process):
         self.vendor = vendor
         self.tokens: dict[str, dict] = {}
         self.devices: dict[str, str] = {}  # device_id -> addr
-        self._pending: dict[int, str] = {}  # corr -> caller addr
+        # (device addr, corr) -> (caller addr, the caller's corr)
+        self._pending: dict[tuple[str, int], tuple[str, int]] = {}
         self._corr = 0
         self.rejected = {"BadToken": 0, "UnknownDevice": 0}
 
@@ -178,7 +179,7 @@ class Gateway(Process):
             error = "UnknownDevice"
         else:
             self._corr += 1
-            self._pending[self._corr] = (src, msg["corr"])
+            self._pending[(self.devices[device_id], self._corr)] = (src, msg["corr"])
             self.send(self.devices[device_id], {"type": "rpc", "api": msg["api"],
                                                 "eid": msg["eid"], "log_key": msg["log_key"],
                                                 "corr": self._corr})
@@ -187,7 +188,8 @@ class Gateway(Process):
         self.send(src, {"type": "rpc_result", "corr": msg["corr"], "ok": False, "error": error})
 
     def _on_rpc_result(self, src, msg):
-        pending = self._pending.pop(msg["corr"], None)
+        """Relay a result only from the device the call went to."""
+        pending = self._pending.pop((src, msg["corr"]), None)
         if pending is None:
             return
         caller, caller_corr = pending

@@ -1,15 +1,18 @@
 """Ledger dumps and the full-chain audit.
 
 A dump is newline-delimited canonical JSON: a header naming the replica
-set, one line per block, and a state-digest footer.  The audit recomputes
-every content digest, walks the prev-digest chain, verifies each block's
-commit certificate, and finally replays all committed transactions to
-check the recorded state digest.  Any out-of-band mutation of a stored
-block or table row breaks one of those checks.
+set, one line per block, and a state-digest footer.  The audit checks that
+block 0 is the genesis block, recomputes every content digest, walks the
+prev-digest chain, verifies each block's commit certificate, and finally
+replays all committed transactions to check the recorded state digest.
+Any out-of-band mutation of a stored block or table row breaks one of
+those checks.
 
-Commit certificates attest the consensus proposal; block content is tied
-to the chain by the recomputed digests.  Each record is checked against its
-shape before it is read, so a malformed dump is reported, never raised on.
+Each block carries `proposal`, the batch its commit certificate signs: the
+audit checks its digest against the certificate and that `txs` is an
+in-order subsequence of it.  Block content is tied to the chain by the
+recomputed digests.  Each record is checked against its shape before it is
+read, so a malformed dump is reported, never raised on.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from ..canonical import (  # noqa: F401
     object_of,
 )
 from .node import (
-    GENESIS_PREV,
     LedgerNode,
+    batch_digest,
     block_digest,
+    genesis_block,
     genesis_state,
     tx_wire,
     valid_commit_votes,
@@ -42,7 +46,7 @@ HEADER = message("header", n=is_int, f=is_int, node_index=is_int, node_pubkeys=l
                  genesis_acl=list_of(object_of(signer=is_str, role=is_str, usr_id=is_int)))
 # A block's commit certificate is checked on its own, so the issue can name it.
 BLOCK = message("block", height=is_int, prev_digest=is_str, txs=list_of(tx_wire),
-                digest=is_str, proof=lambda v: True)
+                proposal=list_of(tx_wire), digest=is_str, proof=lambda v: True)
 BLOCK_PROOF = object_of(view=is_int, proposal_digest=is_str, votes=by_index(is_str))
 FOOTER = message("state", digest=is_str)
 
@@ -87,6 +91,12 @@ def content_digests(node: LedgerNode) -> list[str]:
     return [block["digest"] for block in node.chain]
 
 
+def _subsequence(txs: list[dict], proposal: list[dict]) -> bool:
+    """Whether txs appear in proposal, in the same order."""
+    rest = iter(proposal)
+    return all(any(wire == tx for wire in rest) for tx in txs)
+
+
 def _parse_dump(data: bytes) -> list[dict]:
     import json
 
@@ -111,8 +121,11 @@ def audit_records(records: list) -> AuditResult:
     pubkeys = header["node_pubkeys"]
     quorum = 2 * header["f"] + 1
 
-    prev_digest = GENESIS_PREV
-    for i, block in enumerate(blocks):
+    genesis = {"type": "block", **genesis_block()}
+    if blocks[:1] != [genesis]:
+        issues.append("block 0: not the genesis block")
+    prev_digest = genesis["digest"]
+    for i, block in enumerate(blocks[1:], 1):
         h, proof = block["height"], block["proof"]
         if h != i:
             issues.append(f"height gap: expected {i}, found {h}")
@@ -121,9 +134,13 @@ def audit_records(records: list) -> AuditResult:
             issues.append(f"block {i}: prev_digest does not match chain")
         if block_digest(h, block["prev_digest"], block["txs"]) != block["digest"]:
             issues.append(f"block {i}: content digest mismatch")
-        if i > 0 and not BLOCK_PROOF(proof):
+        if not _subsequence(block["txs"], block["proposal"]):
+            issues.append(f"block {i}: txs are not an in-order subsequence of the proposal")
+        if not BLOCK_PROOF(proof):
             issues.append(f"block {i}: malformed commit certificate")
-        elif i > 0:
+        elif batch_digest(block["proposal"]) != proof["proposal_digest"]:
+            issues.append(f"block {i}: proposal does not match its commit certificate")
+        else:
             valid = len(valid_commit_votes(
                 pubkeys, proof["view"], h, proof["proposal_digest"], proof["votes"]
             ))

@@ -3,7 +3,8 @@
 The client sends a transaction to one entry node, then counts receipt
 replies from the node addresses and resolves once f + 1 of them agree, so
 a lying minority cannot spoof an outcome.  A submission that stays
-unresolved past the timeout is retried through the next entry node.
+unresolved past the timeout is sent again to every node, as PBFT's client
+does, so one silent entry node cannot hold it up.
 """
 
 from __future__ import annotations
@@ -62,20 +63,18 @@ class LedgerClient:
         )
 
     def _on_timeout(self, tid: str, epoch: int) -> None:
-        entry_count = len(self.node_addrs)
         state = self.pending.get(tid)
         if state is None or state["epoch"] != epoch:
             return
-        if state["tries"] >= 2 * entry_count:
+        if state["tries"] >= 2 * len(self.node_addrs):
             self._resolve(
                 tid, TxReceipt(tid, False, code="Timeout", height=None)
             )
             return
         state["tries"] += 1
         state["epoch"] += 1
-        entry = self.node_addrs[self._cursor % entry_count]
-        self._cursor += 1
-        self.owner.send(entry, {"type": "submit", "tx": state["tx"].wire()})
+        for addr in self.node_addrs:
+            self.owner.send(addr, {"type": "submit", "tx": state["tx"].wire()})
         self._arm_timeout(tid, state["epoch"])
 
     def on_receipt(self, src: str, msg: dict) -> None:

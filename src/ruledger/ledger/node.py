@@ -4,10 +4,21 @@ Nodes order submitted transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
 f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
 2f + 1 matching commit votes, executes the batch through the verification
-contracts, and answers submitters with receipts.  Committed-block gossip
-heals nodes that a faulty primary starved or split, and a timeout-driven
-view change rotates the primary when no progress is made.  A single node
-(N = 1) runs the same three phases with a quorum of one.
+contracts, and answers submitters with receipts.  A timeout-driven view
+change rotates the primary when no progress is made; new requests do not
+put a view change's timeout off, and each timeout inside a view change
+moves its target one view on.  A single node (N = 1) runs the same three
+phases with a quorum of one.
+
+Catch-up is pull only.  Each block keeps `proposal`, the batch its commit
+certificate signs, beside `txs`, the accepted subsequence, so every block
+can be served again.  A node that holds a commit quorum it cannot apply (a
+height above `next_height`, or a digest other than its slot's) sends a
+`sync_req` for the blocks from `next_height` to the voter that completed the
+quorum, once per such height; a view change, which states its sender's last
+height, is answered as such a request by every peer.  `_on_sync_req` answers
+with at most `SYNC_RUN` blocks as `committed` messages, and `_on_committed`
+applies a block only with its certificate.
 
 `LedgerNode.MESSAGES`, the node's table at the boundary every process shares
 (see `sim.Process`), gives the exact shape of every message (nested ones,
@@ -62,6 +73,7 @@ from .faults import (
 from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt
 
 GENESIS_PREV = "0" * 64
+SYNC_RUN = 8  # the most blocks one sync reply carries
 
 
 class ConfigError(ValueError):
@@ -168,13 +180,14 @@ def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
     return digest_hex({"height": height, "prev_digest": prev_digest, "txs": txs})
 
 
-def make_block(height: int, prev_digest: str, txs: list[dict], proof: dict) -> dict:
-    return {"height": height, "prev_digest": prev_digest, "txs": txs,
+def make_block(height: int, prev_digest: str, txs: list[dict], proposal: list[dict],
+               proof: dict) -> dict:
+    return {"height": height, "prev_digest": prev_digest, "txs": txs, "proposal": proposal,
             "digest": block_digest(height, prev_digest, txs), "proof": proof}
 
 
 def genesis_block() -> dict:
-    return make_block(0, GENESIS_PREV, [], {"view": -1, "proposal_digest": "", "votes": {}})
+    return make_block(0, GENESIS_PREV, [], [], {"view": -1, "proposal_digest": "", "votes": {}})
 
 
 def genesis_state(genesis_acl: list[dict]) -> tables.TableStore:
@@ -250,7 +263,8 @@ class LedgerNode(Process):
         self.committed_buffer: dict[int, tuple] = {}  # height -> _commit_block args
         self.pp_buffer: list[dict] = []
         self.vc_msgs: dict[int, dict[int, dict]] = {}
-        self.in_view_change = False
+        self.vc_target: int | None = None  # the view a view change in progress aims at
+        self._sync_asked = 0  # the highest quorum height a sync_req was sent for
         self._timer_epoch = 0
         self._vc_round = 0
         self.counters.update({
@@ -299,10 +313,8 @@ class LedgerNode(Process):
         else:  # equivocate misbehaves only at proposal time
             self.send(dst, msg)
 
-    def _broadcast(self, msg: dict, include_self: bool = True) -> None:
-        for i, dst in enumerate(self.config.node_addrs):
-            if not include_self and i == self.index:
-                continue
+    def _broadcast(self, msg: dict) -> None:
+        for dst in self.config.node_addrs:
             self._cast(dst, msg)
 
     # ------------------------------------------------------------------
@@ -331,7 +343,8 @@ class LedgerNode(Process):
             waiters.append(client)
         if tid not in self.pool:
             self.pool[tid] = wire
-            self._rearm_timer()
+            if self.vc_target is None:  # a new request must not put a view change off
+                self._rearm_timer()
             self._maybe_propose()
 
     # ------------------------------------------------------------------
@@ -341,7 +354,7 @@ class LedgerNode(Process):
         return list(islice(self.pool.values(), self.config.batch_size))
 
     def _maybe_propose(self) -> None:
-        if self.config.primary(self.view) != self.index or self.in_view_change:
+        if self.config.primary(self.view) != self.index or self.vc_target is not None:
             return
         slot = self.slots.get(self.next_height, {}).get(self.view)
         if slot is not None and slot.digest is not None:
@@ -435,7 +448,10 @@ class LedgerNode(Process):
         if tag == "p":
             slot.prepares.setdefault(digest, {})[sender] = (tag, sig)
         else:
-            slot.commits.setdefault(digest, {})[sender] = sig
+            votes = slot.commits.setdefault(digest, {})
+            votes[sender] = sig
+            if len(votes) >= self.config.quorum and (h, digest) != (self.next_height, slot.digest):
+                self._request_sync(self.config.node_addrs[sender], h)
         self._check_slot(slot, view, h)
 
     def _check_slot(self, slot: _Slot, view: int, height: int) -> None:
@@ -499,29 +515,17 @@ class LedgerNode(Process):
 
         signed = {str(i): sig for i, sig in sorted(votes.items())}
         proof = {"view": view, "proposal_digest": proposal_digest, "votes": signed}
-        self.chain.append(make_block(height, self.chain[-1]["digest"], content_txs, proof))
+        self.chain.append(make_block(height, self.chain[-1]["digest"], content_txs, batch, proof))
         self.slots.pop(height, None)
         self.counters["blocks_committed"] += 1
         self._vc_round = 0
-        self.in_view_change = False
+        self.vc_target = None
 
         for tid, receipt in receipts:
             for client in self.submitters.pop(tid, []):
                 self._cast(client, {"type": "receipt", **receipt.wire()})
         for notif in notifications:
             self._dispatch_notification(notif, height)
-
-        self._broadcast(
-            {
-                "type": "committed",
-                "view": view,
-                "height": height,
-                "digest": proposal_digest,
-                "batch": batch,
-                "votes": signed,
-            },
-            include_self=False,
-        )
 
         while self.next_height in self.committed_buffer:  # each entry is certified
             self._commit_block(*self.committed_buffer.pop(self.next_height))
@@ -555,9 +559,17 @@ class LedgerNode(Process):
             )
 
     # ------------------------------------------------------------------
-    # committed-block gossip and sync
+    # catch-up: sync requests and their replies
+
+    def _request_sync(self, peer: str, quorum_height: int) -> None:
+        """Ask peer, whose commit vote completed a quorum this node cannot
+        apply, for the blocks from next_height: once per quorum height."""
+        if quorum_height > self._sync_asked:
+            self._sync_asked = quorum_height
+            self._cast(peer, {"type": "sync_req", "height": self.next_height})
 
     def _on_committed(self, src: str, msg: dict) -> None:
+        """One block of a sync reply, applied only with its commit certificate."""
         view, h, digest, batch = msg["view"], msg["height"], msg["digest"], msg["batch"]
         if h < self.next_height or h in self.committed_buffer:
             return
@@ -581,25 +593,13 @@ class LedgerNode(Process):
                 self._on_pre_prepare("", msg, verified=True)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
-        h = msg["height"]
-        if h < 1 or h >= self.next_height:
-            return
-        # Reconstruct gossip for the requested height from the stored block.
-        # The digest and votes cover the whole proposal but the block keeps
-        # only accepted txs, so a block that rejected any tx fails the
-        # receiver's digest check and cannot be served (ROADMAP item 4).
-        block = self.chain[h]
-        self._cast(
-            src,
-            {
-                "type": "committed",
-                "view": block["proof"]["view"],
-                "height": h,
-                "digest": block["proof"]["proposal_digest"],
-                "batch": block["txs"],
-                "votes": block["proof"]["votes"],
-            },
-        )
+        """Send the committed blocks from the asked height, at most SYNC_RUN of them."""
+        start = max(msg["height"], 1)
+        for block in self.chain[start:start + SYNC_RUN]:
+            proof = block["proof"]
+            self._cast(src, {"type": "committed", "view": proof["view"], "height": block["height"],
+                             "digest": proof["proposal_digest"], "batch": block["proposal"],
+                             "votes": proof["votes"]})
 
     # ------------------------------------------------------------------
     # timeouts and view changes
@@ -623,7 +623,8 @@ class LedgerNode(Process):
             return
         self._vc_round += 1
         self.counters["view_changes"] += 1
-        self._start_view_change(self.view + 1)
+        # A view change that timed out moves on to the view after its target.
+        self._start_view_change((self.view if self.vc_target is None else self.vc_target) + 1)
 
     def _prepared_cert(self) -> dict | None:
         """The certificate of the next height's proposal prepared in the highest view."""
@@ -663,7 +664,7 @@ class LedgerNode(Process):
         return valid >= self.config.quorum
 
     def _start_view_change(self, target_view: int) -> None:
-        self.in_view_change = True
+        self.vc_target = target_view
         cert = self._prepared_cert()
         cert_digest = digest_hex(cert) if cert else ""
         last_height = self.next_height - 1
@@ -676,8 +677,6 @@ class LedgerNode(Process):
             "sig": self._sign(_vc_body(target_view, last_height, cert_digest)),
         }
         self._broadcast(msg)
-        # Ask peers whether the stalled height already committed elsewhere.
-        self._broadcast({"type": "sync_req", "height": self.next_height}, include_self=False)
         self._rearm_timer()
 
     def _on_view_change(self, src: str, msg: dict) -> None:
@@ -685,6 +684,8 @@ class LedgerNode(Process):
         if not self._view_change_valid(msg):
             self.counters["malformed_dropped"] += 1
             return
+        # A view change states how far its sender got: send it what it lacks.
+        self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
         if new_view <= self.view:
             return
         bucket = self.vc_msgs.setdefault(new_view, {})
@@ -708,7 +709,7 @@ class LedgerNode(Process):
     def _enter_view(self, view: int) -> None:
         """Move to view, ending any view change, and drop the buckets of views up to it."""
         self.view = view
-        self.in_view_change = False
+        self.vc_target = None
         self.vc_msgs = {v: bucket for v, bucket in self.vc_msgs.items() if v > view}
 
     def _become_primary(self, new_view: int, bucket: dict[int, dict]) -> None:

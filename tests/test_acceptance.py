@@ -358,11 +358,11 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
-    "report": "dd028f1de141f3521c42f7af928699a059d0f6ff68eee759b67166d7f23582fa",
-    "ledger-node0.dump": "a946804eb9d394743d6b39aba6f29bac19931168305193e5ed927ea1aecafa9d",
-    "ledger-node1.dump": "f835701755759627bc88cfaa941e82b7053e8ffcb85959f57ee4f5be14f08de0",
-    "ledger-node2.dump": "7d9404828a57555cf2309b72cefd2b06129186653c22b92739ab0e345bc2b927",
-    "ledger-node3.dump": "dfa89b707b28fc73275e66fae9ae70b0d5349e632d68e3b4e94dce92faa0942e",
+    "report": "1499ce87bbbac0f3de8e58295953db0ca794bda652b35d61975c5802510f8293",
+    "ledger-node0.dump": "0676d35d7636ba25d2cadeec5a8108cbb96e9323aabfff2c379fc17b83d83bbb",
+    "ledger-node1.dump": "441fc66ad0d4b629e4fe87236fa81834ade453e8b5fd6efd508f65933440478f",
+    "ledger-node2.dump": "875cc8e694f4ead4579772041ff23ebac78e0e9da86d45980668cb74abc9b10a",
+    "ledger-node3.dump": "fa7da3151e1cfd2fa6227525e8e41807d6dbcc56f1cb9a140e387f09c8570af7",
 }
 
 

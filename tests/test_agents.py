@@ -206,16 +206,31 @@ def test_gateway_results_without_a_fitting_payload_fail_the_step():
                                   "binding": BINDING, "mode": "poll"})
     for result in ({"ok": True}, {"ok": True, "payload": {"heart_rate": "190"}}):
         rig.agent.run_trigger_cycle(rig.agent.triggers[0])
-        corr = max(rig.agent._pending_rpc)
-        rig.agent.on_message("gw", {"type": "rpc_result", "corr": corr, **result})
+        rig.agent.on_message("gw", {"type": "rpc_result", "corr": rig.agent._corr, **result})
     for n in (0, 1):
         rig.agent.on_message(f"node{n}", _notify(n))
-    rig.agent.on_message("gw", {"type": "rpc_result", "corr": max(rig.agent._pending_rpc),
+    rig.agent.on_message("gw", {"type": "rpc_result", "corr": rig.agent._corr,
                                 "ok": True, "payload": "unlocked"})
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles_aborted"] == 2
     assert rig.agent.counters["events_submitted"] == 1  # the failure record of the action
     assert rig.agent.counters["action_failures"] == 1
+
+
+def test_a_device_result_counts_only_from_the_gateway_that_was_called():
+    rig = _rig()
+    rig.watch.state["heart_rate"] = 72
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
+                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.run_trigger_cycle(rig.agent.triggers[0])
+    rig.agent.on_message("node0", {"type": "rpc_result", "corr": rig.agent._corr, "ok": True,
+                                   "payload": {"heart_rate": 250}})
+    assert len(rig.agent._pending_rpc) == 1  # still waiting for the gateway
+    rig.sched.run(until=2000)
+    assert rig.agent._pending_rpc == {}
+    assert rig.agent.counters["events_submitted"] == 0  # 72 is quiet: no rule ran
+    assert rig.agent.counters["cycles_aborted"] == 0
+    assert len(rig.log) == 1
 
 
 def test_direct_commands_refused_while_ledger_is_on():

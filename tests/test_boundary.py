@@ -110,9 +110,9 @@ _ABSENT = object()
 _seq = iter(range(100, 10**6))
 
 
-def _call_in_flight(agent) -> int:
+def _call_in_flight(agent) -> tuple[str, int]:
     """Put a device call of the execution agent in flight, a trigger poll's or an
-    authorized action's, and return its correlation id."""
+    authorized action's, and return the gateway it went to and its correlation id."""
     seq = next(_seq)
     if agent.triggers and seq % 2:
         agent.run_trigger_cycle(agent.triggers[0])
@@ -122,7 +122,7 @@ def _call_in_flight(agent) -> int:
                                "device_id": "lock-1"}]}
         agent.on_message("node0", notify)
         agent.on_message("node1", notify)
-    return max(agent._pending_rpc)
+    return max(agent._pending_rpc, key=lambda call: call[1])
 
 
 @st.composite
@@ -139,9 +139,10 @@ def _delivery(draw):
         value = draw(st.just(_ABSENT) | _json if name == odd else strategy)
         if value is not _ABSENT:
             msg[name] = value
+    src = draw(st.sampled_from(sorted(_PROCESSES)))
     if process is _WORLD.exec_agent and kind == "rpc_result" and typed:
-        msg["corr"] = _call_in_flight(process)
-    return process, draw(st.sampled_from(sorted(_PROCESSES))), msg
+        src, msg["corr"] = _call_in_flight(process)  # the result comes from the gateway
+    return process, src, msg
 
 
 def test_the_fields_table_covers_every_handled_type():

@@ -215,6 +215,21 @@ def test_stray_rpc_result_is_ignored():
     assert driver.replies == []
 
 
+def test_gateway_relays_a_result_only_from_the_called_device():
+    sched, net, log, driver = _rig()
+    gw = devices.Gateway("gw/v", net, "v")
+    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "v", log,
+                         initial={"heart_rate": 55})
+    token = gw.register_device(dev)
+    gw.on_message(driver.addr, {"type": "rpc_call", "token": token, "device_id": "watch-1",
+                                "api": HEART_RATE_API, "eid": "e", "log_key": "k", "corr": 7})
+    gw.on_message("dev/impostor", {"type": "rpc_result", "corr": 1, "ok": True,
+                                   "payload": {"heart_rate": 250}})
+    sched.run()
+    (_, _, reply), = driver.replies
+    assert reply["corr"] == 7 and reply["payload"] == {"heart_rate": 55}
+
+
 def _timeline_run(seed):
     sched, net, log, driver = _rig(seed=seed, config=NetConfig(delay_range=(1, 15)))
     dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,

@@ -7,14 +7,18 @@ import os
 import jsonschema
 import pytest
 
-from conftest import hr_rule
+from conftest import hr_rule, make_rig, rule_commit_tx
+from ruledger import contracts
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
 from ruledger.harness.scenario import ByzantineSpec, load_scenario, scenario_from_dict
 from ruledger.harness.world import World, run_scenario
+from ruledger.keys import KeyPair
 from ruledger.ledger import audit
+from ruledger.ledger import node as node_mod
 from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger.node import ConfigError
+from ruledger.ledger.tx import SignedTransaction
 from ruledger.rules import RuleError, parse_rule
 
 
@@ -222,6 +226,58 @@ def test_audit_reports_a_malformed_dump_without_raising(poll_run, tamper):
     tamper(records)
     result = audit.audit_records(records)
     assert not result.ok and result.issues
+
+
+@pytest.fixture(scope="module")
+def batched_records():
+    """A dump whose block 2 holds three txs, submitted together."""
+    rig = make_rig(seed=20)
+    for i in range(1, 5):
+        tx = rule_commit_tx(rig.admin, nonce=i, rule=hr_rule(rule_id=i), usr_rule_id=100 + i)
+        rig.scheduler.schedule(10, lambda t=tx: rig.client.client.submit(t))
+    rig.scheduler.run(until=5000)
+    records = audit.dump_lines(rig.nodes[0])
+    assert len(records[3]["txs"]) >= 2
+    return json.dumps(records)
+
+
+def _reseal(records):
+    """Recompute what needs no node key: each content digest, the prev-digest
+    chain and the state footer."""
+    prev = node_mod.GENESIS_PREV
+    state = node_mod.genesis_state(records[0]["genesis_acl"])
+    for record in records[1:-1]:
+        record["prev_digest"] = prev
+        record["digest"] = prev = node_mod.block_digest(record["height"], prev, record["txs"])
+        for wire in record["txs"]:
+            contracts.apply_tx(SignedTransaction.from_wire(wire), state)
+    records[-1]["digest"] = state.state_digest()
+    return records
+
+
+_FORGER = KeyPair.from_seed(20, "acct/forger")
+_FORGED = rule_commit_tx(_FORGER, 1, rule=hr_rule(rule_id=9), usr_rule_id=109).wire()
+
+
+@pytest.mark.parametrize("tamper,issue", [
+    (lambda records: records[2]["txs"].append(_FORGED),
+     "block 1: txs are not an in-order subsequence of the proposal"),
+    (lambda records: records[3]["txs"].insert(0, records[3]["txs"].pop(1)),
+     "block 2: txs are not an in-order subsequence of the proposal"),
+    (lambda records: records[3]["proposal"][1]["body"].update(usr_rule_id=999),
+     "block 2: proposal does not match its commit certificate"),
+    (lambda records: records[3].pop("proposal"), "record 3: malformed"),
+    (lambda records: records[1].update(txs=[_FORGED], proposal=[_FORGED]),
+     "block 0: not the genesis block"),
+    (lambda records: records.__delitem__(slice(1, -1)), "block 0: not the genesis block"),
+], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire", "no_proposal",
+        "txs_in_genesis", "no_blocks"])
+def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
+    assert audit.audit_records(_reseal(json.loads(batched_records))).ok
+    records = json.loads(batched_records)
+    tamper(records)
+    result = audit.audit_records(_reseal(records))
+    assert not result.ok and issue in result.issues, result.issues
 
 
 def test_audit_reports_a_dump_nested_too_deep_to_parse(tmp_path):

@@ -172,11 +172,24 @@ def test_garbage_messages_are_counted_not_fatal():
     assert rig.client.client.resolved[tx.tx_id].accepted
 
 
-def _committed_gossip(node, height):
+def _sync_reply(node, height):
     block = node.chain[height]
     return {"type": "committed", "view": block["proof"]["view"], "height": height,
-            "digest": block["proof"]["proposal_digest"], "batch": block["txs"],
+            "digest": block["proof"]["proposal_digest"], "batch": block["proposal"],
             "votes": block["proof"]["votes"]}
+
+
+def _record_sends(rig):
+    """Note (src, dst, msg) of every message sent from now on."""
+    sent = []
+    send = rig.net.send
+
+    def recording(src, dst, msg):
+        sent.append((src, dst, msg))
+        send(src, dst, msg)
+
+    rig.net.send = recording
+    return sent
 
 
 def _commit_in_sequence(rig, txs):
@@ -216,7 +229,7 @@ def test_duplicate_commit_gossip_does_not_double_apply():
     rig.scheduler.run(until=5000)
     node = rig.nodes[3]
     height_before = len(node.chain)
-    node.on_message("node0", _committed_gossip(node, 1))
+    node.on_message("node0", _sync_reply(node, 1))
     assert len(node.chain) == height_before
     assert node.counters["txs_committed"] == 1
 
@@ -268,7 +281,7 @@ def test_poison_config_tx_is_answered_and_commits_go_on():
 def test_junk_gossip_for_a_future_height_does_not_displace_the_honest_copy():
     source = make_rig(seed=14)
     _commit_in_sequence(source, _rule_txs(source, 2))
-    honest = [_committed_gossip(source.nodes[0], h) for h in (1, 2)]
+    honest = [_sync_reply(source.nodes[0], h) for h in (1, 2)]
 
     rig = make_rig(seed=14)  # same keys, nothing committed yet
     node = rig.nodes[3]
@@ -282,9 +295,83 @@ def test_junk_gossip_for_a_future_height_does_not_displace_the_honest_copy():
     assert node.counters["malformed_dropped"] == 38
 
 
+def test_a_node_cut_off_while_blocks_commit_pulls_them_without_a_view_change():
+    # Block 1 rejects an outsider's tx, so its proposal is not its txs.
+    rig = make_rig(seed=16)
+    lagging = rig.nodes[3]
+    lagging.on_message = lambda src, msg: None  # every inbound delivery is lost
+    outsider = build_tx("config", {"action": ["x"]}, KeyPair.from_seed(16, "acct/outsider"), 1)
+    first, second = _rule_txs(rig, 2)
+    _commit_in_sequence(rig, [outsider, first])
+    assert [n.next_height for n in rig.nodes] == [3, 3, 3, 1]
+    del lagging.on_message  # the link is back
+    _commit_in_sequence(rig, [second])
+
+    source = rig.nodes[0]
+    assert audit.content_digests(lagging) == audit.content_digests(source)
+    assert all(n.counters["view_changes"] == 0 for n in rig.nodes)
+    assert rig.client.client.resolved[second.tx_id].accepted
+    assert lagging.chain[1]["txs"] == [] and lagging.chain[1]["proposal"] == [outsider.wire()]
+    assert audit.audit_node(lagging).ok
+
+
+def test_a_view_change_brings_its_sender_up_to_date():
+    rig = make_rig(seed=21)
+    lagging = rig.nodes[3]
+    lagging.on_message = lambda src, msg: None
+    first, second, third = _rule_txs(rig, 3)
+    _commit_in_sequence(rig, [first, second])
+    del lagging.on_message
+    # Only the lagging node holds work, so only it times out.
+    lagging.on_message("node0", {"type": "request", "tx": third.wire(), "client": "client"})
+    rig.scheduler.run(until=rig.scheduler.now + rig.config.commit_timeout_ms + 20)
+    assert [n.counters["view_changes"] for n in rig.nodes] == [0, 0, 0, 1]
+    assert audit.content_digests(lagging) == audit.content_digests(rig.nodes[0])
+
+
+def test_commits_send_no_blocks_and_a_sync_reply_is_a_bounded_run():
+    rig = make_rig(seed=17)
+    sent = _record_sends(rig)
+    _commit_in_sequence(rig, _rule_txs(rig, node_mod.SYNC_RUN + 2))
+    assert all(n.next_height == node_mod.SYNC_RUN + 3 for n in rig.nodes)
+    assert not [msg for _, _, msg in sent if msg["type"] == "committed"]
+
+    rig.nodes[0].on_message("node3", {"type": "sync_req", "height": 2})
+    replies = [msg for _, _, msg in sent if msg["type"] == "committed"]
+    assert [msg["height"] for msg in replies] == list(range(2, 2 + node_mod.SYNC_RUN))
+    assert all(msg["batch"] == rig.nodes[0].chain[msg["height"]]["proposal"] for msg in replies)
+
+
+def test_each_timeout_inside_a_view_change_moves_its_target_on():
+    rig = make_rig(seed=18)
+    node = rig.nodes[1]
+    first, second = _rule_txs(rig, 2)
+    node.on_message("node0", {"type": "request", "tx": first.wire(), "client": "client"})
+    node._on_timeout(node._timer_epoch)
+    epoch = node._timer_epoch
+    # A new request does not put the view change's timeout off.
+    node.on_message("node0", {"type": "request", "tx": second.wire(), "client": "client"})
+    node._on_timeout(epoch)  # the view change to 1 timed out in turn
+    rig.scheduler.run(until=rig.scheduler.now + 50)
+    # Peers hold node1's view changes for view 1 and then view 2.
+    assert {view: set(bucket) for view, bucket in rig.nodes[2].vc_msgs.items()} == {1: {1}, 2: {1}}
+    assert node.view == 0 and node.vc_target == 2
+
+
+def test_a_client_retry_goes_to_every_replica():
+    rig = make_rig(seed=19, fault_kind="drop", byz_index=0, client_timeout_ms=1500)
+    rig.nodes[0].fault.prob = 1.0  # entry node 0 is mute
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    sent = _record_sends(rig)
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.run(until=1600)
+    submits = [dst for src, dst, msg in sent if src == "client" and msg["type"] == "submit"]
+    assert submits == ["node0", *rig.config.node_addrs]
+
+
 def test_client_retries_through_other_entry_nodes():
     # Entry node 0 is mute, so the first submission goes nowhere; the
-    # timeout retry lands on node 1 and commits.
+    # timeout retry reaches the other replicas and commits.
     rig = make_rig(seed=9, fault_kind="drop", byz_index=0, client_timeout_ms=1500)
     tx = rule_commit_tx(rig.admin, nonce=1)
     rig.nodes[0].fault.prob = 1.0
