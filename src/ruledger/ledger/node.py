@@ -4,9 +4,15 @@ Nodes order submitted transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
 f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
 2f + 1 matching commit votes, executes the batch through the verification
-contracts, and answers submitters with receipts.  A timeout-driven view
-change rotates the primary when no progress is made; new requests do not
-put a view change's timeout off, and each timeout inside a view change
+contracts, and answers submitters with receipts.  The primary takes its own
+proposal at once: `_propose` and `_become_primary` send the pre-prepare to
+the peers only and handle it in-process before they return, so a height is
+in flight from the moment it is proposed and no later request can make a
+second proposal for it (PBFT assigns each sequence number once).  A
+timeout-driven view change rotates the primary when no progress is made:
+the commit timer starts when work arrives at an idle node and restarts only
+on progress (an accepted pre-prepare or a commit), so a stream of new
+requests never puts a timeout off, and each timeout inside a view change
 moves its target one view on.  A single node (N = 1) runs the same three
 phases with a quorum of one.
 
@@ -26,7 +32,9 @@ certificates, transaction wires and vote maps included): a handler runs only
 on a message the table admits, and reads it unguarded.  Future-height
 messages are buffered only once authenticated.  A batch stays in the wire
 form the table admitted, which `batch_digest` covers, from the pool to the
-block; only `_commit_block` turns wires into `SignedTransaction`s.
+block; only `_commit_block` turns wires into `SignedTransaction`s.  A batch
+wire equal to its pool entry is not verified again: `_on_request` verified
+it before pooling it.
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
@@ -317,6 +325,9 @@ class LedgerNode(Process):
         for dst in self.config.node_addrs:
             self._cast(dst, msg)
 
+    def _peers(self) -> list[str]:
+        return [dst for dst in self.config.node_addrs if dst != self.addr]
+
     # ------------------------------------------------------------------
     # submission path
 
@@ -342,13 +353,21 @@ class LedgerNode(Process):
         if client not in waiters:
             waiters.append(client)
         if tid not in self.pool:
+            # The timer starts when work arrives and restarts only on progress, so
+            # requests that never pause cannot put a silent primary's timeout off.
+            idle = not self._work_pending()
             self.pool[tid] = wire
-            if self.vc_target is None:  # a new request must not put a view change off
+            if idle:
                 self._rearm_timer()
             self._maybe_propose()
 
     # ------------------------------------------------------------------
     # proposals
+
+    def _batch_signed(self, wires: list[dict]) -> bool:
+        """Whether each wire is signed; a wire equal to its pool entry was checked
+        when `_on_request` pooled it, so only the others are verified."""
+        return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w])
 
     def _undecided_batch(self) -> list[dict]:
         return list(islice(self.pool.values(), self.config.batch_size))
@@ -377,25 +396,27 @@ class LedgerNode(Process):
         return {**self._vote("pre_prepare", view, height, digest), "batch": wires}
 
     def _propose(self, wires: list[dict]) -> None:
-        h = self.next_height
+        """Send a pre-prepare for the next height to the peers and take it here at
+        once, so the height is in flight before any later request is handled."""
+        pre_prepare = self._pre_prepare(self.view, self.next_height, batch_digest(wires), wires)
         if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
-            self._propose_equivocating(h, wires)
-            return
-        self._broadcast(self._pre_prepare(self.view, h, batch_digest(wires), wires))
-
-    def _propose_equivocating(self, h: int, wires_a: list[dict]) -> None:
-        """Send conflicting proposals to two halves of the replica set."""
-        if len(wires_a) > 1:
-            wires_b = list(reversed(wires_a))
+            self._propose_equivocating(pre_prepare)
         else:
-            wires_b = wires_a + wires_a  # duplicate entry changes the digest
-        variants = [
-            self._pre_prepare(self.view, h, batch_digest(wires), wires)
-            for wires in (wires_a, wires_b)
-        ]
+            for dst in self._peers():
+                self._cast(dst, pre_prepare)
+        self._on_pre_prepare(self.addr, pre_prepare, verified=True)
+
+    def _propose_equivocating(self, pre_prepare: dict) -> None:
+        """Send conflicting proposals to two halves of the replica set."""
+        wires = pre_prepare["batch"]
+        # A reversed or duplicated batch changes the digest.
+        other = list(reversed(wires)) if len(wires) > 1 else wires + wires
+        variants = [pre_prepare,
+                    self._pre_prepare(self.view, pre_prepare["height"], batch_digest(other), other)]
         half = self.config.n // 2
         for i, dst in enumerate(self.config.node_addrs):
-            self.send(dst, variants[0] if i < half else variants[1])
+            if dst != self.addr:
+                self.send(dst, variants[0] if i < half else variants[1])
 
     # ------------------------------------------------------------------
     # three-phase votes
@@ -424,7 +445,7 @@ class LedgerNode(Process):
                 self.counters["equivocations_detected"] += 1
             return  # first accepted pre-prepare wins
         batch = msg["batch"]
-        if not batch or batch_digest(batch) != digest or not _signed(batch):
+        if not batch or batch_digest(batch) != digest or not self._batch_signed(batch):
             self.counters["malformed_dropped"] += 1
             return
         slot.batch = batch
@@ -577,7 +598,7 @@ class LedgerNode(Process):
             self.counters["malformed_dropped"] += 1
             return
         votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"])
-        if len(votes) < self.config.quorum or not _signed(batch):
+        if len(votes) < self.config.quorum or not self._batch_signed(batch):
             self.counters["malformed_dropped"] += 1
             return
         # Only certified heights are buffered, so no peer can grow the buffer.
@@ -718,23 +739,18 @@ class LedgerNode(Process):
         self._enter_view(new_view)
         vcs = {idx: bucket[idx] for idx in sorted(bucket)}
         cert = self._best_cert(vcs)
+        # Re-propose the prepared batch, else a fresh one, and take it here at once.
+        wires = cert["batch"] if cert is not None else self._undecided_batch()
         pre_prepare = None
-        h = self.next_height
-        if cert is not None:
-            pre_prepare = self._pre_prepare(new_view, h, cert["digest"], cert["batch"])
-        else:
-            wires = self._undecided_batch()
-            if wires:
-                pre_prepare = self._pre_prepare(new_view, h, batch_digest(wires), wires)
-        self._broadcast(
-            {
-                "type": "new_view",
-                "view": new_view,
-                "vcs": {str(i): m for i, m in vcs.items()},
-                "pre_prepare": pre_prepare,
-            }
-        )
+        if wires:
+            pre_prepare = self._pre_prepare(new_view, self.next_height, batch_digest(wires), wires)
+        new_view_msg = {"type": "new_view", "view": new_view,
+                        "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
+        for dst in self._peers():
+            self._cast(dst, new_view_msg)
         self._rearm_timer()
+        if pre_prepare is not None:
+            self._on_pre_prepare(self.addr, pre_prepare, verified=True)
 
     def _on_new_view(self, src: str, msg: dict) -> None:
         view = msg["view"]

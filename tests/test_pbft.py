@@ -369,6 +369,102 @@ def test_a_client_retry_goes_to_every_replica():
     assert submits == ["node0", *rig.config.node_addrs]
 
 
+def _request(tx):
+    return {"type": "request", "tx": tx.wire(), "client": "client"}
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_concurrent_fault_free_submissions_make_no_view_change(n):
+    rig = make_rig(seed=22, n=n)
+    txs = _rule_txs(rig, 24)
+    for i, tx in enumerate(txs):  # one each millisecond, faster than a round trip
+        rig.scheduler.schedule(10 + i, lambda t=tx: rig.client.client.submit(t))
+    rig.scheduler.run(until=6000)
+    assert all(rig.client.client.resolved[tx.tx_id].accepted for tx in txs)
+    counts = [(node.counters["view_changes"], node.counters["equivocations_detected"])
+              for node in rig.nodes]
+    assert counts == [(0, 0)] * n
+
+
+def _proposals(sent, sender):
+    """The pre-prepares sender sent, alone or inside a new_view."""
+    found = []
+    for src, _, msg in sent:
+        if src == sender and msg["type"] == "new_view" and msg["pre_prepare"] is not None:
+            found.append(msg["pre_prepare"])
+        elif src == sender and msg["type"] == "pre_prepare":
+            found.append(msg)
+    return found
+
+
+def test_a_request_right_after_a_proposal_makes_no_second_pre_prepare():
+    rig = make_rig(seed=23)
+    primary = rig.nodes[0]
+    first, second = _rule_txs(rig, 2)
+    sent = _record_sends(rig)
+    primary.on_message("node1", _request(first))  # proposes height 1
+    primary.on_message("node1", _request(second))  # before any message is delivered
+    assert [(p["height"], p["batch"]) for p in _proposals(sent, "node0")] == [(1, [first.wire()])] * 3
+    assert primary.slots[1][0].batch == [first.wire()]
+    rig.scheduler.run(until=rig.scheduler.now + 500)
+    assert [n.next_height for n in rig.nodes] == [3] * 4
+    assert all(n.counters["equivocations_detected"] == 0 for n in rig.nodes)
+
+
+def test_a_request_right_after_a_new_view_makes_no_second_pre_prepare():
+    rig = make_rig(seed=24)
+    new_primary = rig.nodes[1]
+    first, second = _rule_txs(rig, 2)
+    new_primary.on_message("node0", _request(first))  # not the primary of view 0
+    sent = _record_sends(rig)
+    for i in (0, 2, 3):  # a quorum of view changes for view 1
+        new_primary.on_message(f"node{i}", {
+            "type": "view_change", "new_view": 1, "last_height": 0, "cert": None, "sender": i,
+            "sig": rig.keys[i].sign_obj(node_mod._vc_body(1, 0, ""))})
+    new_primary.on_message("node0", _request(second))
+    proposals = _proposals(sent, "node1")
+    assert [(p["view"], p["height"], p["batch"]) for p in proposals] == [(1, 1, [first.wire()])] * 3
+    assert new_primary.view == 1 and new_primary.slots[1][1].batch == [first.wire()]
+    rig.scheduler.run(until=rig.scheduler.now + 500)
+    assert [n.next_height for n in rig.nodes] == [3] * 4
+    assert all(n.view == 1 and n.counters["equivocations_detected"] == 0 for n in rig.nodes)
+
+
+def test_a_request_stream_does_not_put_off_a_silent_primarys_timeout():
+    rig = make_rig(seed=25, fault_kind="drop", byz_index=0)
+    rig.nodes[0].fault.prob = 1.0
+    replicas = rig.nodes[1:]
+
+    def deliver(tx):
+        for node in replicas:
+            node.on_message("node0", _request(tx))
+
+    for i, tx in enumerate(_rule_txs(rig, 40)):  # a new request every 50 ms for 2 s
+        rig.scheduler.schedule(10 + 50 * i, lambda t=tx: deliver(t))
+    # No replica makes progress, so each times out commit_timeout_ms after the first request.
+    rig.scheduler.run(until=10 + rig.config.commit_timeout_ms)
+    assert [node.counters["view_changes"] for node in replicas] == [1, 1, 1]
+
+
+def test_a_pooled_tx_is_not_verified_again_in_a_pre_prepare(monkeypatch):
+    rig = make_rig(seed=26)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    verified = []
+    verify = node_mod.verify_signature_obj
+
+    def counting(body, sig, pubkey):
+        if body == tx.body:
+            verified.append(pubkey)
+        return verify(body, sig, pubkey)
+
+    monkeypatch.setattr(node_mod, "verify_signature_obj", counting)
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.run(until=2000)
+    assert rig.client.client.resolved[tx.tx_id].accepted
+    # The entry node checks the submission; each node checks the request it pools.
+    assert len(verified) == 1 + len(rig.nodes)
+
+
 def test_client_retries_through_other_entry_nodes():
     # Entry node 0 is mute, so the first submission goes nowhere; the
     # timeout retry reaches the other replicas and commits.
