@@ -1,17 +1,17 @@
 """Submission helper shared by the wallet agents.
 
-The client sends a transaction to one entry node, then counts receipt
-replies from the node addresses and resolves once f + 1 of them agree, so
-a lying minority cannot spoof an outcome.  A submission that stays
-unresolved past the timeout is sent again to every node, as PBFT's client
-does, so one silent entry node cannot hold it up.
+The client sends each transaction to every node, as PBFT's client multicasts
+its request, so no single node stands between it and the ledger.  It counts
+receipt replies from the node addresses and resolves once f + 1 of them
+agree, a signature reject included, so a lying minority cannot spoof an
+outcome.  A submission that stays unresolved past the timeout is sent to
+every node again.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .. import contracts
 from ..canonical import is_int, is_str, message, one_of, or_none
 from ..sim.network import Process
 from .tx import SignedTransaction, TxReceipt
@@ -29,42 +29,40 @@ class LedgerClient:
         node_addrs: list[str],
         f: int,
         timeout_ms: int = 8000,
-        start_entry: int = 0,
     ):
         self.owner = owner
         self.node_addrs = node_addrs
         self.f = f
         self.timeout_ms = timeout_ms
-        self._cursor = start_entry % len(node_addrs)
-        # tx_id -> {tally, cb, tx, tries, epoch, submitted_at}
+        # tx_id -> {tally, cb, tx, tries, submitted_at}
         self.pending: dict[str, dict] = {}
         self.resolved: dict[str, TxReceipt] = {}
         self.latencies_ms: list[int] = []
 
     def submit(self, tx: SignedTransaction, cb: ReceiptCallback | None = None) -> str:
         tid = tx.tx_id
-        entry = self.node_addrs[self._cursor % len(self.node_addrs)]
-        self._cursor += 1
         self.pending[tid] = {
             "tally": {},
             "cb": cb,
             "tx": tx,
             "tries": 1,
-            "epoch": 0,
             "submitted_at": self.owner.net.scheduler.now,
         }
-        self.owner.send(entry, {"type": "submit", "tx": tx.wire()})
-        self._arm_timeout(tid, 0)
+        self._send(tid)
         return tid
 
-    def _arm_timeout(self, tid: str, epoch: int) -> None:
-        self.owner.net.scheduler.schedule(
-            self.timeout_ms, lambda: self._on_timeout(tid, epoch)
-        )
+    def _send(self, tid: str) -> None:
+        """Send a pending submission to every node and arm its timeout."""
+        state = self.pending[tid]
+        msg = {"type": "submit", "tx": state["tx"].wire()}
+        for addr in self.node_addrs:
+            self.owner.send(addr, msg)
+        tries = state["tries"]
+        self.owner.net.scheduler.schedule(self.timeout_ms, lambda: self._on_timeout(tid, tries))
 
-    def _on_timeout(self, tid: str, epoch: int) -> None:
+    def _on_timeout(self, tid: str, tries: int) -> None:
         state = self.pending.get(tid)
-        if state is None or state["epoch"] != epoch:
+        if state is None or state["tries"] != tries:
             return
         if state["tries"] >= 2 * len(self.node_addrs):
             self._resolve(
@@ -72,10 +70,7 @@ class LedgerClient:
             )
             return
         state["tries"] += 1
-        state["epoch"] += 1
-        for addr in self.node_addrs:
-            self.owner.send(addr, {"type": "submit", "tx": state["tx"].wire()})
-        self._arm_timeout(tid, state["epoch"])
+        self._send(tid)
 
     def on_receipt(self, src: str, msg: dict) -> None:
         """Count a receipt only from a node address.  The owner's boundary
@@ -91,9 +86,7 @@ class LedgerClient:
         if src in senders:
             return
         senders.append(src)
-        # A pre-consensus signature reject comes from the entry node only.
-        needed = 1 if receipt.code == contracts.CODE_BAD_SIGNATURE else self.f + 1
-        if len(senders) >= needed:
+        if len(senders) >= self.f + 1:
             self._resolve(receipt.tx_id, receipt)
 
     def _resolve(self, tid: str, receipt: TxReceipt) -> None:

@@ -1,18 +1,24 @@
 """Replicated ledger node.
 
-Nodes order submitted transactions with a three-phase commit protocol
+A transaction enters the ledger one way: the client sends it to every node
+as a `submit`, and `_on_submit` verifies its signature once, answers a bad
+signature or a decided id at once, and otherwise pools it and notes the
+sender as a waiter for the receipt.  No node relays a submission, so none
+stands between a client and the other replicas.
+
+Nodes order pooled transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
 f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
 2f + 1 matching commit votes, executes the batch through the verification
 contracts, and answers submitters with receipts.  The primary takes its own
 proposal at once: `_propose` and `_become_primary` send the pre-prepare to
 the peers only and handle it in-process before they return, so a height is
-in flight from the moment it is proposed and no later request can make a
-second proposal for it (PBFT assigns each sequence number once).  A
+in flight from the moment it is proposed and no later submission can make
+a second proposal for it (PBFT assigns each sequence number once).  A
 timeout-driven view change rotates the primary when no progress is made:
 the commit timer starts when work arrives at an idle node and restarts only
 on progress (an accepted pre-prepare or a commit), so a stream of new
-requests never puts a timeout off, and each timeout inside a view change
+submissions never puts a timeout off, and each timeout inside a view change
 moves its target one view on.  A single node (N = 1) runs the same three
 phases with a quorum of one.
 
@@ -33,12 +39,12 @@ on a message the table admits, and reads it unguarded.  Future-height
 messages are buffered only once authenticated.  A batch stays in the wire
 form the table admitted, which `batch_digest` covers, from the pool to the
 block; only `_commit_block` turns wires into `SignedTransaction`s.  A batch
-wire equal to its pool entry is not verified again: `_on_request` verified
+wire equal to its pool entry is not verified again: `_on_submit` verified
 it before pooling it.
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
-  holds a decided id: `_on_request` answers a decided id from `decided`,
+  holds a decided id: `_on_submit` answers a decided id from `decided`,
   and `_commit_block` pops each id it decides;
 - `slots` maps height -> view -> `_Slot` for heights at or above
   `next_height` only: handlers ignore lower heights, and `_commit_block`
@@ -223,7 +229,6 @@ class LedgerNode(Process):
     # type -> (shape, handler).  Nested messages are checked with their parent.
     MESSAGES = {
         "submit": (message("submit", tx=tx_wire), "_on_submit"),
-        "request": (message("request", tx=tx_wire, client=is_str), "_on_request"),
         "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
         "prepare": (message("prepare", **_VOTE_FIELDS), "_on_vote"),
         "commit": (message("commit", **_VOTE_FIELDS), "_on_vote"),
@@ -332,29 +337,22 @@ class LedgerNode(Process):
     # submission path
 
     def _on_submit(self, src: str, msg: dict) -> None:
+        """The one way a transaction enters the ledger (see the module docstring)."""
         wire = msg["tx"]
+        tid = digest_hex(wire["body"])
         if not _signed([wire]):
-            reply = TxReceipt(digest_hex(wire["body"]), False, contracts.CODE_BAD_SIGNATURE)
+            reply = TxReceipt(tid, False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
-        self._broadcast({"type": "request", "tx": wire, "client": src})
-
-    def _on_request(self, src: str, msg: dict) -> None:
-        wire, client = msg["tx"], msg["client"]
-        # A faulty entry node may name an address nobody owns; sending there raises.
-        if client not in self.net.processes or not _signed([wire]):
-            self.counters["malformed_dropped"] += 1
-            return
-        tid = digest_hex(wire["body"])
         if tid in self.decided:
-            self._cast(client, {"type": "receipt", **self.decided[tid].wire()})
+            self._cast(src, {"type": "receipt", **self.decided[tid].wire()})
             return
         waiters = self.submitters.setdefault(tid, [])
-        if client not in waiters:
-            waiters.append(client)
+        if src not in waiters:
+            waiters.append(src)
         if tid not in self.pool:
             # The timer starts when work arrives and restarts only on progress, so
-            # requests that never pause cannot put a silent primary's timeout off.
+            # submissions that never pause cannot put a silent primary's timeout off.
             idle = not self._work_pending()
             self.pool[tid] = wire
             if idle:
@@ -366,7 +364,7 @@ class LedgerNode(Process):
 
     def _batch_signed(self, wires: list[dict]) -> bool:
         """Whether each wire is signed; a wire equal to its pool entry was checked
-        when `_on_request` pooled it, so only the others are verified."""
+        when `_on_submit` pooled it, so only the others are verified."""
         return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w])
 
     def _undecided_batch(self) -> list[dict]:
@@ -397,7 +395,7 @@ class LedgerNode(Process):
 
     def _propose(self, wires: list[dict]) -> None:
         """Send a pre-prepare for the next height to the peers and take it here at
-        once, so the height is in flight before any later request is handled."""
+        once, so the height is in flight before any later submission is handled."""
         pre_prepare = self._pre_prepare(self.view, self.next_height, batch_digest(wires), wires)
         if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
             self._propose_equivocating(pre_prepare)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .canonical import canonical_bytes, is_int, is_str, object_of, one_of
+# canonical_bytes is unused here but stays importable: perfbench/tracer.py patches it.
+from .canonical import canonical_bytes, is_int, is_str, object_of, one_of  # noqa: F401
 
 OP_AND = "OP_AND"
 OP_OR = "OP_OR"
@@ -113,10 +114,6 @@ class RuleDefinition:
             "action_operations": [list(t) for t in self.action_operations],
         }
 
-    @property
-    def steps(self) -> list[OperationScript]:
-        return split_rule(self)
-
 
 _COMPARATOR_CONDITION = object_of(cmp=one_of(*_COMPARATORS), field=is_str, value=is_int)
 
@@ -203,10 +200,6 @@ def is_rule(v) -> bool:
     except RuleError:
         return False
     return True
-
-
-def serialize_rule(rule: RuleDefinition) -> bytes:
-    return canonical_bytes(rule.to_dict())
 
 
 def split_rule(rule: RuleDefinition) -> list[OperationScript]:

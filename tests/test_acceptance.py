@@ -358,11 +358,11 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
-    "report": "2bfa12b37ec78927f93bc509d3edb638af832008dad0d1281a9a7e90a7aa0fc4",
-    "ledger-node0.dump": "4ffe6553afbed919096284be9955430bfba866e163663b342374e5bf080316ed",
-    "ledger-node1.dump": "3bb7a1d220935d9b704e73b1cef334bf9141c8498cc8b56530df4edbfd5d8722",
-    "ledger-node2.dump": "a071f1a708b606597ad26470a7a8ba7f1dc041d7957153c3dd1d50ced5c0dd7d",
-    "ledger-node3.dump": "1d4f1c2186c3a8ec46ea4c0252a38f84a7507e57405e67fc7f48f7b746125681",
+    "report": "21fa83d01ce4dcc0de120658e8e12a5265f98764bcb256cf41980864de62fe64",
+    "ledger-node0.dump": "f2e13ce6d38eeca8be41d3f98475bc570ea72858ca985a5a98142bb2b7ba2172",
+    "ledger-node1.dump": "fa95c321aa8192dacc8db01a14745147611fa0056505d4878c92ae503faa2f1c",
+    "ledger-node2.dump": "98e9bcfec22b05d7d2f839ff15b1ae64fe4c9e0c4bc8b9e5eb6c93e32a13a7df",
+    "ledger-node3.dump": "7f23708a0684d7adf8ee7022993d38b664d9ea2fa9fe674d4675c2193714d628",
 }
 
 
@@ -414,8 +414,8 @@ def test_criterion_8_bench_envelope(bench_run):
 # and the max) and criterion 8's ledger overhead.  A change that moves
 # commit timing updates these on purpose and says so.
 PINNED_SIM_FIGURES = {
-    "heart_rate_e2e_ms": {"count": 3, "min": 66, "p50": 68, "p90": 72, "max": 72, "mean": 68},
-    "ledger_e2e_overhead_pct": 5214.29,
+    "heart_rate_e2e_ms": {"count": 3, "min": 61, "p50": 63, "p90": 65, "max": 65, "mean": 63},
+    "ledger_e2e_overhead_pct": 5074.29,
 }
 
 

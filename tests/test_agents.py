@@ -29,6 +29,11 @@ class Sink(Process):
         self.inbox.append((self.net.scheduler.now, src, msg))
 
 
+def _submitted(rig):
+    """The submit messages one node received: the client sends each to every node."""
+    return [m for _, _, m in rig.nodes[0].inbox if m.get("type") == "submit"]
+
+
 def test_quorum_gate_fires_once_per_key():
     gate = agents.QuorumGate(2)
     assert not gate.offer("k", "a")
@@ -168,8 +173,7 @@ def test_completed_actions_are_recorded_back_to_the_ledger():
     for n in (0, 1):
         rig.agent.on_message(f"node{n}", _notify(n))
     rig.sched.run(until=2000)  # before client retry timers fire
-    submitted = [m for sink in rig.nodes for _, _, m in sink.inbox
-                 if m.get("type") == "submit"]
+    submitted = _submitted(rig)
     assert len(submitted) == 1
     tx = submitted[0]["tx"]
     assert tx["kind"] == "event"
@@ -191,8 +195,7 @@ def test_failed_action_leaves_a_failure_record():
         rig.agent.on_message(f"node{n}", _notify(n))
     rig.sched.run(until=2000)
     assert rig.agent.counters["action_failures"] == 1
-    submitted = [m for sink in rig.nodes for _, _, m in sink.inbox
-                 if m.get("type") == "submit"]
+    submitted = _submitted(rig)
     assert len(submitted) == 1
     body = submitted[0]["tx"]["body"]
     assert body["result_status"] == -1
@@ -261,8 +264,7 @@ def test_trigger_cycle_submits_event_with_logged_checksum():
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
     assert rig.agent.counters["events_submitted"] == 1
-    submitted = [m for sink in rig.nodes for _, _, m in sink.inbox
-                 if m.get("type") == "submit"]
+    submitted = _submitted(rig)
     body = submitted[0]["tx"]["body"]
     info = body["event_info"]
     assert info == dict(BINDING, step_id=0, event_seq=1)
@@ -417,8 +419,7 @@ def test_wrong_channel_token_is_rejected():
     assert rig.agent.counters["action_requests_received"] == 1
     assert rig.agent.counters["channel_rejects"] == 1
     assert rig.agent.outcomes == []
-    submitted = [m for sink in rig.nodes for _, _, m in sink.inbox
-                 if m.get("type") == "submit"]
+    submitted = _submitted(rig)
     assert submitted == []
 
 
@@ -428,8 +429,7 @@ def test_action_request_becomes_an_action_transaction():
         "type": "action_request", "req_id": 7, "channel_token": "chan-1",
         "event_info": event_info(), "cid": "c" * 32})
     rig.sched.run(until=1000)
-    submitted = [m for sink in rig.nodes for _, _, m in sink.inbox
-                 if m.get("type") == "submit"]
+    submitted = _submitted(rig)
     assert len(submitted) == 1
     tx = submitted[0]["tx"]
     assert tx["kind"] == "action"

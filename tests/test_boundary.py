@@ -47,7 +47,6 @@ _FIELDS = {
     "action_result": ("req_id", "accepted", "code"),
     "leak": ("request",),
     "submit": ("tx",),
-    "request": ("tx", "client"),
     "pre_prepare": ("view", "height", "digest", "batch", "sender", "sig"),
     "prepare": ("view", "height", "digest", "sender", "sig"),
     "commit": ("view", "height", "digest", "sender", "sig"),
@@ -96,7 +95,7 @@ _TYPED = {
     "eid": st.just("e0"), "log_key": st.just("k0"),  # a second call reuses the log pair
     "token": st.sampled_from(sorted(t for gw in _WORLD.gateways.values() for t in gw.tokens)),
     "title": _text, "request": st.dictionaries(_text, _small, max_size=2),
-    "tx": st.sampled_from(_WIRES), "client": st.sampled_from(sorted(_PROCESSES)),
+    "tx": st.sampled_from(_WIRES),
     "view": _small, "sender": _small, "new_view": _small, "last_height": _small,
     "digest": _text, "sig": _text, "batch": st.lists(st.sampled_from(_WIRES), max_size=2),
     "votes": st.dictionaries(st.sampled_from(["0", "1", "2", "3"]), _text),

@@ -192,6 +192,10 @@ def _record_sends(rig):
     return sent
 
 
+def _submit(tx):
+    return {"type": "submit", "tx": tx.wire()}
+
+
 def _commit_in_sequence(rig, txs):
     for tx in txs:
         rig.scheduler.schedule(10, lambda t=tx: rig.client.client.submit(t))
@@ -240,13 +244,11 @@ def test_duplicate_commit_gossip_does_not_double_apply():
     # Buffered unverified, 64 of these could crowd out the honest one.
     lambda txs: {"type": "pre_prepare", "view": 0, "height": 2, "digest": "d",
                  "batch": [], "sender": 0, "sig": "00"},
-    # Sending the receipt to that address raised inside node1's commit.
-    lambda txs: {"type": "request", "tx": txs[0].wire(), "client": "nowhere"},
     # Walking a body this deep raised RecursionError out of on_message.
-    lambda txs: {"type": "request", "client": "client", "tx": dict(
+    lambda txs: {"type": "submit", "tx": dict(
         txs[0].wire(), body=dict(txs[0].body, deep=_nested_list(5000)))},
 ], ids=["shapeless_future_pre_prepare", "unsigned_future_pre_prepare",
-        "request_naming_unknown_client", "request_with_deeply_nested_body"])
+        "submit_with_deeply_nested_body"])
 def test_junk_is_dropped_at_entry_and_commits_go_on(junk):
     # Raising mid-commit cut that commit step short and counted the honest
     # message behind it as malformed; an entry check counts the junk itself.
@@ -323,7 +325,7 @@ def test_a_view_change_brings_its_sender_up_to_date():
     _commit_in_sequence(rig, [first, second])
     del lagging.on_message
     # Only the lagging node holds work, so only it times out.
-    lagging.on_message("node0", {"type": "request", "tx": third.wire(), "client": "client"})
+    lagging.on_message("client", _submit(third))
     rig.scheduler.run(until=rig.scheduler.now + rig.config.commit_timeout_ms + 20)
     assert [n.counters["view_changes"] for n in rig.nodes] == [0, 0, 0, 1]
     assert audit.content_digests(lagging) == audit.content_digests(rig.nodes[0])
@@ -346,11 +348,11 @@ def test_each_timeout_inside_a_view_change_moves_its_target_on():
     rig = make_rig(seed=18)
     node = rig.nodes[1]
     first, second = _rule_txs(rig, 2)
-    node.on_message("node0", {"type": "request", "tx": first.wire(), "client": "client"})
+    node.on_message("client", _submit(first))
     node._on_timeout(node._timer_epoch)
     epoch = node._timer_epoch
-    # A new request does not put the view change's timeout off.
-    node.on_message("node0", {"type": "request", "tx": second.wire(), "client": "client"})
+    # A new submission does not put the view change's timeout off.
+    node.on_message("client", _submit(second))
     node._on_timeout(epoch)  # the view change to 1 timed out in turn
     rig.scheduler.run(until=rig.scheduler.now + 50)
     # Peers hold node1's view changes for view 1 and then view 2.
@@ -359,18 +361,43 @@ def test_each_timeout_inside_a_view_change_moves_its_target_on():
 
 
 def test_a_client_retry_goes_to_every_replica():
-    rig = make_rig(seed=19, fault_kind="drop", byz_index=0, client_timeout_ms=1500)
-    rig.nodes[0].fault.prob = 1.0  # entry node 0 is mute
+    # The replicas wait out a mute primary longer than the client waits for a receipt.
+    rig = make_rig(seed=19, fault_kind="drop", byz_index=0, commit_timeout_ms=2000,
+                   client_timeout_ms=1500)
+    rig.nodes[0].fault.prob = 1.0  # the view-0 primary is mute
     tx = rule_commit_tx(rig.admin, nonce=1)
     sent = _record_sends(rig)
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
     rig.scheduler.run(until=1600)
     submits = [dst for src, dst, msg in sent if src == "client" and msg["type"] == "submit"]
-    assert submits == ["node0", *rig.config.node_addrs]
+    assert submits == [*rig.config.node_addrs, *rig.config.node_addrs]
 
 
-def _request(tx):
-    return {"type": "request", "tx": tx.wire(), "client": "client"}
+def test_a_mute_view_0_primary_loses_no_submission():
+    # The submission reaches every replica, so the view change after the
+    # commit timeout commits it; the client's retry is never needed.
+    rig = make_rig(seed=9, fault_kind="drop", byz_index=0, client_timeout_ms=4000)
+    rig.nodes[0].fault.prob = 1.0
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    sent = _record_sends(rig)
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.run(until=3900)
+    receipt = rig.client.client.resolved.get(tx.tx_id)
+    assert receipt is not None and receipt.accepted
+    submits = [dst for src, dst, msg in sent if src == "client" and msg["type"] == "submit"]
+    assert submits == rig.config.node_addrs
+
+
+def test_one_replica_cannot_spoof_a_signature_reject():
+    rig = make_rig(seed=27)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    forged = {"type": "receipt", "tx_id": tx.tx_id, "accepted": False,
+              "code": "BadSignature", "height": None}
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.schedule(11, lambda: rig.nodes[1].send("client", forged))
+    rig.scheduler.run(until=5000)
+    receipt = rig.client.client.resolved[tx.tx_id]
+    assert receipt.accepted and receipt.height == 1
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -402,8 +429,8 @@ def test_a_request_right_after_a_proposal_makes_no_second_pre_prepare():
     primary = rig.nodes[0]
     first, second = _rule_txs(rig, 2)
     sent = _record_sends(rig)
-    primary.on_message("node1", _request(first))  # proposes height 1
-    primary.on_message("node1", _request(second))  # before any message is delivered
+    primary.on_message("client", _submit(first))  # proposes height 1
+    primary.on_message("client", _submit(second))  # before any message is delivered
     assert [(p["height"], p["batch"]) for p in _proposals(sent, "node0")] == [(1, [first.wire()])] * 3
     assert primary.slots[1][0].batch == [first.wire()]
     rig.scheduler.run(until=rig.scheduler.now + 500)
@@ -415,13 +442,13 @@ def test_a_request_right_after_a_new_view_makes_no_second_pre_prepare():
     rig = make_rig(seed=24)
     new_primary = rig.nodes[1]
     first, second = _rule_txs(rig, 2)
-    new_primary.on_message("node0", _request(first))  # not the primary of view 0
+    new_primary.on_message("client", _submit(first))  # not the primary of view 0
     sent = _record_sends(rig)
     for i in (0, 2, 3):  # a quorum of view changes for view 1
         new_primary.on_message(f"node{i}", {
             "type": "view_change", "new_view": 1, "last_height": 0, "cert": None, "sender": i,
             "sig": rig.keys[i].sign_obj(node_mod._vc_body(1, 0, ""))})
-    new_primary.on_message("node0", _request(second))
+    new_primary.on_message("client", _submit(second))
     proposals = _proposals(sent, "node1")
     assert [(p["view"], p["height"], p["batch"]) for p in proposals] == [(1, 1, [first.wire()])] * 3
     assert new_primary.view == 1 and new_primary.slots[1][1].batch == [first.wire()]
@@ -437,7 +464,7 @@ def test_a_request_stream_does_not_put_off_a_silent_primarys_timeout():
 
     def deliver(tx):
         for node in replicas:
-            node.on_message("node0", _request(tx))
+            node.on_message("client", _submit(tx))
 
     for i, tx in enumerate(_rule_txs(rig, 40)):  # a new request every 50 ms for 2 s
         rig.scheduler.schedule(10 + 50 * i, lambda t=tx: deliver(t))
@@ -461,13 +488,13 @@ def test_a_pooled_tx_is_not_verified_again_in_a_pre_prepare(monkeypatch):
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
     rig.scheduler.run(until=2000)
     assert rig.client.client.resolved[tx.tx_id].accepted
-    # The entry node checks the submission; each node checks the request it pools.
-    assert len(verified) == 1 + len(rig.nodes)
+    # Each node checks the submission it pools, once, and the pre-prepare adds none.
+    assert len(verified) == len(rig.nodes)
 
 
-def test_client_retries_through_other_entry_nodes():
-    # Entry node 0 is mute, so the first submission goes nowhere; the
-    # timeout retry reaches the other replicas and commits.
+def test_a_mute_primary_cannot_keep_a_submission_from_committing():
+    # Node 0, the view-0 primary, is mute; the other replicas hold the
+    # submission themselves, change view, and commit it under node 1.
     rig = make_rig(seed=9, fault_kind="drop", byz_index=0, client_timeout_ms=1500)
     tx = rule_commit_tx(rig.admin, nonce=1)
     rig.nodes[0].fault.prob = 1.0
@@ -510,7 +537,6 @@ def test_commit_certificates_verify_in_audit():
 
 _FIELDS = {
     "submit": ("tx",),
-    "request": ("tx", "client"),
     "pre_prepare": ("view", "height", "digest", "batch", "sender", "sig"),
     "prepare": ("view", "height", "digest", "sender", "sig"),
     "commit": ("view", "height", "digest", "sender", "sig"),
@@ -546,8 +572,7 @@ _typed_wire = _wire | _wire.map(lambda w: dict(w, body=dict(w["body"], x=0.5)))
 _TYPED = {"view": st.integers(0, 3), "height": st.integers(0, 3), "sender": st.integers(0, 3),
           "new_view": st.integers(0, 3), "last_height": st.integers(0, 3),
           "digest": st.text(max_size=3), "sig": st.text(max_size=3),
-          "client": st.text(max_size=3), "tx": _typed_wire,
-          "batch": st.lists(_typed_wire, max_size=3),
+          "tx": _typed_wire, "batch": st.lists(_typed_wire, max_size=3),
           "votes": st.dictionaries(_nodes, st.text(max_size=3)),
           "vcs": st.just({}), "pre_prepare": st.none(),
           "cert": st.none() | st.fixed_dictionaries({

@@ -20,7 +20,7 @@ def test_parse_accepts_dict_str_and_bytes():
 
 def test_serialize_round_trips_to_canonical_bytes():
     raw = hr_rule(extra_actions=[["set_home_mode_operation", "hub-1", "OP_OR"]])
-    assert rules.serialize_rule(rules.parse_rule(raw)) == canonical_bytes(raw)
+    assert canonical_bytes(rules.parse_rule(raw).to_dict()) == canonical_bytes(raw)
 
 
 def _broken(**overrides):
@@ -78,7 +78,7 @@ def test_comparator_condition_requires_single_trigger():
 def test_split_assigns_trigger_steps_before_action_steps():
     raw = hr_rule(extra_actions=[["set_home_mode_operation", "hub-1", "OP_OR"]])
     raw["trigger_operations"].append(["check_presence_operation", "hub-1", "OP_AND"])
-    steps = rules.parse_rule(raw).steps
+    steps = rules.split_rule(rules.parse_rule(raw))
     assert [(s.step_id, s.kind) for s in steps] == [
         (0, "trigger"), (1, "trigger"), (2, "action"), (3, "action")]
     assert [s.api for s in steps] == [
@@ -211,8 +211,8 @@ rule_dicts = st.fixed_dictionaries({
 def test_generated_rules_round_trip_and_split(raw):
     parsed = rules.parse_rule(raw)
     assert parsed.to_dict() == raw
-    assert rules.serialize_rule(parsed) == canonical_bytes(raw)
-    steps = parsed.steps
+    assert canonical_bytes(parsed.to_dict()) == canonical_bytes(raw)
+    steps = rules.split_rule(parsed)
     assert len(steps) == len(raw["trigger_operations"]) + len(raw["action_operations"])
     assert [s.step_id for s in steps] == list(range(len(steps)))
     trigger_count = len(raw["trigger_operations"])
