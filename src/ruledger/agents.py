@@ -18,9 +18,10 @@ from .devices import RPC_RESULT, checksum
 from .keys import KeyPair
 from .ledger.client import RECEIPT, LedgerClient
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
-from .rules import (CATALOG, RuleDefinition, Thresholds, evaluate_trigger, is_rule, parse_rule,
-                    split_rule)
+from .rules import CATALOG, RuleDefinition, evaluate_trigger, is_rule, parse_rule, split_rule
 from .sim.network import Process
+
+POLL_INTERVAL_MS = 500  # a poll-mode trigger runs once per interval
 
 _BINDING = object_of(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str)
 _ACTIONS = list_of(object_of(step_id=is_int, op_name=one_of(*CATALOG), device_id=is_str))
@@ -79,7 +80,6 @@ class UserAgent(AgentBase):
         self.usr_id = usr_id
         self.tamock_addr = tamock_addr
         self.exec_agent_addr = exec_agent_addr
-        self.commit_outcomes: list[dict] = []
         self.export_acked: set[int] = set()
         self.export_attempts: dict[int, int] = {}
 
@@ -93,9 +93,6 @@ class UserAgent(AgentBase):
         }
 
         def after(receipt):
-            self.commit_outcomes.append(
-                {"rule_id": rule.rule_id, "accepted": receipt.accepted, "code": receipt.code}
-            )
             if receipt.accepted:
                 self._export_rule(rule)
                 self._register_trigger(rule, usr_rule_id, mode)
@@ -113,9 +110,6 @@ class UserAgent(AgentBase):
         }
 
         def after(receipt):
-            self.commit_outcomes.append(
-                {"rule_id": rule.rule_id, "accepted": receipt.accepted, "code": receipt.code}
-            )
             if receipt.accepted:
                 self._export_rule(rule)
             if cb is not None:
@@ -192,13 +186,10 @@ class ExecutionAgent(AgentBase):
     }
 
     def __init__(self, addr, net, keypair, node_addrs, f, rng, label="exec",
-                 thresholds: Thresholds | None = None, poll_interval_ms=500,
                  record_actions=True, ledger_enabled=True, task_agent_addr=None):
         super().__init__(addr, net, keypair, node_addrs, f)
         self.rng = rng
         self.label = label
-        self.thresholds = thresholds or Thresholds()
-        self.poll_interval_ms = poll_interval_ms
         self.record_actions = record_actions
         self.ledger_enabled = ledger_enabled
         self.task_agent_addr = task_agent_addr
@@ -241,9 +232,8 @@ class ExecutionAgent(AgentBase):
         return self._seq[rule_id]
 
     def start_polling(self, duration_ms: int) -> None:
-        ticks = duration_ms // self.poll_interval_ms
-        for k in range(1, ticks + 1):
-            self.net.scheduler.schedule(k * self.poll_interval_ms, self._poll_tick)
+        for k in range(1, duration_ms // POLL_INTERVAL_MS + 1):
+            self.net.scheduler.schedule(k * POLL_INTERVAL_MS, self._poll_tick)
 
     def _poll_tick(self) -> None:
         for trig in self.triggers:
@@ -290,7 +280,7 @@ class ExecutionAgent(AgentBase):
                 if result.get("error") == "DeviceOffline":
                     self.counters["device_unreachable"] += 1
                 return
-            hit = bool(op.predicate(payload, self.thresholds))
+            hit = bool(op.predicate(payload))
             ctx["steps"].append((script, eid, log_key, payload, hit))
             self._trigger_step(ctx, scripts, i + 1)
 

@@ -46,7 +46,7 @@ def _base_scenario(seed: int, **overrides) -> dict:
     """The bundled heart-rate scenario, cut to one alert in a 2.5 s window."""
     data = bundled_scenario("heart_rate")
     data["devices"][0]["timeline"] = [[1000, {"heart_rate": 30}], [1400, {"heart_rate": 70}]]
-    data.update(name="attack_base", seed=seed, duration_ms=2500, drain_ms=6000)
+    data.update(name="attack_base", seed=seed, duration_ms=2500)
     data.update(overrides)
     return data
 
@@ -58,7 +58,7 @@ def _make_world(seed: int, **overrides) -> World:
 def _attacker(world: World, label: str = "attacker") -> AgentBase:
     return AgentBase(
         label, world.net,
-        KeyPair.from_seed(world.config.seed, f"acct/{label}"),
+        KeyPair.from_seed(world.config["seed"], f"acct/{label}"),
         world.ledger_config.node_addrs, world.ledger_config.f,
     )
 
@@ -318,7 +318,7 @@ def attack_byzantine_node(seed: int = DEFAULT_SEED) -> AttackOutcome:
     devices[0]["timeline"] = [[2900, {"heart_rate": 30}], [3200, {"heart_rate": 70}]]
     world = _make_world(
         seed,
-        byzantine={"node": 0, "fault": "equivocate", "prob": 0.6},
+        byzantine={"node": 0, "fault": "equivocate"},
         commit_timeout_ms=1500,
         duration_ms=4000,
         drain_ms=12000,

@@ -34,8 +34,8 @@ def _bench_scenario(seed: int, nodes: int, with_ledger: bool, duration_ms: int) 
     """The bundled heart-rate scenario, pushed by a watch that always alerts."""
     data = bundled_scenario("heart_rate")
     data["devices"][0].update(initial={"heart_rate": 30}, timeline=[])
-    data.update(name="bench", seed=seed, nodes=nodes, duration_ms=duration_ms, drain_ms=6000,
-                trigger_mode="push", with_ledger=with_ledger, record_action_executions=False)
+    data.update(name="bench", seed=seed, nodes=nodes, duration_ms=duration_ms, trigger_mode="push",
+                with_ledger=with_ledger, record_action_executions=False)
     return data
 
 

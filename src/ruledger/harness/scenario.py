@@ -3,69 +3,139 @@
 Everything that could make two runs differ lives here (seed, topology,
 device timelines, rules, adversary behavior), so replaying the same file
 must reproduce the same report byte for byte.
+
+The field tables below are the one description of the format.  Each maps a
+field of one kind of object to (default or REQUIRED, shape); a shape is a
+`canonical` predicate, another table (an object of those fields), or a
+one-table list (a list of such objects).  `scenario_from_dict` refuses any
+field no table names, fills in every default, and raises ConfigError naming
+the first field its shape refuses; it then checks the rules that span
+fields.  The checked dict it returns is what `World` reads.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 
-from ..canonical import is_int
+from ..canonical import is_canonical, is_int, is_str, list_of, one_of
+from ..devices import DEVICE_KINDS
 from ..ledger.faults import FAULT_KINDS, FaultSpec
-from ..ledger.node import ConfigError
-from ..rules import Thresholds, parse_rule
+from ..ledger.node import ConfigError, LedgerConfig
+from ..rules import parse_rule
 from ..sim.network import NetConfig
+from ..tamock import MODE_HONEST
 from ..tamock import MODES as PLATFORM_MODES
 
 ROLES = ("Administrator", "NormalUser")
 TRIGGER_MODES = ("poll", "push")
 
-
-@dataclass
-class DeviceSpec:
-    device_id: str
-    kind: str
-    vendor: str
-    initial: dict = field(default_factory=dict)
-    timeline: list = field(default_factory=list)  # [[at_ms, patch], ...]
+REQUIRED = object()  # a field with no default
 
 
-@dataclass
-class AccountSpec:
-    name: str
-    role: str
-    usr_id: int
+def _name(v) -> bool:
+    return is_str(v) and v != ""
 
 
-@dataclass
-class ByzantineSpec:
-    node: int
-    fault: FaultSpec
+def _count(v) -> bool:
+    return is_int(v) and v >= 0
 
 
-@dataclass
-class ScenarioConfig:
-    name: str
-    seed: int
-    nodes: int
-    duration_ms: int
-    devices: list[DeviceSpec]
-    accounts: list[AccountSpec]
-    rules: list[dict]
-    net: NetConfig = field(default_factory=NetConfig)
-    poll_interval_ms: int = 500
-    trigger_mode: str = "poll"
-    record_action_executions: bool = True
-    with_ledger: bool = True
-    check_event_log: bool = True
-    batch_size: int = 16
-    commit_timeout_ms: int = 3000
-    drain_ms: int = 6000
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    byzantine: ByzantineSpec | None = None
-    adversary_mode: str = "honest"
+def _positive(v) -> bool:
+    return is_int(v) and v > 0
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _state(v) -> bool:
+    return type(v) is dict and is_canonical(v)
+
+
+_bool = one_of(True, False)
+
+NET = {
+    "delay_range": (list(NetConfig.delay_range),  # inclusive ms bounds
+                    lambda v: list_of(is_int)(v) and len(v) == 2),
+    "drop_prob": (NetConfig.drop_prob, _number),  # bounds: NetConfig.validate
+}
+
+BYZANTINE = {
+    "node": (REQUIRED, _count),  # below `nodes`
+    "fault": (REQUIRED, one_of(*FAULT_KINDS)),
+    "prob": (FaultSpec.prob, lambda v: _number(v) and 0 <= v <= 1),
+}
+
+ADVERSARY = {"mode": (MODE_HONEST, one_of(*PLATFORM_MODES))}
+
+ACCOUNT = {
+    "name": (REQUIRED, _name),
+    "role": (REQUIRED, one_of(*ROLES)),
+    "usr_id": (REQUIRED, is_int),
+}
+
+DEVICE = {
+    "device_id": (REQUIRED, _name),
+    "kind": (REQUIRED, one_of(*DEVICE_KINDS)),
+    "vendor": (REQUIRED, _name),
+    "initial": ({}, _state),
+    "timeline": ([], list_of(  # [[at_ms, patch], ...]
+        lambda v: type(v) is list and len(v) == 2 and _count(v[0]) and _state(v[1]))),
+}
+
+SCENARIO = {
+    "schema": (REQUIRED, one_of(1)),
+    "name": (REQUIRED, _name),
+    "seed": (REQUIRED, is_int),
+    "nodes": (4, lambda v: is_int(v) and (v == 1 or v >= 4)),
+    "duration_ms": (REQUIRED, _positive),
+    "drain_ms": (6000, _count),
+    "trigger_mode": ("poll", one_of(*TRIGGER_MODES)),
+    "record_action_executions": (True, _bool),
+    "with_ledger": (True, _bool),
+    "check_event_log": (LedgerConfig.check_event_log, _bool),
+    "commit_timeout_ms": (LedgerConfig.commit_timeout_ms, _positive),
+    "net": ({}, NET),
+    "byzantine": (None, BYZANTINE),  # null: every node honest
+    "adversary": ({}, ADVERSARY),
+    "accounts": (REQUIRED, [ACCOUNT]),  # the first is the rule owner
+    "devices": ([], [DEVICE]),
+    "rules": ([], list_of(lambda v: is_str(v) or type(v) is dict)),  # inline, or a file path
+}
+
+
+def _checked(data, table: dict, path: str = "scenario") -> dict:
+    """A fresh copy of the object `data` with every default of `table` filled in."""
+    if type(data) is not dict:
+        raise ConfigError(f"{path} must be an object")
+    for name in data:
+        if name not in table:
+            raise ConfigError(f"unknown field {path}.{name}")
+    out = {}
+    for name, (default, shape) in table.items():
+        if name not in data and default is REQUIRED:
+            raise ConfigError(f"missing field {path}.{name}")
+        value = data.get(name, default)
+        if value is None and default is None:
+            out[name] = None
+        else:
+            out[name] = _shaped(value, shape, f"{path}.{name}")
+    return out
+
+
+def _shaped(value, shape, path: str):
+    if type(shape) is dict:
+        return _checked(value, shape, path)
+    if type(shape) is list:
+        if type(value) is not list:
+            raise ConfigError(f"{path} must be a list")
+        return [_shaped(v, shape[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if not shape(value):
+        raise ConfigError(f"bad value for {path}: {value!r}")
+    return copy.deepcopy(value)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -73,119 +143,40 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> ScenarioConfig:
-    _require(isinstance(data, dict), "scenario must be a JSON object")
-    _require(data.get("schema") == 1, f"unsupported scenario schema: {data.get('schema')!r}")
-
-    name = data.get("name")
-    _require(isinstance(name, str) and bool(name), "scenario needs a non-empty name")
-    seed = seed_override if seed_override is not None else data.get("seed")
-    _require(is_int(seed), "seed must be an integer")
-    nodes = data.get("nodes", 4)
-    _require(is_int(nodes) and (nodes == 1 or nodes >= 4), "nodes must be 1 or >= 4")
-    duration = data.get("duration_ms")
-    _require(is_int(duration) and duration > 0, "duration_ms must be a positive integer")
-
-    net_data = data.get("net", {})
-    _require(isinstance(net_data, dict), "net must be an object")
+def _rule_entry(entry, base_dir: str) -> dict:
+    if type(entry) is dict:
+        return entry
+    path = entry if os.path.isabs(entry) else os.path.join(base_dir, entry)
     try:
-        net = NetConfig(
-            delay_range=tuple(net_data.get("delay_range", (1, 5))),
-            drop_prob=net_data.get("drop_prob", 0.0),
-            reorder=net_data.get("reorder", True),
-        )
-        net.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad net config: {exc}") from None
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load rule file {path}: {exc}") from None
 
-    thr_data = data.get("thresholds", {})
-    _require(isinstance(thr_data, dict), "thresholds must be an object")
-    thresholds = Thresholds(
-        min_rate=thr_data.get("min_rate", 40), max_rate=thr_data.get("max_rate", 180)
-    )
 
-    trigger_mode = data.get("trigger_mode", "poll")
-    _require(trigger_mode in TRIGGER_MODES, f"trigger_mode must be one of {TRIGGER_MODES}")
-    adversary = data.get("adversary", {"mode": "honest"})
-    _require(isinstance(adversary, dict), "adversary must be an object")
-    adversary_mode = adversary.get("mode", "honest")
-    _require(adversary_mode in PLATFORM_MODES,
-             f"adversary mode must be one of {PLATFORM_MODES}")
-
-    byz = None
-    byz_data = data.get("byzantine")
-    if byz_data is not None:
-        _require(isinstance(byz_data, dict), "byzantine must be an object or null")
-        node = byz_data.get("node")
-        _require(is_int(node) and 0 <= node < nodes, "byzantine.node out of range")
-        _require(byz_data.get("fault") in FAULT_KINDS,
-                 f"byzantine.fault must be one of {FAULT_KINDS}")
-        byz = ByzantineSpec(node=node, fault=FaultSpec.from_dict(byz_data))
-
-    accounts = []
-    for entry in data.get("accounts", []):
-        _require(isinstance(entry, dict), "account entries must be objects")
-        _require(isinstance(entry.get("name"), str) and bool(entry.get("name")),
-                 "account needs a name")
-        _require(entry.get("role") in ROLES, f"account role must be one of {ROLES}")
-        _require(is_int(entry.get("usr_id")), "account usr_id must be an integer")
-        accounts.append(AccountSpec(entry["name"], entry["role"], entry["usr_id"]))
-    _require(bool(accounts), "at least one account is required")
-    _require(len({a.name for a in accounts}) == len(accounts), "duplicate account names")
-    _require(accounts[0].role == "Administrator", "the first account must be an Administrator")
-
-    devices = []
-    for entry in data.get("devices", []):
-        _require(isinstance(entry, dict), "device entries must be objects")
-        for key in ("device_id", "kind", "vendor"):
-            _require(isinstance(entry.get(key), str) and bool(entry.get(key)),
-                     f"device needs a string {key}")
-        timeline = entry.get("timeline", [])
-        _require(isinstance(timeline, list), "device timeline must be a list")
-        for item in timeline:
-            _require(isinstance(item, list) and len(item) == 2 and is_int(item[0])
-                     and item[0] >= 0 and isinstance(item[1], dict),
-                     f"bad timeline entry for {entry['device_id']}: {item!r}")
-        devices.append(DeviceSpec(entry["device_id"], entry["kind"], entry["vendor"],
-                                  dict(entry.get("initial", {})),
-                                  [[t, dict(p)] for t, p in timeline]))
-    _require(len({d.device_id for d in devices}) == len(devices), "duplicate device ids")
-
-    known = {d.device_id for d in devices}
-    rules = []
-    for entry in data.get("rules", []):
-        if isinstance(entry, str):
-            path = entry if os.path.isabs(entry) else os.path.join(base_dir, entry)
-            try:
-                with open(path, "rb") as fh:
-                    entry = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load rule file {path}: {exc}") from None
-        parsed = parse_rule(entry, known_devices=known)  # RuleError is a ConfigError sibling
-        rules.append(parsed.to_dict())
-    _require(len({r["rule_id"] for r in rules}) == len(rules), "duplicate rule ids")
-
-    return ScenarioConfig(
-        name=name,
-        seed=seed,
-        nodes=nodes,
-        duration_ms=duration,
-        devices=devices,
-        accounts=accounts,
-        rules=rules,
-        net=net,
-        poll_interval_ms=data.get("poll_interval_ms", 500),
-        trigger_mode=trigger_mode,
-        record_action_executions=bool(data.get("record_action_executions", True)),
-        with_ledger=bool(data.get("with_ledger", True)),
-        check_event_log=bool(data.get("check_event_log", True)),
-        batch_size=data.get("batch_size", 16),
-        commit_timeout_ms=data.get("commit_timeout_ms", 3000),
-        drain_ms=data.get("drain_ms", 6000),
-        thresholds=thresholds,
-        byzantine=byz,
-        adversary_mode=adversary_mode,
-    )
+def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> dict:
+    """The checked scenario: a fresh dict with every default filled in and each
+    rule, inline or loaded from a file under base_dir, in its parsed form."""
+    if seed_override is not None and type(data) is dict:
+        data = {**data, "seed": seed_override}
+    doc = _checked(data, SCENARIO)
+    try:
+        NetConfig(**doc["net"]).validate()
+    except ValueError as exc:
+        raise ConfigError(f"bad value for scenario.net: {exc}") from None
+    accounts, devices = doc["accounts"], doc["devices"]
+    _require(len({a["name"] for a in accounts}) == len(accounts), "duplicate account names")
+    _require(bool(accounts) and accounts[0]["role"] == "Administrator",
+             "the first account must be an Administrator")
+    known = {d["device_id"] for d in devices}
+    _require(len(known) == len(devices), "duplicate device ids")
+    _require(doc["byzantine"] is None or doc["byzantine"]["node"] < doc["nodes"],
+             "scenario.byzantine.node must be below scenario.nodes")
+    # RuleError is a ConfigError sibling
+    doc["rules"] = [parse_rule(_rule_entry(e, base_dir), known_devices=known).to_dict()
+                    for e in doc["rules"]]
+    _require(len({r["rule_id"] for r in doc["rules"]}) == len(doc["rules"]), "duplicate rule ids")
+    return doc
 
 
 def bundled_scenario(name: str) -> dict:
@@ -196,7 +187,7 @@ def bundled_scenario(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def load_scenario(path: str, seed_override=None) -> ScenarioConfig:
+def load_scenario(path: str, seed_override=None) -> dict:
     try:
         with open(path, "rb") as fh:
             data = json.load(fh)

@@ -18,48 +18,53 @@ from ..canonical import derive_seed, sha256_hex
 from ..devices import Device, Gateway, LogService
 from ..keys import KeyPair
 from ..ledger import audit
+from ..ledger.faults import FaultSpec
 from ..ledger.node import LedgerConfig, LedgerNode
 from ..ledger.tx import KIND_EVENT
 from ..rules import parse_rule
-from ..sim.network import Network
+from ..sim.network import NetConfig, Network
 from ..sim.scheduler import Scheduler
 from ..tamock import MODE_TOKEN_REUSE, AdversaryEndpoint, TriggerActionMock
 from .report import build_stats, validate_report
-from .scenario import ScenarioConfig
 
 
 class World:
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: dict):
+        """`config` is a checked scenario (see `scenario.scenario_from_dict`)."""
         self.config = config
+        seed = config["seed"]
         self.scheduler = Scheduler()
-        self.net = Network(self.scheduler, config.net,
-                           random.Random(derive_seed(config.seed, "net")))
+        self.net = Network(self.scheduler, NetConfig(**config["net"]),
+                           random.Random(derive_seed(seed, "net")))
         self.log = LogService()
 
         self.gateways: dict[str, Gateway] = {}
         self.devices: dict[str, Device] = {}
         device_routes = {}
-        for spec in config.devices:
-            gw = self.gateways.get(spec.vendor)
+        for spec in config["devices"]:
+            vendor, device_id = spec["vendor"], spec["device_id"]
+            gw = self.gateways.get(vendor)
             if gw is None:
-                gw = Gateway(f"gw:{spec.vendor}", self.net, spec.vendor)
-                self.gateways[spec.vendor] = gw
-            dev = Device(f"dev:{spec.device_id}", self.net, spec.device_id,
-                         spec.kind, spec.vendor, self.log, initial=spec.initial)
+                gw = Gateway(f"gw:{vendor}", self.net, vendor)
+                self.gateways[vendor] = gw
+            dev = Device(f"dev:{device_id}", self.net, device_id,
+                         spec["kind"], vendor, self.log, initial=spec["initial"])
             token = gw.register_device(dev)
-            self.devices[spec.device_id] = dev
-            device_routes[spec.device_id] = (gw.addr, token)
+            self.devices[device_id] = dev
+            device_routes[device_id] = (gw.addr, token)
 
-        node_addrs = [f"node{i}" for i in range(config.nodes)]
-        node_keys = [KeyPair.from_seed(config.seed, f"node{i}") for i in range(config.nodes)]
-        secret = hashlib.sha256(f"secret/{config.seed}".encode()).digest()
+        node_addrs = [f"node{i}" for i in range(config["nodes"])]
+        node_keys = [KeyPair.from_seed(seed, f"node{i}") for i in range(config["nodes"])]
+        secret = hashlib.sha256(f"secret/{seed}".encode()).digest()
 
+        accounts = config["accounts"]
         self.account_keys = {
-            a.name: KeyPair.from_seed(config.seed, f"acct/{a.name}") for a in config.accounts
+            a["name"]: KeyPair.from_seed(seed, f"acct/{a['name']}") for a in accounts
         }
         genesis_acl = [
-            {"signer": self.account_keys[a.name].public_hex, "role": a.role, "usr_id": a.usr_id}
-            for a in config.accounts
+            {"signer": self.account_keys[a["name"]].public_hex, "role": a["role"],
+             "usr_id": a["usr_id"]}
+            for a in accounts
         ]
 
         self.ledger_config = LedgerConfig(
@@ -67,62 +72,62 @@ class World:
             node_pubkeys=[k.public_hex for k in node_keys],
             ledger_secret=secret,
             genesis_acl=genesis_acl,
-            batch_size=config.batch_size,
-            commit_timeout_ms=config.commit_timeout_ms,
-            check_event_log=config.check_event_log,
+            commit_timeout_ms=config["commit_timeout_ms"],
+            check_event_log=config["check_event_log"],
             task_agent_addr="task",
             exec_agent_addr="exec",
         )
+        byz = config["byzantine"]
         self.nodes = []
         for i, (addr, kp) in enumerate(zip(node_addrs, node_keys)):
             fault = None
-            if config.byzantine is not None and config.byzantine.node == i:
-                fault = config.byzantine.fault
+            if byz is not None and byz["node"] == i:
+                fault = FaultSpec(kind=byz["fault"], prob=byz["prob"])
             self.nodes.append(LedgerNode(
                 addr, self.net, i, kp, self.ledger_config,
-                random.Random(derive_seed(config.seed, f"node{i}/rng")),
+                random.Random(derive_seed(seed, f"node{i}/rng")),
                 fault=fault, log_query=self.log.query_checksum,
             ))
 
         f = self.ledger_config.f
-        channel_token = f"chan-{sha256_hex(str(config.seed).encode())[:12]}"
+        channel_token = f"chan-{sha256_hex(str(seed).encode())[:12]}"
+        adversary_mode = config["adversary"]["mode"]
         self.adversary = None
         adversary_addr = None
-        if config.adversary_mode == MODE_TOKEN_REUSE:
+        if adversary_mode == MODE_TOKEN_REUSE:
             self.adversary = AdversaryEndpoint("adversary", self.net, "task")
             adversary_addr = "adversary"
         self.tamock = TriggerActionMock(
-            "tamock", self.net, mode=config.adversary_mode, task_agent_addr="task",
+            "tamock", self.net, mode=adversary_mode, task_agent_addr="task",
             channel_token=channel_token, adversary_addr=adversary_addr,
         )
         self.task_agent = TaskAgent(
-            "task", self.net, KeyPair.from_seed(config.seed, "acct/task-agent"),
+            "task", self.net, KeyPair.from_seed(seed, "acct/task-agent"),
             node_addrs, f, tamock_addr="tamock", channel_token=channel_token,
-            ledger_enabled=config.with_ledger, exec_agent_addr="exec",
+            ledger_enabled=config["with_ledger"], exec_agent_addr="exec",
         )
         self.exec_agent = ExecutionAgent(
-            "exec", self.net, KeyPair.from_seed(config.seed, "acct/exec-agent"),
-            node_addrs, f, rng=random.Random(derive_seed(config.seed, "exec/rng")),
-            thresholds=config.thresholds, poll_interval_ms=config.poll_interval_ms,
-            record_actions=config.record_action_executions,
-            ledger_enabled=config.with_ledger, task_agent_addr="task",
+            "exec", self.net, KeyPair.from_seed(seed, "acct/exec-agent"),
+            node_addrs, f, rng=random.Random(derive_seed(seed, "exec/rng")),
+            record_actions=config["record_action_executions"],
+            ledger_enabled=config["with_ledger"], task_agent_addr="task",
         )
         for device_id, (gw_addr, token) in device_routes.items():
             self.exec_agent.add_device_route(device_id, gw_addr, token)
 
         self.user_agents: dict[str, UserAgent] = {}
-        for acct in config.accounts:
-            self.user_agents[acct.name] = UserAgent(
-                f"user:{acct.name}", self.net, self.account_keys[acct.name],
-                node_addrs, f, acct.usr_id, tamock_addr="tamock", exec_agent_addr="exec",
+        for acct in accounts:
+            self.user_agents[acct["name"]] = UserAgent(
+                f"user:{acct['name']}", self.net, self.account_keys[acct["name"]],
+                node_addrs, f, acct["usr_id"], tamock_addr="tamock", exec_agent_addr="exec",
             )
-        self.owner = self.user_agents[config.accounts[0].name]
+        self.owner = self.user_agents[accounts[0]["name"]]
 
-        self.rules = [parse_rule(r) for r in config.rules]
+        self.rules = [parse_rule(r) for r in config["rules"]]
         self.bindings = {
             rule.rule_id: {
                 "usr_rule_id": 101 + i,
-                "usr_id": config.accounts[0].usr_id,
+                "usr_id": accounts[0]["usr_id"],
                 "rule_id": rule.rule_id,
                 "rule_name": rule.title,
             }
@@ -137,34 +142,34 @@ class World:
         if self._prepared:
             return
         self._prepared = True
-        cfg = self.config
+        mode = self.config["trigger_mode"]
         for i, rule in enumerate(self.rules):
             usr_rule_id = self.bindings[rule.rule_id]["usr_rule_id"]
             self.scheduler.schedule(
                 5 + i,
-                lambda r=rule, u=usr_rule_id: self.owner.commit_rule(r, u, mode=cfg.trigger_mode),
+                lambda r=rule, u=usr_rule_id: self.owner.commit_rule(r, u, mode=mode),
             )
-        for spec in cfg.devices:
-            dev = self.devices[spec.device_id]
-            if cfg.trigger_mode == "push":
+        for spec in self.config["devices"]:
+            dev = self.devices[spec["device_id"]]
+            if mode == "push":
                 dev.push_targets.append("exec")
-            for at_ms, patch in spec.timeline:
+            for at_ms, patch in spec["timeline"]:
                 self.scheduler.schedule(at_ms, lambda d=dev, p=patch: d.apply_patch(p))
-        if cfg.trigger_mode == "poll":
-            self.exec_agent.start_polling(cfg.duration_ms)
+        if mode == "poll":
+            self.exec_agent.start_polling(self.config["duration_ms"])
 
     def run(self, hook=None) -> dict:
         self.prepare()
         if hook is not None:
             hook(self)
-        self.scheduler.run(until=self.config.duration_ms + self.config.drain_ms)
+        self.scheduler.run(until=self.config["duration_ms"] + self.config["drain_ms"])
         return self.build_report()
 
     # ------------------------------------------------------------------
 
     def honest_nodes(self):
-        byz = self.config.byzantine
-        return [n for i, n in enumerate(self.nodes) if byz is None or i != byz.node]
+        byz = self.config["byzantine"]
+        return [n for i, n in enumerate(self.nodes) if byz is None or i != byz["node"]]
 
     def consistent(self) -> bool:
         """Byte-level prefix agreement of committed block contents across
@@ -208,12 +213,12 @@ class World:
             node_counters[key] = [n.counters[key] for n in self.nodes]
         report = {
             "schema": 1,
-            "name": cfg.name,
-            "seed": cfg.seed,
-            "nodes": cfg.nodes,
-            "duration_ms": cfg.duration_ms,
+            "name": cfg["name"],
+            "seed": cfg["seed"],
+            "nodes": cfg["nodes"],
+            "duration_ms": cfg["duration_ms"],
             "sim_time_ms": self.scheduler.now,
-            "with_ledger": cfg.with_ledger,
+            "with_ledger": cfg["with_ledger"],
             "ledger": {
                 "consistent": self.consistent(),
                 "heights": [len(n.chain) - 1 for n in self.nodes],
@@ -263,7 +268,7 @@ class World:
         return {"report": report_path, "dumps": dump_paths}
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str | None = None, hook=None):
+def run_scenario(config: dict, out_dir: str | None = None, hook=None):
     """Build a world, run it, optionally write outputs.  Returns
     (report, world)."""
     world = World(config)

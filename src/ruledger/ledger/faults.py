@@ -24,24 +24,17 @@ FAULT_KINDS = (
     FAULT_EQUIVOCATE,
 )
 
+FAULT_DELAY_MS = 400  # how much later a delaying node sends each message
+
 
 @dataclass
 class FaultSpec:
     kind: str
     prob: float = 0.6  # applied per outbound message for drop/corrupt
-    extra_delay_ms: int = 400
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind: {self.kind}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        return cls(
-            kind=data["fault"],
-            prob=data.get("prob", 0.6),
-            extra_delay_ms=data.get("extra_delay_ms", 400),
-        )
 
 
 def corrupt_msg(msg: dict, rng: random.Random) -> dict:

@@ -78,6 +78,7 @@ from . import tables
 from .faults import (
     FAULT_CORRUPT,
     FAULT_DELAY,
+    FAULT_DELAY_MS,
     FAULT_DROP,
     FAULT_DUPLICATE,
     FAULT_EQUIVOCATE,
@@ -88,6 +89,7 @@ from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt
 
 GENESIS_PREV = "0" * 64
 SYNC_RUN = 8  # the most blocks one sync reply carries
+BATCH_SIZE = 16  # the most transactions one proposal carries
 
 
 class ConfigError(ValueError):
@@ -100,7 +102,6 @@ class LedgerConfig:
     node_pubkeys: list[str]
     ledger_secret: bytes
     genesis_acl: list[dict] = field(default_factory=list)
-    batch_size: int = 16
     commit_timeout_ms: int = 3000
     check_event_log: bool = True
     task_agent_addr: str | None = None
@@ -316,8 +317,7 @@ class LedgerNode(Process):
             self.send(dst, msg)
             self.send(dst, msg)
         elif kind == FAULT_DELAY:
-            extra = self.fault.extra_delay_ms
-            self.net.scheduler.schedule(extra, lambda: self.net.send(self.addr, dst, msg))
+            self.net.scheduler.schedule(FAULT_DELAY_MS, lambda: self.net.send(self.addr, dst, msg))
         elif kind == FAULT_CORRUPT:
             if self.rng.random() < self.fault.prob:
                 self.send(dst, corrupt_msg(msg, self.rng))
@@ -368,7 +368,7 @@ class LedgerNode(Process):
         return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w])
 
     def _undecided_batch(self) -> list[dict]:
-        return list(islice(self.pool.values(), self.config.batch_size))
+        return list(islice(self.pool.values(), BATCH_SIZE))
 
     def _maybe_propose(self) -> None:
         if self.config.primary(self.view) != self.index or self.vc_target is not None:

@@ -5,6 +5,10 @@ operations from a fixed catalog, each bound to a device and tagged with a
 combinator.  Parsing derives a linear step list: trigger operations take
 steps 0..T-1 and action operations continue from step T, which is the
 order the ledger's step-chaining check expects.
+
+A trigger operation is a fixed predicate over its device's payload: the
+heart-rate alert fires at or outside HEART_RATE_LOW and HEART_RATE_HIGH.  A
+rule that wants other bounds states them in a comparator condition.
 """
 
 from __future__ import annotations
@@ -39,18 +43,17 @@ PRESENCE_API = "PRESENCE_API"
 MODE_SET_API = "MODE_SET_API"
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    min_rate: int = 40
-    max_rate: int = 180
+# alert_on_heart_rate fires at or outside these bounds (beats per minute).
+HEART_RATE_LOW = 40
+HEART_RATE_HIGH = 180
 
 
-def _heart_rate_alert(payload: dict, thr: Thresholds) -> bool:
+def _heart_rate_alert(payload: dict) -> bool:
     rate = payload["heart_rate"]
-    return rate <= thr.min_rate or rate >= thr.max_rate
+    return rate <= HEART_RATE_LOW or rate >= HEART_RATE_HIGH
 
 
-def _presence_home(payload: dict, thr: Thresholds) -> bool:
+def _presence_home(payload: dict) -> bool:
     return payload.get("presence") == "home"
 
 
@@ -59,7 +62,7 @@ class CatalogOp:
     name: str
     api: str
     kind: str  # "trigger" or "action"
-    predicate: "object" = None  # trigger ops: (payload, Thresholds) -> bool
+    predicate: "object" = None  # trigger ops: payload -> bool
     fields: dict = field(default_factory=dict)  # trigger ops: payload field -> shape it reads
 
 

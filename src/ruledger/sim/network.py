@@ -1,7 +1,8 @@
 """In-memory message passing between simulated processes.
 
-No sockets are involved: `send` draws a delivery delay from the network's
-seeded RNG and schedules the destination's handler.  Messages must be
+No sockets are involved: `send` draws a delivery delay for each message
+from the network's seeded RNG and schedules the destination's handler, so
+two messages on one link may arrive in either order.  Messages must be
 canonical-serializable dicts, which keeps them both deterministic to copy
 and realistic to corrupt byte-wise in fault experiments.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..canonical import canonical_bytes
 from .scheduler import Scheduler
@@ -20,7 +21,6 @@ from .scheduler import Scheduler
 class NetConfig:
     delay_range: tuple[int, int] = (1, 5)  # inclusive ms bounds
     drop_prob: float = 0.0
-    reorder: bool = True  # False enforces per-link FIFO delivery
 
     def validate(self) -> None:
         lo, hi = self.delay_range
@@ -80,7 +80,6 @@ class Network:
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
-        self._last_delivery: dict[tuple[str, str], int] = {}
 
     def register(self, addr: str, process: Process) -> None:
         if addr in self.processes:
@@ -99,13 +98,6 @@ class Network:
             return
         lo, hi = self.config.delay_range
         delay = self.rng.randint(lo, hi)
-        when = self.scheduler.now + delay
-        if not self.config.reorder:
-            floor = self._last_delivery.get((src, dst), 0)
-            if when < floor:
-                delay = floor - self.scheduler.now
-                when = floor
-            self._last_delivery[(src, dst)] = when
         payload = json.loads(wire.decode("utf-8"))
         self.scheduler.schedule(delay, lambda: self._deliver(src, dst, payload))
 

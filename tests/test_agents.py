@@ -317,7 +317,7 @@ def test_push_trigger_reacts_only_to_its_devices():
 
 
 def test_polling_schedule_covers_the_duration():
-    rig = _rig(poll_interval_ms=500)
+    rig = _rig()
     rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
                                   "binding": BINDING, "mode": "poll"})
     rig.agent.start_polling(2000)

@@ -11,12 +11,11 @@ from conftest import hr_rule, make_rig, rule_commit_tx
 from ruledger import contracts
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
-from ruledger.harness.scenario import ByzantineSpec, load_scenario, scenario_from_dict
+from ruledger.harness.scenario import load_scenario, scenario_from_dict
 from ruledger.harness.world import World, run_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
-from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger.node import ConfigError
 from ruledger.ledger.tx import SignedTransaction
 from ruledger.rules import RuleError, parse_rule
@@ -46,15 +45,15 @@ def _scenario(**overrides):
 
 def test_scenario_round_trip_defaults():
     config = scenario_from_dict(_scenario())
-    assert config.name == "mini" and config.seed == 11
-    assert config.nodes == 4 and config.trigger_mode == "poll"
-    assert config.net.delay_range == (1, 5)
-    assert config.byzantine is None
-    assert config.rules[0]["rule_id"] == 1
+    assert config["name"] == "mini" and config["seed"] == 11
+    assert config["nodes"] == 4 and config["trigger_mode"] == "poll"
+    assert config["net"]["delay_range"] == [1, 5]
+    assert config["byzantine"] is None
+    assert config["rules"][0]["rule_id"] == 1
 
 
 def test_seed_override_beats_the_file():
-    assert scenario_from_dict(_scenario(), seed_override=42).seed == 42
+    assert scenario_from_dict(_scenario(), seed_override=42)["seed"] == 42
 
 
 @pytest.mark.parametrize("overrides", [
@@ -79,6 +78,20 @@ def test_seed_override_beats_the_file():
                   "timeline": [[-5, {}]]}]},
     {"net": {"drop_prob": 2.0}},
     {"rules": [hr_rule(), hr_rule()]},
+    {"commit_timeout_ms": -1},
+    {"drain_ms": "x"},
+    {"with_ledger": "false"},
+    {"byzantine": {"node": 0, "fault": "drop", "prob": "x"}},
+    {"devices": [{"device_id": "watch-1", "kind": "heart_rate", "vendor": "v",
+                  "initial": [1]}]},
+    {"devices": [{"device_id": "watch-1", "kind": "toaster", "vendor": "v"}]},
+    {"comit_timeout_ms": 3000},
+    # fields the format no longer has
+    {"batch_size": 16},
+    {"poll_interval_ms": 500},
+    {"thresholds": {"min_rate": 40, "max_rate": 180}},
+    {"net": {"reorder": True}},
+    {"byzantine": {"node": 0, "fault": "delay", "extra_delay_ms": 400}},
 ])
 def test_scenario_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -99,7 +112,7 @@ def test_rules_load_from_files_next_to_the_scenario(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(data))
     config = load_scenario(str(scenario_path))
-    assert config.rules[0]["title"] == hr_rule()["title"]
+    assert config["rules"][0]["title"] == hr_rule()["title"]
     data["rules"] = ["missing.json"]
     scenario_path.write_text(json.dumps(data))
     with pytest.raises(ConfigError):
@@ -108,10 +121,10 @@ def test_rules_load_from_files_next_to_the_scenario(tmp_path):
 
 def test_bundled_heart_rate_scenario_loads():
     config = cli._load("heart_rate", None)
-    assert config.name == "heart_rate"
-    assert config.nodes == 4
-    assert {d.device_id for d in config.devices} >= {"watch-1", "lock-1"}
-    assert len(config.rules) == 1
+    assert config["name"] == "heart_rate"
+    assert config["nodes"] == 4
+    assert {d["device_id"] for d in config["devices"]} >= {"watch-1", "lock-1"}
+    assert len(config["rules"]) == 1
 
 
 def test_build_stats_oracle():
@@ -178,7 +191,7 @@ def test_private_key_material_never_leaks_into_outputs(poll_run, tmp_path):
         with open(path, "rb") as fh:
             blobs.append(fh.read())
     secrets = [
-        hashlib.sha256(f"key/{world.config.seed}/{label}".encode()).hexdigest().encode()
+        hashlib.sha256(f"key/{world.config['seed']}/{label}".encode()).hexdigest().encode()
         for label in ("acct/exec-agent", "acct/task-agent", "acct/alice", "node0")
     ]
     secrets.append(world.ledger_config.ledger_secret.hex().encode())
@@ -292,7 +305,7 @@ def test_a_corrupting_node_cannot_crash_the_agents(seed):
     # Notifications that lost a field to a flipped bit raised KeyError out of
     # the agents and ended these runs.
     config = cli._load("heart_rate", seed)
-    config.byzantine = ByzantineSpec(node=1, fault=FaultSpec("corrupt"))
+    config["byzantine"] = {"node": 1, "fault": "corrupt", "prob": 0.6}
     report, _ = run_scenario(config)
     assert report["ledger"]["consistent"]
 
@@ -371,6 +384,13 @@ def test_cli_config_errors_exit_two(argv, capsys):
 
 def test_cli_run_missing_scenario_file_exits_two(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_run_names_a_bad_scenario_field_and_exits_two(tmp_path, capsys):
+    scenario_path = tmp_path / "bad.json"
+    scenario_path.write_text(json.dumps(_scenario(drain_ms="x")))
+    assert cli.main(["run", str(scenario_path)]) == 2
+    assert "drain_ms" in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):

@@ -174,19 +174,18 @@ def test_comparators(cmp, value, sample, expected):
 
 def test_heart_rate_predicate_boundaries():
     pred = rules.CATALOG["alert_on_heart_rate"].predicate
-    thr = rules.Thresholds()
-    assert pred({"heart_rate": 40}, thr)
-    assert pred({"heart_rate": 180}, thr)
-    assert not pred({"heart_rate": 41}, thr)
-    assert not pred({"heart_rate": 179}, thr)
-    assert pred({"heart_rate": 200}, rules.Thresholds(max_rate=190))
+    assert pred({"heart_rate": 40})
+    assert pred({"heart_rate": 180})
+    assert not pred({"heart_rate": 41})
+    assert not pred({"heart_rate": 179})
+    assert pred({"heart_rate": 200})
 
 
 def test_presence_predicate():
     pred = rules.CATALOG["check_presence_operation"].predicate
-    assert pred({"presence": "home"}, rules.Thresholds())
-    assert not pred({"presence": "away"}, rules.Thresholds())
-    assert not pred({}, rules.Thresholds())
+    assert pred({"presence": "home"})
+    assert not pred({"presence": "away"})
+    assert not pred({})
 
 
 _TRIGGERS = [n for n, op in rules.CATALOG.items() if op.kind == "trigger"]

@@ -85,14 +85,8 @@ def test_drop_probability_applies():
     assert len(inbox) == net.delivered
 
 
-def test_fifo_mode_preserves_per_link_order():
-    config = NetConfig(delay_range=(1, 20), reorder=False)
-    _, inbox = _run_pair(77, n_msgs=60, config=config)
-    assert [msg["i"] for _, _, msg in inbox] == list(range(60))
-
-
 def test_reorder_mode_can_reorder():
-    config = NetConfig(delay_range=(1, 20), reorder=True)
+    config = NetConfig(delay_range=(1, 20))
     _, inbox = _run_pair(77, n_msgs=60, config=config)
     assert [msg["i"] for _, _, msg in inbox] != list(range(60))
 
