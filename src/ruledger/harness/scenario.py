@@ -166,6 +166,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> d
         raise ConfigError(f"bad value for scenario.net: {exc}") from None
     accounts, devices = doc["accounts"], doc["devices"]
     _require(len({a["name"] for a in accounts}) == len(accounts), "duplicate account names")
+    _require(len({a["usr_id"] for a in accounts}) == len(accounts), "duplicate usr_ids")
     _require(bool(accounts) and accounts[0]["role"] == "Administrator",
              "the first account must be an Administrator")
     known = {d["device_id"] for d in devices}

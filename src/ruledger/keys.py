@@ -1,4 +1,8 @@
-"""Ed25519 wallet keys and detached signatures over canonical bytes."""
+"""Ed25519 wallet keys and detached signatures over canonical bytes.
+
+A simulation's replicas share one process and verify through their `Network`'s
+`VerifyMemo`, so each distinct signed message costs one Ed25519 check.
+"""
 
 from __future__ import annotations
 
@@ -57,3 +61,23 @@ def verify_signature(message: bytes, signature_hex: str, public_hex: str) -> boo
 
 def verify_signature_obj(obj: Any, signature_hex: str, public_hex: str) -> bool:
     return verify_signature(canonical_bytes(obj), signature_hex, public_hex)
+
+
+class VerifyMemo:
+    """`verify_signature_obj` keeping the last `CAP` results, keyed by the full bytes so no
+    other message hits an entry; a miss calls the module's `verify_signature`."""
+
+    CAP = 256
+
+    def __init__(self) -> None:
+        self.results: dict[tuple[bytes, str, str], bool] = {}  # oldest first
+        self.lookups = 0  # the verifies a deployment, one process per replica, would pay
+
+    def __call__(self, obj: Any, signature_hex: str, public_hex: str) -> bool:
+        self.lookups += 1
+        key = (canonical_bytes(obj), signature_hex, public_hex)
+        if key not in self.results:
+            if len(self.results) >= self.CAP:
+                del self.results[next(iter(self.results))]
+            self.results[key] = verify_signature(*key)
+        return self.results[key]

@@ -40,7 +40,8 @@ messages are buffered only once authenticated.  A batch stays in the wire
 form the table admitted, which `batch_digest` covers, from the pool to the
 block; only `_commit_block` turns wires into `SignedTransaction`s.  A batch
 wire equal to its pool entry is not verified again: `_on_submit` verified
-it before pooling it.
+it before pooling it.  Every check goes through `net.verify`, the memo all
+replicas of a simulation share (see `keys`); the audit verifies for itself.
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
@@ -150,21 +151,21 @@ def batch_digest(batch_wires: list[dict]) -> str:
 
 
 def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
-                       votes: dict[str, str]) -> dict[int, str]:
+                       votes: dict[str, str], verify=verify_signature_obj) -> dict[int, str]:
     """The votes of a commit certificate whose signatures check, by node index.
     votes is keyed by decimal node indexes, as MESSAGES and audit.BLOCK_PROOF require."""
     body = _vote_body("c", view, height, digest)
     valid: dict[int, str] = {}
     for key, sig in votes.items():
         idx = int(key)
-        if idx < len(pubkeys) and verify_signature_obj(body, sig, pubkeys[idx]):
+        if idx < len(pubkeys) and verify(body, sig, pubkeys[idx]):
             valid[idx] = sig
     return valid
 
 
-def _signed(wires: list[dict]) -> bool:
+def _signed(wires: list[dict], verify) -> bool:
     """Whether each tx wire carries its signer's signature over its body."""
-    return all(verify_signature_obj(w["body"], w["signature"], w["signer"]) for w in wires)
+    return all(verify(w["body"], w["signature"], w["signer"]) for w in wires)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +302,7 @@ class LedgerNode(Process):
 
     def _vote_valid(self, body: dict, index: int, sig: str) -> bool:
         keys = self.config.node_pubkeys
-        return 0 <= index < len(keys) and verify_signature_obj(body, sig, keys[index])
+        return 0 <= index < len(keys) and self.net.verify(body, sig, keys[index])
 
     def _cast(self, dst: str, msg: dict) -> None:
         """Send one message, subject to this node's fault hooks."""
@@ -340,7 +341,7 @@ class LedgerNode(Process):
         """The one way a transaction enters the ledger (see the module docstring)."""
         wire = msg["tx"]
         tid = digest_hex(wire["body"])
-        if not _signed([wire]):
+        if not _signed([wire], self.net.verify):
             reply = TxReceipt(tid, False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
@@ -365,7 +366,8 @@ class LedgerNode(Process):
     def _batch_signed(self, wires: list[dict]) -> bool:
         """Whether each wire is signed; a wire equal to its pool entry was checked
         when `_on_submit` pooled it, so only the others are verified."""
-        return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w])
+        return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w],
+                       self.net.verify)
 
     def _undecided_batch(self) -> list[dict]:
         return list(islice(self.pool.values(), BATCH_SIZE))
@@ -595,7 +597,8 @@ class LedgerNode(Process):
         if batch_digest(batch) != digest:
             self.counters["malformed_dropped"] += 1
             return
-        votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"])
+        votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"],
+                                   self.net.verify)
         if len(votes) < self.config.quorum or not self._batch_signed(batch):
             self.counters["malformed_dropped"] += 1
             return

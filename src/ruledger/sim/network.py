@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from ..canonical import canonical_bytes
+from ..keys import VerifyMemo
 from .scheduler import Scheduler
 
 
@@ -80,6 +81,7 @@ class Network:
         self.sent = 0
         self.dropped = 0
         self.delivered = 0
+        self.verify = VerifyMemo()  # shared by every replica on this network
 
     def register(self, addr: str, process: Process) -> None:
         if addr in self.processes:

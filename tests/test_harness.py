@@ -1,5 +1,6 @@
 """Scenario loading, world runs, reports, and the command line."""
 
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ import pytest
 
 from conftest import hr_rule, make_rig, rule_commit_tx
 from ruledger import contracts
+from ruledger import keys as keys_mod
+from ruledger.canonical import canonical_bytes
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
 from ruledger.harness.scenario import load_scenario, scenario_from_dict
@@ -16,6 +19,7 @@ from ruledger.harness.world import World, run_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
+from ruledger.ledger import tx as tx_mod
 from ruledger.ledger.node import ConfigError
 from ruledger.ledger.tx import SignedTransaction
 from ruledger.rules import RuleError, parse_rule
@@ -92,6 +96,8 @@ def test_seed_override_beats_the_file():
     {"thresholds": {"min_rate": 40, "max_rate": 180}},
     {"net": {"reorder": True}},
     {"byzantine": {"node": 0, "fault": "delay", "extra_delay_ms": 400}},
+    {"accounts": [{"name": "a", "role": "Administrator", "usr_id": 1},
+                  {"name": "b", "role": "NormalUser", "usr_id": 1}]},
 ])
 def test_scenario_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -291,6 +297,43 @@ def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
     tamper(records)
     result = audit.audit_records(_reseal(records))
     assert not result.ok and issue in result.issues, result.issues
+
+
+def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):
+    # Replicas share their network's verify memo; the offline audit must not,
+    # so it pays one real Ed25519 check per commit vote and committed tx
+    # whether or not the World that wrote the dump is still alive.
+    _, world = run_scenario(scenario_from_dict(_scenario()))
+    path = world.write_outputs(str(tmp_path))["dumps"][0]
+    with open(path, "rb") as fh:
+        records = [json.loads(line) for line in fh.read().splitlines()]
+    blocks = [r for r in records if r["type"] == "block"]
+    expected = (sum(len(b["proof"]["votes"]) for b in blocks[1:])
+                + sum(len(b["txs"]) for b in blocks))
+    real = []
+    verify = keys_mod.verify_signature
+
+    def counting(message, sig, pub):
+        real.append(message)
+        return verify(message, sig, pub)
+
+    monkeypatch.setattr(keys_mod, "verify_signature", counting)
+    monkeypatch.setattr(tx_mod, "verify_signature", counting)
+    assert audit.audit_dump(path).ok
+    assert len(real) == expected
+    del world
+    gc.collect()
+    real.clear()
+    assert audit.audit_dump(path).ok
+    assert len(real) == expected
+
+    block = next(b for b in blocks if b["txs"])
+    wire = block["txs"][0]
+    wire["signature"] = ("1" if wire["signature"][0] == "0" else "0") + wire["signature"][1:]
+    flipped = tmp_path / "flipped.dump"
+    flipped.write_bytes(b"".join(canonical_bytes(r) + b"\n" for r in records))
+    result = audit.audit_dump(str(flipped))
+    assert f"block {block['height']}: committed tx with bad signature" in result.issues
 
 
 def test_audit_reports_a_dump_nested_too_deep_to_parse(tmp_path):
