@@ -1,11 +1,14 @@
 """Wallet agents: the user's console, the execution agent, and the task agent.
 
 These are the only holders of signing keys.  Each one wraps a ledger
-client for submissions and reacts to node notifications, but acts on a
-notification only after f + 1 node addresses sent byte-identical copies, so
-a minority of lying nodes, or anyone else, cannot steer an agent.  Each
-agent declares the shape of every message it handles in `MESSAGES`, which
-the boundary every process shares (see `sim.Process`) checks before a
+client for submissions and reacts to node notifications.  It acts on the
+ledger's word, a receipt or a notification, only through the one f + 1 rule,
+`LedgerClient.heard` in `ledger.client`: a notification counts once f + 1
+node addresses sent the same content, so a minority of lying nodes, or
+anyone else, cannot steer an agent.  An event, named by its
+(rule_id, event_seq), is then acted on at most once (`AgentBase._first`).
+Each agent declares the shape of every message it handles in `MESSAGES`,
+which the boundary every process shares (see `sim.Process`) checks before a
 handler reads the message.
 """
 
@@ -16,7 +19,7 @@ from .canonical import (digest_hex, is_int, is_str, list_of, message, object_of,
 from .contracts import EVENT_INFO, RES_ERR, RES_OK
 from .devices import RPC_RESULT, checksum
 from .keys import KeyPair
-from .ledger.client import RECEIPT, LedgerClient
+from .ledger.client import RECEIPT, LedgerClient, QuorumGate  # noqa: F401 (re-exported)
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
 from .rules import CATALOG, RuleDefinition, evaluate_trigger, is_rule, parse_rule, split_rule
 from .sim.network import Process
@@ -27,33 +30,15 @@ _BINDING = object_of(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_nam
 _ACTIONS = list_of(object_of(step_id=is_int, op_name=one_of(*CATALOG), device_id=is_str))
 
 
-class QuorumGate:
-    """Fires once per key, after `need` distinct sources offered that key."""
-
-    def __init__(self, need: int):
-        self.need = need
-        self._seen: dict[str, set] = {}
-        self._fired: set[str] = set()
-
-    def offer(self, key: str, source) -> bool:
-        if key in self._fired:
-            return False
-        sources = self._seen.setdefault(key, set())
-        sources.add(source)
-        if len(sources) >= self.need:
-            self._fired.add(key)
-            return True
-        return False
-
-
 class AgentBase(Process):
     MESSAGES = {"receipt": (RECEIPT, "_on_receipt")}
 
     def __init__(self, addr, net, keypair: KeyPair, node_addrs, f: int):
         super().__init__(addr, net)
         self.keypair = keypair
-        self.f = f
         self.client = LedgerClient(self, node_addrs, f)
+        self.gate = self.client.new_gate()  # for notifications
+        self.marks: set[tuple] = set()  # the (rule_id, event_seq) of events acted on
         self._nonce = 0
 
     def next_nonce(self) -> int:
@@ -66,6 +51,15 @@ class AgentBase(Process):
 
     def _on_receipt(self, src, msg):
         self.client.on_receipt(src, msg)
+
+    def _first(self, info: dict) -> bool:
+        """Record the event once; a repeat counts as a duplicate notify."""
+        mark = (info["rule_id"], info["event_seq"])
+        if mark in self.marks:
+            self.counters["duplicate_notifies"] += 1
+            return False
+        self.marks.add(mark)
+        return True
 
 
 class UserAgent(AgentBase):
@@ -195,8 +189,6 @@ class ExecutionAgent(AgentBase):
         self.task_agent_addr = task_agent_addr
         self.device_routes: dict[str, tuple[str, str]] = {}  # device -> (gateway, token)
         self.triggers: list[dict] = []
-        self.gate = QuorumGate(f + 1)
-        self.consumed_marks: set[tuple] = set()
         self.minted: set[tuple[str, str]] = set()
         self._eid_counter = 0
         self._seq: dict[int, int] = {}
@@ -298,14 +290,7 @@ class ExecutionAgent(AgentBase):
         task_ref = seqs[-1]
         self._cycle_start[(rule.rule_id, task_ref)] = ctx["t0"]
         for (script, eid, log_key, payload, _hit), seq in zip(steps, seqs):
-            info = {
-                "usr_rule_id": binding["usr_rule_id"],
-                "usr_id": binding["usr_id"],
-                "rule_id": binding["rule_id"],
-                "rule_name": binding["rule_name"],
-                "step_id": script.step_id,
-                "event_seq": seq,
-            }
+            info = {**binding, "step_id": script.step_id, "event_seq": seq}
             if not self.ledger_enabled:
                 if script.step_id == len(rule.trigger_operations) - 1:
                     self.send(self.task_agent_addr,
@@ -325,29 +310,18 @@ class ExecutionAgent(AgentBase):
     # action side
 
     def _on_notify_actions(self, src, msg) -> None:
-        if src not in self.client.node_addrs:
-            return
         info, actions = msg["event_info"], msg["actions"]
         key = digest_hex({"event_info": info, "actions": actions})
-        if not self.gate.offer(key, src):
-            return
-        mark = (info["rule_id"], info["event_seq"])
-        if mark in self.consumed_marks:
-            self.counters["duplicate_notifies"] += 1
-            return
-        self.consumed_marks.add(mark)
-        self._exec_actions(info, actions, 0)
+        if self.client.heard(self.gate, src, key) and self._first(info):
+            self._exec_actions(info, actions, 0)
 
     def _on_exec_direct(self, src, msg) -> None:
         if self.ledger_enabled:
             self.counters["refused_direct"] += 1
             return
         info = msg["event_info"]
-        mark = (info["rule_id"], info["event_seq"])
-        if mark in self.consumed_marks:
-            self.counters["duplicate_notifies"] += 1
+        if not self._first(info):
             return
-        self.consumed_marks.add(mark)
         trig = next((t for t in self.triggers
                      if t["binding"]["rule_id"] == info["rule_id"]), None)
         if trig is None:
@@ -383,15 +357,10 @@ class ExecutionAgent(AgentBase):
         # Failed executions still leave a signed failure record; nothing ran
         # on the device, so there is no log entry to check against.
         ok = result is not None
+        # info is an EVENT_INFO, so its other four fields are the rule's binding.
         body = {
-            "event_info": {
-                "usr_rule_id": info["usr_rule_id"],
-                "usr_id": info["usr_id"],
-                "rule_id": info["rule_id"],
-                "rule_name": info["rule_name"],
-                "step_id": action["step_id"],
-                "event_seq": self.next_seq(info["rule_id"]),
-            },
+            "event_info": {**info, "step_id": action["step_id"],
+                           "event_seq": self.next_seq(info["rule_id"])},
             "event_log": {
                 "eid": eid,
                 "log_key": log_key,
@@ -444,11 +413,8 @@ class TaskAgent(AgentBase):
         self.channel_token = channel_token
         self.ledger_enabled = ledger_enabled
         self.exec_agent_addr = exec_agent_addr
-        self.gate = QuorumGate(f + 1)
-        self.seen_events: set[tuple] = set()
         self.pending_acks: dict[int, dict] = {}
         self._req = 0
-        self.outcomes: list[dict] = []
         self.counters.update({
             "trigger_requests_sent": 0,
             "action_requests_received": 0,
@@ -460,26 +426,14 @@ class TaskAgent(AgentBase):
         self.pending_acks.pop(msg["req_id"], None)
 
     def _on_notify_event(self, src, msg) -> None:
-        if src not in self.client.node_addrs:
-            return
         info, cid = msg["event_info"], msg["cid"]
         key = digest_hex({"event_info": info, "cid": cid})
-        if not self.gate.offer(key, src):
-            return
-        mark = (info["rule_id"], info["event_seq"])
-        if mark in self.seen_events:
-            self.counters["duplicate_notifies"] += 1
-            return
-        self.seen_events.add(mark)
-        self._send_trigger_request(info, cid)
+        if self.client.heard(self.gate, src, key) and self._first(info):
+            self._send_trigger_request(info, cid)
 
     def _on_bypass_event(self, src, msg) -> None:
-        info = msg["event_info"]
-        mark = (info["rule_id"], info["event_seq"])
-        if mark in self.seen_events:
-            return
-        self.seen_events.add(mark)
-        self._send_trigger_request(info, "")
+        if self._first(msg["event_info"]):
+            self._send_trigger_request(msg["event_info"], "")
 
     def _send_trigger_request(self, info, cid) -> None:
         if self.tamock_addr is None:
@@ -511,15 +465,11 @@ class TaskAgent(AgentBase):
         info, cid, req_id = msg["event_info"], msg["cid"], msg["req_id"]
         if not self.ledger_enabled:
             self.send(self.exec_agent_addr, {"type": "exec_direct", "event_info": info})
-            self.outcomes.append({"req_id": req_id, "accepted": True, "code": None})
             self.send(src, {"type": "action_result", "req_id": req_id,
                             "accepted": True, "code": None})
             return
 
         def done(receipt):
-            self.outcomes.append(
-                {"req_id": req_id, "accepted": receipt.accepted, "code": receipt.code}
-            )
             self.send(src, {"type": "action_result", "req_id": req_id,
                             "accepted": receipt.accepted, "code": receipt.code})
 

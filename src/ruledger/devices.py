@@ -49,14 +49,12 @@ class LogService:
 
     def __init__(self):
         self._entries: dict[tuple[str, str], dict] = {}
-        self.writes = 0
 
     def write(self, eid: str, log_key: str, log_sum: str, device_id: str, at_ms: int) -> None:
         pair = (eid, log_key)
         if pair in self._entries:
             raise ValueError(f"log entry already exists for {pair}")
         self._entries[pair] = {"log_sum": log_sum, "device_id": device_id, "at_ms": at_ms}
-        self.writes += 1
 
     def query_checksum(self, eid: str, log_key: str):
         entry = self._entries.get((eid, log_key))
@@ -74,7 +72,7 @@ class Device(Process):
 
     State changes come either from a scenario timeline (scheduled patches)
     or from action APIs.  `history` records every state transition with its
-    sim timestamp, which run reports use for determinism checks.
+    sim timestamp; tests read it, run reports do not.
     """
 
     MESSAGES = {
@@ -203,19 +201,12 @@ def inject_spoofed_event(rng, binding: dict, step_id: int, event_seq: int, fake_
 
     No device touched, no log entry written: the (eid, log_key) pair is
     invented and log_sum is a self-consistent checksum of the fake payload.
-    `binding` carries usr_rule_id, usr_id, rule_id, and rule_name.
+    `binding` is exactly usr_rule_id, usr_id, rule_id, and rule_name.
     """
     eid = rng.randbytes(16).hex()
     log_key = rng.randbytes(16).hex()
     return {
-        "event_info": {
-            "usr_rule_id": binding["usr_rule_id"],
-            "usr_id": binding["usr_id"],
-            "rule_id": binding["rule_id"],
-            "rule_name": binding["rule_name"],
-            "step_id": step_id,
-            "event_seq": event_seq,
-        },
+        "event_info": {**binding, "step_id": step_id, "event_seq": event_seq},
         "event_log": {"eid": eid, "log_key": log_key, "log_sum": checksum(fake_payload)},
         "result_status": 1,
         "task_ref": event_seq,

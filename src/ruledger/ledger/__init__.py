@@ -1,29 +1,1 @@
 """Replicated ledger: transactions, tables, pBFT nodes, client, audit."""
-
-from .tx import SignedTransaction, TxReceipt, build_tx
-from .tx import KIND_RULE_COMMIT, KIND_EVENT, KIND_ACTION, KIND_CONFIG
-from .tables import LedgerTable, TableStore, UnknownTableError, UnknownColumnError
-from .faults import FaultSpec, FAULT_KINDS
-from .node import LedgerNode, LedgerConfig
-from .client import LedgerClient
-from . import audit
-
-__all__ = [
-    "SignedTransaction",
-    "TxReceipt",
-    "build_tx",
-    "KIND_RULE_COMMIT",
-    "KIND_EVENT",
-    "KIND_ACTION",
-    "KIND_CONFIG",
-    "LedgerTable",
-    "TableStore",
-    "UnknownTableError",
-    "UnknownColumnError",
-    "FaultSpec",
-    "FAULT_KINDS",
-    "LedgerNode",
-    "LedgerConfig",
-    "LedgerClient",
-    "audit",
-]

@@ -1,11 +1,17 @@
-"""Submission helper shared by the wallet agents.
+"""Submission helper shared by the wallet agents, and the one f + 1 rule.
 
 The client sends each transaction to every node, as PBFT's client multicasts
-its request, so no single node stands between it and the ledger.  It counts
-receipt replies from the node addresses and resolves once f + 1 of them
-agree, a signature reject included, so a lying minority cannot spoof an
-outcome.  A submission that stays unresolved past the timeout is sent to
-every node again.
+its request, so no single node stands between it and the ledger.  A
+submission that stays unresolved past the timeout is sent to every node
+again.
+
+An agent acts on the ledger's word only through `LedgerClient.heard`: a key
+(a receipt's outcome, a notification's content) counts as said once f + 1
+distinct node addresses sent it, and a sender that is not a node counts for
+nothing.  With at most f faulty replicas, one of those f + 1 is honest, so a
+lying minority cannot spoof a receipt, a signature reject included, or a
+notification.  Receipts use one gate per pending submission, notifications
+one gate per agent (see `agents`).
 """
 
 from __future__ import annotations
@@ -22,6 +28,25 @@ RECEIPT = message("receipt", tx_id=is_str, accepted=one_of(True, False),
                   code=or_none(is_str), height=or_none(is_int))
 
 
+class QuorumGate:
+    """Fires once per key, after `need` distinct sources offered that key."""
+
+    def __init__(self, need: int):
+        self.need = need
+        self._seen: dict = {}
+        self._fired: set = set()
+
+    def offer(self, key, source) -> bool:
+        if key in self._fired:
+            return False
+        sources = self._seen.setdefault(key, set())
+        sources.add(source)
+        if len(sources) >= self.need:
+            self._fired.add(key)
+            return True
+        return False
+
+
 class LedgerClient:
     def __init__(
         self,
@@ -34,7 +59,7 @@ class LedgerClient:
         self.node_addrs = node_addrs
         self.f = f
         self.timeout_ms = timeout_ms
-        # tx_id -> {tally, cb, tx, tries, submitted_at}
+        # tx_id -> {gate, cb, tx, tries, submitted_at}
         self.pending: dict[str, dict] = {}
         self.resolved: dict[str, TxReceipt] = {}
         self.latencies_ms: list[int] = []
@@ -42,7 +67,7 @@ class LedgerClient:
     def submit(self, tx: SignedTransaction, cb: ReceiptCallback | None = None) -> str:
         tid = tx.tx_id
         self.pending[tid] = {
-            "tally": {},
+            "gate": self.new_gate(),
             "cb": cb,
             "tx": tx,
             "tries": 1,
@@ -72,21 +97,22 @@ class LedgerClient:
         state["tries"] += 1
         self._send(tid)
 
+    def new_gate(self) -> QuorumGate:
+        return QuorumGate(self.f + 1)
+
+    def heard(self, gate: QuorumGate, src: str, key) -> bool:
+        """The one f + 1 rule: true exactly once per key, when the (f + 1)-th
+        distinct node address offers it.  Any other sender counts for nothing."""
+        return src in self.node_addrs and gate.offer(key, src)
+
     def on_receipt(self, src: str, msg: dict) -> None:
-        """Count a receipt only from a node address.  The owner's boundary
-        (`Process.on_message`) has already checked it against RECEIPT."""
-        if src not in self.node_addrs:
-            return
+        """Resolve a pending submission once f + 1 nodes sent the same outcome.
+        The owner's boundary (`Process.on_message`) has already checked the
+        receipt against RECEIPT."""
         receipt = TxReceipt.from_wire(msg)
         state = self.pending.get(receipt.tx_id)
-        if state is None:
-            return
         key = (receipt.accepted, receipt.code, receipt.height)
-        senders = state["tally"].setdefault(key, [])
-        if src in senders:
-            return
-        senders.append(src)
-        if len(senders) >= self.f + 1:
+        if state is not None and self.heard(state["gate"], src, key):
             self._resolve(receipt.tx_id, receipt)
 
     def _resolve(self, tid: str, receipt: TxReceipt) -> None:

@@ -9,18 +9,25 @@ stands between a client and the other replicas.
 Nodes order pooled transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
 f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
-2f + 1 matching commit votes, executes the batch through the verification
-contracts, and answers submitters with receipts.  The primary takes its own
-proposal at once: `_propose` and `_become_primary` send the pre-prepare to
-the peers only and handle it in-process before they return, so a height is
-in flight from the moment it is proposed and no later submission can make
-a second proposal for it (PBFT assigns each sequence number once).  A
-timeout-driven view change rotates the primary when no progress is made:
-the commit timer starts when work arrives at an idle node and restarts only
-on progress (an accepted pre-prepare or a commit), so a stream of new
-submissions never puts a timeout off, and each timeout inside a view change
-moves its target one view on.  A single node (N = 1) runs the same three
-phases with a quorum of one.
+2f + 1 matching commit votes and executes the batch through the
+verification contracts.  `_commit_block` then sends a receipt to each
+submitter that waits on one of the batch's transactions, and after all
+receipts, in tx order, one notification per accepted transaction an agent
+acts on: `notify_event`, with the event's cid, to the task agent for each
+event that a rule's action may consume, and `notify_actions`, with the
+authorized action list, to the execution agent for each action.  Agents act
+on a notification once f + 1 nodes sent it (see `client`).
+
+The primary takes its own proposal at once: `_propose` and
+`_become_primary` send the pre-prepare to the peers only and handle it
+in-process before they return, so a height is in flight from the moment it
+is proposed and no later submission can make a second proposal for it
+(PBFT assigns each sequence number once).  A timeout-driven view change
+rotates the primary when no progress is made: the commit timer starts when
+work arrives at an idle node and restarts only on progress (an accepted
+pre-prepare or a commit), so a stream of new submissions never puts a
+timeout off, and each timeout inside a view change moves its target one view
+on.  A single node (N = 1) runs the same three phases with a quorum of one.
 
 Catch-up is pull only.  Each block keeps `proposal`, the batch its commit
 certificate signs, beside `txs`, the accepted subsequence, so every block
@@ -501,7 +508,8 @@ class LedgerNode(Process):
             return
         content_txs: list[dict] = []
         receipts: list[tuple[str, TxReceipt]] = []
-        notifications: list[tuple] = []
+        notifications: list[tuple[str, dict]] = []  # (agent address, message)
+        task_agent, exec_agent = self.config.task_agent_addr, self.config.exec_agent_addr
         for wire in batch:
             tx = SignedTransaction.from_wire(wire)
             tid = tx.tx_id
@@ -518,15 +526,16 @@ class LedgerNode(Process):
                 effects = contracts.apply_tx(tx, self.state)
                 content_txs.append(wire)
                 self.counters["txs_committed"] += 1
-                if tx.kind == KIND_EVENT and effects.get("consumable"):
-                    cid = contracts.gen_randomness(
-                        self.config.ledger_secret, tx.body["event_info"]
-                    )
-                    notifications.append(("task_event", tx.body["event_info"], cid))
-                elif tx.kind == KIND_ACTION:
-                    notifications.append(
-                        ("exec_actions", tx.body["event_info"], effects["actions"])
-                    )
+                info = tx.body.get("event_info")
+                if tx.kind == KIND_EVENT and effects.get("consumable") and task_agent:
+                    cid = contracts.gen_randomness(self.config.ledger_secret, info)
+                    notifications.append((task_agent, {
+                        "type": "notify_event", "event_info": info, "cid": cid,
+                        "height": height}))
+                elif tx.kind == KIND_ACTION and exec_agent:
+                    notifications.append((exec_agent, {
+                        "type": "notify_actions", "event_info": info,
+                        "actions": effects["actions"], "height": height}))
             else:
                 self.counters["txs_rejected"] += 1
             receipt = TxReceipt(tid, verdict.accepted, verdict.code, height)
@@ -545,39 +554,14 @@ class LedgerNode(Process):
         for tid, receipt in receipts:
             for client in self.submitters.pop(tid, []):
                 self._cast(client, {"type": "receipt", **receipt.wire()})
-        for notif in notifications:
-            self._dispatch_notification(notif, height)
+        for agent, msg in notifications:
+            self._cast(agent, msg)
 
         while self.next_height in self.committed_buffer:  # each entry is certified
             self._commit_block(*self.committed_buffer.pop(self.next_height))
         self._replay_pp_buffer()
         self._rearm_timer()
         self._maybe_propose()
-
-    def _dispatch_notification(self, notif: tuple, height: int) -> None:
-        kind = notif[0]
-        if kind == "task_event" and self.config.task_agent_addr:
-            _, event_info, cid = notif
-            self._cast(
-                self.config.task_agent_addr,
-                {
-                    "type": "notify_event",
-                    "event_info": event_info,
-                    "cid": cid,
-                    "height": height,
-                },
-            )
-        elif kind == "exec_actions" and self.config.exec_agent_addr:
-            _, event_info, actions = notif
-            self._cast(
-                self.config.exec_agent_addr,
-                {
-                    "type": "notify_actions",
-                    "event_info": event_info,
-                    "actions": actions,
-                    "height": height,
-                },
-            )
 
     # ------------------------------------------------------------------
     # catch-up: sync requests and their replies

@@ -1,6 +1,1 @@
 """Deterministic discrete-event simulation core: clock, scheduler, network."""
-
-from .scheduler import Scheduler, SimulationPanic
-from .network import NetConfig, Network, Process
-
-__all__ = ["Scheduler", "SimulationPanic", "NetConfig", "Network", "Process"]

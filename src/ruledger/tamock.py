@@ -45,7 +45,6 @@ class TriggerActionMock(Process):
         self.channel_token = channel_token
         self.adversary_addr = adversary_addr
         self.exported: dict[int, dict] = {}
-        self.recorded: list[dict] = []
         self.outcomes: list[dict] = []
         self._seen_reqs: set[int] = set()
         self._forged: set[int] = set()
@@ -93,7 +92,6 @@ class TriggerActionMock(Process):
         # for single-action rules this is exactly one round trip.
         actions = self.exported[info["rule_id"]]["actions"]
         requests = [self._emit(info, cid, idx, forged=False) for idx in range(len(actions))]
-        self.recorded.extend(requests)
 
         if self.mode == MODE_FORGE_ACTIONS:
             # Variant A: invented event coordinates under the real cid.

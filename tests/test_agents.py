@@ -410,6 +410,16 @@ def test_duplicate_event_marks_are_counted():
                 if m["type"] == "trigger_request"]) == 1
 
 
+def test_repeated_bypass_event_is_a_counted_duplicate():
+    rig = _task_rig(ledger_enabled=False)
+    for _ in range(2):
+        rig.agent.on_message("exec", {"type": "bypass_event", "event_info": event_info()})
+    rig.sched.run(until=1000)
+    reqs = [m for _, _, m in rig.platform.inbox if m["type"] == "trigger_request"]
+    assert len(reqs) == 1
+    assert rig.agent.counters["duplicate_notifies"] == 1
+
+
 def test_wrong_channel_token_is_rejected():
     rig = _task_rig()
     rig.agent.on_message("platform", {
@@ -418,7 +428,6 @@ def test_wrong_channel_token_is_rejected():
     rig.sched.run(until=1000)
     assert rig.agent.counters["action_requests_received"] == 1
     assert rig.agent.counters["channel_rejects"] == 1
-    assert rig.agent.outcomes == []
     submitted = _submitted(rig)
     assert submitted == []
 

@@ -48,7 +48,7 @@ def test_log_service_is_write_once():
     log.write("e1", "k1", "sum1", "dev", 5)
     assert log.query_checksum("e1", "k1") == "sum1"
     assert log.lookup("e1", "k1") == {"log_sum": "sum1", "device_id": "dev", "at_ms": 5}
-    assert len(log) == 1 and log.writes == 1
+    assert len(log) == 1
     with pytest.raises(ValueError):
         log.write("e1", "k1", "sum2", "dev", 6)
     assert log.query_checksum("e1", "k1") == "sum1"

@@ -4,6 +4,9 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -492,3 +495,33 @@ def test_cli_attacks_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_attack_suite", lambda seed, include_negative: bad)
     assert cli.main(["attacks"]) == 1
     assert "ATTACK GOT THROUGH" in capsys.readouterr().out
+
+
+_IMPORT_EACH = """
+import importlib, sys, traceback
+from pathlib import Path
+root = Path(sys.argv[1])
+failed = []
+for path in sorted(root.rglob("*.py")):
+    parts = path.relative_to(root.parent).with_suffix("").parts
+    name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "ruledger"]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception:
+        failed.append(name)
+        traceback.print_exc()
+print(failed)
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_every_module_imports_as_the_first_ruledger_import():
+    """Each module imports in an interpreter that holds no other ruledger
+    module, so no import cycle can hide behind an eager package __init__."""
+    package = Path(contracts.__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_EACH, str(package)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
