@@ -15,6 +15,7 @@ from typing import Any
 # Only these leaf types may appear in canonical structures.  Floats are
 # excluded on purpose: protocol values are ints, strings, bools, or None.
 _LEAF_TYPES = (str, int, bool, type(None))
+_EXACT_LEAVES = frozenset(_LEAF_TYPES)  # a set lookup on type() is cheaper than isinstance
 
 # Containers may nest this deep.  Protocol messages nest about 10 levels;
 # the bound keeps the recursive walk far below the interpreter's recursion limit.
@@ -29,14 +30,17 @@ def is_canonical(obj: Any) -> bool:
 
 def _canonical_within(obj: Any, depth: int) -> bool:
     if isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
-            return False
+        for key in obj:
+            if not isinstance(key, str):
+                return False
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
         return isinstance(obj, _LEAF_TYPES)
     if depth == 0:
         return False
     for item in obj:
+        if type(item) in _EXACT_LEAVES:
+            continue
         if not (isinstance(item, _LEAF_TYPES) or _canonical_within(item, depth - 1)):
             return False
     return True

@@ -1,7 +1,9 @@
 """Ed25519 wallet keys and detached signatures over canonical bytes.
 
 A simulation's replicas share one process and verify through their `Network`'s
-`VerifyMemo`, so each distinct signed message costs one Ed25519 check.
+`VerifyMemo`, so each distinct signed message costs one Ed25519 check.  The memo
+takes the canonical bytes the caller already holds (a node serializes a submitted
+body once, for its tx id and its signature check), so a lookup serializes nothing.
 """
 
 from __future__ import annotations
@@ -59,13 +61,9 @@ def verify_signature(message: bytes, signature_hex: str, public_hex: str) -> boo
         return False
 
 
-def verify_signature_obj(obj: Any, signature_hex: str, public_hex: str) -> bool:
-    return verify_signature(canonical_bytes(obj), signature_hex, public_hex)
-
-
 class VerifyMemo:
-    """`verify_signature_obj` keeping the last `CAP` results, keyed by the full bytes so no
-    other message hits an entry; a miss calls the module's `verify_signature`."""
+    """`verify_signature` keeping the last `CAP` results, keyed by the full message bytes
+    so no other message hits an entry; a miss calls the module's `verify_signature`."""
 
     CAP = 256
 
@@ -73,9 +71,9 @@ class VerifyMemo:
         self.results: dict[tuple[bytes, str, str], bool] = {}  # oldest first
         self.lookups = 0  # the verifies a deployment, one process per replica, would pay
 
-    def __call__(self, obj: Any, signature_hex: str, public_hex: str) -> bool:
+    def __call__(self, message: bytes, signature_hex: str, public_hex: str) -> bool:
         self.lookups += 1
-        key = (canonical_bytes(obj), signature_hex, public_hex)
+        key = (message, signature_hex, public_hex)
         if key not in self.results:
             if len(self.results) >= self.CAP:
                 del self.results[next(iter(self.results))]

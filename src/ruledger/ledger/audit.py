@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import contracts
+from .. import contracts, keys
 # digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
 from ..canonical import (  # noqa: F401
     by_index,
@@ -142,7 +142,8 @@ def audit_records(records: list) -> AuditResult:
             issues.append(f"block {i}: proposal does not match its commit certificate")
         else:
             valid = len(valid_commit_votes(
-                pubkeys, proof["view"], h, proof["proposal_digest"], proof["votes"]
+                pubkeys, proof["view"], h, proof["proposal_digest"], proof["votes"],
+                keys.verify_signature,
             ))
             if valid < quorum:
                 issues.append(

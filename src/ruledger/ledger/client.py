@@ -43,6 +43,7 @@ class QuorumGate:
         sources.add(source)
         if len(sources) >= self.need:
             self._fired.add(key)
+            del self._seen[key]  # _fired answers every later offer of key
             return True
         return False
 
@@ -80,8 +81,7 @@ class LedgerClient:
         """Send a pending submission to every node and arm its timeout."""
         state = self.pending[tid]
         msg = {"type": "submit", "tx": state["tx"].wire()}
-        for addr in self.node_addrs:
-            self.owner.send(addr, msg)
+        self.owner.net.send(self.owner.addr, self.node_addrs, msg)  # one multicast
         tries = state["tries"]
         self.owner.net.scheduler.schedule(self.timeout_ms, lambda: self._on_timeout(tid, tries))
 

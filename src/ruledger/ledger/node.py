@@ -49,6 +49,8 @@ block; only `_commit_block` turns wires into `SignedTransaction`s.  A batch
 wire equal to its pool entry is not verified again: `_on_submit` verified
 it before pooling it.  Every check goes through `net.verify`, the memo all
 replicas of a simulation share (see `keys`); the audit verifies for itself.
+A fault-free node sends each broadcast as one multicast (see `sim.network`);
+a faulty one sends per destination, through its fault hooks.
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
@@ -70,6 +72,7 @@ from itertools import islice
 from .. import contracts
 from ..canonical import (
     by_index,
+    canonical_bytes,
     digest_hex,
     is_canonical,
     is_int,
@@ -79,8 +82,9 @@ from ..canonical import (
     object_of,
     one_of,
     or_none,
+    sha256_hex,
 )
-from ..keys import KeyPair, verify_signature_obj
+from ..keys import KeyPair
 from ..sim.network import Network, Process
 from . import tables
 from .faults import (
@@ -158,10 +162,11 @@ def batch_digest(batch_wires: list[dict]) -> str:
 
 
 def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
-                       votes: dict[str, str], verify=verify_signature_obj) -> dict[int, str]:
-    """The votes of a commit certificate whose signatures check, by node index.
-    votes is keyed by decimal node indexes, as MESSAGES and audit.BLOCK_PROOF require."""
-    body = _vote_body("c", view, height, digest)
+                       votes: dict[str, str], verify) -> dict[int, str]:
+    """The votes of a commit certificate whose signatures `verify` (over bytes, as
+    `keys.verify_signature`) checks, by node index.  votes is keyed by decimal node
+    indexes, as MESSAGES and audit.BLOCK_PROOF require."""
+    body = canonical_bytes(_vote_body("c", view, height, digest))
     valid: dict[int, str] = {}
     for key, sig in votes.items():
         idx = int(key)
@@ -172,7 +177,7 @@ def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
 
 def _signed(wires: list[dict], verify) -> bool:
     """Whether each tx wire carries its signer's signature over its body."""
-    return all(verify(w["body"], w["signature"], w["signer"]) for w in wires)
+    return all(verify(canonical_bytes(w["body"]), w["signature"], w["signer"]) for w in wires)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +314,7 @@ class LedgerNode(Process):
 
     def _vote_valid(self, body: dict, index: int, sig: str) -> bool:
         keys = self.config.node_pubkeys
-        return 0 <= index < len(keys) and self.net.verify(body, sig, keys[index])
+        return 0 <= index < len(keys) and self.net.verify(canonical_bytes(body), sig, keys[index])
 
     def _cast(self, dst: str, msg: dict) -> None:
         """Send one message, subject to this node's fault hooks."""
@@ -334,9 +339,15 @@ class LedgerNode(Process):
         else:  # equivocate misbehaves only at proposal time
             self.send(dst, msg)
 
-    def _broadcast(self, msg: dict) -> None:
-        for dst in self.config.node_addrs:
-            self._cast(dst, msg)
+    def _broadcast(self, msg: dict, dsts: list[str] | None = None) -> None:
+        """Send msg to dsts (every node by default) as one multicast; a faulty
+        node sends it one `_cast` at a time, so its hooks act per destination."""
+        dsts = self.config.node_addrs if dsts is None else dsts
+        if self.fault is None:
+            self.net.send(self.addr, dsts, msg)
+        else:
+            for dst in dsts:
+                self._cast(dst, msg)
 
     def _peers(self) -> list[str]:
         return [dst for dst in self.config.node_addrs if dst != self.addr]
@@ -347,8 +358,9 @@ class LedgerNode(Process):
     def _on_submit(self, src: str, msg: dict) -> None:
         """The one way a transaction enters the ledger (see the module docstring)."""
         wire = msg["tx"]
-        tid = digest_hex(wire["body"])
-        if not _signed([wire], self.net.verify):
+        body = canonical_bytes(wire["body"])  # once, for both the id and the signature
+        tid = sha256_hex(body)
+        if not self.net.verify(body, wire["signature"], wire["signer"]):
             reply = TxReceipt(tid, False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
@@ -409,8 +421,7 @@ class LedgerNode(Process):
         if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
             self._propose_equivocating(pre_prepare)
         else:
-            for dst in self._peers():
-                self._cast(dst, pre_prepare)
+            self._broadcast(pre_prepare, self._peers())
         self._on_pre_prepare(self.addr, pre_prepare, verified=True)
 
     def _propose_equivocating(self, pre_prepare: dict) -> None:
@@ -731,8 +742,7 @@ class LedgerNode(Process):
             pre_prepare = self._pre_prepare(new_view, self.next_height, batch_digest(wires), wires)
         new_view_msg = {"type": "new_view", "view": new_view,
                         "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
-        for dst in self._peers():
-            self._cast(dst, new_view_msg)
+        self._broadcast(new_view_msg, self._peers())
         self._rearm_timer()
         if pre_prepare is not None:
             self._on_pre_prepare(self.addr, pre_prepare, verified=True)

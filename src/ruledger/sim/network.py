@@ -1,10 +1,16 @@
 """In-memory message passing between simulated processes.
 
-No sockets are involved: `send` draws a delivery delay for each message
+No sockets are involved: `send` draws a delivery delay for each destination
 from the network's seeded RNG and schedules the destination's handler, so
 two messages on one link may arrive in either order.  Messages must be
 canonical-serializable dicts, which keeps them both deterministic to copy
 and realistic to corrupt byte-wise in fault experiments.
+
+`send` takes one address or a list of them.  A multicast serializes the
+message once and parses those bytes once per destination, so no receiver
+aliases the sender's objects or another receiver's; each destination still
+costs its own drop draw, delay draw and counts, in list order, so one
+multicast replays exactly as the same unicasts one after another.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from ..canonical import canonical_bytes
 from ..keys import VerifyMemo
@@ -88,20 +95,22 @@ class Network:
             raise ValueError(f"duplicate process address: {addr}")
         self.processes[addr] = process
 
-    def send(self, src: str, dst: str, msg: dict) -> None:
-        if dst not in self.processes:
-            raise KeyError(f"unknown destination: {dst}")
-        # Deep-copy through canonical bytes: the receiver can never alias
-        # the sender's objects, and non-canonical payloads fail loudly.
-        wire = canonical_bytes(msg)
-        self.sent += 1
-        if self.config.drop_prob > 0 and self.rng.random() < self.config.drop_prob:
-            self.dropped += 1
-            return
+    def send(self, src: str, dsts: str | list[str], msg: dict) -> None:
+        """Send msg to one address or to each of a list (see the module docstring)."""
+        dsts = [dsts] if isinstance(dsts, str) else dsts
+        for dst in dsts:
+            if dst not in self.processes:
+                raise KeyError(f"unknown destination: {dst}")
+        # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
+        wire = canonical_bytes(msg).decode("utf-8")
         lo, hi = self.config.delay_range
-        delay = self.rng.randint(lo, hi)
-        payload = json.loads(wire.decode("utf-8"))
-        self.scheduler.schedule(delay, lambda: self._deliver(src, dst, payload))
+        for dst in dsts:
+            self.sent += 1
+            if self.config.drop_prob > 0 and self.rng.random() < self.config.drop_prob:
+                self.dropped += 1
+                continue
+            delay = self.rng.randint(lo, hi)
+            self.scheduler.schedule(delay, partial(self._deliver, src, dst, json.loads(wire)))
 
     def _deliver(self, src: str, dst: str, msg: dict) -> None:
         self.delivered += 1

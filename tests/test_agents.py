@@ -44,6 +44,16 @@ def test_quorum_gate_fires_once_per_key():
     assert gate.offer("k2", "c")
 
 
+def test_quorum_gate_forgets_the_sources_of_a_fired_key():
+    f = 1
+    gate = agents.QuorumGate(f + 1)
+    for i in range(f + 1):
+        gate.offer("k", f"node{i}")
+    assert "k" not in gate._seen
+    assert not gate.offer("k", f"node{f + 1}")  # a later offer still counts for nothing
+    assert "k" not in gate._seen
+
+
 def test_quorum_gate_need_one_is_immediate():
     gate = agents.QuorumGate(1)
     assert gate.offer("k", "a")

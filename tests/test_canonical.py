@@ -2,9 +2,10 @@
 
 import hashlib
 import json
+from enum import IntEnum
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruledger.canonical import (
@@ -87,6 +88,71 @@ def test_round_trip_through_json(value):
 @given(canonical_values)
 def test_serialization_is_stable(value):
     assert canonical_bytes(value) == canonical_bytes(json.loads(canonical_bytes(value)))
+
+
+# The reference: the plain form of `is_canonical`, with no fast path for exact
+# leaf types.  The property below holds the two to the same verdicts.
+_REF_LEAF_TYPES = (str, int, bool, type(None))
+
+
+def _reference_within(obj, depth):
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            return False
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, _REF_LEAF_TYPES)
+    if depth == 0:
+        return False
+    for item in obj:
+        if not (isinstance(item, _REF_LEAF_TYPES) or _reference_within(item, depth - 1)):
+            return False
+    return True
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+_leaves = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(max_size=4)
+           | st.sampled_from(list(_Level)) | st.text(max_size=4).map(_Tag)
+           | st.floats() | st.binary(max_size=2))
+_keys = (st.text(max_size=4) | st.text(max_size=4).map(_Tag) | st.integers(-3, 3)
+         | st.booleans() | st.none() | st.sampled_from(list(_Level)) | st.tuples(st.integers(0, 2)))
+_any_values = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=3) | st.tuples(children, children)
+    | st.dictionaries(_keys, children, max_size=3),
+    max_leaves=12,
+)
+_WRAPS = (lambda v: [v], lambda v: (v,), lambda v: {"a": v}, lambda v: {_Tag("k"): v})
+
+
+def _wrapped(value, levels, kinds):
+    """value inside `levels` containers, the i-th of kind _WRAPS[kinds[i % len(kinds)]]."""
+    for i in range(levels):
+        value = _WRAPS[kinds[i % len(kinds)]](value)
+    return value
+
+
+# Values nested from a few levels under MAX_DEPTH to one level over it.
+_deep_values = st.builds(_wrapped, _any_values, st.integers(MAX_DEPTH - 3, MAX_DEPTH + 1),
+                         st.lists(st.integers(0, len(_WRAPS) - 1), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_any_values | _deep_values)
+@example(_nested(MAX_DEPTH, lambda v: [v]))
+@example(_nested(MAX_DEPTH + 1, lambda v: [v]))
+@example(_nested(MAX_DEPTH, lambda v: (_Level.LOW, v)))
+@example(_nested(MAX_DEPTH + 1, lambda v: {_Tag("k"): v, "b": True}))
+def test_is_canonical_agrees_with_the_reference(value):
+    assert is_canonical(value) == _reference_within(value, MAX_DEPTH)
 
 
 def test_derive_seed_streams_are_stable_and_distinct():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import hr_rule, make_rig, rule_commit_tx
 from ruledger import keys
-from ruledger.keys import KeyPair, VerifyMemo, verify_signature, verify_signature_obj
+from ruledger.canonical import canonical_bytes
+from ruledger.keys import KeyPair, VerifyMemo, verify_signature
 
 
 def test_sign_verify_round_trip():
@@ -49,7 +50,7 @@ def test_seeded_keys_differ_by_label_and_seed():
 def test_sign_obj_matches_canonical_signature():
     kp = KeyPair.from_seed(1, "x")
     obj = {"b": 2, "a": 1}
-    assert verify_signature_obj({"a": 1, "b": 2}, kp.sign_obj(obj), kp.public_hex)
+    assert verify_signature(canonical_bytes({"a": 1, "b": 2}), kp.sign_obj(obj), kp.public_hex)
 
 
 def test_repr_does_not_leak_private_material():
@@ -77,7 +78,7 @@ def _triple(body: int, signer: int, change: str):
         sig = _flip(sig)
     elif change == "key":
         pub = _SIGNERS[1 - signer].public_hex
-    return obj, sig, pub
+    return canonical_bytes(obj), sig, pub
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -90,8 +91,8 @@ def test_memo_agrees_with_verify_over_any_interleaving(calls, cap):
     # The same body with a bad signature right after a good one, then good again.
     calls = [(0, 0, "none"), (0, 0, "sig"), (0, 0, "none"), *calls]
     for call in calls:
-        triple = _triple(*call)
-        assert memo(*triple) == verify_signature_obj(*triple)
+        message, sig, pub = _triple(*call)
+        assert memo(message, sig, pub) == verify_signature(message, sig, pub)
         assert len(memo.results) <= cap
     assert memo.lookups == len(calls)
 
@@ -99,7 +100,7 @@ def test_memo_agrees_with_verify_over_any_interleaving(calls, cap):
 def test_memo_is_bounded():
     memo = VerifyMemo()
     for i in range(10 * VerifyMemo.CAP):
-        memo({"n": i}, _SIGS[0][0], _SIGNERS[0].public_hex)
+        memo(canonical_bytes({"n": i}), _SIGS[0][0], _SIGNERS[0].public_hex)
     assert len(memo.results) <= VerifyMemo.CAP
     assert memo.lookups == 10 * VerifyMemo.CAP
 

@@ -181,13 +181,14 @@ def _sync_reply(node, height):
 
 
 def _record_sends(rig):
-    """Note (src, dst, msg) of every message sent from now on."""
+    """Note (src, dst, msg) of every message sent from now on, one per
+    destination of a multicast."""
     sent = []
     send = rig.net.send
 
-    def recording(src, dst, msg):
-        sent.append((src, dst, msg))
-        send(src, dst, msg)
+    def recording(src, dsts, msg):
+        sent.extend((src, dst, msg) for dst in ([dsts] if isinstance(dsts, str) else dsts))
+        send(src, dsts, msg)
 
     rig.net.send = recording
     return sent
@@ -481,10 +482,10 @@ def test_a_pooled_tx_is_not_verified_again_in_a_pre_prepare(monkeypatch):
     memo, verify = rig.net.verify, keys_mod.verify_signature
     assert all(node.net.verify is memo for node in rig.nodes)
 
-    def counting_memo(body, sig, pubkey):
-        if body == tx.body:
+    def counting_memo(message, sig, pubkey):
+        if message == tx.body_bytes():
             logical.append(pubkey)
-        return memo(body, sig, pubkey)
+        return memo(message, sig, pubkey)
 
     def counting_verify(message, sig, pubkey):
         if message == tx.body_bytes():

@@ -112,6 +112,65 @@ def test_non_canonical_message_fails_at_send():
         a.send("b", {"x": 1.5})
 
 
+class Logger(Process):
+    """Appends (time, src, dst, msg) of each delivery to a log shared by all receivers."""
+
+    def __init__(self, addr, net, log):
+        super().__init__(addr, net)
+        self.log = log
+
+    def on_message(self, src, msg):
+        self.log.append((self.net.scheduler.now, src, self.addr, msg))
+
+
+def _fan_out(multicast, seed=9):
+    sch = Scheduler()
+    net = Network(sch, NetConfig(delay_range=(1, 20), drop_prob=0.3), random.Random(seed))
+    log = []
+    src = Logger("src", net, log)
+    dsts = [Logger(f"r{i}", net, log).addr for i in range(6)]
+    for i in range(20):
+        msg = {"i": i, "body": [i, "x"]}
+        if multicast:
+            net.send("src", dsts, msg)
+        else:
+            for dst in dsts:
+                src.send(dst, msg)
+    sch.run()
+    return log, (net.sent, net.dropped, net.delivered)
+
+
+def test_a_multicast_replays_as_the_same_unicasts():
+    multicast, unicasts = _fan_out(True), _fan_out(False)
+    assert multicast == unicasts  # delivery times, order, messages and counters
+    sent, dropped, delivered = multicast[1]
+    assert sent == 120 and 0 < dropped < sent and delivered == sent - dropped
+
+
+def test_multicast_receivers_do_not_share_a_message():
+    sch = Scheduler()
+    net = Network(sch, NetConfig(), random.Random(1))
+    Sink("a", net)
+    b, c = Sink("b", net), Sink("c", net)
+    msg = {"x": [1, 2]}
+    net.send("a", ["b", "c"], msg)
+    sch.run()
+    b.inbox[0][2]["x"].append(3)
+    assert c.inbox[0][2] == msg == {"x": [1, 2]}
+
+
+def test_a_multicast_to_an_unknown_destination_sends_nothing():
+    sch = Scheduler()
+    rng = random.Random(1)
+    net = Network(sch, NetConfig(drop_prob=0.5), rng)
+    Sink("a", net)
+    Sink("b", net)
+    state = rng.getstate()
+    with pytest.raises(KeyError):
+        net.send("a", ["b", "nobody"], {})
+    assert sch.pending() == 0 and net.sent == 0 and rng.getstate() == state
+
+
 def test_unknown_destination_and_duplicate_address():
     sch = Scheduler()
     net = Network(sch, NetConfig(), random.Random(1))
