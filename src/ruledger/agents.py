@@ -5,8 +5,10 @@ client for submissions and reacts to node notifications.  It acts on the
 ledger's word, a receipt or a notification, only through the one f + 1 rule,
 `LedgerClient.heard` in `ledger.client`: a notification counts once f + 1
 node addresses sent the same content, so a minority of lying nodes, or
-anyone else, cannot steer an agent.  An event, named by its
-(rule_id, event_seq), is then acted on at most once (`AgentBase._first`).
+anyone else, cannot steer an agent.  No agent is told f: it derives from the
+agent's node list by the one fault bound, `ledger.node.max_faulty`.  An
+event, named by its (rule_id, event_seq), is then acted on at most once
+(`AgentBase._first`).
 Each agent declares the shape of every message it handles in `MESSAGES`,
 which the boundary every process shares (see `sim.Process`) checks before a
 handler reads the message.
@@ -33,10 +35,10 @@ _ACTIONS = list_of(object_of(step_id=is_int, op_name=one_of(*CATALOG), device_id
 class AgentBase(Process):
     MESSAGES = {"receipt": (RECEIPT, "_on_receipt")}
 
-    def __init__(self, addr, net, keypair: KeyPair, node_addrs, f: int):
+    def __init__(self, addr, net, keypair: KeyPair, node_addrs):
         super().__init__(addr, net)
         self.keypair = keypair
-        self.client = LedgerClient(self, node_addrs, f)
+        self.client = LedgerClient(self, node_addrs)
         self.gate = self.client.new_gate()  # for notifications
         self.marks: set[tuple] = set()  # the (rule_id, event_seq) of events acted on
         self._nonce = 0
@@ -68,9 +70,9 @@ class UserAgent(AgentBase):
     MESSAGES = {**AgentBase.MESSAGES, "export_ok": (
         with_fields(type=one_of("export_ok"), rule_id=is_int), "_on_export_ok")}
 
-    def __init__(self, addr, net, keypair, node_addrs, f, usr_id,
+    def __init__(self, addr, net, keypair, node_addrs, usr_id,
                  tamock_addr=None, exec_agent_addr=None):
-        super().__init__(addr, net, keypair, node_addrs, f)
+        super().__init__(addr, net, keypair, node_addrs)
         self.usr_id = usr_id
         self.tamock_addr = tamock_addr
         self.exec_agent_addr = exec_agent_addr
@@ -179,9 +181,9 @@ class ExecutionAgent(AgentBase):
         "rpc_result": (RPC_RESULT, "_on_rpc_result"),
     }
 
-    def __init__(self, addr, net, keypair, node_addrs, f, rng, label="exec",
+    def __init__(self, addr, net, keypair, node_addrs, rng, label="exec",
                  record_actions=True, ledger_enabled=True, task_agent_addr=None):
-        super().__init__(addr, net, keypair, node_addrs, f)
+        super().__init__(addr, net, keypair, node_addrs)
         self.rng = rng
         self.label = label
         self.record_actions = record_actions
@@ -406,9 +408,9 @@ class TaskAgent(AgentBase):
         "trigger_ack": (with_fields(type=one_of("trigger_ack"), req_id=is_int), "_on_trigger_ack"),
     }
 
-    def __init__(self, addr, net, keypair, node_addrs, f, tamock_addr=None,
+    def __init__(self, addr, net, keypair, node_addrs, tamock_addr=None,
                  channel_token="", ledger_enabled=True, exec_agent_addr=None):
-        super().__init__(addr, net, keypair, node_addrs, f)
+        super().__init__(addr, net, keypair, node_addrs)
         self.tamock_addr = tamock_addr
         self.channel_token = channel_token
         self.ledger_enabled = ledger_enabled

@@ -56,11 +56,8 @@ def _make_world(seed: int, **overrides) -> World:
 
 
 def _attacker(world: World, label: str = "attacker") -> AgentBase:
-    return AgentBase(
-        label, world.net,
-        KeyPair.from_seed(world.config["seed"], f"acct/{label}"),
-        world.ledger_config.node_addrs, world.ledger_config.f,
-    )
+    return AgentBase(label, world.net, KeyPair.from_seed(world.config["seed"], f"acct/{label}"),
+                     world.ledger_config.node_addrs)
 
 
 def _attacker_codes(agent: AgentBase) -> list[str]:
@@ -354,16 +351,14 @@ ATTACKS = (
 )
 
 
-def run_attack_suite(seed: int = DEFAULT_SEED, include_negative: bool = True) -> dict:
+def run_attack_suite(seed: int = DEFAULT_SEED) -> dict:
     outcomes = [fn(seed) for fn in ATTACKS]
-    result = {
+    # Control: with log verification switched off, the spoof must land.
+    control = attack_event_spoof(seed, check_event_log=False)
+    return {
         "seed": seed,
         "attacks": [vars(o) for o in outcomes],
         "all_blocked": all(o.blocked for o in outcomes),
+        "negative_control": vars(control),
+        "negative_control_succeeded": not control.blocked,
     }
-    if include_negative:
-        # Control: with log verification switched off, the spoof must land.
-        control = attack_event_spoof(seed, check_event_log=False)
-        result["negative_control"] = vars(control)
-        result["negative_control_succeeded"] = not control.blocked
-    return result

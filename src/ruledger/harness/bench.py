@@ -83,28 +83,21 @@ def _run_one(seed: int, nodes: int, with_ledger: bool, requests: int, concurrenc
 
 
 def run_bench(requests: int = 300, concurrency: int = 10, nodes: int = 4,
-              seed: int = 7, sweep: tuple = (), mode: str = "both") -> dict:
-    if mode not in ("both", "with_ledger", "bypass"):
-        raise ValueError(f"unknown bench mode {mode!r}")
-    baseline = ledger = None
-    if mode in ("both", "bypass"):
-        baseline = _run_one(seed, nodes, False, requests, concurrency)
-    if mode in ("both", "with_ledger"):
-        ledger = _run_one(seed, nodes, True, requests, concurrency)
+              seed: int = 7, sweep: tuple = ()) -> dict:
+    baseline = _run_one(seed, nodes, False, requests, concurrency)
+    ledger = _run_one(seed, nodes, True, requests, concurrency)
 
     overhead_pct = None
-    if baseline is not None and ledger is not None:
-        base_e2e = baseline["end_to_end_sim_ms"]["mean"]
-        ledger_e2e = ledger["end_to_end_sim_ms"]["mean"]
-        if base_e2e > 0:
-            overhead_pct = round((ledger_e2e - base_e2e) / base_e2e * 100.0, 2)
+    base_e2e = baseline["end_to_end_sim_ms"]["mean"]
+    ledger_e2e = ledger["end_to_end_sim_ms"]["mean"]
+    if base_e2e > 0:
+        overhead_pct = round((ledger_e2e - base_e2e) / base_e2e * 100.0, 2)
 
     sweep_rows = []
     for n in sweep:
         sweep_rows.append(_run_one(seed, n, True, min(requests, 300), concurrency))
 
     return {
-        "mode": mode,
         "requests": requests,
         "concurrency": concurrency,
         "baseline_bypass": baseline,
@@ -119,8 +112,6 @@ def format_bench(result: dict) -> str:
     lines = [f"requests={result['requests']} concurrency={result['concurrency']}"]
     for label, row in (("bypass", result["baseline_bypass"]),
                        ("ledger", result["with_ledger"])):
-        if row is None:
-            continue
         lines.append(
             f"  {label} nodes={row['nodes']}: completed={row['completed']} "
             f"wall={row['wall_s']}s tps={row['wall_tps']} "

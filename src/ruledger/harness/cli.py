@@ -68,20 +68,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_attacks(args) -> int:
     seed = _resolve_seed(args)
-    suite = run_attack_suite(seed if seed is not None else 1337,
-                             include_negative=not args.no_negative_control)
+    suite = run_attack_suite(seed if seed is not None else 1337)
     for row in suite["attacks"]:
         status = "BLOCKED  " if row["blocked"] else "SUCCEEDED"
         codes = ",".join(row["codes_seen"]) or "-"
         print(f"[{status}] {row['name']:<18} codes={codes} {row['notes']}")
-    ok = suite["all_blocked"]
-    if "negative_control" in suite:
-        control = suite["negative_control"]
-        landed = suite["negative_control_succeeded"]
-        status = "SUCCEEDED" if landed else "BLOCKED  "
-        print(f"[{status}] {control['name']:<18} (control: expected to succeed) "
-              f"{control['notes']}")
-        ok = ok and landed
+    control = suite["negative_control"]
+    landed = suite["negative_control_succeeded"]
+    status = "SUCCEEDED" if landed else "BLOCKED  "
+    print(f"[{status}] {control['name']:<18} (control: expected to succeed) "
+          f"{control['notes']}")
+    ok = suite["all_blocked"] and landed
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(suite, fh, indent=2, sort_keys=True)
@@ -99,7 +96,6 @@ def _cmd_bench(args) -> int:
         nodes=args.nodes,
         seed=seed if seed is not None else 7,
         sweep=(4, 7, 10) if args.sweep else (),
-        mode=args.mode,
     )
     print(format_bench(result))
     if args.out:
@@ -144,13 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_att = sub.add_parser("attacks", help="run the attack suite")
     p_att.add_argument("--seed", type=int, default=None)
     p_att.add_argument("--out", default=None, help="file for suite results JSON")
-    p_att.add_argument("--no-negative-control", action="store_true",
-                       help="skip the log-check-disabled control run")
     p_att.set_defaults(fn=_cmd_attacks)
 
     p_bench = sub.add_parser("bench", help="measure pipeline throughput and latency")
-    p_bench.add_argument("--mode", choices=("both", "with_ledger", "bypass"),
-                         default="both")
     p_bench.add_argument("--requests", type=int, default=300)
     p_bench.add_argument("--concurrency", type=int, default=10)
     p_bench.add_argument("--nodes", type=int, default=4)

@@ -23,7 +23,7 @@ from importlib import resources
 from ..canonical import is_canonical, is_int, is_str, list_of, one_of
 from ..devices import DEVICE_KINDS
 from ..ledger.faults import FAULT_KINDS, FaultSpec
-from ..ledger.node import ConfigError, LedgerConfig
+from ..ledger.node import ConfigError, LedgerConfig, replica_count_ok
 from ..rules import parse_rule
 from ..sim.network import NetConfig
 from ..tamock import MODE_HONEST
@@ -90,7 +90,7 @@ SCENARIO = {
     "schema": (REQUIRED, one_of(1)),
     "name": (REQUIRED, _name),
     "seed": (REQUIRED, is_int),
-    "nodes": (4, lambda v: is_int(v) and (v == 1 or v >= 4)),
+    "nodes": (4, lambda v: is_int(v) and replica_count_ok(v)),
     "duration_ms": (REQUIRED, _positive),
     "drain_ms": (6000, _count),
     "trigger_mode": ("poll", one_of(*TRIGGER_MODES)),

@@ -9,7 +9,6 @@ scenario seed under a distinct label.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 
@@ -25,7 +24,7 @@ from ..rules import parse_rule
 from ..sim.network import NetConfig, Network
 from ..sim.scheduler import Scheduler
 from ..tamock import MODE_TOKEN_REUSE, AdversaryEndpoint, TriggerActionMock
-from .report import build_stats, validate_report
+from .report import build_stats, report_bytes, validate_report
 
 
 class World:
@@ -89,7 +88,6 @@ class World:
                 fault=fault, log_query=self.log.query_checksum,
             ))
 
-        f = self.ledger_config.f
         channel_token = f"chan-{sha256_hex(str(seed).encode())[:12]}"
         adversary_mode = config["adversary"]["mode"]
         self.adversary = None
@@ -103,12 +101,12 @@ class World:
         )
         self.task_agent = TaskAgent(
             "task", self.net, KeyPair.from_seed(seed, "acct/task-agent"),
-            node_addrs, f, tamock_addr="tamock", channel_token=channel_token,
+            node_addrs, tamock_addr="tamock", channel_token=channel_token,
             ledger_enabled=config["with_ledger"], exec_agent_addr="exec",
         )
         self.exec_agent = ExecutionAgent(
             "exec", self.net, KeyPair.from_seed(seed, "acct/exec-agent"),
-            node_addrs, f, rng=random.Random(derive_seed(seed, "exec/rng")),
+            node_addrs, rng=random.Random(derive_seed(seed, "exec/rng")),
             record_actions=config["record_action_executions"],
             ledger_enabled=config["with_ledger"], task_agent_addr="task",
         )
@@ -119,7 +117,7 @@ class World:
         for acct in accounts:
             self.user_agents[acct["name"]] = UserAgent(
                 f"user:{acct['name']}", self.net, self.account_keys[acct["name"]],
-                node_addrs, f, acct["usr_id"], tamock_addr="tamock", exec_agent_addr="exec",
+                node_addrs, acct["usr_id"], tamock_addr="tamock", exec_agent_addr="exec",
             )
         self.owner = self.user_agents[accounts[0]["name"]]
 
@@ -257,9 +255,8 @@ class World:
         os.makedirs(out_dir, exist_ok=True)
         report = self.build_report()
         report_path = os.path.join(out_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(report_path, "wb") as fh:
+            fh.write(report_bytes(report))
         dump_paths = []
         for i, node in enumerate(self.nodes):
             path = os.path.join(out_dir, f"ledger-node{i}.dump")

@@ -13,6 +13,14 @@ audit checks its digest against the certificate and that `txs` is an
 in-order subsequence of it.  Block content is tied to the chain by the
 recomputed digests.  Each record is checked against its shape before it is
 read, so a malformed dump is reported, never raised on.
+
+The header's `n` and `f` are not trusted: the audit derives f and the
+commit quorum from the header's key list by the one fault bound
+(`node.max_faulty`), and reports a header whose `n` or `f` disagrees with
+that list, or whose list is no valid replica count, as malformed.  It does
+trust the key list and the genesis ACL themselves, so a dump re-keyed
+throughout is consistent with itself: compare its header with the
+deployment's keys.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .node import (
     block_digest,
     genesis_block,
     genesis_state,
+    max_faulty,
+    quorum_size,
+    replica_count_ok,
     tx_wire,
     valid_commit_votes,
 )
@@ -107,8 +118,17 @@ def _parse_dump(data: bytes) -> list[dict]:
     return records
 
 
+def _header_ok(record) -> bool:
+    """Whether record is a header whose key list is a replica set that runs,
+    with that set's n and f."""
+    if not HEADER(record):
+        return False
+    n = len(record["node_pubkeys"])
+    return replica_count_ok(n) and record["n"] == n and record["f"] == max_faulty(n)
+
+
 def audit_records(records: list) -> AuditResult:
-    if not records or not HEADER(records[0]):
+    if not records or not _header_ok(records[0]):
         return AuditResult(False, 0, ["missing or malformed header record"])
     malformed = [f"record {i}: malformed" for i, record in enumerate(records[1:], 1)
                  if not (BLOCK(record) or FOOTER(record))]
@@ -119,7 +139,7 @@ def audit_records(records: list) -> AuditResult:
     blocks = [r for r in records if r["type"] == "block"]
     footers = [r for r in records if r["type"] == "state"]
     pubkeys = header["node_pubkeys"]
-    quorum = 2 * header["f"] + 1
+    quorum = quorum_size(len(pubkeys))
 
     genesis = {"type": "block", **genesis_block()}
     if blocks[:1] != [genesis]:

@@ -8,9 +8,10 @@ again.
 An agent acts on the ledger's word only through `LedgerClient.heard`: a key
 (a receipt's outcome, a notification's content) counts as said once f + 1
 distinct node addresses sent it, and a sender that is not a node counts for
-nothing.  With at most f faulty replicas, one of those f + 1 is honest, so a
-lying minority cannot spoof a receipt, a signature reject included, or a
-notification.  Receipts use one gate per pending submission, notifications
+nothing.  f is `node.max_faulty` of the client's node list, the one fault
+bound, so no caller states it.  With at most f faulty replicas, one of
+those f + 1 is honest, so a lying minority cannot spoof a receipt, a
+signature reject included, or a notification.  Receipts use one gate per pending submission, notifications
 one gate per agent (see `agents`).
 """
 
@@ -20,6 +21,7 @@ from typing import Callable
 
 from ..canonical import is_int, is_str, message, one_of, or_none
 from ..sim.network import Process
+from .node import max_faulty
 from .tx import SignedTransaction, TxReceipt
 
 ReceiptCallback = Callable[[TxReceipt], None]
@@ -49,16 +51,9 @@ class QuorumGate:
 
 
 class LedgerClient:
-    def __init__(
-        self,
-        owner: Process,
-        node_addrs: list[str],
-        f: int,
-        timeout_ms: int = 8000,
-    ):
+    def __init__(self, owner: Process, node_addrs: list[str], timeout_ms: int = 8000):
         self.owner = owner
         self.node_addrs = node_addrs
-        self.f = f
         self.timeout_ms = timeout_ms
         # tx_id -> {gate, cb, tx, tries, submitted_at}
         self.pending: dict[str, dict] = {}
@@ -98,7 +93,7 @@ class LedgerClient:
         self._send(tid)
 
     def new_gate(self) -> QuorumGate:
-        return QuorumGate(self.f + 1)
+        return QuorumGate(max_faulty(len(self.node_addrs)) + 1)
 
     def heard(self, gate: QuorumGate, src: str, key) -> bool:
         """The one f + 1 rule: true exactly once per key, when the (f + 1)-th

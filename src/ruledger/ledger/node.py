@@ -8,13 +8,13 @@ stands between a client and the other replicas.
 
 Nodes order pooled transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
-f = (N - 1) // 3 Byzantine peers.  A node commits a block once it holds
-2f + 1 matching commit votes and executes the batch through the
-verification contracts.  `_commit_block` then sends a receipt to each
-submitter that waits on one of the batch's transactions, and after all
-receipts, in tx order, one notification per accepted transaction an agent
-acts on: `notify_event`, with the event's cid, to the task agent for each
-event that a rule's action may consume, and `notify_actions`, with the
+f = `max_faulty(N)` Byzantine peers.  A node commits a block once it holds
+`quorum_size(N)` = 2f + 1 matching commit votes and executes the batch
+through the verification contracts.  `_commit_block` then sends a receipt
+to each submitter that waits on one of the batch's transactions, and after
+all receipts, in tx order, one notification per accepted transaction an
+agent acts on: `notify_event`, with the event's cid, to the task agent for
+each event that a rule's action may consume, and `notify_actions`, with the
 authorized action list, to the execution agent for each action.  Agents act
 on a notification once f + 1 nodes sent it (see `client`).
 
@@ -108,6 +108,24 @@ class ConfigError(ValueError):
     """Invalid ledger or scenario configuration."""
 
 
+# The one fault bound.  f and every quorum are facts about the replica count n
+# (PBFT needs n >= 3f + 1), so everything derives them from a replica list.
+
+def replica_count_ok(n: int) -> bool:
+    """Whether n replicas run: one in single-node test mode, else at least 4."""
+    return n == 1 or n >= 4
+
+
+def max_faulty(n: int) -> int:
+    """f, the most Byzantine replicas n replicas tolerate."""
+    return (n - 1) // 3
+
+
+def quorum_size(n: int) -> int:
+    """2f + 1: the votes that prepare or commit a proposal among n replicas."""
+    return 2 * max_faulty(n) + 1
+
+
 @dataclass
 class LedgerConfig:
     node_addrs: list[str]
@@ -123,7 +141,7 @@ class LedgerConfig:
         n = len(self.node_addrs)
         if n != len(self.node_pubkeys):
             raise ConfigError("node_addrs and node_pubkeys length mismatch")
-        if n != 1 and n < 4:
+        if not replica_count_ok(n):
             raise ConfigError(
                 f"replicated mode needs at least 4 nodes (got {n}); "
                 "single-node test mode uses exactly 1"
@@ -135,11 +153,11 @@ class LedgerConfig:
 
     @property
     def f(self) -> int:
-        return (self.n - 1) // 3
+        return max_faulty(self.n)
 
     @property
     def quorum(self) -> int:
-        return 2 * self.f + 1
+        return quorum_size(self.n)
 
     def primary(self, view: int) -> int:
         return view % self.n
@@ -422,7 +440,7 @@ class LedgerNode(Process):
             self._propose_equivocating(pre_prepare)
         else:
             self._broadcast(pre_prepare, self._peers())
-        self._on_pre_prepare(self.addr, pre_prepare, verified=True)
+        self._on_pre_prepare(self.addr, pre_prepare)
 
     def _propose_equivocating(self, pre_prepare: dict) -> None:
         """Send conflicting proposals to two halves of the replica set."""
@@ -442,15 +460,16 @@ class LedgerNode(Process):
     def _slot(self, view: int, height: int) -> _Slot:
         return self.slots.setdefault(height, {}).setdefault(view, _Slot())
 
-    def _on_pre_prepare(self, src: str, msg: dict, verified: bool = False) -> None:
+    def _on_pre_prepare(self, src: str, msg: dict) -> None:
+        """A peer's pre-prepare, this node's own as primary, or a buffered one
+        replayed: each passes the same signature check, through `net.verify`."""
         view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
         if view != self.view or sender != self.config.primary(view):
             self.counters["malformed_dropped"] += 1
             return
         if h < self.next_height:
             return
-        body = _vote_body("pp", view, h, digest)
-        if not verified and not self._vote_valid(body, sender, msg["sig"]):
+        if not self._vote_valid(_vote_body("pp", view, h, digest), sender, msg["sig"]):
             self.counters["malformed_dropped"] += 1
             return
         if h > self.next_height:
@@ -607,7 +626,7 @@ class LedgerNode(Process):
         buffered, self.pp_buffer = self.pp_buffer, []
         for msg in buffered:
             if msg["height"] >= self.next_height:
-                self._on_pre_prepare("", msg, verified=True)
+                self._on_pre_prepare("", msg)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
         """Send the committed blocks from the asked height, at most SYNC_RUN of them."""
@@ -745,7 +764,7 @@ class LedgerNode(Process):
         self._broadcast(new_view_msg, self._peers())
         self._rearm_timer()
         if pre_prepare is not None:
-            self._on_pre_prepare(self.addr, pre_prepare, verified=True)
+            self._on_pre_prepare(self.addr, pre_prepare)
 
     def _on_new_view(self, src: str, msg: dict) -> None:
         view = msg["view"]

@@ -61,9 +61,9 @@ class ClientProcess(Process):
 
     MESSAGES = {"receipt": (RECEIPT, "_on_receipt")}
 
-    def __init__(self, addr, net, node_addrs, f, timeout_ms=4000):
+    def __init__(self, addr, net, node_addrs, timeout_ms=4000):
         super().__init__(addr, net)
-        self.client = LedgerClient(self, node_addrs, f, timeout_ms=timeout_ms)
+        self.client = LedgerClient(self, node_addrs, timeout_ms=timeout_ms)
 
     def _on_receipt(self, src, msg):
         self.client.on_receipt(src, msg)
@@ -90,8 +90,7 @@ def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,
             f"node{i}", net, i, kp, config,
             random.Random(derive_seed(seed, f"node{i}/rng")), fault=fault,
         ))
-    client = ClientProcess("client", net, config.node_addrs, config.f,
-                           timeout_ms=client_timeout_ms)
+    client = ClientProcess("client", net, config.node_addrs, timeout_ms=client_timeout_ms)
     return SimpleNamespace(scheduler=scheduler, net=net, config=config,
                            nodes=nodes, keys=keys, admin=admin, client=client)
 

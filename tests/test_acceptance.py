@@ -91,7 +91,7 @@ def test_criterion_1_consensus_safety_under_faults():
 
 def test_criterion_2_attack_suite_blocked():
     t0 = time.perf_counter()
-    suite = run_attack_suite(1337, include_negative=True)
+    suite = run_attack_suite(1337)
     wall = time.perf_counter() - t0
     unblocked = [a["name"] for a in suite["attacks"] if not a["blocked"]]
     ok = (len(suite["attacks"]) == 9
@@ -383,8 +383,7 @@ def test_heart_rate_outputs_match_pinned_digests(heart_rate_runs):
 @pytest.fixture(scope="module")
 def bench_run():
     t0 = time.perf_counter()
-    result = run_bench(requests=2000, concurrency=2000, nodes=4, seed=7,
-                       sweep=(4, 7, 10), mode="both")
+    result = run_bench(requests=2000, concurrency=2000, nodes=4, seed=7, sweep=(4, 7, 10))
     return result, time.perf_counter() - t0
 
 

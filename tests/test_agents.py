@@ -60,11 +60,11 @@ def test_quorum_gate_need_one_is_immediate():
     assert not gate.offer("k", "b")
 
 
-def _rig(f=1, seed=3, **exec_kwargs):
+def _rig(seed=3, **exec_kwargs):
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(seed))
     log = devices.LogService()
-    nodes = [Sink(f"node{i}", net) for i in range(3 * f + 1)]
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
     gw = devices.Gateway("gw", net, "vend")
     watch = devices.Device("dev/w", net, "watch-1", "heart_rate", "vend", log,
                            initial={"heart_rate": 190})
@@ -72,7 +72,7 @@ def _rig(f=1, seed=3, **exec_kwargs):
                           initial={"lock": "locked"})
     agent = agents.ExecutionAgent(
         "exec", net, KeyPair.from_seed(1, "acct/exec"),
-        [n.addr for n in nodes], f, random.Random(seed + 1), **exec_kwargs)
+        [n.addr for n in nodes], random.Random(seed + 1), **exec_kwargs)
     agent.add_device_route("watch-1", gw.addr, gw.register_device(watch))
     agent.add_device_route("lock-1", gw.addr, gw.register_device(lock))
     return SimpleNamespace(sched=sched, net=net, log=log, nodes=nodes,
@@ -352,13 +352,13 @@ def test_bypass_cycle_routes_final_step_to_task_agent():
 # task agent
 
 
-def _task_rig(f=1, seed=5, **kwargs):
+def _task_rig(seed=5, **kwargs):
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(seed))
-    nodes = [Sink(f"node{i}", net) for i in range(3 * f + 1)]
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
     platform = Sink("platform", net)
     agent = agents.TaskAgent("task", net, KeyPair.from_seed(2, "acct/task"),
-                             [n.addr for n in nodes], f,
+                             [n.addr for n in nodes],
                              tamock_addr="platform", channel_token="chan-1", **kwargs)
     return SimpleNamespace(sched=sched, net=net, nodes=nodes,
                            platform=platform, agent=agent)
@@ -469,7 +469,7 @@ def test_malformed_platform_messages_are_dropped():
     assert rig.agent.counters["action_requests_received"] == 0
 
     user = agents.UserAgent("user", rig.net, KeyPair.from_seed(3, "acct/user"),
-                            [n.addr for n in rig.nodes], 1, usr_id=1)
+                            [n.addr for n in rig.nodes], usr_id=1)
     user.on_message("platform", {"type": "export_ok", "rule_id": [1]})
     assert user.export_acked == set()
 
@@ -498,7 +498,7 @@ def test_rule_export_retries_until_acked():
     nodes = [Sink(f"node{i}", net) for i in range(4)]
     platform = Sink("platform", net)
     user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
-                            [n.addr for n in nodes], 1, usr_id=1,
+                            [n.addr for n in nodes], usr_id=1,
                             tamock_addr="platform")
     rule = parse_rule(hr_rule())
     user._export_rule(rule)
@@ -508,7 +508,7 @@ def test_rule_export_retries_until_acked():
     assert exports[0]["actions"] == ["open_door_operation"]
 
     acked = agents.UserAgent("user2", net, KeyPair.from_seed(3, "acct/user2"),
-                             [n.addr for n in nodes], 1, usr_id=1,
+                             [n.addr for n in nodes], usr_id=1,
                              tamock_addr="platform")
     platform.inbox.clear()
     acked._export_rule(rule)

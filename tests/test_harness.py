@@ -107,6 +107,21 @@ def test_scenario_validation_rejects(overrides):
         scenario_from_dict(_scenario(**overrides))
 
 
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_scenario_nodes_are_the_replica_counts_the_ledger_runs(n):
+    ledger_runs = _accepts(lambda: node_mod.LedgerConfig(
+        node_addrs=[f"n{i}" for i in range(n)], node_pubkeys=["k"] * n, ledger_secret=b"s"))
+    assert _accepts(lambda: scenario_from_dict(_scenario(nodes=n))) == ledger_runs
+
+
 def test_rule_bound_to_unknown_device_rejected():
     bad = _scenario(rules=[hr_rule(watch="thermostat-7")])
     with pytest.raises(RuleError) as exc:
@@ -281,6 +296,28 @@ _FORGER = KeyPair.from_seed(20, "acct/forger")
 _FORGED = rule_commit_tx(_FORGER, 1, rule=hr_rule(rule_id=9), usr_rule_id=109).wire()
 
 
+def _forge_accept_under_f_minus_one(records):
+    """Add a forged tx to block 2 and claim a header f of -1, a quorum of -1
+    votes, so the certificate needs no key."""
+    records[0]["f"] = -1
+    block = records[3]
+    block["txs"].append(_FORGED)
+    block["proposal"].append(_FORGED)
+    block["proof"]["proposal_digest"] = node_mod.batch_digest(block["proposal"])
+
+
+def _forge_reject_under_f_zero(records):
+    """Erase an accepted tx from block 2 and claim a header f of 0, a quorum
+    of one vote, which one replica's key (within f = 1) signs."""
+    records[0]["f"] = 0
+    block = records[3]
+    block["proposal"].remove(block["txs"].pop(0))
+    digest = node_mod.batch_digest(block["proposal"])
+    body = node_mod._vote_body("c", block["proof"]["view"], block["height"], digest)
+    sig = KeyPair.from_seed(20, "node1").sign_obj(body)
+    block["proof"].update(proposal_digest=digest, votes={"1": sig})
+
+
 @pytest.mark.parametrize("tamper,issue", [
     (lambda records: records[2]["txs"].append(_FORGED),
      "block 1: txs are not an in-order subsequence of the proposal"),
@@ -292,8 +329,10 @@ _FORGED = rule_commit_tx(_FORGER, 1, rule=hr_rule(rule_id=9), usr_rule_id=109).w
     (lambda records: records[1].update(txs=[_FORGED], proposal=[_FORGED]),
      "block 0: not the genesis block"),
     (lambda records: records.__delitem__(slice(1, -1)), "block 0: not the genesis block"),
+    (_forge_accept_under_f_minus_one, "missing or malformed header record"),
+    (_forge_reject_under_f_zero, "missing or malformed header record"),
 ], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire", "no_proposal",
-        "txs_in_genesis", "no_blocks"])
+        "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
     assert audit.audit_records(_reseal(json.loads(batched_records))).ok
     records = json.loads(batched_records)
@@ -486,13 +525,13 @@ def test_cli_attacks_exit_codes(monkeypatch, capsys):
                              "notes": "", "expected_blocked": False},
         "negative_control_succeeded": True,
     }
-    monkeypatch.setattr(cli, "run_attack_suite", lambda seed, include_negative: suite)
+    monkeypatch.setattr(cli, "run_attack_suite", lambda seed: suite)
     assert cli.main(["attacks"]) == 0
     assert "all attacks blocked" in capsys.readouterr().out
 
     bad = dict(suite, all_blocked=False)
     bad["attacks"] = [dict(suite["attacks"][0], blocked=False)]
-    monkeypatch.setattr(cli, "run_attack_suite", lambda seed, include_negative: bad)
+    monkeypatch.setattr(cli, "run_attack_suite", lambda seed: bad)
     assert cli.main(["attacks"]) == 1
     assert "ATTACK GOT THROUGH" in capsys.readouterr().out
 
