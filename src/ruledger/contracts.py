@@ -317,14 +317,8 @@ def event_verification_contract(
     tx: SignedTransaction,
     state: tables.TableStore,
     log_query: LogQuery,
-    check_event_log: bool = True,
 ) -> Verdict:
-    """Verify a claimed device event against the log service and history.
-
-    check_event_log=False disables the log-service and checksum checks.
-    It exists only as a negative control for the attack suite and must
-    never be enabled in a real deployment.
-    """
+    """Verify a claimed device event against the log service and history."""
     body = tx.body
     if not BODIES[KIND_EVENT].admits(body):
         return Verdict.reject(CODE_MALFORMED)
@@ -342,7 +336,7 @@ def event_verification_contract(
 
     # Failure records attest that nothing executed, so there is no log
     # entry to check; they still consume freshness below.
-    if body["result_status"] == RES_OK and check_event_log:
+    if body["result_status"] == RES_OK:
         stored_sum = log_query(log["eid"], log["log_key"])
         if stored_sum is None:
             return Verdict.reject(CODE_NO_LOG_ENTRY)
@@ -471,12 +465,11 @@ def verify_tx(
     state: tables.TableStore,
     log_query: LogQuery,
     secret: bytes,
-    check_event_log: bool = True,
 ) -> Verdict:
     if tx.kind in (KIND_RULE_COMMIT, KIND_CONFIG):
         return rule_commit_contract(tx, state)
     if tx.kind == KIND_EVENT:
-        return event_verification_contract(tx, state, log_query, check_event_log)
+        return event_verification_contract(tx, state, log_query)
     if tx.kind == KIND_ACTION:
         return action_verification_contract(tx, state, secret)
     return Verdict.reject(CODE_MALFORMED)

@@ -71,9 +71,10 @@ def _lock_actions(world: World) -> int:
 # ---------------------------------------------------------------------------
 
 
-def attack_event_spoof(seed: int = DEFAULT_SEED, check_event_log: bool = True) -> AttackOutcome:
-    """Claim a trigger fired without ever touching the device."""
-    world = _make_world(seed, check_event_log=check_event_log)
+def attack_event_spoof(seed: int = DEFAULT_SEED, forge_log: bool = False) -> AttackOutcome:
+    """Claim a trigger fired without ever touching the device.  With forge_log,
+    the negative control, the vendor log also holds the forged entry."""
+    world = _make_world(seed)
     attacker = _attacker(world)
     rng = random.Random(derive_seed(seed, "attacker/rng"))
     binding = world.bindings[1]
@@ -82,6 +83,9 @@ def attack_event_spoof(seed: int = DEFAULT_SEED, check_event_log: bool = True) -
         def fire():
             body = inject_spoofed_event(rng, binding, step_id=0, event_seq=500,
                                         fake_payload={"heart_rate": 20})
+            if forge_log:
+                log = body["event_log"]
+                w.log.write(log["eid"], log["log_key"], log["log_sum"], "watch-1", w.scheduler.now)
             attacker.submit(KIND_EVENT, body)
         w.scheduler.schedule(2000, fire)
 
@@ -89,9 +93,9 @@ def attack_event_spoof(seed: int = DEFAULT_SEED, check_event_log: bool = True) -
     codes = _attacker_codes(attacker)
     accepted = any(r.accepted for r in attacker.client.resolved.values())
     blocked = (not accepted) and CODE_NO_LOG_ENTRY in codes and _lock_actions(world) == 1
-    name = "event_spoof" if check_event_log else "event_spoof_no_log_check"
+    name = "event_spoof_forged_log" if forge_log else "event_spoof"
     notes = f"lock actions={_lock_actions(world)}"
-    return AttackOutcome(name, blocked, codes, notes, expected_blocked=check_event_log)
+    return AttackOutcome(name, blocked, codes, notes, expected_blocked=not forge_log)
 
 
 def attack_checksum_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
@@ -353,8 +357,8 @@ ATTACKS = (
 
 def run_attack_suite(seed: int = DEFAULT_SEED) -> dict:
     outcomes = [fn(seed) for fn in ATTACKS]
-    # Control: with log verification switched off, the spoof must land.
-    control = attack_event_spoof(seed, check_event_log=False)
+    # Control: a spoof whose forged entry the vendor log holds must land.
+    control = attack_event_spoof(seed, forge_log=True)
     return {
         "seed": seed,
         "attacks": [vars(o) for o in outcomes],

@@ -96,7 +96,6 @@ SCENARIO = {
     "trigger_mode": ("poll", one_of(*TRIGGER_MODES)),
     "record_action_executions": (True, _bool),
     "with_ledger": (True, _bool),
-    "check_event_log": (LedgerConfig.check_event_log, _bool),
     "commit_timeout_ms": (LedgerConfig.commit_timeout_ms, _positive),
     "net": ({}, NET),
     "byzantine": (None, BYZANTINE),  # null: every node honest

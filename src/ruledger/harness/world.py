@@ -72,7 +72,6 @@ class World:
             ledger_secret=secret,
             genesis_acl=genesis_acl,
             commit_timeout_ms=config["commit_timeout_ms"],
-            check_event_log=config["check_event_log"],
             task_agent_addr="task",
             exec_agent_addr="exec",
         )

@@ -49,7 +49,7 @@ from .node import (
     quorum_size,
     replica_count_ok,
     tx_wire,
-    valid_commit_votes,
+    valid_votes,
 )
 from .tx import SignedTransaction
 
@@ -161,8 +161,8 @@ def audit_records(records: list) -> AuditResult:
         elif batch_digest(block["proposal"]) != proof["proposal_digest"]:
             issues.append(f"block {i}: proposal does not match its commit certificate")
         else:
-            valid = len(valid_commit_votes(
-                pubkeys, proof["view"], h, proof["proposal_digest"], proof["votes"],
+            valid = len(valid_votes(
+                pubkeys, "c", proof["view"], h, proof["proposal_digest"], proof["votes"],
                 keys.verify_signature,
             ))
             if valid < quorum:

@@ -18,6 +18,15 @@ each event that a rule's action may consume, and `notify_actions`, with the
 authorized action list, to the execution agent for each action.  Agents act
 on a notification once f + 1 nodes sent it (see `client`).
 
+A pre-prepare signs the prepare body, so it is its sender's prepare vote, as
+in PBFT (the primary's own prepare, which it still multicasts, carries the
+same signature).  So there is one certificate shape, `_CERT_FIELDS`: a
+batch, its digest, and a quorum of votes of one tag on (view, height,
+digest), "p" in the prepared certificate a view change carries and "c" in
+the commit certificate a `committed` message carries and `_commit_block`
+takes.  `_certificate` builds one, `_checked_cert` checks one, and
+`valid_votes` counts the votes for the node and for the audit alike.
+
 The primary takes its own proposal at once: `_propose` and
 `_become_primary` send the pre-prepare to the peers only and handle it
 in-process before they return, so a height is in flight from the moment it
@@ -133,7 +142,6 @@ class LedgerConfig:
     ledger_secret: bytes
     genesis_acl: list[dict] = field(default_factory=list)
     commit_timeout_ms: int = 3000
-    check_event_log: bool = True
     task_agent_addr: str | None = None
     exec_agent_addr: str | None = None
 
@@ -163,8 +171,8 @@ class LedgerConfig:
         return view % self.n
 
 
-# The tag each vote message signs; a pre-prepare doubles as the primary's prepare.
-_VOTE_TAGS = {"pre_prepare": "pp", "prepare": "p", "commit": "c"}
+# The tag each vote message signs; a pre-prepare is its sender's prepare vote.
+_VOTE_TAGS = {"pre_prepare": "p", "prepare": "p", "commit": "c"}
 
 
 def _vote_body(tag: str, view: int, height: int, digest: str) -> dict:
@@ -179,12 +187,13 @@ def batch_digest(batch_wires: list[dict]) -> str:
     return digest_hex(batch_wires)
 
 
-def valid_commit_votes(pubkeys: list[str], view: int, height: int, digest: str,
-                       votes: dict[str, str], verify) -> dict[int, str]:
-    """The votes of a commit certificate whose signatures `verify` (over bytes, as
-    `keys.verify_signature`) checks, by node index.  votes is keyed by decimal node
-    indexes, as MESSAGES and audit.BLOCK_PROOF require."""
-    body = canonical_bytes(_vote_body("c", view, height, digest))
+def valid_votes(pubkeys: list[str], tag: str, view: int, height: int, digest: str,
+                votes: dict[str, str], verify) -> dict[int, str]:
+    """The votes of a certificate, prepared (tag "p") or committed ("c"), whose
+    signatures `verify` (over bytes, as `keys.verify_signature`) checks, by node
+    index.  votes is keyed by decimal node indexes, as MESSAGES and
+    audit.BLOCK_PROOF require."""
+    body = canonical_bytes(_vote_body(tag, view, height, digest))
     valid: dict[int, str] = {}
     for key, sig in votes.items():
         idx = int(key)
@@ -215,8 +224,9 @@ def tx_wire(v) -> bool:
 _BATCH = list_of(tx_wire)
 _VOTE_FIELDS = dict(view=is_int, height=is_int, digest=is_str, sender=is_int, sig=is_str)
 _PRE_PREPARE = message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
-_CERT = object_of(view=is_int, height=is_int, digest=is_str, batch=_BATCH, prepares=by_index(
-    lambda v: type(v) is list and len(v) == 2 and v[0] in ("pp", "p") and is_str(v[1])))
+# The one certificate shape, prepared or committed: a quorum of votes on a batch.
+_CERT_FIELDS = dict(view=is_int, height=is_int, digest=is_str, batch=_BATCH, votes=by_index(is_str))
+_CERT = object_of(**_CERT_FIELDS)
 _VIEW_CHANGE = message("view_change", new_view=is_int, last_height=is_int,
                        cert=or_none(_CERT), sender=is_int, sig=is_str)
 
@@ -230,6 +240,13 @@ def make_block(height: int, prev_digest: str, txs: list[dict], proposal: list[di
                proof: dict) -> dict:
     return {"height": height, "prev_digest": prev_digest, "txs": txs, "proposal": proposal,
             "digest": block_digest(height, prev_digest, txs), "proof": proof}
+
+
+def _certificate(view: int, height: int, digest: str, batch: list[dict],
+                votes: dict[int, str]) -> dict:
+    """A certificate of `_CERT_FIELDS`' shape, its votes in node order."""
+    return {"view": view, "height": height, "digest": digest, "batch": batch,
+            "votes": {str(i): sig for i, sig in sorted(votes.items())}}
 
 
 def genesis_block() -> dict:
@@ -250,9 +267,8 @@ class _Slot:
     def __init__(self) -> None:
         self.batch: list[dict] | None = None  # tx wires; set together with digest
         self.digest: str | None = None
-        # digest -> node index -> (tag, sig); a pre-prepare doubles as the
-        # primary's prepare, tagged "pp" so certs can re-verify it.
-        self.prepares: dict[str, dict[int, tuple[str, str]]] = {}
+        # digest -> node index -> sig; the primary's pre-prepare is its prepare
+        self.prepares: dict[str, dict[int, str]] = {}
         self.commits: dict[str, dict[int, str]] = {}
         self.sent_commit = False
 
@@ -264,11 +280,7 @@ class LedgerNode(Process):
         "pre_prepare": (_PRE_PREPARE, "_on_pre_prepare"),
         "prepare": (message("prepare", **_VOTE_FIELDS), "_on_vote"),
         "commit": (message("commit", **_VOTE_FIELDS), "_on_vote"),
-        "committed": (
-            message("committed", view=is_int, height=is_int, digest=is_str, batch=_BATCH,
-                    votes=by_index(is_str)),
-            "_on_committed",
-        ),
+        "committed": (message("committed", **_CERT_FIELDS), "_on_committed"),
         "view_change": (_VIEW_CHANGE, "_on_view_change"),
         "new_view": (
             message("new_view", view=is_int, vcs=by_index(_VIEW_CHANGE),
@@ -305,7 +317,7 @@ class LedgerNode(Process):
         self.submitters: dict[str, list[str]] = {}
         self.decided: dict[str, TxReceipt] = {}
         self.slots: dict[int, dict[int, _Slot]] = {}  # height -> view -> slot
-        self.committed_buffer: dict[int, tuple] = {}  # height -> _commit_block args
+        self.committed_buffer: dict[int, dict] = {}  # height -> commit certificate
         self.pp_buffer: list[dict] = []
         self.vc_msgs: dict[int, dict[int, dict]] = {}
         self.vc_target: int | None = None  # the view a view change in progress aims at
@@ -469,7 +481,7 @@ class LedgerNode(Process):
             return
         if h < self.next_height:
             return
-        if not self._vote_valid(_vote_body("pp", view, h, digest), sender, msg["sig"]):
+        if not self._vote_valid(_vote_body("p", view, h, digest), sender, msg["sig"]):
             self.counters["malformed_dropped"] += 1
             return
         if h > self.next_height:
@@ -487,7 +499,7 @@ class LedgerNode(Process):
             return
         slot.batch = batch
         slot.digest = digest
-        slot.prepares.setdefault(digest, {})[sender] = ("pp", msg["sig"])
+        slot.prepares.setdefault(digest, {})[sender] = msg["sig"]
         self._broadcast(self._vote("prepare", view, h, digest))
         self._rearm_timer()
         self._check_slot(slot, view, h)
@@ -503,13 +515,11 @@ class LedgerNode(Process):
             self.counters["malformed_dropped"] += 1
             return
         slot = self._slot(view, h)
-        if tag == "p":
-            slot.prepares.setdefault(digest, {})[sender] = (tag, sig)
-        else:
-            votes = slot.commits.setdefault(digest, {})
-            votes[sender] = sig
-            if len(votes) >= self.config.quorum and (h, digest) != (self.next_height, slot.digest):
-                self._request_sync(self.config.node_addrs[sender], h)
+        votes = (slot.prepares if tag == "p" else slot.commits).setdefault(digest, {})
+        votes[sender] = sig
+        if (tag == "c" and len(votes) >= self.config.quorum
+                and (h, digest) != (self.next_height, slot.digest)):
+            self._request_sync(self.config.node_addrs[sender], h)
         self._check_slot(slot, view, h)
 
     def _check_slot(self, slot: _Slot, view: int, height: int) -> None:
@@ -521,19 +531,14 @@ class LedgerNode(Process):
             self._broadcast(self._vote("commit", view, height, slot.digest))
         votes = slot.commits.get(slot.digest, {})
         if len(votes) >= quorum:
-            self._commit_block(view, height, slot.digest, slot.batch, dict(votes))
+            self._commit_block(_certificate(view, height, slot.digest, slot.batch, votes))
 
     # ------------------------------------------------------------------
     # commit and execution
 
-    def _commit_block(
-        self,
-        view: int,
-        height: int,
-        proposal_digest: str,
-        batch: list[dict],
-        votes: dict[int, str],
-    ) -> None:
+    def _commit_block(self, cert: dict) -> None:
+        """Execute a commit certificate's batch as the block at its height."""
+        height, batch = cert["height"], cert["batch"]
         if height != self.next_height:
             return
         content_txs: list[dict] = []
@@ -545,13 +550,7 @@ class LedgerNode(Process):
             tid = tx.tx_id
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
-            verdict = contracts.verify_tx(
-                tx,
-                self.state,
-                self.log_query,
-                self.config.ledger_secret,
-                self.config.check_event_log,
-            )
+            verdict = contracts.verify_tx(tx, self.state, self.log_query, self.config.ledger_secret)
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)
                 content_txs.append(wire)
@@ -573,8 +572,7 @@ class LedgerNode(Process):
             receipts.append((tid, receipt))
             self.pool.pop(tid, None)
 
-        signed = {str(i): sig for i, sig in sorted(votes.items())}
-        proof = {"view": view, "proposal_digest": proposal_digest, "votes": signed}
+        proof = {"view": cert["view"], "proposal_digest": cert["digest"], "votes": cert["votes"]}
         self.chain.append(make_block(height, self.chain[-1]["digest"], content_txs, batch, proof))
         self.slots.pop(height, None)
         self.counters["blocks_committed"] += 1
@@ -588,7 +586,7 @@ class LedgerNode(Process):
             self._cast(agent, msg)
 
         while self.next_height in self.committed_buffer:  # each entry is certified
-            self._commit_block(*self.committed_buffer.pop(self.next_height))
+            self._commit_block(self.committed_buffer.pop(self.next_height))
         self._replay_pp_buffer()
         self._rearm_timer()
         self._maybe_propose()
@@ -605,22 +603,18 @@ class LedgerNode(Process):
 
     def _on_committed(self, src: str, msg: dict) -> None:
         """One block of a sync reply, applied only with its commit certificate."""
-        view, h, digest, batch = msg["view"], msg["height"], msg["digest"], msg["batch"]
+        h = msg["height"]
         if h < self.next_height or h in self.committed_buffer:
             return
-        if batch_digest(batch) != digest:
-            self.counters["malformed_dropped"] += 1
-            return
-        votes = valid_commit_votes(self.config.node_pubkeys, view, h, digest, msg["votes"],
-                                   self.net.verify)
-        if len(votes) < self.config.quorum or not self._batch_signed(batch):
+        cert = self._checked_cert(msg, "c")
+        if cert is None or not self._batch_signed(cert["batch"]):
             self.counters["malformed_dropped"] += 1
             return
         # Only certified heights are buffered, so no peer can grow the buffer.
         if h > self.next_height:
-            self.committed_buffer[h] = (view, h, digest, batch, votes)
+            self.committed_buffer[h] = cert
         else:
-            self._commit_block(view, h, digest, batch, votes)
+            self._commit_block(cert)
 
     def _replay_pp_buffer(self) -> None:
         buffered, self.pp_buffer = self.pp_buffer, []
@@ -668,16 +662,21 @@ class LedgerNode(Process):
         for view, slot in sorted(self.slots.get(h, {}).items(), reverse=True):
             votes = slot.prepares.get(slot.digest, {})
             if slot.digest is not None and len(votes) >= self.config.quorum:
-                return {
-                    "view": view,
-                    "height": h,
-                    "digest": slot.digest,
-                    "batch": slot.batch,
-                    "prepares": {
-                        str(i): [tag, sig] for i, (tag, sig) in sorted(votes.items())
-                    },
-                }
+                return _certificate(view, h, slot.digest, slot.batch, votes)
         return None
+
+    def _checked_cert(self, cert: dict, tag: str) -> dict | None:
+        """The one certificate check, for prepared (tag "p") and commit ("c")
+        certificates alike: cert with only its valid votes, if its batch has its
+        digest and a quorum of its votes is valid, else None."""
+        view, h, digest, batch = cert["view"], cert["height"], cert["digest"], cert["batch"]
+        if batch_digest(batch) != digest:
+            return None
+        votes = valid_votes(self.config.node_pubkeys, tag, view, h, digest, cert["votes"],
+                            self.net.verify)
+        if len(votes) < self.config.quorum:
+            return None
+        return _certificate(view, h, digest, batch, votes)
 
     def _view_change_valid(self, vc: dict) -> bool:
         """A view change's signature and, if it carries one, its prepared certificate."""
@@ -685,19 +684,7 @@ class LedgerNode(Process):
         body = _vc_body(vc["new_view"], vc["last_height"], digest_hex(cert) if cert else "")
         if not self._vote_valid(body, vc["sender"], vc["sig"]):
             return False
-        if cert is None:
-            return True
-        view, h, digest = cert["view"], cert["height"], cert["digest"]
-        if batch_digest(cert["batch"]) != digest:
-            return False
-        valid = 0
-        for key, (tag, sig) in cert["prepares"].items():
-            idx = int(key)
-            if tag == "pp" and idx != self.config.primary(view):
-                return False
-            if self._vote_valid(_vote_body(tag, view, h, digest), idx, sig):
-                valid += 1
-        return valid >= self.config.quorum
+        return cert is None or self._checked_cert(cert, "p") is not None
 
     def _start_view_change(self, target_view: int) -> None:
         self.vc_target = target_view

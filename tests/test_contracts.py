@@ -250,15 +250,6 @@ def test_failure_records_skip_log_checks_but_consume_freshness():
     )
 
 
-def test_check_event_log_false_admits_spoofed_events():
-    # The negative-control switch: without log verification the spoof lands.
-    state = seeded_state()
-    tx = event_tx(KEY, 1, event_info(), "e" * 32, "f" * 32, "a" * 64)
-    verdict = contracts.event_verification_contract(tx, state, lambda e, k: None,
-                                                    check_event_log=False)
-    assert verdict.accepted
-
-
 def test_apply_event_marks_only_final_trigger_step_consumable():
     state = seeded_state()  # one trigger step, so step 0 is final
     tx = event_tx(KEY, 1, event_info(step_id=0, event_seq=1), "e" * 32, "f" * 32, "a" * 64)

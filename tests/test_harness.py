@@ -101,6 +101,7 @@ def test_seed_override_beats_the_file():
     {"byzantine": {"node": 0, "fault": "delay", "extra_delay_ms": 400}},
     {"accounts": [{"name": "a", "role": "Administrator", "usr_id": 1},
                   {"name": "b", "role": "NormalUser", "usr_id": 1}]},
+    {"check_event_log": False},  # the switch that turned the event log check off
 ])
 def test_scenario_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -306,16 +307,21 @@ def _forge_accept_under_f_minus_one(records):
     block["proof"]["proposal_digest"] = node_mod.batch_digest(block["proposal"])
 
 
-def _forge_reject_under_f_zero(records):
-    """Erase an accepted tx from block 2 and claim a header f of 0, a quorum
-    of one vote, which one replica's key (within f = 1) signs."""
-    records[0]["f"] = 0
+def _erase_with_one_vote(records):
+    """Erase an accepted tx from block 2 and certify the rest with the one
+    commit vote that node1's key (within f = 1) signs."""
     block = records[3]
     block["proposal"].remove(block["txs"].pop(0))
     digest = node_mod.batch_digest(block["proposal"])
     body = node_mod._vote_body("c", block["proof"]["view"], block["height"], digest)
     sig = KeyPair.from_seed(20, "node1").sign_obj(body)
     block["proof"].update(proposal_digest=digest, votes={"1": sig})
+
+
+def _forge_reject_under_f_zero(records):
+    """The erase above under a header f of 0, a quorum of one vote."""
+    records[0]["f"] = 0
+    _erase_with_one_vote(records)
 
 
 @pytest.mark.parametrize("tamper,issue", [
@@ -331,14 +337,24 @@ def _forge_reject_under_f_zero(records):
     (lambda records: records.__delitem__(slice(1, -1)), "block 0: not the genesis block"),
     (_forge_accept_under_f_minus_one, "missing or malformed header record"),
     (_forge_reject_under_f_zero, "missing or malformed header record"),
+    (_erase_with_one_vote, "block 2: commit certificate has 1 valid votes, needs 3"),
+    (lambda records: records.__delitem__(2), "height gap: expected 1, found 2"),
 ], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire", "no_proposal",
-        "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero"])
+        "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero",
+        "erase_with_one_vote", "no_block_1"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
     assert audit.audit_records(_reseal(json.loads(batched_records))).ok
     records = json.loads(batched_records)
     tamper(records)
     result = audit.audit_records(_reseal(records))
     assert not result.ok and issue in result.issues, result.issues
+
+
+def test_audit_reports_a_dump_without_its_footer(batched_records):
+    records = _reseal(json.loads(batched_records))
+    records.pop()
+    result = audit.audit_records(records)
+    assert not result.ok and result.issues == ["missing state footer"]
 
 
 def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from conftest import hr_rule, make_rig, rule_commit_tx
 from ruledger import keys as keys_mod
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
+from ruledger.ledger.faults import FaultSpec
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
 from ruledger.ledger.tx import SignedTransaction, build_tx
@@ -93,25 +94,24 @@ def test_equivocating_primary_cannot_split_honest_nodes():
     assert rig.client.client.resolved[tx.tx_id].accepted
 
 
+def _pre_prepare(rig, view, wires, height=1):
+    """The pre-prepare of view's primary for wires, signed with its key."""
+    sender = rig.config.primary(view)
+    digest = node_mod.batch_digest(wires)
+    return {"type": "pre_prepare", "view": view, "height": height, "digest": digest,
+            "batch": wires, "sender": sender,
+            "sig": rig.keys[sender].sign_obj(node_mod._vote_body("p", view, height, digest))}
+
+
 def test_conflicting_pre_prepares_are_detected():
     # A node that does receive both variants keeps the first and counts
     # the fork attempt.
     rig = make_rig(seed=41)
     tx = rule_commit_tx(rig.admin, nonce=1)
-    primary = rig.keys[0]
     node = rig.nodes[1]
-    wires_a = [tx.wire()]
-    wires_b = [tx.wire(), tx.wire()]
-
-    def pp(wires):
-        digest = node_mod.batch_digest(wires)
-        return {"type": "pre_prepare", "view": 0, "height": 1, "digest": digest,
-                "batch": wires, "sender": 0,
-                "sig": primary.sign_obj({"t": "pp", "v": 0, "h": 1, "d": digest})}
-
-    node.on_message("node0", pp(wires_a))
+    node.on_message("node0", _pre_prepare(rig, 0, [tx.wire()]))
     first_digest = node.slots[1][0].digest
-    node.on_message("node0", pp(wires_b))
+    node.on_message("node0", _pre_prepare(rig, 0, [tx.wire(), tx.wire()]))
     assert node.counters["equivocations_detected"] == 1
     assert node.slots[1][0].digest == first_digest
 
@@ -155,7 +155,7 @@ def test_garbage_messages_are_counted_not_fatal():
                               "digest": "d", "batch": [], "sender": 0, "sig": "zz"})
     # Containers of the wrong shape, down to the fields behind a signature.
     empty = node_mod.batch_digest([])
-    cert = {"view": 0, "height": 1, "digest": empty, "batch": [], "prepares": [1]}
+    cert = {"view": 0, "height": 1, "digest": empty, "batch": [], "votes": [1]}
     vc = {"type": "view_change", "new_view": 1, "last_height": 0, "cert": cert, "sender": 2,
           "sig": rig.keys[2].sign_obj(node_mod._vc_body(1, 0, node_mod.digest_hex(cert)))}
     node.on_message("node2", vc)
@@ -543,6 +543,142 @@ def test_commit_certificates_verify_in_audit():
         assert result.ok, result.issues
 
 
+def test_a_client_gives_up_after_two_tries_per_replica():
+    # Every replica is mute, so no receipt comes; each try goes to every replica.
+    rig = make_rig(seed=28, client_timeout_ms=1000)
+    for node in rig.nodes:
+        node.fault = FaultSpec("drop", 1.0)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    sent = _record_sends(rig)
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.run(until=8000)
+    assert tx.tx_id not in rig.client.client.resolved
+    rig.scheduler.run(until=8020)
+    receipt = rig.client.client.resolved[tx.tx_id]
+    assert (receipt.accepted, receipt.code, receipt.height) == (False, "Timeout", None)
+    submits = [dst for src, dst, msg in sent if src == "client" and msg["type"] == "submit"]
+    assert submits == rig.config.node_addrs * 8
+
+
+# ---------------------------------------------------------------------------
+# view changes: prepared certificates and new views
+
+
+def _prepared(rig, wires, voters, tag="p"):
+    """A certificate for wires at view 0, height 1 with the tag votes of voters."""
+    digest = node_mod.batch_digest(wires)
+    body = node_mod._vote_body(tag, 0, 1, digest)
+    return {"view": 0, "height": 1, "digest": digest, "batch": wires,
+            "votes": {str(i): rig.keys[i].sign_obj(body) for i in voters}}
+
+
+def _view_change(rig, sender, new_view, cert=None, key=None):
+    """sender's view change to new_view from height 0, signed with key (its own
+    by default)."""
+    body = node_mod._vc_body(new_view, 0, node_mod.digest_hex(cert) if cert else "")
+    return {"type": "view_change", "new_view": new_view, "last_height": 0, "cert": cert,
+            "sender": sender, "sig": (key or rig.keys[sender]).sign_obj(body)}
+
+
+def _new_view(view, vcs, pre_prepare=None):
+    return {"type": "new_view", "view": view, "vcs": {str(vc["sender"]): vc for vc in vcs},
+            "pre_prepare": pre_prepare}
+
+
+def _vcs(rig, cert=None):
+    """View changes to view 1 from nodes 0, 2 and 3, a quorum; node0's carries cert."""
+    return [_view_change(rig, 0, 1, cert), *(_view_change(rig, i, 1) for i in (2, 3))]
+
+
+@pytest.fixture
+def vc_rig():
+    """A 4-node rig, nothing committed, and two signed one-tx batches."""
+    rig = make_rig(seed=29)
+    rig.wires = [[tx.wire()] for tx in _rule_txs(rig, 2)]
+    return rig
+
+
+def test_a_pre_prepare_is_its_senders_prepare_vote(vc_rig):
+    # node1 holds the primary's pre-prepare and the prepares of node2 and node3,
+    # and not its own: that is a prepared certificate, and node2 accepts it.
+    rig, wires = vc_rig, vc_rig.wires[0]
+    backup = rig.nodes[1]
+    pre_prepare = _pre_prepare(rig, 0, wires)
+    backup.on_message("node0", pre_prepare)
+    digest = pre_prepare["digest"]
+    for i in (2, 3):
+        backup.on_message(f"node{i}", rig.nodes[i]._vote("prepare", 0, 1, digest))
+    cert = backup._prepared_cert()
+    assert set(cert["votes"]) == {"0", "2", "3"} and cert["batch"] == wires
+    # The primary's own prepare would carry the same bytes as its pre-prepare.
+    assert cert["votes"]["0"] == rig.nodes[0]._vote("prepare", 0, 1, digest)["sig"]
+    sent = _record_sends(rig)
+    backup._start_view_change(1)
+    vc = next(msg for _, _, msg in sent if msg["type"] == "view_change")
+    assert vc["cert"] == cert
+    rig.nodes[2].on_message("node1", vc)
+    assert rig.nodes[2].counters["malformed_dropped"] == 0
+    assert set(rig.nodes[2].vc_msgs[1]) == {1}
+
+
+def _prepared_with_a_vote_for_another_batch(rig):
+    cert = _prepared(rig, rig.wires[0], (0, 2))
+    cert["votes"]["3"] = _prepared(rig, rig.wires[1], (3,))["votes"]["3"]
+    return cert
+
+
+@pytest.mark.parametrize("cert,accepted", [
+    (lambda rig: _prepared(rig, rig.wires[0], (0, 1, 2)), True),
+    (lambda rig: dict(_prepared(rig, rig.wires[0], (0, 1, 2)), batch=rig.wires[1]), False),
+    (lambda rig: _prepared(rig, rig.wires[0], (0, 2)), False),
+    (_prepared_with_a_vote_for_another_batch, False),
+    (lambda rig: _prepared(rig, rig.wires[0], (0, 1, 2), tag="c"), False),
+], ids=["quorum", "batch_not_its_digest", "two_votes", "a_vote_for_another_batch",
+        "commit_votes"])
+def test_a_view_change_needs_a_prepared_certificate_that_checks(vc_rig, cert, accepted):
+    node = vc_rig.nodes[2]
+    node.on_message("node3", _view_change(vc_rig, 3, 1, cert(vc_rig)))
+    assert node.counters["malformed_dropped"] == (0 if accepted else 1)
+    assert list(node.vc_msgs) == ([1] if accepted else [])
+
+
+def _prepared_vcs(rig):
+    return _vcs(rig, _prepared(rig, rig.wires[0], (0, 1, 2)))
+
+
+@pytest.mark.parametrize("msg,moves", [
+    (lambda rig: _new_view(1, _vcs(rig)), True),
+    (lambda rig: _new_view(1, _vcs(rig)[:2]), False),
+    (lambda rig: _new_view(1, [_view_change(rig, i, 1 if i else 2) for i in (0, 2, 3)]), False),
+    (lambda rig: _new_view(1, [_view_change(rig, i, 1, key=rig.keys[1] if i == 3 else None)
+                               for i in (0, 2, 3)]), False),
+    (lambda rig: dict(_new_view(1, []), vcs={"0": _view_change(rig, 3, 1),
+                                             "2": _view_change(rig, 2, 1),
+                                             "3": _view_change(rig, 0, 1)}), False),
+    (lambda rig: _new_view(1, _prepared_vcs(rig), _pre_prepare(rig, 1, rig.wires[0])), True),
+    (lambda rig: _new_view(1, _prepared_vcs(rig)), False),
+    (lambda rig: _new_view(1, _prepared_vcs(rig), _pre_prepare(rig, 1, rig.wires[1])), False),
+], ids=["quorum", "two_view_changes", "a_view_change_for_view_2", "a_forged_view_change",
+        "a_view_change_under_another_index", "prepared_batch_re_proposed",
+        "prepared_batch_not_re_proposed", "another_batch_re_proposed"])
+def test_a_new_view_needs_a_quorum_and_the_prepared_batch(vc_rig, msg, moves):
+    node = vc_rig.nodes[2]
+    msg = msg(vc_rig)
+    node.on_message("node1", msg)
+    assert node.view == (1 if moves else 0)
+    assert node.counters["malformed_dropped"] == (0 if moves else 1)
+    if moves and msg["pre_prepare"] is not None:
+        assert node.slots[1][1].batch == msg["pre_prepare"]["batch"]
+
+
+def test_a_new_view_for_a_view_behind_is_ignored(vc_rig):
+    rig = vc_rig
+    node = rig.nodes[2]
+    node._enter_view(2)
+    node.on_message("node1", _new_view(1, _vcs(rig)))
+    assert node.view == 2 and node.counters["malformed_dropped"] == 0
+
+
 # ---------------------------------------------------------------------------
 # node boundary fuzz: no peer message may raise out of on_message
 
@@ -562,7 +698,7 @@ _json = st.recursive(
     | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.sampled_from(["0", "1", "2", "kind", "body", "view", "height",
-                                       "digest", "batch", "prepares"]), kids, max_size=4),
+                                       "digest", "batch", "votes"]), kids, max_size=4),
     max_leaves=10,
 )
 # Mostly small ints, which hit the node's view, height and peer indexes.
@@ -572,7 +708,7 @@ _ADMIN = KeyPair.from_seed(_FUZZ_SEED, "acct/admin")
 _wire = st.integers(1, 50).map(lambda nonce: rule_commit_tx(_ADMIN, nonce).wire())
 _batch = st.lists(_wire | _json, max_size=3) | _json
 _cert = st.fixed_dictionaries({}, optional={
-    "view": _num, "height": _num, "digest": _json, "batch": _batch, "prepares": _json,
+    "view": _num, "height": _num, "digest": _json, "batch": _batch, "votes": _json,
 })
 _VALUES = {"view": _num, "height": _num, "sender": _num, "new_view": _num,
            "last_height": _num, "batch": _batch, "cert": st.none() | _cert | _json}
@@ -589,13 +725,19 @@ _TYPED = {"view": st.integers(0, 3), "height": st.integers(0, 3), "sender": st.i
           "cert": st.none() | st.fixed_dictionaries({
               "view": st.integers(0, 3), "height": st.integers(0, 3),
               "digest": st.text(max_size=3), "batch": st.lists(_typed_wire, max_size=3),
-              "prepares": st.dictionaries(_nodes, st.tuples(
-                  st.sampled_from(["pp", "p"]), st.text(max_size=3)).map(list))})}
+              "votes": st.dictionaries(_nodes, st.text(max_size=3))})}
 
 
-def _make_valid(msg, keys):
+def _sign_votes(cert, tag, keys):
+    """Give cert every replica's vote of tag on its view, height and digest."""
+    body = node_mod._vote_body(tag, cert["view"], cert["height"], cert["digest"])
+    cert["votes"] = {str(i): k.sign_obj(body) for i, k in enumerate(keys)}
+
+
+def _make_valid(msg, keys, cert_votes=True):
     """Give msg valid digests, signatures and votes where its drawn fields
-    allow, so it reaches the handler's paths behind those checks."""
+    allow, so it reaches the handler's paths behind those checks; a view
+    change's certificate keeps its drawn votes unless cert_votes."""
     for holder in (msg.get("cert"), msg):
         if isinstance(holder, dict) and "batch" in holder:
             try:
@@ -605,11 +747,15 @@ def _make_valid(msg, keys):
     try:
         if msg["type"] == "view_change":
             cert = msg.get("cert")
+            if cert_votes and isinstance(cert, dict):
+                try:
+                    _sign_votes(cert, "p", keys)
+                except (KeyError, TypeError):
+                    pass  # the certificate cannot be signed; its votes stay as drawn
             body = node_mod._vc_body(msg["new_view"], msg["last_height"],
                                      node_mod.digest_hex(cert) if cert else "")
         elif msg["type"] == "committed":
-            body = node_mod._vote_body("c", msg["view"], msg["height"], msg["digest"])
-            msg["votes"] = {str(i): k.sign_obj(body) for i, k in enumerate(keys)}
+            _sign_votes(msg, "c", keys)
             return
         else:
             tag = node_mod._VOTE_TAGS[msg["type"]]
@@ -644,10 +790,10 @@ def _peer_msg(draw, rig, kind=None):
             for i in range(draw(st.integers(0, 4))):
                 vc = draw(_peer_msg(rig, "view_change"))
                 vc.update(sender=i, new_view=msg.get("view"))
-                _make_valid(vc, rig.keys)
+                _make_valid(vc, rig.keys, draw(st.booleans()))
                 msg["vcs"][str(i)] = vc
     elif draw(st.booleans()):
-        _make_valid(msg, rig.keys)
+        _make_valid(msg, rig.keys, draw(st.booleans()))
     return msg
 
 
