@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any
 
 # Only these leaf types may appear in canonical structures.  Floats are
 # excluded on purpose: protocol values are ints, strings, bools, or None.
 _LEAF_TYPES = (str, int, bool, type(None))
-_EXACT_LEAVES = frozenset(_LEAF_TYPES)  # a set lookup on type() is cheaper than isinstance
+_EXACT_LEAVES = frozenset((int, bool, type(None)))  # a set lookup on type() beats isinstance
+# What UTF-8 cannot encode: a lone surrogate, which the JSON escape \ud800 parses to.
+_lone_surrogate = re.compile("[\ud800-\udfff]").search
 
 # Containers may nest this deep.  Protocol messages nest about 10 levels;
 # the bound keeps the recursive walk far below the interpreter's recursion limit.
@@ -24,24 +27,25 @@ MAX_DEPTH = 100
 
 def is_canonical(obj: Any) -> bool:
     """True iff obj is a leaf, or a list, tuple or str-keyed dict of canonical
-    values, with containers nested at most MAX_DEPTH deep."""
+    values, with containers nested at most MAX_DEPTH deep, and no string in it,
+    key or leaf, holds a lone surrogate."""
     return _canonical_within(obj, MAX_DEPTH)
 
 
 def _canonical_within(obj: Any, depth: int) -> bool:
     if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
+        for key in obj:  # isascii() is the fast path past the surrogate search
+            if not (isinstance(key, str) and (key.isascii() or not _lone_surrogate(key))):
                 return False
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
-        return isinstance(obj, _LEAF_TYPES)
+        return isinstance(obj, _LEAF_TYPES) and not (isinstance(obj, str) and _lone_surrogate(obj))
     if depth == 0:
         return False
     for item in obj:
-        if type(item) in _EXACT_LEAVES:
+        if type(item) in _EXACT_LEAVES or (type(item) is str and item.isascii()):
             continue
-        if not (isinstance(item, _LEAF_TYPES) or _canonical_within(item, depth - 1)):
+        if not _canonical_within(item, depth - 1):
             return False
     return True
 
@@ -57,7 +61,7 @@ def is_int(v: Any) -> bool:
 
 
 def is_str(v: Any) -> bool:
-    return type(v) is str
+    return type(v) is str and (v.isascii() or not _lone_surrogate(v))
 
 
 def one_of(*values):

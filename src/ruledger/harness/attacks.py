@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..agents import AgentBase
-from ..canonical import derive_seed
+from ..canonical import canonical_bytes, derive_seed
 from ..contracts import (
     CODE_ALREADY_CONSUMED,
     CODE_BAD_CID,
@@ -25,7 +25,7 @@ from ..contracts import (
 from ..devices import checksum, inject_spoofed_event
 from ..keys import KeyPair
 from ..ledger import audit, tables
-from ..ledger.tx import KIND_EVENT, KIND_RULE_COMMIT
+from ..ledger.tx import KIND_EVENT, KIND_RULE_COMMIT, SignedTransaction
 from ..rules import parse_rule
 from .scenario import bundled_scenario, scenario_from_dict
 from .world import World
@@ -145,7 +145,7 @@ def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
                         break
             if committed is None:
                 return
-            body = dict(committed["body"])
+            body = dict(SignedTransaction.from_wire(committed, checked=True).body)
             body.pop("kind", None)
             body.pop("nonce", None)
             # Verbatim replay: same event_info, same log coordinates.
@@ -294,7 +294,9 @@ def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     # must flag both while a clean node still verifies.
     clean = audit.audit_node(world.nodes[0])
     world.nodes[1].state.table(tables.RULE).rows[0]["definition"] = '{"schema":1}'
-    world.nodes[2].chain[1]["txs"][0]["body"]["nonce"] += 1
+    txs = world.nodes[2].chain[1]["txs"]
+    tx = SignedTransaction.from_wire(txs[0])
+    txs[0] = dict(txs[0], body=canonical_bytes(dict(tx.body, nonce=tx.body["nonce"] + 1)).decode())
     state_tampered = audit.audit_node(world.nodes[1])
     chain_tampered = audit.audit_node(world.nodes[2])
 

@@ -19,7 +19,7 @@ from ..keys import KeyPair
 from ..ledger import audit
 from ..ledger.faults import FaultSpec
 from ..ledger.node import LedgerConfig, LedgerNode
-from ..ledger.tx import KIND_EVENT
+from ..ledger.tx import KIND_EVENT, SignedTransaction
 from ..rules import parse_rule
 from ..sim.network import NetConfig, Network
 from ..sim.scheduler import Scheduler
@@ -182,7 +182,7 @@ class World:
             for wire in block["txs"]:
                 kind = wire["kind"]
                 if kind == KIND_EVENT:
-                    info = wire["body"]["event_info"]
+                    info = SignedTransaction.from_wire(wire, checked=True).body["event_info"]
                     bound = trigger_count.get(info["rule_id"], 0)
                     if info["step_id"] >= bound:
                         counts["action_record"] += 1

@@ -2,8 +2,8 @@
 
 A simulation's replicas share one process and verify through their `Network`'s
 `VerifyMemo`, so each distinct signed message costs one Ed25519 check.  The memo
-takes the canonical bytes the caller already holds (a node serializes a submitted
-body once, for its tx id and its signature check), so a lookup serializes nothing.
+takes the canonical bytes the caller already holds (a tx's are its body text, as
+it came in on the wire), so a lookup serializes nothing.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ Each block carries `proposal`, the batch its commit certificate signs: the
 audit checks its digest against the certificate and that `txs` is an
 in-order subsequence of it.  Block content is tied to the chain by the
 recomputed digests.  Each record is checked against its shape before it is
-read, so a malformed dump is reported, never raised on.
+read, so a malformed dump is reported, never raised on.  A tx body is its
+signed text, as on the wire (see `tx`): the digests cover it as a string,
+and the replay parses each committed body once, through
+`SignedTransaction.from_wire`, and reports a body it refuses.
 
 The header's `n` and `f` are not trusted: the audit derives f and the
 commit quorum from the header's key list by the one fault bound
@@ -176,8 +179,9 @@ def audit_records(records: list) -> AuditResult:
     for block in blocks:
         for wire in block["txs"]:
             tx = SignedTransaction.from_wire(wire)
-            if not tx.signature_valid():
-                issues.append(f"block {block['height']}: committed tx with bad signature")
+            if tx is None or not tx.signature_valid():
+                fault = "a malformed body" if tx is None else "bad signature"
+                issues.append(f"block {block['height']}: committed tx with {fault}")
                 continue
             try:
                 contracts.apply_tx(tx, state)

@@ -1,10 +1,12 @@
 """Replicated ledger node.
 
 A transaction enters the ledger one way: the client sends it to every node
-as a `submit`, and `_on_submit` verifies its signature once, answers a bad
-signature or a decided id at once, and otherwise pools it and notes the
-sender as a waiter for the receipt.  No node relays a submission, so none
-stands between a client and the other replicas.
+as a `submit`, and `_on_submit` parses and checks its body once
+(`SignedTransaction.from_wire`; a refused body is malformed), verifies its
+signature once, answers a bad signature or a decided id at once, and
+otherwise pools it and notes the sender as a waiter for the receipt.  No
+node relays a submission, so none stands between a client and the other
+replicas.
 
 Nodes order pooled transactions with a three-phase commit protocol
 (pre-prepare, prepare, commit) over the simulated network, tolerating
@@ -52,12 +54,16 @@ applies a block only with its certificate.
 (see `sim.Process`), gives the exact shape of every message (nested ones,
 certificates, transaction wires and vote maps included): a handler runs only
 on a message the table admits, and reads it unguarded.  Future-height
-messages are buffered only once authenticated.  A batch stays in the wire
-form the table admitted, which `batch_digest` covers, from the pool to the
-block; only `_commit_block` turns wires into `SignedTransaction`s.  A batch
-wire equal to its pool entry is not verified again: `_on_submit` verified
-it before pooling it.  Every check goes through `net.verify`, the memo all
-replicas of a simulation share (see `keys`); the audit verifies for itself.
+messages are buffered only once authenticated.  Consensus treats a tx body
+as opaque: a wire's body is its signed canonical text (see `tx`), which the
+table admits as a string and whose hash is the tx id.  A batch stays in the
+wire form the table admitted, which `batch_digest` covers, from the pool to
+the block.  A batch wire equal to its pool entry is not checked again, as
+`_on_submit` checked it before pooling it; any other is parsed, checked and
+verified.  So no replica serializes a body after `_on_submit`, and
+`_commit_block` only parses the bodies it executes.  Every check goes
+through `net.verify`, the memo all replicas of a simulation share (see
+`keys`); the audit verifies for itself.
 A fault-free node sends each broadcast as one multicast (see `sim.network`);
 a faulty one sends per destination, through its fault hooks.
 
@@ -83,7 +89,6 @@ from ..canonical import (
     by_index,
     canonical_bytes,
     digest_hex,
-    is_canonical,
     is_int,
     is_str,
     list_of,
@@ -91,7 +96,6 @@ from ..canonical import (
     object_of,
     one_of,
     or_none,
-    sha256_hex,
 )
 from ..keys import KeyPair
 from ..sim.network import Network, Process
@@ -106,7 +110,7 @@ from .faults import (
     FaultSpec,
     corrupt_msg,
 )
-from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt
+from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt, text_id
 
 GENESIS_PREV = "0" * 64
 SYNC_RUN = 8  # the most blocks one sync reply carries
@@ -202,25 +206,12 @@ def valid_votes(pubkeys: list[str], tag: str, view: int, height: int, digest: st
     return valid
 
 
-def _signed(wires: list[dict], verify) -> bool:
-    """Whether each tx wire carries its signer's signature over its body."""
-    return all(verify(canonical_bytes(w["body"]), w["signature"], w["signer"]) for w in wires)
-
-
 # ----------------------------------------------------------------------
 # wire format: the shapes LedgerNode.MESSAGES is composed of
 
 
-_tx_fields = object_of(kind=one_of(*TX_KINDS), signer=is_str, signature=is_str,
-                       body=lambda v: type(v) is dict and is_canonical(v))
-
-
-def tx_wire(v) -> bool:
-    """A signed transaction whose body repeats its kind and carries an int nonce."""
-    return (_tx_fields(v) and v["body"].get("kind") == v["kind"]
-            and is_int(v["body"].get("nonce")))
-
-
+# A signed transaction whose body is its text, which only `SignedTransaction.from_wire` reads.
+tx_wire = object_of(kind=one_of(*TX_KINDS), body=is_str, signer=is_str, signature=is_str)
 _BATCH = list_of(tx_wire)
 _VOTE_FIELDS = dict(view=is_int, height=is_int, digest=is_str, sender=is_int, sig=is_str)
 _PRE_PREPARE = message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
@@ -388,9 +379,12 @@ class LedgerNode(Process):
     def _on_submit(self, src: str, msg: dict) -> None:
         """The one way a transaction enters the ledger (see the module docstring)."""
         wire = msg["tx"]
-        body = canonical_bytes(wire["body"])  # once, for both the id and the signature
-        tid = sha256_hex(body)
-        if not self.net.verify(body, wire["signature"], wire["signer"]):
+        tx = SignedTransaction.from_wire(wire)  # the one parse and canonical check
+        if tx is None:
+            self.counters["malformed_dropped"] += 1
+            return
+        tid = tx.tx_id
+        if not self.net.verify(tx.body_bytes(), tx.signature, tx.signer):
             reply = TxReceipt(tid, False, contracts.CODE_BAD_SIGNATURE)
             self._cast(src, {"type": "receipt", **reply.wire()})
             return
@@ -413,10 +407,12 @@ class LedgerNode(Process):
     # proposals
 
     def _batch_signed(self, wires: list[dict]) -> bool:
-        """Whether each wire is signed; a wire equal to its pool entry was checked
-        when `_on_submit` pooled it, so only the others are verified."""
-        return _signed([w for w in wires if self.pool.get(digest_hex(w["body"])) != w],
-                       self.net.verify)
+        """Whether each wire has a body `SignedTransaction.from_wire` admits, signed by
+        its signer; a wire equal to its pool entry was checked when `_on_submit`
+        pooled it, so only the others are parsed and verified."""
+        unpooled = [w for w in wires if self.pool.get(text_id(w["body"])) != w]
+        return all(tx is not None and self.net.verify(tx.body_bytes(), tx.signature, tx.signer)
+                   for tx in map(SignedTransaction.from_wire, unpooled))
 
     def _undecided_batch(self) -> list[dict]:
         return list(islice(self.pool.values(), BATCH_SIZE))
@@ -546,10 +542,10 @@ class LedgerNode(Process):
         notifications: list[tuple[str, dict]] = []  # (agent address, message)
         task_agent, exec_agent = self.config.task_agent_addr, self.config.exec_agent_addr
         for wire in batch:
-            tx = SignedTransaction.from_wire(wire)
-            tid = tx.tx_id
+            tid = text_id(wire["body"])
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
+            tx = SignedTransaction.from_wire(wire, checked=True)  # see `_batch_signed`
             verdict = contracts.verify_tx(tx, self.state, self.log_query, self.config.ledger_secret)
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)

@@ -1,17 +1,28 @@
 """Signed transactions and receipts.
 
-A transaction is a canonical dict body plus a detached Ed25519 signature
-by the submitting wallet.  The body carries its own kind tag and a
-submitter nonce, so byte-identical bodies are the same transaction and
-re-submissions with fresh nonces are distinct ones.
+A transaction is a dict body plus a detached Ed25519 signature by the
+submitting wallet over the body's text: its canonical JSON (see
+`canonical`).  On the wire and in a dump a body is that text, so consensus
+orders, digests and stores it as an opaque string, and a tx's id is the
+SHA-256 of its text.  The body carries its own kind tag and a submitter
+nonce, so byte-identical bodies are the same transaction and re-submissions
+with fresh nonces are distinct ones.
+
+`SignedTransaction.from_wire` is the one reader of a body's text, and it
+parses it once: it admits only the exact canonical JSON of its own parse, so
+structurally equal bodies are one text and one id, and a float, a NaN,
+nesting deeper than `MAX_DEPTH`, other whitespace, other key order and a
+duplicate key are all refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from typing import Any
 
-from ..canonical import canonical_bytes, digest_hex
+# digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
+from ..canonical import canonical_bytes, digest_hex, is_int, sha256_hex  # noqa: F401
 from ..keys import KeyPair, verify_signature
 
 KIND_RULE_COMMIT = "rule_commit"
@@ -22,19 +33,30 @@ KIND_CONFIG = "config"
 TX_KINDS = (KIND_RULE_COMMIT, KIND_EVENT, KIND_ACTION, KIND_CONFIG)
 
 
+def text_id(text: str) -> str:
+    """The id of the tx whose body text is text."""
+    return sha256_hex(text.encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class SignedTransaction:
     kind: str
     body: dict
     signer: str  # hex public key
-    signature: str  # hex detached signature over canonical body bytes
+    signature: str  # hex detached signature over the body's text
+    # The canonical JSON of body.  A tx built from a dict body alone, as a test's
+    # unsigned one may be, derives it on each use.
+    text: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def tx_id(self) -> str:
-        return digest_hex(self.body)
+        return text_id(self.body_text())
+
+    def body_text(self) -> str:
+        return canonical_bytes(self.body).decode("utf-8") if self.text is None else self.text
 
     def body_bytes(self) -> bytes:
-        return canonical_bytes(self.body)
+        return self.body_text().encode("utf-8")
 
     def signature_valid(self) -> bool:
         return verify_signature(self.body_bytes(), self.signature, self.signer)
@@ -42,19 +64,25 @@ class SignedTransaction:
     def wire(self) -> dict:
         return {
             "kind": self.kind,
-            "body": self.body,
+            "body": self.body_text(),
             "signer": self.signer,
             "signature": self.signature,
         }
 
     @classmethod
-    def from_wire(cls, data: dict) -> "SignedTransaction":
-        return cls(
-            kind=data["kind"],
-            body=data["body"],
-            signer=data["signer"],
-            signature=data["signature"],
-        )
+    def from_wire(cls, data: dict, checked: bool = False) -> "SignedTransaction | None":
+        """The tx a wire carries, if its body text is exactly the canonical JSON of
+        an object with the wire's kind and an int nonce, else None; never raises.
+        A body `checked` by an earlier call is not serialized again."""
+        text, kind = data["body"], data["kind"]
+        try:
+            body = json.loads(text)
+            ok = checked or canonical_bytes(body) == text.encode("utf-8")
+        except (ValueError, TypeError, RecursionError):  # the parser recurses per nesting level
+            return None
+        if ok and type(body) is dict and body.get("kind") == kind and is_int(body.get("nonce")):
+            return cls(kind, body, data["signer"], data["signature"], text)
+        return None
 
 
 def build_tx(kind: str, payload: dict, keypair: KeyPair, nonce: int) -> SignedTransaction:
@@ -63,8 +91,8 @@ def build_tx(kind: str, payload: dict, keypair: KeyPair, nonce: int) -> SignedTr
         raise ValueError(f"unknown tx kind: {kind}")
     body: dict[str, Any] = {"kind": kind, "nonce": nonce}
     body.update(payload)
-    signature = keypair.sign(canonical_bytes(body))
-    return SignedTransaction(kind=kind, body=body, signer=keypair.public_hex, signature=signature)
+    text = canonical_bytes(body).decode("utf-8")
+    return SignedTransaction(kind, body, keypair.public_hex, keypair.sign(text.encode()), text)
 
 
 @dataclass(frozen=True)

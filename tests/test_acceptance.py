@@ -359,10 +359,10 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
     "report": "21fa83d01ce4dcc0de120658e8e12a5265f98764bcb256cf41980864de62fe64",
-    "ledger-node0.dump": "f2e13ce6d38eeca8be41d3f98475bc570ea72858ca985a5a98142bb2b7ba2172",
-    "ledger-node1.dump": "fa95c321aa8192dacc8db01a14745147611fa0056505d4878c92ae503faa2f1c",
-    "ledger-node2.dump": "98e9bcfec22b05d7d2f839ff15b1ae64fe4c9e0c4bc8b9e5eb6c93e32a13a7df",
-    "ledger-node3.dump": "7f23708a0684d7adf8ee7022993d38b664d9ea2fa9fe674d4675c2193714d628",
+    "ledger-node0.dump": "f26b46e4d1072bcd053d5da07f6543dcd9f942aff696471b04770ed444691730",
+    "ledger-node1.dump": "80fabd969c5da3ddd272418b74697d84e0aa38b89e0f1111fe3f835becc06512",
+    "ledger-node2.dump": "76e6cb313c1197da6afafb977f5958bae5fbc5c251ffb2d045d66ea5a3374c4f",
+    "ledger-node3.dump": "b37ddacc6bfaa1cd6e06fd0bd17dfeb9688ec5498a46e18cde7e0a4e7e385473",
 }
 
 

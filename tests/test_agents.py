@@ -14,7 +14,7 @@ from ruledger import agents, devices
 from ruledger.canonical import sha256_hex
 from ruledger.devices import checksum
 from ruledger.keys import KeyPair
-from ruledger.ledger.tx import build_tx
+from ruledger.ledger.tx import SignedTransaction, build_tx
 from ruledger.rules import parse_rule
 from ruledger.sim.network import NetConfig, Network, Process
 from ruledger.sim.scheduler import Scheduler
@@ -187,7 +187,7 @@ def test_completed_actions_are_recorded_back_to_the_ledger():
     assert len(submitted) == 1
     tx = submitted[0]["tx"]
     assert tx["kind"] == "event"
-    body = tx["body"]
+    body = SignedTransaction.from_wire(tx).body
     assert body["event_info"]["step_id"] == 1
     assert body["event_info"]["rule_id"] == BINDING["rule_id"]
     assert body["result_status"] == 1
@@ -207,7 +207,7 @@ def test_failed_action_leaves_a_failure_record():
     assert rig.agent.counters["action_failures"] == 1
     submitted = _submitted(rig)
     assert len(submitted) == 1
-    body = submitted[0]["tx"]["body"]
+    body = SignedTransaction.from_wire(submitted[0]["tx"]).body
     assert body["result_status"] == -1
     assert body["event_log"]["log_sum"] == ""
     assert len(rig.log) == 0  # nothing executed, nothing logged
@@ -275,7 +275,7 @@ def test_trigger_cycle_submits_event_with_logged_checksum():
     assert rig.agent.counters["cycles"] == 1
     assert rig.agent.counters["events_submitted"] == 1
     submitted = _submitted(rig)
-    body = submitted[0]["tx"]["body"]
+    body = SignedTransaction.from_wire(submitted[0]["tx"]).body
     info = body["event_info"]
     assert info == dict(BINDING, step_id=0, event_seq=1)
     assert body["task_ref"] == 1
@@ -452,8 +452,9 @@ def test_action_request_becomes_an_action_transaction():
     assert len(submitted) == 1
     tx = submitted[0]["tx"]
     assert tx["kind"] == "action"
-    assert tx["body"]["cid"] == "c" * 32
-    assert tx["body"]["event_info"] == event_info()
+    body = SignedTransaction.from_wire(tx).body
+    assert body["cid"] == "c" * 32
+    assert body["event_info"] == event_info()
 
 
 def test_malformed_platform_messages_are_dropped():

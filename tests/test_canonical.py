@@ -14,6 +14,7 @@ from ruledger.canonical import (
     derive_seed,
     digest_hex,
     is_canonical,
+    is_str,
     sha256_hex,
 )
 
@@ -160,3 +161,12 @@ def test_derive_seed_streams_are_stable_and_distinct():
     assert derive_seed(42, "net") != derive_seed(42, "node0/rng")
     assert derive_seed(42, "net") != derive_seed(43, "net")
     assert 0 <= derive_seed(0, "") < 2**64
+
+
+@pytest.mark.parametrize("value", ["\ud800", {"\udfff": 1}, ["ok", "a\ud83d"], {"k": ("\ud800",)}])
+def test_a_lone_surrogate_is_not_canonical(value):
+    # UTF-8 cannot encode one, and a peer's JSON "\ud800" parses to one.
+    assert not is_canonical(value)
+    with pytest.raises(TypeError):
+        canonical_bytes(value)
+    assert not is_str("\ud800") and is_str("é\U0001f600")

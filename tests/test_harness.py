@@ -250,8 +250,15 @@ def test_audit_reports_a_malformed_commit_certificate(poll_run, tamper):
     assert result.issues == ["block 1: malformed commit certificate"]
 
 
+def _edit_body(wire, **fields):
+    """Set fields in wire's body text, keeping its key order and separators; a
+    float stays a float."""
+    wire["body"] = json.dumps({**json.loads(wire["body"]), **fields}, sort_keys=True,
+                              separators=(",", ":"), ensure_ascii=False)
+
+
 @pytest.mark.parametrize("tamper", [
-    lambda records: records[2]["txs"][0]["body"].update(nonce=1.5),
+    lambda records: _edit_body(records[2]["txs"][0], nonce=1.5),
     lambda records: records[2].pop("prev_digest"),
     lambda records: records[2].update(txs=5),
     lambda records: records.insert(2, ["not", "an", "object"]),
@@ -288,7 +295,9 @@ def _reseal(records):
         record["prev_digest"] = prev
         record["digest"] = prev = node_mod.block_digest(record["height"], prev, record["txs"])
         for wire in record["txs"]:
-            contracts.apply_tx(SignedTransaction.from_wire(wire), state)
+            tx = SignedTransaction.from_wire(wire)
+            if tx is not None:  # the audit reports a body it cannot parse
+                contracts.apply_tx(tx, state)
     records[-1]["digest"] = state.state_digest()
     return records
 
@@ -329,8 +338,12 @@ def _forge_reject_under_f_zero(records):
      "block 1: txs are not an in-order subsequence of the proposal"),
     (lambda records: records[3]["txs"].insert(0, records[3]["txs"].pop(1)),
      "block 2: txs are not an in-order subsequence of the proposal"),
-    (lambda records: records[3]["proposal"][1]["body"].update(usr_rule_id=999),
+    (lambda records: _edit_body(records[3]["proposal"][1], usr_rule_id=999),
      "block 2: proposal does not match its commit certificate"),
+    (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"][:-1]),
+     "block 2: committed tx with a malformed body"),
+    (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"] + " "),
+     "block 2: committed tx with a malformed body"),
     (lambda records: records[3].pop("proposal"), "record 3: malformed"),
     (lambda records: records[1].update(txs=[_FORGED], proposal=[_FORGED]),
      "block 0: not the genesis block"),
@@ -339,7 +352,8 @@ def _forge_reject_under_f_zero(records):
     (_forge_reject_under_f_zero, "missing or malformed header record"),
     (_erase_with_one_vote, "block 2: commit certificate has 1 valid votes, needs 3"),
     (lambda records: records.__delitem__(2), "height gap: expected 1, found 2"),
-], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire", "no_proposal",
+], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire",
+        "unparseable_tx_body", "non_canonical_tx_body", "no_proposal",
         "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero",
         "erase_with_one_vote", "no_block_1"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
@@ -465,7 +479,7 @@ def test_cli_audit_flags_a_tampered_dump(tmp_path, capsys):
     dump = out_dir / "ledger-node0.dump"
     lines = dump.read_bytes().splitlines()
     record = json.loads(lines[2])  # first non-genesis block
-    record["txs"][0]["body"]["nonce"] += 1
+    _edit_body(record["txs"][0], nonce=json.loads(record["txs"][0]["body"])["nonce"] + 1)
     lines[2] = json.dumps(record).encode()
     dump.write_bytes(b"\n".join(lines) + b"\n")
 

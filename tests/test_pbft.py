@@ -5,6 +5,8 @@ honest nodes; liveness as honest nodes eventually committing submitted
 transactions within the simulated window.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ def test_fault_free_commit_reaches_all_nodes():
     assert receipt.accepted and receipt.height == 1
     for node in rig.nodes:
         assert len(node.chain) == 2
-        assert node.chain[1]["txs"][0]["body"]["rule"]["rule_id"] == 1
+        assert SignedTransaction.from_wire(node.chain[1]["txs"][0]).body["rule"]["rule_id"] == 1
         assert node.counters["view_changes"] == 0
     assert _honest_prefix_consistent(rig.nodes)
 
@@ -94,10 +96,11 @@ def test_equivocating_primary_cannot_split_honest_nodes():
     assert rig.client.client.resolved[tx.tx_id].accepted
 
 
-def _pre_prepare(rig, view, wires, height=1):
-    """The pre-prepare of view's primary for wires, signed with its key."""
-    sender = rig.config.primary(view)
-    digest = node_mod.batch_digest(wires)
+def _pre_prepare(rig, view, wires, height=1, sender=None, digest=None):
+    """The pre-prepare of view's primary (or of sender) for wires (under digest, if
+    given), signed with the sender's key."""
+    sender = rig.config.primary(view) if sender is None else sender
+    digest = node_mod.batch_digest(wires) if digest is None else digest
     return {"type": "pre_prepare", "view": view, "height": height, "digest": digest,
             "batch": wires, "sender": sender,
             "sig": rig.keys[sender].sign_obj(node_mod._vote_body("p", view, height, digest))}
@@ -221,13 +224,6 @@ def test_committed_heights_leave_no_consensus_state():
         assert not n.pool
 
 
-def _nested_list(depth):
-    value = []
-    for _ in range(depth - 1):
-        value = [value]
-    return value
-
-
 def test_duplicate_commit_gossip_does_not_double_apply():
     rig = make_rig(seed=8)
     tx = rule_commit_tx(rig.admin, nonce=1)
@@ -248,9 +244,17 @@ def test_duplicate_commit_gossip_does_not_double_apply():
                  "batch": [], "sender": 0, "sig": "00"},
     # Walking a body this deep raised RecursionError out of on_message.
     lambda txs: {"type": "submit", "tx": dict(
-        txs[0].wire(), body=dict(txs[0].body, deep=_nested_list(5000)))},
+        txs[0].wire(), body=txs[0].body_text()[:-1] + ',"x":' + "[" * 5000 + "]" * 5000 + "}")},
+    # A string UTF-8 cannot encode raised UnicodeEncodeError out of the handler.
+    lambda txs: {"type": "prepare", "view": 0, "height": 1, "digest": "\ud800", "sender": 2,
+                 "sig": "00"},
+    lambda txs: {"type": "submit", "tx": dict(
+        txs[0].wire(), body=txs[0].body_text()[:-1] + ',"x":"\ud800"}')},
+    lambda txs: {"type": "submit", "tx": dict(
+        txs[0].wire(), body=txs[0].body_text()[:-1] + ',"x":"\\ud800"}')},
 ], ids=["shapeless_future_pre_prepare", "unsigned_future_pre_prepare",
-        "submit_with_deeply_nested_body"])
+        "submit_with_deeply_nested_body", "prepare_with_a_lone_surrogate",
+        "submit_with_a_lone_surrogate", "submit_with_an_escaped_lone_surrogate"])
 def test_junk_is_dropped_at_entry_and_commits_go_on(junk):
     # Raising mid-commit cut that commit step short and counted the honest
     # message behind it as malformed; an entry check counts the junk itself.
@@ -564,11 +568,12 @@ def test_a_client_gives_up_after_two_tries_per_replica():
 # view changes: prepared certificates and new views
 
 
-def _prepared(rig, wires, voters, tag="p"):
-    """A certificate for wires at view 0, height 1 with the tag votes of voters."""
+def _prepared(rig, wires, voters, tag="p", height=1):
+    """A certificate for wires at view 0, height 1 (or height) with the tag votes
+    of voters."""
     digest = node_mod.batch_digest(wires)
-    body = node_mod._vote_body(tag, 0, 1, digest)
-    return {"view": 0, "height": 1, "digest": digest, "batch": wires,
+    body = node_mod._vote_body(tag, 0, height, digest)
+    return {"view": 0, "height": height, "digest": digest, "batch": wires,
             "votes": {str(i): rig.keys[i].sign_obj(body) for i in voters}}
 
 
@@ -680,6 +685,108 @@ def test_a_new_view_for_a_view_behind_is_ignored(vc_rig):
 
 
 # ---------------------------------------------------------------------------
+# direct refusals: each check consensus safety rests on, one message at a time
+
+
+def _no_proposal(node, height=1):
+    return all(slot.digest is None for slot in node.slots.get(height, {}).values())
+
+
+def _text_wire(rig, text, kind="rule_commit"):
+    """A wire carrying body text as it is, signed by the admin over exactly that text."""
+    return {"kind": kind, "body": text, "signer": rig.admin.public_hex,
+            "signature": rig.admin.sign(text.encode())}
+
+
+def _reordered(body):
+    return json.dumps(dict(reversed(list(body.items()))), separators=(",", ":"))
+
+
+# Validly signed texts that are not the canonical body of their wire's kind,
+# as (body text, wire kind) from a canonical rule commit.
+_NOT_CANONICAL = {
+    "a_space": lambda tx: (tx.body_text().replace(",", ", ", 1), tx.kind),
+    "reordered_keys": lambda tx: (_reordered(tx.body), tx.kind),
+    "a_float": lambda tx: (tx.body_text()[:-1] + ',"x":0.5}', tx.kind),
+    "nan": lambda tx: (tx.body_text()[:-1] + ',"x":NaN}', tx.kind),
+    "a_duplicate_key": lambda tx: ('{"action":"x",' + tx.body_text()[1:], tx.kind),
+    "unparseable": lambda tx: (tx.body_text()[:-1], tx.kind),
+    "not_an_object": lambda tx: (json.dumps([tx.body_text()]), tx.kind),
+    "a_kind_mismatch": lambda tx: (tx.body_text(), "event"),
+    "no_nonce": lambda tx: (SignedTransaction(
+        tx.kind, {k: v for k, v in tx.body.items() if k != "nonce"}, tx.signer, "").body_text(),
+        tx.kind),
+}
+
+
+@pytest.mark.parametrize("path", ["submit", "pre_prepare"])
+@pytest.mark.parametrize("variant", sorted(_NOT_CANONICAL))
+def test_a_signed_body_that_is_not_canonical_is_refused(path, variant):
+    rig = make_rig(seed=33)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    wire = _text_wire(rig, *_NOT_CANONICAL[variant](tx))
+    assert wire["body"] != tx.body_text() or wire["kind"] != tx.kind
+    node = rig.nodes[1]
+    if path == "submit":
+        node.on_message("client", {"type": "submit", "tx": wire})
+    else:
+        node.on_message("node0", _pre_prepare(rig, 0, [wire]))
+    assert node.counters["malformed_dropped"] == 1
+    assert not node.pool and _no_proposal(node)
+
+
+def _bad_signature(rig, wires):
+    return _pre_prepare(rig, 0, [dict(wires[0][0], signature=rig.admin.sign(b"another body"))])
+
+
+@pytest.mark.parametrize("pre_prepare", [
+    _bad_signature,
+    lambda rig, wires: _pre_prepare(rig, 0, wires[0], digest=node_mod.batch_digest(wires[1])),
+    lambda rig, wires: _pre_prepare(rig, 0, []),
+    lambda rig, wires: _pre_prepare(rig, 0, wires[0], sender=1),
+    lambda rig, wires: _pre_prepare(rig, 1, wires[0]),
+], ids=["a_wire_with_a_bad_signature", "a_digest_of_another_batch", "an_empty_batch",
+        "signed_by_a_backup", "for_a_later_view"])
+def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, pre_prepare):
+    node = vc_rig.nodes[2]
+    node.on_message("node1", pre_prepare(vc_rig, vc_rig.wires))
+    assert node.counters["malformed_dropped"] == 1
+    assert _no_proposal(node)
+    assert all(not slot.prepares for views in node.slots.values() for slot in views.values())
+
+
+@pytest.mark.parametrize("kind", ["prepare", "commit"])
+def test_a_forged_vote_is_refused(vc_rig, kind):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    node.on_message("node0", _pre_prepare(rig, 0, rig.wires[0]))
+    vote = rig.nodes[3]._vote(kind, 0, 1, node.slots[1][0].digest)
+    node.on_message("node3", dict(vote, sig=rig.keys[1].sign_obj(
+        node_mod._vote_body(node_mod._VOTE_TAGS[kind], 0, 1, vote["digest"]))))
+    assert node.counters["malformed_dropped"] == 1
+    slot = node.slots[1][0]
+    assert 3 not in slot.prepares.get(slot.digest, {}) and not slot.commits
+
+
+def test_a_bad_signature_in_a_committed_reply_is_refused(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    wires = [dict(rig.wires[0][0], signature=rig.admin.sign(b"another body"))]
+    node.on_message("node0", {"type": "committed", **_prepared(rig, wires, (0, 1, 3), "c")})
+    assert node.counters["malformed_dropped"] == 1 and node.next_height == 1
+
+
+def test_a_tx_in_two_certified_batches_executes_once(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    first, second = rig.wires[0][0], rig.wires[1][0]
+    for height, wires in ((1, [first]), (2, [first, second])):
+        node.on_message("node0", {"type": "committed",
+                                  **_prepared(rig, wires, (0, 1, 3), "c", height)})
+    assert node.next_height == 3 and node.counters["malformed_dropped"] == 0
+    assert node.chain[2]["txs"] == [second]
+    assert node.counters["txs_committed"] == 2 and node.counters["txs_rejected"] == 0
+    assert node.decided[node_mod.text_id(first["body"])].height == 1
+
+
+# ---------------------------------------------------------------------------
 # node boundary fuzz: no peer message may raise out of on_message
 
 _FIELDS = {
@@ -693,9 +800,11 @@ _FIELDS = {
     "sync_req": ("height",),
 }
 
+# Strings draw from every category, lone surrogates (Cs) included, which JSON's
+# "\ud800" parses to and hypothesis's default text leaves out.
+_text = st.text(st.characters(exclude_categories=()), max_size=3)
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False)
-    | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False) | _text,
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.sampled_from(["0", "1", "2", "kind", "body", "view", "height",
                                        "digest", "batch", "votes"]), kids, max_size=4),
@@ -713,19 +822,19 @@ _cert = st.fixed_dictionaries({}, optional={
 _VALUES = {"view": _num, "height": _num, "sender": _num, "new_view": _num,
            "last_height": _num, "batch": _batch, "cert": st.none() | _cert | _json}
 # Well-typed values, so that a good share of messages gets past MESSAGES;
-# now and then a float hides in a transaction body, which is not canonical.
+# now and then a float hides in a transaction body's text, which is not canonical.
 _nodes = st.sampled_from(["0", "1", "2", "3"])
-_typed_wire = _wire | _wire.map(lambda w: dict(w, body=dict(w["body"], x=0.5)))
+_typed_wire = _wire | _wire.map(lambda w: dict(w, body=w["body"][:-1] + ',"x":0.5}'))
 _TYPED = {"view": st.integers(0, 3), "height": st.integers(0, 3), "sender": st.integers(0, 3),
           "new_view": st.integers(0, 3), "last_height": st.integers(0, 3),
-          "digest": st.text(max_size=3), "sig": st.text(max_size=3),
+          "digest": _text, "sig": _text,
           "tx": _typed_wire, "batch": st.lists(_typed_wire, max_size=3),
-          "votes": st.dictionaries(_nodes, st.text(max_size=3)),
+          "votes": st.dictionaries(_nodes, _text),
           "vcs": st.just({}), "pre_prepare": st.none(),
           "cert": st.none() | st.fixed_dictionaries({
               "view": st.integers(0, 3), "height": st.integers(0, 3),
-              "digest": st.text(max_size=3), "batch": st.lists(_typed_wire, max_size=3),
-              "votes": st.dictionaries(_nodes, st.text(max_size=3))})}
+              "digest": _text, "batch": st.lists(_typed_wire, max_size=3),
+              "votes": st.dictionaries(_nodes, _text)})}
 
 
 def _sign_votes(cert, tag, keys):
