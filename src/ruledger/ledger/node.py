@@ -61,9 +61,12 @@ wire form the table admitted, which `batch_digest` covers, from the pool to
 the block.  A batch wire equal to its pool entry is not checked again, as
 `_on_submit` checked it before pooling it; any other is parsed, checked and
 verified.  So no replica serializes a body after `_on_submit`, and
-`_commit_block` only parses the bodies it executes.  Every check goes
-through `net.verify`, the memo all replicas of a simulation share (see
-`keys`); the audit verifies for itself.
+`_commit_block` only parses the bodies it executes.  `_on_submit` and
+`_batch_signed` are the only checkers of tx signatures: the offline audit
+trusts a commit certificate's f + 1 honest voters to have run them (see
+`audit`).  Every check goes through `net.verify`, the memo all replicas of a
+simulation share (see `keys`); the audit verifies its commit votes for
+itself.
 A fault-free node sends each broadcast as one multicast (see `sim.network`);
 a faulty one sends per destination, through its fault hooks.
 

@@ -21,9 +21,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-# digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
+# digest_hex and verify_signature are bound here for perfbench/tracer.py, which
+# rebinds them per module.
 from ..canonical import canonical_bytes, digest_hex, is_int, sha256_hex  # noqa: F401
-from ..keys import KeyPair, verify_signature
+from ..keys import KeyPair, verify_signature  # noqa: F401
 
 KIND_RULE_COMMIT = "rule_commit"
 KIND_EVENT = "event"
@@ -57,9 +58,6 @@ class SignedTransaction:
 
     def body_bytes(self) -> bytes:
         return self.body_text().encode("utf-8")
-
-    def signature_valid(self) -> bool:
-        return verify_signature(self.body_bytes(), self.signature, self.signer)
 
     def wire(self) -> dict:
         return {

@@ -735,24 +735,29 @@ def test_a_signed_body_that_is_not_canonical_is_refused(path, variant):
     assert not node.pool and _no_proposal(node)
 
 
-def _bad_signature(rig, wires):
-    return _pre_prepare(rig, 0, [dict(wires[0][0], signature=rig.admin.sign(b"another body"))])
+def _bad_signature(rig, wires, view=0):
+    return _pre_prepare(rig, view, [dict(wires[0][0], signature=rig.admin.sign(b"another body"))])
 
 
-@pytest.mark.parametrize("pre_prepare", [
+@pytest.mark.parametrize("msg", [
     _bad_signature,
     lambda rig, wires: _pre_prepare(rig, 0, wires[0], digest=node_mod.batch_digest(wires[1])),
     lambda rig, wires: _pre_prepare(rig, 0, []),
     lambda rig, wires: _pre_prepare(rig, 0, wires[0], sender=1),
     lambda rig, wires: _pre_prepare(rig, 1, wires[0]),
+    lambda rig, wires: _new_view(1, _vcs(rig), _bad_signature(rig, wires, view=1)),
 ], ids=["a_wire_with_a_bad_signature", "a_digest_of_another_batch", "an_empty_batch",
-        "signed_by_a_backup", "for_a_later_view"])
-def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, pre_prepare):
+        "signed_by_a_backup", "for_a_later_view", "a_bad_signature_re_proposed_in_a_new_view"])
+def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, msg):
+    # The audit trusts that a replica casts no vote on a batch that fails a check,
+    # whichever message brought the batch.
     node = vc_rig.nodes[2]
-    node.on_message("node1", pre_prepare(vc_rig, vc_rig.wires))
+    sent = _record_sends(vc_rig)
+    node.on_message("node1", msg(vc_rig, vc_rig.wires))
     assert node.counters["malformed_dropped"] == 1
     assert _no_proposal(node)
     assert all(not slot.prepares for views in node.slots.values() for slot in views.values())
+    assert not [m for src, _, m in sent if src == node.addr and m["type"] in ("prepare", "commit")]
 
 
 @pytest.mark.parametrize("kind", ["prepare", "commit"])
