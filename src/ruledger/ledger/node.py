@@ -38,7 +38,7 @@ rotates the primary when no progress is made: the commit timer starts when
 work arrives at an idle node and restarts only on progress (an accepted
 pre-prepare or a commit), so a stream of new submissions never puts a
 timeout off, and each timeout inside a view change moves its target one view
-on.  A single node (N = 1) runs the same three phases with a quorum of one.
+on.
 
 Catch-up is pull only.  Each block keeps `proposal`, the batch its commit
 certificate signs, beside `txs`, the accepted subsequence, so every block
@@ -53,8 +53,8 @@ applies a block only with its certificate.
 `LedgerNode.MESSAGES`, the node's table at the boundary every process shares
 (see `sim.Process`), gives the exact shape of every message (nested ones,
 certificates, transaction wires and vote maps included): a handler runs only
-on a message the table admits, and reads it unguarded.  Future-height
-messages are buffered only once authenticated.  Consensus treats a tx body
+on a message the table admits, and reads it unguarded.  A later height's
+messages are kept only once authenticated.  Consensus treats a tx body
 as opaque: a wire's body is its signed canonical text (see `tx`), which the
 table admits as a string and whose hash is the tx id.  A batch stays in the
 wire form the table admitted, which `batch_digest` covers, from the pool to
@@ -74,9 +74,12 @@ The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and never
   holds a decided id: `_on_submit` answers a decided id from `decided`,
   and `_commit_block` pops each id it decides;
-- `slots` maps height -> view -> `_Slot` for heights at or above
-  `next_height` only: handlers ignore lower heights, and `_commit_block`
-  drops the height it commits;
+- `slots` maps height -> view -> `_Slot` for the window of heights
+  `next_height <= h < next_height + WINDOW` only, as PBFT's low and high
+  watermarks bound its log: handlers ignore every other height, and
+  `_commit_block` drops the height it commits.  A pre-prepare for a later
+  height waits in its slot, as a vote does, and `_check_slot` sends its
+  prepare once that height is next;
 - `vc_msgs` holds view-change buckets only for views above `view`:
   `_on_view_change` ignores the others, and `_enter_view` drops them.
 """
@@ -118,6 +121,7 @@ from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt,
 GENESIS_PREV = "0" * 64
 SYNC_RUN = 8  # the most blocks one sync reply carries
 BATCH_SIZE = 16  # the most transactions one proposal carries
+WINDOW = 64  # the heights from next_height a replica keeps consensus state for
 
 
 class ConfigError(ValueError):
@@ -128,8 +132,8 @@ class ConfigError(ValueError):
 # (PBFT needs n >= 3f + 1), so everything derives them from a replica list.
 
 def replica_count_ok(n: int) -> bool:
-    """Whether n replicas run: one in single-node test mode, else at least 4."""
-    return n == 1 or n >= 4
+    """Whether n replicas run: at least 4, so that f is at least 1."""
+    return n >= 4
 
 
 def max_faulty(n: int) -> int:
@@ -157,10 +161,7 @@ class LedgerConfig:
         if n != len(self.node_pubkeys):
             raise ConfigError("node_addrs and node_pubkeys length mismatch")
         if not replica_count_ok(n):
-            raise ConfigError(
-                f"replicated mode needs at least 4 nodes (got {n}); "
-                "single-node test mode uses exactly 1"
-            )
+            raise ConfigError(f"a ledger needs at least 4 nodes (got {n})")
 
     @property
     def n(self) -> int:
@@ -264,6 +265,7 @@ class _Slot:
         # digest -> node index -> sig; the primary's pre-prepare is its prepare
         self.prepares: dict[str, dict[int, str]] = {}
         self.commits: dict[str, dict[int, str]] = {}
+        self.sent_prepare = False
         self.sent_commit = False
 
 
@@ -312,7 +314,6 @@ class LedgerNode(Process):
         self.decided: dict[str, TxReceipt] = {}
         self.slots: dict[int, dict[int, _Slot]] = {}  # height -> view -> slot
         self.committed_buffer: dict[int, dict] = {}  # height -> commit certificate
-        self.pp_buffer: list[dict] = []
         self.vc_msgs: dict[int, dict[int, dict]] = {}
         self.vc_target: int | None = None  # the view a view change in progress aims at
         self._sync_asked = 0  # the highest quorum height a sync_req was sent for
@@ -471,21 +472,21 @@ class LedgerNode(Process):
     def _slot(self, view: int, height: int) -> _Slot:
         return self.slots.setdefault(height, {}).setdefault(view, _Slot())
 
+    def _in_window(self, height: int) -> bool:
+        return self.next_height <= height < self.next_height + WINDOW
+
     def _on_pre_prepare(self, src: str, msg: dict) -> None:
-        """A peer's pre-prepare, this node's own as primary, or a buffered one
-        replayed: each passes the same signature check, through `net.verify`."""
+        """A peer's pre-prepare or this node's own as primary, for any height in
+        the window: each passes the same checks, through `net.verify`, and goes
+        into its slot, where `_check_slot` prepares it once its height is next."""
         view, h, digest, sender = msg["view"], msg["height"], msg["digest"], msg["sender"]
         if view != self.view or sender != self.config.primary(view):
             self.counters["malformed_dropped"] += 1
             return
-        if h < self.next_height:
+        if not self._in_window(h):
             return
         if not self._vote_valid(_vote_body("p", view, h, digest), sender, msg["sig"]):
             self.counters["malformed_dropped"] += 1
-            return
-        if h > self.next_height:
-            if len(self.pp_buffer) < 64:
-                self.pp_buffer.append(msg)
             return
         slot = self._slot(view, h)
         if slot.digest is not None:
@@ -499,15 +500,13 @@ class LedgerNode(Process):
         slot.batch = batch
         slot.digest = digest
         slot.prepares.setdefault(digest, {})[sender] = msg["sig"]
-        self._broadcast(self._vote("prepare", view, h, digest))
-        self._rearm_timer()
-        self._check_slot(slot, view, h)
+        self._check_slot(view, h)
 
     def _on_vote(self, src: str, msg: dict) -> None:
         """A prepare or a commit."""
         view, h, digest = msg["view"], msg["height"], msg["digest"]
         sender, sig = msg["sender"], msg["sig"]
-        if h < self.next_height:
+        if not self._in_window(h):
             return
         tag = _VOTE_TAGS[msg["type"]]
         if not self._vote_valid(_vote_body(tag, view, h, digest), sender, sig):
@@ -519,13 +518,23 @@ class LedgerNode(Process):
         if (tag == "c" and len(votes) >= self.config.quorum
                 and (h, digest) != (self.next_height, slot.digest)):
             self._request_sync(self.config.node_addrs[sender], h)
-        self._check_slot(slot, view, h)
+        self._check_slot(view, h)
 
-    def _check_slot(self, slot: _Slot, view: int, height: int) -> None:
-        if height != self.next_height or slot.digest is None:
+    def _check_slot(self, view: int, height: int) -> None:
+        """Act on the next height's slot in view once its pre-prepare is in: the
+        one place that sends a prepare (in the current view only) or a commit
+        (only for what this replica prepared), and that commits a block on a
+        commit quorum."""
+        slot = self.slots.get(height, {}).get(view)
+        if height != self.next_height or slot is None or slot.digest is None:
             return
+        if not slot.sent_prepare and view == self.view:
+            slot.sent_prepare = True
+            self._broadcast(self._vote("prepare", view, height, slot.digest))
+            self._rearm_timer()
         quorum = self.config.quorum
-        if not slot.sent_commit and len(slot.prepares.get(slot.digest, {})) >= quorum:
+        if (slot.sent_prepare and not slot.sent_commit
+                and len(slot.prepares.get(slot.digest, {})) >= quorum):
             slot.sent_commit = True
             self._broadcast(self._vote("commit", view, height, slot.digest))
         votes = slot.commits.get(slot.digest, {})
@@ -586,7 +595,7 @@ class LedgerNode(Process):
 
         while self.next_height in self.committed_buffer:  # each entry is certified
             self._commit_block(self.committed_buffer.pop(self.next_height))
-        self._replay_pp_buffer()
+        self._check_slot(self.view, self.next_height)
         self._rearm_timer()
         self._maybe_propose()
 
@@ -614,12 +623,6 @@ class LedgerNode(Process):
             self.committed_buffer[h] = cert
         else:
             self._commit_block(cert)
-
-    def _replay_pp_buffer(self) -> None:
-        buffered, self.pp_buffer = self.pp_buffer, []
-        for msg in buffered:
-            if msg["height"] >= self.next_height:
-                self._on_pre_prepare("", msg)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
         """Send the committed blocks from the asked height, at most SYNC_RUN of them."""

@@ -101,6 +101,7 @@ def test_seed_override_beats_the_file():
     {"accounts": [{"name": "a", "role": "Administrator", "usr_id": 1},
                   {"name": "b", "role": "NormalUser", "usr_id": 1}]},
     {"check_event_log": False},  # the switch that turned the event log check off
+    {"nodes": 1},  # the single-node mode
 ])
 def test_scenario_validation_rejects(overrides):
     with pytest.raises(ConfigError):

@@ -42,23 +42,14 @@ def test_fault_free_commit_reaches_all_nodes():
     assert _honest_prefix_consistent(rig.nodes)
 
 
-def test_single_node_mode_commits_with_a_quorum_of_one():
-    rig = make_rig(seed=2, n=1)
-    tx = rule_commit_tx(rig.admin, nonce=1)
-    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
-    rig.scheduler.run(until=2000)
-    assert rig.client.client.resolved[tx.tx_id].accepted
-    assert len(rig.nodes[0].chain) == 2
-
-
-@pytest.mark.parametrize("n", [0, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_too_few_nodes_is_a_config_error(n):
     with pytest.raises(ConfigError):
         LedgerConfig(node_addrs=[f"n{i}" for i in range(n)],
                      node_pubkeys=["k"] * n, ledger_secret=b"s")
 
 
-@pytest.mark.parametrize("n,f", [(1, 0), (4, 1), (7, 2), (10, 3)])
+@pytest.mark.parametrize("n,f", [(4, 1), (7, 2), (10, 3)])
 def test_fault_bound_and_quorum(n, f):
     config = LedgerConfig(node_addrs=[f"n{i}" for i in range(n)],
                           node_pubkeys=["k"] * n, ledger_secret=b"s")
@@ -113,6 +104,8 @@ def test_conflicting_pre_prepares_are_detected():
     tx = rule_commit_tx(rig.admin, nonce=1)
     node = rig.nodes[1]
     node.on_message("node0", _pre_prepare(rig, 0, [tx.wire()]))
+    node.on_message("node0", _pre_prepare(rig, 0, [tx.wire()]))  # a copy is no fork
+    assert node.counters["equivocations_detected"] == 0
     first_digest = node.slots[1][0].digest
     node.on_message("node0", _pre_prepare(rig, 0, [tx.wire(), tx.wire()]))
     assert node.counters["equivocations_detected"] == 1
@@ -746,8 +739,11 @@ def _bad_signature(rig, wires, view=0):
     lambda rig, wires: _pre_prepare(rig, 0, wires[0], sender=1),
     lambda rig, wires: _pre_prepare(rig, 1, wires[0]),
     lambda rig, wires: _new_view(1, _vcs(rig), _bad_signature(rig, wires, view=1)),
+    lambda rig, wires: dict(_pre_prepare(rig, 0, wires[0]),
+                            sig=_pre_prepare(rig, 0, wires[0], sender=1)["sig"]),
 ], ids=["a_wire_with_a_bad_signature", "a_digest_of_another_batch", "an_empty_batch",
-        "signed_by_a_backup", "for_a_later_view", "a_bad_signature_re_proposed_in_a_new_view"])
+        "signed_by_a_backup", "for_a_later_view", "a_bad_signature_re_proposed_in_a_new_view",
+        "the_primarys_signed_by_a_backup"])
 def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, msg):
     # The audit trusts that a replica casts no vote on a batch that fails a check,
     # whichever message brought the batch.
@@ -789,6 +785,76 @@ def test_a_tx_in_two_certified_batches_executes_once(vc_rig):
     assert node.chain[2]["txs"] == [second]
     assert node.counters["txs_committed"] == 2 and node.counters["txs_rejected"] == 0
     assert node.decided[node_mod.text_id(first["body"])].height == 1
+
+
+# ---------------------------------------------------------------------------
+# the height window: consensus state for next_height <= h < next_height + WINDOW
+
+
+def _prepares_from(sent, node):
+    return [(dst, m["view"], m["height"]) for src, dst, m in sent
+            if src == node.addr and m["type"] == "prepare"]
+
+
+@pytest.mark.parametrize("signed", [
+    lambda rig, h: ("node1", rig.nodes[1]._vote("prepare", 0, h, "0" * 64)),
+    lambda rig, h: ("node0", _pre_prepare(rig, 0, rig.wires[0], height=h)),
+], ids=["prepares", "pre_prepares"])
+def test_signed_messages_for_far_heights_keep_at_most_a_window_of_heights(vc_rig, signed):
+    # Before the window, 1000 such prepares left 1000 heights in slots.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    for h in range(2, 1002):
+        node.on_message(*signed(rig, h))
+    assert sorted(node.slots) == list(range(2, node_mod.WINDOW + 1))
+    assert node.counters["malformed_dropped"] == 0
+
+
+def test_a_pre_prepare_for_a_later_height_is_prepared_once_when_its_turn_comes(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    sent = _record_sends(rig)
+    node.on_message("node0", _pre_prepare(rig, 0, rig.wires[1], height=2))
+    assert node.slots[2][0].batch == rig.wires[1] and not _prepares_from(sent, node)
+    node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
+    assert node.next_height == 2
+    one_prepare = [(dst, 0, 2) for dst in rig.config.node_addrs]
+    assert _prepares_from(sent, node) == one_prepare
+    node.on_message("node3", rig.nodes[3]._vote("prepare", 0, 2, node.slots[2][0].digest))
+    assert _prepares_from(sent, node) == one_prepare
+
+
+def test_a_later_pre_prepare_of_a_view_left_behind_is_not_prepared(vc_rig):
+    # With node0's pre-prepare, the prepares of node3 and node1 make a view-0
+    # quorum at height 2, but node2 left view 0 before it prepared there, so it
+    # sends neither a prepare nor a commit for that view.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    node.on_message("node0", _pre_prepare(rig, 0, rig.wires[1], height=2))
+    node.on_message("node1", _new_view(1, _vcs(rig)))
+    sent = _record_sends(rig)
+    node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
+    digest = node.slots[2][0].digest
+    for i in (3, 1):
+        node.on_message(f"node{i}", rig.nodes[i]._vote("prepare", 0, 2, digest))
+    assert len(node.slots[2][0].prepares[digest]) == rig.config.quorum
+    assert node.view == 1 and node.next_height == 2
+    assert not [m for src, _, m in sent
+                if src == node.addr and m["type"] in ("prepare", "commit")]
+
+
+def test_a_node_cut_off_for_more_than_a_window_catches_up():
+    # Its peers' votes lie beyond its window, so it catches up through the sync
+    # replies its own view changes draw; no honest peer changes view.
+    rig = make_rig(seed=34)
+    lagging = rig.nodes[3]
+    lagging.on_message = lambda src, msg: None
+    *cut_off, last = _rule_txs(rig, node_mod.WINDOW + 17)
+    _commit_in_sequence(rig, cut_off)
+    assert lagging.next_height == 1
+    del lagging.on_message
+    _commit_in_sequence(rig, [last])
+    rig.scheduler.run(until=rig.scheduler.now + 30_000)
+    assert audit.content_digests(lagging) == audit.content_digests(rig.nodes[0])
+    assert lagging.next_height == node_mod.WINDOW + 18
+    assert all(n.view == 0 and n.counters["view_changes"] == 0 for n in rig.nodes[:3])
 
 
 # ---------------------------------------------------------------------------
