@@ -96,8 +96,9 @@ def message(kind: str, **fields):
     return object_of(type=one_of(kind), **fields)
 
 
-def list_of(ok):
-    return lambda v: type(v) is list and all(map(ok, v))
+def list_of(ok, most: int | None = None):
+    """A list of values ok admits, of at most `most` items if given."""
+    return lambda v: type(v) is list and (most is None or len(v) <= most) and all(map(ok, v))
 
 
 def by_index(ok):

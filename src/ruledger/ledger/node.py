@@ -40,6 +40,12 @@ pre-prepare or a commit), so a stream of new submissions never puts a
 timeout off, and each timeout inside a view change moves its target one view
 on.
 
+The batch is the pool: a primary proposes every pooled transaction, in
+arrival order, up to `MAX_BATCH` wires, as PBFT batches requests (Castro and
+Liskov, TOCS 2002), so a backlog drains in one block.  The cap bounds the size
+of a pre-prepare: `MESSAGES` refuses a longer batch in any message, so no
+peer can make a replica parse and verify an unbounded list.
+
 Catch-up is pull only.  Each block keeps `proposal`, the batch its commit
 certificate signs, beside `txs`, the accepted subsequence, so every block
 can be served again.  A node that holds a commit quorum it cannot apply (a
@@ -120,7 +126,7 @@ from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt,
 
 GENESIS_PREV = "0" * 64
 SYNC_RUN = 8  # the most blocks one sync reply carries
-BATCH_SIZE = 16  # the most transactions one proposal carries
+MAX_BATCH = 4096  # the most wires one batch carries, a bound no workload reaches
 WINDOW = 64  # the heights from next_height a replica keeps consensus state for
 
 
@@ -216,7 +222,8 @@ def valid_votes(pubkeys: list[str], tag: str, view: int, height: int, digest: st
 
 # A signed transaction whose body is its text, which only `SignedTransaction.from_wire` reads.
 tx_wire = object_of(kind=one_of(*TX_KINDS), body=is_str, signer=is_str, signature=is_str)
-_BATCH = list_of(tx_wire)
+# Every batch a peer sends (pre-prepare, re-proposal, sync reply, certificate) is bounded.
+_BATCH = list_of(tx_wire, most=MAX_BATCH)
 _VOTE_FIELDS = dict(view=is_int, height=is_int, digest=is_str, sender=is_int, sig=is_str)
 _PRE_PREPARE = message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
 # The one certificate shape, prepared or committed: a quorum of votes on a batch.
@@ -419,7 +426,8 @@ class LedgerNode(Process):
                    for tx in map(SignedTransaction.from_wire, unpooled))
 
     def _undecided_batch(self) -> list[dict]:
-        return list(islice(self.pool.values(), BATCH_SIZE))
+        """The whole pool, in arrival order, up to MAX_BATCH wires."""
+        return list(islice(self.pool.values(), MAX_BATCH))
 
     def _maybe_propose(self) -> None:
         if self.config.primary(self.view) != self.index or self.vc_target is not None:
@@ -522,19 +530,20 @@ class LedgerNode(Process):
 
     def _check_slot(self, view: int, height: int) -> None:
         """Act on the next height's slot in view once its pre-prepare is in: the
-        one place that sends a prepare (in the current view only) or a commit
-        (only for what this replica prepared), and that commits a block on a
-        commit quorum."""
+        one place that sends a prepare, and then a commit on a prepared quorum,
+        each only while voting: in the current view with no view change in
+        flight, as a PBFT replica stops voting in a view it is leaving.  A
+        commit quorum of any view commits the block."""
         slot = self.slots.get(height, {}).get(view)
         if height != self.next_height or slot is None or slot.digest is None:
             return
-        if not slot.sent_prepare and view == self.view:
+        voting = view == self.view and self.vc_target is None
+        if voting and not slot.sent_prepare:
             slot.sent_prepare = True
             self._broadcast(self._vote("prepare", view, height, slot.digest))
             self._rearm_timer()
         quorum = self.config.quorum
-        if (slot.sent_prepare and not slot.sent_commit
-                and len(slot.prepares.get(slot.digest, {})) >= quorum):
+        if voting and not slot.sent_commit and len(slot.prepares.get(slot.digest, {})) >= quorum:
             slot.sent_commit = True
             self._broadcast(self._vote("commit", view, height, slot.digest))
         votes = slot.commits.get(slot.digest, {})

@@ -678,6 +678,100 @@ def test_a_new_view_for_a_view_behind_is_ignored(vc_rig):
 
 
 # ---------------------------------------------------------------------------
+# safety under an adversarial delivery order
+
+
+def _hold(rig):
+    """Hold every message sent from now on, as [src, dst, msg], until the test
+    delivers it: the test alone chooses the delivery order."""
+    held = []
+
+    def holding(src, dsts, msg):
+        for dst in [dsts] if isinstance(dsts, str) else dsts:
+            held.append([src, dst, json.loads(json.dumps(msg))])
+
+    rig.net.send = holding
+    return held
+
+
+def _deliver(rig, held, kind, dsts, view=None):
+    """Deliver, in the order sent, each held message of kind (and of view, if
+    given) bound for one of dsts; what they send in turn stays held."""
+    due = [m for m in held
+           if m[2]["type"] == kind and m[1] in dsts and (view is None or m[2]["view"] == view)]
+    held[:] = [m for m in held if m not in due]
+    for src, dst, msg in due:
+        rig.net.processes[dst].on_message(src, msg)
+
+
+def test_a_replica_stops_voting_in_a_view_it_is_leaving(vc_rig):
+    # Four honest replicas; only the delivery order is adversarial.  Replicas
+    # that voted on a view-0 batch as they left view 0 used to commit it, so
+    # node1 committed batch A at height 1 where node3 had committed batch B.
+    rig = vc_rig
+    batch_a, batch_b = rig.wires
+    node0, node1, node2, node3 = rig.nodes
+    held = _hold(rig)
+    node0.on_message("client", {"type": "submit", "tx": batch_a[0]})  # proposes A
+    node1.on_message("client", {"type": "submit", "tx": batch_b[0]})  # pools B
+    _deliver(rig, held, "pre_prepare", rig.config.node_addrs)  # the view-0 prepares stay held
+    for node in rig.nodes:  # each times out before any prepare arrives
+        node._on_timeout(node._timer_epoch)
+    assert all(node.vc_target == 1 and node._prepared_cert() is None for node in rig.nodes)
+    _deliver(rig, held, "view_change", ["node1"])  # node1 leads view 1 and proposes B
+    _deliver(rig, held, "new_view", ["node2", "node3"])
+    _deliver(rig, held, "prepare", ["node1", "node2", "node3"], view=1)
+    _deliver(rig, held, "commit", ["node3"], view=1)
+    assert node3.chain[1]["proposal"] == batch_b
+    # The view-0 prepares arrive late: node0 is leaving view 0, nodes 1 and 2 have left it.
+    _deliver(rig, held, "prepare", ["node0", "node1", "node2"], view=0)
+    _deliver(rig, held, "commit", ["node1"], view=0)
+    while held:
+        src, dst, msg = held.pop(0)
+        rig.net.processes[dst].on_message(src, msg)
+    assert [node.chain[1]["proposal"] for node in rig.nodes] == [batch_b] * 4
+    assert _honest_prefix_consistent(rig.nodes)
+
+
+# ---------------------------------------------------------------------------
+# the batch is the pool, up to MAX_BATCH wires
+
+
+def _lead_view_1(rig, txs):
+    """Pool txs at node1 alone, then hand it a quorum of view changes, so that it
+    proposes from that pool as view 1's primary; the sends from then on."""
+    new_primary = rig.nodes[1]
+    for tx in txs:
+        new_primary.on_message("client", _submit(tx))
+    sent = _record_sends(rig)
+    for i in (0, 2, 3):
+        new_primary.on_message(f"node{i}", _view_change(rig, i, 1))
+    rig.scheduler.run(until=rig.scheduler.now + 500)
+    return sent
+
+
+def test_a_primary_proposes_its_whole_pool_in_one_batch():
+    rig = make_rig(seed=35)
+    txs = _rule_txs(rig, 20)
+    wires = [tx.wire() for tx in txs]
+    sent = _lead_view_1(rig, txs)
+    assert [p["batch"] for p in _proposals(sent, "node1")] == [wires] * 3
+    assert all(n.next_height == 2 and n.chain[1]["txs"] == wires for n in rig.nodes)
+
+
+def test_a_pool_above_max_batch_drains_in_batches_of_max_batch(monkeypatch):
+    monkeypatch.setattr(node_mod, "MAX_BATCH", 3)
+    rig = make_rig(seed=36)
+    txs = _rule_txs(rig, 5)
+    sent = _lead_view_1(rig, txs)
+    assert [(p["height"], len(p["batch"])) for p in _proposals(sent, "node1")] == \
+        [(1, 3)] * 3 + [(2, 2)] * 3
+    for n in rig.nodes:
+        assert n.next_height == 3 and not n.pool
+        assert n.chain[1]["txs"] + n.chain[2]["txs"] == [tx.wire() for tx in txs]
+
+
+# ---------------------------------------------------------------------------
 # direct refusals: each check consensus safety rests on, one message at a time
 
 
@@ -754,6 +848,22 @@ def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, msg):
     assert _no_proposal(node)
     assert all(not slot.prepares for views in node.slots.values() for slot in views.values())
     assert not [m for src, _, m in sent if src == node.addr and m["type"] in ("prepare", "commit")]
+
+
+@pytest.mark.parametrize("carrier", [
+    lambda rig, batch: _pre_prepare(rig, 0, batch),
+    lambda rig, batch: _new_view(1, _vcs(rig), _pre_prepare(rig, 1, batch)),
+    lambda rig, batch: {"type": "committed", **_prepared(rig, batch, (0, 1, 3), "c")},
+    lambda rig, batch: _view_change(rig, 3, 1, _prepared(rig, batch, (0, 1, 2))),
+], ids=["pre_prepare", "new_view_re_proposal", "committed", "view_change_certificate"])
+def test_a_batch_above_max_batch_is_refused_at_the_boundary(vc_rig, carrier):
+    # Unbounded, one message could make every replica parse and verify a list of any length.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    wire = rig.wires[0][0]
+    assert node.handler_for(carrier(rig, [wire] * node_mod.MAX_BATCH)) is not None
+    node.on_message("node1", carrier(rig, [wire] * (node_mod.MAX_BATCH + 1)))
+    assert node.counters["malformed_dropped"] == 1
+    assert not node.slots and not node.vc_msgs and (node.view, node.next_height) == (0, 1)
 
 
 @pytest.mark.parametrize("kind", ["prepare", "commit"])
