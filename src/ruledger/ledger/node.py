@@ -26,8 +26,9 @@ same signature).  So there is one certificate shape, `_CERT_FIELDS`: a
 batch, its digest, and a quorum of votes of one tag on (view, height,
 digest), "p" in the prepared certificate a view change carries and "c" in
 the commit certificate a `committed` message carries and `_commit_block`
-takes.  `_certificate` builds one, `_checked_cert` checks one, and
-`valid_votes` counts the votes for the node and for the audit alike.
+takes.  `_certificate` builds one, `_checked_cert` checks one and returns its
+valid votes, and `valid_votes` counts the votes for the node and for the audit
+alike.
 
 The primary takes its own proposal at once: `_propose` and
 `_become_primary` send the pre-prepare to the peers only and handle it
@@ -53,8 +54,11 @@ height above `next_height`, or a digest other than its slot's) sends a
 `sync_req` for the blocks from `next_height` to the voter that completed the
 quorum, once per such height; a view change, which states its sender's last
 height, is answered as such a request by every peer.  `_on_sync_req` answers
-with at most `SYNC_RUN` blocks as `committed` messages, and `_on_committed`
-applies a block only with its certificate.
+with at most `SYNC_RUN` blocks as `committed` messages.  `_on_committed`
+checks a reply's certificate and writes it into its slot as a commit quorum,
+so a block commits one way, through `_check_slot`, whether its votes came one
+by one or in a certificate; a certified height above `next_height` waits in
+its slot like any other.
 
 `LedgerNode.MESSAGES`, the node's table at the boundary every process shares
 (see `sim.Process`), gives the exact shape of every message (nested ones,
@@ -83,9 +87,11 @@ The node keeps only the consensus state a handler can still read:
 - `slots` maps height -> view -> `_Slot` for the window of heights
   `next_height <= h < next_height + WINDOW` only, as PBFT's low and high
   watermarks bound its log: handlers ignore every other height, and
-  `_commit_block` drops the height it commits.  A pre-prepare for a later
-  height waits in its slot, as a vote does, and `_check_slot` sends its
-  prepare once that height is next;
+  `_commit_block` drops the height it commits.  A pre-prepare, a vote or a
+  sync reply's certificate for a later height waits in its slot, and
+  `_check_slot` acts on it once that height is next.  Votes are kept for
+  views below `view + N` only, so no peer can open a slot for every view;
+  a lower view stays, as its commit quorum still commits;
 - `vc_msgs` holds view-change buckets only for views above `view`:
   `_on_view_change` ignores the others, and `_enter_view` drops them.
 """
@@ -320,7 +326,6 @@ class LedgerNode(Process):
         self.submitters: dict[str, list[str]] = {}
         self.decided: dict[str, TxReceipt] = {}
         self.slots: dict[int, dict[int, _Slot]] = {}  # height -> view -> slot
-        self.committed_buffer: dict[int, dict] = {}  # height -> commit certificate
         self.vc_msgs: dict[int, dict[int, dict]] = {}
         self.vc_target: int | None = None  # the view a view change in progress aims at
         self._sync_asked = 0  # the highest quorum height a sync_req was sent for
@@ -375,6 +380,7 @@ class LedgerNode(Process):
         """Send msg to dsts (every node by default) as one multicast; a faulty
         node sends it one `_cast` at a time, so its hooks act per destination."""
         dsts = self.config.node_addrs if dsts is None else dsts
+        # Equivalent mutant: a multicast replays as its unicasts in turn (sim.network).
         if self.fault is None:
             self.net.send(self.addr, dsts, msg)
         else:
@@ -514,7 +520,7 @@ class LedgerNode(Process):
         """A prepare or a commit."""
         view, h, digest = msg["view"], msg["height"], msg["digest"]
         sender, sig = msg["sender"], msg["sig"]
-        if not self._in_window(h):
+        if not self._in_window(h) or view >= self.view + self.config.n:
             return
         tag = _VOTE_TAGS[msg["type"]]
         if not self._vote_valid(_vote_body(tag, view, h, digest), sender, sig):
@@ -533,7 +539,8 @@ class LedgerNode(Process):
         one place that sends a prepare, and then a commit on a prepared quorum,
         each only while voting: in the current view with no view change in
         flight, as a PBFT replica stops voting in a view it is leaving.  A
-        commit quorum of any view commits the block."""
+        commit quorum of any view, or a sync reply's certificate, commits the
+        block: this is the one caller of `_commit_block`."""
         slot = self.slots.get(height, {}).get(view)
         if height != self.next_height or slot is None or slot.digest is None:
             return
@@ -554,10 +561,9 @@ class LedgerNode(Process):
     # commit and execution
 
     def _commit_block(self, cert: dict) -> None:
-        """Execute a commit certificate's batch as the block at its height."""
+        """Execute a commit certificate's batch as the block at next_height, then
+        act on every slot of the new next_height, in whichever view."""
         height, batch = cert["height"], cert["batch"]
-        if height != self.next_height:
-            return
         content_txs: list[dict] = []
         receipts: list[tuple[str, TxReceipt]] = []
         notifications: list[tuple[str, dict]] = []  # (agent address, message)
@@ -602,9 +608,8 @@ class LedgerNode(Process):
         for agent, msg in notifications:
             self._cast(agent, msg)
 
-        while self.next_height in self.committed_buffer:  # each entry is certified
-            self._commit_block(self.committed_buffer.pop(self.next_height))
-        self._check_slot(self.view, self.next_height)
+        for view in list(self.slots.get(self.next_height, {})):
+            self._check_slot(view, self.next_height)
         self._rearm_timer()
         self._maybe_propose()
 
@@ -619,19 +624,21 @@ class LedgerNode(Process):
             self._cast(peer, {"type": "sync_req", "height": self.next_height})
 
     def _on_committed(self, src: str, msg: dict) -> None:
-        """One block of a sync reply, applied only with its commit certificate."""
-        h = msg["height"]
-        if h < self.next_height or h in self.committed_buffer:
+        """One block of a sync reply, for a height in the window: its checked
+        commit certificate goes into its slot, which casts no vote of its own,
+        and `_check_slot` commits it once its height is next."""
+        view, h, digest, batch = msg["view"], msg["height"], msg["digest"], msg["batch"]
+        if not self._in_window(h):
             return
-        cert = self._checked_cert(msg, "c")
-        if cert is None or not self._batch_signed(cert["batch"]):
+        votes = self._checked_cert(msg, "c")
+        if votes is None or not self._batch_signed(batch):
             self.counters["malformed_dropped"] += 1
             return
-        # Only certified heights are buffered, so no peer can grow the buffer.
-        if h > self.next_height:
-            self.committed_buffer[h] = cert
-        else:
-            self._commit_block(cert)
+        slot = self._slot(view, h)
+        slot.batch, slot.digest = batch, digest
+        slot.commits[digest] = votes
+        slot.sent_prepare = slot.sent_commit = True
+        self._check_slot(view, h)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
         """Send the committed blocks from the asked height, at most SYNC_RUN of them."""
@@ -653,6 +660,7 @@ class LedgerNode(Process):
 
     def _rearm_timer(self) -> None:
         self._timer_epoch += 1
+        # Equivalent mutant: work that reaches an idle node re-arms, voiding an idle timer.
         if not self._work_pending():
             return
         epoch = self._timer_epoch
@@ -676,18 +684,16 @@ class LedgerNode(Process):
                 return _certificate(view, h, slot.digest, slot.batch, votes)
         return None
 
-    def _checked_cert(self, cert: dict, tag: str) -> dict | None:
+    def _checked_cert(self, cert: dict, tag: str) -> dict[int, str] | None:
         """The one certificate check, for prepared (tag "p") and commit ("c")
-        certificates alike: cert with only its valid votes, if its batch has its
-        digest and a quorum of its votes is valid, else None."""
-        view, h, digest, batch = cert["view"], cert["height"], cert["digest"], cert["batch"]
-        if batch_digest(batch) != digest:
+        certificates alike: cert's valid votes, if its batch has its digest and
+        they are a quorum, else None."""
+        digest = cert["digest"]
+        if batch_digest(cert["batch"]) != digest:
             return None
-        votes = valid_votes(self.config.node_pubkeys, tag, view, h, digest, cert["votes"],
-                            self.net.verify)
-        if len(votes) < self.config.quorum:
-            return None
-        return _certificate(view, h, digest, batch, votes)
+        votes = valid_votes(self.config.node_pubkeys, tag, cert["view"], cert["height"], digest,
+                            cert["votes"], self.net.verify)
+        return votes if len(votes) >= self.config.quorum else None
 
     def _view_change_valid(self, vc: dict) -> bool:
         """A view change's signature and, if it carries one, its prepared certificate."""
@@ -747,8 +753,6 @@ class LedgerNode(Process):
         self.vc_msgs = {v: bucket for v, bucket in self.vc_msgs.items() if v > view}
 
     def _become_primary(self, new_view: int, bucket: dict[int, dict]) -> None:
-        if new_view <= self.view:
-            return
         self._enter_view(new_view)
         vcs = {idx: bucket[idx] for idx in sorted(bucket)}
         cert = self._best_cert(vcs)

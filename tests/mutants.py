@@ -46,6 +46,7 @@ _CAPPED_PYTEST = ("import resource, sys; cap = int(sys.argv[1]); "
 SUBSETS = {
     "ledger/node.py": ["test_pbft.py", "test_harness.py", "test_boundary.py",
                        "test_agents.py", "test_keys.py"],
+    "ledger/audit.py": ["test_harness.py", "test_acceptance.py"],
 }
 
 

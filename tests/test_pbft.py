@@ -15,7 +15,7 @@ from conftest import hr_rule, make_rig, rule_commit_tx
 from ruledger import keys as keys_mod
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
-from ruledger.ledger.faults import FaultSpec
+from ruledger.ledger.faults import FAULT_DELAY_MS, FaultSpec
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
 from ruledger.ledger.tx import SignedTransaction, build_tx
@@ -290,9 +290,9 @@ def test_junk_gossip_for_a_future_height_does_not_displace_the_honest_copy():
     for h in range(2, 40):  # well-shaped, but without a commit quorum
         node.on_message("node2", dict(honest[1], height=h, votes=forged))
     node.on_message("node0", honest[1])
-    node.on_message("node0", honest[0])  # commits height 1, then drains height 2
+    node.on_message("node0", honest[0])  # commits height 1, then height 2 from its slot
     assert audit.content_digests(node) == audit.content_digests(source.nodes[0])
-    assert node.committed_buffer == {}
+    assert node.slots == {}
     assert node.counters["malformed_dropped"] == 38
 
 
@@ -965,6 +965,152 @@ def test_a_node_cut_off_for_more_than_a_window_catches_up():
     assert audit.content_digests(lagging) == audit.content_digests(rig.nodes[0])
     assert lagging.next_height == node_mod.WINDOW + 18
     assert all(n.view == 0 and n.counters["view_changes"] == 0 for n in rig.nodes[:3])
+
+
+def test_sync_replies_keep_at_most_a_window_of_heights(vc_rig, monkeypatch):
+    # Certified heights wait in their slots, so those beyond the window are dropped.
+    monkeypatch.setattr(node_mod, "WINDOW", 3)
+    rig, node = vc_rig, vc_rig.nodes[2]
+    certs = [_prepared(rig, [tx.wire()], (0, 1, 3), "c", h)
+             for h, tx in enumerate(_rule_txs(rig, 6), 1)]
+    for cert in certs[1:]:
+        node.on_message("node0", {"type": "committed", **cert})
+    assert sorted(node.slots) == [2, 3]
+    node.on_message("node0", {"type": "committed", **certs[0]})
+    assert node.next_height == 4 and node.slots == {}
+    assert [block["proposal"] for block in node.chain[1:]] == [c["batch"] for c in certs[:3]]
+    node.on_message("node0", {"type": "committed", **certs[0]})  # a height already committed
+    assert node.slots == {} and node.next_height == 4
+    assert node.counters["malformed_dropped"] == 0
+
+
+def test_a_certified_slot_of_another_view_commits_as_soon_as_its_height_is_next(vc_rig):
+    # node2 holds view 0's pre-prepare and commit quorum for height 2 and then
+    # moves to view 1; once height 1 commits, so does height 2.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    node.on_message("node0", _pre_prepare(rig, 0, rig.wires[1], height=2))
+    digest = node.slots[2][0].digest
+    for i in (0, 1, 3):
+        node.on_message(f"node{i}", rig.nodes[i]._vote("commit", 0, 2, digest))
+    node.on_message("node1", _new_view(1, _vcs(rig)))
+    assert node.view == 1 and node.next_height == 1
+    node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
+    assert node.next_height == 3 and node.chain[2]["proposal"] == rig.wires[1]
+    assert node.chain[2]["proof"]["view"] == 0
+
+
+def test_votes_for_far_views_keep_at_most_n_views(vc_rig):
+    # Before the bound, 1000 such prepares left 1000 views in one height's slots.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    for view in range(1, 1001):
+        node.on_message("node1", rig.nodes[1]._vote("prepare", view, 1, "0" * 64))
+    assert sorted(node.slots[1]) == [1, 2, 3]
+    # A lower view stays: its commit quorum still commits.
+    node._enter_view(5)
+    node.on_message("node1", rig.nodes[1]._vote("prepare", 0, 1, "0" * 64))
+    assert sorted(node.slots[1]) == [0, 1, 2, 3]
+    assert node.counters["malformed_dropped"] == 0
+
+
+# ---------------------------------------------------------------------------
+# direct tests of branches only faulted runs or no run at all reach
+
+
+def test_a_key_count_mismatch_is_a_config_error():
+    with pytest.raises(ConfigError):
+        LedgerConfig(node_addrs=[f"n{i}" for i in range(4)],
+                     node_pubkeys=["k"] * 3, ledger_secret=b"s")
+
+
+def test_a_view_change_for_a_view_not_ahead_opens_no_bucket(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    node._enter_view(1)
+    for new_view in (0, 1):
+        node.on_message("node3", _view_change(rig, 3, new_view))
+    assert node.vc_msgs == {} and node.counters["malformed_dropped"] == 0
+    node.on_message("node3", _view_change(rig, 3, 2))
+    assert list(node.vc_msgs) == [2]
+
+
+def test_the_best_certificate_is_the_one_of_the_highest_view(vc_rig):
+    node = vc_rig.nodes[2]
+    cert = _prepared(vc_rig, vc_rig.wires[0], (0, 1, 2))
+    vcs = {0: {"cert": dict(cert, view=2)}, 1: {"cert": None},
+           2: {"cert": dict(cert, view=1)}, 3: {"cert": dict(cert, height=2, view=3)}}
+    assert node._best_cert(vcs)["view"] == 2
+
+
+def test_a_new_primary_with_nothing_to_propose_sends_no_pre_prepare(vc_rig):
+    rig, new_primary = vc_rig, vc_rig.nodes[1]
+    sent = _record_sends(rig)
+    for i in (0, 2, 3):
+        new_primary.on_message(f"node{i}", _view_change(rig, i, 1))
+    new_views = [m for _, _, m in sent if m["type"] == "new_view"]
+    assert len(new_views) == 3 and all(m["pre_prepare"] is None for m in new_views)
+    assert new_primary.view == 1 and not new_primary.slots
+    assert new_primary.counters["malformed_dropped"] == 0
+
+
+def test_a_submission_again_adds_no_waiter_and_keeps_the_pooled_wire(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[1]
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    other = KeyPair.from_seed(29, "acct/other")
+    # The same body, so the same id, signed by another key.
+    resigned = SignedTransaction(tx.kind, tx.body, other.public_hex,
+                                 other.sign(tx.body_bytes()), tx.body_text())
+    node.on_message("client", _submit(tx))
+    node.on_message("client", _submit(tx))
+    node.on_message("client2", _submit(resigned))
+    assert node.submitters[tx.tx_id] == ["client", "client2"]
+    assert node.pool == {tx.tx_id: tx.wire()}
+
+
+def test_a_sync_request_goes_once_per_quorum_height(vc_rig):
+    rig, node = vc_rig, vc_rig.nodes[2]
+    sent = _record_sends(rig)
+    for height in (2, 2, 3):
+        for i in (0, 1, 3):
+            node.on_message(f"node{i}", rig.nodes[i]._vote("commit", 0, height, "0" * 64))
+    assert [(dst, m["height"]) for src, dst, m in sent if m["type"] == "sync_req"] == \
+        [("node3", 1)] * 2
+
+
+def test_an_equivocating_primary_sends_one_variant_to_each_half():
+    rig = make_rig(seed=37, fault_kind="equivocate", byz_index=0)
+    sent = _record_sends(rig)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    rig.nodes[0].on_message("client", _submit(tx))
+    proposals = {dst: m["batch"] for src, dst, m in sent if m["type"] == "pre_prepare"}
+    assert proposals == {"node1": [tx.wire()], "node2": [tx.wire()] * 2,
+                         "node3": [tx.wire()] * 2}
+
+
+@pytest.mark.parametrize("kind,prob,sends", [
+    ("drop", 1.0, []),
+    ("drop", 0.0, [(0, True)]),
+    ("duplicate", 0.6, [(0, True), (0, True)]),
+    ("delay", 0.6, [(FAULT_DELAY_MS, True)]),
+    ("corrupt", 1.0, [(0, False)]),
+    ("corrupt", 0.0, [(0, True)]),
+    ("equivocate", 0.6, [(0, True)]),
+])
+def test_each_fault_kind_acts_on_a_sent_message(kind, prob, sends):
+    # sends: (sim time of each send, whether it sends the message unchanged)
+    rig = make_rig(seed=38, fault_kind=kind, byz_index=1)
+    node = rig.nodes[1]
+    node.fault.prob = prob
+    msg = {"type": "sync_req", "height": 1}
+    sent = []
+    send = rig.net.send
+
+    def timed(src, dst, sent_msg):
+        sent.append((rig.scheduler.now, dst, sent_msg == msg))
+        send(src, dst, sent_msg)
+
+    rig.net.send = timed
+    node._cast("node2", msg)
+    rig.scheduler.run(until=FAULT_DELAY_MS + 1)
+    assert sent == [(at, "node2", same) for at, same in sends]
 
 
 # ---------------------------------------------------------------------------
