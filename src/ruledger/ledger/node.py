@@ -52,13 +52,13 @@ certificate signs, beside `txs`, the accepted subsequence, so every block
 can be served again.  A node that holds a commit quorum it cannot apply (a
 height above `next_height`, or a digest other than its slot's) sends a
 `sync_req` for the blocks from `next_height` to the voter that completed the
-quorum, once per such height; a view change, which states its sender's last
-height, is answered as such a request by every peer.  `_on_sync_req` answers
-with at most `SYNC_RUN` blocks as `committed` messages.  `_on_committed`
-checks a reply's certificate and writes it into its slot as a commit quorum,
-so a block commits one way, through `_check_slot`, whether its votes came one
-by one or in a certificate; a certified height above `next_height` waits in
-its slot like any other.
+quorum, once per such height; every peer answers a view change, which states
+its sender's last height, as such a request once per sender and (last_height,
+new_view).  `_on_sync_req` answers with at most `SYNC_RUN` blocks as
+`committed` messages.  `_on_committed` checks a reply's certificate and writes
+it into its slot as a commit quorum, so a block commits one way, through
+`_check_slot`, whether its votes came one by one or in a certificate; a
+certified height above `next_height` waits in its slot like any other.
 
 `LedgerNode.MESSAGES`, the node's table at the boundary every process shares
 (see `sim.Process`), gives the exact shape of every message (nested ones,
@@ -71,7 +71,8 @@ wire form the table admitted, which `batch_digest` covers, from the pool to
 the block.  A batch wire equal to its pool entry is not checked again, as
 `_on_submit` checked it before pooling it; any other is parsed, checked and
 verified.  So no replica serializes a body after `_on_submit`, and
-`_commit_block` only parses the bodies it executes.  `_on_submit` and
+`_commit_block` parses only a wire outside the pool, which keeps each parsed tx.
+Each vote body is serialized once (`_vote_bytes`).  `_on_submit` and
 `_batch_signed` are the only checkers of tx signatures: the offline audit
 trusts a commit certificate's f + 1 honest voters to have run them (see
 `audit`).  Every check goes through `net.verify`, the memo all replicas of a
@@ -81,8 +82,8 @@ A fault-free node sends each broadcast as one multicast (see `sim.network`);
 a faulty one sends per destination, through its fault hooks.
 
 The node keeps only the consensus state a handler can still read:
-- `pool` maps the id of each undecided transaction to its wire and never
-  holds a decided id: `_on_submit` answers a decided id from `decided`,
+- `pool` maps the id of each undecided transaction to its wire and parsed tx,
+  and never holds a decided id: `_on_submit` answers a decided id from `decided`,
   and `_commit_block` pops each id it decides;
 - `slots` maps height -> view -> `_Slot` for the window of heights
   `next_height <= h < next_height + WINDOW` only, as PBFT's low and high
@@ -100,6 +101,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from .. import contracts
@@ -199,6 +201,12 @@ def _vote_body(tag: str, view: int, height: int, digest: str) -> dict:
     return {"t": tag, "v": view, "h": height, "d": digest}
 
 
+@lru_cache(maxsize=1024)
+def _vote_bytes(tag: str, view: int, height: int, digest: str) -> bytes:
+    """The signed bytes of a vote body, serialized once for every replica that checks it."""
+    return canonical_bytes(_vote_body(tag, view, height, digest))
+
+
 def _vc_body(new_view: int, last_height: int, cert_digest: str) -> dict:
     return {"t": "vc", "v": new_view, "lh": last_height, "cd": cert_digest}
 
@@ -213,7 +221,7 @@ def valid_votes(pubkeys: list[str], tag: str, view: int, height: int, digest: st
     signatures `verify` (over bytes, as `keys.verify_signature`) checks, by node
     index.  votes is keyed by decimal node indexes, as MESSAGES and
     audit.BLOCK_PROOF require."""
-    body = canonical_bytes(_vote_body(tag, view, height, digest))
+    body = _vote_bytes(tag, view, height, digest)
     valid: dict[int, str] = {}
     for key, sig in votes.items():
         idx = int(key)
@@ -322,13 +330,14 @@ class LedgerNode(Process):
         self.chain: list[dict] = [genesis_block()]
         self.state = genesis_state(config.genesis_acl)
 
-        self.pool: dict[str, dict] = {}  # tx id -> wire
+        self.pool: dict[str, tuple[dict, SignedTransaction]] = {}  # tx id -> (wire, its tx)
         self.submitters: dict[str, list[str]] = {}
         self.decided: dict[str, TxReceipt] = {}
         self.slots: dict[int, dict[int, _Slot]] = {}  # height -> view -> slot
         self.vc_msgs: dict[int, dict[int, dict]] = {}
         self.vc_target: int | None = None  # the view a view change in progress aims at
         self._sync_asked = 0  # the highest quorum height a sync_req was sent for
+        self._vc_answered: dict[int, tuple[int, int]] = {}  # sender -> (last_height, new_view)
         self._timer_epoch = 0
         self._vc_round = 0
         self.counters.update({
@@ -346,12 +355,9 @@ class LedgerNode(Process):
     def next_height(self) -> int:
         return len(self.chain)
 
-    def _sign(self, body: dict) -> str:
-        return self.keypair.sign_obj(body)
-
-    def _vote_valid(self, body: dict, index: int, sig: str) -> bool:
+    def _vote_valid(self, body: bytes, index: int, sig: str) -> bool:
         keys = self.config.node_pubkeys
-        return 0 <= index < len(keys) and self.net.verify(canonical_bytes(body), sig, keys[index])
+        return 0 <= index < len(keys) and self.net.verify(body, sig, keys[index])
 
     def _cast(self, dst: str, msg: dict) -> None:
         """Send one message, subject to this node's fault hooks."""
@@ -415,7 +421,7 @@ class LedgerNode(Process):
             # The timer starts when work arrives and restarts only on progress, so
             # submissions that never pause cannot put a silent primary's timeout off.
             idle = not self._work_pending()
-            self.pool[tid] = wire
+            self.pool[tid] = (wire, tx)
             if idle:
                 self._rearm_timer()
             self._maybe_propose()
@@ -423,17 +429,22 @@ class LedgerNode(Process):
     # ------------------------------------------------------------------
     # proposals
 
+    def _pooled(self, tid: str, wire: dict) -> SignedTransaction | None:
+        """The tx `_on_submit` parsed and checked for wire, if wire equals tid's pool entry."""
+        entry = self.pool.get(tid)
+        return entry[1] if entry is not None and entry[0] == wire else None
+
     def _batch_signed(self, wires: list[dict]) -> bool:
         """Whether each wire has a body `SignedTransaction.from_wire` admits, signed by
         its signer; a wire equal to its pool entry was checked when `_on_submit`
         pooled it, so only the others are parsed and verified."""
-        unpooled = [w for w in wires if self.pool.get(text_id(w["body"])) != w]
+        unpooled = [w for w in wires if self._pooled(text_id(w["body"]), w) is None]
         return all(tx is not None and self.net.verify(tx.body_bytes(), tx.signature, tx.signer)
                    for tx in map(SignedTransaction.from_wire, unpooled))
 
     def _undecided_batch(self) -> list[dict]:
-        """The whole pool, in arrival order, up to MAX_BATCH wires."""
-        return list(islice(self.pool.values(), MAX_BATCH))
+        """The whole pool's wires, in arrival order, up to MAX_BATCH of them."""
+        return [wire for wire, _tx in islice(self.pool.values(), MAX_BATCH)]
 
     def _maybe_propose(self) -> None:
         if self.config.primary(self.view) != self.index or self.vc_target is not None:
@@ -452,7 +463,7 @@ class LedgerNode(Process):
             "height": height,
             "digest": digest,
             "sender": self.index,
-            "sig": self._sign(_vote_body(_VOTE_TAGS[kind], view, height, digest)),
+            "sig": self.keypair.sign(_vote_bytes(_VOTE_TAGS[kind], view, height, digest)),
         }
 
     def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
@@ -499,7 +510,7 @@ class LedgerNode(Process):
             return
         if not self._in_window(h):
             return
-        if not self._vote_valid(_vote_body("p", view, h, digest), sender, msg["sig"]):
+        if not self._vote_valid(_vote_bytes("p", view, h, digest), sender, msg["sig"]):
             self.counters["malformed_dropped"] += 1
             return
         slot = self._slot(view, h)
@@ -523,7 +534,7 @@ class LedgerNode(Process):
         if not self._in_window(h) or view >= self.view + self.config.n:
             return
         tag = _VOTE_TAGS[msg["type"]]
-        if not self._vote_valid(_vote_body(tag, view, h, digest), sender, sig):
+        if not self._vote_valid(_vote_bytes(tag, view, h, digest), sender, sig):
             self.counters["malformed_dropped"] += 1
             return
         slot = self._slot(view, h)
@@ -572,7 +583,8 @@ class LedgerNode(Process):
             tid = text_id(wire["body"])
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
-            tx = SignedTransaction.from_wire(wire, checked=True)  # see `_batch_signed`
+            # A pooled wire's tx is reused; any other was checked by `_batch_signed`.
+            tx = self._pooled(tid, wire) or SignedTransaction.from_wire(wire, checked=True)
             verdict = contracts.verify_tx(tx, self.state, self.log_query, self.config.ledger_secret)
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)
@@ -699,7 +711,7 @@ class LedgerNode(Process):
         """A view change's signature and, if it carries one, its prepared certificate."""
         cert = vc["cert"]
         body = _vc_body(vc["new_view"], vc["last_height"], digest_hex(cert) if cert else "")
-        if not self._vote_valid(body, vc["sender"], vc["sig"]):
+        if not self._vote_valid(canonical_bytes(body), vc["sender"], vc["sig"]):
             return False
         return cert is None or self._checked_cert(cert, "p") is not None
 
@@ -714,7 +726,7 @@ class LedgerNode(Process):
             "last_height": last_height,
             "cert": cert,
             "sender": self.index,
-            "sig": self._sign(_vc_body(target_view, last_height, cert_digest)),
+            "sig": self.keypair.sign_obj(_vc_body(target_view, last_height, cert_digest)),
         }
         self._broadcast(msg)
         self._rearm_timer()
@@ -724,8 +736,12 @@ class LedgerNode(Process):
         if not self._view_change_valid(msg):
             self.counters["malformed_dropped"] += 1
             return
-        # A view change states how far its sender got: send it what it lacks.
-        self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
+        # A view change states how far its sender got: send it what it lacks, once
+        # per sender and (last_height, new_view), so a replayed one is not answered.
+        answered = (msg["last_height"], new_view)
+        if answered > self._vc_answered.get(sender, (-1, -1)):
+            self._vc_answered[sender] = answered
+            self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
         if new_view <= self.view:
             return
         bucket = self.vc_msgs.setdefault(new_view, {})

@@ -7,9 +7,9 @@ canonical-serializable dicts, which keeps them both deterministic to copy
 and realistic to corrupt byte-wise in fault experiments.
 
 `send` takes one address or a list of them.  A multicast serializes the
-message once and parses those bytes once per destination, so no receiver
-aliases the sender's objects or another receiver's; each destination still
-costs its own drop draw, delay draw and counts, in list order, so one
+message once and parses those bytes once, so no receiver aliases the sender's
+objects and all share one read-only parse (see `Process`); each destination
+still costs its own drop draw, delay draw and counts, in list order, so one
 multicast replays exactly as the same unicasts one after another.
 """
 
@@ -48,6 +48,9 @@ class Process:
     counted once in `counters["malformed_dropped"]` and goes no further; a
     handler runs only on a message its shape admits, reads it unguarded, and
     never raises on it, so the last-resort catch in `on_message` stays unused.
+    The receivers of a multicast share one message, so a handler never mutates
+    a delivered message or any part it keeps.  They share its shape check too:
+    one per receiving class during `Network._deliver`, else one per call.
     """
 
     MESSAGES: dict[str, tuple] = {}
@@ -65,7 +68,11 @@ class Process:
         return entry[1] if entry is not None and entry[0](msg) else None
 
     def on_message(self, src: str, msg: dict) -> None:
-        handler = self.handler_for(msg)
+        verdicts = {} if self.net.verdicts is None else self.net.verdicts
+        if type(self) not in verdicts:
+            verdicts[type(self)] = self.handler_for(msg)
+        handler = verdicts[type(self)]
+        # Equivalent mutant: getattr(self, None) raises a TypeError, which the catch counts alike.
         if handler is None:
             self.counters["malformed_dropped"] += 1
             return
@@ -89,6 +96,7 @@ class Network:
         self.dropped = 0
         self.delivered = 0
         self.verify = VerifyMemo()  # shared by every replica on this network
+        self.verdicts: dict[type, str | None] | None = None  # the delivering multicast's
 
     def register(self, addr: str, process: Process) -> None:
         if addr in self.processes:
@@ -102,7 +110,8 @@ class Network:
             if dst not in self.processes:
                 raise KeyError(f"unknown destination: {dst}")
         # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
-        wire = canonical_bytes(msg).decode("utf-8")
+        shared = json.loads(canonical_bytes(msg).decode("utf-8"))
+        verdicts: dict[type, str | None] = {}  # receiving class -> its handler_for verdict
         lo, hi = self.config.delay_range
         for dst in dsts:
             self.sent += 1
@@ -110,8 +119,12 @@ class Network:
                 self.dropped += 1
                 continue
             delay = self.rng.randint(lo, hi)
-            self.scheduler.schedule(delay, partial(self._deliver, src, dst, json.loads(wire)))
+            self.scheduler.schedule(delay, partial(self._deliver, src, dst, shared, verdicts))
 
-    def _deliver(self, src: str, dst: str, msg: dict) -> None:
+    def _deliver(self, src: str, dst: str, msg: dict, verdicts: dict) -> None:
         self.delivered += 1
-        self.processes[dst].on_message(src, msg)
+        self.verdicts = verdicts
+        try:
+            self.processes[dst].on_message(src, msg)
+        finally:
+            self.verdicts = None

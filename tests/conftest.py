@@ -95,6 +95,30 @@ def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,
                            nodes=nodes, keys=keys, admin=admin, client=client)
 
 
+def watch_deliveries(monkeypatch) -> list:
+    """Note (dst, msg, msg's canonical bytes before its handler ran) for every
+    delivery from now on, and fail at once if a handler changes its message.
+    Receivers of a multicast share one message, so none may mutate it."""
+    watched = []
+    deliver = Network._deliver
+
+    def watching(net, src, dst, msg, verdicts):
+        before = canonical_bytes(msg)
+        watched.append((dst, msg, before))
+        deliver(net, src, dst, msg, verdicts)
+        assert canonical_bytes(msg) == before, f"{dst}'s handler mutated a {msg.get('type')}"
+
+    monkeypatch.setattr(Network, "_deliver", watching)
+    return watched
+
+
+def mutated_since(watched) -> list:
+    """(dst, type) of each watched message whose bytes changed after its handler
+    returned, as a kept part of it may be changed later."""
+    return [(dst, msg.get("type")) for dst, msg, before in watched
+            if canonical_bytes(msg) != before]
+
+
 def rule_commit_tx(keypair, nonce, rule=None, usr_rule_id=101, usr_id=1):
     return build_tx("rule_commit", {
         "action": "commit_rule",

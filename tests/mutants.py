@@ -47,6 +47,7 @@ SUBSETS = {
     "ledger/node.py": ["test_pbft.py", "test_harness.py", "test_boundary.py",
                        "test_agents.py", "test_keys.py"],
     "ledger/audit.py": ["test_harness.py", "test_acceptance.py"],
+    "sim/network.py": ["test_sim.py", "test_pbft.py", "test_boundary.py"],
 }
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import hr_rule, make_rig, rule_commit_tx
+from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
 from ruledger import contracts
 from ruledger import keys as keys_mod
 from ruledger.canonical import canonical_bytes
@@ -180,6 +180,17 @@ def test_single_spike_produces_one_full_pipeline_pass(poll_run):
     assert report["execution"]["refused_direct"] == 0
     assert report["latency_ms"]["end_to_end"]["count"] == 1
     validate_report(report)
+
+
+@pytest.mark.parametrize("trigger_mode", ["poll", "push"])
+def test_no_agent_device_or_node_handler_mutates_a_delivered_message(trigger_mode, monkeypatch):
+    # Receivers of a multicast share one message (see `sim.Process`).
+    watched = watch_deliveries(monkeypatch)
+    report, _world = run_scenario(scenario_from_dict(_scenario(trigger_mode=trigger_mode)))
+    assert report["ledger"]["tx_counts"]["action"] == 1
+    kinds = {msg["type"] for _, msg, _ in watched}
+    assert {"notify_event", "notify_actions", "receipt", "commit"} <= kinds
+    assert not mutated_since(watched)
 
 
 def test_push_mode_reaches_the_same_ledger_state(poll_run):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hr_rule, make_rig, rule_commit_tx
+from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
 from ruledger import keys as keys_mod
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
-from ruledger.ledger.faults import FAULT_DELAY_MS, FaultSpec
+from ruledger.ledger.faults import FAULT_DELAY_MS, FAULT_KINDS, FaultSpec
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
 from ruledger.ledger.tx import SignedTransaction, build_tx
@@ -1012,6 +1012,71 @@ def test_votes_for_far_views_keep_at_most_n_views(vc_rig):
     assert node.counters["malformed_dropped"] == 0
 
 
+def _view_change_from(rig, sender, new_view, last_height):
+    body = node_mod._vc_body(new_view, last_height, "")
+    return {"type": "view_change", "new_view": new_view, "last_height": last_height,
+            "cert": None, "sender": sender, "sig": rig.keys[sender].sign_obj(body)}
+
+
+def test_a_replayed_view_change_is_answered_once():
+    # Each copy used to draw a full sync reply: 100 copies, 800 blocks.
+    rig = make_rig(seed=21)
+    _commit_in_sequence(rig, _rule_txs(rig, node_mod.SYNC_RUN + 1))
+    node0 = rig.nodes[0]
+    assert node0.next_height == node_mod.SYNC_RUN + 2
+    sent = _record_sends(rig)
+
+    def blocks_sent():
+        return [m["height"] for src, _, m in sent if src == "node0" and m["type"] == "committed"]
+
+    replayed = _view_change_from(rig, 3, 1, 0)
+    for _ in range(100):
+        node0.on_message("node3", replayed)
+    assert blocks_sent() == list(range(1, node_mod.SYNC_RUN + 1))
+    # A higher (last_height, new_view) from the sender is answered; a lower one is not.
+    node0.on_message("node3", _view_change_from(rig, 3, 1, node_mod.SYNC_RUN))
+    node0.on_message("node3", _view_change_from(rig, 3, 2, node_mod.SYNC_RUN))
+    node0.on_message("node3", _view_change_from(rig, 3, 3, 0))
+    assert blocks_sent() == [*range(1, node_mod.SYNC_RUN + 1), node_mod.SYNC_RUN + 1,
+                             node_mod.SYNC_RUN + 1]
+    # Another sender's view change is answered for itself.
+    node0.on_message("node2", _view_change_from(rig, 2, 1, node_mod.SYNC_RUN))
+    assert len(blocks_sent()) == node_mod.SYNC_RUN + 3
+    assert node0.counters["malformed_dropped"] == 0
+
+
+# ---------------------------------------------------------------------------
+# receivers of a multicast share one message, so no handler mutates one
+
+
+@pytest.mark.parametrize("fault_kind", [None, *FAULT_KINDS])
+def test_no_handler_mutates_a_delivered_message(fault_kind, monkeypatch):
+    # The faulty node, if any, is view 0's primary, so equivocation shows.
+    rig = make_rig(seed=22, fault_kind=fault_kind, byz_index=0)
+    watched = watch_deliveries(monkeypatch)
+    _commit_in_sequence(rig, _rule_txs(rig, 3))
+    rig.scheduler.run(until=rig.scheduler.now + 10_000)
+    assert len(watched) > 100 and not mutated_since(watched)
+    assert _honest_prefix_consistent(rig.nodes, 0 if fault_kind else None)
+
+
+def test_no_handler_mutates_a_view_change_a_new_view_or_a_sync_reply(monkeypatch):
+    # node3 misses two blocks, then node0, view 0's primary, falls silent.
+    rig = make_rig(seed=21)
+    watched = watch_deliveries(monkeypatch)
+    lagging = rig.nodes[3]
+    lagging.on_message = lambda src, msg: None
+    txs = _rule_txs(rig, 4)
+    _commit_in_sequence(rig, txs[:2])
+    del lagging.on_message
+    rig.nodes[0].fault = FaultSpec("drop", prob=1.0)
+    _commit_in_sequence(rig, txs[2:])
+    rig.scheduler.run(until=rig.scheduler.now + 10_000)
+    assert {"view_change", "new_view", "committed"} <= {m["type"] for _, m, _ in watched}
+    assert not mutated_since(watched)
+    assert all(n.next_height == 5 and n.view == 1 for n in rig.nodes[1:])
+
+
 # ---------------------------------------------------------------------------
 # direct tests of branches only faulted runs or no run at all reach
 
@@ -1062,7 +1127,7 @@ def test_a_submission_again_adds_no_waiter_and_keeps_the_pooled_wire(vc_rig):
     node.on_message("client", _submit(tx))
     node.on_message("client2", _submit(resigned))
     assert node.submitters[tx.tx_id] == ["client", "client2"]
-    assert node.pool == {tx.tx_id: tx.wire()}
+    assert node.pool == {tx.tx_id: (tx.wire(), tx)}
 
 
 def test_a_sync_request_goes_once_per_quorum_height(vc_rig):

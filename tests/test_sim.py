@@ -147,16 +147,51 @@ def test_a_multicast_replays_as_the_same_unicasts():
     assert sent == 120 and 0 < dropped < sent and delivered == sent - dropped
 
 
-def test_multicast_receivers_do_not_share_a_message():
+def _reader_class():
+    """A new Process class with one message type, whose shape check notes each
+    message it checks in the class's `checked` list."""
+
+    class Reader(Process):
+        checked = []
+        MESSAGES = {"x": (lambda msg: Reader.checked.append(msg) or msg.get("ok") is True,
+                          "_on_x")}
+
+        def __init__(self, addr, net):
+            super().__init__(addr, net)
+            self.inbox = []
+
+        def _on_x(self, src, msg):
+            self.inbox.append(msg)
+
+    return Reader
+
+
+def test_multicast_receivers_share_one_message_and_one_shape_check_per_class():
+    # Handlers never mutate a delivered message (see `Process`), so a multicast
+    # is parsed once for all its receivers and checked once per receiving class.
     sch = Scheduler()
     net = Network(sch, NetConfig(), random.Random(1))
-    Sink("a", net)
-    b, c = Sink("b", net), Sink("c", net)
-    msg = {"x": [1, 2]}
-    net.send("a", ["b", "c"], msg)
+    ReaderA, ReaderB = _reader_class(), _reader_class()
+    readers = [ReaderA(f"a{i}", net) for i in range(3)] + [ReaderB(f"b{i}", net) for i in range(2)]
+    Sink("src", net)
+    msg = {"type": "x", "ok": True, "body": [1, 2]}
+    net.send("src", [r.addr for r in readers], msg)
     sch.run()
-    b.inbox[0][2]["x"].append(3)
-    assert c.inbox[0][2] == msg == {"x": [1, 2]}
+    delivered = readers[0].inbox[0]
+    assert delivered == msg and delivered is not msg
+    assert all(len(r.inbox) == 1 and r.inbox[0] is delivered for r in readers)
+    assert ReaderA.checked == [delivered] and ReaderB.checked == [delivered]
+    # A refused multicast is checked once per class and counted by every receiver.
+    net.send("src", [r.addr for r in readers], {"type": "x", "ok": False})
+    sch.run()
+    assert len(ReaderA.checked) == len(ReaderB.checked) == 2
+    assert [r.counters["malformed_dropped"] for r in readers] == [1] * 5
+    # The memo lives only while a multicast is delivered: a direct call checks for itself.
+    assert net.verdicts is None
+    readers[0].on_message("src", msg)
+    readers[1].on_message("src", {"type": "x", "ok": False})
+    assert len(ReaderA.checked) == 4 and readers[0].inbox[-1] is msg
+    assert readers[1].counters["malformed_dropped"] == 2
 
 
 def test_a_multicast_to_an_unknown_destination_sends_nothing():
