@@ -570,12 +570,12 @@ def _prepared(rig, wires, voters, tag="p", height=1):
             "votes": {str(i): rig.keys[i].sign_obj(body) for i in voters}}
 
 
-def _view_change(rig, sender, new_view, cert=None, key=None):
-    """sender's view change to new_view from height 0, signed with key (its own
-    by default)."""
-    body = node_mod._vc_body(new_view, 0, node_mod.digest_hex(cert) if cert else "")
-    return {"type": "view_change", "new_view": new_view, "last_height": 0, "cert": cert,
-            "sender": sender, "sig": (key or rig.keys[sender]).sign_obj(body)}
+def _view_change(rig, sender, new_view, cert=None, key=None, last_height=0):
+    """sender's view change to new_view from last_height, signed with key (its
+    own by default)."""
+    body = node_mod._vc_body(new_view, last_height, node_mod.digest_hex(cert) if cert else "")
+    return {"type": "view_change", "new_view": new_view, "last_height": last_height,
+            "cert": cert, "sender": sender, "sig": (key or rig.keys[sender]).sign_obj(body)}
 
 
 def _new_view(view, vcs, pre_prepare=None):
@@ -1012,12 +1012,6 @@ def test_votes_for_far_views_keep_at_most_n_views(vc_rig):
     assert node.counters["malformed_dropped"] == 0
 
 
-def _view_change_from(rig, sender, new_view, last_height):
-    body = node_mod._vc_body(new_view, last_height, "")
-    return {"type": "view_change", "new_view": new_view, "last_height": last_height,
-            "cert": None, "sender": sender, "sig": rig.keys[sender].sign_obj(body)}
-
-
 def test_a_replayed_view_change_is_answered_once():
     # Each copy used to draw a full sync reply: 100 copies, 800 blocks.
     rig = make_rig(seed=21)
@@ -1029,18 +1023,17 @@ def test_a_replayed_view_change_is_answered_once():
     def blocks_sent():
         return [m["height"] for src, _, m in sent if src == "node0" and m["type"] == "committed"]
 
-    replayed = _view_change_from(rig, 3, 1, 0)
+    replayed = _view_change(rig, 3, 1)
     for _ in range(100):
         node0.on_message("node3", replayed)
     assert blocks_sent() == list(range(1, node_mod.SYNC_RUN + 1))
     # A higher (last_height, new_view) from the sender is answered; a lower one is not.
-    node0.on_message("node3", _view_change_from(rig, 3, 1, node_mod.SYNC_RUN))
-    node0.on_message("node3", _view_change_from(rig, 3, 2, node_mod.SYNC_RUN))
-    node0.on_message("node3", _view_change_from(rig, 3, 3, 0))
+    for new_view, last_height in ((1, node_mod.SYNC_RUN), (2, node_mod.SYNC_RUN), (3, 0)):
+        node0.on_message("node3", _view_change(rig, 3, new_view, last_height=last_height))
     assert blocks_sent() == [*range(1, node_mod.SYNC_RUN + 1), node_mod.SYNC_RUN + 1,
                              node_mod.SYNC_RUN + 1]
     # Another sender's view change is answered for itself.
-    node0.on_message("node2", _view_change_from(rig, 2, 1, node_mod.SYNC_RUN))
+    node0.on_message("node2", _view_change(rig, 2, 1, last_height=node_mod.SYNC_RUN))
     assert len(blocks_sent()) == node_mod.SYNC_RUN + 3
     assert node0.counters["malformed_dropped"] == 0
 

@@ -151,10 +151,13 @@ def _reader_class():
     """A new Process class with one message type, whose shape check notes each
     message it checks in the class's `checked` list."""
 
+    def shape(msg):
+        Reader.checked.append(msg)
+        return msg.get("ok") is True
+
     class Reader(Process):
         checked = []
-        MESSAGES = {"x": (lambda msg: Reader.checked.append(msg) or msg.get("ok") is True,
-                          "_on_x")}
+        MESSAGES = {"x": (shape, "_on_x")}
 
         def __init__(self, addr, net):
             super().__init__(addr, net)
