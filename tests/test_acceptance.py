@@ -7,6 +7,7 @@ here on purpose; loosening them is a release decision, not a test edit.
 
 import hashlib
 import itertools
+import json
 import math
 import time
 
@@ -45,7 +46,8 @@ KEY = KeyPair.from_seed(77, "acct/acceptance")
 # 1. consensus safety under every fault type
 
 
-def _safety_run(seed: int, fault_kind: str, byz_index: int) -> tuple[bool, int]:
+def _safety_rig(seed: int, fault_kind: str, byz_index: int):
+    """Criterion 1's rig for one seed, run to its end."""
     rig = make_rig(seed, fault_kind=fault_kind, byz_index=byz_index,
                    commit_timeout_ms=800)
     for k in range(6):
@@ -53,7 +55,11 @@ def _safety_run(seed: int, fault_kind: str, byz_index: int) -> tuple[bool, int]:
                             rule=hr_rule(rule_id=k + 1), usr_rule_id=101 + k)
         rig.scheduler.schedule(10 + 40 * k, lambda t=tx: rig.client.client.submit(t))
     rig.scheduler.run(until=30_000)
+    return rig
 
+
+def _safety_run(seed: int, fault_kind: str, byz_index: int) -> tuple[bool, int]:
+    rig = _safety_rig(seed, fault_kind, byz_index)
     digest_lists = [audit.content_digests(n)
                     for i, n in enumerate(rig.nodes) if i != byz_index]
     limit = min(len(d) for d in digest_lists)
@@ -83,6 +89,33 @@ def test_criterion_1_consensus_safety_under_faults():
               f"(budget 120s)")
     record_criterion("consensus safety under faults", ok, detail)
     assert ok, detail
+
+
+# Every faulted run of criterion 1 replays the same bytes: per fault kind, a sha256
+# over its 40 rigs' chains, counters and views and the client's verdicts.  The
+# faulty node draws from its own seeded RNG, so this pins the order of its draws.
+PINNED_FAULTED_RUNS = {
+    "drop": "5392adf4b84115cc9c1c01eac817ee9a8b0e36ba8234c78f7ff8f5d871a728e7",
+    "duplicate": "9cf5ccf15f09301137e1bd81a89a351606c77cb0c470f8ac4cb259161e62f0c8",
+    "delay": "ddafbb594625f47308bd7f0fcb3ede2e97b43652600fc74d4b06722424e8d1e2",
+    "corrupt": "84a73d13dc2cb9c95133ce5caf20962e9fbf1d41b84728129ff412c94ac02844",
+    "equivocate": "0bc378eb8a9f304c072e0afaea54d13a95e128f02685358496d1008563b3b2e7",
+}
+
+
+def test_faulted_runs_match_pinned_digests():
+    digests = {}
+    for fi, kind in enumerate(FAULT_KINDS):
+        h = hashlib.sha256()
+        for s in range(40):
+            seed = s * len(FAULT_KINDS) + fi
+            rig = _safety_rig(seed, kind, byz_index=seed % 4)
+            nodes = [[audit.content_digests(n), sorted(n.counters.items()), n.view]
+                     for n in rig.nodes]
+            verdicts = [r.wire() for _tid, r in sorted(rig.client.client.resolved.items())]
+            h.update(json.dumps([nodes, verdicts], sort_keys=True).encode())
+        digests[kind] = h.hexdigest()
+    assert digests == PINNED_FAULTED_RUNS
 
 
 # ---------------------------------------------------------------------------
