@@ -78,8 +78,9 @@ trusts a commit certificate's f + 1 honest voters to have run them (see
 `audit`).  Every check goes through `net.verify`, the memo all replicas of a
 simulation share (see `keys`); the audit verifies its commit votes for
 itself.
-A fault-free node sends each broadcast as one multicast (see `sim.network`);
-a faulty one sends per destination, through its fault hooks.
+A node sends each broadcast as one multicast (see `sim.network`), and has no
+fault code: the network hands a faulty node's sends to its `fault` (see
+`faults`).
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and parsed tx,
@@ -93,8 +94,10 @@ The node keeps only the consensus state a handler can still read:
   `_check_slot` acts on it once that height is next.  Votes are kept for
   views below `view + N` only, so no peer can open a slot for every view;
   a lower view stays, as its commit quorum still commits;
-- `vc_msgs` holds view-change buckets only for views above `view`:
-  `_on_view_change` ignores the others, and `_enter_view` drops them.
+- `vc_msgs` holds view-change buckets only for views above `view`, and in
+  them only each sender's highest view change: `_on_view_change` ignores the
+  others and replaces a sender's lower one, and `_enter_view` drops the
+  buckets up to `view`.
 """
 
 from __future__ import annotations
@@ -120,16 +123,7 @@ from ..canonical import (
 from ..keys import KeyPair
 from ..sim.network import Network, Process
 from . import tables
-from .faults import (
-    FAULT_CORRUPT,
-    FAULT_DELAY,
-    FAULT_DELAY_MS,
-    FAULT_DROP,
-    FAULT_DUPLICATE,
-    FAULT_EQUIVOCATE,
-    FaultSpec,
-    corrupt_msg,
-)
+from .faults import FaultSpec
 from .tx import KIND_ACTION, KIND_EVENT, TX_KINDS, SignedTransaction, TxReceipt, text_id
 
 GENESIS_PREV = "0" * 64
@@ -359,39 +353,9 @@ class LedgerNode(Process):
         keys = self.config.node_pubkeys
         return 0 <= index < len(keys) and self.net.verify(body, sig, keys[index])
 
-    def _cast(self, dst: str, msg: dict) -> None:
-        """Send one message, subject to this node's fault hooks."""
-        if self.fault is None:
-            self.send(dst, msg)
-            return
-        kind = self.fault.kind
-        if kind == FAULT_DROP:
-            if self.rng.random() < self.fault.prob:
-                return
-            self.send(dst, msg)
-        elif kind == FAULT_DUPLICATE:
-            self.send(dst, msg)
-            self.send(dst, msg)
-        elif kind == FAULT_DELAY:
-            self.net.scheduler.schedule(FAULT_DELAY_MS, lambda: self.net.send(self.addr, dst, msg))
-        elif kind == FAULT_CORRUPT:
-            if self.rng.random() < self.fault.prob:
-                self.send(dst, corrupt_msg(msg, self.rng))
-            else:
-                self.send(dst, msg)
-        else:  # equivocate misbehaves only at proposal time
-            self.send(dst, msg)
-
     def _broadcast(self, msg: dict, dsts: list[str] | None = None) -> None:
-        """Send msg to dsts (every node by default) as one multicast; a faulty
-        node sends it one `_cast` at a time, so its hooks act per destination."""
-        dsts = self.config.node_addrs if dsts is None else dsts
-        # Equivalent mutant: a multicast replays as its unicasts in turn (sim.network).
-        if self.fault is None:
-            self.net.send(self.addr, dsts, msg)
-        else:
-            for dst in dsts:
-                self._cast(dst, msg)
+        """Send msg to dsts, every node by default, as one multicast."""
+        self.net.send(self.addr, self.config.node_addrs if dsts is None else dsts, msg)
 
     def _peers(self) -> list[str]:
         return [dst for dst in self.config.node_addrs if dst != self.addr]
@@ -409,10 +373,10 @@ class LedgerNode(Process):
         tid = tx.tx_id
         if not self.net.verify(tx.body_bytes(), tx.signature, tx.signer):
             reply = TxReceipt(tid, False, contracts.CODE_BAD_SIGNATURE)
-            self._cast(src, {"type": "receipt", **reply.wire()})
+            self.send(src, {"type": "receipt", **reply.wire()})
             return
         if tid in self.decided:
-            self._cast(src, {"type": "receipt", **self.decided[tid].wire()})
+            self.send(src, {"type": "receipt", **self.decided[tid].wire()})
             return
         waiters = self.submitters.setdefault(tid, [])
         if src not in waiters:
@@ -466,30 +430,15 @@ class LedgerNode(Process):
             "sig": self.keypair.sign(_vote_bytes(_VOTE_TAGS[kind], view, height, digest)),
         }
 
-    def _pre_prepare(self, view: int, height: int, digest: str, wires: list[dict]) -> dict:
-        return {**self._vote("pre_prepare", view, height, digest), "batch": wires}
+    def _pre_prepare(self, view: int, height: int, wires: list[dict]) -> dict:
+        return {**self._vote("pre_prepare", view, height, batch_digest(wires)), "batch": wires}
 
     def _propose(self, wires: list[dict]) -> None:
         """Send a pre-prepare for the next height to the peers and take it here at
         once, so the height is in flight before any later submission is handled."""
-        pre_prepare = self._pre_prepare(self.view, self.next_height, batch_digest(wires), wires)
-        if self.fault is not None and self.fault.kind == FAULT_EQUIVOCATE:
-            self._propose_equivocating(pre_prepare)
-        else:
-            self._broadcast(pre_prepare, self._peers())
+        pre_prepare = self._pre_prepare(self.view, self.next_height, wires)
+        self._broadcast(pre_prepare, self._peers())
         self._on_pre_prepare(self.addr, pre_prepare)
-
-    def _propose_equivocating(self, pre_prepare: dict) -> None:
-        """Send conflicting proposals to two halves of the replica set."""
-        wires = pre_prepare["batch"]
-        # A reversed or duplicated batch changes the digest.
-        other = list(reversed(wires)) if len(wires) > 1 else wires + wires
-        variants = [pre_prepare,
-                    self._pre_prepare(self.view, pre_prepare["height"], batch_digest(other), other)]
-        half = self.config.n // 2
-        for i, dst in enumerate(self.config.node_addrs):
-            if dst != self.addr:
-                self.send(dst, variants[0] if i < half else variants[1])
 
     # ------------------------------------------------------------------
     # three-phase votes
@@ -616,9 +565,9 @@ class LedgerNode(Process):
 
         for tid, receipt in receipts:
             for client in self.submitters.pop(tid, []):
-                self._cast(client, {"type": "receipt", **receipt.wire()})
+                self.send(client, {"type": "receipt", **receipt.wire()})
         for agent, msg in notifications:
-            self._cast(agent, msg)
+            self.send(agent, msg)
 
         for view in list(self.slots.get(self.next_height, {})):
             self._check_slot(view, self.next_height)
@@ -633,7 +582,7 @@ class LedgerNode(Process):
         apply, for the blocks from next_height: once per quorum height."""
         if quorum_height > self._sync_asked:
             self._sync_asked = quorum_height
-            self._cast(peer, {"type": "sync_req", "height": self.next_height})
+            self.send(peer, {"type": "sync_req", "height": self.next_height})
 
     def _on_committed(self, src: str, msg: dict) -> None:
         """One block of a sync reply, for a height in the window: its checked
@@ -657,9 +606,9 @@ class LedgerNode(Process):
         start = max(msg["height"], 1)
         for block in self.chain[start:start + SYNC_RUN]:
             proof = block["proof"]
-            self._cast(src, {"type": "committed", "view": proof["view"], "height": block["height"],
-                             "digest": proof["proposal_digest"], "batch": block["proposal"],
-                             "votes": proof["votes"]})
+            self.send(src, {"type": "committed", "view": proof["view"], "height": block["height"],
+                            "digest": proof["proposal_digest"], "batch": block["proposal"],
+                            "votes": proof["votes"]})
 
     # ------------------------------------------------------------------
     # timeouts and view changes
@@ -744,6 +693,12 @@ class LedgerNode(Process):
             self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
         if new_view <= self.view:
             return
+        # Only each sender's highest view change is kept, so vc_msgs holds at most n.
+        if any(view > new_view and sender in held for view, held in self.vc_msgs.items()):
+            return
+        for held in self.vc_msgs.values():
+            held.pop(sender, None)
+        self.vc_msgs = {view: held for view, held in self.vc_msgs.items() if held}
         bucket = self.vc_msgs.setdefault(new_view, {})
         bucket[sender] = msg
         if (
@@ -776,7 +731,7 @@ class LedgerNode(Process):
         wires = cert["batch"] if cert is not None else self._undecided_batch()
         pre_prepare = None
         if wires:
-            pre_prepare = self._pre_prepare(new_view, self.next_height, batch_digest(wires), wires)
+            pre_prepare = self._pre_prepare(new_view, self.next_height, wires)
         new_view_msg = {"type": "new_view", "view": new_view,
                         "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
         self._broadcast(new_view_msg, self._peers())

@@ -6,11 +6,14 @@ two messages on one link may arrive in either order.  Messages must be
 canonical-serializable dicts, which keeps them both deterministic to copy
 and realistic to corrupt byte-wise in fault experiments.
 
-`send` takes one address or a list of them.  A multicast serializes the
-message once and parses those bytes once, so no receiver aliases the sender's
-objects and all share one read-only parse (see `Process`); each destination
-still costs its own drop draw, delay draw and counts, in list order, so one
-multicast replays exactly as the same unicasts one after another.
+`send` takes one address or a list of them, and hands the message to the
+sending process's `fault` if it has one, else to `transmit`; a fault sends
+what it lets through by `transmit`, so nothing is faulted twice.  `transmit`
+serializes the message once and parses those bytes once, so no receiver
+aliases the sender's objects and all share one read-only parse (see
+`Process`); each destination still costs its own drop draw, delay draw and
+counts, in list order, so one multicast replays exactly as the same unicasts
+one after another.
 """
 
 from __future__ import annotations
@@ -51,9 +54,12 @@ class Process:
     The receivers of a multicast share one message, so a handler never mutates
     a delivered message or any part it keeps.  They share its shape check too:
     one per receiving class during `Network._deliver`, else one per call.
+    A process's `fault`, a Byzantine one's, acts on what it sends, so the
+    process itself has one send path (see `ledger.faults`).
     """
 
     MESSAGES: dict[str, tuple] = {}
+    fault = None  # if set, `Network.send` hands it every message this process sends
 
     def __init__(self, addr: str, net: "Network"):
         self.addr = addr
@@ -104,11 +110,20 @@ class Network:
         self.processes[addr] = process
 
     def send(self, src: str, dsts: str | list[str], msg: dict) -> None:
-        """Send msg to one address or to each of a list (see the module docstring)."""
+        """Send msg to one address or to each of a list, through src's fault if
+        it has one (see the module docstring)."""
         dsts = [dsts] if isinstance(dsts, str) else dsts
         for dst in dsts:
             if dst not in self.processes:
                 raise KeyError(f"unknown destination: {dst}")
+        sender = self.processes.get(src)
+        if getattr(sender, "fault", None) is None:
+            self.transmit(src, dsts, msg)
+        else:
+            sender.fault.send(sender, dsts, msg)
+
+    def transmit(self, src: str, dsts: list[str], msg: dict) -> None:
+        """Schedule msg's delivery to each of dsts, unfaulted."""
         # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
         shared = json.loads(canonical_bytes(msg).decode("utf-8"))
         verdicts: dict[type, str | None] = {}  # receiving class -> its handler_for verdict

@@ -48,6 +48,7 @@ SUBSETS = {
                        "test_agents.py", "test_keys.py"],
     "ledger/audit.py": ["test_harness.py", "test_acceptance.py"],
     "sim/network.py": ["test_sim.py", "test_pbft.py", "test_boundary.py"],
+    "ledger/faults.py": ["test_pbft.py", "test_acceptance.py", "test_harness.py"],
 }
 
 

@@ -177,16 +177,16 @@ def _sync_reply(node, height):
 
 
 def _record_sends(rig):
-    """Note (src, dst, msg) of every message sent from now on, one per
-    destination of a multicast."""
+    """Note (src, dst, msg) of every message the network schedules from now on,
+    after any fault acted on it, one per destination of a multicast."""
     sent = []
-    send = rig.net.send
+    transmit = rig.net.transmit
 
     def recording(src, dsts, msg):
-        sent.extend((src, dst, msg) for dst in ([dsts] if isinstance(dsts, str) else dsts))
-        send(src, dsts, msg)
+        sent.extend((src, dst, msg) for dst in dsts)
+        transmit(src, dsts, msg)
 
-    rig.net.send = recording
+    rig.net.transmit = recording
     return sent
 
 
@@ -354,8 +354,8 @@ def test_each_timeout_inside_a_view_change_moves_its_target_on():
     node.on_message("client", _submit(second))
     node._on_timeout(epoch)  # the view change to 1 timed out in turn
     rig.scheduler.run(until=rig.scheduler.now + 50)
-    # Peers hold node1's view changes for view 1 and then view 2.
-    assert {view: set(bucket) for view, bucket in rig.nodes[2].vc_msgs.items()} == {1: {1}, 2: {1}}
+    # Peers hold node1's view change for view 2, which replaced the one for view 1.
+    assert {view: set(bucket) for view, bucket in rig.nodes[2].vc_msgs.items()} == {2: {1}}
     assert node.view == 0 and node.vc_target == 2
 
 
@@ -1012,6 +1012,17 @@ def test_votes_for_far_views_keep_at_most_n_views(vc_rig):
     assert node.counters["malformed_dropped"] == 0
 
 
+def test_a_replica_keeps_one_view_change_per_sender(vc_rig):
+    # Each of 200 view changes signed by node1 used to open a bucket of its own.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    node.on_message("node3", _view_change(rig, 3, 3))
+    for new_view in range(1, 201):
+        node.on_message("node1", _view_change(rig, 1, new_view))
+    node.on_message("node1", _view_change(rig, 1, 5))  # lower than the one held
+    assert {view: set(bucket) for view, bucket in node.vc_msgs.items()} == {3: {3}, 200: {1}}
+    assert node.counters["malformed_dropped"] == 0
+
+
 def test_a_replayed_view_change_is_answered_once():
     # Each copy used to draw a full sync reply: 100 copies, 800 blocks.
     rig = make_rig(seed=21)
@@ -1159,16 +1170,21 @@ def test_each_fault_kind_acts_on_a_sent_message(kind, prob, sends):
     node.fault.prob = prob
     msg = {"type": "sync_req", "height": 1}
     sent = []
-    send = rig.net.send
+    transmit = rig.net.transmit
 
-    def timed(src, dst, sent_msg):
-        sent.append((rig.scheduler.now, dst, sent_msg == msg))
-        send(src, dst, sent_msg)
+    def timed(src, dsts, sent_msg):
+        sent.extend((rig.scheduler.now, dst, sent_msg == msg) for dst in dsts)
+        transmit(src, dsts, sent_msg)
 
-    rig.net.send = timed
-    node._cast("node2", msg)
+    rig.net.transmit = timed
+    node.send("node2", msg)
     rig.scheduler.run(until=FAULT_DELAY_MS + 1)
     assert sent == [(at, "node2", same) for at, same in sends]
+
+
+def test_an_unknown_fault_kind_is_refused():
+    with pytest.raises(ValueError):
+        FaultSpec("stall")
 
 
 # ---------------------------------------------------------------------------
