@@ -2,21 +2,36 @@
 
 Every hashed or signed structure in the system is a JSON-compatible dict
 reduced to canonical bytes: keys sorted, no insignificant whitespace,
-UTF-8.  Two structurally equal dicts always produce identical bytes, which
-is what makes block digests and signatures comparable across nodes.
+UTF-8, keys in code point order as in RFC 8785.  Two structurally equal
+dicts always produce identical bytes, which is what makes block digests and
+signatures comparable across nodes.
+
+`is_canonical` decides the subset: str, bool, None, ints in
+[-2**63, 2**64), and lists, tuples and exactly-str-keyed dicts of them,
+nested at most MAX_DEPTH deep, with no lone surrogate in any string.  The
+native codec orjson then writes the bytes; for every value of the subset
+they equal `json.dumps(sort_keys=True, separators=(",", ":"),
+ensure_ascii=False)`, and its int range is the subset's.  Bytes this module
+wrote are read back with `orjson.loads`; text from outside (a tx body, a
+dump, a scenario file) goes through the stdlib `json.loads`, which raises
+RecursionError on deep nesting where orjson's parser can overflow the C
+stack.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from typing import Any
+
+import orjson
 
 # Only these leaf types may appear in canonical structures.  Floats are
 # excluded on purpose: protocol values are ints, strings, bools, or None.
 _LEAF_TYPES = (str, int, bool, type(None))
-_EXACT_LEAVES = frozenset((int, bool, type(None)))  # a set lookup on type() beats isinstance
+_EXACT_LEAVES = frozenset((bool, type(None)))  # a set lookup on type() beats isinstance
+# The ints orjson encodes, i64 and u64; a peer's larger int is malformed at the boundary.
+INT_MIN, INT_END = -2**63, 2**64
 # What UTF-8 cannot encode: a lone surrogate, which the JSON escape \ud800 parses to.
 _lone_surrogate = re.compile("[\ud800-\udfff]").search
 
@@ -27,23 +42,30 @@ MAX_DEPTH = 100
 
 def is_canonical(obj: Any) -> bool:
     """True iff obj is a leaf, or a list, tuple or str-keyed dict of canonical
-    values, with containers nested at most MAX_DEPTH deep, and no string in it,
-    key or leaf, holds a lone surrogate."""
+    values, with containers nested at most MAX_DEPTH deep, every int in
+    [INT_MIN, INT_END), and no string in it, key or leaf, holds a lone
+    surrogate.  A key must be a str itself, not a subclass: orjson refuses one."""
     return _canonical_within(obj, MAX_DEPTH)
 
 
 def _canonical_within(obj: Any, depth: int) -> bool:
     if isinstance(obj, dict):
         for key in obj:  # isascii() is the fast path past the surrogate search
-            if not (isinstance(key, str) and (key.isascii() or not _lone_surrogate(key))):
+            if not (type(key) is str and (key.isascii() or not _lone_surrogate(key))):
                 return False
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
-        return isinstance(obj, _LEAF_TYPES) and not (isinstance(obj, str) and _lone_surrogate(obj))
+        if isinstance(obj, str):
+            return not _lone_surrogate(obj)
+        if isinstance(obj, int):  # bool included
+            return INT_MIN <= obj < INT_END
+        return obj is None
     if depth == 0:
         return False
     for item in obj:
-        if type(item) in _EXACT_LEAVES or (type(item) is str and item.isascii()):
+        # Equivalent mutant: False skips only the fast path; a leaf's verdict ignores depth.
+        if (type(item) in _EXACT_LEAVES or (type(item) is str and item.isascii())
+                or (type(item) is int and INT_MIN <= item < INT_END)):
             continue
         if not _canonical_within(item, depth - 1):
             return False
@@ -57,7 +79,8 @@ def _canonical_within(obj: Any, depth: int) -> bool:
 
 
 def is_int(v: Any) -> bool:
-    return type(v) is int  # bool is an int subclass, never a protocol number
+    # bool is an int subclass, never a protocol number
+    return type(v) is int and INT_MIN <= v < INT_END
 
 
 def is_str(v: Any) -> bool:
@@ -116,13 +139,12 @@ def canonical_bytes(obj: Any) -> bytes:
     """Serialize obj to canonical JSON bytes.
 
     Raises TypeError for values outside the canonical subset (floats,
-    bytes, custom classes, non-string keys, nesting deeper than MAX_DEPTH).
+    bytes, custom classes, non-string keys, ints outside [INT_MIN, INT_END),
+    nesting deeper than MAX_DEPTH).
     """
     if not is_canonical(obj):
         raise TypeError(f"non-canonical value in {type(obj).__name__}")
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
 
 
 def sha256_hex(data: bytes) -> str:

@@ -26,10 +26,11 @@ the rule-file parser, so the actions a rule names can always be run.
 from __future__ import annotations
 
 import hmac
-import json
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable, NamedTuple
+
+import orjson
 
 from .canonical import canonical_bytes, is_int, is_str, list_of, object_of, one_of, with_fields
 from .ledger import tables
@@ -200,7 +201,7 @@ def get_rule_definition(state: tables.TableStore, rule_id: int) -> dict | None:
     rows = state.select_entry(tables.RULE, ["rule_id"], [rule_id], ["definition"])
     if not rows:
         return None
-    return json.loads(rows[0][0])
+    return orjson.loads(rows[0][0])  # always written by apply_rule_commit
 
 
 def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None:

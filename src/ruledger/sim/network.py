@@ -18,10 +18,11 @@ one after another.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import partial
+
+import orjson
 
 from ..canonical import canonical_bytes
 from ..keys import VerifyMemo
@@ -125,7 +126,7 @@ class Network:
     def transmit(self, src: str, dsts: list[str], msg: dict) -> None:
         """Schedule msg's delivery to each of dsts, unfaulted."""
         # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
-        shared = json.loads(canonical_bytes(msg).decode("utf-8"))
+        shared = orjson.loads(canonical_bytes(msg))
         verdicts: dict[type, str | None] = {}  # receiving class -> its handler_for verdict
         lo, hi = self.config.delay_range
         for dst in dsts:

@@ -49,6 +49,7 @@ SUBSETS = {
     "ledger/audit.py": ["test_harness.py", "test_acceptance.py"],
     "sim/network.py": ["test_sim.py", "test_pbft.py", "test_boundary.py"],
     "ledger/faults.py": ["test_pbft.py", "test_acceptance.py", "test_harness.py"],
+    "canonical.py": ["test_canonical.py", "test_boundary.py", "test_harness.py"],
 }
 
 

@@ -58,31 +58,41 @@ def _safety_rig(seed: int, fault_kind: str, byz_index: int):
     return rig
 
 
-def _safety_run(seed: int, fault_kind: str, byz_index: int) -> tuple[bool, int]:
+def _faulted_run(seed: int, fault_kind: str, byz_index: int) -> tuple[bool, int, bytes]:
+    """One faulted rig's verdicts: whether its honest replicas agree on a common
+    prefix, how many of its txs were accepted, and the bytes its pin hashes."""
     rig = _safety_rig(seed, fault_kind, byz_index)
     digest_lists = [audit.content_digests(n)
                     for i, n in enumerate(rig.nodes) if i != byz_index]
     limit = min(len(d) for d in digest_lists)
     safe = all(d[:limit] == digest_lists[0][:limit] for d in digest_lists)
     accepted = sum(1 for r in rig.client.client.resolved.values() if r.accepted)
-    return safe, accepted
+    nodes = [[audit.content_digests(n), sorted(n.counters.items()), n.view]
+             for n in rig.nodes]
+    verdicts = [r.wire() for _tid, r in sorted(rig.client.client.resolved.items())]
+    return safe, accepted, json.dumps([nodes, verdicts], sort_keys=True).encode()
 
 
-def test_criterion_1_consensus_safety_under_faults():
+@pytest.fixture(scope="module")
+def faulted_runs() -> tuple[dict[str, list[tuple[bool, int, bytes]]], float]:
+    """Criterion 1's 200 faulted rigs, each built and run once for both tests
+    below: per fault kind, its 40 runs in seed order; and the wall seconds the
+    200 took."""
     t0 = time.perf_counter()
-    violations = 0
-    incomplete = 0
-    runs = 0
+    runs = {kind: [] for kind in FAULT_KINDS}
     for s in range(40):
         for fi, kind in enumerate(FAULT_KINDS):
             seed = s * len(FAULT_KINDS) + fi
-            safe, accepted = _safety_run(seed, kind, byz_index=seed % 4)
-            runs += 1
-            if not safe:
-                violations += 1
-            if accepted != 6:
-                incomplete += 1
-    wall = time.perf_counter() - t0
+            runs[kind].append(_faulted_run(seed, kind, byz_index=seed % 4))
+    return runs, time.perf_counter() - t0
+
+
+def test_criterion_1_consensus_safety_under_faults(faulted_runs):
+    by_kind, wall = faulted_runs
+    results = [run for kind in FAULT_KINDS for run in by_kind[kind]]
+    runs = len(results)
+    violations = sum(1 for safe, _accepted, _pinned in results if not safe)
+    incomplete = sum(1 for _safe, accepted, _pinned in results if accepted != 6)
     ok = runs == 200 and violations == 0 and incomplete == 0 and wall < 120.0
     detail = (f"{runs} runs x (4 nodes, 1 byzantine, {len(FAULT_KINDS)} fault kinds), "
               f"divergent={violations} incomplete={incomplete} wall={wall:.1f}s "
@@ -103,17 +113,13 @@ PINNED_FAULTED_RUNS = {
 }
 
 
-def test_faulted_runs_match_pinned_digests():
+def test_faulted_runs_match_pinned_digests(faulted_runs):
+    by_kind, _wall = faulted_runs
     digests = {}
-    for fi, kind in enumerate(FAULT_KINDS):
+    for kind in FAULT_KINDS:
         h = hashlib.sha256()
-        for s in range(40):
-            seed = s * len(FAULT_KINDS) + fi
-            rig = _safety_rig(seed, kind, byz_index=seed % 4)
-            nodes = [[audit.content_digests(n), sorted(n.counters.items()), n.view]
-                     for n in rig.nodes]
-            verdicts = [r.wire() for _tid, r in sorted(rig.client.client.resolved.items())]
-            h.update(json.dumps([nodes, verdicts], sort_keys=True).encode())
+        for _safe, _accepted, pinned in by_kind[kind]:
+            h.update(pinned)
         digests[kind] = h.hexdigest()
     assert digests == PINNED_FAULTED_RUNS
 

@@ -56,14 +56,18 @@ _FIELDS = {
     "sync_req": ("height",),
 }
 
+# The ints just past the canonical range [-2**63, 2**64), which the boundary refuses.
+_OUT_OF_RANGE = [-2**63 - 1, 2**64]
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 3) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from(_OUT_OF_RANGE)
+    | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.sampled_from(["heart_rate", "presence", "rule_id", "0"]), kids,
                       max_size=3),
     max_leaves=8,
 )
-_small = st.integers(0, 3)
+# One draw in nine past the range, so most typed messages still reach their handler.
+_small = st.sampled_from([0, 1, 2, 3] * 4 + _OUT_OF_RANGE)
 _text = st.text(max_size=3)
 _KEY = KeyPair.from_seed(42, "acct/boundary")
 _WIRES = [build_tx("config", {"action": "bind_device", "device_id": "watch-1", "vendor": "v",

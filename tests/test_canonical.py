@@ -4,6 +4,7 @@ import hashlib
 import json
 from enum import IntEnum
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,18 @@ from ruledger.canonical import (
     derive_seed,
     digest_hex,
     is_canonical,
+    is_int,
     is_str,
     sha256_hex,
 )
+
+# The ints the codec encodes: i64 and u64.
+_INT_MIN, _INT_MAX = -2**63, 2**64 - 1
+
+
+def _reference_bytes(value) -> bytes:
+    """The stdlib's canonical form, the one `canonical_bytes` must reproduce."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
 
 
 def test_key_order_is_irrelevant():
@@ -45,6 +55,7 @@ def test_digest_matches_direct_sha256():
     {1: "non-string key"},
     {"a": b"bytes"},
     {"a": {1, 2}},
+    {type("Key", (str,), {})("k"): 1},  # a str subclass key, which the codec refuses
 ])
 def test_non_canonical_values_rejected(bad):
     with pytest.raises(TypeError):
@@ -84,6 +95,52 @@ canonical_values = st.recursive(
 @given(canonical_values)
 def test_round_trip_through_json(value):
     assert json.loads(canonical_bytes(value).decode("utf-8")) == value
+    assert orjson.loads(canonical_bytes(value)) == value  # how the network reads them back
+
+
+# Every plane, with the characters JSON writers disagree on most: control
+# characters, DEL, the line and paragraph separators, and non-BMP code points
+# (UTF-16 sorts some of them before U+E000-U+FFFF; code point order must win).
+_ODD_CHARS = "\x00\x1f\"\\/\x7f\x80\u2028\u2029\ue000\uffff\U00010000\U0001f600\U0010ffff"
+_unicode = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(_ODD_CHARS),
+                   max_size=12)
+_unicode_values = st.recursive(
+    st.none() | st.booleans() | st.integers(_INT_MIN, _INT_MAX) | _unicode,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children)
+    | st.dictionaries(_unicode, children, max_size=6),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_unicode_values)
+@example({"\uffff": 0, "\U00010000": 1, "\ue000": 2, "a": 3})
+@example([_INT_MIN, _INT_MAX, -1, 0, True])
+def test_bytes_match_the_stdlib_reference(value):
+    assert canonical_bytes(value) == _reference_bytes(value)
+
+
+def test_every_code_point_encodes_as_the_reference():
+    points = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    for i in range(0, len(points), 1024):
+        text = "".join(map(chr, points[i:i + 1024]))
+        assert canonical_bytes(text) == _reference_bytes(text), hex(points[i])
+        assert canonical_bytes({text: [text]}) == _reference_bytes({text: [text]}), hex(points[i])
+
+
+@pytest.mark.parametrize("value", [_INT_MIN, _INT_MAX])
+def test_the_int_range_ends_are_canonical(value):
+    assert is_int(value) and is_canonical(value) and is_canonical([value])
+    assert canonical_bytes({"v": [value]}) == _reference_bytes({"v": [value]})
+
+
+@pytest.mark.parametrize("value", [_INT_MIN - 1, _INT_MAX + 1, -2**70])
+def test_an_int_past_the_range_is_refused(value):
+    assert not is_int(value)
+    for wrapped in (value, [value], {"k": value}, ([None, (value,)],)):
+        assert not is_canonical(wrapped)
+        with pytest.raises(TypeError):
+            canonical_bytes(wrapped)
 
 
 @given(canonical_values)
@@ -96,17 +153,22 @@ def test_serialization_is_stable(value):
 _REF_LEAF_TYPES = (str, int, bool, type(None))
 
 
+def _reference_leaf(obj) -> bool:
+    return isinstance(obj, _REF_LEAF_TYPES) and (
+        not isinstance(obj, int) or _INT_MIN <= obj <= _INT_MAX)
+
+
 def _reference_within(obj, depth):
     if isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
+        if not all(type(key) is str for key in obj):
             return False
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
-        return isinstance(obj, _REF_LEAF_TYPES)
+        return _reference_leaf(obj)
     if depth == 0:
         return False
     for item in obj:
-        if not (isinstance(item, _REF_LEAF_TYPES) or _reference_within(item, depth - 1)):
+        if not (_reference_leaf(item) or _reference_within(item, depth - 1)):
             return False
     return True
 

@@ -450,6 +450,31 @@ def test_audit_reports_a_dump_nested_too_deep_to_parse(tmp_path):
     assert not result.ok and result.issues[0].startswith("unparseable dump")
 
 
+_DEEP_PARSE = """
+import sys
+from ruledger.ledger import audit
+from ruledger.ledger.tx import SignedTransaction
+deep = "[" * 200_000 + "]" * 200_000
+body = '{"kind":"event","nonce":1,"x":' + deep + '}'
+assert SignedTransaction.from_wire({"kind": "event", "body": body, "signer": "", "signature": ""}) is None
+with open(sys.argv[1], "w") as fh:
+    fh.write(deep + "\\n")
+result = audit.audit_dump(sys.argv[1])
+assert not result.ok and result.issues[0].startswith("unparseable dump"), result.issues
+"""
+
+
+def test_text_from_outside_nested_200000_deep_is_refused_without_a_crash(tmp_path):
+    """Text from outside goes through the stdlib parser, which raises
+    RecursionError on deep nesting, and both readers catch it; orjson's parser
+    can overflow the C stack there and kill the process.  The subprocess makes
+    such a crash one failed test, not a crashed test run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(contracts.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _DEEP_PARSE, str(tmp_path / "deep.dump")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, (done.returncode, done.stdout + done.stderr)
+
+
 @pytest.mark.parametrize("seed", [1, 6, 25, 35])
 def test_a_corrupting_node_cannot_crash_the_agents(seed):
     # Notifications that lost a field to a flipped bit raised KeyError out of
