@@ -325,8 +325,7 @@ def event_verification_contract(
         return Verdict.reject(CODE_MALFORMED)
     info, log = body["event_info"], body["event_log"]
 
-    if not state.table(tables.RULE).find(["rule_id"], [info["rule_id"]]):
-        return Verdict.reject(CODE_UNKNOWN_RULE)
+    # A binding implies its rule: commit_rule writes both rows, and no row is deleted.
     if (
         verify_usr_rule(
             state, info["usr_rule_id"], info["usr_id"], info["rule_id"], info["rule_name"]

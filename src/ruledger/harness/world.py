@@ -80,10 +80,10 @@ class World:
         for i, (addr, kp) in enumerate(zip(node_addrs, node_keys)):
             fault = None
             if byz is not None and byz["node"] == i:
-                fault = FaultSpec(kind=byz["fault"], prob=byz["prob"])
+                fault = FaultSpec(kind=byz["fault"], prob=byz["prob"],
+                                  seed=derive_seed(seed, f"node{i}/rng"))
             self.nodes.append(LedgerNode(
                 addr, self.net, i, kp, self.ledger_config,
-                random.Random(derive_seed(seed, f"node{i}/rng")),
                 fault=fault, log_query=self.log.query_checksum,
             ))
 

@@ -8,14 +8,16 @@ replays all committed transactions to check the recorded state digest.
 Any out-of-band mutation of a stored block or table row breaks one of
 those checks.
 
-Each block carries `proposal`, the batch its commit certificate signs: the
-audit checks its digest against the certificate and that `txs` is an
-in-order subsequence of it.  Block content is tied to the chain by the
-recomputed digests.  Each record is checked against its shape before it is
-read, so a malformed dump is reported, never raised on.  A tx body is its
-signed text, as on the wire (see `tx`): the digests cover it as a string,
-and the replay parses each committed body once, through
-`SignedTransaction.from_wire`, and reports a body it refuses.
+Each block carries `cert`, the commit certificate that committed it, in the
+shape consensus sends it (`node.CERT`): the audit checks it with the node's
+own certificate check (`node.cert_votes`), checks that it certifies the
+block's own height, and checks that `txs` is an in-order subsequence of its
+batch.  Block content is tied to the chain by the recomputed digests.  Each
+record is checked against its shape before it is read, so a malformed dump
+is reported, never raised on.  A tx body is its signed text, as on the wire
+(see `tx`): the digests cover it as a string, and the replay parses each
+committed body once, through `SignedTransaction.from_wire`, and reports a
+body it refuses.
 
 The audit checks no tx signature: it trusts the commit certificate it
 checks.  Of a quorum's 2f + 1 valid commit votes at most f are Byzantine,
@@ -23,8 +25,8 @@ so at least f + 1 honest replicas voted for the proposal, and an honest
 replica votes only on a batch whose every tx signature it checked
 (`_on_submit` and `_batch_signed` in `node`), as PBFT's quorum intersection
 argues (Castro & Liskov, OSDI 1999, §4).  A signature altered after commit
-changes the wire, so `txs` is then no subsequence of `proposal`, or
-`proposal` no longer matches its certificate.
+changes the wire, so `txs` is then no subsequence of the certificate's
+batch, or the batch no longer matches its certificate's digest.
 
 The header's `n` and `f` are not trusted: the audit derives f and the
 commit quorum from the header's key list by the one fault bound
@@ -44,7 +46,6 @@ from dataclasses import dataclass, field
 from .. import contracts, keys
 # digest_hex is bound here for perfbench/tracer.py, which rebinds it per module.
 from ..canonical import (  # noqa: F401
-    by_index,
     canonical_bytes,
     digest_hex,
     is_int,
@@ -54,25 +55,24 @@ from ..canonical import (  # noqa: F401
     object_of,
 )
 from .node import (
+    CERT,
     LedgerNode,
-    batch_digest,
     block_digest,
+    cert_votes,
     genesis_block,
     genesis_state,
     max_faulty,
     quorum_size,
     replica_count_ok,
     tx_wire,
-    valid_votes,
 )
 from .tx import SignedTransaction
 
 HEADER = message("header", n=is_int, f=is_int, node_index=is_int, node_pubkeys=list_of(is_str),
                  genesis_acl=list_of(object_of(signer=is_str, role=is_str, usr_id=is_int)))
-# A block's commit certificate is checked on its own, so the issue can name it.
+# A block's commit certificate is checked on its own (`CERT`), so the issue can name it.
 BLOCK = message("block", height=is_int, prev_digest=is_str, txs=list_of(tx_wire),
-                proposal=list_of(tx_wire), digest=is_str, proof=lambda v: True)
-BLOCK_PROOF = object_of(view=is_int, proposal_digest=is_str, votes=by_index(is_str))
+                digest=is_str, cert=lambda v: True)
 FOOTER = message("state", digest=is_str)
 
 
@@ -116,9 +116,9 @@ def content_digests(node: LedgerNode) -> list[str]:
     return [block["digest"] for block in node.chain]
 
 
-def _subsequence(txs: list[dict], proposal: list[dict]) -> bool:
-    """Whether txs appear in proposal, in the same order."""
-    rest = iter(proposal)
+def _subsequence(txs: list[dict], batch: list[dict]) -> bool:
+    """Whether txs appear in batch, in the same order."""
+    rest = iter(batch)
     return all(any(wire == tx for wire in rest) for tx in txs)
 
 
@@ -160,7 +160,7 @@ def audit_records(records: list) -> AuditResult:
         issues.append("block 0: not the genesis block")
     prev_digest = genesis["digest"]
     for i, block in enumerate(blocks[1:], 1):
-        h, proof = block["height"], block["proof"]
+        h, cert = block["height"], block["cert"]
         if h != i:
             issues.append(f"height gap: expected {i}, found {h}")
             break
@@ -168,22 +168,20 @@ def audit_records(records: list) -> AuditResult:
             issues.append(f"block {i}: prev_digest does not match chain")
         if block_digest(h, block["prev_digest"], block["txs"]) != block["digest"]:
             issues.append(f"block {i}: content digest mismatch")
-        if not _subsequence(block["txs"], block["proposal"]):
-            issues.append(f"block {i}: txs are not an in-order subsequence of the proposal")
-        if not BLOCK_PROOF(proof):
-            issues.append(f"block {i}: malformed commit certificate")
-        elif batch_digest(block["proposal"]) != proof["proposal_digest"]:
-            issues.append(f"block {i}: proposal does not match its commit certificate")
-        else:
-            valid = len(valid_votes(
-                pubkeys, "c", proof["view"], h, proof["proposal_digest"], proof["votes"],
-                keys.verify_signature,
-            ))
-            if valid < quorum:
-                issues.append(
-                    f"block {i}: commit certificate has {valid} valid votes, needs {quorum}"
-                )
         prev_digest = block["digest"]
+        # A certificate of another height may hold valid votes, but not for this block.
+        if not CERT(cert) or cert["height"] != h:
+            issues.append(f"block {i}: malformed commit certificate")
+            continue
+        if not _subsequence(block["txs"], cert["batch"]):
+            issues.append(f"block {i}: txs are not an in-order subsequence of the proposal")
+        votes = cert_votes(pubkeys, cert, "c", keys.verify_signature)
+        if votes is None:
+            issues.append(f"block {i}: proposal does not match its commit certificate")
+        elif len(votes) < quorum:
+            issues.append(
+                f"block {i}: commit certificate has {len(votes)} valid votes, needs {quorum}"
+            )
 
     # Replay all committed transactions to rebuild the table state.
     state = genesis_state(header["genesis_acl"])

@@ -5,7 +5,7 @@ delaying, corrupting, or equivocating.  The node itself is the honest replica
 with one send path; a node's `fault` is a `FaultSpec`, and `sim.Network.send`
 hands it every message the node sends (see `sim.Process`).  `FaultSpec.send`
 sends what it lets through by `Network.transmit`, so nothing is faulted twice,
-and draws from the node's own seeded RNG, so a faulty run replays exactly.
+and draws from its own RNG, seeded by `seed`, so a faulty run replays exactly.
 """
 
 from __future__ import annotations
@@ -35,15 +35,17 @@ FAULT_DELAY_MS = 400  # how much later a delaying node sends each message
 class FaultSpec:
     kind: str
     prob: float = 0.6  # applied per outbound message for drop/corrupt
+    seed: int = 0  # of the RNG the drop and corrupt draws come from
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind: {self.kind}")
+        self.rng = random.Random(self.seed)
 
     def send(self, node, dsts: list[str], msg: dict) -> None:
         """Send msg from node (a `ledger.node.LedgerNode`) to each of dsts, in
         order, as this fault acts on it."""
-        net, rng = node.net, node.rng
+        net, rng = node.net, self.rng
         if self.kind == FAULT_DUPLICATE:
             for dst in dsts:
                 net.transmit(node.addr, [dst, dst], msg)

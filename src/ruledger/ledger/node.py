@@ -25,10 +25,10 @@ in PBFT (the primary's own prepare, which it still multicasts, carries the
 same signature).  So there is one certificate shape, `_CERT_FIELDS`: a
 batch, its digest, and a quorum of votes of one tag on (view, height,
 digest), "p" in the prepared certificate a view change carries and "c" in
-the commit certificate a `committed` message carries and `_commit_block`
-takes.  `_certificate` builds one, `_checked_cert` checks one and returns its
-valid votes, and `valid_votes` counts the votes for the node and for the audit
-alike.
+the commit certificate a `committed` message carries, `_commit_block` takes
+and each block keeps.  `_certificate` builds one, and `cert_votes` checks
+one's batch against its digest and returns its valid votes, for the node's
+`_checked_cert` and for the audit alike.
 
 The primary takes its own proposal at once: `_propose` and
 `_become_primary` send the pre-prepare to the peers only and handle it
@@ -47,18 +47,20 @@ Liskov, TOCS 2002), so a backlog drains in one block.  The cap bounds the size
 of a pre-prepare: `MESSAGES` refuses a longer batch in any message, so no
 peer can make a replica parse and verify an unbounded list.
 
-Catch-up is pull only.  Each block keeps `proposal`, the batch its commit
-certificate signs, beside `txs`, the accepted subsequence, so every block
-can be served again.  A node that holds a commit quorum it cannot apply (a
-height above `next_height`, or a digest other than its slot's) sends a
-`sync_req` for the blocks from `next_height` to the voter that completed the
-quorum, once per such height; every peer answers a view change, which states
-its sender's last height, as such a request once per sender and (last_height,
-new_view).  `_on_sync_req` answers with at most `SYNC_RUN` blocks as
-`committed` messages.  `_on_committed` checks a reply's certificate and writes
-it into its slot as a commit quorum, so a block commits one way, through
-`_check_slot`, whether its votes came one by one or in a certificate; a
-certified height above `next_height` waits in its slot like any other.
+Catch-up is pull only.  Each block keeps `cert`, the commit certificate
+`_check_slot` committed it by, whose batch holds `txs`, the accepted
+subsequence, so every block can be served again as it is.  A node that
+holds a commit quorum it cannot apply (a height above `next_height`, or a
+digest other than its slot's) sends a `sync_req` for the blocks from
+`next_height` to the voter that completed the quorum, once per such height;
+every peer answers a view change, which states its sender's last height, as
+such a request once per sender and (last_height, new_view).  `_on_sync_req`
+answers with the stored certificates of at most `SYNC_RUN` blocks as
+`committed` messages.  `_on_committed` checks a reply's certificate and
+writes it into its slot as a commit quorum, so a block commits one way,
+through `_check_slot`, whether its votes came one by one or in a
+certificate; a certified height above `next_height` waits in its slot like
+any other.
 
 `LedgerNode.MESSAGES`, the node's table at the boundary every process shares
 (see `sim.Process`), gives the exact shape of every message (nested ones,
@@ -102,7 +104,6 @@ The node keeps only the consensus state a handler can still read:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -209,15 +210,17 @@ def batch_digest(batch_wires: list[dict]) -> str:
     return digest_hex(batch_wires)
 
 
-def valid_votes(pubkeys: list[str], tag: str, view: int, height: int, digest: str,
-                votes: dict[str, str], verify) -> dict[int, str]:
-    """The votes of a certificate, prepared (tag "p") or committed ("c"), whose
-    signatures `verify` (over bytes, as `keys.verify_signature`) checks, by node
-    index.  votes is keyed by decimal node indexes, as MESSAGES and
-    audit.BLOCK_PROOF require."""
-    body = _vote_bytes(tag, view, height, digest)
+def cert_votes(pubkeys: list[str], cert: dict, tag: str, verify) -> dict[int, str] | None:
+    """The votes of cert, a certificate `CERT` admits, prepared (tag "p") or
+    committed ("c"), whose signatures `verify` (over bytes, as
+    `keys.verify_signature`) checks, by node index; None if its batch does not
+    have its digest."""
+    digest = cert["digest"]
+    if batch_digest(cert["batch"]) != digest:
+        return None
+    body = _vote_bytes(tag, cert["view"], cert["height"], digest)
     valid: dict[int, str] = {}
-    for key, sig in votes.items():
+    for key, sig in cert["votes"].items():
         idx = int(key)
         if idx < len(pubkeys) and verify(body, sig, pubkeys[idx]):
             valid[idx] = sig
@@ -236,20 +239,14 @@ _VOTE_FIELDS = dict(view=is_int, height=is_int, digest=is_str, sender=is_int, si
 _PRE_PREPARE = message("pre_prepare", **_VOTE_FIELDS, batch=_BATCH)
 # The one certificate shape, prepared or committed: a quorum of votes on a batch.
 _CERT_FIELDS = dict(view=is_int, height=is_int, digest=is_str, batch=_BATCH, votes=by_index(is_str))
-_CERT = object_of(**_CERT_FIELDS)
+CERT = object_of(**_CERT_FIELDS)
 _VIEW_CHANGE = message("view_change", new_view=is_int, last_height=is_int,
-                       cert=or_none(_CERT), sender=is_int, sig=is_str)
+                       cert=or_none(CERT), sender=is_int, sig=is_str)
 
 
 def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
     """The digest of a block's content, which its commit certificate is not part of."""
     return digest_hex({"height": height, "prev_digest": prev_digest, "txs": txs})
-
-
-def make_block(height: int, prev_digest: str, txs: list[dict], proposal: list[dict],
-               proof: dict) -> dict:
-    return {"height": height, "prev_digest": prev_digest, "txs": txs, "proposal": proposal,
-            "digest": block_digest(height, prev_digest, txs), "proof": proof}
 
 
 def _certificate(view: int, height: int, digest: str, batch: list[dict],
@@ -259,8 +256,15 @@ def _certificate(view: int, height: int, digest: str, batch: list[dict],
             "votes": {str(i): sig for i, sig in sorted(votes.items())}}
 
 
+def make_block(prev_digest: str, txs: list[dict], cert: dict) -> dict:
+    """The block at cert's height: txs, the accepted subsequence of cert's batch."""
+    height = cert["height"]
+    return {"height": height, "prev_digest": prev_digest, "txs": txs,
+            "digest": block_digest(height, prev_digest, txs), "cert": cert}
+
+
 def genesis_block() -> dict:
-    return make_block(0, GENESIS_PREV, [], [], {"view": -1, "proposal_digest": "", "votes": {}})
+    return make_block(GENESIS_PREV, [], _certificate(-1, 0, "", [], {}))
 
 
 def genesis_state(genesis_acl: list[dict]) -> tables.TableStore:
@@ -308,7 +312,6 @@ class LedgerNode(Process):
         index: int,
         keypair: KeyPair,
         config: LedgerConfig,
-        rng: random.Random,
         fault: FaultSpec | None = None,
         log_query: contracts.LogQuery | None = None,
     ):
@@ -316,7 +319,6 @@ class LedgerNode(Process):
         self.index = index
         self.keypair = keypair
         self.config = config
-        self.rng = rng
         self.fault = fault
         self.log_query: contracts.LogQuery = log_query or (lambda eid, key: None)
 
@@ -556,8 +558,7 @@ class LedgerNode(Process):
             receipts.append((tid, receipt))
             self.pool.pop(tid, None)
 
-        proof = {"view": cert["view"], "proposal_digest": cert["digest"], "votes": cert["votes"]}
-        self.chain.append(make_block(height, self.chain[-1]["digest"], content_txs, batch, proof))
+        self.chain.append(make_block(self.chain[-1]["digest"], content_txs, cert))
         self.slots.pop(height, None)
         self.counters["blocks_committed"] += 1
         self._vc_round = 0
@@ -602,13 +603,11 @@ class LedgerNode(Process):
         self._check_slot(view, h)
 
     def _on_sync_req(self, src: str, msg: dict) -> None:
-        """Send the committed blocks from the asked height, at most SYNC_RUN of them."""
+        """Send the commit certificates of the blocks from the asked height, at
+        most SYNC_RUN of them."""
         start = max(msg["height"], 1)
         for block in self.chain[start:start + SYNC_RUN]:
-            proof = block["proof"]
-            self.send(src, {"type": "committed", "view": proof["view"], "height": block["height"],
-                            "digest": proof["proposal_digest"], "batch": block["proposal"],
-                            "votes": proof["votes"]})
+            self.send(src, {"type": "committed", **block["cert"]})
 
     # ------------------------------------------------------------------
     # timeouts and view changes
@@ -647,14 +646,10 @@ class LedgerNode(Process):
 
     def _checked_cert(self, cert: dict, tag: str) -> dict[int, str] | None:
         """The one certificate check, for prepared (tag "p") and commit ("c")
-        certificates alike: cert's valid votes, if its batch has its digest and
-        they are a quorum, else None."""
-        digest = cert["digest"]
-        if batch_digest(cert["batch"]) != digest:
-            return None
-        votes = valid_votes(self.config.node_pubkeys, tag, cert["view"], cert["height"], digest,
-                            cert["votes"], self.net.verify)
-        return votes if len(votes) >= self.config.quorum else None
+        certificates alike: cert's valid votes (`cert_votes`), if they are a
+        quorum, else None."""
+        votes = cert_votes(self.config.node_pubkeys, cert, tag, self.net.verify)
+        return votes if votes is not None and len(votes) >= self.config.quorum else None
 
     def _view_change_valid(self, vc: dict) -> bool:
         """A view change's signature and, if it carries one, its prepared certificate."""

@@ -85,11 +85,10 @@ def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,
     )
     nodes = []
     for i, kp in enumerate(keys):
-        fault = FaultSpec(fault_kind) if fault_kind is not None and i == byz_index else None
-        nodes.append(LedgerNode(
-            f"node{i}", net, i, kp, config,
-            random.Random(derive_seed(seed, f"node{i}/rng")), fault=fault,
-        ))
+        fault = None
+        if fault_kind is not None and i == byz_index:
+            fault = FaultSpec(fault_kind, seed=derive_seed(seed, f"node{i}/rng"))
+        nodes.append(LedgerNode(f"node{i}", net, i, kp, config, fault=fault))
     client = ClientProcess("client", net, config.node_addrs, timeout_ms=client_timeout_ms)
     return SimpleNamespace(scheduler=scheduler, net=net, config=config,
                            nodes=nodes, keys=keys, admin=admin, client=client)

@@ -1,11 +1,14 @@
-"""Mutation survey of `if` tests: which branches does the test suite pin down?
+"""Mutation survey of `if` tests and returned predicates: which branches does
+the test suite pin down?
 
 Run by hand (pytest does not collect this file), from the repository root:
 
     python tests/mutants.py src/ruledger/ledger/node.py --jobs 2
 
-For each `if` statement of the module (an `elif` included), the script makes
-two mutants: one with the test replaced by `False`, one by `True`.  It runs
+For each `if` statement of the module (an `elif` included), and each `return`
+of a comparison, a boolean operation or a `not`, the script makes two
+mutants: one with the test or returned value replaced by `False`, one by
+`True`.  It runs
 the test subset named for the module in `SUBSETS` against each mutant and
 lists the survivors, the mutants under which every test still passes.  Each
 survivor is a branch that no test of the subset needs: give it a
@@ -53,9 +56,20 @@ SUBSETS = {
 }
 
 
+def _predicate(value: ast.expr | None) -> bool:
+    return isinstance(value, (ast.Compare, ast.BoolOp)) or (
+        isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not))
+
+
 def if_tests(source: str) -> list[ast.expr]:
-    """The test expression of every `if` statement, in source order."""
-    nodes = [node.test for node in ast.walk(ast.parse(source)) if isinstance(node, ast.If)]
+    """The test expression of every `if` statement and every returned
+    predicate (a comparison, a boolean operation or a `not`), in source order."""
+    nodes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If):
+            nodes.append(node.test)
+        elif isinstance(node, ast.Return) and _predicate(node.value):
+            nodes.append(node.value)
     return sorted(nodes, key=lambda test: (test.lineno, test.col_offset))
 
 
@@ -149,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     targets = if_tests(source)
     mutants = [(test, value) for test in targets for value in (False, True)]
 
-    print(f"{target}: {len(targets)} if tests, {len(mutants)} mutants, tests: {' '.join(tests)}",
+    print(f"{target}: {len(targets)} if tests and returned predicates, {len(mutants)} mutants, "
+          f"tests: {' '.join(tests)}",
           flush=True)
     workdir = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:

@@ -398,10 +398,10 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
     "report": "21fa83d01ce4dcc0de120658e8e12a5265f98764bcb256cf41980864de62fe64",
-    "ledger-node0.dump": "f26b46e4d1072bcd053d5da07f6543dcd9f942aff696471b04770ed444691730",
-    "ledger-node1.dump": "80fabd969c5da3ddd272418b74697d84e0aa38b89e0f1111fe3f835becc06512",
-    "ledger-node2.dump": "76e6cb313c1197da6afafb977f5958bae5fbc5c251ffb2d045d66ea5a3374c4f",
-    "ledger-node3.dump": "b37ddacc6bfaa1cd6e06fd0bd17dfeb9688ec5498a46e18cde7e0a4e7e385473",
+    "ledger-node0.dump": "9b0e1a785ae987ab3f0e9c06c041c9d5cfe04b37874c6290e3ba0ae2ee52e17e",
+    "ledger-node1.dump": "654130f82638cbea3744154483ba653beebc0ec6555173fa2708588600a236f2",
+    "ledger-node2.dump": "b43568a9c47c65059274ede2154610bb8acb08c0d73d69a0964849a2aef418a8",
+    "ledger-node3.dump": "c5694e410d47e4fac5dfd046f3512cef18bf7af80b80f91d3d575df8e7b87388",
 }
 
 

@@ -252,14 +252,14 @@ def test_write_outputs_pass_the_offline_audit(poll_run, tmp_path):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda proof: proof["votes"].update(dict.fromkeys(proof["votes"], 5)),
-    lambda proof: proof.update(view=float(proof["view"])),
-    lambda proof: proof.update(votes=list(proof["votes"].values())),
+    lambda cert: cert["votes"].update(dict.fromkeys(cert["votes"], 5)),
+    lambda cert: cert.update(view=float(cert["view"])),
+    lambda cert: cert.update(votes=list(cert["votes"].values())),
 ], ids=["int_vote", "float_view", "list_votes"])
 def test_audit_reports_a_malformed_commit_certificate(poll_run, tamper):
     _, world = poll_run
     records = json.loads(json.dumps(audit.dump_lines(world.nodes[0])))
-    tamper(records[2]["proof"])  # the first block after genesis
+    tamper(records[2]["cert"])  # the first block after genesis
     result = audit.audit_records(records)
     assert not result.ok
     assert result.issues == ["block 1: malformed commit certificate"]
@@ -327,19 +327,19 @@ def _forge_accept_under_f_minus_one(records):
     records[0]["f"] = -1
     block = records[3]
     block["txs"].append(_FORGED)
-    block["proposal"].append(_FORGED)
-    block["proof"]["proposal_digest"] = node_mod.batch_digest(block["proposal"])
+    block["cert"]["batch"].append(_FORGED)
+    block["cert"]["digest"] = node_mod.batch_digest(block["cert"]["batch"])
 
 
 def _erase_with_one_vote(records):
     """Erase an accepted tx from block 2 and certify the rest with the one
     commit vote that node1's key (within f = 1) signs."""
-    block = records[3]
-    block["proposal"].remove(block["txs"].pop(0))
-    digest = node_mod.batch_digest(block["proposal"])
-    body = node_mod._vote_body("c", block["proof"]["view"], block["height"], digest)
+    cert = records[3]["cert"]
+    cert["batch"].remove(records[3]["txs"].pop(0))
+    digest = node_mod.batch_digest(cert["batch"])
+    body = node_mod._vote_body("c", cert["view"], cert["height"], digest)
     sig = KeyPair.from_seed(20, "node1").sign_obj(body)
-    block["proof"].update(proposal_digest=digest, votes={"1": sig})
+    cert.update(digest=digest, votes={"1": sig})
 
 
 def _forge_reject_under_f_zero(records):
@@ -353,24 +353,27 @@ def _forge_reject_under_f_zero(records):
      "block 1: txs are not an in-order subsequence of the proposal"),
     (lambda records: records[3]["txs"].insert(0, records[3]["txs"].pop(1)),
      "block 2: txs are not an in-order subsequence of the proposal"),
-    (lambda records: _edit_body(records[3]["proposal"][1], usr_rule_id=999),
+    (lambda records: _edit_body(records[3]["cert"]["batch"][1], usr_rule_id=999),
      "block 2: proposal does not match its commit certificate"),
     (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"][:-1]),
      "block 2: committed tx with a malformed body"),
     (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"] + " "),
      "block 2: committed tx with a malformed body"),
-    (lambda records: records[3].pop("proposal"), "record 3: malformed"),
-    (lambda records: records[1].update(txs=[_FORGED], proposal=[_FORGED]),
+    (lambda records: records[3].pop("cert"), "record 3: malformed"),
+    (lambda records: records[1].update(txs=[_FORGED],
+                                       cert={**records[1]["cert"], "batch": [_FORGED]}),
      "block 0: not the genesis block"),
     (lambda records: records.__delitem__(slice(1, -1)), "block 0: not the genesis block"),
     (_forge_accept_under_f_minus_one, "missing or malformed header record"),
     (_forge_reject_under_f_zero, "missing or malformed header record"),
     (_erase_with_one_vote, "block 2: commit certificate has 1 valid votes, needs 3"),
     (lambda records: records.__delitem__(2), "height gap: expected 1, found 2"),
+    (lambda records: records[3].update(cert=records[2]["cert"]),
+     "block 2: malformed commit certificate"),
 ], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire",
         "unparseable_tx_body", "non_canonical_tx_body", "no_proposal",
         "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero",
-        "erase_with_one_vote", "no_block_1"])
+        "erase_with_one_vote", "no_block_1", "certificate_of_another_block"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
     assert audit.audit_records(_reseal(json.loads(batched_records))).ok
     records = json.loads(batched_records)
@@ -408,7 +411,7 @@ def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         records = [json.loads(line) for line in fh.read().splitlines()]
     blocks = [r for r in records if r["type"] == "block"]
-    expected = sum(len(b["proof"]["votes"]) for b in blocks[1:])
+    expected = sum(len(b["cert"]["votes"]) for b in blocks[1:])
     real = []
     verify = keys_mod.verify_signature
 
@@ -426,16 +429,15 @@ def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):
     assert len(real) == expected
 
     # A flipped tx signature is a rewrite of certified content: in txs alone the
-    # wire leaves the proposal, and in both the proposal leaves its certificate.
+    # wire leaves the certificate's batch, and in both the batch leaves its digest.
     i = next(i for i, r in enumerate(records) if r.get("txs"))
     height, wire = records[i]["height"], records[i]["txs"][0]
     flipped = dict(wire, signature=("1" if wire["signature"][0] == "0" else "0")
                    + wire["signature"][1:])
-    for fields, issue in ((("txs",), "txs are not an in-order subsequence of the proposal"),
-                          (("txs", "proposal"), "proposal does not match its commit certificate")):
+    for in_batch_too, issue in ((False, "txs are not an in-order subsequence of the proposal"),
+                                (True, "proposal does not match its commit certificate")):
         edited = json.loads(json.dumps(records))
-        for name in fields:
-            wires = edited[i][name]
+        for wires in (edited[i]["txs"], edited[i]["cert"]["batch"])[:1 + in_batch_too]:
             wires[wires.index(wire)] = flipped
         dump = tmp_path / "flipped.dump"
         dump.write_bytes(b"".join(canonical_bytes(r) + b"\n" for r in edited))

@@ -170,10 +170,7 @@ def test_garbage_messages_are_counted_not_fatal():
 
 
 def _sync_reply(node, height):
-    block = node.chain[height]
-    return {"type": "committed", "view": block["proof"]["view"], "height": height,
-            "digest": block["proof"]["proposal_digest"], "batch": block["proposal"],
-            "votes": block["proof"]["votes"]}
+    return {"type": "committed", **node.chain[height]["cert"]}
 
 
 def _record_sends(rig):
@@ -312,7 +309,7 @@ def test_a_node_cut_off_while_blocks_commit_pulls_them_without_a_view_change():
     assert audit.content_digests(lagging) == audit.content_digests(source)
     assert all(n.counters["view_changes"] == 0 for n in rig.nodes)
     assert rig.client.client.resolved[second.tx_id].accepted
-    assert lagging.chain[1]["txs"] == [] and lagging.chain[1]["proposal"] == [outsider.wire()]
+    assert lagging.chain[1]["txs"] == [] and lagging.chain[1]["cert"]["batch"] == [outsider.wire()]
     assert audit.audit_node(lagging).ok
 
 
@@ -340,7 +337,8 @@ def test_commits_send_no_blocks_and_a_sync_reply_is_a_bounded_run():
     rig.nodes[0].on_message("node3", {"type": "sync_req", "height": 2})
     replies = [msg for _, _, msg in sent if msg["type"] == "committed"]
     assert [msg["height"] for msg in replies] == list(range(2, 2 + node_mod.SYNC_RUN))
-    assert all(msg["batch"] == rig.nodes[0].chain[msg["height"]]["proposal"] for msg in replies)
+    chain = rig.nodes[0].chain
+    assert all(msg == {"type": "committed", **chain[msg["height"]]["cert"]} for msg in replies)
 
 
 def test_each_timeout_inside_a_view_change_moves_its_target_on():
@@ -722,14 +720,14 @@ def test_a_replica_stops_voting_in_a_view_it_is_leaving(vc_rig):
     _deliver(rig, held, "new_view", ["node2", "node3"])
     _deliver(rig, held, "prepare", ["node1", "node2", "node3"], view=1)
     _deliver(rig, held, "commit", ["node3"], view=1)
-    assert node3.chain[1]["proposal"] == batch_b
+    assert node3.chain[1]["cert"]["batch"] == batch_b
     # The view-0 prepares arrive late: node0 is leaving view 0, nodes 1 and 2 have left it.
     _deliver(rig, held, "prepare", ["node0", "node1", "node2"], view=0)
     _deliver(rig, held, "commit", ["node1"], view=0)
     while held:
         src, dst, msg = held.pop(0)
         rig.net.processes[dst].on_message(src, msg)
-    assert [node.chain[1]["proposal"] for node in rig.nodes] == [batch_b] * 4
+    assert [node.chain[1]["cert"]["batch"] for node in rig.nodes] == [batch_b] * 4
     assert _honest_prefix_consistent(rig.nodes)
 
 
@@ -978,7 +976,7 @@ def test_sync_replies_keep_at_most_a_window_of_heights(vc_rig, monkeypatch):
     assert sorted(node.slots) == [2, 3]
     node.on_message("node0", {"type": "committed", **certs[0]})
     assert node.next_height == 4 and node.slots == {}
-    assert [block["proposal"] for block in node.chain[1:]] == [c["batch"] for c in certs[:3]]
+    assert [block["cert"]["batch"] for block in node.chain[1:]] == [c["batch"] for c in certs[:3]]
     node.on_message("node0", {"type": "committed", **certs[0]})  # a height already committed
     assert node.slots == {} and node.next_height == 4
     assert node.counters["malformed_dropped"] == 0
@@ -995,8 +993,8 @@ def test_a_certified_slot_of_another_view_commits_as_soon_as_its_height_is_next(
     node.on_message("node1", _new_view(1, _vcs(rig)))
     assert node.view == 1 and node.next_height == 1
     node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
-    assert node.next_height == 3 and node.chain[2]["proposal"] == rig.wires[1]
-    assert node.chain[2]["proof"]["view"] == 0
+    assert node.next_height == 3 and node.chain[2]["cert"]["batch"] == rig.wires[1]
+    assert node.chain[2]["cert"]["view"] == 0
 
 
 def test_votes_for_far_views_keep_at_most_n_views(vc_rig):
