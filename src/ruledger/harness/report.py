@@ -2,14 +2,15 @@
 
 Reports hold only simulation-time quantities, never wall-clock ones, so a
 repeated run of the same scenario file serializes to identical bytes.
+`jsonschema` is imported on the first report validation, not with this module,
+so a process that builds a `World` without building its report never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
-
-import jsonschema
 
 
 def build_stats(samples: list[int]) -> dict:
@@ -33,13 +34,25 @@ def build_stats(samples: list[int]) -> dict:
     }
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The report schema's validator, built once per process after one schema check."""
+    from jsonschema.validators import validator_for
+
     text = resources.files("ruledger.harness").joinpath("report.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_report(report: dict) -> None:
-    jsonschema.validate(report, _schema())
+    """Raise what `jsonschema.validate` raises: the best-matching `ValidationError`."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def report_bytes(report: dict) -> bytes:

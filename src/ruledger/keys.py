@@ -12,7 +12,6 @@ import hashlib
 from typing import Any
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -26,10 +25,7 @@ class KeyPair:
 
     def __init__(self, private: Ed25519PrivateKey):
         self._private = private
-        raw = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        self.public_hex: str = raw.hex()
+        self.public_hex: str = private.public_key().public_bytes_raw().hex()
 
     @classmethod
     def generate(cls) -> "KeyPair":

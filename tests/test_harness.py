@@ -656,3 +656,30 @@ def test_every_module_imports_as_the_first_ruledger_import():
     done = subprocess.run([sys.executable, "-c", _IMPORT_EACH, str(package)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+_COLD_START = """
+import sys
+from ruledger.harness.scenario import bundled_scenario, scenario_from_dict
+from ruledger.harness.world import World
+world = World(scenario_from_dict(bundled_scenario("heart_rate")))
+unused = ["jsonschema", "cryptography.hazmat.primitives.serialization"]
+print(sorted(name for name in unused if name in sys.modules))
+from ruledger.harness.report import validate_report
+import jsonschema
+try:
+    validate_report({"nodes": "four"})
+except jsonschema.ValidationError:
+    print("rejected")
+"""
+
+
+def test_the_run_path_loads_no_module_it_does_not_execute():
+    """Parsing a scenario and building its World imports neither jsonschema
+    (loaded on the first report validation) nor cryptography's key
+    serialization module; a report check in the same process still raises."""
+    env = {**os.environ, "PYTHONPATH": str(Path(contracts.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "rejected"], done.stdout + done.stderr

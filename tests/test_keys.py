@@ -1,5 +1,6 @@
 """Wallet keys: deterministic derivation, detached signatures and the verify memo."""
 
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,14 @@ def test_seeded_keys_are_reproducible():
     assert a.public_hex == b.public_hex
     # Both instances must produce verifiable signatures over the same bytes.
     assert verify_signature(b"m", a.sign(b"m"), b.public_hex)
+
+
+def test_public_hex_is_the_raw_public_key():
+    # A seeded key's public half is pinned: every dump and report names it.
+    kp = KeyPair.from_seed(7, "node0")
+    assert kp.public_hex == "5075337487844d8f0044ab56931a04d072d6feb79be4d154ec0cf213ab57d355"
+    raw = kp._private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    assert kp.public_hex == raw.hex()
 
 
 def test_seeded_keys_differ_by_label_and_seed():
