@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..agents import AgentBase
-from ..canonical import canonical_bytes, derive_seed
+from ..canonical import derive_seed
 from ..contracts import (
     CODE_ALREADY_CONSUMED,
     CODE_BAD_CID,
@@ -25,6 +25,7 @@ from ..contracts import (
 from ..devices import checksum, inject_spoofed_event
 from ..keys import KeyPair
 from ..ledger import audit, tables
+from ..ledger.node import block_txs
 from ..ledger.tx import KIND_EVENT, KIND_RULE_COMMIT, SignedTransaction
 from ..rules import parse_rule
 from .scenario import bundled_scenario, scenario_from_dict
@@ -139,7 +140,7 @@ def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
         def fire():
             committed = None
             for block in w.nodes[0].chain[1:]:
-                for wire in block["txs"]:
+                for wire in block_txs(block):
                     if wire["kind"] == KIND_EVENT:
                         committed = wire
                         break
@@ -294,9 +295,8 @@ def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     # must flag both while a clean node still verifies.
     clean = audit.audit_node(world.nodes[0])
     world.nodes[1].state.table(tables.RULE).rows[0]["definition"] = '{"schema":1}'
-    txs = world.nodes[2].chain[1]["txs"]
-    tx = SignedTransaction.from_wire(txs[0])
-    txs[0] = dict(txs[0], body=canonical_bytes(dict(tx.body, nonce=tx.body["nonce"] + 1)).decode())
+    # node2's own list of accepted positions; the certificate's batch is shared by every replica.
+    world.nodes[2].chain[1]["txs"].pop()
     state_tampered = audit.audit_node(world.nodes[1])
     chain_tampered = audit.audit_node(world.nodes[2])
 

@@ -18,7 +18,7 @@ from ..devices import Device, Gateway, LogService
 from ..keys import KeyPair
 from ..ledger import audit
 from ..ledger.faults import FaultSpec
-from ..ledger.node import LedgerConfig, LedgerNode
+from ..ledger.node import LedgerConfig, LedgerNode, block_txs
 from ..ledger.tx import KIND_EVENT, SignedTransaction
 from ..rules import parse_rule
 from ..sim.network import NetConfig, Network
@@ -179,7 +179,7 @@ class World:
         trigger_count = {r.rule_id: len(r.trigger_operations) for r in self.rules}
         counts = {"rule_commit": 0, "config": 0, "event": 0, "action_record": 0, "action": 0}
         for block in self.nodes[0].chain[1:]:
-            for wire in block["txs"]:
+            for wire in block_txs(block):
                 kind = wire["kind"]
                 if kind == KIND_EVENT:
                     info = SignedTransaction.from_wire(wire, checked=True).body["event_info"]

@@ -2,22 +2,27 @@
 
 A dump is newline-delimited canonical JSON: a header naming the replica
 set, one line per block, and a state-digest footer.  The audit checks that
-block 0 is the genesis block, recomputes every content digest, walks the
-prev-digest chain, verifies each block's commit certificate, and finally
-replays all committed transactions to check the recorded state digest.
-Any out-of-band mutation of a stored block or table row breaks one of
-those checks.
+block 0 is the genesis block; for each later block it checks its height and
+prev-digest link, its commit certificate, its content digest and its
+accepted positions, and replays its accepted transactions; last, it checks
+the replayed state against the footer's digest.  Any out-of-band mutation of
+a stored block or table row breaks one of those checks.
 
 Each block carries `cert`, the commit certificate that committed it, in the
-shape consensus sends it (`node.CERT`): the audit checks it with the node's
-own certificate check (`node.cert_votes`), checks that it certifies the
-block's own height, and checks that `txs` is an in-order subsequence of its
-batch.  Block content is tied to the chain by the recomputed digests.  Each
-record is checked against its shape before it is read, so a malformed dump
-is reported, never raised on.  A tx body is its signed text, as on the wire
-(see `tx`): the digests cover it as a string, and the replay parses each
-committed body once, through `SignedTransaction.from_wire`, and reports a
-body it refuses.
+shape consensus sends it (`node.CERT`), and `txs`, the strictly ascending
+positions in the certificate's batch that were accepted, so each tx is
+stored once (`node.block_txs` reads them).  The audit checks the
+certificate's shape and height first, as the content digest covers the batch
+through the certificate's digest; it checks the votes with the node's own
+certificate check (`node.cert_votes`), which also checks the batch against
+that digest, and checks that `txs` ascends strictly within the batch.  A
+block whose txs cannot be read (a malformed certificate or bad positions)
+has no replay, and neither has any block after it or after a height gap, so
+the footer is then not compared.  Each record is checked against its shape
+before it is read, so a malformed dump is reported, never raised on.  A tx
+body is its signed text, as on the wire (see `tx`): the batch digest covers
+it as a string, and the replay parses each committed body once, through
+`SignedTransaction.from_wire`, and reports a body it refuses.
 
 The audit checks no tx signature: it trusts the commit certificate it
 checks.  Of a quorum's 2f + 1 valid commit votes at most f are Byzantine,
@@ -25,8 +30,8 @@ so at least f + 1 honest replicas voted for the proposal, and an honest
 replica votes only on a batch whose every tx signature it checked
 (`_on_submit` and `_batch_signed` in `node`), as PBFT's quorum intersection
 argues (Castro & Liskov, OSDI 1999, §4).  A signature altered after commit
-changes the wire, so `txs` is then no subsequence of the certificate's
-batch, or the batch no longer matches its certificate's digest.
+changes a wire of the batch, which then no longer matches its certificate's
+digest.
 
 The header's `n` and `f` are not trusted: the audit derives f and the
 commit quorum from the header's key list by the one fault bound
@@ -58,20 +63,20 @@ from .node import (
     CERT,
     LedgerNode,
     block_digest,
+    block_txs,
     cert_votes,
     genesis_block,
     genesis_state,
     max_faulty,
     quorum_size,
     replica_count_ok,
-    tx_wire,
 )
 from .tx import SignedTransaction
 
 HEADER = message("header", n=is_int, f=is_int, node_index=is_int, node_pubkeys=list_of(is_str),
                  genesis_acl=list_of(object_of(signer=is_str, role=is_str, usr_id=is_int)))
 # A block's commit certificate is checked on its own (`CERT`), so the issue can name it.
-BLOCK = message("block", height=is_int, prev_digest=is_str, txs=list_of(tx_wire),
+BLOCK = message("block", height=is_int, prev_digest=is_str, txs=list_of(is_int),
                 digest=is_str, cert=lambda v: True)
 FOOTER = message("state", digest=is_str)
 
@@ -110,16 +115,13 @@ def write_dump(node: LedgerNode, path: str) -> None:
 def content_digests(node: LedgerNode) -> list[str]:
     """The digest chain over block content; the cross-node equality surface.
 
-    Commit certificates are per-node attestation metadata (each replica
-    stores the votes it happened to collect), so they are excluded here.
+    A block's digest covers its height, its prev digest, its batch by the
+    commit certificate's digest, and its accepted positions, so honest
+    replicas that commit one batch share it.  The certificate's votes are
+    per-node attestation metadata (each replica stores the votes it happened
+    to collect), so they are not covered.
     """
     return [block["digest"] for block in node.chain]
-
-
-def _subsequence(txs: list[dict], batch: list[dict]) -> bool:
-    """Whether txs appear in batch, in the same order."""
-    rest = iter(batch)
-    return all(any(wire == tx for wire in rest) for tx in txs)
 
 
 def _parse_dump(data: bytes) -> list[dict]:
@@ -159,22 +161,23 @@ def audit_records(records: list) -> AuditResult:
     if blocks[:1] != [genesis]:
         issues.append("block 0: not the genesis block")
     prev_digest = genesis["digest"]
+    state = genesis_state(header["genesis_acl"])  # None once a block has no replay
     for i, block in enumerate(blocks[1:], 1):
-        h, cert = block["height"], block["cert"]
+        h, cert, txs = block["height"], block["cert"], block["txs"]
         if h != i:
             issues.append(f"height gap: expected {i}, found {h}")
+            state = None
             break
         if block["prev_digest"] != prev_digest:
             issues.append(f"block {i}: prev_digest does not match chain")
-        if block_digest(h, block["prev_digest"], block["txs"]) != block["digest"]:
-            issues.append(f"block {i}: content digest mismatch")
         prev_digest = block["digest"]
         # A certificate of another height may hold valid votes, but not for this block.
         if not CERT(cert) or cert["height"] != h:
             issues.append(f"block {i}: malformed commit certificate")
+            state = None
             continue
-        if not _subsequence(block["txs"], cert["batch"]):
-            issues.append(f"block {i}: txs are not an in-order subsequence of the proposal")
+        if block_digest(h, block["prev_digest"], cert["digest"], txs) != block["digest"]:
+            issues.append(f"block {i}: content digest mismatch")
         votes = cert_votes(pubkeys, cert, "c", keys.verify_signature)
         if votes is None:
             issues.append(f"block {i}: proposal does not match its commit certificate")
@@ -182,23 +185,24 @@ def audit_records(records: list) -> AuditResult:
             issues.append(
                 f"block {i}: commit certificate has {len(votes)} valid votes, needs {quorum}"
             )
-
-    # Replay all committed transactions to rebuild the table state.
-    state = genesis_state(header["genesis_acl"])
-    for block in blocks:
-        for wire in block["txs"]:
-            tx = SignedTransaction.from_wire(wire)
-            if tx is None:
-                issues.append(f"block {block['height']}: committed tx with a malformed body")
-                continue
-            try:
-                contracts.apply_tx(tx, state)
-            except Exception as exc:  # replay must never crash the audit
-                issues.append(f"block {block['height']}: replay failed: {exc}")
+        # Positions ascend strictly, from at least 0 to below the batch's length.
+        if not all(a < b for a, b in zip([-1, *txs], [*txs, len(cert["batch"])])):
+            issues.append(f"block {i}: txs are not ascending positions in the proposal")
+            state = None
+        elif state is not None:
+            for wire in block_txs(block):
+                tx = SignedTransaction.from_wire(wire)
+                if tx is None:
+                    issues.append(f"block {i}: committed tx with a malformed body")
+                    continue
+                try:
+                    contracts.apply_tx(tx, state)
+                except Exception as exc:  # replay must never crash the audit
+                    issues.append(f"block {i}: replay failed: {exc}")
 
     if not footers:
         issues.append("missing state footer")
-    elif footers[-1]["digest"] != state.state_digest():
+    elif state is not None and footers[-1]["digest"] != state.state_digest():
         issues.append("state digest does not match transaction replay")
 
     return AuditResult(ok=not issues, height=len(blocks) - 1, issues=issues)

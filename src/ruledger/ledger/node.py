@@ -48,8 +48,9 @@ of a pre-prepare: `MESSAGES` refuses a longer batch in any message, so no
 peer can make a replica parse and verify an unbounded list.
 
 Catch-up is pull only.  Each block keeps `cert`, the commit certificate
-`_check_slot` committed it by, whose batch holds `txs`, the accepted
-subsequence, so every block can be served again as it is.  A node that
+`_check_slot` committed it by, and `txs`, the ascending positions in its batch
+that were accepted, so each tx is stored once and every block can be served
+again as it is; `block_txs` reads a block's accepted wires.  A node that
 holds a commit quorum it cannot apply (a height above `next_height`, or a
 digest other than its slot's) sends a `sync_req` for the blocks from
 `next_height` to the voter that completed the quorum, once per such height;
@@ -244,9 +245,11 @@ _VIEW_CHANGE = message("view_change", new_view=is_int, last_height=is_int,
                        cert=or_none(CERT), sender=is_int, sig=is_str)
 
 
-def block_digest(height: int, prev_digest: str, txs: list[dict]) -> str:
-    """The digest of a block's content, which its commit certificate is not part of."""
-    return digest_hex({"height": height, "prev_digest": prev_digest, "txs": txs})
+def block_digest(height: int, prev_digest: str, cert_digest: str, txs: list[int]) -> str:
+    """The digest of a block's content: its place in the chain, its batch by the
+    commit certificate's digest, and txs, the positions in that batch it accepted."""
+    return digest_hex({"height": height, "prev_digest": prev_digest,
+                       "batch_digest": cert_digest, "txs": txs})
 
 
 def _certificate(view: int, height: int, digest: str, batch: list[dict],
@@ -256,11 +259,16 @@ def _certificate(view: int, height: int, digest: str, batch: list[dict],
             "votes": {str(i): sig for i, sig in sorted(votes.items())}}
 
 
-def make_block(prev_digest: str, txs: list[dict], cert: dict) -> dict:
-    """The block at cert's height: txs, the accepted subsequence of cert's batch."""
+def make_block(prev_digest: str, txs: list[int], cert: dict) -> dict:
+    """The block at cert's height: txs, the ascending positions in cert's batch it accepted."""
     height = cert["height"]
     return {"height": height, "prev_digest": prev_digest, "txs": txs,
-            "digest": block_digest(height, prev_digest, txs), "cert": cert}
+            "digest": block_digest(height, prev_digest, cert["digest"], txs), "cert": cert}
+
+
+def block_txs(block: dict) -> list[dict]:
+    """The wires a block accepted, read from its certificate's batch."""
+    return [block["cert"]["batch"][pos] for pos in block["txs"]]
 
 
 def genesis_block() -> dict:
@@ -526,11 +534,11 @@ class LedgerNode(Process):
         """Execute a commit certificate's batch as the block at next_height, then
         act on every slot of the new next_height, in whichever view."""
         height, batch = cert["height"], cert["batch"]
-        content_txs: list[dict] = []
+        accepted: list[int] = []  # positions in batch
         receipts: list[tuple[str, TxReceipt]] = []
         notifications: list[tuple[str, dict]] = []  # (agent address, message)
         task_agent, exec_agent = self.config.task_agent_addr, self.config.exec_agent_addr
-        for wire in batch:
+        for pos, wire in enumerate(batch):
             tid = text_id(wire["body"])
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
@@ -539,7 +547,7 @@ class LedgerNode(Process):
             verdict = contracts.verify_tx(tx, self.state, self.log_query, self.config.ledger_secret)
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)
-                content_txs.append(wire)
+                accepted.append(pos)
                 self.counters["txs_committed"] += 1
                 info = tx.body.get("event_info")
                 if tx.kind == KIND_EVENT and effects.get("consumable") and task_agent:
@@ -558,7 +566,7 @@ class LedgerNode(Process):
             receipts.append((tid, receipt))
             self.pool.pop(tid, None)
 
-        self.chain.append(make_block(self.chain[-1]["digest"], content_txs, cert))
+        self.chain.append(make_block(self.chain[-1]["digest"], accepted, cert))
         self.slots.pop(height, None)
         self.counters["blocks_committed"] += 1
         self._vc_round = 0

@@ -37,6 +37,7 @@ from ruledger.harness.world import World, run_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit, tables
 from ruledger.ledger.faults import FAULT_KINDS
+from ruledger.ledger.node import block_txs
 from ruledger.ledger.tx import KIND_ACTION, SignedTransaction
 
 KEY = KeyPair.from_seed(77, "acct/acceptance")
@@ -105,11 +106,11 @@ def test_criterion_1_consensus_safety_under_faults(faulted_runs):
 # over its 40 rigs' chains, counters and views and the client's verdicts.  The
 # faulty node draws from its own seeded RNG, so this pins the order of its draws.
 PINNED_FAULTED_RUNS = {
-    "drop": "5392adf4b84115cc9c1c01eac817ee9a8b0e36ba8234c78f7ff8f5d871a728e7",
-    "duplicate": "9cf5ccf15f09301137e1bd81a89a351606c77cb0c470f8ac4cb259161e62f0c8",
-    "delay": "ddafbb594625f47308bd7f0fcb3ede2e97b43652600fc74d4b06722424e8d1e2",
-    "corrupt": "84a73d13dc2cb9c95133ce5caf20962e9fbf1d41b84728129ff412c94ac02844",
-    "equivocate": "0bc378eb8a9f304c072e0afaea54d13a95e128f02685358496d1008563b3b2e7",
+    "drop": "ea10c5b78db6671c23ce56f9f326c4b89030bdb0b90553955632be0d1f197cc3",
+    "duplicate": "fec69eec0a444714c295d0996cada5985ac05c0d2c996c98291b20afde5307cf",
+    "delay": "4a6b5a12678a9052255a76986cdaf171c9935ffc5e263b894ce568fba767bf1f",
+    "corrupt": "5d48717256f2bc4851b3ef8f0c4ce6b7cbdd3213f17893be8ac200d876eb350a",
+    "equivocate": "86569ebda44dfc2a668d111a2c3195ca13e7253ad60cc1f3c06ac0b1db9abc3c",
 }
 
 
@@ -265,7 +266,7 @@ def _accepted_action_txs(world: World) -> int:
     count = 0
     node = world.nodes[0]
     for block in node.chain[1:]:
-        for wire in block["txs"]:
+        for wire in block_txs(block):
             if wire["kind"] != KIND_ACTION:
                 continue
             receipt = node.decided.get(SignedTransaction.from_wire(wire).tx_id)
@@ -398,10 +399,10 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
     "report": "21fa83d01ce4dcc0de120658e8e12a5265f98764bcb256cf41980864de62fe64",
-    "ledger-node0.dump": "9b0e1a785ae987ab3f0e9c06c041c9d5cfe04b37874c6290e3ba0ae2ee52e17e",
-    "ledger-node1.dump": "654130f82638cbea3744154483ba653beebc0ec6555173fa2708588600a236f2",
-    "ledger-node2.dump": "b43568a9c47c65059274ede2154610bb8acb08c0d73d69a0964849a2aef418a8",
-    "ledger-node3.dump": "c5694e410d47e4fac5dfd046f3512cef18bf7af80b80f91d3d575df8e7b87388",
+    "ledger-node0.dump": "f1f32c62b07abd2d1c93d8eb89c7535458cab9fa19d4ba228e9a13951356a55d",
+    "ledger-node1.dump": "9b770add609e3b6f948b062f73e36d0b080818069e9855eae3ed5390b1e2432a",
+    "ledger-node2.dump": "78ac81e20ad9d22c4342037fb7a650774c50c79b73792b5323cadda09e4c69cb",
+    "ledger-node3.dump": "a09e0d87e7ab54ab945f77f0fdc8705ed9dd40bcf9d86a2a5258c05f6b288556",
 }
 
 

@@ -23,7 +23,7 @@ from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError
-from ruledger.ledger.tx import SignedTransaction
+from ruledger.ledger.tx import SignedTransaction, text_id
 from ruledger.rules import RuleError, parse_rule
 
 
@@ -251,6 +251,19 @@ def test_write_outputs_pass_the_offline_audit(poll_run, tmp_path):
     assert audit.audit_dump(str(spaced)).ok
 
 
+def test_a_dump_stores_each_accepted_tx_once(poll_run):
+    # A block names the txs it accepted by their positions in its commit
+    # certificate's batch, so no accepted body is stored a second time.
+    _, world = poll_run
+    node = world.nodes[0]
+    data = audit.dump_bytes(node)
+    accepted = {tid for tid, receipt in node.decided.items() if receipt.accepted}
+    bodies = {wire["body"] for block in node.chain for wire in block["cert"]["batch"]
+              if text_id(wire["body"]) in accepted}
+    assert len(bodies) == len(accepted) > 0
+    assert all(data.count(canonical_bytes(body)) == 1 for body in bodies)
+
+
 @pytest.mark.parametrize("tamper", [
     lambda cert: cert["votes"].update(dict.fromkeys(cert["votes"], 5)),
     lambda cert: cert.update(view=float(cert["view"])),
@@ -273,7 +286,7 @@ def _edit_body(wire, **fields):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda records: _edit_body(records[2]["txs"][0], nonce=1.5),
+    lambda records: _edit_body(node_mod.block_txs(records[2])[0], nonce=1.5),
     lambda records: records[2].pop("prev_digest"),
     lambda records: records[2].update(txs=5),
     lambda records: records.insert(2, ["not", "an", "object"]),
@@ -307,11 +320,15 @@ def _reseal(records):
     prev = node_mod.GENESIS_PREV
     state = node_mod.genesis_state(records[0]["genesis_acl"])
     for record in records[1:-1]:
+        cert = record.get("cert", {})
         record["prev_digest"] = prev
-        record["digest"] = prev = node_mod.block_digest(record["height"], prev, record["txs"])
-        for wire in record["txs"]:
-            tx = SignedTransaction.from_wire(wire)
-            if tx is not None:  # the audit reports a body it cannot parse
+        record["digest"] = prev = node_mod.block_digest(record["height"], prev,
+                                                        cert.get("digest", ""), record["txs"])
+        batch = cert.get("batch", [])
+        for pos in record["txs"]:
+            # The audit reports a position outside the batch and a body it cannot parse.
+            tx = SignedTransaction.from_wire(batch[pos]) if 0 <= pos < len(batch) else None
+            if tx is not None:
                 contracts.apply_tx(tx, state)
     records[-1]["digest"] = state.state_digest()
     return records
@@ -326,7 +343,7 @@ def _forge_accept_under_f_minus_one(records):
     votes, so the certificate needs no key."""
     records[0]["f"] = -1
     block = records[3]
-    block["txs"].append(_FORGED)
+    block["txs"].append(len(block["cert"]["batch"]))
     block["cert"]["batch"].append(_FORGED)
     block["cert"]["digest"] = node_mod.batch_digest(block["cert"]["batch"])
 
@@ -334,8 +351,11 @@ def _forge_accept_under_f_minus_one(records):
 def _erase_with_one_vote(records):
     """Erase an accepted tx from block 2 and certify the rest with the one
     commit vote that node1's key (within f = 1) signs."""
-    cert = records[3]["cert"]
-    cert["batch"].remove(records[3]["txs"].pop(0))
+    block = records[3]
+    cert = block["cert"]
+    erased = block["txs"].pop(0)
+    del cert["batch"][erased]
+    block["txs"] = [pos - (pos > erased) for pos in block["txs"]]
     digest = node_mod.batch_digest(cert["batch"])
     body = node_mod._vote_body("c", cert["view"], cert["height"], digest)
     sig = KeyPair.from_seed(20, "node1").sign_obj(body)
@@ -348,20 +368,38 @@ def _forge_reject_under_f_zero(records):
     _erase_with_one_vote(records)
 
 
+def _rewrite_first_accepted_body(block, rewrite):
+    """Rewrite the body of the first wire block accepted, in its certificate's batch."""
+    wire = node_mod.block_txs(block)[0]
+    wire["body"] = rewrite(wire["body"])
+
+
+def _accept_forged(block):
+    """Add _FORGED to block's batch and its position to block's accepted txs."""
+    block["txs"].append(len(block["cert"]["batch"]))
+    block["cert"]["batch"].append(_FORGED)
+
+
+_POSITIONS = "block 2: txs are not ascending positions in the proposal"
+
+
 @pytest.mark.parametrize("tamper,issue", [
-    (lambda records: records[2]["txs"].append(_FORGED),
-     "block 1: txs are not an in-order subsequence of the proposal"),
-    (lambda records: records[3]["txs"].insert(0, records[3]["txs"].pop(1)),
-     "block 2: txs are not an in-order subsequence of the proposal"),
+    (lambda records: _accept_forged(records[2]),
+     "block 1: proposal does not match its commit certificate"),
+    (lambda records: records[3]["cert"]["batch"].insert(0, records[3]["cert"]["batch"].pop(1)),
+     "block 2: proposal does not match its commit certificate"),
     (lambda records: _edit_body(records[3]["cert"]["batch"][1], usr_rule_id=999),
      "block 2: proposal does not match its commit certificate"),
-    (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"][:-1]),
+    (lambda records: _rewrite_first_accepted_body(records[3], lambda body: body[:-1]),
      "block 2: committed tx with a malformed body"),
-    (lambda records: records[3]["txs"][0].update(body=records[3]["txs"][0]["body"] + " "),
+    (lambda records: _rewrite_first_accepted_body(records[3], lambda body: body + " "),
      "block 2: committed tx with a malformed body"),
+    (lambda records: records[3]["txs"].insert(0, -1), _POSITIONS),
+    (lambda records: records[3]["txs"].insert(0, records[3]["txs"][0]), _POSITIONS),
+    (lambda records: records[3]["txs"].append(len(records[3]["cert"]["batch"])), _POSITIONS),
+    (lambda records: records[3]["txs"].insert(0, records[3]["txs"].pop(1)), _POSITIONS),
     (lambda records: records[3].pop("cert"), "record 3: malformed"),
-    (lambda records: records[1].update(txs=[_FORGED],
-                                       cert={**records[1]["cert"], "batch": [_FORGED]}),
+    (lambda records: records[1].update(txs=[0], cert={**records[1]["cert"], "batch": [_FORGED]}),
      "block 0: not the genesis block"),
     (lambda records: records.__delitem__(slice(1, -1)), "block 0: not the genesis block"),
     (_forge_accept_under_f_minus_one, "missing or malformed header record"),
@@ -371,7 +409,8 @@ def _forge_reject_under_f_zero(records):
     (lambda records: records[3].update(cert=records[2]["cert"]),
      "block 2: malformed commit certificate"),
 ], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire",
-        "unparseable_tx_body", "non_canonical_tx_body", "no_proposal",
+        "unparseable_tx_body", "non_canonical_tx_body", "negative_position",
+        "repeated_position", "position_past_the_batch", "descending_positions", "no_proposal",
         "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero",
         "erase_with_one_vote", "no_block_1", "certificate_of_another_block"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
@@ -388,10 +427,21 @@ def test_audit_catches_a_prev_digest_rewritten_in_one_block(batched_records):
     records = _reseal(json.loads(batched_records))
     tip = records[-2]
     tip["prev_digest"] = node_mod.GENESIS_PREV
-    tip["digest"] = node_mod.block_digest(tip["height"], tip["prev_digest"], tip["txs"])
+    tip["digest"] = node_mod.block_digest(tip["height"], tip["prev_digest"],
+                                          tip["cert"]["digest"], tip["txs"])
     assert tip["height"] == 2
     result = audit.audit_records(records)
     assert not result.ok and result.issues == ["block 2: prev_digest does not match chain"]
+
+
+def test_audit_catches_an_accepted_position_erased_under_its_old_digest(batched_records):
+    # Only the footer is resealed; the replay then agrees with it, so only the
+    # content digest, which covers the accepted positions, sees the erasure.
+    records = _reseal(json.loads(batched_records))
+    records[3]["txs"].pop()
+    records[-1]["digest"] = _reseal(json.loads(json.dumps(records)))[-1]["digest"]
+    result = audit.audit_records(records)
+    assert not result.ok and result.issues == ["block 2: content digest mismatch"]
 
 
 def test_audit_reports_a_dump_without_its_footer(batched_records):
@@ -428,21 +478,20 @@ def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):
     assert audit.audit_dump(path).ok
     assert len(real) == expected
 
-    # A flipped tx signature is a rewrite of certified content: in txs alone the
-    # wire leaves the certificate's batch, and in both the batch leaves its digest.
+    # A flipped tx signature is a rewrite of certified content: the accepted
+    # wire is stored once, in the certificate's batch, which leaves its digest.
     i = next(i for i, r in enumerate(records) if r.get("txs"))
-    height, wire = records[i]["height"], records[i]["txs"][0]
+    height, wire = records[i]["height"], node_mod.block_txs(records[i])[0]
     flipped = dict(wire, signature=("1" if wire["signature"][0] == "0" else "0")
                    + wire["signature"][1:])
-    for in_batch_too, issue in ((False, "txs are not an in-order subsequence of the proposal"),
-                                (True, "proposal does not match its commit certificate")):
-        edited = json.loads(json.dumps(records))
-        for wires in (edited[i]["txs"], edited[i]["cert"]["batch"])[:1 + in_batch_too]:
-            wires[wires.index(wire)] = flipped
-        dump = tmp_path / "flipped.dump"
-        dump.write_bytes(b"".join(canonical_bytes(r) + b"\n" for r in edited))
-        result = audit.audit_dump(str(dump))
-        assert not result.ok and f"block {height}: {issue}" in result.issues, fields
+    edited = json.loads(json.dumps(records))
+    batch = edited[i]["cert"]["batch"]
+    batch[batch.index(wire)] = flipped
+    dump = tmp_path / "flipped.dump"
+    dump.write_bytes(b"".join(canonical_bytes(r) + b"\n" for r in edited))
+    result = audit.audit_dump(str(dump))
+    issue = f"block {height}: proposal does not match its commit certificate"
+    assert not result.ok and issue in result.issues, result.issues
 
 
 def test_audit_reports_a_dump_nested_too_deep_to_parse(tmp_path):
@@ -541,13 +590,15 @@ def test_cli_audit_flags_a_tampered_dump(tmp_path, capsys):
     dump = out_dir / "ledger-node0.dump"
     lines = dump.read_bytes().splitlines()
     record = json.loads(lines[2])  # first non-genesis block
-    _edit_body(record["txs"][0], nonce=json.loads(record["txs"][0]["body"])["nonce"] + 1)
+    wire = node_mod.block_txs(record)[0]
+    _edit_body(wire, nonce=json.loads(wire["body"])["nonce"] + 1)
     lines[2] = json.dumps(record).encode()
     dump.write_bytes(b"\n".join(lines) + b"\n")
 
     assert cli.main(["audit", str(dump)]) == 1
     out = capsys.readouterr().out
-    assert "FAILED" in out and "digest mismatch" in out
+    # The edited wire is in the certified batch, which no longer matches its digest.
+    assert "FAILED" in out and "does not match its commit certificate" in out
 
 
 @pytest.mark.parametrize("argv", [

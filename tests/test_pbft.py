@@ -37,7 +37,8 @@ def test_fault_free_commit_reaches_all_nodes():
     assert receipt.accepted and receipt.height == 1
     for node in rig.nodes:
         assert len(node.chain) == 2
-        assert SignedTransaction.from_wire(node.chain[1]["txs"][0]).body["rule"]["rule_id"] == 1
+        wire = node_mod.block_txs(node.chain[1])[0]
+        assert SignedTransaction.from_wire(wire).body["rule"]["rule_id"] == 1
         assert node.counters["view_changes"] == 0
     assert _honest_prefix_consistent(rig.nodes)
 
@@ -754,7 +755,7 @@ def test_a_primary_proposes_its_whole_pool_in_one_batch():
     wires = [tx.wire() for tx in txs]
     sent = _lead_view_1(rig, txs)
     assert [p["batch"] for p in _proposals(sent, "node1")] == [wires] * 3
-    assert all(n.next_height == 2 and n.chain[1]["txs"] == wires for n in rig.nodes)
+    assert all(n.next_height == 2 and node_mod.block_txs(n.chain[1]) == wires for n in rig.nodes)
 
 
 def test_a_pool_above_max_batch_drains_in_batches_of_max_batch(monkeypatch):
@@ -766,7 +767,8 @@ def test_a_pool_above_max_batch_drains_in_batches_of_max_batch(monkeypatch):
         [(1, 3)] * 3 + [(2, 2)] * 3
     for n in rig.nodes:
         assert n.next_height == 3 and not n.pool
-        assert n.chain[1]["txs"] + n.chain[2]["txs"] == [tx.wire() for tx in txs]
+        assert node_mod.block_txs(n.chain[1]) + node_mod.block_txs(n.chain[2]) == \
+            [tx.wire() for tx in txs]
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +892,7 @@ def test_a_tx_in_two_certified_batches_executes_once(vc_rig):
         node.on_message("node0", {"type": "committed",
                                   **_prepared(rig, wires, (0, 1, 3), "c", height)})
     assert node.next_height == 3 and node.counters["malformed_dropped"] == 0
-    assert node.chain[2]["txs"] == [second]
+    assert node_mod.block_txs(node.chain[2]) == [second]
     assert node.counters["txs_committed"] == 2 and node.counters["txs_rejected"] == 0
     assert node.decided[node_mod.text_id(first["body"])].height == 1
 
