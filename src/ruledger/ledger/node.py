@@ -21,12 +21,12 @@ authorized action list, to the execution agent for each action.  Agents act
 on a notification once f + 1 nodes sent it (see `client`).
 
 A pre-prepare signs the prepare body, so it is its sender's prepare vote, as
-in PBFT (the primary's own prepare, which it still multicasts, carries the
-same signature).  So there is one certificate shape, `_CERT_FIELDS`: a
-batch, its digest, and a quorum of votes of one tag on (view, height,
-digest), "p" in the prepared certificate a view change carries and "c" in
-the commit certificate a `committed` message carries, `_commit_block` takes
-and each block keeps.  `_certificate` builds one, and `cert_votes` checks
+in PBFT (the primary's own prepare, which it still sends to its peers,
+carries the same signature).  So there is one certificate shape,
+`_CERT_FIELDS`: a batch, its digest, and a quorum of votes of one tag on
+(view, height, digest), "p" in the prepared certificate a view change
+carries and "c" in the commit certificate a `committed` message carries,
+`_commit_block` takes and each block keeps.  `_certificate` builds one, and `cert_votes` checks
 one's batch against its digest and returns its valid votes, for the node's
 `_checked_cert` and for the audit alike.
 
@@ -34,12 +34,16 @@ The primary takes its own proposal at once: `_propose` and
 `_become_primary` send the pre-prepare to the peers only and handle it
 in-process before they return, so a height is in flight from the moment it
 is proposed and no later submission can make a second proposal for it
-(PBFT assigns each sequence number once).  A timeout-driven view change
-rotates the primary when no progress is made: the commit timer starts when
-work arrives at an idle node and restarts only on progress (an accepted
-pre-prepare or a commit), so a stream of new submissions never puts a
-timeout off, and each timeout inside a view change moves its target one view
-on.
+(PBFT assigns each sequence number once).  Every replica logs its own votes
+the same way, as a PBFT replica adds its own prepare and commit to its log
+(Castro and Liskov, OSDI 1999, section 4.2): `_cast` puts its prepare or
+commit in its slot's votes the moment it signs it, and `_start_view_change`
+files its view change in its `vc_msgs` bucket, so none of its own votes
+waits on a network trip.  A timeout-driven view change rotates the primary
+when no progress is made: the commit timer starts when work arrives at an
+idle node and restarts only on progress (an accepted pre-prepare or a
+commit), so a stream of new submissions never puts a timeout off, and each
+timeout inside a view change moves its target one view on.
 
 The batch is the pool: a primary proposes every pooled transaction, in
 arrival order, up to `MAX_BATCH` wires, as PBFT batches requests (Castro and
@@ -81,9 +85,9 @@ trusts a commit certificate's f + 1 honest voters to have run them (see
 `audit`).  Every check goes through `net.verify`, the memo all replicas of a
 simulation share (see `keys`); the audit verifies its commit votes for
 itself.
-A node sends each broadcast as one multicast (see `sim.network`), and has no
-fault code: the network hands a faulty node's sends to its `fault` (see
-`faults`).
+A node sends each broadcast to its peers as one multicast (see
+`sim.network`), never a message to itself, and has no fault code: the
+network hands a faulty node's sends to its `fault` (see `faults`).
 
 The node keeps only the consensus state a handler can still read:
 - `pool` maps the id of each undecided transaction to its wire and parsed tx,
@@ -98,8 +102,8 @@ The node keeps only the consensus state a handler can still read:
   views below `view + N` only, so no peer can open a slot for every view;
   a lower view stays, as its commit quorum still commits;
 - `vc_msgs` holds view-change buckets only for views above `view`, and in
-  them only each sender's highest view change: `_on_view_change` ignores the
-  others and replaces a sender's lower one, and `_enter_view` drops the
+  them only each sender's highest view change: `_hold_view_change` ignores
+  the others and replaces a sender's lower one, and `_enter_view` drops the
   buckets up to `view`.
 """
 
@@ -363,12 +367,9 @@ class LedgerNode(Process):
         keys = self.config.node_pubkeys
         return 0 <= index < len(keys) and self.net.verify(body, sig, keys[index])
 
-    def _broadcast(self, msg: dict, dsts: list[str] | None = None) -> None:
-        """Send msg to dsts, every node by default, as one multicast."""
-        self.net.send(self.addr, self.config.node_addrs if dsts is None else dsts, msg)
-
-    def _peers(self) -> list[str]:
-        return [dst for dst in self.config.node_addrs if dst != self.addr]
+    def _broadcast(self, msg: dict) -> None:
+        """Send msg to every other node as one multicast; a node takes its own at once."""
+        self.net.send(self.addr, [dst for dst in self.config.node_addrs if dst != self.addr], msg)
 
     # ------------------------------------------------------------------
     # submission path
@@ -447,7 +448,7 @@ class LedgerNode(Process):
         """Send a pre-prepare for the next height to the peers and take it here at
         once, so the height is in flight before any later submission is handled."""
         pre_prepare = self._pre_prepare(self.view, self.next_height, wires)
-        self._broadcast(pre_prepare, self._peers())
+        self._broadcast(pre_prepare)
         self._on_pre_prepare(self.addr, pre_prepare)
 
     # ------------------------------------------------------------------
@@ -517,15 +518,21 @@ class LedgerNode(Process):
         voting = view == self.view and self.vc_target is None
         if voting and not slot.sent_prepare:
             slot.sent_prepare = True
-            self._broadcast(self._vote("prepare", view, height, slot.digest))
+            self._cast(slot.prepares, self._vote("prepare", view, height, slot.digest))
             self._rearm_timer()
         quorum = self.config.quorum
         if voting and not slot.sent_commit and len(slot.prepares.get(slot.digest, {})) >= quorum:
             slot.sent_commit = True
-            self._broadcast(self._vote("commit", view, height, slot.digest))
+            self._cast(slot.commits, self._vote("commit", view, height, slot.digest))
         votes = slot.commits.get(slot.digest, {})
         if len(votes) >= quorum:
             self._commit_block(_certificate(view, height, slot.digest, slot.batch, votes))
+
+    def _cast(self, votes: dict[str, dict[int, str]], vote: dict) -> None:
+        """Log this node's own vote in votes, a slot's prepares or commits, and
+        send it to the peers."""
+        votes.setdefault(vote["digest"], {})[self.index] = vote["sig"]
+        self._broadcast(vote)
 
     # ------------------------------------------------------------------
     # commit and execution
@@ -682,6 +689,7 @@ class LedgerNode(Process):
         }
         self._broadcast(msg)
         self._rearm_timer()
+        self._hold_view_change(msg)
 
     def _on_view_change(self, src: str, msg: dict) -> None:
         new_view, sender = msg["new_view"], msg["sender"]
@@ -694,8 +702,13 @@ class LedgerNode(Process):
         if answered > self._vc_answered.get(sender, (-1, -1)):
             self._vc_answered[sender] = answered
             self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
-        if new_view <= self.view:
-            return
+        if new_view > self.view:
+            self._hold_view_change(msg)
+
+    def _hold_view_change(self, msg: dict) -> None:
+        """File a checked view change for a view ahead in its bucket, and lead that
+        view once the bucket is a quorum and this node is its primary."""
+        new_view, sender = msg["new_view"], msg["sender"]
         # Only each sender's highest view change is kept, so vc_msgs holds at most n.
         if any(view > new_view and sender in held for view, held in self.vc_msgs.items()):
             return
@@ -737,7 +750,7 @@ class LedgerNode(Process):
             pre_prepare = self._pre_prepare(new_view, self.next_height, wires)
         new_view_msg = {"type": "new_view", "view": new_view,
                         "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
-        self._broadcast(new_view_msg, self._peers())
+        self._broadcast(new_view_msg)
         self._rearm_timer()
         if pre_prepare is not None:
             self._on_pre_prepare(self.addr, pre_prepare)

@@ -106,10 +106,10 @@ def test_criterion_1_consensus_safety_under_faults(faulted_runs):
 # over its 40 rigs' chains, counters and views and the client's verdicts.  The
 # faulty node draws from its own seeded RNG, so this pins the order of its draws.
 PINNED_FAULTED_RUNS = {
-    "drop": "ea10c5b78db6671c23ce56f9f326c4b89030bdb0b90553955632be0d1f197cc3",
+    "drop": "965939a2f22d771ed2aa2c691fd3b38d0f4d94a73fe0cd82130edbb22d2aea1c",
     "duplicate": "fec69eec0a444714c295d0996cada5985ac05c0d2c996c98291b20afde5307cf",
     "delay": "4a6b5a12678a9052255a76986cdaf171c9935ffc5e263b894ce568fba767bf1f",
-    "corrupt": "5d48717256f2bc4851b3ef8f0c4ce6b7cbdd3213f17893be8ac200d876eb350a",
+    "corrupt": "37d18c6d245feedb6d3928cba22e2822ece0726500d16c2bf82af15283268d60",
     "equivocate": "86569ebda44dfc2a668d111a2c3195ca13e7253ad60cc1f3c06ac0b1db9abc3c",
 }
 
@@ -398,11 +398,11 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
-    "report": "21fa83d01ce4dcc0de120658e8e12a5265f98764bcb256cf41980864de62fe64",
-    "ledger-node0.dump": "f1f32c62b07abd2d1c93d8eb89c7535458cab9fa19d4ba228e9a13951356a55d",
-    "ledger-node1.dump": "9b770add609e3b6f948b062f73e36d0b080818069e9855eae3ed5390b1e2432a",
-    "ledger-node2.dump": "78ac81e20ad9d22c4342037fb7a650774c50c79b73792b5323cadda09e4c69cb",
-    "ledger-node3.dump": "a09e0d87e7ab54ab945f77f0fdc8705ed9dd40bcf9d86a2a5258c05f6b288556",
+    "report": "2b7ab2c97dd12847a98827611096d87dfeee1ebb5c7eb131144c31397d3bc4a6",
+    "ledger-node0.dump": "f8e12eb4c7e0d2bb1d9460d8895db834502297b363f0ebea7c15d4c4e38614aa",
+    "ledger-node1.dump": "c33d0e8d1ff084824ec0a9376ee529aa8c5f49f3039f2ef55f7ad9b5da5d2265",
+    "ledger-node2.dump": "3f3f55384dfb3f09bbee2cd484d3dc102dd673219c6f086cf7d3f54a64adc710",
+    "ledger-node3.dump": "2b7ac8a653fee74916fe875f19a6d1ca1e164e67cedab5e1e1841a5c5006b832",
 }
 
 
@@ -453,7 +453,7 @@ def test_criterion_8_bench_envelope(bench_run):
 # and the max) and criterion 8's ledger overhead.  A change that moves
 # commit timing updates these on purpose and says so.
 PINNED_SIM_FIGURES = {
-    "heart_rate_e2e_ms": {"count": 3, "min": 61, "p50": 63, "p90": 65, "max": 65, "mean": 63},
+    "heart_rate_e2e_ms": {"count": 3, "min": 53, "p50": 56, "p90": 57, "max": 57, "mean": 55},
     "ledger_e2e_overhead_pct": 85.71,
 }
 

@@ -596,8 +596,9 @@ def vc_rig():
 
 
 def test_a_pre_prepare_is_its_senders_prepare_vote(vc_rig):
-    # node1 holds the primary's pre-prepare and the prepares of node2 and node3,
-    # and not its own: that is a prepared certificate, and node2 accepts it.
+    # node1 holds the primary's pre-prepare, its own prepare and the prepares of
+    # node2 and node3, and no prepare of node0: that is a prepared certificate,
+    # and node2 accepts it.
     rig, wires = vc_rig, vc_rig.wires[0]
     backup = rig.nodes[1]
     pre_prepare = _pre_prepare(rig, 0, wires)
@@ -606,7 +607,7 @@ def test_a_pre_prepare_is_its_senders_prepare_vote(vc_rig):
     for i in (2, 3):
         backup.on_message(f"node{i}", rig.nodes[i]._vote("prepare", 0, 1, digest))
     cert = backup._prepared_cert()
-    assert set(cert["votes"]) == {"0", "2", "3"} and cert["batch"] == wires
+    assert set(cert["votes"]) == {"0", "1", "2", "3"} and cert["batch"] == wires
     # The primary's own prepare would carry the same bytes as its pre-prepare.
     assert cert["votes"]["0"] == rig.nodes[0]._vote("prepare", 0, 1, digest)["sig"]
     sent = _record_sends(rig)
@@ -730,6 +731,35 @@ def test_a_replica_stops_voting_in_a_view_it_is_leaving(vc_rig):
         rig.net.processes[dst].on_message(src, msg)
     assert [node.chain[1]["cert"]["batch"] for node in rig.nodes] == [batch_b] * 4
     assert _honest_prefix_consistent(rig.nodes)
+
+
+def test_a_replica_logs_its_own_votes_as_it_casts_them(vc_rig):
+    # Each used to reach its own log only through the network, a trip of 1-5 ms
+    # that every phase waited on; now no message is addressed to its sender.
+    rig = vc_rig
+    node1, node2 = rig.nodes[1], rig.nodes[2]
+    held = _hold(rig)
+    pre_prepare = _pre_prepare(rig, 0, rig.wires[0])
+    digest = pre_prepare["digest"]
+    node1.on_message("node0", pre_prepare)
+    slot = node1.slots[1][0]
+    assert slot.prepares[digest] == {0: pre_prepare["sig"],
+                                     1: node1._vote("prepare", 0, 1, digest)["sig"]}
+    assert not slot.commits
+    node1.on_message("node2", node2._vote("prepare", 0, 1, digest))  # a prepared quorum
+    assert slot.commits[digest] == {1: node1._vote("commit", 0, 1, digest)["sig"]}
+    node2._start_view_change(1)
+    assert list(node2.vc_msgs) == [1] and node2.vc_msgs[1][2]["sender"] == 2
+    # With its own view change, two from its peers make view 1's primary lead it at once.
+    for i in (0, 3):
+        node1.on_message(f"node{i}", _view_change(rig, i, 1))
+    assert node1.view == 0
+    node1._start_view_change(1)
+    assert node1.view == 1 and node1.vc_target is None
+    assert {(src, m["type"]) for src, _, m in held} == {
+        ("node1", "prepare"), ("node1", "commit"), ("node1", "view_change"),
+        ("node1", "new_view"), ("node2", "view_change")}
+    assert all(src != dst for src, dst, _ in held)
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +956,7 @@ def test_a_pre_prepare_for_a_later_height_is_prepared_once_when_its_turn_comes(v
     assert node.slots[2][0].batch == rig.wires[1] and not _prepares_from(sent, node)
     node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
     assert node.next_height == 2
-    one_prepare = [(dst, 0, 2) for dst in rig.config.node_addrs]
+    one_prepare = [(dst, 0, 2) for dst in rig.config.node_addrs if dst != node.addr]
     assert _prepares_from(sent, node) == one_prepare
     node.on_message("node3", rig.nodes[3]._vote("prepare", 0, 2, node.slots[2][0].digest))
     assert _prepares_from(sent, node) == one_prepare
