@@ -12,18 +12,23 @@ event, named by its (rule_id, event_seq), is then acted on at most once
 Each agent declares the shape of every message it handles in `MESSAGES`,
 which the boundary every process shares (see `sim.Process`) checks before a
 handler reads the message.
+
+Each decision is made in one place: a message sent until it is answered
+goes through `Process.resend`, with its waits fixed at the call site; step
+ids come from `RuleDefinition.steps`; an event body from
+`contracts.event_body`.
 """
 
 from __future__ import annotations
 
 from .canonical import (digest_hex, is_int, is_str, list_of, message, object_of, one_of,
                         sha256_hex, with_fields)
-from .contracts import EVENT_INFO, RES_ERR, RES_OK
+from .contracts import EVENT_INFO, RES_ERR, RES_OK, event_body
 from .devices import RPC_RESULT, checksum
 from .keys import KeyPair
 from .ledger.client import RECEIPT, LedgerClient, QuorumGate  # noqa: F401 (re-exported)
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
-from .rules import CATALOG, RuleDefinition, evaluate_trigger, is_rule, parse_rule, split_rule
+from .rules import CATALOG, RuleDefinition, evaluate_trigger, is_rule
 from .sim.network import Process
 
 POLL_INTERVAL_MS = 500  # a poll-mode trigger runs once per interval
@@ -76,30 +81,20 @@ class UserAgent(AgentBase):
         self.usr_id = usr_id
         self.tamock_addr = tamock_addr
         self.exec_agent_addr = exec_agent_addr
-        self.export_acked: set[int] = set()
-        self.export_attempts: dict[int, int] = {}
+        self.export_acked: set[int] = set()  # rules whose latest export the platform acked
 
     def commit_rule(self, rule: RuleDefinition, usr_rule_id: int,
                     mode: str = "poll", cb=None) -> str:
-        payload = {
-            "action": "commit_rule",
-            "usr_rule_id": usr_rule_id,
-            "usr_id": self.usr_id,
-            "rule": rule.to_dict(),
-        }
-
-        def after(receipt):
-            if receipt.accepted:
-                self._export_rule(rule)
-                self._register_trigger(rule, usr_rule_id, mode)
-            if cb is not None:
-                cb(receipt)
-
-        return self.submit(KIND_RULE_COMMIT, payload, after)
+        return self._submit_rule("commit_rule", rule, usr_rule_id, cb, mode)
 
     def modify_rule(self, rule: RuleDefinition, usr_rule_id: int, cb=None) -> str:
+        return self._submit_rule("modify_rule", rule, usr_rule_id, cb)
+
+    def _submit_rule(self, action, rule, usr_rule_id, cb, mode=None) -> str:
+        """Submit the rule; once accepted, export it and, for a commit (which
+        has a trigger mode), register its trigger."""
         payload = {
-            "action": "modify_rule",
+            "action": action,
             "usr_rule_id": usr_rule_id,
             "usr_id": self.usr_id,
             "rule": rule.to_dict(),
@@ -108,6 +103,8 @@ class UserAgent(AgentBase):
         def after(receipt):
             if receipt.accepted:
                 self._export_rule(rule)
+                if mode is not None:
+                    self._register_trigger(rule, usr_rule_id, mode)
             if cb is not None:
                 cb(receipt)
 
@@ -125,20 +122,15 @@ class UserAgent(AgentBase):
         # The platform mock only needs the action list to route requests.
         if self.tamock_addr is None:
             return
-        self.export_attempts[rule.rule_id] = self.export_attempts.get(rule.rule_id, 0) + 1
-        self.send(self.tamock_addr, {
+        msg = {
             "type": "export_rule",
             "rule_id": rule.rule_id,
             "title": rule.title,
             "actions": [op for op, _dev, _comb in rule.action_operations],
-        })
-        self.net.scheduler.schedule(1500, lambda: self._check_export(rule))
-
-    def _check_export(self, rule: RuleDefinition) -> None:
-        if rule.rule_id in self.export_acked:
-            return
-        if self.export_attempts.get(rule.rule_id, 0) < 5:
-            self._export_rule(rule)
+        }
+        self.export_acked.discard(rule.rule_id)  # an earlier export's ack does not answer this one
+        self.resend(lambda: self.send(self.tamock_addr, msg), [1500] * 5,
+                    lambda: rule.rule_id in self.export_acked)
 
     def _register_trigger(self, rule, usr_rule_id, mode) -> None:
         if self.exec_agent_addr is None:
@@ -235,7 +227,8 @@ class ExecutionAgent(AgentBase):
                 self.run_trigger_cycle(trig)
 
     def _on_register_trigger(self, src, msg):
-        self.triggers.append({"rule": parse_rule(msg["rule"]), "binding": msg["binding"],
+        # MESSAGES' is_rule has parsed msg["rule"] already.
+        self.triggers.append({"rule": RuleDefinition(**msg["rule"]), "binding": msg["binding"],
                               "mode": msg["mode"]})
 
     def _on_device_push(self, src, msg):
@@ -255,16 +248,15 @@ class ExecutionAgent(AgentBase):
 
     def run_trigger_cycle(self, trig: dict) -> None:
         self.counters["cycles"] += 1
-        scripts = [s for s in split_rule(trig["rule"]) if s.kind == "trigger"]
         ctx = {"trig": trig, "steps": [], "t0": self.net.scheduler.now}
-        self._trigger_step(ctx, scripts, 0)
+        self._trigger_step(ctx, trig["rule"].steps("trigger"), 0)
 
-    def _trigger_step(self, ctx, scripts, i) -> None:
-        if i == len(scripts):
+    def _trigger_step(self, ctx, steps, i) -> None:
+        if i == len(steps):
             self._finish_cycle(ctx)
             return
-        script = scripts[i]
-        op = CATALOG[script.op_name]
+        step = steps[i]
+        op = CATALOG[step["op_name"]]
         eid, log_key = self.gen_log_key()
 
         def done(result):
@@ -275,10 +267,10 @@ class ExecutionAgent(AgentBase):
                     self.counters["device_unreachable"] += 1
                 return
             hit = bool(op.predicate(payload))
-            ctx["steps"].append((script, eid, log_key, payload, hit))
-            self._trigger_step(ctx, scripts, i + 1)
+            ctx["steps"].append((step, eid, log_key, payload, hit))
+            self._trigger_step(ctx, steps, i + 1)
 
-        self._rpc(script.device_id, script.api, eid, log_key, done)
+        self._rpc(step["device_id"], op.api, eid, log_key, done)
 
     def _finish_cycle(self, ctx) -> None:
         trig = ctx["trig"]
@@ -287,26 +279,15 @@ class ExecutionAgent(AgentBase):
         results = [hit for (_s, _e, _k, _p, hit) in steps]
         if not evaluate_trigger(rule, results, steps[0][3]):
             return
-        binding = trig["binding"]
-        seqs = [self.next_seq(rule.rule_id) for _ in steps]
-        task_ref = seqs[-1]
+        infos = [{**trig["binding"], "step_id": step["step_id"],
+                  "event_seq": self.next_seq(rule.rule_id)} for step, *_ in steps]
+        task_ref = infos[-1]["event_seq"]
         self._cycle_start[(rule.rule_id, task_ref)] = ctx["t0"]
-        for (script, eid, log_key, payload, _hit), seq in zip(steps, seqs):
-            info = {**binding, "step_id": script.step_id, "event_seq": seq}
-            if not self.ledger_enabled:
-                if script.step_id == len(rule.trigger_operations) - 1:
-                    self.send(self.task_agent_addr,
-                              {"type": "bypass_event", "event_info": info})
-                continue
-            body = {
-                "event_info": info,
-                "event_log": {"eid": eid, "log_key": log_key,
-                              "log_sum": checksum(payload)},
-                "result_status": RES_OK,
-                "task_ref": task_ref,
-            }
-            self.counters["events_submitted"] += 1
-            self.submit(KIND_EVENT, body)
+        if not self.ledger_enabled:  # only the final trigger step's event goes on
+            self.send(self.task_agent_addr, {"type": "bypass_event", "event_info": infos[-1]})
+            return
+        for info, (_step, eid, log_key, payload, _hit) in zip(infos, steps):
+            self._submit_event(event_body(info, eid, log_key, checksum(payload), task_ref))
 
     # ------------------------------------------------------------------
     # action side
@@ -328,11 +309,7 @@ class ExecutionAgent(AgentBase):
                      if t["binding"]["rule_id"] == info["rule_id"]), None)
         if trig is None:
             return
-        actions = [
-            {"step_id": s.step_id, "op_name": s.op_name, "device_id": s.device_id}
-            for s in split_rule(trig["rule"]) if s.kind == "action"
-        ]
-        self._exec_actions(info, actions, 0)
+        self._exec_actions(info, trig["rule"].steps("action"), 0)
 
     def _exec_actions(self, info, actions, i) -> None:
         if i == len(actions):
@@ -360,17 +337,12 @@ class ExecutionAgent(AgentBase):
         # on the device, so there is no log entry to check against.
         ok = result is not None
         # info is an EVENT_INFO, so its other four fields are the rule's binding.
-        body = {
-            "event_info": {**info, "step_id": action["step_id"],
-                           "event_seq": self.next_seq(info["rule_id"])},
-            "event_log": {
-                "eid": eid,
-                "log_key": log_key,
-                "log_sum": checksum(result["payload"]) if ok else "",
-            },
-            "result_status": RES_OK if ok else RES_ERR,
-            "task_ref": info["event_seq"],
-        }
+        record = {**info, "step_id": action["step_id"], "event_seq": self.next_seq(info["rule_id"])}
+        self._submit_event(event_body(record, eid, log_key,
+                                      checksum(result["payload"]) if ok else "",
+                                      info["event_seq"], RES_OK if ok else RES_ERR))
+
+    def _submit_event(self, body: dict) -> None:
         self.counters["events_submitted"] += 1
         self.submit(KIND_EVENT, body)
 
@@ -415,7 +387,7 @@ class TaskAgent(AgentBase):
         self.channel_token = channel_token
         self.ledger_enabled = ledger_enabled
         self.exec_agent_addr = exec_agent_addr
-        self.pending_acks: dict[int, dict] = {}
+        self.pending_acks: set[int] = set()  # trigger requests sent, not yet acked
         self._req = 0
         self.counters.update({
             "trigger_requests_sent": 0,
@@ -425,7 +397,7 @@ class TaskAgent(AgentBase):
         })
 
     def _on_trigger_ack(self, src, msg) -> None:
-        self.pending_acks.pop(msg["req_id"], None)
+        self.pending_acks.discard(msg["req_id"])
 
     def _on_notify_event(self, src, msg) -> None:
         info, cid = msg["event_info"], msg["cid"]
@@ -444,20 +416,11 @@ class TaskAgent(AgentBase):
         req_id = self._req
         msg = {"type": "trigger_request", "req_id": req_id,
                "event_info": info, "cid": cid}
-        self.pending_acks[req_id] = {"msg": msg, "attempts": 1}
+        self.pending_acks.add(req_id)
         self.counters["trigger_requests_sent"] += 1
-        self.send(self.tamock_addr, msg)
-        self.net.scheduler.schedule(2000, lambda: self._check_ack(req_id))
-
-    def _check_ack(self, req_id) -> None:
-        # Up to 3 attempts total, doubling the wait each time.
-        state = self.pending_acks.get(req_id)
-        if state is None or state["attempts"] >= 3:
-            return
-        state["attempts"] += 1
-        self.send(self.tamock_addr, state["msg"])
-        self.net.scheduler.schedule(2000 * 2 ** (state["attempts"] - 1),
-                                    lambda: self._check_ack(req_id))
+        self.resend(lambda: self.send(self.tamock_addr, msg), [2000, 4000, 8000],
+                    lambda: req_id not in self.pending_acks,
+                    lambda: self.pending_acks.discard(req_id))
 
     def _on_action_request(self, src, msg) -> None:
         self.counters["action_requests_received"] += 1

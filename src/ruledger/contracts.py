@@ -41,7 +41,7 @@ from .ledger.tx import (
     KIND_RULE_COMMIT,
     SignedTransaction,
 )
-from .rules import is_rule
+from .rules import RuleDefinition, is_rule
 
 # Table result codes, mirrored in trigger_event rows.
 RES_OK = 1
@@ -116,6 +116,19 @@ BODIES = {
         device_id=is_str, vendor=is_str, usr_id=is_int)),
 }
 _CONFIG_ACTION = with_fields(action=one_of(*(n for n, b in BODIES.items() if b.permission)))
+
+
+def event_body(info: dict, eid: str, log_key: str, log_sum: str, task_ref: int,
+               status: int = RES_OK) -> dict:
+    """The body of an event transaction: info is its EVENT_INFO, (eid,
+    log_key, log_sum) the log entry it cites."""
+    return {
+        "event_info": info,
+        "event_log": {"eid": eid, "log_key": log_key, "log_sum": log_sum},
+        "result_status": status,
+        "task_ref": task_ref,
+    }
+
 
 # A log-service read: (eid_hex, log_key_hex) -> stored checksum hex or None.
 LogQuery = Callable[[str, str], "str | None"]
@@ -197,11 +210,12 @@ def ledger_verify_trigger(
     return ERR_TRIGER_VERIFY_FAILED
 
 
-def get_rule_definition(state: tables.TableStore, rule_id: int) -> dict | None:
+def get_rule_definition(state: tables.TableStore, rule_id: int) -> RuleDefinition | None:
     rows = state.select_entry(tables.RULE, ["rule_id"], [rule_id], ["definition"])
     if not rows:
         return None
-    return orjson.loads(rows[0][0])  # always written by apply_rule_commit
+    # Only apply_rule_commit writes a definition, and only of a rule is_rule admitted.
+    return RuleDefinition(**orjson.loads(rows[0][0]))
 
 
 def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None:
@@ -380,11 +394,8 @@ def apply_event(tx: SignedTransaction, state: tables.TableStore) -> bool:
         tables.EVENT_INDEX,
         {"rule_id": info["rule_id"], "event_seq": info["event_seq"], "eid": log["eid"]},
     )
-    definition = get_rule_definition(state, info["rule_id"])
-    final_trigger_step = len(definition["trigger_operations"]) - 1
-    consumable = (
-        body["result_status"] == RES_OK and info["step_id"] == final_trigger_step
-    )
+    final_step = get_rule_definition(state, info["rule_id"]).steps("trigger")[-1]
+    consumable = body["result_status"] == RES_OK and info["step_id"] == final_step["step_id"]
     if consumable:
         record = {f: info[f] for f in EVENT_INFO_FIELDS}
         record.update(
@@ -436,25 +447,11 @@ def apply_action(tx: SignedTransaction, state: tables.TableStore) -> list[dict]:
     record_id = _find_event_record(state, info)
     state.table(tables.EVENT_RECORD).update(record_id, "consumed", 1)
 
-    definition = get_rule_definition(state, info["rule_id"])
-    triggers = definition["trigger_operations"]
-    actions = definition["action_operations"]
-    task_id = info["event_seq"]
-    out: list[dict] = []
-    for i, (op_name, device_id, _comb) in enumerate(actions):
-        step_id = len(triggers) + i
-        state.insert(
-            tables.ACTION,
-            {
-                "rule_id": info["rule_id"],
-                "task_id": task_id,
-                "step_id": step_id,
-                "op_name": op_name,
-                "device_id": device_id,
-            },
-        )
-        out.append({"step_id": step_id, "op_name": op_name, "device_id": device_id})
-    return out
+    actions = get_rule_definition(state, info["rule_id"]).steps("action")
+    for step in actions:
+        state.insert(tables.ACTION,
+                     {"rule_id": info["rule_id"], "task_id": info["event_seq"], **step})
+    return actions
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ matching log entry is detectable.
 from __future__ import annotations
 
 from .canonical import canonical_bytes, is_int, is_str, message, one_of, sha256_hex, with_fields
+from .contracts import event_body
 from .rules import (
     HEART_RATE_API,
     MODE_SET_API,
@@ -205,9 +206,5 @@ def inject_spoofed_event(rng, binding: dict, step_id: int, event_seq: int, fake_
     """
     eid = rng.randbytes(16).hex()
     log_key = rng.randbytes(16).hex()
-    return {
-        "event_info": {**binding, "step_id": step_id, "event_seq": event_seq},
-        "event_log": {"eid": eid, "log_key": log_key, "log_sum": checksum(fake_payload)},
-        "result_status": 1,
-        "task_ref": event_seq,
-    }
+    return event_body({**binding, "step_id": step_id, "event_seq": event_seq},
+                      eid, log_key, checksum(fake_payload), event_seq)

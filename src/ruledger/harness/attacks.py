@@ -21,6 +21,7 @@ from ..contracts import (
     CODE_NO_LOG_ENTRY,
     CODE_PERMISSION_DENIED,
     CODE_STALE_SEQ,
+    event_body,
 )
 from ..devices import checksum, inject_spoofed_event
 from ..keys import KeyPair
@@ -111,16 +112,8 @@ def attack_checksum_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
             if not rows:
                 return
             real = rows[0]
-            body = {
-                "event_info": {**binding, "step_id": 0, "event_seq": 501},
-                "event_log": {
-                    "eid": real["eid"],
-                    "log_key": real["log_key"],
-                    "log_sum": checksum({"heart_rate": 20}),
-                },
-                "result_status": 1,
-                "task_ref": 501,
-            }
+            body = event_body({**binding, "step_id": 0, "event_seq": 501},
+                              real["eid"], real["log_key"], checksum({"heart_rate": 20}), 501)
             attacker.submit(KIND_EVENT, body)
         w.scheduler.schedule(2000, fire)
 

@@ -3,7 +3,8 @@
 The client sends each transaction to every node, as PBFT's client multicasts
 its request, so no single node stands between it and the ledger.  A
 submission that stays unresolved past the timeout is sent to every node
-again.
+again, by the owner's `Process.resend`; after two tries per node it resolves
+as a `Timeout`.
 
 An agent acts on the ledger's word only through `LedgerClient.heard`: a key
 (a receipt's outcome, a notification's content) counts as said once f + 1
@@ -55,42 +56,33 @@ class LedgerClient:
         self.owner = owner
         self.node_addrs = node_addrs
         self.timeout_ms = timeout_ms
-        # tx_id -> {gate, cb, tx, tries, submitted_at}
-        self.pending: dict[str, dict] = {}
+        self.pending: dict[str, dict] = {}  # tx_id -> {gate, cb, tx, send, submitted_at}
         self.resolved: dict[str, TxReceipt] = {}
         self.latencies_ms: list[int] = []
 
     def submit(self, tx: SignedTransaction, cb: ReceiptCallback | None = None) -> str:
+        """Multicast tx, and again after each timeout it stays unresolved.  A
+        second submit of a pending tx starts its tries and gate afresh."""
         tid = tx.tx_id
+
+        def send():  # one multicast of the pending tx
+            self.owner.send(self.node_addrs, {"type": "submit", "tx": self.pending[tid]["tx"].wire()})
+
         self.pending[tid] = {
             "gate": self.new_gate(),
             "cb": cb,
             "tx": tx,
-            "tries": 1,
+            "send": send,  # names this submission apart from a later one of tid
             "submitted_at": self.owner.net.scheduler.now,
         }
-        self._send(tid)
+        # The loop's timers outlive the submission, so they hold tid and send only.
+        self.owner.resend(
+            send,
+            [self.timeout_ms] * 2 * len(self.node_addrs),
+            lambda: self.pending.get(tid, {}).get("send") is not send,
+            lambda: self._resolve(tid, TxReceipt(tid, False, code="Timeout", height=None)),
+        )
         return tid
-
-    def _send(self, tid: str) -> None:
-        """Send a pending submission to every node and arm its timeout."""
-        state = self.pending[tid]
-        msg = {"type": "submit", "tx": state["tx"].wire()}
-        self.owner.net.send(self.owner.addr, self.node_addrs, msg)  # one multicast
-        tries = state["tries"]
-        self.owner.net.scheduler.schedule(self.timeout_ms, lambda: self._on_timeout(tid, tries))
-
-    def _on_timeout(self, tid: str, tries: int) -> None:
-        state = self.pending.get(tid)
-        if state is None or state["tries"] != tries:
-            return
-        if state["tries"] >= 2 * len(self.node_addrs):
-            self._resolve(
-                tid, TxReceipt(tid, False, code="Timeout", height=None)
-            )
-            return
-        state["tries"] += 1
-        self._send(tid)
 
     def new_gate(self) -> QuorumGate:
         return QuorumGate(max_faulty(len(self.node_addrs)) + 1)
@@ -111,9 +103,7 @@ class LedgerClient:
             self._resolve(receipt.tx_id, receipt)
 
     def _resolve(self, tid: str, receipt: TxReceipt) -> None:
-        state = self.pending.pop(tid, None)
-        if state is None:
-            return
+        state = self.pending.pop(tid)
         self.resolved[tid] = receipt
         if receipt.accepted:
             self.latencies_ms.append(

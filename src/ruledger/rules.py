@@ -1,10 +1,11 @@
-"""Rule definitions, validation, and splitting into operation scripts.
+"""Rule definitions, validation, and the one numbering of a rule's steps.
 
 A rule file is a single JSON object (schema 1) naming trigger and action
 operations from a fixed catalog, each bound to a device and tagged with a
-combinator.  Parsing derives a linear step list: trigger operations take
-steps 0..T-1 and action operations continue from step T, which is the
-order the ledger's step-chaining check expects.
+combinator.  `RuleDefinition.steps` numbers its operations: trigger
+operations take steps 0..T-1 and action operations continue from step T,
+which is the order the ledger's step-chaining check expects.  The contracts
+and the execution agent read step ids from it alone.
 
 A trigger operation is a fixed predicate over its device's payload: the
 heart-rate alert fires at or outside HEART_RATE_LOW and HEART_RATE_HIGH.  A
@@ -86,18 +87,6 @@ class RuleError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class OperationScript:
-    """One executable step of a rule."""
-
-    step_id: int
-    op_name: str
-    device_id: str
-    combinator: str
-    kind: str
-    api: str
-
-
 @dataclass
 class RuleDefinition:
     schema: int
@@ -116,6 +105,16 @@ class RuleDefinition:
             "condition": self.condition,
             "action_operations": [list(t) for t in self.action_operations],
         }
+
+    def steps(self, kind: str) -> list[dict]:
+        """The "trigger" or "action" operations as {step_id, op_name,
+        device_id}, in order: triggers take steps 0..T-1, actions from T."""
+        if kind == "trigger":
+            first, ops = 0, self.trigger_operations
+        else:
+            first, ops = len(self.trigger_operations), self.action_operations
+        return [{"step_id": first + i, "op_name": op_name, "device_id": device_id}
+                for i, (op_name, device_id, _comb) in enumerate(ops)]
 
 
 _COMPARATOR_CONDITION = object_of(cmp=one_of(*_COMPARATORS), field=is_str, value=is_int)
@@ -203,21 +202,6 @@ def is_rule(v) -> bool:
     except RuleError:
         return False
     return True
-
-
-def split_rule(rule: RuleDefinition) -> list[OperationScript]:
-    """Derive per-step operation scripts: triggers first, then actions."""
-    scripts: list[OperationScript] = []
-    step = 0
-    for op_name, device_id, comb in rule.trigger_operations:
-        op = CATALOG[op_name]
-        scripts.append(OperationScript(step, op_name, device_id, comb, "trigger", op.api))
-        step += 1
-    for op_name, device_id, comb in rule.action_operations:
-        op = CATALOG[op_name]
-        scripts.append(OperationScript(step, op_name, device_id, comb, "action", op.api))
-        step += 1
-    return scripts
 
 
 def eval_combinator(results: list[bool], combinators: list[str]) -> bool:

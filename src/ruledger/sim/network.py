@@ -57,6 +57,10 @@ class Process:
     one per receiving class during `Network._deliver`, else one per call.
     A process's `fault`, a Byzantine one's, acts on what it sends, so the
     process itself has one send path (see `ledger.faults`).
+
+    `resend` is the one retry loop: the ledger client's resubmission, the user
+    agent's rule export and the task agent's trigger request all run on it,
+    each with its waits fixed at the call site.
     """
 
     MESSAGES: dict[str, tuple] = {}
@@ -88,8 +92,24 @@ class Process:
         except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
             self.counters["malformed_dropped"] += 1
 
-    def send(self, dst: str, msg: dict) -> None:
+    def send(self, dst: str | list[str], msg: dict) -> None:
         self.net.send(self.addr, dst, msg)
+
+    def resend(self, send, waits, done, give_up=None) -> None:
+        """Call send, then after each of waits (ms) in turn stop if done()
+        holds, or else send again; give_up, if given, runs once the last wait
+        ends without done().  Each send comes before the timer it arms."""
+        send()
+        self.net.scheduler.schedule(
+            waits[0], partial(self._after_wait, send, waits[1:], done, give_up))
+
+    def _after_wait(self, send, waits, done, give_up) -> None:
+        if done():
+            return
+        if waits:
+            self.resend(send, waits, done, give_up)
+        elif give_up is not None:
+            give_up()
 
 
 class Network:

@@ -404,7 +404,18 @@ def test_acked_request_is_not_retried():
     rig.agent.on_message("platform", {"type": "trigger_ack", "req_id": req_id})
     rig.sched.run()
     assert len(rig.platform.inbox) == 1
-    assert rig.agent.pending_acks == {}
+    assert rig.agent.pending_acks == set()
+
+
+def test_an_unacked_trigger_request_is_dropped_after_its_last_retry():
+    rig = _task_rig()
+    for n in (0, 1):
+        rig.agent.on_message(f"node{n}", _notify_event(n))
+    rig.sched.run(until=13_999)
+    assert 1 in rig.agent.pending_acks  # the third try's 8 s wait has not ended
+    rig.sched.run()
+    assert len(rig.platform.inbox) == 3
+    assert not rig.agent.pending_acks
 
 
 def test_duplicate_event_marks_are_counted():
@@ -516,6 +527,23 @@ def test_rule_export_retries_until_acked():
     acked.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
     sched.run()
     assert len([m for _, _, m in platform.inbox if m["type"] == "export_rule"]) == 1
+
+
+def test_a_later_export_of_an_acked_rule_is_retried_until_acked():
+    sched = Scheduler()
+    net = Network(sched, NetConfig(), random.Random(1))
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
+    platform = Sink("platform", net)
+    user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
+                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform")
+    rule = parse_rule(hr_rule())
+    user._export_rule(rule)  # the commit's export, acked at once
+    user.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
+    sched.run()
+    platform.inbox.clear()
+    user._export_rule(rule)  # a modify's export: the old ack does not answer it
+    sched.run()
+    assert len([m for _, _, m in platform.inbox if m["type"] == "export_rule"]) == 5
 
 
 # ---------------------------------------------------------------------------

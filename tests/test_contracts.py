@@ -497,7 +497,7 @@ def test_modify_rule_apply_rewrites_the_definition():
     altered["action_operations"] = [["close_door_operation", "lock-1", "OP_AND"]]
     contracts.apply_rule_commit(
         _tx("rule_commit", {"action": "modify_rule", "rule": altered}, admin, 2), state)
-    assert contracts.get_rule_definition(state, 1) == altered
+    assert contracts.get_rule_definition(state, 1).to_dict() == altered
 
 
 def test_manage_accounts_upserts_entries():

@@ -536,6 +536,42 @@ def test_a_corrupting_node_cannot_crash_the_agents(seed):
     assert report["ledger"]["consistent"]
 
 
+# SHA-256 of the bundled heart_rate run's report bytes and node dumps when the
+# network drops a tenth of all messages: every resend path (the client's
+# resubmission, the rule export, the trigger request) runs here, so a change
+# to one shows.  A change that alters behaviour on purpose updates these.
+PINNED_LOSSY_HEART_RATE = {
+    42: {
+        "report": "00dfbc4812b8f890a4d718126240aa9d83f589bb779c377a15a144f32b75a660",
+        "ledger-node0.dump": "b8365858853d742e11c5ca4194fc054d222ea271afe7ab86d51c3c6de507ae78",
+        "ledger-node1.dump": "163e84eb77f77277a9ca1a120ef1e77c9538924f25c57f1bd76e2b335ac139e5",
+        "ledger-node2.dump": "6541edc2d34a280cb3e7372ead3b007c58160728ff5b0284256ad22d79edc15f",
+        "ledger-node3.dump": "4759424223c5bbbfba2cf37ba6dc2859ffa83219f5a8a3d153094178ba08b801",
+    },
+    1: {
+        "report": "b9abbca083355fa196623359bd9ef7656d68b98e55111111700ddbf1743cb3ad",
+        "ledger-node0.dump": "781c7d93a28743f9c1e612fb8e803224ede2bbd889f149603373a840180869e6",
+        "ledger-node1.dump": "f8012e7e96ec6398475e7e9be1defe360e8099ea58eb4d2949941dcf80d49ee0",
+        "ledger-node2.dump": "b3e7938c952896fcac8762312a84bbfd778bc88d3cbbf3df487a6fcce0bb1d84",
+        "ledger-node3.dump": "411144d7ee827ab5ac6790ab3a4aecaf3835c73237227c75c6691c16f41f58fe",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LOSSY_HEART_RATE))
+def test_a_lossy_network_run_is_consistent_audits_clean_and_pinned(seed, tmp_path):
+    config = cli._load("heart_rate", seed)
+    config["net"]["drop_prob"] = 0.1
+    report, _ = run_scenario(config, out_dir=str(tmp_path))
+    digests = {"report": hashlib.sha256(report_bytes(report)).hexdigest()}
+    for i in range(4):
+        dump = tmp_path / f"ledger-node{i}.dump"
+        digests[dump.name] = hashlib.sha256(dump.read_bytes()).hexdigest()
+        assert audit.audit_dump(str(dump)).ok
+    assert report["ledger"]["consistent"]
+    assert digests == PINNED_LOSSY_HEART_RATE[seed]
+
+
 def test_a_committed_rule_on_an_unroutable_device_cannot_crash_the_run():
     # The agent has no route to watch-9: each poll of the rule raised
     # KeyError out of World.run.

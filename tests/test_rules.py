@@ -1,4 +1,4 @@
-"""Rule parsing, splitting, and combinator folding."""
+"""Rule parsing, step numbering, and combinator folding."""
 
 import itertools
 import json
@@ -6,9 +6,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import hr_rule
-from ruledger import rules
+from conftest import action_tx, event_info, event_tx, hr_rule, rule_commit_tx
+from ruledger import contracts, rules
 from ruledger.canonical import canonical_bytes
+from ruledger.keys import KeyPair
+from ruledger.ledger import tables
 
 
 def test_parse_accepts_dict_str_and_bytes():
@@ -78,14 +80,15 @@ def test_comparator_condition_requires_single_trigger():
 def test_split_assigns_trigger_steps_before_action_steps():
     raw = hr_rule(extra_actions=[["set_home_mode_operation", "hub-1", "OP_OR"]])
     raw["trigger_operations"].append(["check_presence_operation", "hub-1", "OP_AND"])
-    steps = rules.split_rule(rules.parse_rule(raw))
-    assert [(s.step_id, s.kind) for s in steps] == [
-        (0, "trigger"), (1, "trigger"), (2, "action"), (3, "action")]
-    assert [s.api for s in steps] == [
+    rule = rules.parse_rule(raw)
+    triggers, actions = rule.steps("trigger"), rule.steps("action")
+    assert [s["step_id"] for s in triggers] == [0, 1]
+    assert [s["step_id"] for s in actions] == [2, 3]
+    assert [rules.CATALOG[s["op_name"]].api for s in triggers + actions] == [
         rules.HEART_RATE_API, rules.PRESENCE_API,
         rules.SMARTLOCK_UNLOCK, rules.MODE_SET_API]
-    assert steps[0].device_id == "watch-1"
-    assert steps[3].combinator == "OP_OR"
+    assert triggers[0]["device_id"] == "watch-1"
+    assert actions[1]["device_id"] == "hub-1"
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +214,35 @@ def test_generated_rules_round_trip_and_split(raw):
     parsed = rules.parse_rule(raw)
     assert parsed.to_dict() == raw
     assert canonical_bytes(parsed.to_dict()) == canonical_bytes(raw)
-    steps = rules.split_rule(parsed)
+    triggers, actions = parsed.steps("trigger"), parsed.steps("action")
+    steps = triggers + actions
     assert len(steps) == len(raw["trigger_operations"]) + len(raw["action_operations"])
-    assert [s.step_id for s in steps] == list(range(len(steps)))
-    trigger_count = len(raw["trigger_operations"])
-    assert all(s.kind == "trigger" for s in steps[:trigger_count])
-    assert all(s.kind == "action" for s in steps[trigger_count:])
+    assert [s["step_id"] for s in steps] == list(range(len(steps)))
+    assert [[s["op_name"], s["device_id"]] for s in triggers] == [
+        op[:2] for op in raw["trigger_operations"]]
+    assert [[s["op_name"], s["device_id"]] for s in actions] == [
+        op[:2] for op in raw["action_operations"]]
+
+
+_KEY = KeyPair.from_seed(5, "acct/steps")
+
+
+@given(rule_dicts)
+def test_the_contracts_number_steps_as_the_rule_does(raw):
+    # The event of the final trigger step is the consumable one, and an
+    # action writes and returns exactly the rule's action steps.
+    rule = rules.parse_rule(raw)
+    state = tables.TableStore()
+    contracts.apply_rule_commit(rule_commit_tx(_KEY, 1, rule=raw, usr_rule_id=7), state)
+    binding = {"usr_rule_id": 7, "usr_id": 1, "rule_id": raw["rule_id"],
+               "rule_name": raw["title"]}
+    triggers = rule.steps("trigger")
+    for seq, step in enumerate(triggers, start=1):
+        info = event_info(step["step_id"], seq, binding)
+        tx = event_tx(_KEY, 1 + seq, info, f"{seq:032x}", "f" * 32, "0" * 64)
+        consumable = contracts.apply_event(tx, state)
+        assert consumable == (step == triggers[-1])
+    out = contracts.apply_action(action_tx(_KEY, 9, info, "c" * 32), state)
+    assert out == rule.steps("action")
+    assert state.table(tables.ACTION).rows == [
+        {"rule_id": raw["rule_id"], "task_id": info["event_seq"], **step} for step in out]
