@@ -15,7 +15,8 @@ handler reads the message.
 
 Each decision is made in one place: a message sent until it is answered
 goes through `Process.resend`, with its waits fixed at the call site; step
-ids come from `RuleDefinition.steps`; an event body from
+ids come from `RuleDefinition.steps`; a rule's steps call their devices
+through `ExecutionAgent._call_steps`; an event body comes from
 `contracts.event_body`.
 """
 
@@ -154,9 +155,12 @@ class UserAgent(AgentBase):
 class ExecutionAgent(AgentBase):
     """Runs trigger cycles against devices and executes authorized actions.
 
-    Holds the vendor tokens.  Every device call mints a fresh (eid,
-    log_key) pair first, so the device's log write is bound to this
-    attempt before any transaction cites it.  Action commands are only
+    Holds the vendor tokens.  A trigger cycle and an action run call their
+    steps' devices through one loop, `_call_steps`, which mints a fresh
+    (eid, log_key) pair before each call, so the device's log write is bound
+    to this attempt before any transaction cites it.  A trigger cycle stops
+    at its first step without a usable payload; an action run goes on
+    through every action and records each one.  Action commands are only
     honored when they arrive as ledger notifications from f + 1 nodes;
     direct commands are refused unless the ledger is disabled for a
     baseline measurement.
@@ -248,45 +252,36 @@ class ExecutionAgent(AgentBase):
 
     def run_trigger_cycle(self, trig: dict) -> None:
         self.counters["cycles"] += 1
-        ctx = {"trig": trig, "steps": [], "t0": self.net.scheduler.now}
-        self._trigger_step(ctx, trig["rule"].steps("trigger"), 0)
+        t0 = self.net.scheduler.now
+        called = []  # (step, eid, log_key, payload, hit) per step answered
 
-    def _trigger_step(self, ctx, steps, i) -> None:
-        if i == len(steps):
-            self._finish_cycle(ctx)
-            return
-        step = steps[i]
-        op = CATALOG[step["op_name"]]
-        eid, log_key = self.gen_log_key()
-
-        def done(result):
+        def on_result(step, eid, log_key, result) -> bool:
+            op = CATALOG[step["op_name"]]
             payload = result.get("payload")
             if not (result["ok"] and with_fields(**op.fields)(payload)):
                 self.counters["cycles_aborted"] += 1
                 if result.get("error") == "DeviceOffline":
                     self.counters["device_unreachable"] += 1
-                return
-            hit = bool(op.predicate(payload))
-            ctx["steps"].append((step, eid, log_key, payload, hit))
-            self._trigger_step(ctx, steps, i + 1)
+                return False
+            called.append((step, eid, log_key, payload, bool(op.predicate(payload))))
+            return True
 
-        self._rpc(step["device_id"], op.api, eid, log_key, done)
+        self._call_steps(trig["rule"].steps("trigger"), on_result,
+                         lambda: self._finish_cycle(trig, called, t0))
 
-    def _finish_cycle(self, ctx) -> None:
-        trig = ctx["trig"]
+    def _finish_cycle(self, trig, called, t0) -> None:
         rule: RuleDefinition = trig["rule"]
-        steps = ctx["steps"]
-        results = [hit for (_s, _e, _k, _p, hit) in steps]
-        if not evaluate_trigger(rule, results, steps[0][3]):
+        results = [hit for (_s, _e, _k, _p, hit) in called]
+        if not evaluate_trigger(rule, results, called[0][3]):
             return
         infos = [{**trig["binding"], "step_id": step["step_id"],
-                  "event_seq": self.next_seq(rule.rule_id)} for step, *_ in steps]
+                  "event_seq": self.next_seq(rule.rule_id)} for step, *_ in called]
         task_ref = infos[-1]["event_seq"]
-        self._cycle_start[(rule.rule_id, task_ref)] = ctx["t0"]
+        self._cycle_start[(rule.rule_id, task_ref)] = t0
         if not self.ledger_enabled:  # only the final trigger step's event goes on
             self.send(self.task_agent_addr, {"type": "bypass_event", "event_info": infos[-1]})
             return
-        for info, (_step, eid, log_key, payload, _hit) in zip(infos, steps):
+        for info, (_step, eid, log_key, payload, _hit) in zip(infos, called):
             self._submit_event(event_body(info, eid, log_key, checksum(payload), task_ref))
 
     # ------------------------------------------------------------------
@@ -296,7 +291,7 @@ class ExecutionAgent(AgentBase):
         info, actions = msg["event_info"], msg["actions"]
         key = digest_hex({"event_info": info, "actions": actions})
         if self.client.heard(self.gate, src, key) and self._first(info):
-            self._exec_actions(info, actions, 0)
+            self._exec_actions(info, actions)
 
     def _on_exec_direct(self, src, msg) -> None:
         if self.ledger_enabled:
@@ -309,38 +304,48 @@ class ExecutionAgent(AgentBase):
                      if t["binding"]["rule_id"] == info["rule_id"]), None)
         if trig is None:
             return
-        self._exec_actions(info, trig["rule"].steps("action"), 0)
+        self._exec_actions(info, trig["rule"].steps("action"))
 
-    def _exec_actions(self, info, actions, i) -> None:
-        if i == len(actions):
+    def _exec_actions(self, info, actions) -> None:
+        """Run every action, failed or not, and record each one; the cycle's
+        e2e sample is taken after the last."""
+
+        def on_result(action, eid, log_key, result) -> bool:
+            ok = result["ok"] and type(result.get("payload")) is dict
+            self.counters["actions_completed" if ok else "action_failures"] += 1
+            if self.record_actions and self.ledger_enabled:
+                # A failed execution still leaves a signed failure record; nothing
+                # ran on the device, so there is no log entry to check against.
+                # info is an EVENT_INFO, so its other four fields are the rule's binding.
+                record = {**info, "step_id": action["step_id"],
+                          "event_seq": self.next_seq(info["rule_id"])}
+                self._submit_event(event_body(record, eid, log_key,
+                                              checksum(result["payload"]) if ok else "",
+                                              info["event_seq"], RES_OK if ok else RES_ERR))
+            return True
+
+        def finish() -> None:
             t0 = self._cycle_start.pop((info["rule_id"], info["event_seq"]), None)
             if t0 is not None:
                 self.e2e_ms.append(self.net.scheduler.now - t0)
+
+        self._call_steps(actions, on_result, finish)
+
+    def _call_steps(self, steps, on_result, finish) -> None:
+        """Call each step's device in turn, under fresh log coordinates, while
+        on_result(step, eid, log_key, result) returns true; run finish after
+        the last step."""
+        if not steps:
+            finish()
             return
-        action = actions[i]
+        step = steps[0]
         eid, log_key = self.gen_log_key()
 
         def done(result):
-            ok = result["ok"] and type(result.get("payload")) is dict
-            if ok:
-                self.counters["actions_completed"] += 1
-            else:
-                self.counters["action_failures"] += 1
-            if self.record_actions and self.ledger_enabled:
-                self._record_action(info, action, eid, log_key, result if ok else None)
-            self._exec_actions(info, actions, i + 1)
+            if on_result(step, eid, log_key, result):
+                self._call_steps(steps[1:], on_result, finish)
 
-        self._rpc(action["device_id"], CATALOG[action["op_name"]].api, eid, log_key, done)
-
-    def _record_action(self, info, action, eid, log_key, result) -> None:
-        # Failed executions still leave a signed failure record; nothing ran
-        # on the device, so there is no log entry to check against.
-        ok = result is not None
-        # info is an EVENT_INFO, so its other four fields are the rule's binding.
-        record = {**info, "step_id": action["step_id"], "event_seq": self.next_seq(info["rule_id"])}
-        self._submit_event(event_body(record, eid, log_key,
-                                      checksum(result["payload"]) if ok else "",
-                                      info["event_seq"], RES_OK if ok else RES_ERR))
+        self._rpc(step["device_id"], CATALOG[step["op_name"]].api, eid, log_key, done)
 
     def _submit_event(self, body: dict) -> None:
         self.counters["events_submitted"] += 1

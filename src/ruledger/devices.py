@@ -5,6 +5,13 @@ service under a caller-supplied (eid, log_key) pair before the response
 leaves the device.  The logged checksum is what the ledger's event
 verification later compares against, so a claimed execution with no
 matching log entry is detectable.
+
+What a device API does is stated once, in `APIS`: the device kind that
+answers it, the state field it touches and a value.  An action API (one
+that a catalog action operation calls) writes its value to the field; a
+read returns the field, or the value as its default on a device that never
+had it.  A device's kind check and its gateway's token scopes read the kind
+from the same table.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from .canonical import canonical_bytes, is_int, is_str, message, one_of, sha256_hex, with_fields
 from .contracts import event_body
 from .rules import (
+    CATALOG,
     HEART_RATE_API,
     MODE_SET_API,
     PRESENCE_API,
@@ -20,17 +28,19 @@ from .rules import (
 )
 from .sim.network import Process
 
-DEVICE_KINDS = ("heart_rate", "smart_lock", "presence")
-
-# Which APIs each device kind answers.  The presence sensor doubles as the
-# home hub, so it also takes mode changes.
-_KIND_APIS = {
-    "heart_rate": (HEART_RATE_API,),
-    "smart_lock": (SMARTLOCK_UNLOCK, SMARTLOCK_LOCK),
-    "presence": (PRESENCE_API, MODE_SET_API),
+# api -> (device kind, state field, value).  The presence sensor doubles as
+# the home hub, so it also takes mode changes.
+APIS = {
+    HEART_RATE_API: ("heart_rate", "heart_rate", 0),
+    SMARTLOCK_UNLOCK: ("smart_lock", "lock", "unlocked"),
+    SMARTLOCK_LOCK: ("smart_lock", "lock", "locked"),
+    PRESENCE_API: ("presence", "presence", "away"),
+    MODE_SET_API: ("presence", "mode", "home_mode"),
 }
 
-ACTION_APIS = {SMARTLOCK_UNLOCK, SMARTLOCK_LOCK, MODE_SET_API}
+DEVICE_KINDS = tuple(dict.fromkeys(kind for kind, _field, _value in APIS.values()))
+
+ACTION_APIS = {op.api for op in CATALOG.values() if op.kind == "action"}
 
 # A device's answer, relayed by its gateway: an error or a payload may follow.
 RPC_RESULT = with_fields(type=one_of("rpc_result"), corr=is_int, ok=one_of(True, False))
@@ -103,36 +113,22 @@ class Device(Process):
         for target in self.push_targets:
             self.send(target, {"type": "device_push", "device_id": self.device_id})
 
-    def _execute(self, api: str) -> dict:
-        if api == HEART_RATE_API:
-            return {"heart_rate": self.state.get("heart_rate", 0)}
-        if api == PRESENCE_API:
-            return {"presence": self.state.get("presence", "away")}
-        if api == SMARTLOCK_UNLOCK:
-            self.state["lock"] = "unlocked"
-            return {"lock": "unlocked"}
-        if api == SMARTLOCK_LOCK:
-            self.state["lock"] = "locked"
-            return {"lock": "locked"}
-        if api == MODE_SET_API:
-            self.state["mode"] = "home_mode"
-            return {"mode": "home_mode"}
-        raise AssertionError(api)
-
     def _on_rpc(self, src, msg):
         reply = {"type": "rpc_result", "corr": msg["corr"], "device_id": self.device_id}
         api = msg["api"]
         if not self.online:
             reply.update(ok=False, error="DeviceOffline")
-        elif api not in _KIND_APIS[self.kind]:
+        elif api not in APIS or APIS[api][0] != self.kind:
             reply.update(ok=False, error="UnknownApi")
         elif self.log.lookup(msg["eid"], msg["log_key"]) is not None:
             reply.update(ok=False, error="LogKeyReused")  # the log is write-once
         else:
-            payload = self._execute(api)
+            _kind, field, value = APIS[api]
             if api in ACTION_APIS:
+                self.state[field] = value
                 self.actions_executed += 1
                 self.history.append((self.net.scheduler.now, dict(self.state)))
+            payload = {field: self.state.get(field, value)}
             # Log first, respond second: the entry exists before anyone can
             # cite it in a transaction.
             self.log.write(msg["eid"], msg["log_key"], checksum(payload), self.device_id,
@@ -167,7 +163,8 @@ class Gateway(Process):
 
     def register_device(self, device: Device) -> str:
         self.devices[device.device_id] = device.addr
-        return self.mint_token(device.device_id, _KIND_APIS[device.kind])
+        return self.mint_token(device.device_id,
+                               [api for api, (kind, *_) in APIS.items() if kind == device.kind])
 
     def _on_rpc_call(self, src, msg):
         grant = self.tokens.get(msg["token"])

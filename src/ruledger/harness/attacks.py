@@ -5,12 +5,21 @@ once, layers the adversarial behavior on top, and then checks two things:
 the hostile submissions were rejected with the expected codes, and the
 physical outcome (device action count, table contents) matches what the
 honest run alone would have produced.  "Blocked" means both held.
+
+The three attacks that submit forged event transactions (`event_spoof` and
+its negative control, `checksum_tamper`, `event_replay`) share one runner,
+`_hostile_submissions`: an outside attacker submits each body the attack
+crafts at 2000 ms, and the attack is blocked when every body was answered,
+none was accepted, the attack's one expected code was the only code seen,
+and the lock ran once.  The platform-side attacks share `_platform_run` and
+the account-abuse attacks `_mallory_run`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..agents import AgentBase
 from ..canonical import derive_seed
@@ -57,17 +66,66 @@ def _make_world(seed: int, **overrides) -> World:
     return World(scenario_from_dict(_base_scenario(seed, **overrides)))
 
 
-def _attacker(world: World, label: str = "attacker") -> AgentBase:
-    return AgentBase(label, world.net, KeyPair.from_seed(world.config["seed"], f"acct/{label}"),
-                     world.ledger_config.node_addrs)
-
-
-def _attacker_codes(agent: AgentBase) -> list[str]:
-    return sorted({r.code for r in agent.client.resolved.values() if r.code})
+def _codes(codes) -> list[str]:
+    """The distinct codes, sorted, that receipts or platform outcomes carry."""
+    return sorted({code for code in codes if code})
 
 
 def _lock_actions(world: World) -> int:
     return world.devices["lock-1"].actions_executed
+
+
+def _hostile_submissions(name: str, seed: int, bodies, code: str,
+                         expected_blocked: bool = True) -> AttackOutcome:
+    """Run the base world with an attacker that, at 2000 ms, submits each event
+    body `bodies(world)` returns.  Blocked: every body was answered, none was
+    accepted, `code` was the only code seen, and the lock ran once."""
+    world = _make_world(seed)
+    attacker = AgentBase("attacker", world.net, KeyPair.from_seed(seed, "acct/attacker"),
+                         world.ledger_config.node_addrs)
+    sent = []
+
+    def fire():
+        for body in bodies(world):
+            sent.append(attacker.submit(KIND_EVENT, body))
+
+    world.run(hook=lambda w: w.scheduler.schedule(2000, fire))
+    results = attacker.client.resolved.values()
+    codes = _codes(r.code for r in results)
+    blocked = (len(results) == len(sent) and not any(r.accepted for r in results)
+               and codes == [code] and _lock_actions(world) == 1)
+    return AttackOutcome(name, blocked, codes, f"lock actions={_lock_actions(world)}",
+                         expected_blocked)
+
+
+def _platform_run(seed: int, mode: str):
+    """The base world run with the platform side in adversary `mode`: the world,
+    the hostile requests' outcomes (the outsider's, else the platform's forged
+    ones) and their codes."""
+    world = _make_world(seed, adversary={"mode": mode})
+    world.run()
+    hostile = (world.adversary.outcomes if world.adversary is not None
+               else [o for o in world.tamock.outcomes if o["forged"]])
+    return world, hostile, _codes(o["code"] for o in hostile)
+
+
+def _mallory_run(seed: int, submissions):
+    """The base world with a second account, mallory, a NormalUser, run with
+    each (at_ms, submit) of submissions calling submit(mallory) at at_ms: the
+    world, and mallory's receipts and their codes."""
+    world = _make_world(seed, accounts=[
+        {"name": "alice", "role": "Administrator", "usr_id": 1},
+        {"name": "mallory", "role": "NormalUser", "usr_id": 2},
+    ])
+    mallory = world.user_agents["mallory"]
+
+    def hook(w: World):
+        for at_ms, submit in submissions:
+            w.scheduler.schedule(at_ms, partial(submit, mallory))
+
+    world.run(hook=hook)
+    results = list(mallory.client.resolved.values())
+    return world, results, _codes(r.code for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -76,102 +134,56 @@ def _lock_actions(world: World) -> int:
 def attack_event_spoof(seed: int = DEFAULT_SEED, forge_log: bool = False) -> AttackOutcome:
     """Claim a trigger fired without ever touching the device.  With forge_log,
     the negative control, the vendor log also holds the forged entry."""
-    world = _make_world(seed)
-    attacker = _attacker(world)
-    rng = random.Random(derive_seed(seed, "attacker/rng"))
-    binding = world.bindings[1]
 
-    def hook(w: World):
-        def fire():
-            body = inject_spoofed_event(rng, binding, step_id=0, event_seq=500,
-                                        fake_payload={"heart_rate": 20})
-            if forge_log:
-                log = body["event_log"]
-                w.log.write(log["eid"], log["log_key"], log["log_sum"], "watch-1", w.scheduler.now)
-            attacker.submit(KIND_EVENT, body)
-        w.scheduler.schedule(2000, fire)
+    def bodies(w: World):
+        rng = random.Random(derive_seed(seed, "attacker/rng"))
+        body = inject_spoofed_event(rng, w.bindings[1], step_id=0, event_seq=500,
+                                    fake_payload={"heart_rate": 20})
+        if forge_log:
+            log = body["event_log"]
+            w.log.write(log["eid"], log["log_key"], log["log_sum"], "watch-1", w.scheduler.now)
+        return [body]
 
-    world.run(hook=hook)
-    codes = _attacker_codes(attacker)
-    accepted = any(r.accepted for r in attacker.client.resolved.values())
-    blocked = (not accepted) and CODE_NO_LOG_ENTRY in codes and _lock_actions(world) == 1
     name = "event_spoof_forged_log" if forge_log else "event_spoof"
-    notes = f"lock actions={_lock_actions(world)}"
-    return AttackOutcome(name, blocked, codes, notes, expected_blocked=not forge_log)
+    return _hostile_submissions(name, seed, bodies, CODE_NO_LOG_ENTRY, not forge_log)
 
 
 def attack_checksum_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """Reuse a real logged execution but lie about its result payload."""
-    world = _make_world(seed)
-    attacker = _attacker(world)
-    binding = world.bindings[1]
 
-    def hook(w: World):
-        def fire():
-            rows = w.nodes[0].state.table(tables.EVENT_RECORD).rows
-            if not rows:
-                return
-            real = rows[0]
-            body = event_body({**binding, "step_id": 0, "event_seq": 501},
-                              real["eid"], real["log_key"], checksum({"heart_rate": 20}), 501)
-            attacker.submit(KIND_EVENT, body)
-        w.scheduler.schedule(2000, fire)
+    def bodies(w: World):
+        rows = w.nodes[0].state.table(tables.EVENT_RECORD).rows
+        return [event_body({**w.bindings[1], "step_id": 0, "event_seq": 501},
+                           real["eid"], real["log_key"], checksum({"heart_rate": 20}), 501)
+                for real in rows[:1]]
 
-    world.run(hook=hook)
-    codes = _attacker_codes(attacker)
-    accepted = any(r.accepted for r in attacker.client.resolved.values())
-    blocked = (not accepted) and CODE_CHECKSUM_MISMATCH in codes and _lock_actions(world) == 1
-    return AttackOutcome("checksum_tamper", blocked, codes, f"lock actions={_lock_actions(world)}")
+    return _hostile_submissions("checksum_tamper", seed, bodies, CODE_CHECKSUM_MISMATCH)
 
 
 def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
-    """Replay a committed event, verbatim and with a fresh sequence number."""
-    world = _make_world(seed)
-    attacker = _attacker(world)
+    """Replay the first committed event, the trigger event, verbatim and with a
+    fresh sequence number."""
 
-    def hook(w: World):
-        def fire():
-            committed = None
-            for block in w.nodes[0].chain[1:]:
-                for wire in block_txs(block):
-                    if wire["kind"] == KIND_EVENT:
-                        committed = wire
-                        break
-            if committed is None:
-                return
-            body = dict(SignedTransaction.from_wire(committed, checked=True).body)
-            body.pop("kind", None)
-            body.pop("nonce", None)
-            # Verbatim replay: same event_info, same log coordinates.
-            attacker.submit(KIND_EVENT, body)
-            # Freshened replay: new sequence number, old log coordinates.
-            freshened = {
-                **body,
-                "event_info": {**body["event_info"], "event_seq": 502},
-                "task_ref": 502,
-            }
-            attacker.submit(KIND_EVENT, freshened)
-        w.scheduler.schedule(2000, fire)
+    def bodies(w: World):
+        committed = next((wire for block in w.nodes[0].chain[1:] for wire in block_txs(block)
+                          if wire["kind"] == KIND_EVENT), None)
+        if committed is None:
+            return []
+        body = dict(SignedTransaction.from_wire(committed, checked=True).body)
+        body.pop("kind", None)
+        body.pop("nonce", None)
+        # Verbatim replay: same event_info, same log coordinates.  Freshened
+        # replay: new sequence number, old log coordinates.
+        return [body, {**body, "event_info": {**body["event_info"], "event_seq": 502},
+                       "task_ref": 502}]
 
-    world.run(hook=hook)
-    codes = _attacker_codes(attacker)
-    results = list(attacker.client.resolved.values())
-    blocked = (
-        len(results) == 2
-        and all(not r.accepted for r in results)
-        and codes == [CODE_STALE_SEQ]
-        and _lock_actions(world) == 1
-    )
-    return AttackOutcome("event_replay", blocked, codes, f"lock actions={_lock_actions(world)}")
+    return _hostile_submissions("event_replay", seed, bodies, CODE_STALE_SEQ)
 
 
 def attack_action_forge(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """The platform invents action requests it was never entitled to."""
-    world = _make_world(seed, adversary={"mode": "forge_actions"})
-    world.run()
-    forged = [o for o in world.tamock.outcomes if o["forged"]]
+    world, forged, codes = _platform_run(seed, "forge_actions")
     honest = [o for o in world.tamock.outcomes if not o["forged"]]
-    codes = sorted({o["code"] for o in forged if o["code"]})
     accepted_total = sum(1 for o in world.tamock.outcomes if o["accepted"])
     blocked = (
         len(forged) == 2
@@ -188,10 +200,7 @@ def attack_action_forge(seed: int = DEFAULT_SEED) -> AttackOutcome:
 
 def attack_action_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """The platform re-sends its own honest action request."""
-    world = _make_world(seed, adversary={"mode": "replay_requests"})
-    world.run()
-    forged = [o for o in world.tamock.outcomes if o["forged"]]
-    codes = sorted({o["code"] for o in forged if o["code"]})
+    world, forged, codes = _platform_run(seed, "replay_requests")
     blocked = (
         len(forged) == 1
         and not forged[0]["accepted"]
@@ -203,29 +212,22 @@ def attack_action_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
 
 def attack_token_reuse(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """An outsider replays a captured request with a leaked channel token."""
-    world = _make_world(seed, adversary={"mode": "token_reuse"})
-    world.run()
-    adversary = world.adversary
-    codes = sorted({o["code"] for o in adversary.outcomes if o["code"]})
+    world, outcomes, codes = _platform_run(seed, "token_reuse")
+    replayed = world.adversary.replayed
     blocked = (
-        adversary.replayed >= 1
-        and len(adversary.outcomes) >= 1
-        and all(not o["accepted"] for o in adversary.outcomes)
+        replayed >= 1
+        and len(outcomes) >= 1
+        and all(not o["accepted"] for o in outcomes)
         and codes == [CODE_ALREADY_CONSUMED]
         and world.task_agent.counters["channel_rejects"] == 0
         and _lock_actions(world) == 1
     )
     return AttackOutcome("token_reuse", blocked, codes,
-                         f"replayed={adversary.replayed} lock actions={_lock_actions(world)}")
+                         f"replayed={replayed} lock actions={_lock_actions(world)}")
 
 
 def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """A NormalUser tries to grant itself admin and to commit a rule."""
-    world = _make_world(seed, accounts=[
-        {"name": "alice", "role": "Administrator", "usr_id": 1},
-        {"name": "mallory", "role": "NormalUser", "usr_id": 2},
-    ])
-    mallory = world.user_agents["mallory"]
     rule = parse_rule({
         "schema": 1,
         "title": "mallory backdoor",
@@ -234,16 +236,11 @@ def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
         "condition": "IF_TRUE",
         "action_operations": [["open_door_operation", "lock-1", "OP_AND"]],
     })
-
-    def hook(w: World):
-        w.scheduler.schedule(1500, lambda: mallory.manage_accounts([
-            {"signer": mallory.keypair.public_hex, "role": "Administrator", "usr_id": 2}
-        ]))
-        w.scheduler.schedule(1600, lambda: mallory.commit_rule(rule, usr_rule_id=900))
-
-    world.run(hook=hook)
-    results = list(mallory.client.resolved.values())
-    codes = sorted({r.code for r in results if r.code})
+    world, results, codes = _mallory_run(seed, [
+        (1500, lambda m: m.manage_accounts([
+            {"signer": m.keypair.public_hex, "role": "Administrator", "usr_id": 2}])),
+        (1600, lambda m: m.commit_rule(rule, usr_rule_id=900)),
+    ])
     state = world.nodes[0].state
     acl_roles = {row["signer"]: row["role"] for row in state.table(tables.ACL).rows}
     rule_ids = {row["rule_id"] for row in state.table(tables.RULE).rows}
@@ -251,7 +248,7 @@ def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
         len(results) == 2
         and all(not r.accepted for r in results)
         and codes == [CODE_PERMISSION_DENIED]
-        and acl_roles.get(mallory.keypair.public_hex) == "NormalUser"
+        and acl_roles.get(world.user_agents["mallory"].keypair.public_hex) == "NormalUser"
         and 9 not in rule_ids
     )
     return AttackOutcome("rbac_escalation", blocked, codes, f"rules={sorted(rule_ids)}")
@@ -259,11 +256,6 @@ def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
 
 def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """Unauthorized rule edits, on-chain and via direct store mutation."""
-    world = _make_world(seed, accounts=[
-        {"name": "alice", "role": "Administrator", "usr_id": 1},
-        {"name": "mallory", "role": "NormalUser", "usr_id": 2},
-    ])
-    mallory = world.user_agents["mallory"]
     altered = parse_rule({
         "schema": 1,
         "title": "unlock on abnormal heart rate",
@@ -272,12 +264,8 @@ def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
         "condition": "IF_TRUE",
         "action_operations": [["close_door_operation", "lock-1", "OP_AND"]],
     })
-
-    def hook(w: World):
-        w.scheduler.schedule(1500, lambda: mallory.modify_rule(altered, usr_rule_id=101))
-
-    world.run(hook=hook)
-    results = list(mallory.client.resolved.values())
+    world, results, codes = _mallory_run(
+        seed, [(1500, lambda m: m.modify_rule(altered, usr_rule_id=101))])
     onchain_blocked = (
         len(results) == 1
         and not results[0].accepted
@@ -293,7 +281,6 @@ def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     state_tampered = audit.audit_node(world.nodes[1])
     chain_tampered = audit.audit_node(world.nodes[2])
 
-    codes = sorted({r.code for r in results if r.code})
     blocked = (
         onchain_blocked
         and clean.ok

@@ -73,9 +73,10 @@ certificates, transaction wires and vote maps included): a handler runs only
 on a message the table admits, and reads it unguarded.  A later height's
 messages are kept only once authenticated.  Consensus treats a tx body
 as opaque: a wire's body is its signed canonical text (see `tx`), which the
-table admits as a string and whose hash is the tx id.  A batch stays in the
-wire form the table admitted, which `batch_digest` covers, from the pool to
-the block.  A batch wire equal to its pool entry is not checked again, as
+table admits as a string and whose hash, together with the signer, is the
+tx id.  A batch stays in the wire form the table admitted, which
+`batch_digest` covers, from the pool to the block.  A batch wire equal to
+its pool entry is not checked again, as
 `_on_submit` checked it before pooling it; any other is parsed, checked and
 verified.  So no replica serializes a body after `_on_submit`, and
 `_commit_block` parses only a wire outside the pool, which keeps each parsed tx.
@@ -413,7 +414,7 @@ class LedgerNode(Process):
         """Whether each wire has a body `SignedTransaction.from_wire` admits, signed by
         its signer; a wire equal to its pool entry was checked when `_on_submit`
         pooled it, so only the others are parsed and verified."""
-        unpooled = [w for w in wires if self._pooled(text_id(w["body"]), w) is None]
+        unpooled = [w for w in wires if self._pooled(text_id(w["signer"], w["body"]), w) is None]
         return all(tx is not None and self.net.verify(tx.body_bytes(), tx.signature, tx.signer)
                    for tx in map(SignedTransaction.from_wire, unpooled))
 
@@ -546,7 +547,7 @@ class LedgerNode(Process):
         notifications: list[tuple[str, dict]] = []  # (agent address, message)
         task_agent, exec_agent = self.config.task_agent_addr, self.config.exec_agent_addr
         for pos, wire in enumerate(batch):
-            tid = text_id(wire["body"])
+            tid = text_id(wire["signer"], wire["body"])
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
             # A pooled wire's tx is reused; any other was checked by `_batch_signed`.

@@ -3,14 +3,15 @@
 A transaction is a dict body plus a detached Ed25519 signature by the
 submitting wallet over the body's text: its canonical JSON (see
 `canonical`).  On the wire and in a dump a body is that text, so consensus
-orders, digests and stores it as an opaque string, and a tx's id is the
-SHA-256 of its text.  The body carries its own kind tag and a submitter
-nonce, so byte-identical bodies are the same transaction and re-submissions
-with fresh nonces are distinct ones.
+orders, digests and stores it as an opaque string.  A tx is its signer and
+its body text: its id is the SHA-256 of both, so a copy of a body signed by
+another key is another tx, and no one can get a tx decided by signing its
+body themselves.  The body carries its own kind tag and a submitter nonce,
+so re-submissions with fresh nonces are distinct txs.
 
 `SignedTransaction.from_wire` is the one reader of a body's text, and it
 parses it once: it admits only the exact canonical JSON of its own parse, so
-structurally equal bodies are one text and one id, and a float, a NaN,
+structurally equal bodies are one text (one id per signer), and a float, a NaN,
 nesting deeper than `MAX_DEPTH`, other whitespace, other key order and a
 duplicate key are all refused.
 """
@@ -34,9 +35,9 @@ KIND_CONFIG = "config"
 TX_KINDS = (KIND_RULE_COMMIT, KIND_EVENT, KIND_ACTION, KIND_CONFIG)
 
 
-def text_id(text: str) -> str:
-    """The id of the tx whose body text is text."""
-    return sha256_hex(text.encode("utf-8"))
+def text_id(signer: str, text: str) -> str:
+    """The id of the tx that signer signed over the body text text."""
+    return sha256_hex(f"{signer}:{text}".encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class SignedTransaction:
 
     @property
     def tx_id(self) -> str:
-        return text_id(self.body_text())
+        return text_id(self.signer, self.body_text())
 
     def body_text(self) -> str:
         return canonical_bytes(self.body).decode("utf-8") if self.text is None else self.text

@@ -29,7 +29,7 @@ import random
 
 from ruledger import contracts
 from ruledger.harness import cli
-from ruledger.harness.attacks import run_attack_suite, _base_scenario
+from ruledger.harness.attacks import _base_scenario
 from ruledger.harness.bench import format_bench, run_bench
 from ruledger.harness.report import report_bytes
 from ruledger.harness.scenario import scenario_from_dict
@@ -106,11 +106,11 @@ def test_criterion_1_consensus_safety_under_faults(faulted_runs):
 # over its 40 rigs' chains, counters and views and the client's verdicts.  The
 # faulty node draws from its own seeded RNG, so this pins the order of its draws.
 PINNED_FAULTED_RUNS = {
-    "drop": "965939a2f22d771ed2aa2c691fd3b38d0f4d94a73fe0cd82130edbb22d2aea1c",
-    "duplicate": "fec69eec0a444714c295d0996cada5985ac05c0d2c996c98291b20afde5307cf",
-    "delay": "4a6b5a12678a9052255a76986cdaf171c9935ffc5e263b894ce568fba767bf1f",
-    "corrupt": "37d18c6d245feedb6d3928cba22e2822ece0726500d16c2bf82af15283268d60",
-    "equivocate": "86569ebda44dfc2a668d111a2c3195ca13e7253ad60cc1f3c06ac0b1db9abc3c",
+    "drop": "69d91c4cfa953066c90f770c4e34896a4addb00181c36ee89921b53a982f7422",
+    "duplicate": "1805aa34c4dd8ff9c182b60eb00229f04355306029b3d3d01bea5e28b805afe9",
+    "delay": "d26b41e95bd24220554af71752f4bb8b7b3cff52d85e8fc578905eaa7b2b8585",
+    "corrupt": "e13e399a4ebe9e53ee59ee4b8566a38059cced5d6e0fab95a890f7421b67ea9e",
+    "equivocate": "870a534f2cdafd8e1d6b3b07255f55f431ecc9c7ee91cc0f35ee4207f98cbb8e",
 }
 
 
@@ -129,10 +129,29 @@ def test_faulted_runs_match_pinned_digests(faulted_runs):
 # 2. attack suite
 
 
-def test_criterion_2_attack_suite_blocked():
-    t0 = time.perf_counter()
-    suite = run_attack_suite(1337)
-    wall = time.perf_counter() - t0
+# The sha256 of the file `ruledger attacks --seed S --out` writes, per seed S.
+PINNED_ATTACK_SUITES = {
+    1337: "ffa178170a4022059cc3a5c7ea9f657e0aba7ca45f95dedc49e55352d50d8a07",
+    7: "8e92626bb1b7b0f9fc1e32092485d84e7c2ae171eecdb0354a7d25772bf733a6",
+}
+
+
+@pytest.fixture(scope="module")
+def attack_suites(tmp_path_factory) -> dict[int, tuple[bytes, float]]:
+    """`ruledger attacks --seed S --out` run once per pinned seed S: the file
+    it wrote and the wall seconds it took."""
+    runs = {}
+    for seed in PINNED_ATTACK_SUITES:
+        path = tmp_path_factory.mktemp("attacks") / "suite.json"
+        t0 = time.perf_counter()
+        cli.main(["attacks", "--seed", str(seed), "--out", str(path)])
+        runs[seed] = (path.read_bytes(), time.perf_counter() - t0)
+    return runs
+
+
+def test_criterion_2_attack_suite_blocked(attack_suites):
+    data, wall = attack_suites[1337]
+    suite = json.loads(data)
     unblocked = [a["name"] for a in suite["attacks"] if not a["blocked"]]
     ok = (len(suite["attacks"]) == 9
           and suite["all_blocked"]
@@ -144,6 +163,11 @@ def test_criterion_2_attack_suite_blocked():
               + (f" unblocked={unblocked}" if unblocked else ""))
     record_criterion("attack suite", ok, detail)
     assert ok, detail
+
+
+def test_the_attack_suite_file_is_pinned(attack_suites):
+    assert {seed: hashlib.sha256(data).hexdigest()
+            for seed, (data, _wall) in attack_suites.items()} == PINNED_ATTACK_SUITES
 
 
 # ---------------------------------------------------------------------------

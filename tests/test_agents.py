@@ -70,13 +70,15 @@ def _rig(seed=3, **exec_kwargs):
                            initial={"heart_rate": 190})
     lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "vend", log,
                           initial={"lock": "locked"})
+    hub = devices.Device("dev/h", net, "hub-1", "presence", "vend", log,
+                         initial={"presence": "home"})
     agent = agents.ExecutionAgent(
         "exec", net, KeyPair.from_seed(1, "acct/exec"),
         [n.addr for n in nodes], random.Random(seed + 1), **exec_kwargs)
-    agent.add_device_route("watch-1", gw.addr, gw.register_device(watch))
-    agent.add_device_route("lock-1", gw.addr, gw.register_device(lock))
+    for dev in (watch, lock, hub):
+        agent.add_device_route(dev.device_id, gw.addr, gw.register_device(dev))
     return SimpleNamespace(sched=sched, net=net, log=log, nodes=nodes,
-                           watch=watch, lock=lock, agent=agent)
+                           watch=watch, lock=lock, hub=hub, agent=agent)
 
 
 def test_gen_log_key_mints_unique_tracked_pairs():
@@ -213,6 +215,26 @@ def test_failed_action_leaves_a_failure_record():
     assert len(rig.log) == 0  # nothing executed, nothing logged
 
 
+def test_every_action_runs_in_step_order_after_a_failed_one():
+    rig = _rig()
+    rig.lock.online = False
+    rule = parse_rule(hr_rule(extra_actions=[["set_home_mode_operation", "hub-1", "OP_AND"]]))
+    actions = rule.steps("action")
+    for n in (0, 1):
+        rig.agent.on_message(f"node{n}", _notify(n, actions=actions))
+    rig.sched.run(until=2000)
+    assert rig.agent.counters["action_failures"] == 1
+    assert rig.agent.counters["actions_completed"] == 1
+    assert rig.hub.actions_executed == 1 and rig.hub.state["mode"] == "home_mode"
+    records = [SignedTransaction.from_wire(m["tx"]).body for m in _submitted(rig)]
+    records.sort(key=lambda body: body["event_info"]["step_id"])
+    assert [body["event_info"]["step_id"] for body in records] == [1, 2]  # T and T + 1
+    assert [body["result_status"] for body in records] == [-1, 1]
+    seqs = [body["event_info"]["event_seq"] for body in records]
+    assert seqs == sorted(seqs) and seqs[0] < seqs[1]
+    assert records[1]["event_log"]["log_sum"] == checksum({"mode": "home_mode"})
+
+
 def test_gateway_results_without_a_fitting_payload_fail_the_step():
     rig = _rig()
     rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
@@ -306,6 +328,23 @@ def test_offline_device_aborts_the_cycle():
     assert rig.agent.counters["cycles_aborted"] == 1
     assert rig.agent.counters["device_unreachable"] == 1
     assert rig.agent.counters["events_submitted"] == 0
+
+
+def test_a_cycle_stops_at_its_first_unreachable_trigger_step():
+    rig = _rig()
+    rig.watch.online = False
+    rule = dict(hr_rule(), trigger_operations=[["alert_on_heart_rate", "watch-1", "OP_AND"],
+                                               ["check_presence_operation", "hub-1", "OP_AND"]])
+    rig.agent.on_message("user", {"type": "register_trigger", "rule": rule,
+                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.run_trigger_cycle(rig.agent.triggers[0])
+    rig.sched.run(until=2000)
+    assert rig.agent.counters["cycles_aborted"] == 1
+    assert rig.agent.counters["device_unreachable"] == 1
+    assert len(rig.agent.minted) == 1  # the hub's step never got log coordinates
+    assert len(rig.log) == 0  # a hub read would have been logged
+    assert rig.agent.counters["events_submitted"] == 0
+    assert rig.agent._pending_rpc == {}
 
 
 def test_push_trigger_reacts_only_to_its_devices():

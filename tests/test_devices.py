@@ -104,15 +104,37 @@ def test_offline_device_refuses_and_logs_nothing():
     assert len(log) == 0 and dev.state["lock"] == "locked"
 
 
+# What each device API is, stated here apart from devices.APIS: the kind that
+# answers it, its payload on a device with an empty state, and whether it is
+# an action.  The presence sensor doubles as the home hub.
+API_FACTS = {
+    HEART_RATE_API: ("heart_rate", {"heart_rate": 0}, False),
+    SMARTLOCK_UNLOCK: ("smart_lock", {"lock": "unlocked"}, True),
+    SMARTLOCK_LOCK: ("smart_lock", {"lock": "locked"}, True),
+    PRESENCE_API: ("presence", {"presence": "away"}, False),
+    MODE_SET_API: ("presence", {"mode": "home_mode"}, True),
+}
+
+
 def test_wrong_api_for_device_kind():
+    # Every (kind, API) pair: a device answers exactly its kind's APIs and
+    # refuses any other, an unknown one included, without a log entry.
     sched, net, log, driver = _rig()
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log)
-    driver.send(dev.addr, {"type": "rpc", "api": SMARTLOCK_UNLOCK,
-                           "eid": "e", "log_key": "k", "corr": 1})
+    kinds = ("heart_rate", "smart_lock", "presence")
+    assert devices.DEVICE_KINDS == kinds
+    calls = [(kind, api) for kind in kinds for api in [*API_FACTS, "NO_SUCH_API"]]
+    for i, (kind, api) in enumerate(calls):
+        dev = devices.Device(f"dev/{i}", net, f"dev-{i}", kind, "v", log)
+        driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"e{i}", "log_key": "k",
+                               "corr": i})
     sched.run()
-    (_, _, reply), = driver.replies
-    assert reply["error"] == "UnknownApi"
-    assert len(log) == 0
+    replies = sorted((r[2] for r in driver.replies), key=lambda r: r["corr"])
+    assert [r["corr"] for r in replies] == list(range(len(calls)))
+    for (kind, api), reply in zip(calls, replies):
+        answers = API_FACTS.get(api, ("",))[0] == kind
+        assert reply["ok"] is answers and reply.get("error") == (None if answers else "UnknownApi")
+        assert (log.lookup(f"e{reply['corr']}", "k") is not None) is answers
+    assert len(log) == len(API_FACTS)
 
 
 def test_a_reused_log_pair_is_refused_before_the_device_acts():
@@ -145,6 +167,22 @@ def test_action_apis_mutate_state_and_count():
     payloads = [r[2]["payload"] for r in sorted(driver.replies, key=lambda r: r[2]["corr"])]
     assert payloads == [{"lock": "unlocked"}, {"lock": "locked"},
                         {"mode": "home_mode"}, {"presence": "away"}]
+
+    # Each API on a fresh device with an empty state: an action writes its
+    # field and counts; a read returns its field's default and changes nothing.
+    assert devices.ACTION_APIS == {api for api, (*_, action) in API_FACTS.items() if action}
+    for i, (api, (kind, payload, action)) in enumerate(API_FACTS.items()):
+        dev = devices.Device(f"dev/fresh{i}", net, f"fresh-{i}", kind, "v", log)
+        driver.replies.clear()
+        driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"fresh{i}", "log_key": "k",
+                               "corr": i})
+        sched.run()
+        (_, _, reply), = driver.replies
+        assert reply["payload"] == payload
+        assert log.query_checksum(f"fresh{i}", "k") == devices.checksum(payload)
+        assert dev.actions_executed == int(action)
+        assert dev.state == (payload if action else {})
+        assert [state for _t, state in dev.history] == [{}] + ([payload] if action else [])
 
 
 def test_patch_updates_history_and_pushes():

@@ -259,7 +259,7 @@ def test_a_dump_stores_each_accepted_tx_once(poll_run):
     data = audit.dump_bytes(node)
     accepted = {tid for tid, receipt in node.decided.items() if receipt.accepted}
     bodies = {wire["body"] for block in node.chain for wire in block["cert"]["batch"]
-              if text_id(wire["body"]) in accepted}
+              if text_id(wire["signer"], wire["body"]) in accepted}
     assert len(bodies) == len(accepted) > 0
     assert all(data.count(canonical_bytes(body)) == 1 for body in bodies)
 

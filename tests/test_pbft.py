@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
 from ruledger import keys as keys_mod
 from ruledger.keys import KeyPair
-from ruledger.ledger import audit
+from ruledger.ledger import audit, tables
 from ruledger.ledger.faults import FAULT_DELAY_MS, FAULT_KINDS, FaultSpec
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError, LedgerConfig
@@ -274,6 +274,35 @@ def test_poison_config_tx_is_answered_and_commits_go_on():
     assert commit.tx_id in resolved and resolved[commit.tx_id].accepted
     for n in rig.nodes:
         assert n.next_height == 3 and n.counters["view_changes"] == 0
+    assert _honest_prefix_consistent(rig.nodes)
+
+
+def test_a_primary_cannot_decide_a_tx_by_proposing_a_copy_signed_by_another_key():
+    # A tx id covers its signer.  When the id was the hash of the body text alone,
+    # node0 (the view-0 primary) could propose the admin's body re-signed by its
+    # own account: every replica committed the copy as NoAclEntry under the
+    # admin's id, and the admin's own tx resolved as rejected, with no view change.
+    rig = make_rig(seed=16)
+    tx = rule_commit_tx(rig.admin, nonce=1)
+    mallory = KeyPair.from_seed(16, "acct/mallory")
+    copy = SignedTransaction(tx.kind, tx.body, mallory.public_hex,
+                             mallory.sign(tx.body_bytes()), tx.body_text())
+    primary = rig.nodes[0]
+
+    def propose_the_copy():
+        primary.pool.clear()
+        primary._propose([copy.wire()])
+
+    rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
+    rig.scheduler.schedule(11, propose_the_copy)
+    rig.scheduler.run(until=5000)
+    receipt = rig.client.client.resolved[tx.tx_id]
+    assert receipt.accepted and receipt.height == 2
+    for node in rig.nodes:
+        assert node.decided[copy.tx_id].code == "NoAclEntry" and node.decided[copy.tx_id].height == 1
+        assert node_mod.block_txs(node.chain[2]) == [tx.wire()]
+        assert node.counters["view_changes"] == 0
+        assert [row["rule_id"] for row in node.state.table(tables.RULE).rows] == [1]
     assert _honest_prefix_consistent(rig.nodes)
 
 
@@ -924,7 +953,7 @@ def test_a_tx_in_two_certified_batches_executes_once(vc_rig):
     assert node.next_height == 3 and node.counters["malformed_dropped"] == 0
     assert node_mod.block_txs(node.chain[2]) == [second]
     assert node.counters["txs_committed"] == 2 and node.counters["txs_rejected"] == 0
-    assert node.decided[node_mod.text_id(first["body"])].height == 1
+    assert node.decided[node_mod.text_id(first["signer"], first["body"])].height == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1154,14 +1183,15 @@ def test_a_submission_again_adds_no_waiter_and_keeps_the_pooled_wire(vc_rig):
     rig, node = vc_rig, vc_rig.nodes[1]
     tx = rule_commit_tx(rig.admin, nonce=1)
     other = KeyPair.from_seed(29, "acct/other")
-    # The same body, so the same id, signed by another key.
+    # The same body signed by another key: a tx id covers its signer, so this
+    # is another tx, pooled on its own with its own waiter.
     resigned = SignedTransaction(tx.kind, tx.body, other.public_hex,
                                  other.sign(tx.body_bytes()), tx.body_text())
     node.on_message("client", _submit(tx))
     node.on_message("client", _submit(tx))
     node.on_message("client2", _submit(resigned))
-    assert node.submitters[tx.tx_id] == ["client", "client2"]
-    assert node.pool == {tx.tx_id: (tx.wire(), tx)}
+    assert node.submitters == {tx.tx_id: ["client"], resigned.tx_id: ["client2"]}
+    assert node.pool == {tx.tx_id: (tx.wire(), tx), resigned.tx_id: (resigned.wire(), resigned)}
 
 
 def test_a_sync_request_goes_once_per_quorum_height(vc_rig):
