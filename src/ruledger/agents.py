@@ -14,8 +14,10 @@ which the boundary every process shares (see `sim.Process`) checks before a
 handler reads the message.
 
 Each decision is made in one place: a message sent until it is answered
-goes through `Process.resend`, with its waits fixed at the call site; step
-ids come from `RuleDefinition.steps`; a rule's steps call their devices
+goes through `Process.resend`, with its waits fixed at the call site; an
+accepted rule, committed or modified, reaches the platform and the execution
+agent through `UserAgent._submit_rule`; step ids come from
+`RuleDefinition.steps`; a rule's steps call their devices
 through `ExecutionAgent._call_steps`; an event body comes from
 `contracts.event_body`.
 """
@@ -84,16 +86,16 @@ class UserAgent(AgentBase):
         self.exec_agent_addr = exec_agent_addr
         self.export_acked: set[int] = set()  # rules whose latest export the platform acked
 
-    def commit_rule(self, rule: RuleDefinition, usr_rule_id: int,
-                    mode: str = "poll", cb=None) -> str:
-        return self._submit_rule("commit_rule", rule, usr_rule_id, cb, mode)
+    def commit_rule(self, rule: RuleDefinition, usr_rule_id: int, cb=None) -> str:
+        return self._submit_rule("commit_rule", rule, usr_rule_id, cb)
 
     def modify_rule(self, rule: RuleDefinition, usr_rule_id: int, cb=None) -> str:
         return self._submit_rule("modify_rule", rule, usr_rule_id, cb)
 
-    def _submit_rule(self, action, rule, usr_rule_id, cb, mode=None) -> str:
-        """Submit the rule; once accepted, export it and, for a commit (which
-        has a trigger mode), register its trigger."""
+    def _submit_rule(self, action, rule, usr_rule_id, cb) -> str:
+        """Submit the rule; once accepted, a commit and a modify alike, export
+        it to the platform and register it with the execution agent: the one
+        hand-off of a rule."""
         payload = {
             "action": action,
             "usr_rule_id": usr_rule_id,
@@ -104,8 +106,7 @@ class UserAgent(AgentBase):
         def after(receipt):
             if receipt.accepted:
                 self._export_rule(rule)
-                if mode is not None:
-                    self._register_trigger(rule, usr_rule_id, mode)
+                self._register_trigger(rule, usr_rule_id)
             if cb is not None:
                 cb(receipt)
 
@@ -133,20 +134,11 @@ class UserAgent(AgentBase):
         self.resend(lambda: self.send(self.tamock_addr, msg), [1500] * 5,
                     lambda: rule.rule_id in self.export_acked)
 
-    def _register_trigger(self, rule, usr_rule_id, mode) -> None:
+    def _register_trigger(self, rule, usr_rule_id) -> None:
         if self.exec_agent_addr is None:
             return
-        self.send(self.exec_agent_addr, {
-            "type": "register_trigger",
-            "rule": rule.to_dict(),
-            "binding": {
-                "usr_rule_id": usr_rule_id,
-                "usr_id": self.usr_id,
-                "rule_id": rule.rule_id,
-                "rule_name": rule.title,
-            },
-            "mode": mode,
-        })
+        self.send(self.exec_agent_addr, {"type": "register_trigger", "rule": rule.to_dict(),
+                                         "binding": rule.binding(usr_rule_id, self.usr_id)})
 
     def _on_export_ok(self, src, msg):
         self.export_acked.add(msg["rule_id"])
@@ -154,6 +146,12 @@ class UserAgent(AgentBase):
 
 class ExecutionAgent(AgentBase):
     """Runs trigger cycles against devices and executes authorized actions.
+
+    Runs one trigger per rule id, as registered by the rule owner's console
+    (`owner_addr`) alone; a registration from anywhere else is dropped as
+    malformed.  A trigger runs on each poll tick once `start_polling` has
+    marked the agent as polling, and otherwise on each push from one of its
+    trigger devices: a polling agent takes no pushes.
 
     Holds the vendor tokens.  A trigger cycle and an action run call their
     steps' devices through one loop, `_call_steps`, which mints a fresh
@@ -168,8 +166,8 @@ class ExecutionAgent(AgentBase):
 
     MESSAGES = {
         **AgentBase.MESSAGES,
-        "register_trigger": (message("register_trigger", rule=is_rule, binding=_BINDING,
-                                     mode=one_of("poll", "push")), "_on_register_trigger"),
+        "register_trigger": (message("register_trigger", rule=is_rule, binding=_BINDING),
+                             "_on_register_trigger"),
         "device_push": (message("device_push", device_id=is_str), "_on_device_push"),
         "notify_actions": (with_fields(type=one_of("notify_actions"), event_info=EVENT_INFO,
                                        actions=_ACTIONS), "_on_notify_actions"),
@@ -177,17 +175,17 @@ class ExecutionAgent(AgentBase):
         "rpc_result": (RPC_RESULT, "_on_rpc_result"),
     }
 
-    def __init__(self, addr, net, keypair, node_addrs, rng, label="exec",
+    def __init__(self, addr, net, keypair, node_addrs, rng, owner_addr,
                  record_actions=True, ledger_enabled=True, task_agent_addr=None):
         super().__init__(addr, net, keypair, node_addrs)
         self.rng = rng
-        self.label = label
+        self.owner_addr = owner_addr  # the rule owner's console, the one registrar
         self.record_actions = record_actions
         self.ledger_enabled = ledger_enabled
         self.task_agent_addr = task_agent_addr
         self.device_routes: dict[str, tuple[str, str]] = {}  # device -> (gateway, token)
-        self.triggers: list[dict] = []
-        self.minted: set[tuple[str, str]] = set()
+        self.triggers: list[dict] = []  # {rule, binding}, one per rule id
+        self.polling = False  # set by start_polling; a polling agent takes no pushes
         self._eid_counter = 0
         self._seq: dict[int, int] = {}
         self._corr = 0
@@ -212,33 +210,41 @@ class ExecutionAgent(AgentBase):
         """Fresh per-attempt log coordinates: deterministic unique eid plus
         a random log key the device files the checksum under."""
         self._eid_counter += 1
-        eid = sha256_hex(f"eid/{self.label}/{self._eid_counter}".encode())[:32]
-        log_key = self.rng.randbytes(16).hex()
-        self.minted.add((eid, log_key))
-        return eid, log_key
+        return (sha256_hex(f"eid/{self.addr}/{self._eid_counter}".encode())[:32],
+                self.rng.randbytes(16).hex())
 
     def next_seq(self, rule_id: int) -> int:
         self._seq[rule_id] = self._seq.get(rule_id, 0) + 1
         return self._seq[rule_id]
 
     def start_polling(self, duration_ms: int) -> None:
+        self.polling = True
         for k in range(1, duration_ms // POLL_INTERVAL_MS + 1):
             self.net.scheduler.schedule(k * POLL_INTERVAL_MS, self._poll_tick)
 
     def _poll_tick(self) -> None:
         for trig in self.triggers:
-            if trig["mode"] == "poll":
-                self.run_trigger_cycle(trig)
+            self.run_trigger_cycle(trig)
 
     def _on_register_trigger(self, src, msg):
-        # MESSAGES' is_rule has parsed msg["rule"] already.
-        self.triggers.append({"rule": RuleDefinition(**msg["rule"]), "binding": msg["binding"],
-                              "mode": msg["mode"]})
+        if src != self.owner_addr:
+            self.counters["malformed_dropped"] += 1
+            return
+        rule = RuleDefinition(**msg["rule"])  # MESSAGES' is_rule has checked it
+        # A rule id already run keeps its binding, as a modify rewrites only the
+        # ledger's definition, and gets a new entry, not a changed one, so a
+        # cycle in flight finishes under the rule it started with.
+        i = next((i for i, t in enumerate(self.triggers) if t["rule"].rule_id == rule.rule_id),
+                 None)
+        if i is None:
+            self.triggers.append({"rule": rule, "binding": msg["binding"]})
+        else:
+            self.triggers[i] = {"rule": rule, "binding": self.triggers[i]["binding"]}
 
     def _on_device_push(self, src, msg):
         for trig in self.triggers:
             devices = [dev for _op, dev, _c in trig["rule"].trigger_operations]
-            if trig["mode"] == "push" and msg["device_id"] in devices:
+            if not self.polling and msg["device_id"] in devices:
                 self.run_trigger_cycle(trig)
 
     def _on_rpc_result(self, src, msg):

@@ -284,15 +284,8 @@ def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
                 "definition": canonical_bytes(rule).decode("utf-8"),
             },
         )
-        state.insert(
-            tables.USR_RULE,
-            {
-                "usr_rule_id": body["usr_rule_id"],
-                "usr_id": body["usr_id"],
-                "rule_id": rule["rule_id"],
-                "rule_name": rule["title"],
-            },
-        )
+        state.insert(tables.USR_RULE,
+                     RuleDefinition(**rule).binding(body["usr_rule_id"], body["usr_id"]))
     elif action == "modify_rule":
         rule = body["rule"]
         tbl = state.table(tables.RULE)

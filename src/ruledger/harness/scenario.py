@@ -21,6 +21,7 @@ import os
 from importlib import resources
 
 from ..canonical import is_canonical, is_int, is_str, list_of, one_of
+from ..contracts import ROLE_ADMINISTRATOR, ROLE_PERMISSIONS
 from ..devices import DEVICE_KINDS
 from ..ledger.faults import FAULT_KINDS, FaultSpec
 from ..ledger.node import ConfigError, LedgerConfig, replica_count_ok
@@ -29,7 +30,6 @@ from ..sim.network import NetConfig
 from ..tamock import MODE_HONEST
 from ..tamock import MODES as PLATFORM_MODES
 
-ROLES = ("Administrator", "NormalUser")
 TRIGGER_MODES = ("poll", "push")
 
 REQUIRED = object()  # a field with no default
@@ -73,7 +73,7 @@ ADVERSARY = {"mode": (MODE_HONEST, one_of(*PLATFORM_MODES))}
 
 ACCOUNT = {
     "name": (REQUIRED, _name),
-    "role": (REQUIRED, one_of(*ROLES)),
+    "role": (REQUIRED, one_of(*ROLE_PERMISSIONS)),
     "usr_id": (REQUIRED, is_int),
 }
 
@@ -166,7 +166,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".", seed_override=None) -> d
     accounts, devices = doc["accounts"], doc["devices"]
     _require(len({a["name"] for a in accounts}) == len(accounts), "duplicate account names")
     _require(len({a["usr_id"] for a in accounts}) == len(accounts), "duplicate usr_ids")
-    _require(bool(accounts) and accounts[0]["role"] == "Administrator",
+    _require(bool(accounts) and accounts[0]["role"] == ROLE_ADMINISTRATOR,
              "the first account must be an Administrator")
     known = {d["device_id"] for d in devices}
     _require(len(known) == len(devices), "duplicate device ids")

@@ -103,15 +103,6 @@ class World:
             node_addrs, tamock_addr="tamock", channel_token=channel_token,
             ledger_enabled=config["with_ledger"], exec_agent_addr="exec",
         )
-        self.exec_agent = ExecutionAgent(
-            "exec", self.net, KeyPair.from_seed(seed, "acct/exec-agent"),
-            node_addrs, rng=random.Random(derive_seed(seed, "exec/rng")),
-            record_actions=config["record_action_executions"],
-            ledger_enabled=config["with_ledger"], task_agent_addr="task",
-        )
-        for device_id, (gw_addr, token) in device_routes.items():
-            self.exec_agent.add_device_route(device_id, gw_addr, token)
-
         self.user_agents: dict[str, UserAgent] = {}
         for acct in accounts:
             self.user_agents[acct["name"]] = UserAgent(
@@ -120,16 +111,18 @@ class World:
             )
         self.owner = self.user_agents[accounts[0]["name"]]
 
+        self.exec_agent = ExecutionAgent(
+            "exec", self.net, KeyPair.from_seed(seed, "acct/exec-agent"),
+            node_addrs, rng=random.Random(derive_seed(seed, "exec/rng")),
+            owner_addr=self.owner.addr, record_actions=config["record_action_executions"],
+            ledger_enabled=config["with_ledger"], task_agent_addr="task",
+        )
+        for device_id, (gw_addr, token) in device_routes.items():
+            self.exec_agent.add_device_route(device_id, gw_addr, token)
+
         self.rules = [parse_rule(r) for r in config["rules"]]
-        self.bindings = {
-            rule.rule_id: {
-                "usr_rule_id": 101 + i,
-                "usr_id": accounts[0]["usr_id"],
-                "rule_id": rule.rule_id,
-                "rule_name": rule.title,
-            }
-            for i, rule in enumerate(self.rules)
-        }
+        self.bindings = {rule.rule_id: rule.binding(101 + i, self.owner.usr_id)
+                         for i, rule in enumerate(self.rules)}
         self._prepared = False
 
     # ------------------------------------------------------------------
@@ -141,11 +134,8 @@ class World:
         self._prepared = True
         mode = self.config["trigger_mode"]
         for i, rule in enumerate(self.rules):
-            usr_rule_id = self.bindings[rule.rule_id]["usr_rule_id"]
-            self.scheduler.schedule(
-                5 + i,
-                lambda r=rule, u=usr_rule_id: self.owner.commit_rule(r, u, mode=mode),
-            )
+            self.scheduler.schedule(5 + i, lambda r=rule: self.owner.commit_rule(
+                r, self.bindings[r.rule_id]["usr_rule_id"]))
         for spec in self.config["devices"]:
             dev = self.devices[spec["device_id"]]
             if mode == "push":

@@ -1,8 +1,12 @@
-"""Rule definitions, validation, and the one numbering of a rule's steps.
+"""Rule definitions, the one check of the rule format, and the one numbering
+of a rule's steps.
 
 A rule file is a single JSON object (schema 1) naming trigger and action
 operations from a fixed catalog, each bound to a device and tagged with a
-combinator.  `RuleDefinition.steps` numbers its operations: trigger
+combinator.  `rule_fault` is the one check of that format: the parser, the
+ledger's rule contract and the execution agent's message table all ask it.
+`RuleDefinition.binding` is the one statement of the row binding a rule to
+its owner.  `RuleDefinition.steps` numbers its operations: trigger
 operations take steps 0..T-1 and action operations continue from step T,
 which is the order the ledger's step-chaining check expects.  The contracts
 and the execution agent read step ids from it alone.
@@ -14,8 +18,8 @@ rule that wants other bounds states them in a comparator condition.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import copy
+from dataclasses import asdict, dataclass, field, fields
 
 # canonical_bytes is unused here but stays importable: perfbench/tracer.py patches it.
 from .canonical import canonical_bytes, is_int, is_str, object_of, one_of  # noqa: F401
@@ -97,14 +101,13 @@ class RuleDefinition:
     action_operations: list[list[str]]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "title": self.title,
-            "rule_id": self.rule_id,
-            "trigger_operations": [list(t) for t in self.trigger_operations],
-            "condition": self.condition,
-            "action_operations": [list(t) for t in self.action_operations],
-        }
+        return asdict(self)
+
+    def binding(self, usr_rule_id: int, usr_id: int) -> dict:
+        """The row that binds this rule to its owner: the ledger's USR_RULE row
+        and the first four fields of each event_info of the rule."""
+        return {"usr_rule_id": usr_rule_id, "usr_id": usr_id,
+                "rule_id": self.rule_id, "rule_name": self.title}
 
     def steps(self, kind: str) -> list[dict]:
         """The "trigger" or "action" operations as {step_id, op_name,
@@ -119,89 +122,64 @@ class RuleDefinition:
 
 _COMPARATOR_CONDITION = object_of(cmp=one_of(*_COMPARATORS), field=is_str, value=is_int)
 
-_REQUIRED_KEYS = {
-    "schema",
-    "title",
-    "rule_id",
-    "trigger_operations",
-    "condition",
-    "action_operations",
-}
 
-
-def _check_ops(entries, expected_kind: str, known_devices) -> None:
-    if not isinstance(entries, list) or not entries:
-        raise RuleError("UnsupportedSchema", f"{expected_kind}_operations must be a non-empty list")
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise RuleError(
-                "UnsupportedSchema", f"operation entry must be [op, device, combinator]: {entry!r}"
-            )
-        op_name, device_id, comb = entry
-        op = CATALOG.get(op_name) if is_str(op_name) else None
-        if op is None or op.kind != expected_kind:
-            raise RuleError("UnknownOp", f"no {expected_kind} operation named {op_name!r}")
-        if not isinstance(device_id, str) or not device_id:
-            raise RuleError("UnboundDevice", f"bad device id {device_id!r}")
-        if known_devices is not None and device_id not in known_devices:
-            raise RuleError("UnboundDevice", f"device {device_id!r} is not registered")
-        if comb not in COMBINATORS:
-            raise RuleError("BadCombinator", f"unknown combinator {comb!r}")
-
-
-def parse_rule(data, known_devices=None) -> RuleDefinition:
-    """Parse and validate a rule from JSON bytes/str or an already-loaded dict."""
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise RuleError("UnsupportedSchema", f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise RuleError("UnsupportedSchema", "rule must be a JSON object")
-    if set(data) != _REQUIRED_KEYS:
-        missing = _REQUIRED_KEYS - set(data)
-        extra = set(data) - _REQUIRED_KEYS
-        raise RuleError(
-            "UnsupportedSchema", f"bad keys (missing={sorted(missing)}, extra={sorted(extra)})"
-        )
+def rule_fault(data, known_devices=None) -> tuple[str, str] | None:
+    """The first fault of `data` as a rule, as (code, message), or None if it
+    is one.  This is the one check of the rule format: `parse_rule` raises
+    the fault as a RuleError and `is_rule` tests for it.  With known_devices,
+    each operation's device must be one of them."""
+    if type(data) is not dict:
+        return "UnsupportedSchema", "rule must be a JSON object"
+    keys = {f.name for f in fields(RuleDefinition)}
+    if set(data) != keys:
+        return ("UnsupportedSchema", f"bad keys (missing={sorted(keys - set(data))}, "
+                                     f"extra={sorted(set(data) - keys)})")
     if data["schema"] != 1 or not is_int(data["schema"]):
-        raise RuleError("UnsupportedSchema", f"unsupported schema {data['schema']!r}")
+        return "UnsupportedSchema", f"unsupported schema {data['schema']!r}"
     if not is_str(data["title"]) or not data["title"]:
-        raise RuleError("UnsupportedSchema", "title must be a non-empty string")
+        return "UnsupportedSchema", "title must be a non-empty string"
     if not is_int(data["rule_id"]) or data["rule_id"] < 0:
-        raise RuleError("UnsupportedSchema", "rule_id must be a non-negative integer")
-
-    _check_ops(data["trigger_operations"], "trigger", known_devices)
-    _check_ops(data["action_operations"], "action", known_devices)
-
+        return "UnsupportedSchema", "rule_id must be a non-negative integer"
+    for kind, entries in (("trigger", data["trigger_operations"]),
+                          ("action", data["action_operations"])):
+        if not isinstance(entries, list) or not entries:
+            return "UnsupportedSchema", f"{kind}_operations must be a non-empty list"
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 3:
+                return ("UnsupportedSchema",
+                        f"operation entry must be [op, device, combinator]: {entry!r}")
+            op_name, device_id, comb = entry
+            op = CATALOG.get(op_name) if is_str(op_name) else None
+            if op is None or op.kind != kind:
+                return "UnknownOp", f"no {kind} operation named {op_name!r}"
+            if not isinstance(device_id, str) or not device_id:
+                return "UnboundDevice", f"bad device id {device_id!r}"
+            if known_devices is not None and device_id not in known_devices:
+                return "UnboundDevice", f"device {device_id!r} is not registered"
+            if comb not in COMBINATORS:
+                return "BadCombinator", f"unknown combinator {comb!r}"
     cond = data["condition"]
     if cond != CONDITION_IF_TRUE:
         if not _COMPARATOR_CONDITION(cond):
-            raise RuleError("UnsupportedSchema", f"bad condition {cond!r}")
+            return "UnsupportedSchema", f"bad condition {cond!r}"
         if len(data["trigger_operations"]) != 1:
-            raise RuleError(
-                "UnsupportedSchema", "comparator conditions require exactly one trigger operation"
-            )
+            return ("UnsupportedSchema",
+                    "comparator conditions require exactly one trigger operation")
         if CATALOG[data["trigger_operations"][0][0]].fields.get(cond["field"]) is not is_int:
-            raise RuleError("UnsupportedSchema", f"no integer field {cond['field']!r} to compare")
+            return "UnsupportedSchema", f"no integer field {cond['field']!r} to compare"
+    return None
 
-    return RuleDefinition(
-        schema=1,
-        title=data["title"],
-        rule_id=data["rule_id"],
-        trigger_operations=[list(t) for t in data["trigger_operations"]],
-        condition=cond,
-        action_operations=[list(t) for t in data["action_operations"]],
-    )
+
+def parse_rule(data: dict, known_devices=None) -> RuleDefinition:
+    """The rule a JSON object states; raises RuleError with its first fault."""
+    if (fault := rule_fault(data, known_devices)) is not None:
+        raise RuleError(*fault)
+    return RuleDefinition(**copy.deepcopy(data))
 
 
 def is_rule(v) -> bool:
     """A JSON object the rule-file parser accepts."""
-    try:
-        parse_rule(v if type(v) is dict else None)
-    except RuleError:
-        return False
-    return True
+    return rule_fault(v) is None
 
 
 def eval_combinator(results: list[bool], combinators: list[str]) -> bool:

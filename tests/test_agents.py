@@ -60,7 +60,7 @@ def test_quorum_gate_need_one_is_immediate():
     assert not gate.offer("k", "b")
 
 
-def _rig(seed=3, **exec_kwargs):
+def _rig(seed=3, addr="exec", **exec_kwargs):
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(seed))
     log = devices.LogService()
@@ -73,8 +73,8 @@ def _rig(seed=3, **exec_kwargs):
     hub = devices.Device("dev/h", net, "hub-1", "presence", "vend", log,
                          initial={"presence": "home"})
     agent = agents.ExecutionAgent(
-        "exec", net, KeyPair.from_seed(1, "acct/exec"),
-        [n.addr for n in nodes], random.Random(seed + 1), **exec_kwargs)
+        addr, net, KeyPair.from_seed(1, "acct/exec"),
+        [n.addr for n in nodes], random.Random(seed + 1), owner_addr="user", **exec_kwargs)
     for dev in (watch, lock, hub):
         agent.add_device_route(dev.device_id, gw.addr, gw.register_device(dev))
     return SimpleNamespace(sched=sched, net=net, log=log, nodes=nodes,
@@ -86,16 +86,19 @@ def test_gen_log_key_mints_unique_tracked_pairs():
     pairs = [rig.agent.gen_log_key() for _ in range(200)]
     assert len(set(pairs)) == 200
     assert all(len(e) == 32 and len(k) == 32 for e, k in pairs)
-    assert set(pairs) == rig.agent.minted
-    # eids are a deterministic label sequence, keys come from the agent rng
+    # eids are a deterministic sequence under the agent's address, keys come from its rng
     assert pairs[0][0] == sha256_hex(b"eid/exec/1")[:32]
     assert pairs[0][1] == random.Random(4).randbytes(16).hex()
 
 
-def test_gen_log_key_differs_across_labels():
+def test_gen_log_key_differs_across_addresses():
     a = _rig(seed=3).agent
-    b = _rig(seed=3, label="exec2").agent
+    b = _rig(seed=3, addr="exec2").agent
     assert a.gen_log_key()[0] != b.gen_log_key()[0]
+
+
+def _register(rule, binding=BINDING):
+    return {"type": "register_trigger", "rule": rule, "binding": binding}
 
 
 NOTIFY_ACTIONS = [{"step_id": 1, "op_name": "open_door_operation", "device_id": "lock-1"}]
@@ -195,7 +198,7 @@ def test_completed_actions_are_recorded_back_to_the_ledger():
     assert body["result_status"] == 1
     assert body["task_ref"] == event_info()["event_seq"]
     assert body["event_log"]["log_sum"] == checksum({"lock": "unlocked"})
-    assert (body["event_log"]["eid"], body["event_log"]["log_key"]) in rig.agent.minted
+    assert body["event_log"]["eid"] == sha256_hex(b"eid/exec/1")[:32]  # the agent's first eid
     assert rig.log.query_checksum(body["event_log"]["eid"],
                                   body["event_log"]["log_key"]) == body["event_log"]["log_sum"]
 
@@ -237,8 +240,7 @@ def test_every_action_runs_in_step_order_after_a_failed_one():
 
 def test_gateway_results_without_a_fitting_payload_fail_the_step():
     rig = _rig()
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     for result in ({"ok": True}, {"ok": True, "payload": {"heart_rate": "190"}}):
         rig.agent.run_trigger_cycle(rig.agent.triggers[0])
         rig.agent.on_message("gw", {"type": "rpc_result", "corr": rig.agent._corr, **result})
@@ -255,8 +257,7 @@ def test_gateway_results_without_a_fitting_payload_fail_the_step():
 def test_a_device_result_counts_only_from_the_gateway_that_was_called():
     rig = _rig()
     rig.watch.state["heart_rate"] = 72
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.agent.on_message("node0", {"type": "rpc_result", "corr": rig.agent._corr, "ok": True,
                                    "payload": {"heart_rate": 250}})
@@ -278,8 +279,7 @@ def test_direct_commands_refused_while_ledger_is_on():
 
 def test_direct_commands_honored_in_bypass_mode():
     rig = _rig(ledger_enabled=False)
-    rig.agent.on_message("task", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
     rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
     rig.sched.run()
@@ -290,8 +290,7 @@ def test_direct_commands_honored_in_bypass_mode():
 
 def test_trigger_cycle_submits_event_with_logged_checksum():
     rig = _rig()
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
@@ -309,8 +308,7 @@ def test_trigger_cycle_submits_event_with_logged_checksum():
 def test_quiet_reading_submits_nothing():
     rig = _rig()
     rig.watch.state["heart_rate"] = 72
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
@@ -321,8 +319,7 @@ def test_quiet_reading_submits_nothing():
 def test_offline_device_aborts_the_cycle():
     rig = _rig()
     rig.watch.online = False
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles_aborted"] == 1
@@ -335,13 +332,12 @@ def test_a_cycle_stops_at_its_first_unreachable_trigger_step():
     rig.watch.online = False
     rule = dict(hr_rule(), trigger_operations=[["alert_on_heart_rate", "watch-1", "OP_AND"],
                                                ["check_presence_operation", "hub-1", "OP_AND"]])
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": rule,
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(rule))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles_aborted"] == 1
     assert rig.agent.counters["device_unreachable"] == 1
-    assert len(rig.agent.minted) == 1  # the hub's step never got log coordinates
+    assert rig.agent._eid_counter == 1  # the hub's step never got log coordinates
     assert len(rig.log) == 0  # a hub read would have been logged
     assert rig.agent.counters["events_submitted"] == 0
     assert rig.agent._pending_rpc == {}
@@ -349,36 +345,74 @@ def test_a_cycle_stops_at_its_first_unreachable_trigger_step():
 
 def test_push_trigger_reacts_only_to_its_devices():
     rig = _rig()
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "push"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
     rig.agent.on_message("dev", {"type": "device_push", "device_id": "thermo-9"})
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
 
-    # A poll-mode registration ignores pushes entirely.
+    # A polling agent ignores pushes entirely: its cycles are its two polls.
     quiet = _rig()
-    quiet.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                    "binding": BINDING, "mode": "poll"})
+    quiet.agent.on_message("user", _register(hr_rule()))
+    quiet.agent.start_polling(1000)
     quiet.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
     quiet.sched.run(until=2000)
-    assert quiet.agent.counters["cycles"] == 0
+    assert quiet.agent.counters["cycles"] == 2
 
 
 def test_polling_schedule_covers_the_duration():
     rig = _rig()
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.start_polling(2000)
     rig.sched.run(until=3000)
     assert rig.agent.counters["cycles"] == 4
 
 
+def test_a_registration_counts_only_from_the_owners_console():
+    rig = _rig()
+    quiet = dict(hr_rule(), condition={"cmp": "ge", "field": "heart_rate", "value": 0})
+    for src in ("mallory", "task", "node0", "exec"):
+        rig.agent.on_message(src, _register(quiet))
+    assert rig.agent.triggers == []
+    assert rig.agent.counters["malformed_dropped"] == 4
+
+    rig.agent.on_message("user", _register(hr_rule()))
+    rig.agent.on_message("mallory", _register(quiet))  # cannot rewrite the owner's rule
+    assert [t["rule"].to_dict() for t in rig.agent.triggers] == [hr_rule()]
+    assert rig.agent.counters["malformed_dropped"] == 5
+
+
+def test_a_second_registration_replaces_the_rule_and_keeps_the_binding():
+    rig = _rig()
+    rig.agent.on_message("user", _register(hr_rule()))
+    first = rig.agent.triggers[0]
+    rig.agent.run_trigger_cycle(first)  # in flight: the watch has not answered yet
+
+    # The modified rule fires at 200 bpm or more, so the watch's 190 no longer does.
+    modified = dict(hr_rule(title="renamed"),
+                    condition={"cmp": "ge", "field": "heart_rate", "value": 200})
+    rig.agent.on_message("user", _register(modified, dict(BINDING, usr_rule_id=202,
+                                                          rule_name="renamed")))
+    assert len(rig.agent.triggers) == 1
+    assert rig.agent.triggers[0]["rule"].to_dict() == modified
+    assert rig.agent.triggers[0]["binding"] == BINDING  # the ledger keeps the committed title
+    assert first["rule"].to_dict() == hr_rule()  # replaced, not changed
+
+    rig.sched.run(until=2000)  # the cycle in flight finishes under the rule it began with
+    assert rig.agent.counters["events_submitted"] == 1
+    body = SignedTransaction.from_wire(_submitted(rig)[0]["tx"]).body
+    assert body["event_info"] == dict(BINDING, step_id=0, event_seq=1)
+
+    rig.agent.run_trigger_cycle(rig.agent.triggers[0])
+    rig.sched.run(until=4000)
+    assert rig.agent.counters["cycles"] == 2
+    assert rig.agent.counters["events_submitted"] == 1  # 190 bpm is quiet for the new rule
+
+
 def test_bypass_cycle_routes_final_step_to_task_agent():
     rig = _rig(ledger_enabled=False, task_agent_addr="task")
     task = Sink("task", rig.net)
-    rig.agent.on_message("user", {"type": "register_trigger", "rule": hr_rule(),
-                                  "binding": BINDING, "mode": "poll"})
+    rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.sched.run(until=2000)
     assert rig.agent.counters["events_submitted"] == 0

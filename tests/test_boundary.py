@@ -31,7 +31,7 @@ _HANDLED = sorted({(type(p).__name__, kind) for p in _PROCESSES.values() for kin
 _FIELDS = {
     "receipt": ("tx_id", "accepted", "code", "height"),
     "export_ok": ("rule_id",),
-    "register_trigger": ("rule", "binding", "mode"),
+    "register_trigger": ("rule", "binding"),
     "device_push": ("device_id",),
     "notify_actions": ("event_info", "actions", "height"),
     "exec_direct": ("event_info",),
@@ -86,7 +86,6 @@ _payload = st.fixed_dictionaries({}, optional={
 _TYPED = {
     "tx_id": _text, "accepted": st.booleans(), "code": st.none() | _text,
     "height": _small, "rule_id": _small, "rule": _rule, "binding": st.just(BINDING),
-    "mode": st.sampled_from(["poll", "push"]),
     "device_id": st.sampled_from(sorted(_WORLD.devices) + ["watch-9"]),
     "event_info": _info,
     "actions": st.lists(st.fixed_dictionaries({

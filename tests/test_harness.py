@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
 from ruledger import contracts
 from ruledger import keys as keys_mod
-from ruledger.canonical import canonical_bytes
+from ruledger.canonical import canonical_bytes, derive_seed, sha256_hex
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
 from ruledger.harness.scenario import load_scenario, scenario_from_dict
@@ -25,6 +26,7 @@ from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError
 from ruledger.ledger.tx import SignedTransaction, text_id
 from ruledger.rules import RuleError, parse_rule
+from ruledger.sim.network import Process
 
 
 def _scenario(**overrides):
@@ -216,7 +218,12 @@ def test_different_seed_changes_timings_not_outcomes(poll_run):
 
 def test_log_entries_all_came_from_the_exec_agent(poll_run):
     _, world = poll_run
-    assert set(world.log._entries) <= world.exec_agent.minted
+    # The agent's (eid, log_key) pairs: eids count up under its address, and
+    # log keys are the successive draws of its rng.
+    rng = random.Random(derive_seed(world.config["seed"], "exec/rng"))
+    minted = {(sha256_hex(f"eid/exec/{k}".encode())[:32], rng.randbytes(16).hex())
+              for k in range(1, world.exec_agent._eid_counter + 1)}
+    assert world.log._entries and set(world.log._entries) <= minted
 
 
 def test_private_key_material_never_leaks_into_outputs(poll_run, tmp_path):
@@ -582,6 +589,43 @@ def test_a_committed_rule_on_an_unroutable_device_cannot_crash_the_run():
     assert report["ledger"]["consistent"] and report["execution"]["cycles_aborted"] > 0
 
 
+@pytest.mark.parametrize("seed", [42, 7, 1])
+def test_a_modified_rule_takes_effect_at_the_execution_agent(seed):
+    # Modified at 500 ms to fire at 100 bpm or more: of the three alerts
+    # (30, 190 and 25 bpm) only the 190 bpm one opens the lock.
+    world = World(cli._load("heart_rate", seed))
+    raw = dict(world.rules[0].to_dict(),
+               condition={"cmp": "ge", "field": "heart_rate", "value": 100})
+    receipts = []
+    report = world.run(hook=lambda w: w.scheduler.schedule(
+        500, lambda: w.owner.modify_rule(parse_rule(raw), 101, receipts.append)))
+    assert [r.accepted for r in receipts] == [True]
+    assert report["devices"]["lock-1"]["actions_executed"] == 1
+    assert [t["rule"].to_dict() for t in world.exec_agent.triggers] == [raw]
+    assert world.exec_agent.triggers[0]["binding"] == world.bindings[1]
+    assert report["ledger"]["consistent"] and report["ledger"]["verdicts"]["rejected"] == {}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_only_the_rule_owners_console_registers_a_trigger(seed, monkeypatch):
+    # An outside process replays the console's registration of rule 1 with a
+    # condition every reading meets; the agent must go on running the rule
+    # the owner committed.
+    watched = watch_deliveries(monkeypatch)
+    world = World(cli._load("heart_rate", seed))
+    outsider = Process("outsider", world.net)
+
+    def forge():
+        honest = next(msg for dst, msg, _ in watched if msg["type"] == "register_trigger")
+        rule = dict(honest["rule"], condition={"cmp": "ge", "field": "heart_rate", "value": 0})
+        outsider.send("exec", {**honest, "rule": rule})
+
+    report = world.run(hook=lambda w: w.scheduler.schedule(400, forge))
+    assert report["devices"]["lock-1"]["actions_executed"] == 3  # one per alert, as honest
+    assert report["execution"]["malformed_dropped"] == 1
+    assert [t["rule"] for t in world.exec_agent.triggers] == world.rules
+
+
 def test_report_schema_rejects_broken_reports(poll_run):
     report, _ = poll_run
     broken = json.loads(report_bytes(report))
@@ -655,6 +699,35 @@ def test_cli_run_names_a_bad_scenario_field_and_exits_two(tmp_path, capsys):
     scenario_path.write_text(json.dumps(_scenario(drain_ms="x")))
     assert cli.main(["run", str(scenario_path)]) == 2
     assert "drain_ms" in capsys.readouterr().err
+
+
+def test_cli_run_reads_a_rule_file_next_to_the_scenario(poll_run, tmp_path, monkeypatch):
+    # Run from the parent directory, which holds a rule.json that the scenario
+    # loader would refuse: the scenario's own directory is the one searched.
+    report, _ = poll_run
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "rule.json").write_text(json.dumps(hr_rule()))
+    (tmp_path / "rule.json").write_text(json.dumps(hr_rule(watch="watch-9")))
+    (sub / "mini.json").write_text(json.dumps(_scenario(rules=["rule.json"])))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", os.path.join("sub", "mini.json"), "--out", "out"]) == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == report_bytes(report)
+
+
+@pytest.mark.parametrize("text,named", [
+    (None, "rule.json"),  # no such file
+    ("{not json", "rule.json"),
+    (json.dumps(hr_rule(watch="watch-9")), "UnboundDevice"),
+    (json.dumps(dict(hr_rule(), condition="IF_FALSE")), "UnsupportedSchema"),
+])
+def test_cli_run_refuses_a_bad_rule_file_and_exits_two(text, named, tmp_path, capsys):
+    if text is not None:
+        (tmp_path / "rule.json").write_text(text)
+    scenario_path = tmp_path / "mini.json"
+    scenario_path.write_text(json.dumps(_scenario(rules=["rule.json"])))
+    assert cli.main(["run", str(scenario_path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):

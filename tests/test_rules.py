@@ -1,23 +1,22 @@
 """Rule parsing, step numbering, and combinator folding."""
 
 import itertools
-import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import action_tx, event_info, event_tx, hr_rule, rule_commit_tx
 from ruledger import contracts, rules
-from ruledger.canonical import canonical_bytes
+from ruledger.canonical import canonical_bytes, is_int, is_str
 from ruledger.keys import KeyPair
 from ruledger.ledger import tables
+from ruledger.rules import (_COMPARATOR_CONDITION, CATALOG, COMBINATORS, CONDITION_IF_TRUE,
+                            RuleDefinition, RuleError)
 
 
-def test_parse_accepts_dict_str_and_bytes():
+def test_parse_accepts_a_dict():
     raw = hr_rule()
-    for form in (raw, json.dumps(raw), json.dumps(raw).encode()):
-        parsed = rules.parse_rule(form)
-        assert parsed.to_dict() == raw
+    assert rules.parse_rule(raw).to_dict() == raw
 
 
 def test_serialize_round_trips_to_canonical_bytes():
@@ -246,3 +245,143 @@ def test_the_contracts_number_steps_as_the_rule_does(raw):
     assert out == rule.steps("action")
     assert state.table(tables.ACTION).rows == [
         {"rule_id": raw["rule_id"], "task_id": info["event_seq"], **step} for step in out]
+
+
+# ---------------------------------------------------------------------------
+# the one format check against the parser it replaced
+
+_REF_KEYS = {"schema", "title", "rule_id", "trigger_operations", "condition",
+             "action_operations"}
+
+
+def _ref_check_ops(entries, expected_kind: str, known_devices) -> None:
+    if not isinstance(entries, list) or not entries:
+        raise RuleError("UnsupportedSchema", f"{expected_kind}_operations must be a non-empty list")
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise RuleError(
+                "UnsupportedSchema", f"operation entry must be [op, device, combinator]: {entry!r}"
+            )
+        op_name, device_id, comb = entry
+        op = CATALOG.get(op_name) if is_str(op_name) else None
+        if op is None or op.kind != expected_kind:
+            raise RuleError("UnknownOp", f"no {expected_kind} operation named {op_name!r}")
+        if not isinstance(device_id, str) or not device_id:
+            raise RuleError("UnboundDevice", f"bad device id {device_id!r}")
+        if known_devices is not None and device_id not in known_devices:
+            raise RuleError("UnboundDevice", f"device {device_id!r} is not registered")
+        if comb not in COMBINATORS:
+            raise RuleError("BadCombinator", f"unknown combinator {comb!r}")
+
+
+def _ref_parse_rule(data, known_devices=None) -> RuleDefinition:
+    """The rule parser as it stood before `rules.rule_fault`, less its JSON-text
+    input, which is gone."""
+    if not isinstance(data, dict):
+        raise RuleError("UnsupportedSchema", "rule must be a JSON object")
+    if set(data) != _REF_KEYS:
+        missing = _REF_KEYS - set(data)
+        extra = set(data) - _REF_KEYS
+        raise RuleError(
+            "UnsupportedSchema", f"bad keys (missing={sorted(missing)}, extra={sorted(extra)})"
+        )
+    if data["schema"] != 1 or not is_int(data["schema"]):
+        raise RuleError("UnsupportedSchema", f"unsupported schema {data['schema']!r}")
+    if not is_str(data["title"]) or not data["title"]:
+        raise RuleError("UnsupportedSchema", "title must be a non-empty string")
+    if not is_int(data["rule_id"]) or data["rule_id"] < 0:
+        raise RuleError("UnsupportedSchema", "rule_id must be a non-negative integer")
+
+    _ref_check_ops(data["trigger_operations"], "trigger", known_devices)
+    _ref_check_ops(data["action_operations"], "action", known_devices)
+
+    cond = data["condition"]
+    if cond != CONDITION_IF_TRUE:
+        if not _COMPARATOR_CONDITION(cond):
+            raise RuleError("UnsupportedSchema", f"bad condition {cond!r}")
+        if len(data["trigger_operations"]) != 1:
+            raise RuleError(
+                "UnsupportedSchema", "comparator conditions require exactly one trigger operation"
+            )
+        if CATALOG[data["trigger_operations"][0][0]].fields.get(cond["field"]) is not is_int:
+            raise RuleError("UnsupportedSchema", f"no integer field {cond['field']!r} to compare")
+
+    return RuleDefinition(
+        schema=1,
+        title=data["title"],
+        rule_id=data["rule_id"],
+        trigger_operations=[list(t) for t in data["trigger_operations"]],
+        condition=cond,
+        action_operations=[list(t) for t in data["action_operations"]],
+    )
+
+
+_JUNK = st.sampled_from([
+    None, True, 0, 1, 2, -1, 2**64, 1.0, "", "x", "IF_TRUE", "OP_AND", "watch-1",
+    "alert_on_heart_rate", [], {}, [1], [["open_door_operation", "lock-1", "OP_AND"]],
+    [["alert_on_heart_rate", "watch-1"]],
+    {"cmp": "ge", "field": "heart_rate", "value": 100},
+])
+
+
+def _ops(names):
+    """Operation lists whose entries now and then hold a wrong value in any of
+    their places, so that one entry may hold several faults."""
+    entry = st.tuples(
+        st.sampled_from(names * 8 + ["open_door_operation", "sense_aura", 5]),
+        st.sampled_from(["watch-1", "lock-1", "hub-1"] * 4 + ["thermo-9", "", 5]),
+        st.sampled_from(["OP_AND", "OP_OR"] * 6 + ["OP_XOR", None]),
+    ).map(list)
+    return st.lists(entry, min_size=1, max_size=3)
+
+
+# A rule whose every field is most often well-formed.
+_drafts = st.fixed_dictionaries({
+    "schema": st.just(1),
+    "title": st.sampled_from(["t"] * 6 + [""]),
+    "rule_id": st.sampled_from([7] * 6 + [-1]),
+    "trigger_operations": _ops(_TRIGGERS),
+    "condition": st.just("IF_TRUE") | st.fixed_dictionaries({
+        "cmp": st.sampled_from(["le", "lt", "ge", "gt", "eq"] * 2 + ["ne"]),
+        "field": st.sampled_from(["heart_rate"] * 4 + ["presence", "x"]),
+        "value": st.integers(-1, 250) | _JUNK,
+    }, optional={"extra": st.just(1)}),
+    "action_operations": _ops(_ACTIONS),
+})
+
+
+@st.composite
+def _faulty_rules(draw):
+    """A draft with up to three more faults set into it, or none: a field
+    replaced, or a key dropped or added."""
+    raw = draw(_drafts)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        key = draw(st.sampled_from(sorted(_REF_KEYS)))
+        how = draw(st.sampled_from(["field"] * 4 + ["drop", "add"]))
+        if how == "field":
+            raw[key] = draw(_JUNK)
+        elif how == "drop":
+            raw.pop(key, None)
+        else:
+            raw[draw(st.sampled_from(["surprise", "mode"]))] = draw(_JUNK)
+    return raw
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=_faulty_rules() | _JUNK,
+       known=st.none() | st.sets(st.sampled_from(["watch-1", "lock-1", "hub-1"])))
+def test_the_format_check_agrees_with_the_parser_it_replaced(data, known):
+    for devices in (known, None):
+        try:
+            expected = _ref_parse_rule(data, devices)
+        except RuleError as exc:
+            expected = exc
+        fault = rules.rule_fault(data, devices)
+        if isinstance(expected, RuleError):
+            assert fault is not None and f"{fault[0]}: {fault[1]}" == str(expected)
+            with pytest.raises(RuleError) as exc:
+                rules.parse_rule(data, devices)
+            assert str(exc.value) == str(expected) and exc.value.code == expected.code
+        else:
+            assert fault is None and rules.parse_rule(data, devices) == expected
+    assert rules.is_rule(data) == (fault is None)  # the last pass ran without devices
