@@ -11,7 +11,9 @@ event, named by its (rule_id, event_seq), is then acted on at most once
 (`AgentBase._first`).
 Each agent declares the shape of every message it handles in `MESSAGES`,
 which the boundary every process shares (see `sim.Process`) checks before a
-handler reads the message.
+handler reads the message.  A message that only one party sends, such as an
+ack, a device push or a bypass hand-off, counts only from that party
+(`Process.sender_is`); from anyone else it is dropped as malformed.
 
 Each decision is made in one place: a message sent until it is answered
 goes through `Process.resend`, with its waits fixed at the call site; an
@@ -141,17 +143,18 @@ class UserAgent(AgentBase):
                                          "binding": rule.binding(usr_rule_id, self.usr_id)})
 
     def _on_export_ok(self, src, msg):
-        self.export_acked.add(msg["rule_id"])
+        if self.sender_is(src, self.tamock_addr):
+            self.export_acked.add(msg["rule_id"])
 
 
 class ExecutionAgent(AgentBase):
     """Runs trigger cycles against devices and executes authorized actions.
 
     Runs one trigger per rule id, as registered by the rule owner's console
-    (`owner_addr`) alone; a registration from anywhere else is dropped as
-    malformed.  A trigger runs on each poll tick once `start_polling` has
-    marked the agent as polling, and otherwise on each push from one of its
-    trigger devices: a polling agent takes no pushes.
+    (`owner_addr`) alone.  A trigger runs on each poll tick once
+    `start_polling` has marked the agent as polling, and otherwise on each
+    push from one of its trigger devices, sent by that device itself: a
+    polling agent takes no pushes.
 
     Holds the vendor tokens.  A trigger cycle and an action run call their
     steps' devices through one loop, `_call_steps`, which mints a fresh
@@ -160,8 +163,8 @@ class ExecutionAgent(AgentBase):
     at its first step without a usable payload; an action run goes on
     through every action and records each one.  Action commands are only
     honored when they arrive as ledger notifications from f + 1 nodes;
-    direct commands are refused unless the ledger is disabled for a
-    baseline measurement.
+    direct commands, from the task agent alone, are refused unless the
+    ledger is disabled for a baseline measurement.
     """
 
     MESSAGES = {
@@ -184,6 +187,7 @@ class ExecutionAgent(AgentBase):
         self.ledger_enabled = ledger_enabled
         self.task_agent_addr = task_agent_addr
         self.device_routes: dict[str, tuple[str, str]] = {}  # device -> (gateway, token)
+        self.device_addrs: dict[str, str] = {}  # device -> its address, its pushes' one sender
         self.triggers: list[dict] = []  # {rule, binding}, one per rule id
         self.polling = False  # set by start_polling; a polling agent takes no pushes
         self._eid_counter = 0
@@ -203,8 +207,10 @@ class ExecutionAgent(AgentBase):
             "refused_direct": 0,
         })
 
-    def add_device_route(self, device_id: str, gateway_addr: str, token: str) -> None:
+    def add_device_route(self, device_id: str, gateway_addr: str, token: str,
+                         device_addr: str) -> None:
         self.device_routes[device_id] = (gateway_addr, token)
+        self.device_addrs[device_id] = device_addr
 
     def gen_log_key(self) -> tuple[str, str]:
         """Fresh per-attempt log coordinates: deterministic unique eid plus
@@ -227,8 +233,7 @@ class ExecutionAgent(AgentBase):
             self.run_trigger_cycle(trig)
 
     def _on_register_trigger(self, src, msg):
-        if src != self.owner_addr:
-            self.counters["malformed_dropped"] += 1
+        if not self.sender_is(src, self.owner_addr):
             return
         rule = RuleDefinition(**msg["rule"])  # MESSAGES' is_rule has checked it
         # A rule id already run keeps its binding, as a modify rewrites only the
@@ -242,6 +247,8 @@ class ExecutionAgent(AgentBase):
             self.triggers[i] = {"rule": rule, "binding": self.triggers[i]["binding"]}
 
     def _on_device_push(self, src, msg):
+        if not self.sender_is(src, self.device_addrs.get(msg["device_id"])):
+            return
         for trig in self.triggers:
             devices = [dev for _op, dev, _c in trig["rule"].trigger_operations]
             if not self.polling and msg["device_id"] in devices:
@@ -300,6 +307,8 @@ class ExecutionAgent(AgentBase):
             self._exec_actions(info, actions)
 
     def _on_exec_direct(self, src, msg) -> None:
+        if not self.sender_is(src, self.task_agent_addr):
+            return
         if self.ledger_enabled:
             self.counters["refused_direct"] += 1
             return
@@ -408,7 +417,8 @@ class TaskAgent(AgentBase):
         })
 
     def _on_trigger_ack(self, src, msg) -> None:
-        self.pending_acks.discard(msg["req_id"])
+        if self.sender_is(src, self.tamock_addr):
+            self.pending_acks.discard(msg["req_id"])
 
     def _on_notify_event(self, src, msg) -> None:
         info, cid = msg["event_info"], msg["cid"]
@@ -417,7 +427,9 @@ class TaskAgent(AgentBase):
             self._send_trigger_request(info, cid)
 
     def _on_bypass_event(self, src, msg) -> None:
-        if self._first(msg["event_info"]):
+        if self.ledger_enabled or src != self.exec_agent_addr:
+            self.counters["malformed_dropped"] += 1
+        elif self._first(msg["event_info"]):
             self._send_trigger_request(msg["event_info"], "")
 
     def _send_trigger_request(self, info, cid) -> None:

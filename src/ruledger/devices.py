@@ -81,6 +81,9 @@ class LogService:
 class Device(Process):
     """One simulated device endpoint behind a vendor gateway.
 
+    It takes calls from that gateway alone, which `Gateway.register_device`
+    records; a call from anyone else would skip the gateway's token check.
+
     State changes come either from a scenario timeline (scheduled patches)
     or from action APIs.  `history` records every state transition with its
     sim timestamp; tests read it, run reports do not.
@@ -103,6 +106,7 @@ class Device(Process):
         self.history: list[tuple[int, dict]] = [(0, dict(self.state))]
         self.actions_executed = 0
         self.push_targets: list[str] = []
+        self.gateway_addr = None  # set by Gateway.register_device: the one sender of calls
 
     def apply_patch(self, patch: dict) -> None:
         patch = dict(patch)
@@ -114,6 +118,8 @@ class Device(Process):
             self.send(target, {"type": "device_push", "device_id": self.device_id})
 
     def _on_rpc(self, src, msg):
+        if not self.sender_is(src, self.gateway_addr):
+            return
         reply = {"type": "rpc_result", "corr": msg["corr"], "device_id": self.device_id}
         api = msg["api"]
         if not self.online:
@@ -163,6 +169,7 @@ class Gateway(Process):
 
     def register_device(self, device: Device) -> str:
         self.devices[device.device_id] = device.addr
+        device.gateway_addr = self.addr
         return self.mint_token(device.device_id,
                                [api for api, (kind, *_) in APIS.items() if kind == device.kind])
 

@@ -50,7 +50,7 @@ class World:
                          spec["kind"], vendor, self.log, initial=spec["initial"])
             token = gw.register_device(dev)
             self.devices[device_id] = dev
-            device_routes[device_id] = (gw.addr, token)
+            device_routes[device_id] = (gw.addr, token, dev.addr)
 
         node_addrs = [f"node{i}" for i in range(config["nodes"])]
         node_keys = [KeyPair.from_seed(seed, f"node{i}") for i in range(config["nodes"])]
@@ -117,8 +117,8 @@ class World:
             owner_addr=self.owner.addr, record_actions=config["record_action_executions"],
             ledger_enabled=config["with_ledger"], task_agent_addr="task",
         )
-        for device_id, (gw_addr, token) in device_routes.items():
-            self.exec_agent.add_device_route(device_id, gw_addr, token)
+        for device_id, route in device_routes.items():
+            self.exec_agent.add_device_route(device_id, *route)
 
         self.rules = [parse_rule(r) for r in config["rules"]]
         self.bindings = {rule.rule_id: rule.binding(101 + i, self.owner.usr_id)

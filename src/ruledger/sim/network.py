@@ -14,6 +14,16 @@ aliases the sender's objects and all share one read-only parse (see
 `Process`); each destination still costs its own drop draw, delay draw and
 counts, in list order, so one multicast replays exactly as the same unicasts
 one after another.
+
+`tap` is the one seam through which a test holds or watches traffic; no run
+the program itself makes sets it.  `transmit` offers it each (src, dst,
+message) by `tap.offer(src, dst, msg, deliver)`, after the sender's fault
+has acted and before the drop and delay draws, so a held delivery skips no
+fault.  A true return keeps the delivery: it draws nothing, and runs only
+if the tap calls `deliver()`, down the same `_deliver` path as a scheduled
+one (its multicast's shape verdicts included); else it is dropped.  Every
+delivery calls `tap.delivering(src, dst, msg)` before its handler runs and
+`tap.delivered(src, dst, msg)` after.
 """
 
 from __future__ import annotations
@@ -92,6 +102,13 @@ class Process:
         except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
             self.counters["malformed_dropped"] += 1
 
+    def sender_is(self, src: str, addr) -> bool:
+        """Whether src is addr, the one process a handler takes its message
+        from; a message from anyone else is counted as malformed."""
+        if src != addr:
+            self.counters["malformed_dropped"] += 1
+        return src == addr
+
     def send(self, dst: str | list[str], msg: dict) -> None:
         self.net.send(self.addr, dst, msg)
 
@@ -124,6 +141,7 @@ class Network:
         self.delivered = 0
         self.verify = VerifyMemo()  # shared by every replica on this network
         self.verdicts: dict[type, str | None] | None = None  # the delivering multicast's
+        self.tap = None  # a test's hold-and-watch hook (see the module docstring)
 
     def register(self, addr: str, process: Process) -> None:
         if addr in self.processes:
@@ -144,23 +162,31 @@ class Network:
             sender.fault.send(sender, dsts, msg)
 
     def transmit(self, src: str, dsts: list[str], msg: dict) -> None:
-        """Schedule msg's delivery to each of dsts, unfaulted."""
+        """Schedule msg's delivery to each of dsts, unfaulted, unless the tap keeps it."""
         # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
         shared = orjson.loads(canonical_bytes(msg))
         verdicts: dict[type, str | None] = {}  # receiving class -> its handler_for verdict
         lo, hi = self.config.delay_range
         for dst in dsts:
             self.sent += 1
+            deliver = partial(self._deliver, src, dst, shared, verdicts)
+            if self.tap is not None and self.tap.offer(src, dst, shared, deliver):
+                continue
             if self.config.drop_prob > 0 and self.rng.random() < self.config.drop_prob:
                 self.dropped += 1
                 continue
             delay = self.rng.randint(lo, hi)
-            self.scheduler.schedule(delay, partial(self._deliver, src, dst, shared, verdicts))
+            self.scheduler.schedule(delay, deliver)
 
     def _deliver(self, src: str, dst: str, msg: dict, verdicts: dict) -> None:
         self.delivered += 1
+        tap = self.tap
+        if tap is not None:
+            tap.delivering(src, dst, msg)
         self.verdicts = verdicts
         try:
             self.processes[dst].on_message(src, msg)
         finally:
             self.verdicts = None
+        if tap is not None:
+            tap.delivered(src, dst, msg)

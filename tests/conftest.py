@@ -94,21 +94,43 @@ def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,
                            nodes=nodes, keys=keys, admin=admin, client=client)
 
 
-def watch_deliveries(monkeypatch) -> list:
-    """Note (dst, msg, msg's canonical bytes before its handler ran) for every
-    delivery from now on, and fail at once if a handler changes its message.
-    Receivers of a multicast share one message, so none may mutate it."""
-    watched = []
-    deliver = Network._deliver
+class Sink(Process):
+    """Notes (sim time, src, msg) of each message delivered to it, unchecked."""
 
-    def watching(net, src, dst, msg, verdicts):
-        before = canonical_bytes(msg)
-        watched.append((dst, msg, before))
-        deliver(net, src, dst, msg, verdicts)
-        assert canonical_bytes(msg) == before, f"{dst}'s handler mutated a {msg.get('type')}"
+    def __init__(self, addr, net):
+        super().__init__(addr, net)
+        self.inbox = []
 
-    monkeypatch.setattr(Network, "_deliver", watching)
-    return watched
+    def on_message(self, src, msg):
+        self.inbox.append((self.net.scheduler.now, src, msg))
+
+
+class Tap:
+    """A `sim.Network` tap, set on net at once: notes (src, dst, msg) of every
+    send as `sent`, after any fault acted, one per destination of a multicast;
+    keeps each in `held` as (src, dst, msg, deliver) if `hold`, so the test
+    alone delivers (deliver()) or drops it; and notes (dst, msg, msg's canonical
+    bytes before its handler ran) of every delivery as `watched`, failing at once
+    if a handler changes its message.  Receivers of a multicast share one
+    message, so none may mutate it."""
+
+    def __init__(self, net, hold=False):
+        self.hold = hold
+        self.sent, self.held, self.watched = [], [], []
+        net.tap = self
+
+    def offer(self, src, dst, msg, deliver):
+        self.sent.append((src, dst, msg))
+        if self.hold:
+            self.held.append((src, dst, msg, deliver))
+        return self.hold
+
+    def delivering(self, src, dst, msg):
+        self.watched.append((dst, msg, canonical_bytes(msg)))
+
+    def delivered(self, src, dst, msg):
+        assert canonical_bytes(msg) == self.watched[-1][2], \
+            f"{dst}'s handler mutated a {msg.get('type')}"
 
 
 def mutated_since(watched) -> list:

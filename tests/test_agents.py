@@ -9,24 +9,15 @@ consensus run behind it.  Full-stack behavior lives in the harness tests.
 import random
 from types import SimpleNamespace
 
-from conftest import BINDING, ClientProcess, event_info, hr_rule
+from conftest import BINDING, ClientProcess, Sink, event_info, hr_rule
 from ruledger import agents, devices
 from ruledger.canonical import sha256_hex
 from ruledger.devices import checksum
 from ruledger.keys import KeyPair
 from ruledger.ledger.tx import SignedTransaction, build_tx
 from ruledger.rules import parse_rule
-from ruledger.sim.network import NetConfig, Network, Process
+from ruledger.sim.network import NetConfig, Network
 from ruledger.sim.scheduler import Scheduler
-
-
-class Sink(Process):
-    def __init__(self, addr, net):
-        super().__init__(addr, net)
-        self.inbox = []
-
-    def on_message(self, src, msg):
-        self.inbox.append((self.net.scheduler.now, src, msg))
 
 
 def _submitted(rig):
@@ -60,7 +51,7 @@ def test_quorum_gate_need_one_is_immediate():
     assert not gate.offer("k", "b")
 
 
-def _rig(seed=3, addr="exec", **exec_kwargs):
+def _rig(seed=3, addr="exec", task_agent_addr="task", **exec_kwargs):
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(seed))
     log = devices.LogService()
@@ -74,9 +65,10 @@ def _rig(seed=3, addr="exec", **exec_kwargs):
                          initial={"presence": "home"})
     agent = agents.ExecutionAgent(
         addr, net, KeyPair.from_seed(1, "acct/exec"),
-        [n.addr for n in nodes], random.Random(seed + 1), owner_addr="user", **exec_kwargs)
+        [n.addr for n in nodes], random.Random(seed + 1), owner_addr="user",
+        task_agent_addr=task_agent_addr, **exec_kwargs)
     for dev in (watch, lock, hub):
-        agent.add_device_route(dev.device_id, gw.addr, gw.register_device(dev))
+        agent.add_device_route(dev.device_id, gw.addr, gw.register_device(dev), dev.addr)
     return SimpleNamespace(sched=sched, net=net, log=log, nodes=nodes,
                            watch=watch, lock=lock, hub=hub, agent=agent)
 
@@ -271,7 +263,7 @@ def test_a_device_result_counts_only_from_the_gateway_that_was_called():
 
 def test_direct_commands_refused_while_ledger_is_on():
     rig = _rig()
-    rig.agent.on_message("anyone", {"type": "exec_direct", "event_info": event_info()})
+    rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
     rig.sched.run()
     assert rig.agent.counters["refused_direct"] == 1
     assert rig.lock.actions_executed == 0
@@ -286,6 +278,19 @@ def test_direct_commands_honored_in_bypass_mode():
     assert rig.lock.actions_executed == 1  # consumed mark still dedups
     assert rig.agent.counters["refused_direct"] == 0
     assert rig.agent.counters["duplicate_notifies"] == 1
+
+
+def test_direct_commands_count_only_from_the_task_agent():
+    rig = _rig(ledger_enabled=False)
+    rig.agent.on_message("user", _register(hr_rule()))
+    for src in ("mallory", "user", "node0"):
+        rig.agent.on_message(src, {"type": "exec_direct", "event_info": event_info()})
+    rig.sched.run()
+    assert rig.lock.actions_executed == 0
+    assert rig.agent.counters["malformed_dropped"] == 3
+    rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
+    rig.sched.run()
+    assert rig.lock.actions_executed == 1  # the forgeries marked nothing
 
 
 def test_trigger_cycle_submits_event_with_logged_checksum():
@@ -346,8 +351,8 @@ def test_a_cycle_stops_at_its_first_unreachable_trigger_step():
 def test_push_trigger_reacts_only_to_its_devices():
     rig = _rig()
     rig.agent.on_message("user", _register(hr_rule()))
-    rig.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
-    rig.agent.on_message("dev", {"type": "device_push", "device_id": "thermo-9"})
+    rig.agent.on_message("dev/w", {"type": "device_push", "device_id": "watch-1"})
+    rig.agent.on_message("dev/h", {"type": "device_push", "device_id": "hub-1"})
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles"] == 1
 
@@ -355,7 +360,7 @@ def test_push_trigger_reacts_only_to_its_devices():
     quiet = _rig()
     quiet.agent.on_message("user", _register(hr_rule()))
     quiet.agent.start_polling(1000)
-    quiet.agent.on_message("dev", {"type": "device_push", "device_id": "watch-1"})
+    quiet.agent.on_message("dev/w", {"type": "device_push", "device_id": "watch-1"})
     quiet.sched.run(until=2000)
     assert quiet.agent.counters["cycles"] == 2
 
@@ -410,7 +415,7 @@ def test_a_second_registration_replaces_the_rule_and_keeps_the_binding():
 
 
 def test_bypass_cycle_routes_final_step_to_task_agent():
-    rig = _rig(ledger_enabled=False, task_agent_addr="task")
+    rig = _rig(ledger_enabled=False)
     task = Sink("task", rig.net)
     rig.agent.on_message("user", _register(hr_rule()))
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
@@ -480,6 +485,17 @@ def test_acked_request_is_not_retried():
     assert rig.agent.pending_acks == set()
 
 
+def test_a_trigger_ack_counts_only_from_the_platform():
+    rig = _task_rig()
+    for n in (0, 1):
+        rig.agent.on_message(f"node{n}", _notify_event(n))
+    rig.sched.run(until=500)
+    rig.agent.on_message("mallory", {"type": "trigger_ack", "req_id": 1})
+    rig.sched.run()
+    assert len(rig.platform.inbox) == 3  # retried as if unacked
+    assert rig.agent.counters["malformed_dropped"] == 1
+
+
 def test_an_unacked_trigger_request_is_dropped_after_its_last_retry():
     rig = _task_rig()
     for n in (0, 1):
@@ -505,7 +521,7 @@ def test_duplicate_event_marks_are_counted():
 
 
 def test_repeated_bypass_event_is_a_counted_duplicate():
-    rig = _task_rig(ledger_enabled=False)
+    rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
     for _ in range(2):
         rig.agent.on_message("exec", {"type": "bypass_event", "event_info": event_info()})
     rig.sched.run(until=1000)
@@ -600,6 +616,21 @@ def test_rule_export_retries_until_acked():
     acked.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
     sched.run()
     assert len([m for _, _, m in platform.inbox if m["type"] == "export_rule"]) == 1
+
+
+def test_an_export_ack_counts_only_from_the_platform():
+    sched = Scheduler()
+    net = Network(sched, NetConfig(), random.Random(1))
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
+    platform = Sink("platform", net)
+    user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
+                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform")
+    rule = parse_rule(hr_rule())
+    user._export_rule(rule)
+    user.on_message("mallory", {"type": "export_ok", "rule_id": rule.rule_id})
+    sched.run()
+    assert user.export_acked == set() and user.counters["malformed_dropped"] == 1
+    assert len([m for _, _, m in platform.inbox if m["type"] == "export_rule"]) == 5
 
 
 def test_a_later_export_of_an_acked_rule_is_retried_until_acked():

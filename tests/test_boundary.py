@@ -144,6 +144,8 @@ def _delivery(draw):
     src = draw(st.sampled_from(sorted(_PROCESSES)))
     if process is _WORLD.exec_agent and kind == "rpc_result" and typed:
         src, msg["corr"] = _call_in_flight(process)  # the result comes from the gateway
+    if kind == "rpc" and typed:
+        src = process.gateway_addr  # a device takes calls from its gateway alone
     return process, src, msg
 
 

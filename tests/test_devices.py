@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import Sink
 from ruledger import devices
 from ruledger.canonical import canonical_bytes
 from ruledger.rules import (
@@ -14,17 +15,15 @@ from ruledger.rules import (
     SMARTLOCK_LOCK,
     SMARTLOCK_UNLOCK,
 )
-from ruledger.sim.network import NetConfig, Network, Process
+from ruledger.sim.network import NetConfig, Network
 from ruledger.sim.scheduler import Scheduler
 
 
-class Driver(Process):
-    def __init__(self, addr, net):
-        super().__init__(addr, net)
-        self.replies = []
-
-    def on_message(self, src, msg):
-        self.replies.append((self.net.scheduler.now, src, msg))
+class Driver(Sink):
+    def own(self, device):
+        """Stand as device's gateway, the one sender it takes calls from."""
+        device.gateway_addr = self.addr
+        return device
 
 
 def _rig(seed=1, config=None):
@@ -80,11 +79,12 @@ def test_rpc_logs_before_replying():
             super().on_message(src, msg)
 
     probe = Probe("probe", net)
+    probe.own(dev)
     probe.send(dev.addr, {"type": "rpc", "api": HEART_RATE_API,
                           "eid": "e1", "log_key": "k1", "corr": 9})
     sched.run()
     assert seen_at_reply == [devices.checksum({"heart_rate": 72})]
-    (_, src, reply), = probe.replies
+    (_, src, reply), = probe.inbox
     assert src == dev.addr
     assert reply == {"type": "rpc_result", "corr": 9, "device_id": "watch-1",
                      "ok": True, "payload": {"heart_rate": 72}}
@@ -92,14 +92,14 @@ def test_rpc_logs_before_replying():
 
 def test_offline_device_refuses_and_logs_nothing():
     sched, net, log, driver = _rig()
-    dev = devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
-                         initial={"online": False, "lock": "locked"})
+    dev = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+                                    initial={"online": False, "lock": "locked"}))
     assert dev.online is False
     assert dev.state == {"lock": "locked"}  # the online flag is not state
     driver.send(dev.addr, {"type": "rpc", "api": SMARTLOCK_UNLOCK,
                            "eid": "e", "log_key": "k", "corr": 1})
     sched.run()
-    (_, _, reply), = driver.replies
+    (_, _, reply), = driver.inbox
     assert reply["ok"] is False and reply["error"] == "DeviceOffline"
     assert len(log) == 0 and dev.state["lock"] == "locked"
 
@@ -124,11 +124,11 @@ def test_wrong_api_for_device_kind():
     assert devices.DEVICE_KINDS == kinds
     calls = [(kind, api) for kind in kinds for api in [*API_FACTS, "NO_SUCH_API"]]
     for i, (kind, api) in enumerate(calls):
-        dev = devices.Device(f"dev/{i}", net, f"dev-{i}", kind, "v", log)
+        dev = driver.own(devices.Device(f"dev/{i}", net, f"dev-{i}", kind, "v", log))
         driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"e{i}", "log_key": "k",
                                "corr": i})
     sched.run()
-    replies = sorted((r[2] for r in driver.replies), key=lambda r: r["corr"])
+    replies = sorted((r[2] for r in driver.inbox), key=lambda r: r["corr"])
     assert [r["corr"] for r in replies] == list(range(len(calls)))
     for (kind, api), reply in zip(calls, replies):
         answers = API_FACTS.get(api, ("",))[0] == kind
@@ -139,21 +139,21 @@ def test_wrong_api_for_device_kind():
 
 def test_a_reused_log_pair_is_refused_before_the_device_acts():
     sched, net, log, driver = _rig()
-    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
-                          initial={"lock": "locked"})
+    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+                                     initial={"lock": "locked"}))
     for api in (SMARTLOCK_UNLOCK, SMARTLOCK_LOCK):
         driver.send(lock.addr, {"type": "rpc", "api": api, "eid": "e", "log_key": "k", "corr": 1})
         sched.run()
-    assert [reply.get("error") for _, _, reply in driver.replies] == [None, "LogKeyReused"]
+    assert [reply.get("error") for _, _, reply in driver.inbox] == [None, "LogKeyReused"]
     assert lock.state["lock"] == "unlocked" and lock.actions_executed == 1 and len(log) == 1
 
 
 def test_action_apis_mutate_state_and_count():
     sched, net, log, driver = _rig()
-    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
-                          initial={"lock": "locked"})
-    hub = devices.Device("dev/h", net, "hub-1", "presence", "homeco", log,
-                         initial={"presence": "away"})
+    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+                                     initial={"lock": "locked"}))
+    hub = driver.own(devices.Device("dev/h", net, "hub-1", "presence", "homeco", log,
+                                    initial={"presence": "away"}))
     for i, (addr, api) in enumerate([(lock.addr, SMARTLOCK_UNLOCK),
                                      (lock.addr, SMARTLOCK_LOCK),
                                      (hub.addr, MODE_SET_API),
@@ -164,7 +164,7 @@ def test_action_apis_mutate_state_and_count():
     assert lock.actions_executed == 2 and lock.state["lock"] == "locked"
     assert hub.actions_executed == 1 and hub.state["mode"] == "home_mode"
     assert len(log) == 4  # sensor reads are logged too
-    payloads = [r[2]["payload"] for r in sorted(driver.replies, key=lambda r: r[2]["corr"])]
+    payloads = [r[2]["payload"] for r in sorted(driver.inbox, key=lambda r: r[2]["corr"])]
     assert payloads == [{"lock": "unlocked"}, {"lock": "locked"},
                         {"mode": "home_mode"}, {"presence": "away"}]
 
@@ -172,12 +172,12 @@ def test_action_apis_mutate_state_and_count():
     # field and counts; a read returns its field's default and changes nothing.
     assert devices.ACTION_APIS == {api for api, (*_, action) in API_FACTS.items() if action}
     for i, (api, (kind, payload, action)) in enumerate(API_FACTS.items()):
-        dev = devices.Device(f"dev/fresh{i}", net, f"fresh-{i}", kind, "v", log)
-        driver.replies.clear()
+        dev = driver.own(devices.Device(f"dev/fresh{i}", net, f"fresh-{i}", kind, "v", log))
+        driver.inbox.clear()
         driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"fresh{i}", "log_key": "k",
                                "corr": i})
         sched.run()
-        (_, _, reply), = driver.replies
+        (_, _, reply), = driver.inbox
         assert reply["payload"] == payload
         assert log.query_checksum(f"fresh{i}", "k") == devices.checksum(payload)
         assert dev.actions_executed == int(action)
@@ -197,7 +197,7 @@ def test_patch_updates_history_and_pushes():
                            (100, {"heart_rate": 190}),
                            (200, {"heart_rate": 190})]
     assert dev.online is False
-    pushes = [m for _, _, m in driver.replies if m["type"] == "device_push"]
+    pushes = [m for _, _, m in driver.inbox if m["type"] == "device_push"]
     assert len(pushes) == 2 and pushes[0]["device_id"] == "watch-1"
 
 
@@ -216,7 +216,7 @@ def test_gateway_relays_and_restores_caller_corr():
     driver.send(gw.addr, {"type": "rpc_call", "token": token, "device_id": "watch-1",
                           "api": HEART_RATE_API, "eid": "e", "log_key": "k", "corr": 77})
     sched.run()
-    (_, src, reply), = driver.replies
+    (_, src, reply), = driver.inbox
     assert src == gw.addr
     assert reply["corr"] == 77 and reply["ok"] and reply["payload"] == {"heart_rate": 55}
     assert gw.rejected == {"BadToken": 0, "UnknownDevice": 0}
@@ -239,7 +239,7 @@ def test_gateway_token_checks():
         driver.send(gw.addr, {"type": "rpc_call", "eid": "e", "log_key": f"k{i}",
                               "corr": i, **call})
     sched.run()
-    errors = [r[2]["error"] for r in sorted(driver.replies, key=lambda r: r[2]["corr"])]
+    errors = [r[2]["error"] for r in sorted(driver.inbox, key=lambda r: r[2]["corr"])]
     assert errors == ["BadToken", "BadToken", "BadToken", "UnknownDevice"]
     assert gw.rejected == {"BadToken": 3, "UnknownDevice": 1}
     assert len(log) == 0
@@ -250,7 +250,7 @@ def test_stray_rpc_result_is_ignored():
     gw = devices.Gateway("gw/v", net, "v")
     driver.send(gw.addr, {"type": "rpc_result", "corr": 404, "ok": True})
     sched.run()
-    assert driver.replies == []
+    assert driver.inbox == []
 
 
 def test_gateway_relays_a_result_only_from_the_called_device():
@@ -264,21 +264,41 @@ def test_gateway_relays_a_result_only_from_the_called_device():
     gw.on_message("dev/impostor", {"type": "rpc_result", "corr": 1, "ok": True,
                                    "payload": {"heart_rate": 250}})
     sched.run()
-    (_, _, reply), = driver.replies
+    (_, _, reply), = driver.inbox
     assert reply["corr"] == 7 and reply["payload"] == {"heart_rate": 55}
+
+
+def test_a_device_takes_calls_only_from_its_gateway():
+    # Anyone who could reach a device could otherwise skip its gateway's token check.
+    sched, net, log, driver = _rig()
+    gw = devices.Gateway("gw/v", net, "v")
+    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "v", log,
+                          initial={"lock": "locked"})
+    assert lock.gateway_addr is None
+    token = gw.register_device(lock)
+    assert lock.gateway_addr == gw.addr
+    driver.send(lock.addr, {"type": "rpc", "api": SMARTLOCK_UNLOCK, "eid": "e", "log_key": "k",
+                            "corr": 1})
+    sched.run()
+    assert driver.inbox == [] and lock.state["lock"] == "locked" and len(log) == 0
+    assert lock.counters["malformed_dropped"] == 1
+    driver.send(gw.addr, {"type": "rpc_call", "token": token, "device_id": "lock-1",
+                          "api": SMARTLOCK_UNLOCK, "eid": "e", "log_key": "k", "corr": 2})
+    sched.run()
+    assert lock.state["lock"] == "unlocked" and lock.actions_executed == 1
 
 
 def _timeline_run(seed):
     sched, net, log, driver = _rig(seed=seed, config=NetConfig(delay_range=(1, 15)))
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,
-                         initial={"heart_rate": 70})
+    dev = driver.own(devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,
+                                    initial={"heart_rate": 70}))
     for t, rate in [(50, 188), (120, 75), (300, 39)]:
         sched.schedule(t, lambda r=rate: dev.apply_patch({"heart_rate": r}))
         sched.schedule(t + 5, lambda i=t: driver.send(
             dev.addr, {"type": "rpc", "api": HEART_RATE_API,
                        "eid": f"e{i}", "log_key": f"k{i}", "corr": i}))
     sched.run()
-    return dev.history, sorted(driver.replies), sorted(log._entries.items())
+    return dev.history, sorted(driver.inbox), sorted(log._entries.items())
 
 
 def test_timeline_is_deterministic_per_seed():

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
+from conftest import Tap, hr_rule, make_rig, mutated_since, rule_commit_tx
 from ruledger import contracts
 from ruledger import keys as keys_mod
 from ruledger.canonical import canonical_bytes, derive_seed, sha256_hex
@@ -25,7 +25,7 @@ from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError
 from ruledger.ledger.tx import SignedTransaction, text_id
-from ruledger.rules import RuleError, parse_rule
+from ruledger.rules import SMARTLOCK_UNLOCK, RuleError, parse_rule
 from ruledger.sim.network import Process
 
 
@@ -185,10 +185,11 @@ def test_single_spike_produces_one_full_pipeline_pass(poll_run):
 
 
 @pytest.mark.parametrize("trigger_mode", ["poll", "push"])
-def test_no_agent_device_or_node_handler_mutates_a_delivered_message(trigger_mode, monkeypatch):
+def test_no_agent_device_or_node_handler_mutates_a_delivered_message(trigger_mode):
     # Receivers of a multicast share one message (see `sim.Process`).
-    watched = watch_deliveries(monkeypatch)
-    report, _world = run_scenario(scenario_from_dict(_scenario(trigger_mode=trigger_mode)))
+    world = World(scenario_from_dict(_scenario(trigger_mode=trigger_mode)))
+    watched = Tap(world.net).watched
+    report = world.run()
     assert report["ledger"]["tx_counts"]["action"] == 1
     kinds = {msg["type"] for _, msg, _ in watched}
     assert {"notify_event", "notify_actions", "receipt", "commit"} <= kinds
@@ -607,12 +608,12 @@ def test_a_modified_rule_takes_effect_at_the_execution_agent(seed):
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_only_the_rule_owners_console_registers_a_trigger(seed, monkeypatch):
+def test_only_the_rule_owners_console_registers_a_trigger(seed):
     # An outside process replays the console's registration of rule 1 with a
     # condition every reading meets; the agent must go on running the rule
     # the owner committed.
-    watched = watch_deliveries(monkeypatch)
     world = World(cli._load("heart_rate", seed))
+    watched = Tap(world.net).watched
     outsider = Process("outsider", world.net)
 
     def forge():
@@ -624,6 +625,54 @@ def test_only_the_rule_owners_console_registers_a_trigger(seed, monkeypatch):
     assert report["devices"]["lock-1"]["actions_executed"] == 3  # one per alert, as honest
     assert report["execution"]["malformed_dropped"] == 1
     assert [t["rule"] for t in world.exec_agent.triggers] == world.rules
+
+
+def _heart_rate_with_outsider(sends, **changes):
+    """Run bundled heart_rate at seed 42, with changes, while an outside process
+    sends each (at_ms, dst, msg) that sends(world) lists; (report, world)."""
+    world = World(dict(cli._load("heart_rate", 42), **changes))
+    outsider = Process("outsider", world.net)
+
+    def hook(w):
+        for at_ms, dst, msg in sends(w):
+            w.scheduler.schedule(at_ms, lambda d=dst, m=msg: outsider.send(d, m))
+
+    return world.run(hook=hook), world
+
+
+def test_a_bypass_event_counts_only_from_the_exec_agent_in_bypass_mode():
+    # Forged bypass events for rule 1's event_seq 1-39 each marked the event
+    # as seen, so the real committed events were dropped as duplicates: the
+    # lock ran none of its 3 actions, and 39 action txs were rejected BadCid.
+    report, _ = _heart_rate_with_outsider(lambda w: [
+        (50, "task", {"type": "bypass_event",
+                      "event_info": {**w.bindings[1], "step_id": 0, "event_seq": seq}})
+        for seq in range(1, 40)])
+    assert report["devices"]["lock-1"]["actions_executed"] == 3
+    assert report["ledger"]["verdicts"]["rejected"] == {}
+    assert report["task_agent"]["duplicate_notifies"] == 0
+    assert report["task_agent"]["malformed_dropped"] == 39
+
+
+def test_a_device_obeys_only_its_own_gateway():
+    # A call sent straight to the lock skipped the gateway's token check and
+    # opened it at 53 ms, with no action tx behind it.
+    report, world = _heart_rate_with_outsider(lambda w: [(50, "dev:lock-1", {
+        "type": "rpc", "api": SMARTLOCK_UNLOCK, "eid": "e", "log_key": "k", "corr": 1})])
+    lock = world.devices["lock-1"]
+    assert lock.actions_executed == report["ledger"]["tx_counts"]["action"] == 3
+    assert lock.counters["malformed_dropped"] == 1 and lock.history[1][0] > 1000
+
+
+def test_a_device_push_counts_only_from_the_device_it_names():
+    # Six forged pushes for the watch during its 30 bpm alert ran six more
+    # cycles, and the lock 9 times against 3.
+    report, _ = _heart_rate_with_outsider(
+        lambda w: [(at_ms, "exec", {"type": "device_push", "device_id": "watch-1"})
+                   for at_ms in range(1000, 1251, 50)], trigger_mode="push")
+    assert report["devices"]["lock-1"]["actions_executed"] == 3
+    assert report["execution"]["cycles"] == 6
+    assert report["execution"]["malformed_dropped"] == 6
 
 
 def test_report_schema_rejects_broken_reports(poll_run):

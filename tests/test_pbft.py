@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hr_rule, make_rig, mutated_since, rule_commit_tx, watch_deliveries
+from conftest import Tap, hr_rule, make_rig, mutated_since, rule_commit_tx
 from ruledger import keys as keys_mod
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit, tables
@@ -172,20 +172,6 @@ def test_garbage_messages_are_counted_not_fatal():
 
 def _sync_reply(node, height):
     return {"type": "committed", **node.chain[height]["cert"]}
-
-
-def _record_sends(rig):
-    """Note (src, dst, msg) of every message the network schedules from now on,
-    after any fault acted on it, one per destination of a multicast."""
-    sent = []
-    transmit = rig.net.transmit
-
-    def recording(src, dsts, msg):
-        sent.extend((src, dst, msg) for dst in dsts)
-        transmit(src, dsts, msg)
-
-    rig.net.transmit = recording
-    return sent
 
 
 def _submit(tx):
@@ -359,7 +345,7 @@ def test_a_view_change_brings_its_sender_up_to_date():
 
 def test_commits_send_no_blocks_and_a_sync_reply_is_a_bounded_run():
     rig = make_rig(seed=17)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     _commit_in_sequence(rig, _rule_txs(rig, node_mod.SYNC_RUN + 2))
     assert all(n.next_height == node_mod.SYNC_RUN + 3 for n in rig.nodes)
     assert not [msg for _, _, msg in sent if msg["type"] == "committed"]
@@ -393,7 +379,7 @@ def test_a_client_retry_goes_to_every_replica():
                    client_timeout_ms=1500)
     rig.nodes[0].fault.prob = 1.0  # the view-0 primary is mute
     tx = rule_commit_tx(rig.admin, nonce=1)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
     rig.scheduler.run(until=1600)
     submits = [dst for src, dst, msg in sent if src == "client" and msg["type"] == "submit"]
@@ -406,7 +392,7 @@ def test_a_mute_view_0_primary_loses_no_submission():
     rig = make_rig(seed=9, fault_kind="drop", byz_index=0, client_timeout_ms=4000)
     rig.nodes[0].fault.prob = 1.0
     tx = rule_commit_tx(rig.admin, nonce=1)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
     rig.scheduler.run(until=3900)
     receipt = rig.client.client.resolved.get(tx.tx_id)
@@ -455,7 +441,7 @@ def test_a_request_right_after_a_proposal_makes_no_second_pre_prepare():
     rig = make_rig(seed=23)
     primary = rig.nodes[0]
     first, second = _rule_txs(rig, 2)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     primary.on_message("client", _submit(first))  # proposes height 1
     primary.on_message("client", _submit(second))  # before any message is delivered
     assert [(p["height"], p["batch"]) for p in _proposals(sent, "node0")] == [(1, [first.wire()])] * 3
@@ -470,7 +456,7 @@ def test_a_request_right_after_a_new_view_makes_no_second_pre_prepare():
     new_primary = rig.nodes[1]
     first, second = _rule_txs(rig, 2)
     new_primary.on_message("client", _submit(first))  # not the primary of view 0
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     for i in (0, 2, 3):  # a quorum of view changes for view 1
         new_primary.on_message(f"node{i}", {
             "type": "view_change", "new_view": 1, "last_height": 0, "cert": None, "sender": i,
@@ -574,7 +560,7 @@ def test_a_client_gives_up_after_two_tries_per_replica():
     for node in rig.nodes:
         node.fault = FaultSpec("drop", 1.0)
     tx = rule_commit_tx(rig.admin, nonce=1)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     rig.scheduler.schedule(10, lambda: rig.client.client.submit(tx))
     rig.scheduler.run(until=8000)
     assert tx.tx_id not in rig.client.client.resolved
@@ -639,7 +625,7 @@ def test_a_pre_prepare_is_its_senders_prepare_vote(vc_rig):
     assert set(cert["votes"]) == {"0", "1", "2", "3"} and cert["batch"] == wires
     # The primary's own prepare would carry the same bytes as its pre-prepare.
     assert cert["votes"]["0"] == rig.nodes[0]._vote("prepare", 0, 1, digest)["sig"]
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     backup._start_view_change(1)
     vc = next(msg for _, _, msg in sent if msg["type"] == "view_change")
     assert vc["cert"] == cert
@@ -710,27 +696,14 @@ def test_a_new_view_for_a_view_behind_is_ignored(vc_rig):
 # safety under an adversarial delivery order
 
 
-def _hold(rig):
-    """Hold every message sent from now on, as [src, dst, msg], until the test
-    delivers it: the test alone chooses the delivery order."""
-    held = []
-
-    def holding(src, dsts, msg):
-        for dst in [dsts] if isinstance(dsts, str) else dsts:
-            held.append([src, dst, json.loads(json.dumps(msg))])
-
-    rig.net.send = holding
-    return held
-
-
-def _deliver(rig, held, kind, dsts, view=None):
-    """Deliver, in the order sent, each held message of kind (and of view, if
-    given) bound for one of dsts; what they send in turn stays held."""
-    due = [m for m in held
+def _deliver(tap, kind, dsts, view=None):
+    """Deliver, in the order sent, each message tap holds of kind (and of view,
+    if given) bound for one of dsts; what they send in turn stays held."""
+    due = [m for m in tap.held
            if m[2]["type"] == kind and m[1] in dsts and (view is None or m[2]["view"] == view)]
-    held[:] = [m for m in held if m not in due]
-    for src, dst, msg in due:
-        rig.net.processes[dst].on_message(src, msg)
+    tap.held[:] = [m for m in tap.held if m not in due]
+    for *_, deliver in due:
+        deliver()
 
 
 def test_a_replica_stops_voting_in_a_view_it_is_leaving(vc_rig):
@@ -740,24 +713,23 @@ def test_a_replica_stops_voting_in_a_view_it_is_leaving(vc_rig):
     rig = vc_rig
     batch_a, batch_b = rig.wires
     node0, node1, node2, node3 = rig.nodes
-    held = _hold(rig)
+    tap = Tap(rig.net, hold=True)
     node0.on_message("client", {"type": "submit", "tx": batch_a[0]})  # proposes A
     node1.on_message("client", {"type": "submit", "tx": batch_b[0]})  # pools B
-    _deliver(rig, held, "pre_prepare", rig.config.node_addrs)  # the view-0 prepares stay held
+    _deliver(tap, "pre_prepare", rig.config.node_addrs)  # the view-0 prepares stay held
     for node in rig.nodes:  # each times out before any prepare arrives
         node._on_timeout(node._timer_epoch)
     assert all(node.vc_target == 1 and node._prepared_cert() is None for node in rig.nodes)
-    _deliver(rig, held, "view_change", ["node1"])  # node1 leads view 1 and proposes B
-    _deliver(rig, held, "new_view", ["node2", "node3"])
-    _deliver(rig, held, "prepare", ["node1", "node2", "node3"], view=1)
-    _deliver(rig, held, "commit", ["node3"], view=1)
+    _deliver(tap, "view_change", ["node1"])  # node1 leads view 1 and proposes B
+    _deliver(tap, "new_view", ["node2", "node3"])
+    _deliver(tap, "prepare", ["node1", "node2", "node3"], view=1)
+    _deliver(tap, "commit", ["node3"], view=1)
     assert node3.chain[1]["cert"]["batch"] == batch_b
     # The view-0 prepares arrive late: node0 is leaving view 0, nodes 1 and 2 have left it.
-    _deliver(rig, held, "prepare", ["node0", "node1", "node2"], view=0)
-    _deliver(rig, held, "commit", ["node1"], view=0)
-    while held:
-        src, dst, msg = held.pop(0)
-        rig.net.processes[dst].on_message(src, msg)
+    _deliver(tap, "prepare", ["node0", "node1", "node2"], view=0)
+    _deliver(tap, "commit", ["node1"], view=0)
+    while tap.held:
+        tap.held.pop(0)[3]()
     assert [node.chain[1]["cert"]["batch"] for node in rig.nodes] == [batch_b] * 4
     assert _honest_prefix_consistent(rig.nodes)
 
@@ -767,7 +739,7 @@ def test_a_replica_logs_its_own_votes_as_it_casts_them(vc_rig):
     # that every phase waited on; now no message is addressed to its sender.
     rig = vc_rig
     node1, node2 = rig.nodes[1], rig.nodes[2]
-    held = _hold(rig)
+    tap = Tap(rig.net, hold=True)
     pre_prepare = _pre_prepare(rig, 0, rig.wires[0])
     digest = pre_prepare["digest"]
     node1.on_message("node0", pre_prepare)
@@ -785,10 +757,10 @@ def test_a_replica_logs_its_own_votes_as_it_casts_them(vc_rig):
     assert node1.view == 0
     node1._start_view_change(1)
     assert node1.view == 1 and node1.vc_target is None
-    assert {(src, m["type"]) for src, _, m in held} == {
+    assert {(src, m["type"]) for src, _, m, _ in tap.held} == {
         ("node1", "prepare"), ("node1", "commit"), ("node1", "view_change"),
         ("node1", "new_view"), ("node2", "view_change")}
-    assert all(src != dst for src, dst, _ in held)
+    assert all(src != dst for src, dst, *_ in tap.held)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +773,7 @@ def _lead_view_1(rig, txs):
     new_primary = rig.nodes[1]
     for tx in txs:
         new_primary.on_message("client", _submit(tx))
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     for i in (0, 2, 3):
         new_primary.on_message(f"node{i}", _view_change(rig, i, 1))
     rig.scheduler.run(until=rig.scheduler.now + 500)
@@ -901,7 +873,7 @@ def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, msg):
     # The audit trusts that a replica casts no vote on a batch that fails a check,
     # whichever message brought the batch.
     node = vc_rig.nodes[2]
-    sent = _record_sends(vc_rig)
+    sent = Tap(vc_rig.net).sent
     node.on_message("node1", msg(vc_rig, vc_rig.wires))
     assert node.counters["malformed_dropped"] == 1
     assert _no_proposal(node)
@@ -980,7 +952,7 @@ def test_signed_messages_for_far_heights_keep_at_most_a_window_of_heights(vc_rig
 
 def test_a_pre_prepare_for_a_later_height_is_prepared_once_when_its_turn_comes(vc_rig):
     rig, node = vc_rig, vc_rig.nodes[2]
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     node.on_message("node0", _pre_prepare(rig, 0, rig.wires[1], height=2))
     assert node.slots[2][0].batch == rig.wires[1] and not _prepares_from(sent, node)
     node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
@@ -998,7 +970,7 @@ def test_a_later_pre_prepare_of_a_view_left_behind_is_not_prepared(vc_rig):
     rig, node = vc_rig, vc_rig.nodes[2]
     node.on_message("node0", _pre_prepare(rig, 0, rig.wires[1], height=2))
     node.on_message("node1", _new_view(1, _vcs(rig)))
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     node.on_message("node0", {"type": "committed", **_prepared(rig, rig.wires[0], (0, 1, 3), "c")})
     digest = node.slots[2][0].digest
     for i in (3, 1):
@@ -1088,7 +1060,7 @@ def test_a_replayed_view_change_is_answered_once():
     _commit_in_sequence(rig, _rule_txs(rig, node_mod.SYNC_RUN + 1))
     node0 = rig.nodes[0]
     assert node0.next_height == node_mod.SYNC_RUN + 2
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
 
     def blocks_sent():
         return [m["height"] for src, _, m in sent if src == "node0" and m["type"] == "committed"]
@@ -1113,20 +1085,20 @@ def test_a_replayed_view_change_is_answered_once():
 
 
 @pytest.mark.parametrize("fault_kind", [None, *FAULT_KINDS])
-def test_no_handler_mutates_a_delivered_message(fault_kind, monkeypatch):
+def test_no_handler_mutates_a_delivered_message(fault_kind):
     # The faulty node, if any, is view 0's primary, so equivocation shows.
     rig = make_rig(seed=22, fault_kind=fault_kind, byz_index=0)
-    watched = watch_deliveries(monkeypatch)
+    watched = Tap(rig.net).watched
     _commit_in_sequence(rig, _rule_txs(rig, 3))
     rig.scheduler.run(until=rig.scheduler.now + 10_000)
     assert len(watched) > 100 and not mutated_since(watched)
     assert _honest_prefix_consistent(rig.nodes, 0 if fault_kind else None)
 
 
-def test_no_handler_mutates_a_view_change_a_new_view_or_a_sync_reply(monkeypatch):
+def test_no_handler_mutates_a_view_change_a_new_view_or_a_sync_reply():
     # node3 misses two blocks, then node0, view 0's primary, falls silent.
     rig = make_rig(seed=21)
-    watched = watch_deliveries(monkeypatch)
+    watched = Tap(rig.net).watched
     lagging = rig.nodes[3]
     lagging.on_message = lambda src, msg: None
     txs = _rule_txs(rig, 4)
@@ -1170,7 +1142,7 @@ def test_the_best_certificate_is_the_one_of_the_highest_view(vc_rig):
 
 def test_a_new_primary_with_nothing_to_propose_sends_no_pre_prepare(vc_rig):
     rig, new_primary = vc_rig, vc_rig.nodes[1]
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     for i in (0, 2, 3):
         new_primary.on_message(f"node{i}", _view_change(rig, i, 1))
     new_views = [m for _, _, m in sent if m["type"] == "new_view"]
@@ -1196,7 +1168,7 @@ def test_a_submission_again_adds_no_waiter_and_keeps_the_pooled_wire(vc_rig):
 
 def test_a_sync_request_goes_once_per_quorum_height(vc_rig):
     rig, node = vc_rig, vc_rig.nodes[2]
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     for height in (2, 2, 3):
         for i in (0, 1, 3):
             node.on_message(f"node{i}", rig.nodes[i]._vote("commit", 0, height, "0" * 64))
@@ -1206,7 +1178,7 @@ def test_a_sync_request_goes_once_per_quorum_height(vc_rig):
 
 def test_an_equivocating_primary_sends_one_variant_to_each_half():
     rig = make_rig(seed=37, fault_kind="equivocate", byz_index=0)
-    sent = _record_sends(rig)
+    sent = Tap(rig.net).sent
     tx = rule_commit_tx(rig.admin, nonce=1)
     rig.nodes[0].on_message("client", _submit(tx))
     proposals = {dst: m["batch"] for src, dst, m in sent if m["type"] == "pre_prepare"}
@@ -1230,13 +1202,13 @@ def test_each_fault_kind_acts_on_a_sent_message(kind, prob, sends):
     node.fault.prob = prob
     msg = {"type": "sync_req", "height": 1}
     sent = []
-    transmit = rig.net.transmit
 
-    def timed(src, dsts, sent_msg):
-        sent.extend((rig.scheduler.now, dst, sent_msg == msg) for dst in dsts)
-        transmit(src, dsts, sent_msg)
+    class Timed(Tap):
+        def offer(self, src, dst, sent_msg, deliver):
+            sent.append((rig.scheduler.now, dst, sent_msg == msg))
+            return False
 
-    rig.net.transmit = timed
+    Timed(rig.net)
     node.send("node2", msg)
     rig.scheduler.run(until=FAULT_DELAY_MS + 1)
     assert sent == [(at, "node2", same) for at, same in sends]

@@ -8,17 +8,12 @@ import random
 
 import pytest
 
+from conftest import Sink, Tap
+from ruledger.harness import cli
+from ruledger.harness.world import World
+from ruledger.ledger.faults import FaultSpec
 from ruledger.sim.network import NetConfig, Network, Process
 from ruledger.sim.scheduler import Scheduler, SimulationPanic
-
-
-class Sink(Process):
-    def __init__(self, addr, net):
-        super().__init__(addr, net)
-        self.inbox = []
-
-    def on_message(self, src, msg):
-        self.inbox.append((self.net.scheduler.now, src, msg))
 
 
 def test_scheduler_orders_by_time_then_insertion():
@@ -195,6 +190,96 @@ def test_multicast_receivers_share_one_message_and_one_shape_check_per_class():
     readers[1].on_message("src", {"type": "x", "ok": False})
     assert len(ReaderA.checked) == 4 and readers[0].inbox[-1] is msg
     assert readers[1].counters["malformed_dropped"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the tap: the one seam through which a test holds and watches traffic
+
+
+def test_a_held_delivery_runs_when_and_in_the_order_the_tap_picks():
+    sch = Scheduler()
+    rng = random.Random(1)
+    net = Network(sch, NetConfig(drop_prob=0.5), rng)
+    b = Sink("b", net)
+    Sink("a", net)
+    state = rng.getstate()
+    tap = Tap(net, hold=True)
+    for i in range(3):
+        net.send("a", "b", {"i": i})
+    assert sch.pending() == 0 and rng.getstate() == state  # a held delivery draws nothing
+    assert [(src, dst, msg) for src, dst, msg, _ in tap.held] == \
+        [("a", "b", {"i": i}) for i in range(3)]
+    tap.held[2][3]()
+    tap.held[0][3]()  # held[1] is dropped: never delivered
+    sch.run()
+    assert [msg["i"] for _, _, msg in b.inbox] == [2, 0]
+    assert (net.sent, net.dropped, net.delivered) == (3, 0, 2)
+    assert [msg["i"] for _, msg, _ in tap.watched] == [2, 0]
+
+
+def test_a_held_multicast_keeps_its_one_shape_check_per_class():
+    sch = Scheduler()
+    net = Network(sch, NetConfig(), random.Random(1))
+    Reader = _reader_class()
+    readers = [Reader(f"r{i}", net) for i in range(3)]
+    Sink("src", net)
+    tap = Tap(net, hold=True)
+    net.send("src", [r.addr for r in readers], {"type": "x", "ok": True})
+    for *_, deliver in reversed(tap.held):
+        deliver()
+    assert len(Reader.checked) == 1 and all(len(r.inbox) == 1 for r in readers)
+
+
+@pytest.mark.parametrize("kind", ["drop", "corrupt"])
+def test_the_senders_fault_acts_before_the_tap(kind):
+    sch = Scheduler()
+    net = Network(sch, NetConfig(), random.Random(1))
+    a = Sink("a", net)
+    Sink("b", net)
+    a.fault = FaultSpec(kind, prob=1.0, seed=3)
+    tap = Tap(net, hold=True)
+    msg = {"type": "x", "body": "some bytes to flip"}
+    a.send("b", msg)
+    a.fault = None
+    a.send("b", msg)
+    offered = [m for _, _, m in tap.sent]
+    assert offered[-1] == msg and len(offered) == len(tap.held) == (1 if kind == "drop" else 2)
+    assert kind == "drop" or offered[0] != msg  # corrupted before it was offered
+
+
+def test_the_tap_is_told_before_and_after_each_handler():
+    # Only after its handler ran can the tap tell that it mutated its message.
+    sch = Scheduler()
+    net = Network(sch, NetConfig(), random.Random(1))
+
+    class Mutator(Sink):
+        def on_message(self, src, msg):
+            msg["seen"] = True
+
+    Mutator("m", net)
+    Sink("a", net)
+    tap = Tap(net)
+    net.send("a", "m", {"type": "x"})
+    with pytest.raises(AssertionError, match="m's handler mutated a x"):
+        sch.run()
+    assert tap.watched == [("m", {"type": "x", "seen": True}, b'{"type":"x"}')]
+
+
+def test_a_watching_tap_sees_every_send_and_delivery_of_a_run():
+    world = World(cli._load("heart_rate", 42))
+    tap = Tap(world.net)
+    report = world.run()
+    assert report["devices"]["lock-1"]["actions_executed"] == 3
+    assert len(tap.sent) == world.net.sent > 0
+    assert len(tap.watched) == world.net.delivered == world.net.sent - world.net.dropped
+
+
+def test_a_handler_takes_a_message_only_from_its_one_sender():
+    net = Network(Scheduler(), NetConfig(), random.Random(1))
+    p = Sink("p", net)
+    assert p.sender_is("a", "a") and p.counters["malformed_dropped"] == 0
+    assert not p.sender_is("b", "a") and not p.sender_is("a", None)
+    assert p.counters["malformed_dropped"] == 2
 
 
 def test_a_multicast_to_an_unknown_destination_sends_nothing():

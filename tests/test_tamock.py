@@ -4,19 +4,10 @@ import random
 
 import pytest
 
-from conftest import event_info
+from conftest import Sink, event_info
 from ruledger import tamock
-from ruledger.sim.network import NetConfig, Network, Process
+from ruledger.sim.network import NetConfig, Network
 from ruledger.sim.scheduler import Scheduler
-
-
-class Sink(Process):
-    def __init__(self, addr, net):
-        super().__init__(addr, net)
-        self.inbox = []
-
-    def on_message(self, src, msg):
-        self.inbox.append((self.net.scheduler.now, src, msg))
 
 
 def _rig(mode, with_adversary=False):
