@@ -63,9 +63,15 @@ def _canonical_within(obj: Any, depth: int) -> bool:
     if depth == 0:
         return False
     for item in obj:
-        # Equivalent mutant: False skips only the fast path; a leaf's verdict ignores depth.
-        if (type(item) in _EXACT_LEAVES or (type(item) is str and item.isascii())
-                or (type(item) is int and INT_MIN <= item < INT_END)):
+        # A plain leaf is judged here, on one type() call; anything else by a call.
+        kind = type(item)
+        if kind is str:
+            if item.isascii():
+                continue
+        elif kind is int:
+            if INT_MIN <= item < INT_END:
+                continue
+        elif kind in _EXACT_LEAVES:
             continue
         if not _canonical_within(item, depth - 1):
             return False

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass
-from hashlib import sha256
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import orjson
@@ -157,8 +157,7 @@ def gen_randomness(secret: bytes, event_info: dict) -> str:
     A keyed PRF over the canonical event descriptor: anyone holding the
     ledger secret can recompute it, nobody else can forge it.
     """
-    mac = hmac.new(secret, b"cid|" + canonical_bytes(event_info), sha256)
-    return mac.digest()[:16].hex()
+    return hmac.digest(secret, b"cid|" + canonical_bytes(event_info), "sha256")[:16].hex()
 
 
 def verify_random(secret: bytes, event_info: dict, cid: str) -> bool:
@@ -212,10 +211,15 @@ def ledger_verify_trigger(
 
 def get_rule_definition(state: tables.TableStore, rule_id: int) -> RuleDefinition | None:
     rows = state.select_entry(tables.RULE, ["rule_id"], [rule_id], ["definition"])
-    if not rows:
-        return None
+    return _parse_definition(rows[0][0]) if rows else None
+
+
+@lru_cache(maxsize=256)
+def _parse_definition(text: str) -> RuleDefinition:
+    """The rule a stored definition text holds, parsed once per text: every
+    replica and the audit share the one frozen instance."""
     # Only apply_rule_commit writes a definition, and only of a rule is_rule admitted.
-    return RuleDefinition(**orjson.loads(rows[0][0]))
+    return RuleDefinition(**orjson.loads(text))
 
 
 def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None:

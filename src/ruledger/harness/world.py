@@ -94,9 +94,10 @@ class World:
         if adversary_mode == MODE_TOKEN_REUSE:
             self.adversary = AdversaryEndpoint("adversary", self.net, "task")
             adversary_addr = "adversary"
+        owner_addr = f"user:{accounts[0]['name']}"  # the rule owner's console, made below
         self.tamock = TriggerActionMock(
             "tamock", self.net, mode=adversary_mode, task_agent_addr="task",
-            channel_token=channel_token, adversary_addr=adversary_addr,
+            channel_token=channel_token, adversary_addr=adversary_addr, owner_addr=owner_addr,
         )
         self.task_agent = TaskAgent(
             "task", self.net, KeyPair.from_seed(seed, "acct/task-agent"),
@@ -114,7 +115,7 @@ class World:
         self.exec_agent = ExecutionAgent(
             "exec", self.net, KeyPair.from_seed(seed, "acct/exec-agent"),
             node_addrs, rng=random.Random(derive_seed(seed, "exec/rng")),
-            owner_addr=self.owner.addr, record_actions=config["record_action_executions"],
+            owner_addr=owner_addr, record_actions=config["record_action_executions"],
             ledger_enabled=config["with_ledger"], task_agent_addr="task",
         )
         for device_id, route in device_routes.items():

@@ -7,6 +7,10 @@ values, in insertion order; select_entry projects those rows to columns
 in a caller-chosen order.  find keeps one hash index per tuple of queried
 columns, built lazily on its first query and kept current by insert and
 update, so a write made any other way is invisible to built indexes.
+Columns are checked once per tuple, when find builds its index (an unknown
+one raises UnknownColumnError before any ValueError for a length mismatch,
+which is checked on every call); insert checks each row's columns against
+the schema, and update the one column it writes.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ class LedgerTable:
     def __init__(self, name: str, columns: Sequence[str]):
         self.name = name
         self.columns = tuple(columns)
+        self._column_set = frozenset(self.columns)
         self.rows: list[dict] = []
         # queried columns -> their values in a row -> ids of those rows
         self._indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
 
     def insert(self, row: dict) -> int:
         """Append a row, returning its row id (insertion index)."""
-        if set(row) != set(self.columns):
+        if row.keys() != self._column_set:
             raise UnknownColumnError(
                 f"{self.name}: row columns {sorted(row)} != schema {sorted(self.columns)}"
             )
@@ -50,9 +55,11 @@ class LedgerTable:
             raise UnknownColumnError(f"{self.name}: no column {column}")
         row = self.rows[row_id]
         for keys, index in self._indexes.items():
+            # Equivalent mutant: True re-files the row under its unchanged values.
             if column in keys:
                 old = tuple(row[k] for k in keys)
                 index[old].remove(row_id)
+                # Equivalent mutant: False keeps an empty bucket, which find reads as no match.
                 if not index[old]:
                     del index[old]
                 new = tuple(value if k == column else row[k] for k in keys)
@@ -61,17 +68,18 @@ class LedgerTable:
 
     def find(self, cond_keys: Sequence[str], cond_vals: Sequence[Any]) -> list[int]:
         """Ids of the rows matching all (key == val) conditions, in insertion order."""
-        for col in cond_keys:
-            if col not in self.columns:
-                raise UnknownColumnError(f"{self.name}: no column {col}")
-        if len(cond_keys) != len(cond_vals):
-            raise ValueError("cond_keys and cond_vals differ in length")
         keys = tuple(cond_keys)
         index = self._indexes.get(keys)
+        # Equivalent mutant: True checks and rebuilds the index on every call, to equal ids.
         if index is None:
+            for col in keys:
+                if col not in self.columns:
+                    raise UnknownColumnError(f"{self.name}: no column {col}")
             index = self._indexes[keys] = {}
             for row_id, row in enumerate(self.rows):
                 index.setdefault(tuple(row[k] for k in keys), []).append(row_id)
+        if len(keys) != len(cond_vals):
+            raise ValueError("cond_keys and cond_vals differ in length")
         return list(index.get(tuple(cond_vals), ()))
 
 

@@ -91,7 +91,8 @@ class RuleError(ValueError):
         self.code = code
 
 
-@dataclass
+# Frozen: contracts.get_rule_definition hands every replica and the audit one instance.
+@dataclass(frozen=True)
 class RuleDefinition:
     schema: int
     title: str

@@ -4,7 +4,8 @@ The real platform is a black box that receives trigger notifications and
 asks for actions to run.  This mock implements that request/ack protocol
 honestly, plus four adversarial behaviors used by the attack harness:
 forging action requests, replaying its own requests, leaking the channel
-token to an outside endpoint, and silently dropping triggers.
+token to an outside endpoint, and silently dropping triggers.  In every
+mode it takes a rule export only from the rule owner's console.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class TriggerActionMock(Process):
         "action_result": (ACTION_RESULT, "_on_action_result"),
     }
 
-    def __init__(self, addr, net, mode=MODE_HONEST, task_agent_addr=None,
+    def __init__(self, addr, net, owner_addr, mode=MODE_HONEST, task_agent_addr=None,
                  channel_token="", adversary_addr=None):
         super().__init__(addr, net)
         if mode not in MODES:
@@ -44,6 +45,7 @@ class TriggerActionMock(Process):
         self.task_agent_addr = task_agent_addr
         self.channel_token = channel_token
         self.adversary_addr = adversary_addr
+        self.owner_addr = owner_addr  # the one console whose rule exports count
         self.exported: dict[int, dict] = {}
         self.outcomes: list[dict] = []
         self._seen_reqs: set[int] = set()
@@ -58,6 +60,8 @@ class TriggerActionMock(Process):
         })
 
     def _on_export(self, src, msg) -> None:
+        if not self.sender_is(src, self.owner_addr):
+            return
         self.exported[msg["rule_id"]] = {"title": msg["title"], "actions": msg["actions"]}
         self.send(src, {"type": "export_ok", "rule_id": msg["rule_id"]})
 

@@ -53,6 +53,7 @@ SUBSETS = {
     "sim/network.py": ["test_sim.py", "test_pbft.py", "test_boundary.py"],
     "ledger/faults.py": ["test_pbft.py", "test_acceptance.py", "test_harness.py"],
     "canonical.py": ["test_canonical.py", "test_boundary.py", "test_harness.py"],
+    "ledger/tables.py": ["test_tables.py", "test_contracts.py", "test_harness.py"],
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ruledger import canonical
 from ruledger.canonical import (
     MAX_DEPTH,
     canonical_bytes,
@@ -215,6 +216,18 @@ _deep_values = st.builds(_wrapped, _any_values, st.integers(MAX_DEPTH - 3, MAX_D
 @example(_nested(MAX_DEPTH + 1, lambda v: {_Tag("k"): v, "b": True}))
 def test_is_canonical_agrees_with_the_reference(value):
     assert is_canonical(value) == _reference_within(value, MAX_DEPTH)
+
+
+def test_the_walk_judges_plain_leaves_in_their_containers_loop(monkeypatch):
+    """Exact bools and None, ASCII strs and in-range ints are judged in place;
+    the walk calls itself for every other item, containers included."""
+    visited = []
+    walk = canonical._canonical_within
+    monkeypatch.setattr(canonical, "_canonical_within",
+                        lambda obj, depth: visited.append(obj) or walk(obj, depth))
+    items = [True, None, "a", 1, "é", _Level.LOW, [0], 2**64]
+    assert not is_canonical(items)
+    assert visited == [items, "é", _Level.LOW, [0], 2**64]
 
 
 def test_derive_seed_streams_are_stable_and_distinct():

@@ -6,6 +6,7 @@ oracle functions written as the plain decision lists, so a reordering or
 dropped check in the contract shows up as a cell mismatch.
 """
 
+import dataclasses
 import hmac as hmac_mod
 import itertools
 import random
@@ -493,11 +494,26 @@ def test_modify_rule_apply_rewrites_the_definition():
     admin = KeyPair.from_seed(6, "acct/admin")
     state = _acl_state((admin.public_hex, "Administrator", 1))
     contracts.apply_rule_commit(_tx("rule_commit", _commit_body(), admin), state)
+    # The parse is shared per stored text, so a read before the modify must
+    # not hand back the old rule after it.
+    assert contracts.get_rule_definition(state, 1).to_dict() == hr_rule()
     altered = hr_rule()
     altered["action_operations"] = [["close_door_operation", "lock-1", "OP_AND"]]
-    contracts.apply_rule_commit(
-        _tx("rule_commit", {"action": "modify_rule", "rule": altered}, admin, 2), state)
+    modify = _tx("rule_commit", {"action": "modify_rule", "rule": altered}, admin, 2)
+    assert contracts.rule_commit_contract(modify, state).accepted
+    contracts.apply_rule_commit(modify, state)
     assert contracts.get_rule_definition(state, 1).to_dict() == altered
+
+
+def test_a_parsed_rule_definition_is_shared_and_frozen():
+    admin = KeyPair.from_seed(6, "acct/admin")
+    states = [_acl_state((admin.public_hex, "Administrator", 1)) for _ in range(2)]
+    for state in states:
+        contracts.apply_rule_commit(_tx("rule_commit", _commit_body(), admin), state)
+    rule = contracts.get_rule_definition(states[0], 1)
+    assert contracts.get_rule_definition(states[1], 1) is rule
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.title = "other"
 
 
 def test_manage_accounts_upserts_entries():

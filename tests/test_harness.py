@@ -627,10 +627,10 @@ def test_only_the_rule_owners_console_registers_a_trigger(seed):
     assert [t["rule"] for t in world.exec_agent.triggers] == world.rules
 
 
-def _heart_rate_with_outsider(sends, **changes):
-    """Run bundled heart_rate at seed 42, with changes, while an outside process
+def _heart_rate_with_outsider(sends, seed=42, **changes):
+    """Run bundled heart_rate at seed, with changes, while an outside process
     sends each (at_ms, dst, msg) that sends(world) lists; (report, world)."""
-    world = World(dict(cli._load("heart_rate", 42), **changes))
+    world = World(dict(cli._load("heart_rate", seed), **changes))
     outsider = Process("outsider", world.net)
 
     def hook(w):
@@ -652,6 +652,17 @@ def test_a_bypass_event_counts_only_from_the_exec_agent_in_bypass_mode():
     assert report["ledger"]["verdicts"]["rejected"] == {}
     assert report["task_agent"]["duplicate_notifies"] == 0
     assert report["task_agent"]["malformed_dropped"] == 39
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_the_platform_takes_a_rule_export_only_from_the_owners_console(seed):
+    # An outside export of rule 1 with no actions replaced the owner's, so the
+    # platform sent no action request and the lock ran none of its 3 actions.
+    report, world = _heart_rate_with_outsider(lambda w: [(500, "tamock", {
+        "type": "export_rule", "rule_id": 1, "title": "x", "actions": []})], seed=seed)
+    assert report["devices"]["lock-1"]["actions_executed"] == 3
+    assert report["platform"]["malformed_dropped"] == 1
+    assert world.tamock.exported[1]["actions"] == ["open_door_operation"]
 
 
 def test_a_device_obeys_only_its_own_gateway():

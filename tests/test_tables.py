@@ -109,6 +109,38 @@ def test_condition_length_mismatch():
         state.select_entry(tables.ACL, ["signer"], [], ["role"])
 
 
+def test_find_checks_each_query_before_and_after_its_index_exists():
+    """Columns are checked when a tuple's index is built and lengths on every
+    call, so each fault raises on a tuple's first query and on later ones."""
+    tbl = TableStore().table(tables.ACL)
+    tbl.insert({"signer": "k", "role": "r", "usr_id": 1})
+    for _ in range(2):
+        with pytest.raises(UnknownColumnError):
+            tbl.find(["signer", "nope"], ["k", 1])
+        with pytest.raises(UnknownColumnError):  # both faults: the column comes first
+            tbl.find(["nope"], [])
+        with pytest.raises(ValueError):
+            tbl.find(["usr_id"], [1, 2])
+    assert tbl.find(["signer"], ["k"]) == [0]  # the tuple's index now exists
+    with pytest.raises(ValueError):
+        tbl.find(["signer"], [])
+    with pytest.raises(ValueError):
+        tbl.find(["signer"], ["k", "k"])
+    assert tbl.find(["usr_id"], [1]) == [0]
+
+
+@pytest.mark.parametrize("row", [{"signer": "k", "role": "r"},
+                                 {"signer": "k", "role": "r", "usr_id": 2, "extra": 3}])
+def test_insert_refuses_a_row_off_the_schema_after_earlier_rows(row):
+    tbl = TableStore().table(tables.ACL)
+    tbl.insert({"signer": "a", "role": "r", "usr_id": 1})
+    assert tbl.find(["role"], ["r"]) == [0]
+    with pytest.raises(UnknownColumnError):
+        tbl.insert(row)
+    assert len(tbl.rows) == 1 and tbl.find(["role"], ["r"]) == [0]
+    assert tbl.insert({"signer": "b", "role": "r", "usr_id": 2}) == 1
+
+
 def test_update_changes_cell_and_digest():
     state = TableStore()
     state.insert(tables.ACL, {"signer": "k", "role": "NormalUser", "usr_id": 1})

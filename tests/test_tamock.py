@@ -17,8 +17,8 @@ def _rig(mode, with_adversary=False):
     driver = Sink("driver", net)
     adversary = tamock.AdversaryEndpoint("adv", net, "task") if with_adversary else None
     platform = tamock.TriggerActionMock(
-        "platform", net, mode=mode, task_agent_addr="task",
-        channel_token="chan-1", adversary_addr="adv" if with_adversary else None)
+        "platform", net, mode=mode, task_agent_addr="task", channel_token="chan-1",
+        adversary_addr="adv" if with_adversary else None, owner_addr="driver")
     return sched, net, platform, task, driver, adversary
 
 
@@ -36,7 +36,7 @@ def test_mode_validation():
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(1))
     with pytest.raises(ValueError):
-        tamock.TriggerActionMock("p", net, mode="chaotic")
+        tamock.TriggerActionMock("p", net, "driver", mode="chaotic")
 
 
 def test_export_is_acked_and_stored():
@@ -47,6 +47,17 @@ def test_export_is_acked_and_stored():
                                                "set_home_mode_operation"]
     acks = [m for _, _, m in driver.inbox if m["type"] == "export_ok"]
     assert acks == [{"type": "export_ok", "rule_id": 1}]
+
+
+def test_export_counts_only_from_the_owners_console():
+    sched, net, platform, task, driver, _ = _rig(tamock.MODE_HONEST)
+    _export(driver, platform)
+    sched.run()
+    _export(task, platform, actions=())
+    sched.run()
+    assert platform.exported[1]["actions"] == ["open_door_operation"]
+    assert platform.counters["malformed_dropped"] == 1
+    assert not [m for _, _, m in task.inbox if m["type"] == "export_ok"]
 
 
 def test_honest_mode_emits_one_request_per_action_and_acks_first():
