@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .canonical import (digest_hex, is_int, is_str, list_of, message, object_of, one_of,
                         sha256_hex, with_fields)
-from .contracts import EVENT_INFO, RES_ERR, RES_OK, event_body
+from .contracts import BINDING, EVENT_INFO, RES_ERR, RES_OK, event_body
 from .devices import RPC_RESULT, checksum
 from .keys import KeyPair
 from .ledger.client import RECEIPT, LedgerClient, QuorumGate  # noqa: F401 (re-exported)
@@ -38,7 +38,6 @@ from .sim.network import Process
 
 POLL_INTERVAL_MS = 500  # a poll-mode trigger runs once per interval
 
-_BINDING = object_of(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str)
 _ACTIONS = list_of(object_of(step_id=is_int, op_name=one_of(*CATALOG), device_id=is_str))
 
 
@@ -169,8 +168,8 @@ class ExecutionAgent(AgentBase):
 
     MESSAGES = {
         **AgentBase.MESSAGES,
-        "register_trigger": (message("register_trigger", rule=is_rule, binding=_BINDING),
-                             "_on_register_trigger"),
+        "register_trigger": (message("register_trigger", rule=is_rule,
+                                     binding=object_of(**BINDING)), "_on_register_trigger"),
         "device_push": (message("device_push", device_id=is_str), "_on_device_push"),
         "notify_actions": (with_fields(type=one_of("notify_actions"), event_info=EVENT_INFO,
                                        actions=_ACTIONS), "_on_notify_actions"),
@@ -427,9 +426,9 @@ class TaskAgent(AgentBase):
             self._send_trigger_request(info, cid)
 
     def _on_bypass_event(self, src, msg) -> None:
-        if self.ledger_enabled or src != self.exec_agent_addr:
+        if self.ledger_enabled:
             self.counters["malformed_dropped"] += 1
-        elif self._first(msg["event_info"]):
+        elif self.sender_is(src, self.exec_agent_addr) and self._first(msg["event_info"]):
             self._send_trigger_request(msg["event_info"], "")
 
     def _send_trigger_request(self, info, cid) -> None:

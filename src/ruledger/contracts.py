@@ -26,7 +26,6 @@ the rule-file parser, so the actions a rule names can always be run.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -47,9 +46,9 @@ from .rules import RuleDefinition, is_rule
 RES_OK = 1
 RES_ERR = -1
 
-# ledger_verify_trigger outcomes (RES_OK on success).  The misspelling of
-# "TRIGER" is load-bearing: it is the wire-visible constant name this
-# check has always reported, and downstream tooling matches on it.
+# ledger_verify_trigger's verdicts besides RES_OK, which the trigger-chain
+# acceptance test pins.  They reach no wire, receipt or report: the action
+# contract answers a refused step CODE_TRIGGER_VERIFY_FAILED.
 ERR_USER_VERIFY_FAILED = -2
 ERR_TRIGER_VERIFY_FAILED = -3
 
@@ -85,8 +84,10 @@ ROLE_PERMISSIONS: dict[str, frozenset[str]] = {
     ROLE_NORMAL_USER: frozenset({PERM_BIND_DEVICE}),
 }
 
-_EVENT_INFO = dict(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str,
-                   step_id=is_int, event_seq=is_int)
+# The fields binding a user to a rule: a USR_RULE row (`RuleDefinition.binding`
+# writes it), verify_usr_rule's arguments, and the head of each event_info.
+BINDING = dict(usr_rule_id=is_int, usr_id=is_int, rule_id=is_int, rule_name=is_str)
+_EVENT_INFO = dict(BINDING, step_id=is_int, event_seq=is_int)
 EVENT_INFO_FIELDS = tuple(_EVENT_INFO)
 EVENT_INFO = object_of(**_EVENT_INFO)
 
@@ -134,18 +135,12 @@ def event_body(info: dict, eid: str, log_key: str, log_sum: str, task_ref: int,
 LogQuery = Callable[[str, str], "str | None"]
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
-    code: str | None = None
+    code: str | None = None  # the rejection code, None on accept
 
-    @classmethod
-    def reject(cls, code: str) -> "Verdict":
-        return cls(accepted=False, code=code)
 
-    @classmethod
-    def accept(cls) -> "Verdict":
-        return cls(accepted=True)
+ACCEPT = Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +204,11 @@ def ledger_verify_trigger(
     return ERR_TRIGER_VERIFY_FAILED
 
 
+def _binding(info: dict) -> tuple:
+    """The binding fields of an event_info, in verify_usr_rule's order."""
+    return tuple(info[f] for f in BINDING)
+
+
 def get_rule_definition(state: tables.TableStore, rule_id: int) -> RuleDefinition | None:
     rows = state.select_entry(tables.RULE, ["rule_id"], [rule_id], ["definition"])
     return _parse_definition(rows[0][0]) if rows else None
@@ -223,7 +223,8 @@ def _parse_definition(text: str) -> RuleDefinition:
 
 
 def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None:
-    """Row id of the event record matching the full descriptor, else None."""
+    """Row id of the event record matching the full descriptor, else None: the
+    action contract's lookup, and the row its application consumes."""
     ids = state.table(tables.EVENT_RECORD).find(
         EVENT_INFO_FIELDS, [event_info[f] for f in EVENT_INFO_FIELDS]
     )
@@ -236,7 +237,7 @@ def _find_event_record(state: tables.TableStore, event_info: dict) -> int | None
 def rule_commit_contract(tx: SignedTransaction, state: tables.TableStore) -> Verdict:
     body = tx.body
     if not _CONFIG_ACTION(body):
-        return Verdict.reject(CODE_MALFORMED)
+        return Verdict(False, CODE_MALFORMED)
     action = body["action"]
     permission, admits = BODIES[action]
 
@@ -244,34 +245,30 @@ def rule_commit_contract(tx: SignedTransaction, state: tables.TableStore) -> Ver
         tables.ACL, ["signer"], [tx.signer], ["role", "usr_id"]
     )
     if not acl_rows:
-        return Verdict.reject(CODE_NO_ACL_ENTRY)
+        return Verdict(False, CODE_NO_ACL_ENTRY)
     role, signer_usr_id = acl_rows[0]
     if permission not in ROLE_PERMISSIONS.get(role, frozenset()):
-        return Verdict.reject(CODE_PERMISSION_DENIED)
+        return Verdict(False, CODE_PERMISSION_DENIED)
     if not admits(body):
-        return Verdict.reject(CODE_MALFORMED)
+        return Verdict(False, CODE_MALFORMED)
 
     if action == "commit_rule":
         if body["usr_id"] != signer_usr_id:
-            return Verdict.reject(CODE_PERMISSION_DENIED)
+            return Verdict(False, CODE_PERMISSION_DENIED)
         if state.select_entry(tables.RULE, ["rule_id"], [body["rule"]["rule_id"]], ["rule_id"]):
-            return Verdict.reject(CODE_DUPLICATE_RULE_ID)
+            return Verdict(False, CODE_DUPLICATE_RULE_ID)
         if state.select_entry(
             tables.USR_RULE, ["usr_rule_id"], [body["usr_rule_id"]], ["usr_rule_id"]
         ):
-            return Verdict.reject(CODE_DUPLICATE_RULE_ID)
+            return Verdict(False, CODE_DUPLICATE_RULE_ID)
     elif action == "modify_rule":
-        owner = state.select_entry(
-            tables.RULE, ["rule_id"], [body["rule"]["rule_id"]], ["usr_id"]
-        )
-        if not owner:
-            return Verdict.reject(CODE_UNKNOWN_RULE)
-        if owner[0][0] != signer_usr_id and role != ROLE_ADMINISTRATOR:
-            return Verdict.reject(CODE_PERMISSION_DENIED)
+        # Only an Administrator holds ModifyRule, and may edit any rule.
+        if not state.select_entry(tables.RULE, ["rule_id"], [body["rule"]["rule_id"]], ["rule_id"]):
+            return Verdict(False, CODE_UNKNOWN_RULE)
     elif action == "bind_device":
         if body["usr_id"] != signer_usr_id and role != ROLE_ADMINISTRATOR:
-            return Verdict.reject(CODE_PERMISSION_DENIED)
-    return Verdict.accept()
+            return Verdict(False, CODE_PERMISSION_DENIED)
+    return ACCEPT
 
 
 def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
@@ -293,24 +290,10 @@ def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
     elif action == "modify_rule":
         rule = body["rule"]
         tbl = state.table(tables.RULE)
-        ids = tbl.find(["rule_id"], [rule["rule_id"]])
-        if ids:
-            tbl.update(ids[0], "definition", canonical_bytes(rule).decode("utf-8"))
+        tbl.update(tbl.find(["rule_id"], [rule["rule_id"]])[0], "definition",
+                   canonical_bytes(rule).decode("utf-8"))
     elif action == "manage_accounts":
-        tbl = state.table(tables.ACL)
-        for entry in body["entries"]:
-            ids = tbl.find(["signer"], [entry["signer"]])
-            if ids:
-                tbl.update(ids[0], "role", entry["role"])
-                tbl.update(ids[0], "usr_id", entry["usr_id"])
-            else:
-                tbl.insert(
-                    {
-                        "signer": entry["signer"],
-                        "role": entry["role"],
-                        "usr_id": entry["usr_id"],
-                    }
-                )
+        write_accounts(state, body["entries"])
     else:  # bind_device
         state.insert(
             tables.DEVICE_BINDING,
@@ -320,6 +303,19 @@ def apply_rule_commit(tx: SignedTransaction, state: tables.TableStore) -> None:
                 "vendor": body["vendor"],
             },
         )
+
+
+def write_accounts(state: tables.TableStore, entries: list[dict]) -> None:
+    """Give each entry's signer its role and usr_id, adding an ACL row for a new
+    signer: the one writer of the ACL, at genesis and by manage_accounts."""
+    tbl = state.table(tables.ACL)
+    for entry in entries:
+        ids = tbl.find(["signer"], [entry["signer"]])
+        if ids:
+            tbl.update(ids[0], "role", entry["role"])
+            tbl.update(ids[0], "usr_id", entry["usr_id"])
+        else:
+            tbl.insert({key: entry[key] for key in ("signer", "role", "usr_id")})
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +329,21 @@ def event_verification_contract(
     """Verify a claimed device event against the log service and history."""
     body = tx.body
     if not BODIES[KIND_EVENT].admits(body):
-        return Verdict.reject(CODE_MALFORMED)
+        return Verdict(False, CODE_MALFORMED)
     info, log = body["event_info"], body["event_log"]
 
     # A binding implies its rule: commit_rule writes both rows, and no row is deleted.
-    if (
-        verify_usr_rule(
-            state, info["usr_rule_id"], info["usr_id"], info["rule_id"], info["rule_name"]
-        )
-        == RES_ERR
-    ):
-        return Verdict.reject(CODE_UNKNOWN_RULE)
+    if verify_usr_rule(state, *_binding(info)) == RES_ERR:
+        return Verdict(False, CODE_UNKNOWN_RULE)
 
     # Failure records attest that nothing executed, so there is no log
     # entry to check; they still consume freshness below.
     if body["result_status"] == RES_OK:
         stored_sum = log_query(log["eid"], log["log_key"])
         if stored_sum is None:
-            return Verdict.reject(CODE_NO_LOG_ENTRY)
+            return Verdict(False, CODE_NO_LOG_ENTRY)
         if stored_sum != log["log_sum"]:
-            return Verdict.reject(CODE_CHECKSUM_MISMATCH)
+            return Verdict(False, CODE_CHECKSUM_MISMATCH)
 
     # Freshness: the (rule, seq) pair must be new, and the log entry id
     # single-use.  Reusing an old entry with a bumped seq is a replay.
@@ -362,11 +353,11 @@ def event_verification_contract(
         [info["rule_id"], info["event_seq"]],
         ["eid"],
     ):
-        return Verdict.reject(CODE_STALE_SEQ)
+        return Verdict(False, CODE_STALE_SEQ)
     if state.select_entry(tables.EVENT_INDEX, ["eid"], [log["eid"]], ["eid"]):
-        return Verdict.reject(CODE_STALE_SEQ)
+        return Verdict(False, CODE_STALE_SEQ)
 
-    return Verdict.accept()
+    return ACCEPT
 
 
 def apply_event(tx: SignedTransaction, state: tables.TableStore) -> bool:
@@ -375,13 +366,10 @@ def apply_event(tx: SignedTransaction, state: tables.TableStore) -> bool:
     body = tx.body
     info = body["event_info"]
     log = body["event_log"]
-    usr_item = verify_usr_rule(
-        state, info["usr_rule_id"], info["usr_id"], info["rule_id"], info["rule_name"]
-    )
     state.insert(
         tables.TRIGGER_EVENT,
         {
-            "tRule_id": usr_item,
+            "tRule_id": verify_usr_rule(state, *_binding(info)),
             "tStep_id": info["step_id"],
             "tTask_id": body["task_ref"],
             "tResult": body["result_status"],
@@ -410,28 +398,18 @@ def action_verification_contract(
 ) -> Verdict:
     body = tx.body
     if not BODIES[KIND_ACTION].admits(body):
-        return Verdict.reject(CODE_MALFORMED)
+        return Verdict(False, CODE_MALFORMED)
     info = body["event_info"]
     if not verify_random(secret, info, body["cid"]):
-        return Verdict.reject(CODE_BAD_CID)
-    records = state.select_entry(
-        tables.EVENT_RECORD, EVENT_INFO_FIELDS, [info[f] for f in EVENT_INFO_FIELDS], ["consumed"]
-    )
-    if not records:
-        return Verdict.reject(CODE_NO_EVENT_RECORD)
-    if records[0][0]:
-        return Verdict.reject(CODE_ALREADY_CONSUMED)
-    result = ledger_verify_trigger(
-        state,
-        info["usr_rule_id"],
-        info["usr_id"],
-        info["rule_id"],
-        info["rule_name"],
-        info["step_id"] + 1,
-    )
-    if result != RES_OK:
-        return Verdict.reject(CODE_TRIGGER_VERIFY_FAILED)
-    return Verdict.accept()
+        return Verdict(False, CODE_BAD_CID)
+    record_id = _find_event_record(state, info)
+    if record_id is None:
+        return Verdict(False, CODE_NO_EVENT_RECORD)
+    if state.table(tables.EVENT_RECORD).rows[record_id]["consumed"]:
+        return Verdict(False, CODE_ALREADY_CONSUMED)
+    if ledger_verify_trigger(state, *_binding(info), info["step_id"] + 1) != RES_OK:
+        return Verdict(False, CODE_TRIGGER_VERIFY_FAILED)
+    return ACCEPT
 
 
 def apply_action(tx: SignedTransaction, state: tables.TableStore) -> list[dict]:
@@ -441,8 +419,7 @@ def apply_action(tx: SignedTransaction, state: tables.TableStore) -> list[dict]:
     agent notification.
     """
     info = tx.body["event_info"]
-    record_id = _find_event_record(state, info)
-    state.table(tables.EVENT_RECORD).update(record_id, "consumed", 1)
+    state.table(tables.EVENT_RECORD).update(_find_event_record(state, info), "consumed", 1)
 
     actions = get_rule_definition(state, info["rule_id"]).steps("action")
     for step in actions:
@@ -466,7 +443,7 @@ def verify_tx(
         return event_verification_contract(tx, state, log_query)
     if tx.kind == KIND_ACTION:
         return action_verification_contract(tx, state, secret)
-    return Verdict.reject(CODE_MALFORMED)
+    return Verdict(False, CODE_MALFORMED)
 
 
 def apply_tx(tx: SignedTransaction, state: tables.TableStore) -> dict:

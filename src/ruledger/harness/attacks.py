@@ -169,7 +169,7 @@ def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
                           if wire["kind"] == KIND_EVENT), None)
         if committed is None:
             return []
-        body = dict(SignedTransaction.from_wire(committed, checked=True).body)
+        body = dict(SignedTransaction.from_wire(committed).body)
         body.pop("kind", None)
         body.pop("nonce", None)
         # Verbatim replay: same event_info, same log coordinates.  Freshened

@@ -173,7 +173,7 @@ class World:
             for wire in block_txs(block):
                 kind = wire["kind"]
                 if kind == KIND_EVENT:
-                    info = SignedTransaction.from_wire(wire, checked=True).body["event_info"]
+                    info = SignedTransaction.from_wire(wire).body["event_info"]
                     bound = trigger_count.get(info["rule_id"], 0)
                     if info["step_id"] >= bound:
                         counts["action_record"] += 1

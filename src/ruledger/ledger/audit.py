@@ -36,10 +36,12 @@ digest.
 The header's `n` and `f` are not trusted: the audit derives f and the
 commit quorum from the header's key list by the one fault bound
 (`node.max_faulty`), and reports a header whose `n` or `f` disagrees with
-that list, or whose list is no valid replica count, as malformed.  It does
-trust the key list and the genesis ACL themselves, so a dump re-keyed
-throughout is consistent with itself: compare its header with the
-deployment's keys.  Under such a header no audit proves anything, whether
+that list, or whose list is no valid replica count, as malformed.  So is a
+header whose genesis ACL names a signer twice: genesis writes the ACL as
+`manage_accounts` does (`contracts.write_accounts`), so the two entries
+would be one row.  The audit does trust the key list and the genesis ACL
+themselves, so a dump re-keyed throughout is consistent with itself:
+compare its header with the deployment's keys.  Under such a header no audit proves anything, whether
 or not it re-checks tx signatures: the forger holds every voting key and
 writes the genesis ACL, so it can sign both the votes and the txs.
 """
@@ -136,11 +138,13 @@ def _parse_dump(data: bytes) -> list[dict]:
 
 def _header_ok(record) -> bool:
     """Whether record is a header whose key list is a replica set that runs,
-    with that set's n and f."""
+    with that set's n and f, and whose genesis ACL names each signer once."""
     if not HEADER(record):
         return False
     n = len(record["node_pubkeys"])
-    return replica_count_ok(n) and record["n"] == n and record["f"] == max_faulty(n)
+    signers = [entry["signer"] for entry in record["genesis_acl"]]
+    return (replica_count_ok(n) and record["n"] == n and record["f"] == max_faulty(n)
+            and len(set(signers)) == len(signers))
 
 
 def audit_records(records: list) -> AuditResult:

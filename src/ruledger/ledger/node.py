@@ -281,10 +281,9 @@ def genesis_block() -> dict:
 
 
 def genesis_state(genesis_acl: list[dict]) -> tables.TableStore:
-    """The table state below block 1: one ACL row per genesis account."""
+    """The table state below block 1: the genesis accounts' ACL rows."""
     state = tables.TableStore()
-    for entry in genesis_acl:
-        state.insert(tables.ACL, {key: entry[key] for key in ("signer", "role", "usr_id")})
+    contracts.write_accounts(state, genesis_acl)
     return state
 
 
@@ -551,7 +550,7 @@ class LedgerNode(Process):
             if tid in self.decided:
                 continue  # at-most-once commit per tx id
             # A pooled wire's tx is reused; any other was checked by `_batch_signed`.
-            tx = self._pooled(tid, wire) or SignedTransaction.from_wire(wire, checked=True)
+            tx = self._pooled(tid, wire) or SignedTransaction.from_wire(wire)
             verdict = contracts.verify_tx(tx, self.state, self.log_query, self.config.ledger_secret)
             if verdict.accepted:
                 effects = contracts.apply_tx(tx, self.state)

@@ -69,14 +69,13 @@ class SignedTransaction:
         }
 
     @classmethod
-    def from_wire(cls, data: dict, checked: bool = False) -> "SignedTransaction | None":
+    def from_wire(cls, data: dict) -> "SignedTransaction | None":
         """The tx a wire carries, if its body text is exactly the canonical JSON of
-        an object with the wire's kind and an int nonce, else None; never raises.
-        A body `checked` by an earlier call is not serialized again."""
+        an object with the wire's kind and an int nonce, else None; never raises."""
         text, kind = data["body"], data["kind"]
         try:
             body = json.loads(text)
-            ok = checked or canonical_bytes(body) == text.encode("utf-8")
+            ok = canonical_bytes(body) == text.encode("utf-8")
         except (ValueError, TypeError, RecursionError):  # the parser recurses per nesting level
             return None
         if ok and type(body) is dict and body.get("kind") == kind and is_int(body.get("nonce")):

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from ruledger.canonical import canonical_bytes, derive_seed
+from ruledger.contracts import EVENT_INFO_FIELDS
 from ruledger.keys import KeyPair
 from ruledger.ledger import tables
 from ruledger.ledger.client import RECEIPT, LedgerClient
@@ -165,6 +166,14 @@ def seeded_state(rule=None, binding=None) -> tables.TableStore:
     })
     state.insert(tables.USR_RULE, dict(binding))
     return state
+
+
+def insert_event_record(state, info, consumed=False) -> None:
+    """Store the event record that the final trigger step of info leaves."""
+    state.insert(tables.EVENT_RECORD, {
+        **{f: info[f] for f in EVENT_INFO_FIELDS},
+        "eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64, "consumed": int(consumed),
+    })
 
 
 def event_info(step_id=0, event_seq=1, binding=None, **overrides):

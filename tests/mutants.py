@@ -54,6 +54,7 @@ SUBSETS = {
     "ledger/faults.py": ["test_pbft.py", "test_acceptance.py", "test_harness.py"],
     "canonical.py": ["test_canonical.py", "test_boundary.py", "test_harness.py"],
     "ledger/tables.py": ["test_tables.py", "test_contracts.py", "test_harness.py"],
+    "contracts.py": ["test_contracts.py", "test_acceptance.py"],
 }
 
 

@@ -20,6 +20,7 @@ from conftest import (
     event_info,
     event_tx,
     hr_rule,
+    insert_event_record,
     make_rig,
     record_criterion,
     rule_commit_tx,
@@ -213,10 +214,7 @@ def _action_cell(cid_ok, exists, consumed, pred_ok):
     state = seeded_state()
     info = event_info()
     if exists:
-        record = {f: info[f] for f in contracts.EVENT_INFO_FIELDS}
-        record.update({"eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64,
-                       "consumed": 1 if consumed else 0})
-        state.insert(tables.EVENT_RECORD, record)
+        insert_event_record(state, info, consumed)
     if pred_ok:
         state.insert(tables.TRIGGER_EVENT, {"tRule_id": 0, "tStep_id": 0,
                                             "tTask_id": 1, "tResult": contracts.RES_OK})
@@ -257,10 +255,7 @@ def _shuffle_tally(k: int, rounds: int) -> tuple[int, int]:
         rng = random.Random(10_000 * k + r)
         info = event_info()
         state = seeded_state()
-        record = {f: info[f] for f in contracts.EVENT_INFO_FIELDS}
-        record.update({"eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64,
-                       "consumed": 0})
-        state.insert(tables.EVENT_RECORD, record)
+        insert_event_record(state, info)
         state.insert(tables.TRIGGER_EVENT, {"tRule_id": 0, "tStep_id": 0,
                                             "tTask_id": 1, "tResult": contracts.RES_OK})
         cid = contracts.gen_randomness(TEST_SECRET, info)

@@ -23,6 +23,7 @@ from conftest import (
     event_info,
     event_tx,
     hr_rule,
+    insert_event_record,
     seeded_state,
 )
 from ruledger import contracts
@@ -295,10 +296,7 @@ def _action_state(exists: bool, consumed: bool, pred_ok: bool, info=None):
     state = seeded_state()
     info = info or event_info(step_id=0, event_seq=1)
     if exists:
-        record = {f: info[f] for f in contracts.EVENT_INFO_FIELDS}
-        record.update({"eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64,
-                       "consumed": 1 if consumed else 0})
-        state.insert(tables.EVENT_RECORD, record)
+        insert_event_record(state, info, consumed)
     if pred_ok:
         state.insert(tables.TRIGGER_EVENT,
                      {"tRule_id": 0, "tStep_id": info["step_id"],
@@ -328,9 +326,7 @@ def test_apply_action_consumes_and_writes_all_action_rows():
     rule = hr_rule(extra_actions=[["set_home_mode_operation", "hub-1", "OP_AND"]])
     state = seeded_state(rule=rule)
     info = event_info(step_id=0, event_seq=3)
-    record = {f: info[f] for f in contracts.EVENT_INFO_FIELDS}
-    record.update({"eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64, "consumed": 0})
-    state.insert(tables.EVENT_RECORD, record)
+    insert_event_record(state, info)
 
     actions = contracts.apply_action(action_tx(KEY, 1, info, "unchecked"), state)
     assert [a["op_name"] for a in actions] == ["open_door_operation", "set_home_mode_operation"]
@@ -383,9 +379,7 @@ def test_step_chaining_requires_the_final_trigger_step():
     }
     state = seeded_state(rule=rule)
     info = event_info(step_id=1, event_seq=2)
-    record = {f: info[f] for f in contracts.EVENT_INFO_FIELDS}
-    record.update({"eid": "e" * 32, "log_key": "f" * 32, "log_sum": "a" * 64, "consumed": 0})
-    state.insert(tables.EVENT_RECORD, record)
+    insert_event_record(state, info)
     cid = contracts.gen_randomness(TEST_SECRET, info)
     tx = action_tx(KEY, 1, info, cid)
 
@@ -459,6 +453,11 @@ def test_duplicate_rule_and_binding_ids_rejected():
     assert contracts.rule_commit_contract(again, state).code == (
         contracts.CODE_DUPLICATE_RULE_ID
     )
+    same_rule_fresh_binding = _tx(
+        "rule_commit", _commit_body(usr_rule_id=102), admin, nonce=4)
+    assert contracts.rule_commit_contract(same_rule_fresh_binding, state).code == (
+        contracts.CODE_DUPLICATE_RULE_ID
+    )
     fresh_rule_same_binding = _tx(
         "rule_commit", _commit_body(rule=hr_rule(rule_id=2), usr_rule_id=101), admin, nonce=3)
     assert contracts.rule_commit_contract(fresh_rule_same_binding, state).code == (
@@ -517,19 +516,23 @@ def test_a_parsed_rule_definition_is_shared_and_frozen():
 
 
 def test_manage_accounts_upserts_entries():
+    # A signer keeps its one row, so its new role takes effect: a demoted
+    # administrator may no longer commit a rule.
     admin = KeyPair.from_seed(6, "acct/admin")
     state = _acl_state((admin.public_hex, "Administrator", 1),
                        ("bobkey", "NormalUser", 2))
-    body = {"action": "manage_accounts", "entries": [
+    entries = [
+        {"signer": admin.public_hex, "role": "NormalUser", "usr_id": 1},
         {"signer": "bobkey", "role": "Administrator", "usr_id": 2},
         {"signer": "carolkey", "role": "NormalUser", "usr_id": 3},
-    ]}
-    tx = _tx("config", body, admin)
+    ]
+    tx = _tx("config", {"action": "manage_accounts", "entries": entries}, admin)
     assert contracts.rule_commit_contract(tx, state).accepted
     contracts.apply_rule_commit(tx, state)
-    rows = {r["signer"]: r["role"] for r in state.table(tables.ACL).rows}
-    assert rows == {admin.public_hex: "Administrator",
-                    "bobkey": "Administrator", "carolkey": "NormalUser"}
+    assert state.table(tables.ACL).rows == entries
+    commit = _tx("rule_commit", _commit_body(), admin, nonce=2)
+    assert contracts.rule_commit_contract(commit, state).code == (
+        contracts.CODE_PERMISSION_DENIED)
 
 
 def test_normal_user_may_bind_devices_but_nothing_else():
@@ -579,13 +582,19 @@ def test_role_permission_table_is_exact():
 
 
 def test_verify_tx_dispatch_rejects_unknown_kind():
-    state = seeded_state()
-    tx = event_tx(KEY, 1, event_info(), "e" * 32, "f" * 32, "a" * 64)
-    bad = type(tx)("mystery", tx.body, tx.signer, tx.signature)
-    verdict = contracts.verify_tx(bad, state, lambda e, k: None, TEST_SECRET)
-    assert verdict.code == contracts.CODE_MALFORMED
-    with pytest.raises(ValueError):
-        contracts.apply_tx(bad, state)
+    # Each body is one its own contract accepts, so only the dispatch refuses it.
+    info = event_info()
+    for state, tx in [
+        (seeded_state(), event_tx(KEY, 1, info, "e" * 32, "f" * 32, "a" * 64)),
+        (_action_state(exists=True, consumed=False, pred_ok=True, info=info),
+         action_tx(KEY, 1, info, contracts.gen_randomness(TEST_SECRET, info))),
+    ]:
+        assert contracts.verify_tx(tx, state, lambda e, k: "a" * 64, TEST_SECRET).accepted
+        bad = type(tx)("mystery", tx.body, tx.signer, tx.signature)
+        verdict = contracts.verify_tx(bad, state, lambda e, k: "a" * 64, TEST_SECRET)
+        assert verdict == (False, contracts.CODE_MALFORMED)
+        with pytest.raises(ValueError):
+            contracts.apply_tx(bad, state)
 
 
 @pytest.mark.parametrize("action", ["commit_rule", "modify_rule"])

@@ -24,7 +24,7 @@ from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError
-from ruledger.ledger.tx import SignedTransaction, text_id
+from ruledger.ledger.tx import SignedTransaction, build_tx, text_id
 from ruledger.rules import SMARTLOCK_UNLOCK, RuleError, parse_rule
 from ruledger.sim.network import Process
 
@@ -416,17 +416,32 @@ _POSITIONS = "block 2: txs are not ascending positions in the proposal"
     (lambda records: records.__delitem__(2), "height gap: expected 1, found 2"),
     (lambda records: records[3].update(cert=records[2]["cert"]),
      "block 2: malformed commit certificate"),
+    (lambda records: records[0]["genesis_acl"].append(dict(records[0]["genesis_acl"][0])),
+     "missing or malformed header record"),
 ], ids=["tx_not_in_proposal", "swapped_txs", "edited_proposal_wire",
         "unparseable_tx_body", "non_canonical_tx_body", "negative_position",
         "repeated_position", "position_past_the_batch", "descending_positions", "no_proposal",
         "txs_in_genesis", "no_blocks", "header_f_minus_one", "header_f_zero",
-        "erase_with_one_vote", "no_block_1", "certificate_of_another_block"])
+        "erase_with_one_vote", "no_block_1", "certificate_of_another_block",
+        "repeated_genesis_signer"])
 def test_audit_catches_a_resealed_rewrite(batched_records, tamper, issue):
     assert audit.audit_records(_reseal(json.loads(batched_records))).ok
     records = json.loads(batched_records)
     tamper(records)
     result = audit.audit_records(_reseal(records))
     assert not result.ok and issue in result.issues, result.issues
+
+
+def test_audit_reports_the_replay_of_a_modify_of_no_stored_rule(batched_records):
+    # The contract accepts a modify only of a stored rule, so its replay finds the row.
+    records = json.loads(batched_records)
+    block = records[3]
+    block["txs"].append(len(block["cert"]["batch"]))
+    block["cert"]["batch"].append(build_tx("rule_commit", {
+        "action": "modify_rule", "rule": hr_rule(rule_id=77)}, _FORGER, 2).wire())
+    result = audit.audit_records(records)
+    assert any(issue.startswith("block 2: replay failed") for issue in result.issues), \
+        result.issues
 
 
 def test_audit_catches_a_prev_digest_rewritten_in_one_block(batched_records):
