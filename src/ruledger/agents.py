@@ -16,12 +16,12 @@ ack, a device push or a bypass hand-off, counts only from that party
 (`Process.sender_is`); from anyone else it is dropped as malformed.
 
 Each decision is made in one place: a message sent until it is answered
-goes through `Process.resend`, with its waits fixed at the call site; an
-accepted rule, committed or modified, reaches the platform and the execution
-agent through `UserAgent._submit_rule`; step ids come from
-`RuleDefinition.steps`; a rule's steps call their devices
-through `ExecutionAgent._call_steps`; an event body comes from
-`contracts.event_body`.
+goes through `Process.resend`, with its waits fixed at the call site; a
+device call is matched to its result through `Process.call`; an accepted
+rule, committed or modified, reaches the platform and the execution agent
+through `UserAgent._submit_rule`; step ids come from `RuleDefinition.steps`;
+a rule's steps call their devices through `ExecutionAgent._call_steps`; an
+event body comes from `contracts.event_body`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ class AgentBase(Process):
         self.client = LedgerClient(self, node_addrs)
         self.gate = self.client.new_gate()  # for notifications
         self.marks: set[tuple] = set()  # the (rule_id, event_seq) of events acted on
+        self.counters["duplicate_notifies"] = 0  # counted by _first
         self._nonce = 0
 
     def next_nonce(self) -> int:
@@ -79,21 +80,20 @@ class UserAgent(AgentBase):
     MESSAGES = {**AgentBase.MESSAGES, "export_ok": (
         with_fields(type=one_of("export_ok"), rule_id=is_int), "_on_export_ok")}
 
-    def __init__(self, addr, net, keypair, node_addrs, usr_id,
-                 tamock_addr=None, exec_agent_addr=None):
+    def __init__(self, addr, net, keypair, node_addrs, usr_id, tamock_addr, exec_agent_addr):
         super().__init__(addr, net, keypair, node_addrs)
         self.usr_id = usr_id
         self.tamock_addr = tamock_addr
         self.exec_agent_addr = exec_agent_addr
         self.export_acked: set[int] = set()  # rules whose latest export the platform acked
 
-    def commit_rule(self, rule: RuleDefinition, usr_rule_id: int, cb=None) -> str:
-        return self._submit_rule("commit_rule", rule, usr_rule_id, cb)
+    def commit_rule(self, rule: RuleDefinition, usr_rule_id: int) -> str:
+        return self._submit_rule("commit_rule", rule, usr_rule_id)
 
-    def modify_rule(self, rule: RuleDefinition, usr_rule_id: int, cb=None) -> str:
-        return self._submit_rule("modify_rule", rule, usr_rule_id, cb)
+    def modify_rule(self, rule: RuleDefinition, usr_rule_id: int) -> str:
+        return self._submit_rule("modify_rule", rule, usr_rule_id)
 
-    def _submit_rule(self, action, rule, usr_rule_id, cb) -> str:
+    def _submit_rule(self, action, rule, usr_rule_id) -> str:
         """Submit the rule; once accepted, a commit and a modify alike, export
         it to the platform and register it with the execution agent: the one
         hand-off of a rule."""
@@ -108,23 +108,19 @@ class UserAgent(AgentBase):
             if receipt.accepted:
                 self._export_rule(rule)
                 self._register_trigger(rule, usr_rule_id)
-            if cb is not None:
-                cb(receipt)
 
         return self.submit(KIND_RULE_COMMIT, payload, after)
 
-    def manage_accounts(self, entries, cb=None) -> str:
-        return self.submit(KIND_CONFIG, {"action": "manage_accounts", "entries": entries}, cb)
+    def manage_accounts(self, entries) -> str:
+        return self.submit(KIND_CONFIG, {"action": "manage_accounts", "entries": entries})
 
-    def bind_device(self, device_id, vendor, usr_id, cb=None) -> str:
+    def bind_device(self, device_id, vendor, usr_id) -> str:
         payload = {"action": "bind_device", "device_id": device_id,
                    "vendor": vendor, "usr_id": usr_id}
-        return self.submit(KIND_CONFIG, payload, cb)
+        return self.submit(KIND_CONFIG, payload)
 
     def _export_rule(self, rule: RuleDefinition) -> None:
         # The platform mock only needs the action list to route requests.
-        if self.tamock_addr is None:
-            return
         msg = {
             "type": "export_rule",
             "rule_id": rule.rule_id,
@@ -136,8 +132,6 @@ class UserAgent(AgentBase):
                     lambda: rule.rule_id in self.export_acked)
 
     def _register_trigger(self, rule, usr_rule_id) -> None:
-        if self.exec_agent_addr is None:
-            return
         self.send(self.exec_agent_addr, {"type": "register_trigger", "rule": rule.to_dict(),
                                          "binding": rule.binding(usr_rule_id, self.usr_id)})
 
@@ -174,11 +168,11 @@ class ExecutionAgent(AgentBase):
         "notify_actions": (with_fields(type=one_of("notify_actions"), event_info=EVENT_INFO,
                                        actions=_ACTIONS), "_on_notify_actions"),
         "exec_direct": (message("exec_direct", event_info=EVENT_INFO), "_on_exec_direct"),
-        "rpc_result": (RPC_RESULT, "_on_rpc_result"),
+        "rpc_result": (RPC_RESULT, "answered"),
     }
 
-    def __init__(self, addr, net, keypair, node_addrs, rng, owner_addr,
-                 record_actions=True, ledger_enabled=True, task_agent_addr=None):
+    def __init__(self, addr, net, keypair, node_addrs, rng, owner_addr, task_agent_addr,
+                 record_actions=True, ledger_enabled=True):
         super().__init__(addr, net, keypair, node_addrs)
         self.rng = rng
         self.owner_addr = owner_addr  # the rule owner's console, the one registrar
@@ -191,8 +185,6 @@ class ExecutionAgent(AgentBase):
         self.polling = False  # set by start_polling; a polling agent takes no pushes
         self._eid_counter = 0
         self._seq: dict[int, int] = {}
-        self._corr = 0
-        self._pending_rpc: dict[tuple[str, int], object] = {}  # (gateway, corr) -> callback
         self._cycle_start: dict[tuple, int] = {}
         self.e2e_ms: list[int] = []
         self.counters.update({
@@ -202,7 +194,6 @@ class ExecutionAgent(AgentBase):
             "events_submitted": 0,
             "actions_completed": 0,
             "action_failures": 0,
-            "duplicate_notifies": 0,
             "refused_direct": 0,
         })
 
@@ -252,12 +243,6 @@ class ExecutionAgent(AgentBase):
             devices = [dev for _op, dev, _c in trig["rule"].trigger_operations]
             if not self.polling and msg["device_id"] in devices:
                 self.run_trigger_cycle(trig)
-
-    def _on_rpc_result(self, src, msg):
-        """A call's result counts only from the gateway the call went to."""
-        cb = self._pending_rpc.pop((src, msg["corr"]), None)
-        if cb is not None:
-            cb(msg)
 
     # ------------------------------------------------------------------
     # trigger side
@@ -359,28 +344,18 @@ class ExecutionAgent(AgentBase):
             if on_result(step, eid, log_key, result):
                 self._call_steps(steps[1:], on_result, finish)
 
-        self._rpc(step["device_id"], CATALOG[step["op_name"]].api, eid, log_key, done)
+        device_id = step["device_id"]
+        if device_id not in self.device_routes:  # answered as a gateway answers
+            done({"ok": False, "error": "UnknownDevice"})
+            return
+        gateway_addr, token = self.device_routes[device_id]
+        self.call(gateway_addr, {"type": "rpc_call", "token": token, "device_id": device_id,
+                                 "api": CATALOG[step["op_name"]].api, "eid": eid,
+                                 "log_key": log_key}, done)
 
     def _submit_event(self, body: dict) -> None:
         self.counters["events_submitted"] += 1
         self.submit(KIND_EVENT, body)
-
-    def _rpc(self, device_id, api, eid, log_key, cb) -> None:
-        if device_id not in self.device_routes:  # answered as a gateway answers
-            cb({"ok": False, "error": "UnknownDevice"})
-            return
-        gateway_addr, token = self.device_routes[device_id]
-        self._corr += 1
-        self._pending_rpc[(gateway_addr, self._corr)] = cb
-        self.send(gateway_addr, {
-            "type": "rpc_call",
-            "token": token,
-            "device_id": device_id,
-            "api": api,
-            "eid": eid,
-            "log_key": log_key,
-            "corr": self._corr,
-        })
 
 
 class TaskAgent(AgentBase):
@@ -399,8 +374,8 @@ class TaskAgent(AgentBase):
         "trigger_ack": (with_fields(type=one_of("trigger_ack"), req_id=is_int), "_on_trigger_ack"),
     }
 
-    def __init__(self, addr, net, keypair, node_addrs, tamock_addr=None,
-                 channel_token="", ledger_enabled=True, exec_agent_addr=None):
+    def __init__(self, addr, net, keypair, node_addrs, tamock_addr, channel_token,
+                 exec_agent_addr, ledger_enabled=True):
         super().__init__(addr, net, keypair, node_addrs)
         self.tamock_addr = tamock_addr
         self.channel_token = channel_token
@@ -412,7 +387,6 @@ class TaskAgent(AgentBase):
             "trigger_requests_sent": 0,
             "action_requests_received": 0,
             "channel_rejects": 0,
-            "duplicate_notifies": 0,
         })
 
     def _on_trigger_ack(self, src, msg) -> None:
@@ -432,8 +406,6 @@ class TaskAgent(AgentBase):
             self._send_trigger_request(msg["event_info"], "")
 
     def _send_trigger_request(self, info, cid) -> None:
-        if self.tamock_addr is None:
-            return
         self._req += 1
         req_id = self._req
         msg = {"type": "trigger_request", "req_id": req_id,

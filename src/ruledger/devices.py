@@ -149,7 +149,7 @@ class Gateway(Process):
     MESSAGES = {
         "rpc_call": (message("rpc_call", token=is_str, device_id=is_str, api=is_str,
                              eid=is_str, log_key=is_str, corr=is_int), "_on_rpc_call"),
-        "rpc_result": (RPC_RESULT, "_on_rpc_result"),
+        "rpc_result": (RPC_RESULT, "answered"),
     }
 
     def __init__(self, addr, net, vendor):
@@ -157,9 +157,6 @@ class Gateway(Process):
         self.vendor = vendor
         self.tokens: dict[str, dict] = {}
         self.devices: dict[str, str] = {}  # device_id -> addr
-        # (device addr, corr) -> (caller addr, the caller's corr)
-        self._pending: dict[tuple[str, int], tuple[str, int]] = {}
-        self._corr = 0
         self.rejected = {"BadToken": 0, "UnknownDevice": 0}
 
     def mint_token(self, device_id: str, scopes) -> str:
@@ -180,25 +177,14 @@ class Gateway(Process):
             error = "BadToken"
         elif device_id not in self.devices:
             error = "UnknownDevice"
-        else:
-            self._corr += 1
-            self._pending[(self.devices[device_id], self._corr)] = (src, msg["corr"])
-            self.send(self.devices[device_id], {"type": "rpc", "api": msg["api"],
-                                                "eid": msg["eid"], "log_key": msg["log_key"],
-                                                "corr": self._corr})
+        else:  # the device's result goes back to the caller under the caller's corr
+            self.call(self.devices[device_id],
+                      {"type": "rpc", "api": msg["api"], "eid": msg["eid"],
+                       "log_key": msg["log_key"]},
+                      lambda result: self.send(src, {**result, "corr": msg["corr"]}))
             return
         self.rejected[error] += 1
         self.send(src, {"type": "rpc_result", "corr": msg["corr"], "ok": False, "error": error})
-
-    def _on_rpc_result(self, src, msg):
-        """Relay a result only from the device the call went to."""
-        pending = self._pending.pop((src, msg["corr"]), None)
-        if pending is None:
-            return
-        caller, caller_corr = pending
-        out = dict(msg)
-        out["corr"] = caller_corr
-        self.send(caller, out)
 
 
 def inject_spoofed_event(rng, binding: dict, step_id: int, event_seq: int, fake_payload: dict) -> dict:

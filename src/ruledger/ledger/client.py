@@ -56,7 +56,7 @@ class LedgerClient:
         self.owner = owner
         self.node_addrs = node_addrs
         self.timeout_ms = timeout_ms
-        self.pending: dict[str, dict] = {}  # tx_id -> {gate, cb, tx, send, submitted_at}
+        self.pending: dict[str, dict] = {}  # tx_id -> {gate, cb, msg, send, submitted_at}
         self.resolved: dict[str, TxReceipt] = {}
         self.latencies_ms: list[int] = []
 
@@ -66,12 +66,12 @@ class LedgerClient:
         tid = tx.tx_id
 
         def send():  # one multicast of the pending tx
-            self.owner.send(self.node_addrs, {"type": "submit", "tx": self.pending[tid]["tx"].wire()})
+            self.owner.send(self.node_addrs, self.pending[tid]["msg"])
 
         self.pending[tid] = {
             "gate": self.new_gate(),
             "cb": cb,
-            "tx": tx,
+            "msg": {"type": "submit", "tx": tx.wire()},  # built once, sent on every try
             "send": send,  # names this submission apart from a later one of tid
             "submitted_at": self.owner.net.scheduler.now,
         }

@@ -70,7 +70,10 @@ class Process:
 
     `resend` is the one retry loop: the ledger client's resubmission, the user
     agent's rule export and the task agent's trigger request all run on it,
-    each with its waits fixed at the call site.
+    each with its waits fixed at the call site.  `call` is the one
+    call-and-reply path: the execution agent's device calls and a gateway's
+    relay to its device both run on it, and `answered` is the handler of
+    their replies.
     """
 
     MESSAGES: dict[str, tuple] = {}
@@ -80,6 +83,8 @@ class Process:
         self.addr = addr
         self.net = net
         self.counters: dict[str, int] = {"malformed_dropped": 0}
+        self.calls: dict[tuple[str, int], object] = {}  # (callee, corr) -> on_reply
+        self._corr = 0
         net.register(addr, self)
 
     def handler_for(self, msg) -> str | None:
@@ -111,6 +116,22 @@ class Process:
 
     def send(self, dst: str | list[str], msg: dict) -> None:
         self.net.send(self.addr, dst, msg)
+
+    def call(self, dst: str, msg: dict, on_reply) -> None:
+        """Send msg to dst under a fresh corr; on_reply(reply) runs once dst
+        answers it (see `answered`)."""
+        self._corr += 1
+        self.calls[(dst, self._corr)] = on_reply
+        self.send(dst, {**msg, "corr": self._corr})
+
+    def answered(self, src: str, msg: dict) -> None:
+        """The handler of a reply, whose shape has an int corr: it runs its
+        call's on_reply only if src is the callee.  A reply that answers no
+        call in flight, a late or a repeated one included, is ignored and not
+        counted."""
+        on_reply = self.calls.pop((src, msg["corr"]), None)
+        if on_reply is not None:
+            on_reply(msg)
 
     def resend(self, send, waits, done, give_up=None) -> None:
         """Call send, then after each of waits (ms) in turn stop if done()

@@ -2,10 +2,11 @@
 
 The real platform is a black box that receives trigger notifications and
 asks for actions to run.  This mock implements that request/ack protocol
-honestly, plus four adversarial behaviors used by the attack harness:
-forging action requests, replaying its own requests, leaking the channel
-token to an outside endpoint, and silently dropping triggers.  In every
-mode it takes a rule export only from the rule owner's console.
+honestly, plus four adversarial behaviors: forging action requests,
+replaying its own requests and leaking the channel token to an outside
+endpoint, which the attack harness uses, and silently dropping triggers,
+which only `test_tamock.py` uses; no attack, scenario or CI step runs it.
+In every mode it takes a rule export only from the rule owner's console.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class TriggerActionMock(Process):
         "action_result": (ACTION_RESULT, "_on_action_result"),
     }
 
-    def __init__(self, addr, net, owner_addr, mode=MODE_HONEST, task_agent_addr=None,
+    def __init__(self, addr, net, owner_addr, task_agent_addr, mode=MODE_HONEST,
                  channel_token="", adversary_addr=None):
         super().__init__(addr, net)
         if mode not in MODES:

@@ -55,6 +55,11 @@ SUBSETS = {
     "canonical.py": ["test_canonical.py", "test_boundary.py", "test_harness.py"],
     "ledger/tables.py": ["test_tables.py", "test_contracts.py", "test_harness.py"],
     "contracts.py": ["test_contracts.py", "test_acceptance.py"],
+    "ledger/client.py": ["test_agents.py", "test_pbft.py", "test_boundary.py", "test_harness.py"],
+    "agents.py": ["test_agents.py", "test_harness.py", "test_boundary.py", "test_tamock.py",
+                  "test_acceptance.py"],
+    "devices.py": ["test_devices.py", "test_agents.py", "test_harness.py", "test_boundary.py"],
+    "tamock.py": ["test_tamock.py", "test_harness.py", "test_boundary.py", "test_agents.py"],
 }
 
 

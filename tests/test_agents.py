@@ -242,6 +242,7 @@ def test_gateway_results_without_a_fitting_payload_fail_the_step():
                                 "ok": True, "payload": "unlocked"})
     rig.sched.run(until=2000)
     assert rig.agent.counters["cycles_aborted"] == 2
+    assert rig.agent.counters["device_unreachable"] == 0  # every device answered
     assert rig.agent.counters["events_submitted"] == 1  # the failure record of the action
     assert rig.agent.counters["action_failures"] == 1
 
@@ -253,9 +254,9 @@ def test_a_device_result_counts_only_from_the_gateway_that_was_called():
     rig.agent.run_trigger_cycle(rig.agent.triggers[0])
     rig.agent.on_message("node0", {"type": "rpc_result", "corr": rig.agent._corr, "ok": True,
                                    "payload": {"heart_rate": 250}})
-    assert len(rig.agent._pending_rpc) == 1  # still waiting for the gateway
+    assert len(rig.agent.calls) == 1  # still waiting for the gateway
     rig.sched.run(until=2000)
-    assert rig.agent._pending_rpc == {}
+    assert rig.agent.calls == {}
     assert rig.agent.counters["events_submitted"] == 0  # 72 is quiet: no rule ran
     assert rig.agent.counters["cycles_aborted"] == 0
     assert len(rig.log) == 1
@@ -278,6 +279,15 @@ def test_direct_commands_honored_in_bypass_mode():
     assert rig.lock.actions_executed == 1  # consumed mark still dedups
     assert rig.agent.counters["refused_direct"] == 0
     assert rig.agent.counters["duplicate_notifies"] == 1
+
+
+def test_a_direct_command_for_an_unregistered_rule_runs_nothing():
+    rig = _rig(ledger_enabled=False)
+    before = dict(rig.agent.counters)
+    rig.agent.on_message("task", {"type": "exec_direct", "event_info": event_info()})
+    rig.sched.run()
+    assert rig.lock.actions_executed == 0 and rig.agent.calls == {}
+    assert rig.agent.counters == before
 
 
 def test_direct_commands_count_only_from_the_task_agent():
@@ -345,7 +355,7 @@ def test_a_cycle_stops_at_its_first_unreachable_trigger_step():
     assert rig.agent._eid_counter == 1  # the hub's step never got log coordinates
     assert len(rig.log) == 0  # a hub read would have been logged
     assert rig.agent.counters["events_submitted"] == 0
-    assert rig.agent._pending_rpc == {}
+    assert rig.agent.calls == {}
 
 
 def test_push_trigger_reacts_only_to_its_devices():
@@ -437,7 +447,8 @@ def _task_rig(seed=5, **kwargs):
     platform = Sink("platform", net)
     agent = agents.TaskAgent("task", net, KeyPair.from_seed(2, "acct/task"),
                              [n.addr for n in nodes],
-                             tamock_addr="platform", channel_token="chan-1", **kwargs)
+                             tamock_addr="platform", channel_token="chan-1",
+                             exec_agent_addr="exec", **kwargs)
     return SimpleNamespace(sched=sched, net=net, nodes=nodes,
                            platform=platform, agent=agent)
 
@@ -521,13 +532,21 @@ def test_duplicate_event_marks_are_counted():
 
 
 def test_repeated_bypass_event_is_a_counted_duplicate():
-    rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
+    rig = _task_rig(ledger_enabled=False)
     for _ in range(2):
         rig.agent.on_message("exec", {"type": "bypass_event", "event_info": event_info()})
     rig.sched.run(until=1000)
     reqs = [m for _, _, m in rig.platform.inbox if m["type"] == "trigger_request"]
     assert len(reqs) == 1
     assert rig.agent.counters["duplicate_notifies"] == 1
+
+
+def test_a_bypass_event_is_refused_while_ledger_is_on():
+    rig = _task_rig()
+    rig.agent.on_message("exec", {"type": "bypass_event", "event_info": event_info()})
+    rig.sched.run()
+    assert rig.agent.counters["malformed_dropped"] == 1
+    assert rig.agent.counters["trigger_requests_sent"] == 0 and rig.platform.inbox == []
 
 
 def test_wrong_channel_token_is_rejected():
@@ -558,7 +577,7 @@ def test_action_request_becomes_an_action_transaction():
 
 
 def test_malformed_platform_messages_are_dropped():
-    rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
+    rig = _task_rig(ledger_enabled=False)
     exec_sink = Sink("exec", rig.net)
     request = {"type": "action_request", "req_id": 7, "channel_token": "chan-1",
                "event_info": event_info(), "cid": ""}
@@ -570,13 +589,14 @@ def test_malformed_platform_messages_are_dropped():
     assert rig.agent.counters["action_requests_received"] == 0
 
     user = agents.UserAgent("user", rig.net, KeyPair.from_seed(3, "acct/user"),
-                            [n.addr for n in rig.nodes], usr_id=1)
+                            [n.addr for n in rig.nodes], usr_id=1, tamock_addr="platform",
+                            exec_agent_addr="exec")
     user.on_message("platform", {"type": "export_ok", "rule_id": [1]})
     assert user.export_acked == set()
 
 
 def test_bypass_action_request_goes_straight_to_exec_agent():
-    rig = _task_rig(ledger_enabled=False, exec_agent_addr="exec")
+    rig = _task_rig(ledger_enabled=False)
     exec_sink = Sink("exec", rig.net)
     rig.agent.on_message("platform", {
         "type": "action_request", "req_id": 7, "channel_token": "chan-1",
@@ -600,7 +620,7 @@ def test_rule_export_retries_until_acked():
     platform = Sink("platform", net)
     user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
                             [n.addr for n in nodes], usr_id=1,
-                            tamock_addr="platform")
+                            tamock_addr="platform", exec_agent_addr="exec")
     rule = parse_rule(hr_rule())
     user._export_rule(rule)
     sched.run(until=10_000)
@@ -610,7 +630,7 @@ def test_rule_export_retries_until_acked():
 
     acked = agents.UserAgent("user2", net, KeyPair.from_seed(3, "acct/user2"),
                              [n.addr for n in nodes], usr_id=1,
-                             tamock_addr="platform")
+                             tamock_addr="platform", exec_agent_addr="exec")
     platform.inbox.clear()
     acked._export_rule(rule)
     acked.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
@@ -624,7 +644,8 @@ def test_an_export_ack_counts_only_from_the_platform():
     nodes = [Sink(f"node{i}", net) for i in range(4)]
     platform = Sink("platform", net)
     user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
-                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform")
+                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform",
+                            exec_agent_addr="exec")
     rule = parse_rule(hr_rule())
     user._export_rule(rule)
     user.on_message("mallory", {"type": "export_ok", "rule_id": rule.rule_id})
@@ -639,7 +660,8 @@ def test_a_later_export_of_an_acked_rule_is_retried_until_acked():
     nodes = [Sink(f"node{i}", net) for i in range(4)]
     platform = Sink("platform", net)
     user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
-                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform")
+                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform",
+                            exec_agent_addr="exec")
     rule = parse_rule(hr_rule())
     user._export_rule(rule)  # the commit's export, acked at once
     user.on_message("platform", {"type": "export_ok", "rule_id": rule.rule_id})
@@ -674,3 +696,39 @@ def test_receipts_count_by_sender_address_and_shape():
     owner.on_message("node2", receipt)
     owner.on_message("node3", receipt)
     assert client.resolved[tx.tx_id].accepted
+
+    refused = build_tx("config", {"action": "bind_device"}, KeyPair.from_seed(4, "acct/x"), 2)
+    client.submit(refused)
+    sched.run(until=100)
+    for src in ("node0", "node1"):
+        owner.on_message(src, {**receipt, "tx_id": refused.tx_id, "accepted": False,
+                               "code": "Unauthorized", "height": None})
+    assert not client.resolved[refused.tx_id].accepted
+    assert client.latencies_ms == [0]  # the accepted tx's alone
+
+
+def _user_rig():
+    sched = Scheduler()
+    net = Network(sched, NetConfig(), random.Random(1))
+    nodes = [Sink(f"node{i}", net) for i in range(4)]
+    platform, exec_sink = Sink("platform", net), Sink("exec", net)
+    user = agents.UserAgent("user", net, KeyPair.from_seed(3, "acct/user"),
+                            [n.addr for n in nodes], usr_id=1, tamock_addr="platform",
+                            exec_agent_addr="exec")
+    return SimpleNamespace(sched=sched, platform=platform, exec=exec_sink, user=user)
+
+
+def test_a_rule_reaches_the_platform_and_the_exec_agent_only_once_accepted():
+    rule = parse_rule(hr_rule())
+    for accepted, code in ((False, "Unauthorized"), (True, None)):
+        rig = _user_rig()
+        tid = rig.user.commit_rule(rule, 101)
+        rig.sched.run(until=100)
+        for src in ("node0", "node1"):
+            rig.user.on_message(src, {"type": "receipt", "tx_id": tid, "accepted": accepted,
+                                      "code": code, "height": 1 if accepted else None})
+        rig.sched.run(until=1000)
+        assert rig.user.client.resolved[tid].accepted is accepted
+        exports = [m for _, _, m in rig.platform.inbox if m["type"] == "export_rule"]
+        registered = [m for _, _, m in rig.exec.inbox if m["type"] == "register_trigger"]
+        assert len(exports) == len(registered) == int(accepted)

@@ -5,28 +5,42 @@ table admits.
 The property drives each process of a built heart_rate world (plus an
 adversary endpoint, which that world does not need) with each type it
 handles, its fields well typed half the time so that a good share of the
-messages gets past the table and into the handlers.
+messages gets past the table and into the handlers.  It drives a ledger world
+and a bypass one (`with_ledger` false) alike, as some handlers take other
+branches in each.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BINDING, event_info, hr_rule
-from ruledger.harness import cli
+from ruledger.harness.scenario import bundled_scenario, scenario_from_dict
 from ruledger.harness.world import World
 from ruledger.keys import KeyPair
 from ruledger.ledger.tx import build_tx
 from ruledger.rules import CATALOG
 from ruledger.tamock import AdversaryEndpoint
 
-# Stopped mid-run, while the rule is committed and a trigger poll is in flight.
-_WORLD = World(cli._load("heart_rate", 42))
-_WORLD.prepare()
-_WORLD.scheduler.run(until=3002)
-AdversaryEndpoint("adversary", _WORLD.net, "task")
-_PROCESSES = dict(sorted(_WORLD.net.processes.items()))
+
+def _world(with_ledger: bool) -> World:
+    """Stopped mid-run, while the rule is committed and a trigger poll is in flight."""
+    world = World(scenario_from_dict(dict(bundled_scenario("heart_rate"),
+                                          with_ledger=with_ledger), seed_override=42))
+    world.prepare()
+    world.scheduler.run(until=3002)
+    AdversaryEndpoint("adversary", world.net, "task")
+    return world
+
+
+_WORLDS = (_world(True), _world(False))
+_WORLD = _WORLDS[0]
 # Each message type of each process class, drawn alike however many processes share it.
-_HANDLED = sorted({(type(p).__name__, kind) for p in _PROCESSES.values() for kind in p.MESSAGES})
+_HANDLED = sorted({(type(p).__name__, kind)
+                   for p in _WORLD.net.processes.values() for kind in p.MESSAGES})
+# The attribute naming the one sender a handler takes its message from.
+_ONE_SENDER = {"exec_direct": "task_agent_addr", "bypass_event": "exec_agent_addr",
+               "register_trigger": "owner_addr", "export_rule": "owner_addr",
+               "trigger_ack": "tamock_addr", "export_ok": "tamock_addr"}
 
 _FIELDS = {
     "receipt": ("tx_id", "accepted", "code", "height"),
@@ -124,15 +138,18 @@ def _call_in_flight(agent) -> tuple[str, int]:
                                "device_id": "lock-1"}]}
         agent.on_message("node0", notify)
         agent.on_message("node1", notify)
-    return max(agent._pending_rpc, key=lambda call: call[1])
+    return max(agent.calls, key=lambda call: call[1])
 
 
 @st.composite
 def _delivery(draw):
-    """A process, a registered sender, and a message of a type the process handles:
-    well typed half the time, with now and then one field missing or of any shape."""
+    """A process of either world, a registered sender, and a message of a type the
+    process handles: well typed half the time, with now and then one field missing
+    or of any shape.  A well-typed message of a type taken from one sender comes
+    from that sender half the time."""
     cls, kind = draw(st.sampled_from(_HANDLED))
-    process = draw(st.sampled_from([p for p in _PROCESSES.values() if type(p).__name__ == cls]))
+    processes = dict(sorted(draw(st.sampled_from(_WORLDS)).net.processes.items()))
+    process = draw(st.sampled_from([p for p in processes.values() if type(p).__name__ == cls]))
     typed = draw(st.booleans())
     odd = draw(st.sampled_from(_FIELDS[kind])) if draw(st.booleans()) else None
     msg = {"type": kind}
@@ -141,8 +158,10 @@ def _delivery(draw):
         value = draw(st.just(_ABSENT) | _json if name == odd else strategy)
         if value is not _ABSENT:
             msg[name] = value
-    src = draw(st.sampled_from(sorted(_PROCESSES)))
-    if process is _WORLD.exec_agent and kind == "rpc_result" and typed:
+    src = draw(st.sampled_from(sorted(processes)))
+    if kind in _ONE_SENDER and typed and draw(st.booleans()):
+        src = getattr(process, _ONE_SENDER[kind])
+    if cls == "ExecutionAgent" and kind == "rpc_result" and typed:
         src, msg["corr"] = _call_in_flight(process)  # the result comes from the gateway
     if kind == "rpc" and typed:
         src = process.gateway_addr  # a device takes calls from its gateway alone

@@ -612,10 +612,10 @@ def test_a_modified_rule_takes_effect_at_the_execution_agent(seed):
     world = World(cli._load("heart_rate", seed))
     raw = dict(world.rules[0].to_dict(),
                condition={"cmp": "ge", "field": "heart_rate", "value": 100})
-    receipts = []
+    tids = []
     report = world.run(hook=lambda w: w.scheduler.schedule(
-        500, lambda: w.owner.modify_rule(parse_rule(raw), 101, receipts.append)))
-    assert [r.accepted for r in receipts] == [True]
+        500, lambda: tids.append(w.owner.modify_rule(parse_rule(raw), 101))))
+    assert [world.owner.client.resolved[tid].accepted for tid in tids] == [True]
     assert report["devices"]["lock-1"]["actions_executed"] == 1
     assert [t["rule"].to_dict() for t in world.exec_agent.triggers] == [raw]
     assert world.exec_agent.triggers[0]["binding"] == world.bindings[1]

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import Sink, Tap
+from ruledger.canonical import is_int, message
 from ruledger.harness import cli
 from ruledger.harness.world import World
 from ruledger.ledger.faults import FaultSpec
@@ -280,6 +281,35 @@ def test_a_handler_takes_a_message_only_from_its_one_sender():
     assert p.sender_is("a", "a") and p.counters["malformed_dropped"] == 0
     assert not p.sender_is("b", "a") and not p.sender_is("a", None)
     assert p.counters["malformed_dropped"] == 2
+
+
+class _Caller(Process):
+    MESSAGES = {"pong": (message("pong", corr=is_int), "answered")}
+
+
+def test_a_reply_runs_its_call_once_and_only_from_the_callee():
+    net = Network(Scheduler(), NetConfig(), random.Random(1))
+    caller, callee = _Caller("caller", net), Sink("callee", net)
+    Sink("mallory", net)
+    replies = []
+    ping = {"type": "ping"}
+    caller.call("callee", ping, replies.append)
+    net.scheduler.run()
+    assert [m for _, _, m in callee.inbox] == [{"type": "ping", "corr": 1}]
+    assert ping == {"type": "ping"}  # sent under the corr, not changed
+    for src, corr in (("mallory", 1), ("callee", 2), ("callee", 1), ("callee", 1)):
+        caller.on_message(src, {"type": "pong", "corr": corr})
+    assert replies == [{"type": "pong", "corr": 1}]  # the third reply alone answered the call
+    assert caller.calls == {} and caller.counters["malformed_dropped"] == 0
+
+
+def test_a_resend_without_give_up_ends_silently():
+    net = Network(Scheduler(), NetConfig(), random.Random(1))
+    p = Sink("p", net)
+    sends = []
+    p.resend(lambda: sends.append(net.scheduler.now), [10, 20], lambda: False)
+    net.scheduler.run()  # the last wait ends with nothing to run
+    assert sends == [0, 10] and net.scheduler.now == 30
 
 
 def test_a_multicast_to_an_unknown_destination_sends_nothing():

@@ -36,7 +36,7 @@ def test_mode_validation():
     sched = Scheduler()
     net = Network(sched, NetConfig(), random.Random(1))
     with pytest.raises(ValueError):
-        tamock.TriggerActionMock("p", net, "driver", mode="chaotic")
+        tamock.TriggerActionMock("p", net, "driver", "task", mode="chaotic")
 
 
 def test_export_is_acked_and_stored():
