@@ -228,14 +228,8 @@ def attack_token_reuse(seed: int = DEFAULT_SEED) -> AttackOutcome:
 
 def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """A NormalUser tries to grant itself admin and to commit a rule."""
-    rule = parse_rule({
-        "schema": 1,
-        "title": "mallory backdoor",
-        "rule_id": 9,
-        "trigger_operations": [["alert_on_heart_rate", "watch-1", "OP_AND"]],
-        "condition": "IF_TRUE",
-        "action_operations": [["open_door_operation", "lock-1", "OP_AND"]],
-    })
+    rule = parse_rule(dict(bundled_scenario("heart_rate")["rules"][0],
+                           title="mallory backdoor", rule_id=9))
     world, results, codes = _mallory_run(seed, [
         (1500, lambda m: m.manage_accounts([
             {"signer": m.keypair.public_hex, "role": "Administrator", "usr_id": 2}])),
@@ -256,14 +250,8 @@ def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
 
 def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     """Unauthorized rule edits, on-chain and via direct store mutation."""
-    altered = parse_rule({
-        "schema": 1,
-        "title": "unlock on abnormal heart rate",
-        "rule_id": 1,
-        "trigger_operations": [["alert_on_heart_rate", "watch-1", "OP_AND"]],
-        "condition": "IF_TRUE",
-        "action_operations": [["close_door_operation", "lock-1", "OP_AND"]],
-    })
+    altered = parse_rule(dict(bundled_scenario("heart_rate")["rules"][0],
+                              action_operations=[["close_door_operation", "lock-1", "OP_AND"]]))
     world, results, codes = _mallory_run(
         seed, [(1500, lambda m: m.modify_rule(altered, usr_rule_id=101))])
     onchain_blocked = (

@@ -124,15 +124,11 @@ class World:
         self.rules = [parse_rule(r) for r in config["rules"]]
         self.bindings = {rule.rule_id: rule.binding(101 + i, self.owner.usr_id)
                          for i, rule in enumerate(self.rules)}
-        self._prepared = False
 
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Schedule the scenario's baseline activity."""
-        if self._prepared:
-            return
-        self._prepared = True
+        """Schedule the scenario's baseline activity, once per world."""
         mode = self.config["trigger_mode"]
         for i, rule in enumerate(self.rules):
             self.scheduler.schedule(5 + i, lambda r=rule: self.owner.commit_rule(
@@ -240,10 +236,10 @@ class World:
         validate_report(report)
         return report
 
-    def write_outputs(self, out_dir: str) -> dict:
-        """Write the report and one ledger dump per node; returns paths."""
+    def write_outputs(self, out_dir: str, report: dict) -> dict:
+        """Write report, as `run` returned it, and one ledger dump per node;
+        returns paths."""
         os.makedirs(out_dir, exist_ok=True)
-        report = self.build_report()
         report_path = os.path.join(out_dir, "report.json")
         with open(report_path, "wb") as fh:
             fh.write(report_bytes(report))
@@ -261,5 +257,5 @@ def run_scenario(config: dict, out_dir: str | None = None, hook=None):
     world = World(config)
     report = world.run(hook=hook)
     if out_dir is not None:
-        world.write_outputs(out_dir)
+        world.write_outputs(out_dir, report)
     return report, world

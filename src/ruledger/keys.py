@@ -28,10 +28,6 @@ class KeyPair:
         self.public_hex: str = private.public_key().public_bytes_raw().hex()
 
     @classmethod
-    def generate(cls) -> "KeyPair":
-        return cls(Ed25519PrivateKey.generate())
-
-    @classmethod
     def from_seed(cls, root_seed: int, label: str) -> "KeyPair":
         """Deterministic keypair for reproducible simulations."""
         raw = hashlib.sha256(f"key/{root_seed}/{label}".encode("utf-8")).digest()

@@ -30,15 +30,17 @@ carries and "c" in the commit certificate a `committed` message carries,
 one's batch against its digest and returns its valid votes, for the node's
 `_checked_cert` and for the audit alike.
 
-The primary takes its own proposal at once: `_propose` and
-`_become_primary` send the pre-prepare to the peers only and handle it
-in-process before they return, so a height is in flight from the moment it
-is proposed and no later submission can make a second proposal for it
-(PBFT assigns each sequence number once).  Every replica logs its own votes
-the same way, as a PBFT replica adds its own prepare and commit to its log
-(Castro and Liskov, OSDI 1999, section 4.2): `_cast` puts its prepare or
-commit in its slot's votes the moment it signs it, and `_start_view_change`
-files its view change in its `vc_msgs` bucket, so none of its own votes
+A replica sends its own messages to its peers only and takes them through
+the handlers its peers run before it returns, so each rule is stated once:
+`_propose` hands its pre-prepare to `_on_pre_prepare`, `_start_view_change`
+its view change to `_on_view_change`, and `_become_primary` its new view to
+`_on_new_view`, the one way into a view for every replica.  So a height is
+in flight from the moment it is proposed and no later submission can make a
+second proposal for it (PBFT assigns each sequence number once).  Votes are
+the exception: `_cast` puts its prepare or commit in its slot's votes the
+moment it signs it, as a PBFT replica adds its own to its log (Castro and
+Liskov, OSDI 1999, section 4.2), because `_check_slot` casts them and a vote
+handed to `_on_vote` would re-enter `_check_slot`.  None of its own messages
 waits on a network trip.  A timeout-driven view change rotates the primary
 when no progress is made: the commit timer starts when work arrives at an
 idle node and restarts only on progress (an accepted pre-prepare or a
@@ -103,7 +105,7 @@ The node keeps only the consensus state a handler can still read:
   views below `view + N` only, so no peer can open a slot for every view;
   a lower view stays, as its commit quorum still commits;
 - `vc_msgs` holds view-change buckets only for views above `view`, and in
-  them only each sender's highest view change: `_hold_view_change` ignores
+  them only each sender's highest view change: `_on_view_change` ignores
   the others and replaces a sender's lower one, and `_enter_view` drops the
   buckets up to `view`.
 """
@@ -166,10 +168,10 @@ class LedgerConfig:
     node_addrs: list[str]
     node_pubkeys: list[str]
     ledger_secret: bytes
+    task_agent_addr: str  # where `notify_event` goes
+    exec_agent_addr: str  # where `notify_actions` goes
     genesis_acl: list[dict] = field(default_factory=list)
     commit_timeout_ms: int = 3000
-    task_agent_addr: str | None = None
-    exec_agent_addr: str | None = None
 
     def __post_init__(self) -> None:
         n = len(self.node_addrs)
@@ -324,15 +326,15 @@ class LedgerNode(Process):
         index: int,
         keypair: KeyPair,
         config: LedgerConfig,
+        log_query: contracts.LogQuery,
         fault: FaultSpec | None = None,
-        log_query: contracts.LogQuery | None = None,
     ):
         super().__init__(addr, net)
         self.index = index
         self.keypair = keypair
         self.config = config
         self.fault = fault
-        self.log_query: contracts.LogQuery = log_query or (lambda eid, key: None)
+        self.log_query = log_query
 
         self.view = 0
         self.chain: list[dict] = [genesis_block()]
@@ -392,14 +394,14 @@ class LedgerNode(Process):
         waiters = self.submitters.setdefault(tid, [])
         if src not in waiters:
             waiters.append(src)
-        if tid not in self.pool:
-            # The timer starts when work arrives and restarts only on progress, so
-            # submissions that never pause cannot put a silent primary's timeout off.
-            idle = not self._work_pending()
-            self.pool[tid] = (wire, tx)
-            if idle:
-                self._rearm_timer()
-            self._maybe_propose()
+        # The timer starts when work arrives and restarts only on progress, so
+        # submissions that never pause cannot put a silent primary's timeout off.
+        # A tid already pooled keeps its place (its wire is equal) and finds the node busy.
+        idle = not self._work_pending()
+        self.pool[tid] = (wire, tx)
+        if idle:
+            self._rearm_timer()
+        self._maybe_propose()
 
     # ------------------------------------------------------------------
     # proposals
@@ -544,7 +546,6 @@ class LedgerNode(Process):
         accepted: list[int] = []  # positions in batch
         receipts: list[tuple[str, TxReceipt]] = []
         notifications: list[tuple[str, dict]] = []  # (agent address, message)
-        task_agent, exec_agent = self.config.task_agent_addr, self.config.exec_agent_addr
         for pos, wire in enumerate(batch):
             tid = text_id(wire["signer"], wire["body"])
             if tid in self.decided:
@@ -557,13 +558,13 @@ class LedgerNode(Process):
                 accepted.append(pos)
                 self.counters["txs_committed"] += 1
                 info = tx.body.get("event_info")
-                if tx.kind == KIND_EVENT and effects.get("consumable") and task_agent:
+                if tx.kind == KIND_EVENT and effects.get("consumable"):
                     cid = contracts.gen_randomness(self.config.ledger_secret, info)
-                    notifications.append((task_agent, {
+                    notifications.append((self.config.task_agent_addr, {
                         "type": "notify_event", "event_info": info, "cid": cid,
                         "height": height}))
-                elif tx.kind == KIND_ACTION and exec_agent:
-                    notifications.append((exec_agent, {
+                elif tx.kind == KIND_ACTION:
+                    notifications.append((self.config.exec_agent_addr, {
                         "type": "notify_actions", "event_info": info,
                         "actions": effects["actions"], "height": height}))
             else:
@@ -689,26 +690,25 @@ class LedgerNode(Process):
         }
         self._broadcast(msg)
         self._rearm_timer()
-        self._hold_view_change(msg)
+        self._on_view_change(self.addr, msg)
 
     def _on_view_change(self, src: str, msg: dict) -> None:
+        """A peer's view change or this node's own: answer it as a sync request,
+        file it in its bucket if its view is ahead, and lead that view once the
+        bucket is a quorum and this node is its primary."""
         new_view, sender = msg["new_view"], msg["sender"]
         if not self._view_change_valid(msg):
             self.counters["malformed_dropped"] += 1
             return
         # A view change states how far its sender got: send it what it lacks, once
         # per sender and (last_height, new_view), so a replayed one is not answered.
+        # This node's own asks from next_height, so the answer sends nothing.
         answered = (msg["last_height"], new_view)
         if answered > self._vc_answered.get(sender, (-1, -1)):
             self._vc_answered[sender] = answered
             self._on_sync_req(self.config.node_addrs[sender], {"height": msg["last_height"] + 1})
-        if new_view > self.view:
-            self._hold_view_change(msg)
-
-    def _hold_view_change(self, msg: dict) -> None:
-        """File a checked view change for a view ahead in its bucket, and lead that
-        view once the bucket is a quorum and this node is its primary."""
-        new_view, sender = msg["new_view"], msg["sender"]
+        if new_view <= self.view:
+            return
         # Only each sender's highest view change is kept, so vc_msgs holds at most n.
         if any(view > new_view and sender in held for view, held in self.vc_msgs.items()):
             return
@@ -740,22 +740,22 @@ class LedgerNode(Process):
         self.vc_msgs = {v: bucket for v, bucket in self.vc_msgs.items() if v > view}
 
     def _become_primary(self, new_view: int, bucket: dict[int, dict]) -> None:
-        self._enter_view(new_view)
+        """Send the new view, re-proposing the prepared batch, else a fresh one,
+        and take it here at once, as every replica takes it."""
         vcs = {idx: bucket[idx] for idx in sorted(bucket)}
         cert = self._best_cert(vcs)
-        # Re-propose the prepared batch, else a fresh one, and take it here at once.
         wires = cert["batch"] if cert is not None else self._undecided_batch()
         pre_prepare = None
         if wires:
             pre_prepare = self._pre_prepare(new_view, self.next_height, wires)
-        new_view_msg = {"type": "new_view", "view": new_view,
-                        "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
-        self._broadcast(new_view_msg)
-        self._rearm_timer()
-        if pre_prepare is not None:
-            self._on_pre_prepare(self.addr, pre_prepare)
+        msg = {"type": "new_view", "view": new_view,
+               "vcs": {str(i): m for i, m in vcs.items()}, "pre_prepare": pre_prepare}
+        self._broadcast(msg)
+        self._on_new_view(self.addr, msg)
 
     def _on_new_view(self, src: str, msg: dict) -> None:
+        """A new primary's new view, a peer's or this node's own: the one way
+        into a view, once its view changes and its pre-prepare are checked."""
         view = msg["view"]
         if view < self.view:
             return

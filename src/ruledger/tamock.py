@@ -2,11 +2,10 @@
 
 The real platform is a black box that receives trigger notifications and
 asks for actions to run.  This mock implements that request/ack protocol
-honestly, plus four adversarial behaviors: forging action requests,
-replaying its own requests and leaking the channel token to an outside
-endpoint, which the attack harness uses, and silently dropping triggers,
-which only `test_tamock.py` uses; no attack, scenario or CI step runs it.
-In every mode it takes a rule export only from the rule owner's console.
+honestly, plus three adversarial behaviors the attack harness uses: forging
+action requests, replaying its own requests and leaking the channel token
+to an outside endpoint.  In every mode it takes a rule export only from the
+rule owner's console.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ MODE_HONEST = "honest"
 MODE_FORGE_ACTIONS = "forge_actions"
 MODE_REPLAY_REQUESTS = "replay_requests"
 MODE_TOKEN_REUSE = "token_reuse"
-MODE_SILENT_DROP = "silent_drop"
 
-MODES = (MODE_HONEST, MODE_FORGE_ACTIONS, MODE_REPLAY_REQUESTS,
-         MODE_TOKEN_REUSE, MODE_SILENT_DROP)
+MODES = (MODE_HONEST, MODE_FORGE_ACTIONS, MODE_REPLAY_REQUESTS, MODE_TOKEN_REUSE)
 
 ACTION_RESULT = message("action_result", req_id=is_int, accepted=one_of(True, False),
                         code=or_none(is_str))
@@ -56,7 +53,6 @@ class TriggerActionMock(Process):
             "trigger_requests": 0,
             "action_requests_emitted": 0,
             "forged_emitted": 0,
-            "dropped": 0,
             "unknown_rule": 0,
         })
 
@@ -86,10 +82,6 @@ class TriggerActionMock(Process):
         info, cid = msg["event_info"], msg["cid"]
         if info["rule_id"] not in self.exported:
             self.counters["unknown_rule"] += 1
-            return
-
-        if self.mode == MODE_SILENT_DROP:
-            self.counters["dropped"] += 1
             return
 
         # One request per action in the rule.  The ledger consumes the event

@@ -83,13 +83,19 @@ def make_rig(seed, n=4, fault_kind=None, byz_index=None, commit_timeout_ms=800,
         ledger_secret=hashlib.sha256(f"secret/{seed}".encode()).digest(),
         genesis_acl=[{"signer": admin.public_hex, "role": "Administrator", "usr_id": 1}],
         commit_timeout_ms=commit_timeout_ms,
+        task_agent_addr="task",
+        exec_agent_addr="exec",
     )
+    for agent in ("task", "exec"):  # where the nodes send their notifications
+        Sink(agent, net)
     nodes = []
     for i, kp in enumerate(keys):
         fault = None
         if fault_kind is not None and i == byz_index:
             fault = FaultSpec(fault_kind, seed=derive_seed(seed, f"node{i}/rng"))
-        nodes.append(LedgerNode(f"node{i}", net, i, kp, config, fault=fault))
+        # No device log: an event contract finds no checksum.
+        nodes.append(LedgerNode(f"node{i}", net, i, kp, config, lambda eid, key: None,
+                                fault=fault))
     client = ClientProcess("client", net, config.node_addrs, timeout_ms=client_timeout_ms)
     return SimpleNamespace(scheduler=scheduler, net=net, config=config,
                            nodes=nodes, keys=keys, admin=admin, client=client)

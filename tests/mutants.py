@@ -60,6 +60,9 @@ SUBSETS = {
                   "test_acceptance.py"],
     "devices.py": ["test_devices.py", "test_agents.py", "test_harness.py", "test_boundary.py"],
     "tamock.py": ["test_tamock.py", "test_harness.py", "test_boundary.py", "test_agents.py"],
+    "ledger/tx.py": ["test_pbft.py", "test_contracts.py", "test_harness.py", "test_tables.py"],
+    "harness/scenario.py": ["test_harness.py", "test_boundary.py"],
+    "harness/world.py": ["test_harness.py", "test_acceptance.py", "test_boundary.py"],
 }
 
 

@@ -417,7 +417,7 @@ def test_criterion_7_seeded_determinism(heart_rate_runs):
 # SHA-256 of the seed-42 heart_rate report bytes and of each node's dump.
 # A change that alters behaviour on purpose updates these and says so.
 PINNED_HEART_RATE = {
-    "report": "2b7ab2c97dd12847a98827611096d87dfeee1ebb5c7eb131144c31397d3bc4a6",
+    "report": "1bcdfb0c9a2e602c0a77c466ca695c0c8f0d376deb9571ba531d346ba3c8deef",
     "ledger-node0.dump": "f8e12eb4c7e0d2bb1d9460d8895db834502297b363f0ebea7c15d4c4e38614aa",
     "ledger-node1.dump": "c33d0e8d1ff084824ec0a9376ee529aa8c5f49f3039f2ef55f7ad9b5da5d2265",
     "ledger-node2.dump": "3f3f55384dfb3f09bbee2cd484d3dc102dd673219c6f086cf7d3f54a64adc710",

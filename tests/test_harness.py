@@ -18,7 +18,7 @@ from ruledger import keys as keys_mod
 from ruledger.canonical import canonical_bytes, derive_seed, sha256_hex
 from ruledger.harness import cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
-from ruledger.harness.scenario import load_scenario, scenario_from_dict
+from ruledger.harness.scenario import bundled_scenario, load_scenario, scenario_from_dict
 from ruledger.harness.world import World, run_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit
@@ -104,6 +104,8 @@ def test_seed_override_beats_the_file():
                   {"name": "b", "role": "NormalUser", "usr_id": 1}]},
     {"check_event_log": False},  # the switch that turned the event log check off
     {"nodes": 1},  # the single-node mode
+    {"net": 5},  # not an object
+    {"accounts": 5},  # not a list
 ])
 def test_scenario_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -118,10 +120,23 @@ def _accepts(build) -> bool:
     return True
 
 
+def test_a_missing_field_is_named():
+    data = _scenario()
+    del data["seed"]
+    with pytest.raises(ConfigError, match=r"^missing field scenario\.seed$"):
+        scenario_from_dict(data)
+
+
+def test_an_unknown_bundled_scenario_is_a_config_error():
+    with pytest.raises(ConfigError, match="no bundled scenario named 'nope'"):
+        bundled_scenario("nope")
+
+
 @pytest.mark.parametrize("n", range(12))
 def test_scenario_nodes_are_the_replica_counts_the_ledger_runs(n):
     ledger_runs = _accepts(lambda: node_mod.LedgerConfig(
-        node_addrs=[f"n{i}" for i in range(n)], node_pubkeys=["k"] * n, ledger_secret=b"s"))
+        node_addrs=[f"n{i}" for i in range(n)], node_pubkeys=["k"] * n, ledger_secret=b"s",
+        task_agent_addr="task", exec_agent_addr="exec"))
     assert _accepts(lambda: scenario_from_dict(_scenario(nodes=n))) == ledger_runs
 
 
@@ -196,6 +211,23 @@ def test_no_agent_device_or_node_handler_mutates_a_delivered_message(trigger_mod
     assert not mutated_since(watched)
 
 
+def test_devices_of_one_vendor_share_one_gateway():
+    devices = _scenario()["devices"] + [
+        {"device_id": "watch-2", "kind": "heart_rate", "vendor": "fitpulse"}]
+    world = World(scenario_from_dict(_scenario(devices=devices)))
+    assert sorted(world.gateways) == ["fitpulse", "homesec"]
+    assert {device_id: gw for device_id, (gw, _token) in world.exec_agent.device_routes.items()} \
+        == {"watch-1": "gw:fitpulse", "watch-2": "gw:fitpulse", "lock-1": "gw:homesec"}
+
+
+def test_the_report_counts_each_rejected_tx_by_its_code():
+    # The owner commits rule 1 a second time, under another binding.
+    world = World(scenario_from_dict(_scenario()))
+    report = world.run(hook=lambda w: w.scheduler.schedule(
+        500, lambda: w.owner.commit_rule(w.rules[0], 102)))
+    assert report["ledger"]["verdicts"] == {"accepted": 4, "rejected": {"DuplicateRuleId": 1}}
+
+
 def test_push_mode_reaches_the_same_ledger_state(poll_run):
     poll_report, _ = poll_run
     push_report, _ = run_scenario(scenario_from_dict(_scenario(trigger_mode="push")))
@@ -229,7 +261,7 @@ def test_log_entries_all_came_from_the_exec_agent(poll_run):
 
 def test_private_key_material_never_leaks_into_outputs(poll_run, tmp_path):
     report, world = poll_run
-    paths = world.write_outputs(str(tmp_path))
+    paths = world.write_outputs(str(tmp_path), report)
     blobs = [report_bytes(report)]
     for path in [paths["report"], *paths["dumps"]]:
         with open(path, "rb") as fh:
@@ -245,8 +277,8 @@ def test_private_key_material_never_leaks_into_outputs(poll_run, tmp_path):
 
 
 def test_write_outputs_pass_the_offline_audit(poll_run, tmp_path):
-    _, world = poll_run
-    paths = world.write_outputs(str(tmp_path / "out"))
+    report, world = poll_run
+    paths = world.write_outputs(str(tmp_path / "out"), report)
     assert os.path.exists(paths["report"])
     assert len(paths["dumps"]) == 4
     for dump in paths["dumps"]:
@@ -479,8 +511,8 @@ def test_the_audit_verifies_for_itself(tmp_path, monkeypatch):
     # so it pays one real Ed25519 check per commit vote whether or not the World
     # that wrote the dump is still alive.  It checks no tx signature: the commit
     # quorum holds f + 1 honest replicas, each of which checked every tx it voted on.
-    _, world = run_scenario(scenario_from_dict(_scenario()))
-    path = world.write_outputs(str(tmp_path))["dumps"][0]
+    report, world = run_scenario(scenario_from_dict(_scenario()))
+    path = world.write_outputs(str(tmp_path), report)["dumps"][0]
     with open(path, "rb") as fh:
         records = [json.loads(line) for line in fh.read().splitlines()]
     blocks = [r for r in records if r["type"] == "block"]
@@ -565,14 +597,14 @@ def test_a_corrupting_node_cannot_crash_the_agents(seed):
 # to one shows.  A change that alters behaviour on purpose updates these.
 PINNED_LOSSY_HEART_RATE = {
     42: {
-        "report": "00dfbc4812b8f890a4d718126240aa9d83f589bb779c377a15a144f32b75a660",
+        "report": "8881d00cbed91bf1c05bcbd22e0bdc2fa9711bc15abe0688599f3889802fcbfb",
         "ledger-node0.dump": "b8365858853d742e11c5ca4194fc054d222ea271afe7ab86d51c3c6de507ae78",
         "ledger-node1.dump": "163e84eb77f77277a9ca1a120ef1e77c9538924f25c57f1bd76e2b335ac139e5",
         "ledger-node2.dump": "6541edc2d34a280cb3e7372ead3b007c58160728ff5b0284256ad22d79edc15f",
         "ledger-node3.dump": "4759424223c5bbbfba2cf37ba6dc2859ffa83219f5a8a3d153094178ba08b801",
     },
     1: {
-        "report": "b9abbca083355fa196623359bd9ef7656d68b98e55111111700ddbf1743cb3ad",
+        "report": "903ac6450bcfaa6e399918f2a10019df78d6d55c064c19f7489c1d2915e24457",
         "ledger-node0.dump": "781c7d93a28743f9c1e612fb8e803224ede2bbd889f149603373a840180869e6",
         "ledger-node1.dump": "f8012e7e96ec6398475e7e9be1defe360e8099ea58eb4d2949941dcf80d49ee0",
         "ledger-node2.dump": "b3e7938c952896fcac8762312a84bbfd778bc88d3cbbf3df487a6fcce0bb1d84",

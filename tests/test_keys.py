@@ -11,20 +11,20 @@ from ruledger.keys import KeyPair, VerifyMemo, verify_signature
 
 
 def test_sign_verify_round_trip():
-    kp = KeyPair.generate()
+    kp = KeyPair.from_seed(1, "a")
     sig = kp.sign(b"payload")
     assert verify_signature(b"payload", sig, kp.public_hex)
 
 
 def test_wrong_key_and_tampered_message_fail():
-    kp, other = KeyPair.generate(), KeyPair.generate()
+    kp, other = KeyPair.from_seed(1, "a"), KeyPair.from_seed(1, "b")
     sig = kp.sign(b"payload")
     assert not verify_signature(b"payload", sig, other.public_hex)
     assert not verify_signature(b"payload2", sig, kp.public_hex)
 
 
 def test_malformed_hex_inputs_fail_closed():
-    kp = KeyPair.generate()
+    kp = KeyPair.from_seed(1, "a")
     sig = kp.sign(b"x")
     assert not verify_signature(b"x", "zz-not-hex", kp.public_hex)
     assert not verify_signature(b"x", sig, "deadbeef")  # wrong length key

@@ -47,13 +47,15 @@ def test_fault_free_commit_reaches_all_nodes():
 def test_too_few_nodes_is_a_config_error(n):
     with pytest.raises(ConfigError):
         LedgerConfig(node_addrs=[f"n{i}" for i in range(n)],
-                     node_pubkeys=["k"] * n, ledger_secret=b"s")
+                     node_pubkeys=["k"] * n, ledger_secret=b"s",
+                     task_agent_addr="task", exec_agent_addr="exec")
 
 
 @pytest.mark.parametrize("n,f", [(4, 1), (7, 2), (10, 3)])
 def test_fault_bound_and_quorum(n, f):
     config = LedgerConfig(node_addrs=[f"n{i}" for i in range(n)],
-                          node_pubkeys=["k"] * n, ledger_secret=b"s")
+                          node_pubkeys=["k"] * n, ledger_secret=b"s",
+                          task_agent_addr="task", exec_agent_addr="exec")
     assert config.f == f
     assert config.quorum == 2 * f + 1
     assert config.primary(0) == 0
@@ -1119,7 +1121,8 @@ def test_no_handler_mutates_a_view_change_a_new_view_or_a_sync_reply():
 def test_a_key_count_mismatch_is_a_config_error():
     with pytest.raises(ConfigError):
         LedgerConfig(node_addrs=[f"n{i}" for i in range(4)],
-                     node_pubkeys=["k"] * 3, ledger_secret=b"s")
+                     node_pubkeys=["k"] * 3, ledger_secret=b"s",
+                     task_agent_addr="task", exec_agent_addr="exec")
 
 
 def test_a_view_change_for_a_view_not_ahead_opens_no_bucket(vc_rig):

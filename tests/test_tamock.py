@@ -98,17 +98,6 @@ def test_trigger_for_unexported_rule_is_dropped():
     assert task.inbox == []
 
 
-def test_silent_drop_mode_acks_then_does_nothing():
-    sched, net, platform, task, driver, _ = _rig(tamock.MODE_SILENT_DROP)
-    _export(driver, platform)
-    sched.run()
-    _trigger(driver, platform)
-    sched.run()
-    assert [m["type"] for _, _, m in driver.inbox] == ["export_ok", "trigger_ack"]
-    assert task.inbox == []
-    assert platform.counters["dropped"] == 1
-
-
 def test_forge_mode_adds_two_late_forgeries():
     sched, net, platform, task, driver, _ = _rig(tamock.MODE_FORGE_ACTIONS)
     _export(driver, platform)
