@@ -255,7 +255,7 @@ class ExecutionAgent(AgentBase):
         def on_result(step, eid, log_key, result) -> bool:
             op = CATALOG[step["op_name"]]
             payload = result.get("payload")
-            if not (result["ok"] and with_fields(**op.fields)(payload)):
+            if not (result["ok"] and op.reads(payload)):
                 self.counters["cycles_aborted"] += 1
                 if result.get("error") == "DeviceOffline":
                     self.counters["device_unreachable"] += 1

@@ -6,41 +6,24 @@ leaves the device.  The logged checksum is what the ledger's event
 verification later compares against, so a claimed execution with no
 matching log entry is detectable.
 
-What a device API does is stated once, in `APIS`: the device kind that
-answers it, the state field it touches and a value.  An action API (one
-that a catalog action operation calls) writes its value to the field; a
-read returns the field, or the value as its default on a device that never
-had it.  A device's kind check and its gateway's token scopes read the kind
-from the same table.
+What a device API does is stated once, by the catalog operation that calls
+it (`rules.CATALOG`): the device kind that answers it, the state field it
+touches and a value.  An action API writes its value to the field; a read
+returns the field, or the value as its default on a device that never had
+it.  `APIS` indexes the catalog by API; a device's kind check and its
+gateway's token scopes read the operation from there.
 """
 
 from __future__ import annotations
 
 from .canonical import canonical_bytes, is_int, is_str, message, one_of, sha256_hex, with_fields
 from .contracts import event_body
-from .rules import (
-    CATALOG,
-    HEART_RATE_API,
-    MODE_SET_API,
-    PRESENCE_API,
-    SMARTLOCK_LOCK,
-    SMARTLOCK_UNLOCK,
-)
+from .rules import CATALOG
 from .sim.network import Process
 
-# api -> (device kind, state field, value).  The presence sensor doubles as
-# the home hub, so it also takes mode changes.
-APIS = {
-    HEART_RATE_API: ("heart_rate", "heart_rate", 0),
-    SMARTLOCK_UNLOCK: ("smart_lock", "lock", "unlocked"),
-    SMARTLOCK_LOCK: ("smart_lock", "lock", "locked"),
-    PRESENCE_API: ("presence", "presence", "away"),
-    MODE_SET_API: ("presence", "mode", "home_mode"),
-}
+APIS = {op.api: op for op in CATALOG.values()}  # api -> the catalog operation that calls it
 
-DEVICE_KINDS = tuple(dict.fromkeys(kind for kind, _field, _value in APIS.values()))
-
-ACTION_APIS = {op.api for op in CATALOG.values() if op.kind == "action"}
+DEVICE_KINDS = tuple(dict.fromkeys(op.device_kind for op in CATALOG.values()))
 
 # A device's answer, relayed by its gateway: an error or a payload may follow.
 RPC_RESULT = with_fields(type=one_of("rpc_result"), corr=is_int, ok=one_of(True, False))
@@ -85,25 +68,22 @@ class Device(Process):
     records; a call from anyone else would skip the gateway's token check.
 
     State changes come either from a scenario timeline (scheduled patches)
-    or from action APIs.  `history` records every state transition with its
-    sim timestamp; tests read it, run reports do not.
+    or from action APIs.
     """
 
     MESSAGES = {
         "rpc": (message("rpc", api=is_str, eid=is_str, log_key=is_str, corr=is_int), "_on_rpc"),
     }
 
-    def __init__(self, addr, net, device_id, kind, vendor, log_service, initial=None):
+    def __init__(self, addr, net, device_id, kind, log_service, initial=None):
         super().__init__(addr, net)
         if kind not in DEVICE_KINDS:
             raise ValueError(f"unknown device kind {kind!r}")
         self.device_id = device_id
         self.kind = kind
-        self.vendor = vendor
         self.log = log_service
         self.state = dict(initial or {})
         self.online = bool(self.state.pop("online", True))
-        self.history: list[tuple[int, dict]] = [(0, dict(self.state))]
         self.actions_executed = 0
         self.push_targets: list[str] = []
         self.gateway_addr = None  # set by Gateway.register_device: the one sender of calls
@@ -113,7 +93,6 @@ class Device(Process):
         if "online" in patch:
             self.online = bool(patch.pop("online"))
         self.state.update(patch)
-        self.history.append((self.net.scheduler.now, dict(self.state)))
         for target in self.push_targets:
             self.send(target, {"type": "device_push", "device_id": self.device_id})
 
@@ -121,20 +100,18 @@ class Device(Process):
         if not self.sender_is(src, self.gateway_addr):
             return
         reply = {"type": "rpc_result", "corr": msg["corr"], "device_id": self.device_id}
-        api = msg["api"]
+        op = APIS.get(msg["api"])
         if not self.online:
             reply.update(ok=False, error="DeviceOffline")
-        elif api not in APIS or APIS[api][0] != self.kind:
+        elif op is None or op.device_kind != self.kind:
             reply.update(ok=False, error="UnknownApi")
         elif self.log.lookup(msg["eid"], msg["log_key"]) is not None:
             reply.update(ok=False, error="LogKeyReused")  # the log is write-once
         else:
-            _kind, field, value = APIS[api]
-            if api in ACTION_APIS:
-                self.state[field] = value
+            if op.kind == "action":
+                self.state[op.field] = op.value
                 self.actions_executed += 1
-                self.history.append((self.net.scheduler.now, dict(self.state)))
-            payload = {field: self.state.get(field, value)}
+            payload = {op.field: self.state.get(op.field, op.value)}
             # Log first, respond second: the entry exists before anyone can
             # cite it in a transaction.
             self.log.write(msg["eid"], msg["log_key"], checksum(payload), self.device_id,
@@ -157,7 +134,7 @@ class Gateway(Process):
         self.vendor = vendor
         self.tokens: dict[str, dict] = {}
         self.devices: dict[str, str] = {}  # device_id -> addr
-        self.rejected = {"BadToken": 0, "UnknownDevice": 0}
+        self.counters.update(BadToken=0, UnknownDevice=0)  # calls refused, by error
 
     def mint_token(self, device_id: str, scopes) -> str:
         token = f"tok-{self.vendor}-{device_id}"
@@ -168,7 +145,7 @@ class Gateway(Process):
         self.devices[device.device_id] = device.addr
         device.gateway_addr = self.addr
         return self.mint_token(device.device_id,
-                               [api for api, (kind, *_) in APIS.items() if kind == device.kind])
+                               [api for api, op in APIS.items() if op.device_kind == device.kind])
 
     def _on_rpc_call(self, src, msg):
         grant = self.tokens.get(msg["token"])
@@ -183,7 +160,7 @@ class Gateway(Process):
                        "log_key": msg["log_key"]},
                       lambda result: self.send(src, {**result, "corr": msg["corr"]}))
             return
-        self.rejected[error] += 1
+        self.counters[error] += 1
         self.send(src, {"type": "rpc_result", "corr": msg["corr"], "ok": False, "error": error})
 
 

@@ -41,8 +41,6 @@ from ..rules import parse_rule
 from .scenario import bundled_scenario, scenario_from_dict
 from .world import World
 
-DEFAULT_SEED = 1337
-
 
 @dataclass
 class AttackOutcome:
@@ -131,7 +129,7 @@ def _mallory_run(seed: int, submissions):
 # ---------------------------------------------------------------------------
 
 
-def attack_event_spoof(seed: int = DEFAULT_SEED, forge_log: bool = False) -> AttackOutcome:
+def attack_event_spoof(seed: int, forge_log: bool = False) -> AttackOutcome:
     """Claim a trigger fired without ever touching the device.  With forge_log,
     the negative control, the vendor log also holds the forged entry."""
 
@@ -148,7 +146,7 @@ def attack_event_spoof(seed: int = DEFAULT_SEED, forge_log: bool = False) -> Att
     return _hostile_submissions(name, seed, bodies, CODE_NO_LOG_ENTRY, not forge_log)
 
 
-def attack_checksum_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_checksum_tamper(seed: int) -> AttackOutcome:
     """Reuse a real logged execution but lie about its result payload."""
 
     def bodies(w: World):
@@ -160,15 +158,14 @@ def attack_checksum_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     return _hostile_submissions("checksum_tamper", seed, bodies, CODE_CHECKSUM_MISMATCH)
 
 
-def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_event_replay(seed: int) -> AttackOutcome:
     """Replay the first committed event, the trigger event, verbatim and with a
     fresh sequence number."""
 
     def bodies(w: World):
-        committed = next((wire for block in w.nodes[0].chain[1:] for wire in block_txs(block)
-                          if wire["kind"] == KIND_EVENT), None)
-        if committed is None:
-            return []
+        # By 2000 ms the honest alert at 1000 ms has committed its trigger event.
+        committed = next(wire for block in w.nodes[0].chain[1:] for wire in block_txs(block)
+                         if wire["kind"] == KIND_EVENT)
         body = dict(SignedTransaction.from_wire(committed).body)
         body.pop("kind", None)
         body.pop("nonce", None)
@@ -180,7 +177,7 @@ def attack_event_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
     return _hostile_submissions("event_replay", seed, bodies, CODE_STALE_SEQ)
 
 
-def attack_action_forge(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_action_forge(seed: int) -> AttackOutcome:
     """The platform invents action requests it was never entitled to."""
     world, forged, codes = _platform_run(seed, "forge_actions")
     honest = [o for o in world.tamock.outcomes if not o["forged"]]
@@ -198,7 +195,7 @@ def attack_action_forge(seed: int = DEFAULT_SEED) -> AttackOutcome:
                          f"forged={len(forged)} lock actions={_lock_actions(world)}")
 
 
-def attack_action_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_action_replay(seed: int) -> AttackOutcome:
     """The platform re-sends its own honest action request."""
     world, forged, codes = _platform_run(seed, "replay_requests")
     blocked = (
@@ -210,7 +207,7 @@ def attack_action_replay(seed: int = DEFAULT_SEED) -> AttackOutcome:
     return AttackOutcome("action_replay", blocked, codes, f"lock actions={_lock_actions(world)}")
 
 
-def attack_token_reuse(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_token_reuse(seed: int) -> AttackOutcome:
     """An outsider replays a captured request with a leaked channel token."""
     world, outcomes, codes = _platform_run(seed, "token_reuse")
     replayed = world.adversary.replayed
@@ -226,7 +223,7 @@ def attack_token_reuse(seed: int = DEFAULT_SEED) -> AttackOutcome:
                          f"replayed={replayed} lock actions={_lock_actions(world)}")
 
 
-def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_rbac_escalation(seed: int) -> AttackOutcome:
     """A NormalUser tries to grant itself admin and to commit a rule."""
     rule = parse_rule(dict(bundled_scenario("heart_rate")["rules"][0],
                            title="mallory backdoor", rule_id=9))
@@ -248,7 +245,7 @@ def attack_rbac_escalation(seed: int = DEFAULT_SEED) -> AttackOutcome:
     return AttackOutcome("rbac_escalation", blocked, codes, f"rules={sorted(rule_ids)}")
 
 
-def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_config_tamper(seed: int) -> AttackOutcome:
     """Unauthorized rule edits, on-chain and via direct store mutation."""
     altered = parse_rule(dict(bundled_scenario("heart_rate")["rules"][0],
                               action_operations=[["close_door_operation", "lock-1", "OP_AND"]]))
@@ -280,7 +277,7 @@ def attack_config_tamper(seed: int = DEFAULT_SEED) -> AttackOutcome:
     return AttackOutcome("config_tamper", blocked, codes, notes)
 
 
-def attack_byzantine_node(seed: int = DEFAULT_SEED) -> AttackOutcome:
+def attack_byzantine_node(seed: int) -> AttackOutcome:
     """The view-0 primary equivocates; honest nodes must stay consistent
     and the rule must still run exactly once."""
     # The stalled first view delays rule registration until the view change
@@ -325,7 +322,7 @@ ATTACKS = (
 )
 
 
-def run_attack_suite(seed: int = DEFAULT_SEED) -> dict:
+def run_attack_suite(seed: int) -> dict:
     outcomes = [fn(seed) for fn in ATTACKS]
     # Control: a spoof whose forged entry the vendor log holds must land.
     control = attack_event_spoof(seed, forge_log=True)

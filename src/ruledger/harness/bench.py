@@ -82,8 +82,7 @@ def _run_one(seed: int, nodes: int, with_ledger: bool, requests: int, concurrenc
     }
 
 
-def run_bench(requests: int = 300, concurrency: int = 10, nodes: int = 4,
-              seed: int = 7, sweep: tuple = ()) -> dict:
+def run_bench(requests: int, concurrency: int, nodes: int, seed: int, sweep: tuple) -> dict:
     baseline = _run_one(seed, nodes, False, requests, concurrency)
     ledger = _run_one(seed, nodes, True, requests, concurrency)
 
@@ -108,25 +107,21 @@ def run_bench(requests: int = 300, concurrency: int = 10, nodes: int = 4,
     }
 
 
-def format_bench(result: dict) -> str:
-    lines = [f"requests={result['requests']} concurrency={result['concurrency']}"]
-    for label, row in (("bypass", result["baseline_bypass"]),
-                       ("ledger", result["with_ledger"])):
-        lines.append(
-            f"  {label} nodes={row['nodes']}: completed={row['completed']} "
+def _format_row(label: str, row: dict) -> str:
+    return (f"  {label} nodes={row['nodes']}: completed={row['completed']} "
             f"wall={row['wall_s']}s tps={row['wall_tps']} "
-            f"e2e(sim)={row['end_to_end_sim_ms']['mean']}ms mean"
-        )
+            f"e2e(sim)={row['end_to_end_sim_ms']['mean']}ms mean")
+
+
+def format_bench(result: dict) -> str:
+    lines = [f"requests={result['requests']} concurrency={result['concurrency']}",
+             _format_row("bypass", result["baseline_bypass"]),
+             _format_row("ledger", result["with_ledger"])]
     if result["ledger_e2e_overhead_pct"] is not None:
         lines.append(
             f"  ledger end-to-end overhead: {result['ledger_e2e_overhead_pct']}% (sim time)"
         )
-    for row in result["sweep"]:
-        lines.append(
-            f"  sweep nodes={row['nodes']}: completed={row['completed']} "
-            f"wall={row['wall_s']}s tps={row['wall_tps']} "
-            f"e2e(sim)={row['end_to_end_sim_ms']['mean']}ms mean"
-        )
+    lines += [_format_row("sweep", row) for row in result["sweep"]]
     ref = result["cloud_reference"]
     lines.append("  cloud-reference figures (context only, not asserted):")
     lines.append(

@@ -46,8 +46,8 @@ class World:
             if gw is None:
                 gw = Gateway(f"gw:{vendor}", self.net, vendor)
                 self.gateways[vendor] = gw
-            dev = Device(f"dev:{device_id}", self.net, device_id,
-                         spec["kind"], vendor, self.log, initial=spec["initial"])
+            dev = Device(f"dev:{device_id}", self.net, device_id, spec["kind"], self.log,
+                         initial=spec["initial"])
             token = gw.register_device(dev)
             self.devices[device_id] = dev
             device_routes[device_id] = (gw.addr, token, dev.addr)
@@ -163,20 +163,17 @@ class World:
         return all(d[:limit] == digest_lists[0][:limit] for d in digest_lists)
 
     def _tx_kind_counts(self) -> dict:
-        trigger_count = {r.rule_id: len(r.trigger_operations) for r in self.rules}
+        """Committed txs by kind; an event tx off its rule's trigger steps records an action."""
+        trigger_steps = {(r.rule_id, s["step_id"]) for r in self.rules for s in r.steps("trigger")}
         counts = {"rule_commit": 0, "config": 0, "event": 0, "action_record": 0, "action": 0}
         for block in self.nodes[0].chain[1:]:
             for wire in block_txs(block):
                 kind = wire["kind"]
                 if kind == KIND_EVENT:
                     info = SignedTransaction.from_wire(wire).body["event_info"]
-                    bound = trigger_count.get(info["rule_id"], 0)
-                    if info["step_id"] >= bound:
-                        counts["action_record"] += 1
-                    else:
-                        counts["event"] += 1
-                else:
-                    counts[kind] += 1
+                    if (info["rule_id"], info["step_id"]) not in trigger_steps:
+                        kind = "action_record"
+                counts[kind] += 1
         return counts
 
     def _verdicts(self) -> dict:

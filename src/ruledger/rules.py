@@ -11,7 +11,10 @@ operations take steps 0..T-1 and action operations continue from step T,
 which is the order the ledger's step-chaining check expects.  The contracts
 and the execution agent read step ids from it alone.
 
-A trigger operation is a fixed predicate over its device's payload: the
+`CATALOG` is the one statement of what an operation does: the API it calls,
+the device kind that answers that API, the state field the API reads or
+writes and its value.  The devices and their gateways read it too.  A
+trigger operation is a fixed predicate over its device's payload: the
 heart-rate alert fires at or outside HEART_RATE_LOW and HEART_RATE_HIGH.  A
 rule that wants other bounds states them in a comparator condition.
 """
@@ -19,17 +22,16 @@ rule that wants other bounds states them in a comparator condition.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 # canonical_bytes is unused here but stays importable: perfbench/tracer.py patches it.
-from .canonical import canonical_bytes, is_int, is_str, object_of, one_of  # noqa: F401
+from .canonical import (canonical_bytes, is_int, is_str, object_of,  # noqa: F401
+                        one_of, with_fields)
 
 OP_AND = "OP_AND"
 OP_OR = "OP_OR"
 COMBINATORS = (OP_AND, OP_OR)
-
-# Fold identities: a single-element list folds to its own result.
-_IDENTITY = {OP_AND: True, OP_OR: False}
 
 CONDITION_IF_TRUE = "IF_TRUE"
 _COMPARATORS = {
@@ -59,28 +61,44 @@ def _heart_rate_alert(payload: dict) -> bool:
 
 
 def _presence_home(payload: dict) -> bool:
-    return payload.get("presence") == "home"
+    return payload["presence"] == "home"
 
 
 @dataclass(frozen=True)
 class CatalogOp:
+    """An operation: its API, answered by devices of `device_kind`, reads or
+    writes the state `field`.  An action writes `value` there; a read returns
+    the field, or `value` on a device that never had it."""
+
     name: str
     api: str
     kind: str  # "trigger" or "action"
-    predicate: "object" = None  # trigger ops: payload -> bool
-    fields: dict = field(default_factory=dict)  # trigger ops: payload field -> shape it reads
+    device_kind: str
+    field: str
+    value: object
+    predicate: object = None  # trigger ops: payload -> bool
+    shape: object = None  # trigger ops: the shape of the field the predicate reads
+
+    @cached_property
+    def reads(self):
+        """Whether a payload holds the field its predicate reads, in its shape."""
+        return with_fields(**{self.field: self.shape})
 
 
 CATALOG: dict[str, CatalogOp] = {
     op.name: op
     for op in (
-        CatalogOp("alert_on_heart_rate", HEART_RATE_API, "trigger", _heart_rate_alert,
-                  {"heart_rate": is_int}),
-        CatalogOp("check_presence_operation", PRESENCE_API, "trigger", _presence_home,
-                  {"presence": is_str}),
-        CatalogOp("open_door_operation", SMARTLOCK_UNLOCK, "action"),
-        CatalogOp("close_door_operation", SMARTLOCK_LOCK, "action"),
-        CatalogOp("set_home_mode_operation", MODE_SET_API, "action"),
+        CatalogOp("alert_on_heart_rate", HEART_RATE_API, "trigger", "heart_rate",
+                  "heart_rate", 0, _heart_rate_alert, is_int),
+        CatalogOp("check_presence_operation", PRESENCE_API, "trigger", "presence",
+                  "presence", "away", _presence_home, is_str),
+        CatalogOp("open_door_operation", SMARTLOCK_UNLOCK, "action", "smart_lock",
+                  "lock", "unlocked"),
+        CatalogOp("close_door_operation", SMARTLOCK_LOCK, "action", "smart_lock",
+                  "lock", "locked"),
+        # The presence sensor doubles as the home hub, so it also takes mode changes.
+        CatalogOp("set_home_mode_operation", MODE_SET_API, "action", "presence",
+                  "mode", "home_mode"),
     )
 }
 
@@ -143,17 +161,17 @@ def rule_fault(data, known_devices=None) -> tuple[str, str] | None:
         return "UnsupportedSchema", "rule_id must be a non-negative integer"
     for kind, entries in (("trigger", data["trigger_operations"]),
                           ("action", data["action_operations"])):
-        if not isinstance(entries, list) or not entries:
+        if type(entries) is not list or not entries:
             return "UnsupportedSchema", f"{kind}_operations must be a non-empty list"
         for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if type(entry) is not list or len(entry) != 3:
                 return ("UnsupportedSchema",
                         f"operation entry must be [op, device, combinator]: {entry!r}")
             op_name, device_id, comb = entry
             op = CATALOG.get(op_name) if is_str(op_name) else None
             if op is None or op.kind != kind:
                 return "UnknownOp", f"no {kind} operation named {op_name!r}"
-            if not isinstance(device_id, str) or not device_id:
+            if not is_str(device_id) or not device_id:
                 return "UnboundDevice", f"bad device id {device_id!r}"
             if known_devices is not None and device_id not in known_devices:
                 return "UnboundDevice", f"device {device_id!r} is not registered"
@@ -166,7 +184,8 @@ def rule_fault(data, known_devices=None) -> tuple[str, str] | None:
         if len(data["trigger_operations"]) != 1:
             return ("UnsupportedSchema",
                     "comparator conditions require exactly one trigger operation")
-        if CATALOG[data["trigger_operations"][0][0]].fields.get(cond["field"]) is not is_int:
+        op = CATALOG[data["trigger_operations"][0][0]]
+        if op.field != cond["field"] or op.shape is not is_int:
             return "UnsupportedSchema", f"no integer field {cond['field']!r} to compare"
     return None
 
@@ -183,37 +202,16 @@ def is_rule(v) -> bool:
     return rule_fault(v) is None
 
 
-def eval_combinator(results: list[bool], combinators: list[str]) -> bool:
-    """Left-to-right fold of boolean results under per-element combinators.
-
-    The accumulator starts at the identity of the first combinator, so a
-    single-element list folds to its own result regardless of combinator.
-    """
-    if len(results) != len(combinators):
-        raise RuleError("BadCombinator", "results and combinators differ in length")
-    if not results:
-        raise RuleError("BadCombinator", "empty operation list")
-    for comb in combinators:
-        if comb not in COMBINATORS:
-            raise RuleError("BadCombinator", f"unknown combinator {comb!r}")
-    acc = _IDENTITY[combinators[0]]
-    for result, comb in zip(results, combinators):
-        if comb == OP_AND:
-            acc = acc and bool(result)
-        else:
-            acc = acc or bool(result)
-    return acc
-
-
-def evaluate_trigger(
-    rule: RuleDefinition, op_results: list[bool], first_payload: dict | None = None
-) -> bool:
-    """Combine per-operation results and apply the rule's condition."""
-    folded = eval_combinator(op_results, [t[2] for t in rule.trigger_operations])
+def evaluate_trigger(rule: RuleDefinition, hits: list[bool], first_payload: dict) -> bool:
+    """Whether a trigger cycle fires, given each trigger operation's predicate
+    result and the first operation's payload.  A comparator condition compares
+    the first payload's field, which `rule_fault` and `CatalogOp.reads` make
+    sure is there; IF_TRUE folds the hits left to right, each later hit
+    joining under its own operation's combinator."""
     cond = rule.condition
-    if cond == CONDITION_IF_TRUE:
-        return folded
-    # Comparator conditions look at the first trigger's numeric payload.
-    if first_payload is None or cond["field"] not in first_payload:
-        return False
-    return _COMPARATORS[cond["cmp"]](first_payload[cond["field"]], cond["value"])
+    if cond != CONDITION_IF_TRUE:
+        return _COMPARATORS[cond["cmp"]](first_payload[cond["field"]], cond["value"])
+    fired = hits[0]
+    for hit, (_op, _device, comb) in zip(hits[1:], rule.trigger_operations[1:]):
+        fired = (fired and hit) if comb == OP_AND else (fired or hit)
+    return fired

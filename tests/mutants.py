@@ -63,6 +63,13 @@ SUBSETS = {
     "ledger/tx.py": ["test_pbft.py", "test_contracts.py", "test_harness.py", "test_tables.py"],
     "harness/scenario.py": ["test_harness.py", "test_boundary.py"],
     "harness/world.py": ["test_harness.py", "test_acceptance.py", "test_boundary.py"],
+    "rules.py": ["test_rules.py", "test_contracts.py", "test_agents.py"],
+    "keys.py": ["test_keys.py", "test_pbft.py"],
+    "sim/scheduler.py": ["test_sim.py"],
+    "harness/report.py": ["test_harness.py"],
+    "harness/bench.py": ["test_harness.py", "test_acceptance.py"],
+    "harness/cli.py": ["test_harness.py", "test_acceptance.py"],
+    "harness/attacks.py": ["test_acceptance.py", "test_harness.py"],
 }
 
 

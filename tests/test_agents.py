@@ -57,11 +57,11 @@ def _rig(seed=3, addr="exec", task_agent_addr="task", **exec_kwargs):
     log = devices.LogService()
     nodes = [Sink(f"node{i}", net) for i in range(4)]
     gw = devices.Gateway("gw", net, "vend")
-    watch = devices.Device("dev/w", net, "watch-1", "heart_rate", "vend", log,
+    watch = devices.Device("dev/w", net, "watch-1", "heart_rate", log,
                            initial={"heart_rate": 190})
-    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "vend", log,
+    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", log,
                           initial={"lock": "locked"})
-    hub = devices.Device("dev/h", net, "hub-1", "presence", "vend", log,
+    hub = devices.Device("dev/h", net, "hub-1", "presence", log,
                          initial={"presence": "home"})
     agent = agents.ExecutionAgent(
         addr, net, KeyPair.from_seed(1, "acct/exec"),

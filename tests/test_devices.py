@@ -69,8 +69,8 @@ def test_log_key_guessing_finds_nothing():
 
 def test_rpc_logs_before_replying():
     sched, net, log, driver = _rig()
-    dev = devices.Device("dev/watch-1", net, "watch-1", "heart_rate", "fitpulse",
-                         log, initial={"heart_rate": 72})
+    dev = devices.Device("dev/watch-1", net, "watch-1", "heart_rate", log,
+                         initial={"heart_rate": 72})
     seen_at_reply = []
 
     class Probe(Driver):
@@ -92,7 +92,7 @@ def test_rpc_logs_before_replying():
 
 def test_offline_device_refuses_and_logs_nothing():
     sched, net, log, driver = _rig()
-    dev = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+    dev = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", log,
                                     initial={"online": False, "lock": "locked"}))
     assert dev.online is False
     assert dev.state == {"lock": "locked"}  # the online flag is not state
@@ -104,7 +104,7 @@ def test_offline_device_refuses_and_logs_nothing():
     assert len(log) == 0 and dev.state["lock"] == "locked"
 
 
-# What each device API is, stated here apart from devices.APIS: the kind that
+# What each device API is, stated here apart from rules.CATALOG: the kind that
 # answers it, its payload on a device with an empty state, and whether it is
 # an action.  The presence sensor doubles as the home hub.
 API_FACTS = {
@@ -120,11 +120,11 @@ def test_wrong_api_for_device_kind():
     # Every (kind, API) pair: a device answers exactly its kind's APIs and
     # refuses any other, an unknown one included, without a log entry.
     sched, net, log, driver = _rig()
-    kinds = ("heart_rate", "smart_lock", "presence")
+    kinds = ("heart_rate", "presence", "smart_lock")
     assert devices.DEVICE_KINDS == kinds
     calls = [(kind, api) for kind in kinds for api in [*API_FACTS, "NO_SUCH_API"]]
     for i, (kind, api) in enumerate(calls):
-        dev = driver.own(devices.Device(f"dev/{i}", net, f"dev-{i}", kind, "v", log))
+        dev = driver.own(devices.Device(f"dev/{i}", net, f"dev-{i}", kind, log))
         driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"e{i}", "log_key": "k",
                                "corr": i})
     sched.run()
@@ -139,7 +139,7 @@ def test_wrong_api_for_device_kind():
 
 def test_a_reused_log_pair_is_refused_before_the_device_acts():
     sched, net, log, driver = _rig()
-    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", log,
                                      initial={"lock": "locked"}))
     for api in (SMARTLOCK_UNLOCK, SMARTLOCK_LOCK):
         driver.send(lock.addr, {"type": "rpc", "api": api, "eid": "e", "log_key": "k", "corr": 1})
@@ -150,9 +150,9 @@ def test_a_reused_log_pair_is_refused_before_the_device_acts():
 
 def test_action_apis_mutate_state_and_count():
     sched, net, log, driver = _rig()
-    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", "doorco", log,
+    lock = driver.own(devices.Device("dev/l", net, "lock-1", "smart_lock", log,
                                      initial={"lock": "locked"}))
-    hub = driver.own(devices.Device("dev/h", net, "hub-1", "presence", "homeco", log,
+    hub = driver.own(devices.Device("dev/h", net, "hub-1", "presence", log,
                                     initial={"presence": "away"}))
     for i, (addr, api) in enumerate([(lock.addr, SMARTLOCK_UNLOCK),
                                      (lock.addr, SMARTLOCK_LOCK),
@@ -170,9 +170,10 @@ def test_action_apis_mutate_state_and_count():
 
     # Each API on a fresh device with an empty state: an action writes its
     # field and counts; a read returns its field's default and changes nothing.
-    assert devices.ACTION_APIS == {api for api, (*_, action) in API_FACTS.items() if action}
+    assert ({api for api, op in devices.APIS.items() if op.kind == "action"}
+            == {api for api, (*_, action) in API_FACTS.items() if action})
     for i, (api, (kind, payload, action)) in enumerate(API_FACTS.items()):
-        dev = driver.own(devices.Device(f"dev/fresh{i}", net, f"fresh-{i}", kind, "v", log))
+        dev = driver.own(devices.Device(f"dev/fresh{i}", net, f"fresh-{i}", kind, log))
         driver.inbox.clear()
         driver.send(dev.addr, {"type": "rpc", "api": api, "eid": f"fresh{i}", "log_key": "k",
                                "corr": i})
@@ -182,20 +183,19 @@ def test_action_apis_mutate_state_and_count():
         assert log.query_checksum(f"fresh{i}", "k") == devices.checksum(payload)
         assert dev.actions_executed == int(action)
         assert dev.state == (payload if action else {})
-        assert [state for _t, state in dev.history] == [{}] + ([payload] if action else [])
 
 
-def test_patch_updates_history_and_pushes():
+def test_patch_updates_state_and_pushes():
     sched, net, log, driver = _rig()
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,
+    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", log,
                          initial={"heart_rate": 70})
     dev.push_targets.append(driver.addr)
+    states = []
     sched.schedule(100, lambda: dev.apply_patch({"heart_rate": 190}))
+    sched.schedule(150, lambda: states.append(dict(dev.state)))
     sched.schedule(200, lambda: dev.apply_patch({"online": False}))
     sched.run()
-    assert dev.history == [(0, {"heart_rate": 70}),
-                           (100, {"heart_rate": 190}),
-                           (200, {"heart_rate": 190})]
+    assert states == [{"heart_rate": 190}] and dev.state == {"heart_rate": 190}
     assert dev.online is False
     pushes = [m for _, _, m in driver.inbox if m["type"] == "device_push"]
     assert len(pushes) == 2 and pushes[0]["device_id"] == "watch-1"
@@ -204,13 +204,13 @@ def test_patch_updates_history_and_pushes():
 def test_unknown_device_kind_rejected():
     sched, net, log, _ = _rig()
     with pytest.raises(ValueError):
-        devices.Device("dev/x", net, "x-1", "toaster", "v", log)
+        devices.Device("dev/x", net, "x-1", "toaster", log)
 
 
 def test_gateway_relays_and_restores_caller_corr():
     sched, net, log, driver = _rig()
     gw = devices.Gateway("gw/fitpulse", net, "fitpulse")
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,
+    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", log,
                          initial={"heart_rate": 55})
     token = gw.register_device(dev)
     driver.send(gw.addr, {"type": "rpc_call", "token": token, "device_id": "watch-1",
@@ -219,13 +219,13 @@ def test_gateway_relays_and_restores_caller_corr():
     (_, src, reply), = driver.inbox
     assert src == gw.addr
     assert reply["corr"] == 77 and reply["ok"] and reply["payload"] == {"heart_rate": 55}
-    assert gw.rejected == {"BadToken": 0, "UnknownDevice": 0}
+    assert gw.counters == {"malformed_dropped": 0, "BadToken": 0, "UnknownDevice": 0}
 
 
 def test_gateway_token_checks():
     sched, net, log, driver = _rig()
     gw = devices.Gateway("gw/v", net, "v")
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "v", log)
+    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", log)
     token = gw.register_device(dev)
     other = gw.mint_token("lock-9", (SMARTLOCK_UNLOCK,))
 
@@ -241,7 +241,7 @@ def test_gateway_token_checks():
     sched.run()
     errors = [r[2]["error"] for r in sorted(driver.inbox, key=lambda r: r[2]["corr"])]
     assert errors == ["BadToken", "BadToken", "BadToken", "UnknownDevice"]
-    assert gw.rejected == {"BadToken": 3, "UnknownDevice": 1}
+    assert gw.counters == {"malformed_dropped": 0, "BadToken": 3, "UnknownDevice": 1}
     assert len(log) == 0
 
 
@@ -256,7 +256,7 @@ def test_stray_rpc_result_is_ignored():
 def test_gateway_relays_a_result_only_from_the_called_device():
     sched, net, log, driver = _rig()
     gw = devices.Gateway("gw/v", net, "v")
-    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", "v", log,
+    dev = devices.Device("dev/w", net, "watch-1", "heart_rate", log,
                          initial={"heart_rate": 55})
     token = gw.register_device(dev)
     gw.on_message(driver.addr, {"type": "rpc_call", "token": token, "device_id": "watch-1",
@@ -272,7 +272,7 @@ def test_a_device_takes_calls_only_from_its_gateway():
     # Anyone who could reach a device could otherwise skip its gateway's token check.
     sched, net, log, driver = _rig()
     gw = devices.Gateway("gw/v", net, "v")
-    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", "v", log,
+    lock = devices.Device("dev/l", net, "lock-1", "smart_lock", log,
                           initial={"lock": "locked"})
     assert lock.gateway_addr is None
     token = gw.register_device(lock)
@@ -290,7 +290,7 @@ def test_a_device_takes_calls_only_from_its_gateway():
 
 def _timeline_run(seed):
     sched, net, log, driver = _rig(seed=seed, config=NetConfig(delay_range=(1, 15)))
-    dev = driver.own(devices.Device("dev/w", net, "watch-1", "heart_rate", "fitpulse", log,
+    dev = driver.own(devices.Device("dev/w", net, "watch-1", "heart_rate", log,
                                     initial={"heart_rate": 70}))
     for t, rate in [(50, 188), (120, 75), (300, 39)]:
         sched.schedule(t, lambda r=rate: dev.apply_patch({"heart_rate": r}))
@@ -298,7 +298,8 @@ def _timeline_run(seed):
             dev.addr, {"type": "rpc", "api": HEART_RATE_API,
                        "eid": f"e{i}", "log_key": f"k{i}", "corr": i}))
     sched.run()
-    return dev.history, sorted(driver.inbox), sorted(log._entries.items())
+    readings = [m["payload"] for _, _, m in sorted(driver.inbox, key=lambda r: r[2]["corr"])]
+    return readings, sorted(driver.inbox), sorted(log._entries.items())
 
 
 def test_timeline_is_deterministic_per_seed():
@@ -306,7 +307,7 @@ def test_timeline_is_deterministic_per_seed():
     b = _timeline_run(42)
     c = _timeline_run(43)
     assert a == b
-    assert a[0] == c[0]  # patches are scheduled, so state history matches
+    assert a[0] == c[0]  # patches are scheduled, so every reading matches
     assert a[1] != c[1] or a[2] != c[2]  # delivery times differ across seeds
 
 

@@ -1,4 +1,4 @@
-"""Rule parsing, step numbering, and combinator folding."""
+"""Rule parsing, step numbering, and trigger evaluation."""
 
 import itertools
 
@@ -91,7 +91,7 @@ def test_split_assigns_trigger_steps_before_action_steps():
 
 
 # ---------------------------------------------------------------------------
-# combinator folding
+# combinator folding, through evaluate_trigger
 
 
 def _fold_oracle(results, combinators):
@@ -103,12 +103,22 @@ def _fold_oracle(results, combinators):
     return acc
 
 
+_READING = {"heart_rate": 70}  # the first trigger's payload
+
+
+def _fold(results, combinators) -> bool:
+    """evaluate_trigger on an IF_TRUE rule with one trigger operation per
+    combinator, its predicates having returned results."""
+    raw = hr_rule()
+    raw["trigger_operations"] = [["alert_on_heart_rate", "watch-1", c] for c in combinators]
+    return rules.evaluate_trigger(rules.parse_rule(raw), list(results), _READING)
+
+
 def test_eval_combinator_exhaustive_up_to_four_ops():
     for n in range(1, 5):
         for results in itertools.product([False, True], repeat=n):
             for combs in itertools.product(["OP_AND", "OP_OR"], repeat=n):
-                got = rules.eval_combinator(list(results), list(combs))
-                assert got == _fold_oracle(results, combs), (results, combs)
+                assert _fold(results, combs) == _fold_oracle(results, combs), (results, combs)
 
 
 @pytest.mark.parametrize("results,combs,expected", [
@@ -122,32 +132,21 @@ def test_eval_combinator_exhaustive_up_to_four_ops():
     ([False, True], ["OP_OR", "OP_AND"], False),    # F seed, or F, and T stays F
 ])
 def test_eval_combinator_hand_computed_cells(results, combs, expected):
-    assert rules.eval_combinator(results, combs) is expected
+    assert _fold(results, combs) is expected
 
 
 def test_pure_folds_match_builtin_all_any():
     for n in range(1, 5):
         for results in itertools.product([False, True], repeat=n):
-            assert rules.eval_combinator(list(results), ["OP_AND"] * n) == all(results)
-            assert rules.eval_combinator(list(results), ["OP_OR"] * n) == any(results)
-
-
-@pytest.mark.parametrize("results,combs", [
-    ([True, False], ["OP_AND"]),
-    ([], []),
-    ([True], ["OP_NAND"]),
-])
-def test_eval_combinator_rejects_malformed_input(results, combs):
-    with pytest.raises(rules.RuleError) as exc:
-        rules.eval_combinator(results, combs)
-    assert exc.value.code == "BadCombinator"
+            assert _fold(results, ["OP_AND"] * n) == all(results)
+            assert _fold(results, ["OP_OR"] * n) == any(results)
 
 
 def test_evaluate_trigger_if_true_returns_the_fold():
     rule = rules.parse_rule(hr_rule())
     assert rule.condition == "IF_TRUE"
-    assert rules.evaluate_trigger(rule, [True]) is True
-    assert rules.evaluate_trigger(rule, [False]) is False
+    assert rules.evaluate_trigger(rule, [True], _READING) is True
+    assert rules.evaluate_trigger(rule, [False], _READING) is False
 
 
 def test_evaluate_trigger_comparator_reads_first_payload():
@@ -157,8 +156,7 @@ def test_evaluate_trigger_comparator_reads_first_payload():
     assert rules.evaluate_trigger(rule, [True], {"heart_rate": 185}) is True
     assert rules.evaluate_trigger(rule, [True], {"heart_rate": 180}) is True
     assert rules.evaluate_trigger(rule, [True], {"heart_rate": 179}) is False
-    assert rules.evaluate_trigger(rule, [True], {"steps": 9000}) is False
-    assert rules.evaluate_trigger(rule, [True], None) is False
+    assert rules.evaluate_trigger(rule, [False], {"heart_rate": 185}) is True  # the hit is not read
 
 
 @pytest.mark.parametrize("cmp,value,sample,expected", [
@@ -187,7 +185,6 @@ def test_presence_predicate():
     pred = rules.CATALOG["check_presence_operation"].predicate
     assert pred({"presence": "home"})
     assert not pred({"presence": "away"})
-    assert not pred({})
 
 
 _TRIGGERS = [n for n, op in rules.CATALOG.items() if op.kind == "trigger"]
@@ -303,7 +300,8 @@ def _ref_parse_rule(data, known_devices=None) -> RuleDefinition:
             raise RuleError(
                 "UnsupportedSchema", "comparator conditions require exactly one trigger operation"
             )
-        if CATALOG[data["trigger_operations"][0][0]].fields.get(cond["field"]) is not is_int:
+        op = CATALOG[data["trigger_operations"][0][0]]
+        if (op.field, op.shape) != (cond["field"], is_int):
             raise RuleError("UnsupportedSchema", f"no integer field {cond['field']!r} to compare")
 
     return RuleDefinition(
