@@ -11,8 +11,11 @@ its negative control, `checksum_tamper`, `event_replay`) share one runner,
 `_hostile_submissions`: an outside attacker submits each body the attack
 crafts at 2000 ms, and the attack is blocked when every body was answered,
 none was accepted, the attack's one expected code was the only code seen,
-and the lock ran once.  The platform-side attacks share `_platform_run` and
-the account-abuse attacks `_mallory_run`.
+and the lock ran once.  The three platform attacks share `_platform_run`:
+at the same 2000 ms, one of `PLATFORM_FORGERIES` sends forged action
+requests for the platform's first trigger through `TriggerActionMock.emit`,
+from the compromised platform itself or from an outsider holding its leaked
+channel token.  The account-abuse attacks share `_mallory_run`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from ..ledger import audit, tables
 from ..ledger.node import block_txs
 from ..ledger.tx import KIND_EVENT, KIND_RULE_COMMIT, SignedTransaction
 from ..rules import parse_rule
+from ..tamock import TriggerActionMock
 from .scenario import bundled_scenario, scenario_from_dict
 from .world import World
 
@@ -96,14 +100,40 @@ def _hostile_submissions(name: str, seed: int, bodies, code: str,
                          expected_blocked)
 
 
-def _platform_run(seed: int, mode: str):
-    """The base world run with the platform side in adversary `mode`: the world,
-    the hostile requests' outcomes (the outsider's, else the platform's forged
-    ones) and their codes."""
-    world = _make_world(seed, adversary={"mode": mode})
-    world.run()
-    hostile = (world.adversary.outcomes if world.adversary is not None
-               else [o for o in world.tamock.outcomes if o["forged"]])
+def _forge_actions(world: World, info: dict, cid: str) -> None:
+    """The compromised platform emits invented event coordinates under the real
+    cid, then the real pair again, which the honest request has consumed."""
+    world.tamock.emit({**info, "event_seq": info["event_seq"] + 7777}, cid, 0, forged=True)
+    world.tamock.emit(info, cid, 0, forged=True)
+
+
+def _replay_requests(world: World, info: dict, cid: str) -> None:
+    """The compromised platform replays its own request."""
+    world.tamock.emit(info, cid, 0, forged=True)
+
+
+def _token_reuse(world: World, info: dict, cid: str) -> None:
+    """An outsider holding the leaked channel token emits the request; the token
+    gets it past the channel check, and the ledger is what has to stop it."""
+    outsider = TriggerActionMock("outsider", world.net, world.owner.addr, "task",
+                                 world.tamock.channel_token)
+    outsider.emit(info, cid, 0, forged=True)
+
+
+# name -> forge(world, info, cid), which sends forged action requests
+PLATFORM_FORGERIES = {"forge_actions": _forge_actions, "replay_requests": _replay_requests,
+                      "token_reuse": _token_reuse}
+
+
+def _platform_run(seed: int, forge):
+    """The base world run with `forge(world, info, cid)` called at 2000 ms, info
+    and cid those of the platform's first trigger request: the world, and the
+    outcomes of every platform's forged requests and their codes."""
+    world = _make_world(seed)
+    world.run(hook=lambda w: w.scheduler.schedule(
+        2000, lambda: forge(w, *next(iter(w.tamock.requests.values())))))
+    hostile = [o for p in world.net.processes.values() if type(p) is TriggerActionMock
+               for o in p.outcomes if o["forged"]]
     return world, hostile, _codes(o["code"] for o in hostile)
 
 
@@ -179,7 +209,7 @@ def attack_event_replay(seed: int) -> AttackOutcome:
 
 def attack_action_forge(seed: int) -> AttackOutcome:
     """The platform invents action requests it was never entitled to."""
-    world, forged, codes = _platform_run(seed, "forge_actions")
+    world, forged, codes = _platform_run(seed, _forge_actions)
     honest = [o for o in world.tamock.outcomes if not o["forged"]]
     accepted_total = sum(1 for o in world.tamock.outcomes if o["accepted"])
     blocked = (
@@ -197,7 +227,7 @@ def attack_action_forge(seed: int) -> AttackOutcome:
 
 def attack_action_replay(seed: int) -> AttackOutcome:
     """The platform re-sends its own honest action request."""
-    world, forged, codes = _platform_run(seed, "replay_requests")
+    world, forged, codes = _platform_run(seed, _replay_requests)
     blocked = (
         len(forged) == 1
         and not forged[0]["accepted"]
@@ -209,8 +239,8 @@ def attack_action_replay(seed: int) -> AttackOutcome:
 
 def attack_token_reuse(seed: int) -> AttackOutcome:
     """An outsider replays a captured request with a leaked channel token."""
-    world, outcomes, codes = _platform_run(seed, "token_reuse")
-    replayed = world.adversary.replayed
+    world, outcomes, codes = _platform_run(seed, _token_reuse)
+    replayed = world.net.processes["outsider"].counters["forged_emitted"]
     blocked = (
         replayed >= 1
         and len(outcomes) >= 1

@@ -93,6 +93,10 @@ def _cmd_attacks(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for flag, value, least in (("--requests", args.requests, 0),
+                               ("--concurrency", args.concurrency, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     result = run_bench(
         requests=args.requests,
         concurrency=args.concurrency,

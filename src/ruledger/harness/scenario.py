@@ -1,8 +1,8 @@
 """Scenario files: the one JSON document that pins a whole simulated run.
 
 Everything that could make two runs differ lives here (seed, topology,
-device timelines, rules, adversary behavior), so replaying the same file
-must reproduce the same report byte for byte.
+device timelines, rules, node and network faults), so replaying the same
+file must reproduce the same report byte for byte.
 
 The field tables below are the one description of the format.  Each maps a
 field of one kind of object to (default or REQUIRED, shape); a shape is a
@@ -27,8 +27,6 @@ from ..ledger.faults import FAULT_KINDS, FaultSpec
 from ..ledger.node import ConfigError, LedgerConfig, replica_count_ok
 from ..rules import parse_rule
 from ..sim.network import NetConfig
-from ..tamock import MODE_HONEST
-from ..tamock import MODES as PLATFORM_MODES
 
 TRIGGER_MODES = ("poll", "push")
 
@@ -69,8 +67,6 @@ BYZANTINE = {
     "prob": (FaultSpec.prob, lambda v: _number(v) and 0 <= v <= 1),
 }
 
-ADVERSARY = {"mode": (MODE_HONEST, one_of(*PLATFORM_MODES))}
-
 ACCOUNT = {
     "name": (REQUIRED, _name),
     "role": (REQUIRED, one_of(*ROLE_PERMISSIONS)),
@@ -99,7 +95,6 @@ SCENARIO = {
     "commit_timeout_ms": (LedgerConfig.commit_timeout_ms, _positive),
     "net": ({}, NET),
     "byzantine": (None, BYZANTINE),  # null: every node honest
-    "adversary": ({}, ADVERSARY),
     "accounts": (REQUIRED, [ACCOUNT]),  # the first is the rule owner
     "devices": ([], [DEVICE]),
     "rules": ([], list_of(lambda v: is_str(v) or type(v) is dict)),  # inline, or a file path

@@ -23,7 +23,7 @@ from ..ledger.tx import KIND_EVENT, SignedTransaction
 from ..rules import parse_rule
 from ..sim.network import NetConfig, Network
 from ..sim.scheduler import Scheduler
-from ..tamock import MODE_TOKEN_REUSE, AdversaryEndpoint, TriggerActionMock
+from ..tamock import TriggerActionMock
 from .report import build_stats, report_bytes, validate_report
 
 
@@ -88,17 +88,8 @@ class World:
             ))
 
         channel_token = f"chan-{sha256_hex(str(seed).encode())[:12]}"
-        adversary_mode = config["adversary"]["mode"]
-        self.adversary = None
-        adversary_addr = None
-        if adversary_mode == MODE_TOKEN_REUSE:
-            self.adversary = AdversaryEndpoint("adversary", self.net, "task")
-            adversary_addr = "adversary"
         owner_addr = f"user:{accounts[0]['name']}"  # the rule owner's console, made below
-        self.tamock = TriggerActionMock(
-            "tamock", self.net, mode=adversary_mode, task_agent_addr="task",
-            channel_token=channel_token, adversary_addr=adversary_addr, owner_addr=owner_addr,
-        )
+        self.tamock = TriggerActionMock("tamock", self.net, owner_addr, "task", channel_token)
         self.task_agent = TaskAgent(
             "task", self.net, KeyPair.from_seed(seed, "acct/task-agent"),
             node_addrs, tamock_addr="tamock", channel_token=channel_token,

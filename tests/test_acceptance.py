@@ -29,11 +29,9 @@ from conftest import (
 import random
 
 from ruledger import contracts
-from ruledger.harness import cli
-from ruledger.harness.attacks import _base_scenario
+from ruledger.harness import attacks, cli
 from ruledger.harness.bench import format_bench, run_bench
 from ruledger.harness.report import report_bytes
-from ruledger.harness.scenario import scenario_from_dict
 from ruledger.harness.world import World, run_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import audit, tables
@@ -275,12 +273,6 @@ def _shuffle_tally(k: int, rounds: int) -> tuple[int, int]:
     return exactly_one, consumed_rest
 
 
-def _adversarial_world(mode: str) -> World:
-    world = World(scenario_from_dict(_base_scenario(1337, adversary={"mode": mode})))
-    world.run()
-    return world
-
-
 def _accepted_action_txs(world: World) -> int:
     count = 0
     node = world.nodes[0]
@@ -304,13 +296,13 @@ def test_criterion_4_once_only_execution():
 
     world_notes = []
     worlds_ok = True
-    for mode in ("forge_actions", "replay_requests", "token_reuse"):
-        world = _adversarial_world(mode)
+    for name, forge in attacks.PLATFORM_FORGERIES.items():
+        world, _, _ = attacks._platform_run(1337, forge)
         executed = world.devices["lock-1"].actions_executed
         authentic = len(world.nodes[0].state.table(tables.EVENT_RECORD).rows)
         accepted = _accepted_action_txs(world)
         worlds_ok = worlds_ok and executed == authentic == accepted == 1
-        world_notes.append(f"{mode}: executed={executed} authentic={authentic} "
+        world_notes.append(f"{name}: executed={executed} authentic={authentic} "
                            f"accepted_action_txs={accepted}")
 
     ok = shuffles_ok and worlds_ok

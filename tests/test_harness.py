@@ -77,7 +77,7 @@ def test_seed_override_beats_the_file():
                   {"name": "a", "role": "NormalUser", "usr_id": 2}]},
     {"accounts": [{"name": "a", "role": "Wizard", "usr_id": 1}]},
     {"trigger_mode": "webhook"},
-    {"adversary": {"mode": "chaotic"}},
+    {"adversary": {"mode": "honest"}},  # a field the format no longer has
     {"byzantine": {"node": 9, "fault": "drop"}},
     {"byzantine": {"node": 0, "fault": "gremlins"}},
     {"devices": [{"device_id": "watch-1", "kind": "heart_rate", "vendor": "v"},
@@ -712,6 +712,28 @@ def test_the_platform_takes_a_rule_export_only_from_the_owners_console(seed):
     assert world.tamock.exported[1]["actions"] == ["open_door_operation"]
 
 
+def test_the_platform_takes_an_action_result_only_from_the_task_agent():
+    # An outside result for request 1 was recorded as a second outcome of it.
+    report, world = _heart_rate_with_outsider(lambda w: [(3000, "tamock", {
+        "type": "action_result", "req_id": 1, "accepted": False, "code": "Forged"})])
+    assert report["platform"]["malformed_dropped"] == 1
+    assert [o["req_id"] for o in world.tamock.outcomes] == [1, 2, 3]
+    assert all(o["accepted"] for o in world.tamock.outcomes)
+
+
+def test_the_platform_takes_a_trigger_request_only_from_the_task_agent():
+    # An outside trigger for an event the ledger never saw made the platform emit
+    # a 4th action request (4 trigger requests against 3), answered BadCid.
+    report, world = _heart_rate_with_outsider(lambda w: [(3000, "tamock", {
+        "type": "trigger_request", "req_id": 99, "cid": "c" * 32,
+        "event_info": {**w.bindings[1], "step_id": 0, "event_seq": 99}})])
+    assert report["platform"]["malformed_dropped"] == 1
+    assert report["platform"]["trigger_requests"] == 3
+    assert report["platform"]["action_requests_emitted"] == 3
+    assert report["ledger"]["verdicts"]["rejected"] == {}
+    assert 99 not in world.tamock.requests
+
+
 def test_a_device_obeys_only_its_own_gateway():
     # A call sent straight to the lock skipped the gateway's token check and
     # opened it at 53 ms, with no action tx behind it.
@@ -832,6 +854,13 @@ def test_cli_run_names_a_bad_scenario_field_and_exits_two(tmp_path, capsys):
     assert "drain_ms" in capsys.readouterr().err
 
 
+def test_cli_run_refuses_the_platform_adversary_field(tmp_path, capsys):
+    scenario_path = tmp_path / "old.json"
+    scenario_path.write_text(json.dumps(_scenario(adversary={"mode": "honest"})))
+    assert cli.main(["run", str(scenario_path)]) == 2
+    assert "unknown field scenario.adversary" in capsys.readouterr().err
+
+
 def test_cli_run_reads_a_rule_file_next_to_the_scenario(poll_run, tmp_path, monkeypatch):
     # Run from the parent directory, which holds a rule.json that the scenario
     # loader would refuse: the scenario's own directory is the one searched.
@@ -905,6 +934,13 @@ def test_cli_bench_with_no_requests_states_no_overhead(capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("requests=0 concurrency=10\n  bypass nodes=4: completed=0 ")
     assert "overhead" not in printed
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--concurrency", "0"), ("--concurrency", "-1"), ("--requests", "-5")])
+def test_cli_bench_refuses_a_bad_count_and_exits_two(flag, value, capsys):
+    assert cli.main(["bench", flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_bench_waves_wait_for_the_rule_to_register():
