@@ -116,7 +116,8 @@ def test_a_trigger_and_a_result_count_only_from_the_task_agent():
     assert not _of_type(driver, "trigger_ack") and task.inbox == []
 
 
-def test_forged_emits_take_fresh_req_ids_and_the_channel_token():
+def test_forge_mode_adds_two_late_forgeries():
+    """The forge_actions forgery: invented coordinates, then the real pair again."""
     sched, net, platform, task, driver = _triggered()
     info, cid = platform.requests[1]
     platform.emit({**info, "event_seq": info["event_seq"] + 7777}, cid, 0, forged=True)
@@ -129,6 +130,19 @@ def test_forged_emits_take_fresh_req_ids_and_the_channel_token():
     assert replayed["event_info"] == honest["event_info"] and replayed["cid"] == honest["cid"]
     assert {r["channel_token"] for r in (fake_seq, replayed)} == {"chan-1"}
     assert platform.counters["forged_emitted"] == 2
+    assert platform.counters["action_requests_emitted"] == 1
+
+
+def test_replay_mode_resends_the_same_coordinates_once():
+    """The replay_requests forgery: the platform's own request, sent again."""
+    sched, net, platform, task, driver = _triggered()
+    platform.emit(*platform.requests[1], 0, forged=True)
+    sched.run()
+
+    honest, replayed = _of_type(task, "action_request")
+    assert replayed["req_id"] == 2 and replayed["channel_token"] == "chan-1"
+    assert replayed["event_info"] == honest["event_info"] and replayed["cid"] == honest["cid"]
+    assert platform.counters["forged_emitted"] == 1
     assert platform.counters["action_requests_emitted"] == 1
 
 
