@@ -10,10 +10,10 @@ agent's node list by the one fault bound, `ledger.node.max_faulty`.  An
 event, named by its (rule_id, event_seq), is then acted on at most once
 (`AgentBase._first`).
 Each agent declares the shape of every message it handles in `MESSAGES`,
-which the boundary every process shares (see `sim.Process`) checks before a
-handler reads the message.  A message that only one party sends, such as an
-ack, a device push or a bypass hand-off, counts only from that party
-(`Process.sender_is`); from anyone else it is dropped as malformed.
+and the sender of each one that only one party sends, such as an ack, a
+device push or a bypass hand-off; the boundary every process shares (see
+`sim.Process`) checks both before a handler reads the message, and drops a
+message from anyone else as malformed.
 
 Each decision is made in one place: a message sent until it is answered
 goes through `Process.resend`, with its waits fixed at the call site; a
@@ -34,7 +34,7 @@ from .keys import KeyPair
 from .ledger.client import RECEIPT, LedgerClient, QuorumGate  # noqa: F401 (re-exported)
 from .ledger.tx import KIND_ACTION, KIND_CONFIG, KIND_EVENT, KIND_RULE_COMMIT, build_tx
 from .rules import CATALOG, RuleDefinition, evaluate_trigger, is_rule
-from .sim.network import Process
+from .sim.network import Process, sent_by
 
 POLL_INTERVAL_MS = 500  # a poll-mode trigger runs once per interval
 
@@ -78,7 +78,8 @@ class UserAgent(AgentBase):
     """The rule owner's console: commits rules, wires up the other parties."""
 
     MESSAGES = {**AgentBase.MESSAGES, "export_ok": (
-        with_fields(type=one_of("export_ok"), rule_id=is_int), "_on_export_ok")}
+        with_fields(type=one_of("export_ok"), rule_id=is_int), "_on_export_ok",
+        sent_by("tamock_addr"))}
 
     def __init__(self, addr, net, keypair, node_addrs, usr_id, tamock_addr, exec_agent_addr):
         super().__init__(addr, net, keypair, node_addrs)
@@ -136,8 +137,7 @@ class UserAgent(AgentBase):
                                          "binding": rule.binding(usr_rule_id, self.usr_id)})
 
     def _on_export_ok(self, src, msg):
-        if self.sender_is(src, self.tamock_addr):
-            self.export_acked.add(msg["rule_id"])
+        self.export_acked.add(msg["rule_id"])
 
 
 class ExecutionAgent(AgentBase):
@@ -163,11 +163,14 @@ class ExecutionAgent(AgentBase):
     MESSAGES = {
         **AgentBase.MESSAGES,
         "register_trigger": (message("register_trigger", rule=is_rule,
-                                     binding=object_of(**BINDING)), "_on_register_trigger"),
-        "device_push": (message("device_push", device_id=is_str), "_on_device_push"),
+                                     binding=object_of(**BINDING)), "_on_register_trigger",
+                             sent_by("owner_addr")),
+        "device_push": (message("device_push", device_id=is_str), "_on_device_push",
+                        lambda agent, msg: agent.device_addrs.get(msg["device_id"])),
         "notify_actions": (with_fields(type=one_of("notify_actions"), event_info=EVENT_INFO,
                                        actions=_ACTIONS), "_on_notify_actions"),
-        "exec_direct": (message("exec_direct", event_info=EVENT_INFO), "_on_exec_direct"),
+        "exec_direct": (message("exec_direct", event_info=EVENT_INFO), "_on_exec_direct",
+                        sent_by("task_agent_addr")),
         "rpc_result": (RPC_RESULT, "answered"),
     }
 
@@ -223,8 +226,6 @@ class ExecutionAgent(AgentBase):
             self.run_trigger_cycle(trig)
 
     def _on_register_trigger(self, src, msg):
-        if not self.sender_is(src, self.owner_addr):
-            return
         rule = RuleDefinition(**msg["rule"])  # MESSAGES' is_rule has checked it
         # A rule id already run keeps its binding, as a modify rewrites only the
         # ledger's definition, and gets a new entry, not a changed one, so a
@@ -237,8 +238,6 @@ class ExecutionAgent(AgentBase):
             self.triggers[i] = {"rule": rule, "binding": self.triggers[i]["binding"]}
 
     def _on_device_push(self, src, msg):
-        if not self.sender_is(src, self.device_addrs.get(msg["device_id"])):
-            return
         for trig in self.triggers:
             devices = [dev for _op, dev, _c in trig["rule"].trigger_operations]
             if not self.polling and msg["device_id"] in devices:
@@ -291,8 +290,6 @@ class ExecutionAgent(AgentBase):
             self._exec_actions(info, actions)
 
     def _on_exec_direct(self, src, msg) -> None:
-        if not self.sender_is(src, self.task_agent_addr):
-            return
         if self.ledger_enabled:
             self.counters["refused_direct"] += 1
             return
@@ -367,11 +364,15 @@ class TaskAgent(AgentBase):
         **AgentBase.MESSAGES,
         "notify_event": (with_fields(type=one_of("notify_event"), event_info=EVENT_INFO,
                                      cid=is_str), "_on_notify_event"),
-        "bypass_event": (message("bypass_event", event_info=EVENT_INFO), "_on_bypass_event"),
+        # Only a bypass run hands events on this way; in a ledger run nobody may.
+        "bypass_event": (message("bypass_event", event_info=EVENT_INFO), "_on_bypass_event",
+                         lambda agent, _msg: None if agent.ledger_enabled
+                         else agent.exec_agent_addr),
         "action_request": (with_fields(type=one_of("action_request"), req_id=is_int,
                                        channel_token=is_str, event_info=EVENT_INFO, cid=is_str),
                            "_on_action_request"),
-        "trigger_ack": (with_fields(type=one_of("trigger_ack"), req_id=is_int), "_on_trigger_ack"),
+        "trigger_ack": (with_fields(type=one_of("trigger_ack"), req_id=is_int), "_on_trigger_ack",
+                        sent_by("tamock_addr")),
     }
 
     def __init__(self, addr, net, keypair, node_addrs, tamock_addr, channel_token,
@@ -390,8 +391,7 @@ class TaskAgent(AgentBase):
         })
 
     def _on_trigger_ack(self, src, msg) -> None:
-        if self.sender_is(src, self.tamock_addr):
-            self.pending_acks.discard(msg["req_id"])
+        self.pending_acks.discard(msg["req_id"])
 
     def _on_notify_event(self, src, msg) -> None:
         info, cid = msg["event_info"], msg["cid"]
@@ -400,9 +400,7 @@ class TaskAgent(AgentBase):
             self._send_trigger_request(info, cid)
 
     def _on_bypass_event(self, src, msg) -> None:
-        if self.ledger_enabled:
-            self.counters["malformed_dropped"] += 1
-        elif self.sender_is(src, self.exec_agent_addr) and self._first(msg["event_info"]):
+        if self._first(msg["event_info"]):
             self._send_trigger_request(msg["event_info"], "")
 
     def _send_trigger_request(self, info, cid) -> None:

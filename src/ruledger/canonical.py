@@ -131,9 +131,12 @@ def list_of(ok, most: int | None = None):
 
 
 def by_index(ok):
-    """An object keyed by decimal node indexes."""
+    """An object keyed by node indexes, each the ASCII decimal of an int in the
+    canonical range: bounded in length first, as `int` raises on a long one."""
+    digits = len(str(INT_END))
     return lambda v: type(v) is dict and all(
-        type(k) is str and k.isdecimal() and ok(x) for k, x in v.items()
+        type(k) is str and k.isascii() and k.isdecimal() and len(k) <= digits
+        and int(k) < INT_END and ok(x) for k, x in v.items()
     )
 
 

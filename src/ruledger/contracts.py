@@ -158,7 +158,8 @@ def gen_randomness(secret: bytes, event_info: dict) -> str:
 def verify_random(secret: bytes, event_info: dict, cid: str) -> bool:
     if not isinstance(cid, str):
         return False
-    return hmac.compare_digest(gen_randomness(secret, event_info), cid.lower())
+    # As bytes: compare_digest raises on a str that is not ASCII.
+    return hmac.compare_digest(gen_randomness(secret, event_info).encode(), cid.lower().encode())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .canonical import canonical_bytes, is_int, is_str, message, one_of, sha256_hex, with_fields
 from .contracts import event_body
 from .rules import CATALOG
-from .sim.network import Process
+from .sim.network import Process, sent_by
 
 APIS = {op.api: op for op in CATALOG.values()}  # api -> the catalog operation that calls it
 
@@ -72,7 +72,8 @@ class Device(Process):
     """
 
     MESSAGES = {
-        "rpc": (message("rpc", api=is_str, eid=is_str, log_key=is_str, corr=is_int), "_on_rpc"),
+        "rpc": (message("rpc", api=is_str, eid=is_str, log_key=is_str, corr=is_int), "_on_rpc",
+                sent_by("gateway_addr")),
     }
 
     def __init__(self, addr, net, device_id, kind, log_service, initial=None):
@@ -97,8 +98,6 @@ class Device(Process):
             self.send(target, {"type": "device_push", "device_id": self.device_id})
 
     def _on_rpc(self, src, msg):
-        if not self.sender_is(src, self.gateway_addr):
-            return
         reply = {"type": "rpc_result", "corr": msg["corr"], "device_id": self.device_id}
         op = APIS.get(msg["api"])
         if not self.online:

@@ -94,7 +94,8 @@ def _cmd_attacks(args) -> int:
 
 def _cmd_bench(args) -> int:
     for flag, value, least in (("--requests", args.requests, 0),
-                               ("--concurrency", args.concurrency, 1)):
+                               ("--concurrency", args.concurrency, 1),
+                               ("--nodes", args.nodes, 4)):  # as `replica_count_ok`
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
     result = run_bench(

@@ -52,19 +52,31 @@ class NetConfig:
             raise ValueError(f"bad drop_prob: {self.drop_prob}")
 
 
+def sent_by(attr: str):
+    """The sender slot of a message taken only from the address in the
+    receiver's attribute attr."""
+    return lambda process, _msg: getattr(process, attr)
+
+
 class Process:
     """Anything with an inbox, and the one boundary where it checks what it reads.
 
     `MESSAGES` maps each message type the process handles to (shape, handler
-    name); subclasses declare it from the `canonical` shape predicates and
-    add their own entries to `counters`.  The boundary invariant: no message
-    raises out of `on_message`.  A message the table does not admit is
-    counted once in `counters["malformed_dropped"]` and goes no further; a
-    handler runs only on a message its shape admits, reads it unguarded, and
-    never raises on it, so the last-resort catch in `on_message` stays unused.
+    name), or to (shape, handler name, sender) when one party alone sends it;
+    subclasses declare it from the `canonical` shape predicates and add their
+    own entries to `counters`.  sender(process, msg) gives the one address the
+    message is taken from, or None if nobody may send it (`sent_by` builds the
+    common case); a message any process may send is authenticated otherwise,
+    by a signature, a token, the f + 1 rule or a call's corr.  The boundary
+    invariant: no message raises out of `on_message`.  A message the table
+    does not admit, by its shape or its sender, is counted once in
+    `counters["malformed_dropped"]` and goes no further; a handler runs only
+    on a message its entry admits, reads it unguarded, and never raises on
+    it, so the last-resort catch in `on_message` stays unused.
     The receivers of a multicast share one message, so a handler never mutates
     a delivered message or any part it keeps.  They share its shape check too:
-    one per receiving class during `Network._deliver`, else one per call.
+    one per receiving class during `Network._deliver`, else one per call.  The
+    sender check is each receiver's own, as the sender slot reads the receiver.
     A process's `fault`, a Byzantine one's, acts on what it sends, so the
     process itself has one send path (see `ledger.faults`).
 
@@ -87,32 +99,24 @@ class Process:
         self._corr = 0
         net.register(addr, self)
 
-    def handler_for(self, msg) -> str | None:
-        """The name of msg's handler if MESSAGES admits msg, else None."""
+    def entry_for(self, msg) -> tuple | None:
+        """msg's `MESSAGES` entry if its shape admits msg, else None."""
         kind = msg["type"] if type(msg) is dict and "type" in msg else None
         entry = self.MESSAGES.get(kind) if type(kind) is str else None
-        return entry[1] if entry is not None and entry[0](msg) else None
+        return entry if entry is not None and entry[0](msg) else None
 
     def on_message(self, src: str, msg: dict) -> None:
         verdicts = {} if self.net.verdicts is None else self.net.verdicts
         if type(self) not in verdicts:
-            verdicts[type(self)] = self.handler_for(msg)
-        handler = verdicts[type(self)]
-        # Equivalent mutant: getattr(self, None) raises a TypeError, which the catch counts alike.
-        if handler is None:
+            verdicts[type(self)] = self.entry_for(msg)
+        entry = verdicts[type(self)]
+        if entry is None or len(entry) == 3 and src != entry[2](self, msg):
             self.counters["malformed_dropped"] += 1
             return
         try:
-            getattr(self, handler)(src, msg)
+            getattr(self, entry[1])(src, msg)
         except (KeyError, TypeError, ValueError):  # last resort; MESSAGES should leave none
             self.counters["malformed_dropped"] += 1
-
-    def sender_is(self, src: str, addr) -> bool:
-        """Whether src is addr, the one process a handler takes its message
-        from; a message from anyone else is counted as malformed."""
-        if src != addr:
-            self.counters["malformed_dropped"] += 1
-        return src == addr
 
     def send(self, dst: str | list[str], msg: dict) -> None:
         self.net.send(self.addr, dst, msg)
@@ -161,7 +165,7 @@ class Network:
         self.dropped = 0
         self.delivered = 0
         self.verify = VerifyMemo()  # shared by every replica on this network
-        self.verdicts: dict[type, str | None] | None = None  # the delivering multicast's
+        self.verdicts: dict[type, tuple | None] | None = None  # the delivering multicast's
         self.tap = None  # a test's hold-and-watch hook (see the module docstring)
 
     def register(self, addr: str, process: Process) -> None:
@@ -186,7 +190,7 @@ class Network:
         """Schedule msg's delivery to each of dsts, unfaulted, unless the tap keeps it."""
         # Deep-copy through canonical bytes: non-canonical payloads fail loudly.
         shared = orjson.loads(canonical_bytes(msg))
-        verdicts: dict[type, str | None] = {}  # receiving class -> its handler_for verdict
+        verdicts: dict[type, tuple | None] = {}  # receiving class -> its entry_for verdict
         lo, hi = self.config.delay_range
         for dst in dsts:
             self.sent += 1

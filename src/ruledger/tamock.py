@@ -12,17 +12,19 @@ from __future__ import annotations
 
 from .canonical import is_int, is_str, list_of, message, one_of, or_none, with_fields
 from .contracts import EVENT_INFO
-from .sim.network import Process
+from .sim.network import Process, sent_by
 
 
 class TriggerActionMock(Process):
     MESSAGES = {
         "export_rule": (message("export_rule", rule_id=is_int, title=is_str,
-                                actions=list_of(is_str)), "_on_export"),
+                                actions=list_of(is_str)), "_on_export", sent_by("owner_addr")),
         "trigger_request": (with_fields(type=one_of("trigger_request"), req_id=is_int,
-                                        event_info=EVENT_INFO, cid=is_str), "_on_trigger"),
+                                        event_info=EVENT_INFO, cid=is_str), "_on_trigger",
+                            sent_by("task_agent_addr")),
         "action_result": (message("action_result", req_id=is_int, accepted=one_of(True, False),
-                                  code=or_none(is_str)), "_on_action_result"),
+                                  code=or_none(is_str)), "_on_action_result",
+                          sent_by("task_agent_addr")),
     }
 
     def __init__(self, addr, net, owner_addr, task_agent_addr, channel_token):
@@ -44,14 +46,10 @@ class TriggerActionMock(Process):
         })
 
     def _on_export(self, src, msg) -> None:
-        if not self.sender_is(src, self.owner_addr):
-            return
         self.exported[msg["rule_id"]] = {"title": msg["title"], "actions": msg["actions"]}
         self.send(src, {"type": "export_ok", "rule_id": msg["rule_id"]})
 
     def _on_action_result(self, src, msg) -> None:
-        if not self.sender_is(src, self.task_agent_addr):
-            return
         self.outcomes.append({
             "req_id": msg["req_id"],
             "accepted": msg["accepted"],
@@ -60,8 +58,6 @@ class TriggerActionMock(Process):
         })
 
     def _on_trigger(self, src, msg) -> None:
-        if not self.sender_is(src, self.task_agent_addr):
-            return
         # Ack first so the task agent stops retrying, then dedup: a retry of
         # an already-handled request must not double-fire actions.
         self.send(src, {"type": "trigger_ack", "req_id": msg["req_id"]})

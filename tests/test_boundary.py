@@ -1,6 +1,6 @@
 """The message boundary of every process: `Process.on_message` counts a message
-its `MESSAGES` table refuses once, and a handler never raises on a message the
-table admits.
+its `MESSAGES` table refuses, by its shape or its sender, once, and a handler
+never raises on a message the table admits.
 
 The property drives each process of a built heart_rate world with each type
 it handles, its fields well typed half the time so that a good share of the
@@ -34,11 +34,6 @@ _WORLD = _WORLDS[0]
 # Each message type of each process class, drawn alike however many processes share it.
 _HANDLED = sorted({(type(p).__name__, kind)
                    for p in _WORLD.net.processes.values() for kind in p.MESSAGES})
-# The attribute naming the one sender a handler takes its message from.
-_ONE_SENDER = {"exec_direct": "task_agent_addr", "bypass_event": "exec_agent_addr",
-               "register_trigger": "owner_addr", "export_rule": "owner_addr",
-               "trigger_ack": "tamock_addr", "export_ok": "tamock_addr",
-               "trigger_request": "task_agent_addr", "action_result": "task_agent_addr"}
 
 _FIELDS = {
     "receipt": ("tx_id", "accepted", "code", "height"),
@@ -142,8 +137,8 @@ def _call_in_flight(agent) -> tuple[str, int]:
 def _delivery(draw):
     """A process of either world, a registered sender, and a message of a type the
     process handles: well typed half the time, with now and then one field missing
-    or of any shape.  A well-typed message of a type taken from one sender comes
-    from that sender half the time."""
+    or of any shape.  A well-shaped message of a type taken from one sender comes
+    from the address its `MESSAGES` sender slot gives half the time."""
     cls, kind = draw(st.sampled_from(_HANDLED))
     processes = dict(sorted(draw(st.sampled_from(_WORLDS)).net.processes.items()))
     process = draw(st.sampled_from([p for p in processes.values() if type(p).__name__ == cls]))
@@ -156,12 +151,11 @@ def _delivery(draw):
         if value is not _ABSENT:
             msg[name] = value
     src = draw(st.sampled_from(sorted(processes)))
-    if kind in _ONE_SENDER and typed and draw(st.booleans()):
-        src = getattr(process, _ONE_SENDER[kind])
+    entry = process.entry_for(msg)  # a slot reads only a message its shape admits
+    if entry is not None and len(entry) == 3 and draw(st.booleans()):
+        src = entry[2](process, msg) or src  # None: nobody may send it
     if cls == "ExecutionAgent" and kind == "rpc_result" and typed:
         src, msg["corr"] = _call_in_flight(process)  # the result comes from the gateway
-    if kind == "rpc" and typed:
-        src = process.gateway_addr  # a device takes calls from its gateway alone
     return process, src, msg
 
 
@@ -173,10 +167,10 @@ def test_the_fields_table_covers_every_handled_type():
 @given(delivery=_delivery())
 def test_no_message_raises_out_of_any_process(delivery):
     process, src, msg = delivery
-    handler = process.handler_for(msg)
-    if handler is None:
+    entry = process.entry_for(msg)
+    if entry is None or len(entry) == 3 and src != entry[2](process, msg):
         before = process.counters["malformed_dropped"]
         process.on_message(src, msg)
         assert process.counters["malformed_dropped"] == before + 1
     else:
-        getattr(process, handler)(src, msg)  # no catch: an admitted message never raises
+        getattr(process, entry[1])(src, msg)  # no catch: an admitted message never raises

@@ -27,7 +27,8 @@ from conftest import (
     seeded_state,
 )
 from ruledger import contracts
-from ruledger.canonical import canonical_bytes
+from ruledger.canonical import INT_END, INT_MIN, canonical_bytes
+from ruledger.harness.scenario import bundled_scenario
 from ruledger.keys import KeyPair
 from ruledger.ledger import tables
 from ruledger.ledger.tx import SignedTransaction
@@ -683,5 +684,68 @@ def test_no_body_makes_a_contract_raise(data):
         body = {"kind": kind, "nonce": nonce, **data.draw(_mutated(payload))}
         tx = SignedTransaction(kind, body, KEY.public_hex, "")
         verdict = contracts.verify_tx(tx, state, lambda e, k: "a" * 64, TEST_SECRET)
+        if verdict.accepted:
+            contracts.apply_tx(tx, state)
+
+
+# ---------------------------------------------------------------------------
+# no body BODIES admits raises: leaves at the edges of what BODIES admits
+
+_RULE = bundled_scenario("heart_rate")["rules"][0]
+_edge_str = st.sampled_from(["", "\u00e9", "\u4e2d\u6587", "AB", "watch-1"]) | st.text(max_size=4)
+_edge_int = st.sampled_from([INT_MIN, INT_END - 1, -1, 0, 1, 2, 101])
+_edge_info = st.just(event_info()) | st.builds(event_info, step_id=_edge_int,
+                                               event_seq=_edge_int) | st.fixed_dictionaries(
+    {"usr_rule_id": _edge_int, "usr_id": _edge_int, "rule_id": _edge_int,
+     "rule_name": _edge_str, "step_id": _edge_int, "event_seq": _edge_int})
+_edge_rule = st.builds(lambda rule_id, title: dict(_RULE, rule_id=rule_id, title=title),
+                       _edge_int, _edge_str)
+
+
+@st.composite
+def _edge_action(draw):
+    info = draw(_edge_info)
+    cid = draw(_edge_str | st.just(contracts.gen_randomness(TEST_SECRET, info)))
+    return "action", {"event_info": info, "cid": cid}
+
+
+_edge_body = st.one_of(
+    st.tuples(st.just("event"), st.fixed_dictionaries({
+        "event_info": _edge_info,
+        "event_log": st.fixed_dictionaries({"eid": _edge_str, "log_key": _edge_str,
+                                            "log_sum": _edge_str}),
+        "result_status": st.sampled_from([contracts.RES_OK, contracts.RES_ERR]),
+        "task_ref": _edge_int})),
+    _edge_action(),
+    st.tuples(st.just("rule_commit"), st.fixed_dictionaries({
+        "action": st.just("commit_rule"), "usr_rule_id": _edge_int, "usr_id": _edge_int,
+        "rule": _edge_rule})),
+    st.tuples(st.just("rule_commit"), st.fixed_dictionaries({
+        "action": st.just("modify_rule"), "rule": _edge_rule})),
+    st.tuples(st.just("config"), st.fixed_dictionaries({
+        "action": st.just("manage_accounts"), "entries": st.lists(st.fixed_dictionaries({
+            "signer": _edge_str | st.just(KEY.public_hex),
+            "role": st.sampled_from(sorted(contracts.ROLE_PERMISSIONS)),
+            "usr_id": _edge_int}), min_size=1, max_size=2)})),
+    st.tuples(st.just("config"), st.fixed_dictionaries({
+        "action": st.just("bind_device"), "device_id": _edge_str, "vendor": _edge_str,
+        "usr_id": _edge_int})),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bodies=st.lists(_edge_body, min_size=1, max_size=4), logged=st.booleans())
+def test_no_body_bodies_admits_makes_a_contract_raise(bodies, logged):
+    # A non-ASCII cid made hmac.compare_digest raise TypeError in verify_random.
+    state = seeded_state(_RULE)  # and an action on event_info() passes, as on _property_state
+    state.insert(tables.ACL, {"signer": KEY.public_hex, "role": "Administrator", "usr_id": 1})
+    insert_event_record(state, event_info())
+    state.insert(tables.TRIGGER_EVENT, {"tRule_id": 0, "tStep_id": 0, "tTask_id": 1,
+                                        "tResult": contracts.RES_OK})
+    for nonce, (kind, payload) in enumerate(bodies):
+        tx = SignedTransaction(kind, {"kind": kind, "nonce": nonce, **payload}, KEY.public_hex, "")
+        log_sum = payload["event_log"]["log_sum"] if logged and kind == "event" else None
+        verdict = contracts.verify_tx(tx, state, lambda e, k: log_sum, TEST_SECRET)
+        assert isinstance(verdict, contracts.Verdict)
         if verdict.accepted:
             contracts.apply_tx(tx, state)

@@ -15,6 +15,7 @@ import pytest
 from conftest import Tap, hr_rule, make_rig, mutated_since, rule_commit_tx
 from ruledger import contracts
 from ruledger import keys as keys_mod
+from ruledger.agents import AgentBase
 from ruledger.canonical import canonical_bytes, derive_seed, sha256_hex
 from ruledger.harness import bench, cli
 from ruledger.harness.report import build_stats, report_bytes, validate_report
@@ -24,7 +25,7 @@ from ruledger.keys import KeyPair
 from ruledger.ledger import audit
 from ruledger.ledger import node as node_mod
 from ruledger.ledger.node import ConfigError
-from ruledger.ledger.tx import SignedTransaction, build_tx, text_id
+from ruledger.ledger.tx import KIND_ACTION, SignedTransaction, build_tx, text_id
 from ruledger.rules import SMARTLOCK_UNLOCK, RuleError, parse_rule
 from ruledger.sim.network import Process
 
@@ -308,7 +309,12 @@ def test_a_dump_stores_each_accepted_tx_once(poll_run):
     lambda cert: cert["votes"].update(dict.fromkeys(cert["votes"], 5)),
     lambda cert: cert.update(view=float(cert["view"])),
     lambda cert: cert.update(votes=list(cert["votes"].values())),
-], ids=["int_vote", "float_view", "list_votes"])
+    # int() raised ValueError past its 4,300-digit limit, out of the audit.
+    lambda cert: cert["votes"].update({"9" * 5000: "00"}),
+    lambda cert: cert["votes"].update({str(2**64): "00"}),
+    lambda cert: cert["votes"].update({"\u0663": "00"}),  # an Arabic-Indic 3
+], ids=["int_vote", "float_view", "list_votes", "huge_index", "index_past_the_range",
+        "non_ascii_index"])
 def test_audit_reports_a_malformed_commit_certificate(poll_run, tamper):
     _, world = poll_run
     records = json.loads(json.dumps(audit.dump_lines(world.nodes[0])))
@@ -756,6 +762,23 @@ def test_a_device_push_counts_only_from_the_device_it_names():
     assert report["execution"]["malformed_dropped"] == 6
 
 
+@pytest.mark.parametrize("cid", ["é", "ab"])
+def test_an_action_tx_with_a_non_ascii_cid_is_refused_and_halts_nothing(cid):
+    # hmac.compare_digest raised TypeError on the non-ASCII cid partway through
+    # the block: every replica stopped at height 1 after two view changes, the
+    # outsider got no receipt and the lock ran none of its 3 actions.
+    world = World(cli._load("heart_rate", 42))
+    outsider = AgentBase("outsider", world.net, KeyPair.from_seed(42, "acct/outsider"),
+                         world.ledger_config.node_addrs)
+    tids = []
+    report = world.run(hook=lambda w: w.scheduler.schedule(900, lambda: tids.append(
+        outsider.submit(KIND_ACTION, {"event_info": {**w.bindings[1], "step_id": 0,
+                                                     "event_seq": 1}, "cid": cid}))))
+    assert [outsider.client.resolved[tid].code for tid in tids] == [contracts.CODE_BAD_CID]
+    assert report["devices"]["lock-1"]["actions_executed"] == 3
+    assert [len(node.chain) - 1 for node in world.nodes] == [11] * 4
+
+
 def test_report_schema_rejects_broken_reports(poll_run):
     report, _ = poll_run
     broken = json.loads(report_bytes(report))
@@ -937,7 +960,7 @@ def test_cli_bench_with_no_requests_states_no_overhead(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--concurrency", "0"), ("--concurrency", "-1"), ("--requests", "-5")])
+    ("--concurrency", "0"), ("--concurrency", "-1"), ("--requests", "-5"), ("--nodes", "3")])
 def test_cli_bench_refuses_a_bad_count_and_exits_two(flag, value, capsys):
     assert cli.main(["bench", flag, value]) == 2
     assert flag in capsys.readouterr().err

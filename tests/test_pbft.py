@@ -883,6 +883,31 @@ def test_a_signed_pre_prepare_that_fails_a_check_is_refused(vc_rig, msg):
     assert not [m for src, _, m in sent if src == node.addr and m["type"] in ("prepare", "commit")]
 
 
+def _with_vote(cert, key):
+    cert["votes"][key] = next(iter(cert["votes"].values()))
+    return cert
+
+
+@pytest.mark.parametrize("carrier", [
+    lambda rig, key: {"type": "committed", **_with_vote(_prepared(rig, rig.wires[0], (0, 1, 3),
+                                                                  "c"), key)},
+    lambda rig, key: _view_change(rig, 3, 1, _with_vote(_prepared(rig, rig.wires[0],
+                                                                  (0, 1, 2)), key)),
+    lambda rig, key: dict(_new_view(1, _vcs(rig)), vcs={
+        **{str(vc["sender"]): vc for vc in _vcs(rig)}, key: _view_change(rig, 1, 1)}),
+], ids=["committed", "view_change_certificate", "new_view"])
+@pytest.mark.parametrize("key", ["9" * 5000, "\u0663"], ids=["huge", "non_ascii"])
+def test_a_vote_index_int_cannot_read_is_refused_at_the_boundary(vc_rig, carrier, key):
+    # A 5,000-digit index raised ValueError from int() in the handler, past
+    # Python's digit limit; only the last-resort catch stopped it.
+    rig, node = vc_rig, vc_rig.nodes[2]
+    msg = carrier(rig, key)
+    assert node.entry_for(msg) is None
+    node.on_message("node1", msg)
+    assert node.counters["malformed_dropped"] == 1
+    assert not node.slots and not node.vc_msgs and (node.view, node.next_height) == (0, 1)
+
+
 @pytest.mark.parametrize("carrier", [
     lambda rig, batch: _pre_prepare(rig, 0, batch),
     lambda rig, batch: _new_view(1, _vcs(rig), _pre_prepare(rig, 1, batch)),
@@ -893,7 +918,7 @@ def test_a_batch_above_max_batch_is_refused_at_the_boundary(vc_rig, carrier):
     # Unbounded, one message could make every replica parse and verify a list of any length.
     rig, node = vc_rig, vc_rig.nodes[2]
     wire = rig.wires[0][0]
-    assert node.handler_for(carrier(rig, [wire] * node_mod.MAX_BATCH)) is not None
+    assert node.entry_for(carrier(rig, [wire] * node_mod.MAX_BATCH)) is not None
     node.on_message("node1", carrier(rig, [wire] * (node_mod.MAX_BATCH + 1)))
     assert node.counters["malformed_dropped"] == 1
     assert not node.slots and not node.vc_msgs and (node.view, node.next_height) == (0, 1)
@@ -1353,10 +1378,10 @@ def test_peer_messages_never_raise_out_of_a_node(fuzz_rig, data):
     msg = data.draw(_peer_msg(fuzz_rig))
     src = data.draw(st.sampled_from(fuzz_rig.config.node_addrs + ["client"]))
     node = fuzz_rig.nodes[1]
-    handler = node.handler_for(msg)
-    if handler is None:
+    entry = node.entry_for(msg)  # no node message names one sender
+    if entry is None:
         before = node.counters["malformed_dropped"]
         node.on_message(src, msg)
         assert node.counters["malformed_dropped"] == before + 1
     else:
-        getattr(node, handler)(src, msg)  # no catch: an admitted message never raises
+        getattr(node, entry[1])(src, msg)  # no catch: an admitted message never raises

@@ -13,7 +13,7 @@ from ruledger.canonical import is_int, message
 from ruledger.harness import cli
 from ruledger.harness.world import World
 from ruledger.ledger.faults import FaultSpec
-from ruledger.sim.network import NetConfig, Network, Process
+from ruledger.sim.network import NetConfig, Network, Process, sent_by
 from ruledger.sim.scheduler import Scheduler, SimulationPanic
 
 
@@ -275,12 +275,33 @@ def test_a_watching_tap_sees_every_send_and_delivery_of_a_run():
     assert len(tap.watched) == world.net.delivered == world.net.sent - world.net.dropped
 
 
+class _Owned(Process):
+    MESSAGES = {"x": (message("x"), "_on_x", sent_by("owner"))}
+
+    def __init__(self, addr, net, owner):
+        super().__init__(addr, net)
+        self.owner = owner  # None: nobody may send it an x
+        self.inbox = []
+
+    def _on_x(self, src, msg):
+        self.inbox.append(src)
+
+
 def test_a_handler_takes_a_message_only_from_its_one_sender():
-    net = Network(Scheduler(), NetConfig(), random.Random(1))
-    p = Sink("p", net)
-    assert p.sender_is("a", "a") and p.counters["malformed_dropped"] == 0
-    assert not p.sender_is("b", "a") and not p.sender_is("a", None)
-    assert p.counters["malformed_dropped"] == 2
+    # A multicast shares one shape check per receiving class, but each receiver
+    # checks the sender against its own slot; a wrong one counts once and runs nothing.
+    sch = Scheduler()
+    net = Network(sch, NetConfig(), random.Random(1))
+    owned = [_Owned("a", net, "p"), _Owned("b", net, "q"), _Owned("c", net, None)]
+    Sink("p", net)
+    Sink("q", net)
+    for src in ("p", "q"):
+        net.send(src, ["a", "b", "c"], {"type": "x"})
+    sch.run()
+    assert [o.inbox for o in owned] == [["p"], ["q"], []]
+    assert [o.counters["malformed_dropped"] for o in owned] == [1, 1, 2]
+    owned[0].on_message("q", {"type": "x"})  # a direct call is checked alike
+    assert owned[0].inbox == ["p"] and owned[0].counters["malformed_dropped"] == 2
 
 
 class _Caller(Process):
